@@ -123,12 +123,16 @@ bench-alloc:
 # -benchtime 1x -count 2 — two single-iteration samples pacevm-benchjson
 # folds into one entry (at -benchtime 2x inside the main sweep it would
 # dominate the suite) — and the -require floor fails the recording if a
-# huge entry ever lands on a single noisy sample again.
+# huge entry ever lands on a single noisy sample again. AllocateFleet is
+# the partition-search layer entry: one PA decision against a
+# 660-server fleet.
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
-		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve; } \
-		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'Serve=2' -require 'ServeObs=2' -o BENCH_sim.json
+		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
+		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core; } \
+		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'Serve=2' -require 'ServeObs=2' \
+			-require 'AllocateFleet=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark
 # document against the committed BENCH_sim.json baseline and reports

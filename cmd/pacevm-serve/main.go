@@ -114,7 +114,7 @@ func main() {
 	flag.DurationVar(&opt.sloTarget, "slo-target", 0, "per-request latency SLO target enabling rolling attainment/burn-rate tracking (0 = off)")
 	flag.Float64Var(&opt.sloObjective, "slo-objective", 0.99, "required good fraction for the SLO (in (0,1))")
 	flag.DurationVar(&opt.sloWindow, "slo-window", time.Minute, "sliding SLO measurement window")
-	flag.IntVar(&opt.slowRing, "slow-ring", 32, "keep the K slowest requests with stage breakdowns for /debug/slow (0 = off)")
+	flag.IntVar(&opt.slowRing, "slow-ring", 0, "keep the K slowest requests with stage breakdowns for /debug/slow (0 = off, the default)")
 	flag.DurationVar(&opt.readHeaderTimeout, "read-header-timeout", 5*time.Second, "HTTP header read deadline (slow-loris guard)")
 	flag.DurationVar(&opt.readTimeout, "read-timeout", 60*time.Second, "HTTP full-request read deadline")
 	flag.DurationVar(&opt.idleTimeout, "idle-timeout", 120*time.Second, "HTTP keep-alive idle deadline")
@@ -198,6 +198,13 @@ func run(opt options) error {
 		return err
 	}
 
+	// Take over SIGTERM/SIGINT before any listener opens: from the first
+	// answered request on, a signal must drain the service, never kill
+	// the process with the default disposition.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sig)
+
 	if opt.debugAddr != "" {
 		dbg, err := obs.ServeDebug(opt.debugAddr, reg)
 		if err != nil {
@@ -233,8 +240,6 @@ func run(opt options) error {
 	go func() { httpDone <- srv.Serve(ln) }()
 	fmt.Printf("pacevm-serve: listening on %s\n", ln.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Printf("pacevm-serve: %v, draining\n", s)

@@ -503,6 +503,10 @@ type sim struct {
 	// coordinator reads it at window barriers to route new jobs to the
 	// least-loaded shard.
 	loadLeft float64
+	// loadAdded is the work ever added to loadLeft. Its rounding error
+	// grows with every addition, so the work-conservation check scales
+	// its tolerance with this sum rather than with what is outstanding.
+	loadAdded float64
 }
 
 // Validate checks the user-facing configuration without normalizing
@@ -730,7 +734,7 @@ func (s *sim) scheduleArrival(idx int, seq uint64) {
 	s.metrics.TotalJobs++
 	s.metrics.TotalVMs += r.VMs
 	s.metrics.NominalWork += r.NominalTime * units.Seconds(r.VMs)
-	s.loadLeft += float64(r.NominalTime) * float64(r.VMs)
+	s.addLoad(float64(r.NominalTime) * float64(r.VMs))
 }
 
 // admitStolen admits a job handed off from another shard at a window
@@ -752,7 +756,13 @@ func (s *sim) admitStolen(idx int, seq uint64, at units.Seconds) {
 	s.metrics.TotalJobs++
 	s.metrics.TotalVMs += r.VMs
 	s.metrics.NominalWork += r.NominalTime * units.Seconds(r.VMs)
-	s.loadLeft += float64(r.NominalTime) * float64(r.VMs)
+	s.addLoad(float64(r.NominalTime) * float64(r.VMs))
+}
+
+// addLoad admits w nominal-seconds of work to the outstanding gauge.
+func (s *sim) addLoad(w float64) {
+	s.loadLeft += w
+	s.loadAdded += w
 }
 
 // unadmit reverses a queued job's admission accounting so it can be

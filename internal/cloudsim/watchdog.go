@@ -27,7 +27,10 @@ func (s *sim) registerWatchdogChecks() {
 // but unfinished nominal-seconds must equal pending arrivals plus
 // queued requests plus resident VMs. loadLeft is maintained by one
 // add/sub per admission, kill and retirement, so a drift here means a
-// placement or fault path lost or duplicated work.
+// placement or fault path lost or duplicated work. The tolerance scales
+// with the work ever added (loadAdded), the magnitude the rounding of
+// those adds and subs accumulates over, and not with the outstanding
+// work, which falls to zero at finalize while the rounding does not.
 func (s *sim) checkWorkConservation() error {
 	// A corrupted cursor would make the re-derivation itself crash;
 	// report instead of walking out of bounds (queue-sanity pinpoints
@@ -54,7 +57,7 @@ func (s *sim) checkWorkConservation() error {
 			derived += float64(vm.nominal)
 		}
 	}
-	tol := 1e-6 * (1 + math.Abs(derived))
+	tol := 1e-6 * (1 + s.loadAdded)
 	if diff := math.Abs(derived - s.loadLeft); diff > tol {
 		return fmt.Errorf("loadLeft %g but re-derived outstanding work %g (diff %g)", s.loadLeft, derived, diff)
 	}

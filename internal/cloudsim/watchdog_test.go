@@ -44,6 +44,23 @@ func TestWatchdogDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// A long first-fit run drains every admitted VM, so the outstanding work
+// falls back to zero at finalize while loadLeft keeps the rounding of
+// some 350k adds and subs (~1e-6 nominal-seconds here). The
+// work-conservation tolerance scales with the work ever added, so that
+// rounding is not a violation.
+func TestWatchdogLongFirstFitRunClean(t *testing.T) {
+	reqs := allocWorkload(t, 1, 100_000, 1.5)
+	wd := obs.NewWatchdog(1 << 16)
+	cfg := Config{DB: sharedDB(t), Servers: 1000, Strategy: ff(t, 3), Watchdog: wd}
+	if _, err := Run(cfg, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if v := wd.Violations(); len(v) != 0 {
+		t.Fatalf("clean first-fit run reported violations: %v", v)
+	}
+}
+
 // Sharded runs give every shard a private watchdog over its own
 // simulator; a clean stress run stays clean through the merge, and the
 // user's handle is reusable across runs.

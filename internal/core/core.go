@@ -16,16 +16,18 @@
 // Following the paper, ties between equally ranked candidates select "the
 // first server of the list", and the whole search is deliberately brute
 // force — the paper chose exhaustive search "to demonstrate and study the
-// potential of application-centric proactive VM allocation". Four exact
+// potential of application-centric proactive VM allocation". Exact
 // reductions keep the brute force cheap (see search.go): partitions whose
 // block structure is identical up to interchangeable VMs (same class,
-// nominal time and QoS bound) are evaluated once, servers whose current
-// allocation is identical are evaluated once per block, block pricings
-// are memoized per (server state, block composition), and candidates are
-// pruned online to the Pareto frontier the α-monotone score selects
-// from; larger searches additionally fan out to a worker pool. All of it
-// is bit-for-bit equivalent to the literal serial transcription retained
-// as AllocateReference.
+// nominal time and QoS bound) are evaluated once; servers are grouped
+// once per call into classes of identical current allocation, so each
+// block considers the first untouched server of every class plus the
+// servers the partition already touched instead of scanning the fleet;
+// block pricings are memoized per (server state, block composition); and
+// candidates are pruned online to the Pareto frontier the α-monotone
+// score selects from; larger searches additionally fan out to a worker
+// pool. All of it is bit-for-bit equivalent to the literal serial
+// transcription retained as AllocateReference.
 package core
 
 import (
@@ -105,7 +107,8 @@ type Config struct {
 	// DB is the model database.
 	DB *model.DB
 	// MaxVMsPerServer caps any server's resident VM count after
-	// placement. Zero defaults to the database grid bound.
+	// placement. Zero defaults to the database grid bound; values above
+	// 2^21 are rejected.
 	MaxVMsPerServer int
 	// RelaxQoS disregards the QoS guarantees, "which might not be
 	// acceptable for a production system" (Sect. III.D) but is needed to
@@ -164,6 +167,9 @@ type Config struct {
 // Allocator runs the paper's allocation algorithm.
 type Allocator struct {
 	cfg Config
+	// est memoizes database estimates for every search this allocator
+	// runs; it is safe for concurrent Allocate calls.
+	est *model.EstimateCache
 }
 
 // NewAllocator validates the configuration and returns an allocator.
@@ -173,6 +179,9 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	}
 	if cfg.MaxVMsPerServer < 0 {
 		return nil, errors.New("core: negative MaxVMsPerServer")
+	}
+	if cfg.MaxVMsPerServer > maxPackedCount {
+		return nil, fmt.Errorf("core: MaxVMsPerServer above %d", maxPackedCount)
 	}
 	if cfg.MaxVMsPerServer == 0 {
 		m := cfg.DB.MaxKey()
@@ -200,7 +209,11 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			cfg.PerClassBound[c] = cfg.MaxVMsPerServer
 		}
 	}
-	return &Allocator{cfg: cfg}, nil
+	est := model.NewEstimateCache(cfg.DB)
+	if cfg.Obs != nil {
+		est.Instrument(cfg.Obs)
+	}
+	return &Allocator{cfg: cfg, est: est}, nil
 }
 
 // Placement is one block of the chosen partition assigned to a server.

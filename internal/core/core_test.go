@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ var (
 )
 
 // sharedDB builds one campaign database for the whole test package.
-func sharedDB(t *testing.T) *model.DB {
+func sharedDB(t testing.TB) *model.DB {
 	t.Helper()
 	dbOnce.Do(func() {
 		cfg := campaign.DefaultConfig()
@@ -64,6 +65,27 @@ func TestNewAllocatorValidation(t *testing.T) {
 	}
 	if _, err := NewAllocator(Config{DB: sharedDB(t), MaxVMsPerServer: -1}); err == nil {
 		t.Error("negative cap should fail")
+	}
+	if _, err := NewAllocator(Config{DB: sharedDB(t), MaxVMsPerServer: maxPackedCount + 1}); err == nil {
+		t.Error("a cap past the packed server-class key should fail")
+	}
+}
+
+// TestAllocateFullFleetInfeasible: servers already at MaxVMsPerServer
+// join no server class, so a fleet of only such servers offers no
+// candidate, exactly as the reference finds none.
+func TestAllocateFullFleetInfeasible(t *testing.T) {
+	a := mkAllocator(t)
+	servers := emptyServers(3)
+	for i := range servers {
+		servers[i].Alloc = model.Key{NMEM: a.cfg.MaxVMsPerServer}
+	}
+	vms := []VMRequest{vm("v", workload.ClassCPU, refTime(t, workload.ClassCPU), 0)}
+	if _, err := a.AllocateReference(GoalBalanced, servers, vms); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("reference: err %v, want ErrInfeasible", err)
+	}
+	if _, err := a.Allocate(GoalBalanced, servers, vms); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err %v, want ErrInfeasible", err)
 	}
 }
 

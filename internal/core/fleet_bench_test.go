@@ -1,0 +1,110 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"pacevm/internal/model"
+	"pacevm/internal/units"
+	"pacevm/internal/workload"
+)
+
+// occupancyMix is a datacenter's spread of server states mid-run: idle
+// servers, lightly and heavily loaded ones of every class mix, and
+// servers at their per-class bounds that accept nothing more.
+var occupancyMix = []model.Key{
+	{},
+	{NCPU: 1},
+	{NCPU: 2, NMEM: 1},
+	{NMEM: 1, NIO: 1},
+	{},
+	{NCPU: 1, NMEM: 1, NIO: 1},
+	{NCPU: 4, NMEM: 3, NIO: 3},
+	{NCPU: 2, NMEM: 2, NIO: 2},
+	{NIO: 2},
+	{NCPU: 3, NMEM: 1},
+	{NMEM: 2},
+}
+
+// mixFleet builds n servers cycling through occupancyMix, so a 660- and
+// a 66-server fleet hold the same allocation classes.
+func mixFleet(n int) []ServerState {
+	servers := make([]ServerState, n)
+	for i := range servers {
+		servers[i] = ServerState{ID: i, Alloc: occupancyMix[i%len(occupancyMix)]}
+	}
+	return servers
+}
+
+// mixVMs builds an n-VM job cycling through the classes with staggered
+// nominal times and generous QoS bounds.
+func mixVMs(tb testing.TB, n int) []VMRequest {
+	aux := sharedDB(tb).Aux()
+	vms := make([]VMRequest, n)
+	for i := range vms {
+		class := workload.Classes[i%workload.NumClasses]
+		nominal := aux.RefTime[class] * units.Seconds(1+0.07*float64(i))
+		vms[i] = VMRequest{ID: fmt.Sprint(i), Class: class, NominalTime: nominal, MaxTime: 4 * nominal}
+	}
+	return vms
+}
+
+// BenchmarkAllocateFleet measures one serial allocation decision against
+// a 660-server fleet in the occupancy mix, for a 1-VM and a 4-VM job:
+// the per-decision cost of a datacenter-sized proactive placement.
+func BenchmarkAllocateFleet(b *testing.B) {
+	a, err := NewAllocator(Config{DB: sharedDB(b), SearchWorkers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	servers := mixFleet(660)
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			vms := mixVMs(b, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Allocate(GoalBalanced, servers, vms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAllocateAllocsFlatInFleetSize pins that a decision's allocations
+// do not grow with the fleet: ten times the servers in the same
+// allocation classes cost exactly as many allocations per call, and the
+// same bytes up to a 1 KB allowance for the runtime's own background
+// allocations, which the heap total also counts.
+func TestAllocateAllocsFlatInFleetSize(t *testing.T) {
+	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	for _, n := range []int{1, 4} {
+		vms := mixVMs(t, n)
+		allocate := func(servers []ServerState) {
+			if _, err := a.Allocate(GoalBalanced, servers, vms); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perOp := func(servers []ServerState) (allocs float64, bytes uint64) {
+			allocs = testing.AllocsPerRun(runs, func() { allocate(servers) })
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				allocate(servers)
+			}
+			runtime.ReadMemStats(&m1)
+			return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+		}
+		smallAllocs, smallBytes := perOp(mixFleet(66))
+		largeAllocs, largeBytes := perOp(mixFleet(660))
+		if largeAllocs != smallAllocs || largeBytes > smallBytes+1024 {
+			t.Errorf("n=%d: %v allocs, %d B per op at 660 servers; %v allocs, %d B at 66",
+				n, largeAllocs, largeBytes, smallAllocs, smallBytes)
+		}
+	}
+}

@@ -4,16 +4,31 @@ package core
 //
 // The engine keeps the paper's exhaustive semantics — every non-redundant
 // set partition of the VM set is still evaluated — but restructures the
-// enumeration around four exact reductions:
+// enumeration around five exact reductions:
 //
 //  1. Equivalent partitions (same typed multiset of block compositions)
 //     are deduplicated through a packed integer signature instead of the
 //     legacy sorted-string form; no per-partition string is ever built.
-//  2. Block pricing is memoized per (server state, block composition):
-//     the same block on the same effective allocation is priced once,
-//     not once per partition that contains it. Database estimates are
-//     additionally memoized per allocation key (model.EstimateCache).
-//  3. Candidates are pruned online to a Pareto frontier: the α-weighted
+//  2. Servers are grouped once per call into classes of identical
+//     current allocation — the paper's "first server of the list" among
+//     interchangeable servers. A block's candidates are the first
+//     untouched server of each class plus every server the partition has
+//     already touched, sorted by server index, less those a lower-index
+//     touched server at the same grown allocation hides. Every option the
+//     full-fleet scan prices survives, in the same order; the only extras
+//     are later twins of an untouched server's option, which never win
+//     the strict tie-break and leave the normalization maxima unchanged.
+//     A block costs O(classes × touched) rather than O(servers ×
+//     classes). A class keeps only its first len(vms)+1 members, since a
+//     partition touches at most len(vms) servers, and servers too full to
+//     host any VM are left out of every class.
+//  3. Block pricing is memoized per (server class, block composition)
+//     in a dense per-worker table: the same block on the same class is
+//     priced once, not once per partition that contains it. A touched
+//     server's grown allocation is priced directly. Database estimates
+//     are memoized per allocation key in the allocator's
+//     model.EstimateCache, which lives as long as the allocator.
+//  4. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
 //     earlier one can never win under any goal — dropping it cannot
@@ -21,7 +36,7 @@ package core
 //     first-of-the-list tie-break). Later dominators never evict earlier
 //     candidates, because within the scoreEpsilon tie band the earlier
 //     index must still win.
-//  4. For larger VM sets the deduplicated partition stream fans out to a
+//  5. For larger VM sets the deduplicated partition stream fans out to a
 //     bounded worker pool. Each job carries its enumeration index, each
 //     worker reduces its subsequence in arrival order, and the final
 //     merge re-sorts by index, so the deterministic tie-break of the
@@ -32,6 +47,7 @@ package core
 // the unpruned enumeration would have used.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -111,17 +127,10 @@ func sigOfPartition(typeOf []uint8, blocks [][]int) partSig {
 	return sig
 }
 
-// blockMemoKey identifies one priced (server state, block composition)
-// pair within a single search.
-type blockMemoKey struct {
-	base model.Key
-	sig  blockSig
-}
-
-// blockMemoVal is a memoized block pricing: the placement economics
-// minus the concrete VM identities (every block with the same signature
-// shares them).
-type blockMemoVal struct {
+// blockPrice is the pricing of one block on one server state: the
+// placement economics minus the concrete VM identities (every block with
+// the same signature shares them).
+type blockPrice struct {
 	after  model.Key
 	time   units.Seconds
 	energy units.Joules
@@ -150,8 +159,26 @@ type blockPlace struct {
 	energy   units.Joules
 }
 
+// serverClass is one group of interchangeable servers: every member has
+// the same current allocation. members holds the class's lowest server
+// indices in ascending order, at most len(vms)+1 of them.
+type serverClass struct {
+	alloc   model.Key
+	members []int
+}
+
+// packKey packs an allocation into one integer, 21 bits per class. It
+// is lossless for the servers groupServers keeps: their totals are below
+// MaxVMsPerServer, which NewAllocator bounds by maxPackedCount.
+func packKey(k model.Key) uint64 {
+	return uint64(k.NCPU) | uint64(k.NMEM)<<21 | uint64(k.NIO)<<42
+}
+
+// maxPackedCount bounds MaxVMsPerServer so that packKey stays lossless.
+const maxPackedCount = 1 << 21
+
 // searchCtx is the shared state of one Allocate call: the VM type
-// table plus the two memo layers, both safe for concurrent workers.
+// table and the server classes, read-only once the search starts.
 type searchCtx struct {
 	a       *Allocator
 	goal    Goal
@@ -160,6 +187,7 @@ type searchCtx struct {
 	typeOf  []uint8
 	types   []VMRequest
 	typeKey []model.Key
+	classes []serverClass
 
 	est *model.EstimateCache
 
@@ -179,9 +207,6 @@ type searchCtx struct {
 	// per-worker tallies are summed in after the pool drains, so no
 	// atomic traffic joins the hot path.
 	stats SearchStats
-
-	blockMu   sync.RWMutex
-	blockMemo map[blockMemoKey]blockMemoVal
 }
 
 func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
@@ -191,16 +216,16 @@ func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMReques
 		typeKey[t] = model.KeyFor(rep.Class, 1)
 	}
 	sc := &searchCtx{
-		a:         a,
-		goal:      goal,
-		servers:   servers,
-		vms:       vms,
-		typeOf:    typeOf,
-		types:     types,
-		typeKey:   typeKey,
-		est:       model.NewEstimateCache(a.cfg.DB),
-		blockMemo: make(map[blockMemoKey]blockMemoVal, 256),
+		a:       a,
+		goal:    goal,
+		servers: servers,
+		vms:     vms,
+		typeOf:  typeOf,
+		types:   types,
+		typeKey: typeKey,
+		est:     a.est,
 	}
+	sc.groupServers()
 	if reg := a.cfg.Obs; reg != nil {
 		sc.enumerated = reg.Counter("search_partitions_enumerated")
 		sc.deduped = reg.Counter("search_partitions_deduped")
@@ -214,48 +239,80 @@ func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMReques
 		// producer is the bottleneck.
 		sc.workerLoad = reg.Histogram("search_jobs_per_worker",
 			1, 4, 16, 64, 256, 1024, 4096, 16384)
-		sc.est.Instrument(reg)
 	}
 	return sc
 }
 
-// priceBlock prices adding a block of composition sig (total key
-// blockKey) to a server currently at base, memoized. The semantics are
-// those of Allocator.evalBlock restricted to the block's own VMs;
-// QoS of VMs already tentatively placed on the server is rechecked
-// per call by placedOK, because it depends on the partition prefix,
-// not on (base, sig).
-func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key) blockMemoVal {
-	k := blockMemoKey{base: base, sig: sig}
-	sc.blockMu.RLock()
-	v, ok := sc.blockMemo[k]
-	sc.blockMu.RUnlock()
-	if ok {
-		return v
+// groupServers sorts the servers into classes of identical allocation,
+// in order of each class's first member. A server whose allocation
+// already holds MaxVMsPerServer VMs is skipped: every block overflows
+// it, so the full scan never takes it as an option either.
+func (sc *searchCtx) groupServers() {
+	const chunkClasses = 16 // classes whose member lists share one allocation
+	maxMembers := len(sc.vms) + 1
+	byKey := make(map[uint64]int, chunkClasses)
+	// recent is a direct-mapped cache in front of byKey, indexed by a
+	// multiplicative hash of the packed key: a fleet holds a few dozen
+	// classes, so nearly every server resolves without a map lookup.
+	// class is stored plus one, so a zero slot is empty.
+	var recent [256]struct {
+		key   uint64
+		class int
 	}
-	// Compute outside the lock: the pricing is deterministic, so a
-	// concurrent duplicate computation stores an identical value.
-	v = sc.priceBlockUncached(base, sig, blockKey)
-	sc.blockMu.Lock()
-	sc.blockMemo[k] = v
-	sc.blockMu.Unlock()
-	return v
+	sc.classes = make([]serverClass, 0, chunkClasses)
+	var chunk []int
+	for si := range sc.servers {
+		alloc := sc.servers[si].Alloc
+		if alloc.Total() >= sc.a.cfg.MaxVMsPerServer {
+			continue
+		}
+		k := packKey(alloc)
+		slot := &recent[(k*0x9E3779B97F4A7C15)>>56]
+		ci := slot.class - 1
+		if ci < 0 || slot.key != k {
+			var ok bool
+			if ci, ok = byKey[k]; !ok {
+				ci = len(sc.classes)
+				byKey[k] = ci
+				sc.classes = append(sc.classes, serverClass{alloc: alloc})
+			}
+			slot.key, slot.class = k, ci+1
+		}
+		c := &sc.classes[ci]
+		if c.members == nil {
+			if cap(chunk)-len(chunk) < maxMembers {
+				chunk = make([]int, 0, chunkClasses*maxMembers)
+			}
+			n := len(chunk)
+			chunk = chunk[:n+maxMembers]
+			c.members = chunk[n : n : n+maxMembers]
+		}
+		if len(c.members) < maxMembers {
+			c.members = append(c.members, si)
+		}
+	}
 }
 
-func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey model.Key) blockMemoVal {
+// priceBlock prices adding a block of composition sig (total key
+// blockKey) to a server currently at base. The semantics are those of
+// Allocator.evalBlock restricted to the block's own VMs; QoS of VMs
+// already tentatively placed on the server is rechecked per call by
+// placedOK, because it depends on the partition prefix, not on
+// (base, sig).
+func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key) blockPrice {
 	cfg := &sc.a.cfg
 	after := base.Add(blockKey)
 	if after.Total() > cfg.MaxVMsPerServer {
-		return blockMemoVal{}
+		return blockPrice{}
 	}
 	for _, c := range workload.Classes {
 		if after.Count(c) > cfg.PerClassBound[c] {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 	}
 	recAfter, err := sc.est.Estimate(after)
 	if err != nil {
-		return blockMemoVal{}
+		return blockPrice{}
 	}
 	aux := cfg.DB.Aux()
 	var blockTime units.Seconds
@@ -266,11 +323,11 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 		rep := sc.types[t]
 		ref := aux.RefTime[rep.Class]
 		if ref <= 0 {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 		est := recAfter.ClassTime(rep.Class) * rep.NominalTime / ref
 		if !cfg.RelaxQoS && rep.MaxTime > 0 && est > rep.MaxTime {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 		if est > blockTime {
 			blockTime = est
@@ -282,7 +339,7 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 	if !base.IsZero() {
 		recBefore, err := sc.est.Estimate(base)
 		if err != nil {
-			return blockMemoVal{}
+			return blockPrice{}
 		}
 		beforeEnergy = recBefore.Energy
 	}
@@ -290,7 +347,7 @@ func (sc *searchCtx) priceBlockUncached(base model.Key, sig blockSig, blockKey m
 	if deltaE < 0 {
 		deltaE = 0
 	}
-	return blockMemoVal{after: after, time: blockTime, energy: deltaE, ok: true}
+	return blockPrice{after: after, time: blockTime, energy: deltaE, ok: true}
 }
 
 // placedOK rechecks the QoS bounds of VM types already tentatively
@@ -328,15 +385,23 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 type searchWorker struct {
 	sc *searchCtx
 
-	// Per-partition scratch, reset via the touched list.
-	extra   []model.Key // tentative additions per server index
-	mask    []typeMask  // tentatively placed VM types per server index
-	touched []int
+	// Per-partition scratch. used[c] counts the members of class c the
+	// partition has touched; they are always a prefix of the class's
+	// members, because only a class's first untouched server is ever a
+	// candidate. Reset via the touched list.
+	used    []int
+	touched []touchedServer
 
 	// Per-block scratch.
-	seenBases []model.Key
-	options   []blockOption
-	places    []blockPlace
+	cands   []blockCand
+	options []blockOption
+	places  []blockPlace
+
+	// Block-pricing memo for untouched servers: row sigRow[sig] of memo
+	// holds one slot per server class. Each worker keeps its own, so
+	// the pool prices without locks.
+	sigRow map[blockSig]int
+	memo   []memoSlot
 
 	// Reduction state.
 	frontier []candidate
@@ -352,21 +417,66 @@ type searchWorker struct {
 	nPruned     int
 }
 
-type blockOption struct {
+// touchedServer is a server the current partition has placed blocks on:
+// its class, its allocation grown by those blocks, and the VM types
+// they hold.
+type touchedServer struct {
 	serverIdx int
-	val       blockMemoVal
+	class     int
+	base      model.Key
+	mask      typeMask
+}
+
+// blockCand is one server a block may go to: the first untouched member
+// of a class (touched < 0) or the touched server w.touched[touched].
+type blockCand struct {
+	serverIdx int
+	class     int
+	touched   int
+}
+
+type blockOption struct {
+	cand blockCand
+	val  blockPrice
+}
+
+// memoSlot is one memoized class pricing; done marks it filled.
+type memoSlot struct {
+	val  blockPrice
+	done bool
 }
 
 func (sc *searchCtx) newWorker() *searchWorker {
+	k := len(sc.classes) + len(sc.vms)
 	return &searchWorker{
-		sc:        sc,
-		extra:     make([]model.Key, len(sc.servers)),
-		mask:      make([]typeMask, len(sc.servers)),
-		touched:   make([]int, 0, len(sc.vms)),
-		seenBases: make([]model.Key, 0, len(sc.servers)),
-		options:   make([]blockOption, 0, len(sc.servers)),
-		places:    make([]blockPlace, 0, len(sc.vms)),
+		sc:      sc,
+		used:    make([]int, len(sc.classes)),
+		touched: make([]touchedServer, 0, len(sc.vms)),
+		cands:   make([]blockCand, 0, k),
+		options: make([]blockOption, 0, k),
+		places:  make([]blockPlace, 0, len(sc.vms)),
+		sigRow:  make(map[blockSig]int),
+		// One row per block size: every composition a job of
+		// interchangeable VMs can form.
+		memo: make([]memoSlot, 0, len(sc.classes)*len(sc.vms)),
 	}
+}
+
+// memoRow returns the memo row of block composition sig, adding an
+// empty one on first sight.
+func (w *searchWorker) memoRow(sig blockSig) []memoSlot {
+	nc := len(w.sc.classes)
+	if nc == 0 {
+		return nil
+	}
+	r, ok := w.sigRow[sig]
+	if !ok {
+		r = len(w.memo) / nc
+		w.sigRow[sig] = r
+		w.memo = slices.Grow(w.memo, nc)[:len(w.memo)+nc]
+		clear(w.memo[r*nc:])
+	}
+	return w.memo[r*nc : (r+1)*nc]
 }
 
 // consider evaluates one partition and folds it into the worker's
@@ -448,9 +558,8 @@ func copyBlocks(blocks [][]int) [][]int {
 func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	sc := w.sc
 	alpha := sc.goal.Alpha
-	for _, si := range w.touched {
-		w.extra[si] = model.Key{}
-		w.mask[si] = 0
+	for _, t := range w.touched {
+		w.used[t.class] = 0
 	}
 	w.touched = w.touched[:0]
 	w.places = w.places[:0]
@@ -466,26 +575,30 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 			bmask |= 1 << t
 		}
 
-		w.seenBases = w.seenBases[:0]
+		w.collectCands()
 		w.options = w.options[:0]
-		for si := range sc.servers {
-			base := sc.servers[si].Alloc.Add(w.extra[si])
-			dup := false
-			for _, b := range w.seenBases {
-				if b == base {
-					dup = true
-					break
-				}
+		row := w.memoRow(sig)
+		for _, c := range w.cands {
+			base, mask := sc.classes[c.class].alloc, typeMask(0)
+			if c.touched >= 0 {
+				base, mask = w.touched[c.touched].base, w.touched[c.touched].mask
 			}
-			if dup {
+			if w.hidden(c.serverIdx, base) {
 				continue
 			}
-			w.seenBases = append(w.seenBases, base)
-			v := sc.priceBlock(base, sig, blockKey)
-			if !v.ok || !sc.placedOK(v.after, w.mask[si]) {
+			var v blockPrice
+			if c.touched >= 0 {
+				v = sc.priceBlock(base, sig, blockKey)
+			} else if m := &row[c.class]; m.done {
+				v = m.val
+			} else {
+				v = sc.priceBlock(base, sig, blockKey)
+				*m = memoSlot{val: v, done: true}
+			}
+			if !v.ok || !sc.placedOK(v.after, mask) {
 				continue
 			}
-			w.options = append(w.options, blockOption{serverIdx: si, val: v})
+			w.options = append(w.options, blockOption{cand: c, val: v})
 		}
 		if len(w.options) == 0 {
 			return false
@@ -519,20 +632,70 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 			}
 		}
 		chosen := w.options[bestI]
-		si := chosen.serverIdx
-		if w.extra[si].IsZero() && w.mask[si] == 0 {
-			w.touched = append(w.touched, si)
+		if c := chosen.cand; c.touched >= 0 {
+			t := &w.touched[c.touched]
+			t.base = chosen.val.after
+			t.mask |= bmask
+		} else {
+			w.used[c.class]++
+			w.touched = append(w.touched, touchedServer{
+				serverIdx: c.serverIdx,
+				class:     c.class,
+				base:      chosen.val.after,
+				mask:      bmask,
+			})
 		}
-		w.extra[si] = w.extra[si].Add(blockKey)
-		w.mask[si] |= bmask
 		w.places = append(w.places, blockPlace{
-			serverID: sc.servers[si].ID,
+			serverID: sc.servers[chosen.cand.serverIdx].ID,
 			after:    chosen.val.after,
 			time:     chosen.val.time,
 			energy:   chosen.val.energy,
 		})
 	}
 	return true
+}
+
+// collectCands fills w.cands with the block's candidate servers in
+// ascending server index: the first untouched member of every class
+// that has one, and every touched server.
+func (w *searchWorker) collectCands() {
+	w.cands = w.cands[:0]
+	for ci := range w.sc.classes {
+		members := w.sc.classes[ci].members
+		if u := w.used[ci]; u < len(members) {
+			w.cands = append(w.cands, blockCand{serverIdx: members[u], class: ci, touched: -1})
+		}
+	}
+	for ti, t := range w.touched {
+		w.cands = append(w.cands, blockCand{serverIdx: t.serverIdx, class: t.class, touched: ti})
+	}
+	// Insertion sort: classes are already in first-member order, so only
+	// the touched servers and the classes they advanced are out of place.
+	for i := 1; i < len(w.cands); i++ {
+		c := w.cands[i]
+		j := i
+		for j > 0 && w.cands[j-1].serverIdx > c.serverIdx {
+			w.cands[j] = w.cands[j-1]
+			j--
+		}
+		w.cands[j] = c
+	}
+}
+
+// hidden reports whether a touched server with a lower index than si
+// sits at allocation base. The full scan prices only the first server
+// at each allocation, and a touched one hides the rest: the QoS of the
+// VMs placed on it may reject a block an untouched twin would accept.
+// An untouched server hides nothing observable: it rejects a block only
+// if the pricing does, so a later server at its allocation prices to an
+// identical option, which never wins the strict tie-break.
+func (w *searchWorker) hidden(si int, base model.Key) bool {
+	for _, t := range w.touched {
+		if t.serverIdx < si && t.base == base {
+			return true
+		}
+	}
+	return false
 }
 
 // search enumerates the deduplicated partitions of the VM set and
@@ -557,7 +720,8 @@ func (sc *searchCtx) search(workers int) (cands []candidate, maxT units.Seconds,
 
 func (sc *searchCtx) searchSerial(n int) ([]candidate, units.Seconds, units.Joules, bool, error) {
 	w := sc.newWorker()
-	seen := make(map[partSig]struct{}, 64)
+	// A 1-VM job has one partition; do not size its dedup set for 64.
+	seen := make(map[partSig]struct{}, min(partition.Bell(n), 64))
 	budget := sc.a.cfg.SearchBudget
 	cancel := sc.a.cfg.Cancel
 	exhausted := false

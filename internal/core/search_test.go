@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
+	"pacevm/internal/partition"
 	"pacevm/internal/rng"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
@@ -50,6 +52,24 @@ func randomVMs(t *testing.T, r *rng.Stream, n int) []VMRequest {
 	return vms
 }
 
+// tightVMs is randomVMs with QoS bounds a few percent above the nominal
+// time, tight enough that co-location can break them: a block may then
+// fit a server's grown allocation on its own QoS yet break the QoS of
+// VMs the partition placed there earlier.
+func tightVMs(t *testing.T, r *rng.Stream, n int) []VMRequest {
+	t.Helper()
+	vms := randomVMs(t, r, n)
+	slack := []float64{0, 1.02, 1.04, 1.2}
+	for i := range vms {
+		if f := slack[r.Intn(len(slack))]; f > 0 {
+			vms[i].MaxTime = vms[i].NominalTime * units.Seconds(f)
+		} else {
+			vms[i].MaxTime = 0
+		}
+	}
+	return vms
+}
+
 // sameAllocation asserts two allocations are bit-for-bit identical:
 // same placements in the same order, same servers, same VM identities,
 // and exactly equal estimated times and energies.
@@ -86,6 +106,15 @@ func sameAllocation(t *testing.T, label string, got, want Allocation) {
 // identical Allocation as the retained literal transcription of the
 // paper's search, across seeded random fleets, all three evaluated α
 // goals, and VM sets up to n = 8.
+//
+// The small fleets (4-8 servers) mostly hold distinct allocations. The
+// wide fleets (64-96 servers) draw from five interleaved allocations, so
+// the class-grouped candidate scan matters: every class holds far more
+// servers than a partition can touch, one class is too full to host any
+// VM, and a rare class of empty servers is smaller than the partition's
+// block count, so the search must exhaust it and then skip it. Their VMs
+// carry tight QoS bounds (tightVMs), so a touched server's earlier VMs
+// can reject a block its untouched twins would take.
 func TestAllocateMatchesReference(t *testing.T) {
 	db := sharedDB(t)
 	serial, err := NewAllocator(Config{DB: db, SearchWorkers: 1})
@@ -96,25 +125,199 @@ func TestAllocateMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goals := []Goal{GoalEnergy, GoalPerformance, GoalBalanced}
 	r := rng.New(7)
 	for n := 2; n <= 8; n++ {
 		servers := randomFleet(r, 4+r.Intn(5))
 		vms := randomVMs(t, r, n)
-		for _, goal := range goals {
-			want, wantErr := serial.AllocateReference(goal, servers, vms)
-			for name, a := range map[string]*Allocator{"serial": serial, "parallel": pooled} {
-				got, gotErr := a.Allocate(goal, servers, vms)
-				label := name
-				if gotErr != wantErr {
-					t.Errorf("%s n=%d alpha=%g: err %v, reference err %v", label, n, goal.Alpha, gotErr, wantErr)
-					continue
+		matchReference(t, serial, pooled, servers, vms, nil)
+	}
+
+	common := wideFleetCommon(serial)
+	r = rng.New(41)
+	exhausted := 0
+	for n := 2; n <= 8; n++ {
+		fleets := 2
+		if n <= 5 {
+			fleets = 12 // small searches are cheap; sample more fleets
+		}
+		for f := 0; f < fleets; f++ {
+			front := f%2 == 1
+			nRare := 1 + r.Intn(n-1) // fewer rare servers than the n singleton blocks
+			servers, rareIDs := classFleet(r, 64+r.Intn(33), common, model.Key{}, nRare, front)
+			vms := tightVMs(t, r, n)
+			exhausted += matchReference(t, serial, pooled, servers, vms, rareIDs)
+		}
+	}
+	if exhausted == 0 {
+		t.Error("no wide-fleet case placed blocks on every rare-class server; the fixture no longer exercises class exhaustion")
+	}
+}
+
+// matchReference checks Allocate at both worker counts against
+// AllocateReference under every evaluated goal. It returns how many
+// reference allocations placed blocks on every server in rareIDs.
+func matchReference(t *testing.T, serial, pooled *Allocator, servers []ServerState, vms []VMRequest, rareIDs map[int]bool) (exhausted int) {
+	t.Helper()
+	for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
+		want, wantErr := serial.AllocateReference(goal, servers, vms)
+		if wantErr == nil && len(rareIDs) > 0 {
+			used := map[int]bool{}
+			for _, p := range want.Placements {
+				if rareIDs[p.ServerID] {
+					used[p.ServerID] = true
 				}
-				if wantErr != nil {
-					continue
-				}
-				sameAllocation(t, label, got, want)
 			}
+			if len(used) == len(rareIDs) {
+				exhausted++
+			}
+		}
+		for name, a := range map[string]*Allocator{"serial": serial, "parallel": pooled} {
+			got, gotErr := a.Allocate(goal, servers, vms)
+			label := fmt.Sprintf("%s n=%d alpha=%g servers=%d", name, len(vms), goal.Alpha, len(servers))
+			if gotErr != wantErr {
+				t.Errorf("%s: err %v, reference err %v", label, gotErr, wantErr)
+				continue
+			}
+			if wantErr != nil {
+				continue
+			}
+			sameAllocation(t, label, got, want)
+		}
+	}
+	return exhausted
+}
+
+// classFleet builds a wide fleet of nServers servers whose allocations
+// interleave the common keys at random, except that exactly nRare
+// servers hold the rare key: the first nRare servers when front is set,
+// random ones otherwise. Rare servers in front, once grown, precede the
+// first members of the common classes their grown allocation joins.
+func classFleet(r *rng.Stream, nServers int, common []model.Key, rare model.Key, nRare int, front bool) (servers []ServerState, rareIDs map[int]bool) {
+	servers = make([]ServerState, nServers)
+	for i := range servers {
+		servers[i] = ServerState{ID: 1000 + i, Alloc: common[r.Intn(len(common))]}
+	}
+	rareIDs = make(map[int]bool, nRare)
+	for len(rareIDs) < nRare {
+		i := len(rareIDs)
+		if !front {
+			i = r.Intn(nServers)
+		}
+		if !rareIDs[servers[i].ID] {
+			servers[i].Alloc = rare
+			rareIDs[servers[i].ID] = true
+		}
+	}
+	return servers, rareIDs
+}
+
+// wideFleetCommon are the common allocations of the wide fleets: lightly
+// loaded servers of several class mixes, plus servers so full
+// (MaxVMsPerServer VMs) that they can host nothing.
+func wideFleetCommon(a *Allocator) []model.Key {
+	return []model.Key{
+		{NCPU: 1},
+		{NMEM: 1, NIO: 1},
+		{NCPU: 1, NMEM: 1},
+		{NCPU: a.cfg.MaxVMsPerServer},
+	}
+}
+
+// TestEvalPartitionMatchesReference compares the class-grouped block
+// placement with the reference's full-fleet scan partition by partition,
+// not only through the winner: every partition of the VM set must place
+// on the same servers at the same priced allocations, or be infeasible
+// in both. Tight QoS bounds make a touched server's earlier VMs reject
+// blocks that a same-allocation untouched server would accept, so the
+// dedup order of the candidates is observable.
+func TestEvalPartitionMatchesReference(t *testing.T) {
+	a := mkAllocator(t)
+	compare := func(servers []ServerState, vms []VMRequest) {
+		t.Helper()
+		n := len(vms)
+		for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
+			w := newSearchCtx(a, goal, servers, vms).newWorker()
+			_, err := partition.ForEach(n, func(blocks [][]int) bool {
+				ref, refOK := a.evalPartitionReference(goal, servers, vms, blocks)
+				ok := w.evalPartition(blocks)
+				if ok != refOK {
+					t.Fatalf("n=%d alpha=%g %v: feasible %v, reference %v", n, goal.Alpha, blocks, ok, refOK)
+				}
+				for i := 0; ok && i < len(blocks); i++ {
+					got, want := w.places[i], ref.placements[i]
+					if got.serverID != want.ServerID || got.after != want.NewAlloc ||
+						got.time != want.EstTime || got.energy != want.EstEnergy {
+						t.Fatalf("n=%d alpha=%g %v block %d: {srv %d alloc %v}, reference {srv %d alloc %v}",
+							n, goal.Alpha, blocks, i, got.serverID, got.after, want.ServerID, want.NewAlloc)
+					}
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Directed case: under the performance goal the QoS-bound CPU VM a
+	// takes the lone empty server 0, growing it to (1,0,0) ahead of every
+	// server of that class. The next block {b, c} would lift it to
+	// (3,0,0) and break a's bound, and server 0 — the first server at
+	// that allocation — hides the untouched (1,0,0) servers, exactly as
+	// the full scan's dedup does.
+	cpu := refTime(t, workload.ClassCPU)
+	directed := []ServerState{{ID: 0}}
+	for i := 1; i < 64; i++ {
+		directed = append(directed, ServerState{ID: i, Alloc: wideFleetCommon(a)[i%3]})
+	}
+	compare(directed, []VMRequest{
+		vm("a", workload.ClassCPU, cpu, cpu*1.02),
+		vm("b", workload.ClassCPU, cpu, 0),
+		vm("c", workload.ClassCPU, cpu, 0),
+	})
+
+	r := rng.New(47)
+	for n := 2; n <= 6; n++ {
+		for f := 0; f < 6; f++ {
+			servers, _ := classFleet(r, 64+r.Intn(33), wideFleetCommon(a), model.Key{}, 1+r.Intn(n-1), f%2 == 1)
+			compare(servers, tightVMs(t, r, n))
+		}
+	}
+}
+
+// TestWideFleetCutsDegradeToFirstFit pins the two search cuts on a wide
+// fleet: an exhausted budget and a firing Cancel hook both return
+// exactly the first-fit fallback, at 1 and 4 workers.
+func TestWideFleetCutsDegradeToFirstFit(t *testing.T) {
+	db := sharedDB(t)
+	r := rng.New(43)
+	probe := mkAllocator(t)
+	servers, _ := classFleet(r, 80, wideFleetCommon(probe), model.Key{}, 2, false)
+	vms := randomVMs(t, r, 7)
+	want, err := probe.allocateFirstFit(servers, vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		calls := 0
+		cfgs := map[string]Config{
+			"budget": {DB: db, SearchWorkers: workers, SearchBudget: 5},
+			"cancel": {DB: db, SearchWorkers: workers, Cancel: func() bool { calls++; return calls > 5 }},
+		}
+		for name, cfg := range cfgs {
+			a, err := NewAllocator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := a.AllocateExplained(GoalBalanced, servers, vms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			if !got.Degraded || !stats.Degraded || stats.Canceled != (name == "cancel") {
+				t.Fatalf("%s: cut not reported: degraded %v, stats %+v", label, got.Degraded, stats)
+			}
+			sameAllocation(t, label, got, want)
 		}
 	}
 }

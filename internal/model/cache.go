@@ -14,9 +14,10 @@ import (
 // call would, so cached and uncached searches are bit-for-bit
 // equivalent.
 //
-// The cache holds an unbounded map and is meant to be scoped to one
-// search or simulation over one database, not held for a process
-// lifetime over many databases.
+// The cache holds an unbounded map of one database's estimates. The
+// allocator in internal/core keeps one per Allocator, across every
+// search it runs; its capacity and per-class bounds cap the keys it
+// prices, so the map stays small.
 type EstimateCache struct {
 	db *DB
 

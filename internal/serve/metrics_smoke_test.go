@@ -117,10 +117,25 @@ func TestMetricsSmoke(t *testing.T) {
 
 	// Mixed traffic under chaos: placements (one with a pinned request
 	// ID), replays, releases, and a bad request, spread over ~1.5s so
-	// the fault schedule fires while requests are in flight.
+	// the fault schedule fires while requests are in flight. The pinned
+	// placement goes first: it is sent once, with no retry, so it must
+	// not meet a fleet the traffic after it has filled, where a crash
+	// leaves no free io slot and the answer is 503.
+	const pinnedID = "req-metrics-smoke-pinned"
+	req, _ := http.NewRequest("POST", base+"/v1/place",
+		strings.NewReader(`{"key":"smoke-pinned","class":"io","vms":1}`))
+	req.Header.Set("X-Request-Id", pinnedID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || resp.Header.Get("X-Request-Id") != pinnedID {
+		t.Fatalf("pinned place: status %d id %q", resp.StatusCode, resp.Header.Get("X-Request-Id"))
+	}
 	cli := newSoakClient(t, base)
 	deadline := time.Now().Add(30 * time.Second)
-	const pinnedID = "req-metrics-smoke-pinned"
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("smoke-%d", i)
 		if !cli.place("smoke", key, 1+i%2, true, deadline) {
@@ -133,18 +148,6 @@ func TestMetricsSmoke(t *testing.T) {
 			cli.place("smoke", key, 1+i%2, true, deadline) // replay
 		}
 		time.Sleep(25 * time.Millisecond)
-	}
-	req, _ := http.NewRequest("POST", base+"/v1/place",
-		strings.NewReader(`{"key":"smoke-pinned","class":"io","vms":1}`))
-	req.Header.Set("X-Request-Id", pinnedID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || resp.Header.Get("X-Request-Id") != pinnedID {
-		t.Fatalf("pinned place: status %d id %q", resp.StatusCode, resp.Header.Get("X-Request-Id"))
 	}
 	if resp, err := http.Post(base+"/v1/place", "application/json",
 		strings.NewReader("{not json")); err == nil {

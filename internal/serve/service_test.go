@@ -447,11 +447,18 @@ func TestDecisionLogLadderAndSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go s.Place("test", PlaceRequest{Key: "d-1", Class: "cpu", VMs: 1})
+	placed := make(chan struct{})
+	go func() {
+		defer close(placed)
+		s.Place("test", PlaceRequest{Key: "d-1", Class: "cpu", VMs: 1})
+	}()
 	waitFor(t, "queued", func() bool { return s.queuedWork() == 1 })
 	s.Place("test", PlaceRequest{Key: "d-2", Class: "cpu", VMs: 1}) // queue-full shed
 	s.startWorkers()
-	waitFor(t, "drained", func() bool { return s.queuedWork() == 0 })
+	// The worker records the place decision before it answers, so once
+	// d-1's Place returns the log holds it; an empty queue alone only
+	// means the worker has dequeued d-1.
+	<-placed
 	var sawAdmit, sawShed, sawPlace bool
 	for _, d := range rec.Decisions() {
 		switch d.Kind {

@@ -118,6 +118,9 @@ func startDaemon(t *testing.T, bin string, args ...string) (*daemon, string) {
 	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// A test that fails before it drains the daemon must not leave it
+	// running; after a clean exit the kill is a no-op.
+	t.Cleanup(func() { _ = d.cmd.Process.Kill() })
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)

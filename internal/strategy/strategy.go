@@ -22,11 +22,10 @@ import (
 	"pacevm/internal/rng"
 )
 
-// Server is a placement-time view of one physical server.
-type Server struct {
-	ID    int
-	Alloc model.Key
-}
+// Server is a placement-time view of one physical server. It is the
+// allocator's own server type, so a Proactive placement hands the
+// caller's slice to the search without copying it.
+type Server = core.ServerState
 
 // Strategy decides where a job request's VMs run.
 type Strategy interface {
@@ -255,11 +254,7 @@ func (p *Proactive) Place(servers []Server, vms []core.VMRequest) ([]int, bool) 
 // is a deliberate QoS wait.
 func (p *Proactive) PlaceExplained(servers []Server, vms []core.VMRequest) ([]int, bool, PlaceInfo) {
 	var info PlaceInfo
-	states := make([]core.ServerState, len(servers))
-	for i, s := range servers {
-		states[i] = core.ServerState{ID: s.ID, Alloc: s.Alloc}
-	}
-	out, stats, err := p.strict.AllocateExplained(p.goal, states, vms)
+	out, stats, err := p.strict.AllocateExplained(p.goal, servers, vms)
 	info.Stats = stats
 	if errors.Is(err, core.ErrInfeasible) {
 		satisfiable := true
@@ -274,7 +269,7 @@ func (p *Proactive) PlaceExplained(servers []Server, vms []core.VMRequest) ([]in
 			return nil, false, info // wait for QoS-compatible capacity
 		}
 		info.Relaxed = true
-		out, stats, err = p.relaxed.AllocateExplained(p.goal, states, vms)
+		out, stats, err = p.relaxed.AllocateExplained(p.goal, servers, vms)
 		info.Stats.Enumerated += stats.Enumerated
 		info.Stats.Deduped += stats.Deduped
 		info.Stats.Feasible += stats.Feasible
