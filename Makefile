@@ -19,10 +19,11 @@ race:
 	$(GO) test -race ./...
 
 # race-sim races the event-loop packages plus everything the telemetry
-# layer touches concurrently (search worker pool, estimate cache,
-# registry); fast enough to gate every verify.
+# layer touches concurrently (search worker pool, recycled search
+# scratch, estimate cache, registry) and the fleet index whose
+# allocation classes the search reads; fast enough to gate every verify.
 race-sim:
-	$(GO) test -race ./internal/cloudsim ./internal/eventq ./internal/core ./internal/model ./internal/obs
+	$(GO) test -race ./internal/cloudsim ./internal/eventq ./internal/core ./internal/model ./internal/obs ./internal/strategy
 
 # race-faults races the fault-injection layer: the schedule generator
 # plus the fault-mode simulator and placement-index paths (crash/recover

@@ -1040,7 +1040,7 @@ func (s *sim) applyAlloc(sv *simServer, c workload.Class, delta int) {
 		}
 	}
 	if s.fleet != nil {
-		s.fleet.Add(sv.id, delta)
+		s.fleet.Add(sv.id, c, delta)
 	}
 }
 
@@ -1514,7 +1514,19 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 	var info *strategy.PlaceInfo
 	if s.indexed != nil {
 		// The index itself excludes down servers (FleetIndex.SetDown).
-		assign, ok = s.indexed.PlaceIndexed(s.fleet, vms, s.assignBuf[:])
+		// With a recorder on, an indexed strategy that explains itself
+		// decides through PlaceIndexedExplained, as Explainer does below.
+		var ie strategy.IndexedExplainer
+		if s.rec != nil {
+			ie, _ = s.indexed.(strategy.IndexedExplainer)
+		}
+		if ie != nil {
+			var pi strategy.PlaceInfo
+			assign, ok, pi = ie.PlaceIndexedExplained(s.fleet, vms, s.assignBuf[:])
+			info = &pi
+		} else {
+			assign, ok = s.indexed.PlaceIndexed(s.fleet, vms, s.assignBuf[:])
+		}
 	} else {
 		views := s.views
 		if s.faulty {

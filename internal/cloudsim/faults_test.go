@@ -20,6 +20,10 @@ import (
 // the simulator down the fleet-view placement path.
 type linearOnly struct{ strategy.Strategy }
 
+// linearExplainer is linearOnly for a strategy that explains its
+// decisions: the fleet-view path with the search attribution kept.
+type linearExplainer struct{ strategy.Explainer }
+
 // faultWorkload is a seeded trace stream long enough that mid-run
 // crashes hit resident VMs.
 func faultWorkload(t testing.TB, seed uint64, n int) []trace.Request {
@@ -94,31 +98,62 @@ func TestFaultRunDeterministic(t *testing.T) {
 
 // TestFaultIndexedMatchesLinear pins that the capacity-index down/up
 // path and the compacted fleet-view path place identically under
-// faults: the same first-fit strategy through both machineries must
-// yield byte-identical runs.
+// faults: first-fit and PA-0.5 through both machineries must yield
+// byte-identical runs. The PA runs also attach a decision recorder,
+// and the two logs — search tallies included — must match too.
 func TestFaultIndexedMatchesLinear(t *testing.T) {
 	db := sharedDB(t)
 	reqs := faultWorkload(t, 29, 200)
 	sched := faultSchedule(t, 9, 12, 50000)
-	mk := func(s strategy.Strategy) Config {
-		return Config{
-			DB: db, Servers: 12, Strategy: s,
-			Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
-		}
+	cases := []struct {
+		name   string
+		st     strategy.Strategy
+		linear strategy.Strategy
+		record bool
+	}{
+		{"FF-2", ff(t, 2), linearOnly{ff(t, 2)}, false},
+		{"PA-0.5", pa(t, core.GoalBalanced), linearExplainer{pa(t, core.GoalBalanced).(strategy.Explainer)}, true},
 	}
-	indexed, err := Run(mk(ff(t, 2)), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := Run(mk(linearOnly{ff(t, 2)}), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if indexed.Metrics != linear.Metrics {
-		t.Errorf("Metrics diverge:\nindexed %+v\nlinear  %+v", indexed.Metrics, linear.Metrics)
-	}
-	if !reflect.DeepEqual(indexed.VMs, linear.VMs) {
-		t.Error("VMRecord streams diverge between indexed and linear placement")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(s strategy.Strategy) (Result, string) {
+				cfg := Config{
+					DB: db, Servers: 12, Strategy: s,
+					Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
+				}
+				if c.record {
+					cfg.Recorder = NewDecisionRecorder()
+				}
+				res, err := Run(cfg, reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var log strings.Builder
+				if c.record {
+					if err := cfg.Recorder.WriteJSONL(&log); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return res, log.String()
+			}
+			indexed, indexedLog := run(c.st)
+			linear, linearLog := run(c.linear)
+			if indexed.FaultsInjected == 0 || indexed.VMsKilled == 0 {
+				t.Fatalf("schedule did not bite: %d faults, %d kills", indexed.FaultsInjected, indexed.VMsKilled)
+			}
+			if indexed.Metrics != linear.Metrics {
+				t.Errorf("Metrics diverge:\nindexed %+v\nlinear  %+v", indexed.Metrics, linear.Metrics)
+			}
+			if !reflect.DeepEqual(indexed.VMs, linear.VMs) {
+				t.Error("VMRecord streams diverge between indexed and linear placement")
+			}
+			if indexedLog != linearLog {
+				t.Error("decision logs diverge between indexed and linear placement")
+			}
+			if c.record && !strings.Contains(indexedLog, `"search"`) {
+				t.Error("indexed PA decisions carry no search attribution")
+			}
+		})
 	}
 }
 

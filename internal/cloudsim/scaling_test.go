@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pacevm/internal/core"
 	"pacevm/internal/obs"
 	"pacevm/internal/strategy"
 	"pacevm/internal/workload"
@@ -132,6 +133,12 @@ func TestFleetScanScaling(t *testing.T) {
 	if n := scans(ff(t, 2), 64); n != 0 {
 		t.Errorf("indexed strategy triggered %d fleet scans at 64 servers, want 0", n)
 	}
+	// PA places through the index's allocation classes.
+	for _, servers := range []int{16, 64} {
+		if n := scans(pa(t, core.GoalBalanced), servers); n != 0 {
+			t.Errorf("PA triggered %d fleet scans at %d servers, want 0", n, servers)
+		}
+	}
 }
 
 // TestPerRequestScalingSmoke is the wall-clock side of the scaling
@@ -147,23 +154,35 @@ func TestPerRequestScalingSmoke(t *testing.T) {
 	const requests = 3000
 	db := sharedDB(t)
 	reqs := goldenWorkload(t, 77, requests)
-	perReq := func(servers int) float64 {
-		best := math.Inf(1)
-		for trial := 0; trial < 3; trial++ {
-			cfg := Config{DB: db, Servers: servers, Strategy: ff(t, 2), BackfillDepth: 4}
-			start := time.Now()
-			if _, err := Run(cfg, reqs); err != nil {
-				t.Fatal(err)
-			}
-			if d := float64(time.Since(start)) / requests; d < best {
-				best = d
-			}
-		}
-		return best
+	cases := []struct {
+		name string
+		st   strategy.Strategy
+	}{
+		{"FF-2", ff(t, 2)},
+		// PA decides through the index's allocation classes, so its
+		// per-request cost is flat in the fleet too.
+		{"PA-0.5", pa(t, core.GoalBalanced)},
 	}
-	small, mid := perReq(64), perReq(4096)
-	if ratio := mid / small; ratio > 3 {
-		t.Errorf("per-request cost grew %.2fx from 64 to 4096 servers (%.0fns vs %.0fns); an O(servers)-per-event path is back",
-			ratio, small, mid)
+	for _, c := range cases {
+		perReq := func(servers int) float64 {
+			best := math.Inf(1)
+			for trial := 0; trial < 3; trial++ {
+				cfg := Config{DB: db, Servers: servers, Strategy: c.st, BackfillDepth: 4}
+				start := time.Now()
+				if _, err := Run(cfg, reqs); err != nil {
+					t.Fatal(err)
+				}
+				if d := float64(time.Since(start)) / requests; d < best {
+					best = d
+				}
+			}
+			return best
+		}
+		small, mid := perReq(64), perReq(4096)
+		t.Logf("%s: %.0fns per request at 64 servers, %.0fns at 4096", c.name, small, mid)
+		if ratio := mid / small; ratio > 3 {
+			t.Errorf("%s: per-request cost grew %.2fx from 64 to 4096 servers (%.0fns vs %.0fns); an O(servers)-per-event path is back",
+				c.name, ratio, small, mid)
+		}
 	}
 }

@@ -11,6 +11,8 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+
+	"pacevm/internal/model"
 )
 
 // registerWatchdogChecks wires the simulator's invariants into s.wd.
@@ -88,15 +90,16 @@ func (s *sim) checkQueueSanity() error {
 }
 
 // checkCapacityIndex audits the FleetIndex against ground truth: each
-// server's indexed occupancy must match its allocation total, and the
-// index's internal level/overflow/free-capacity structures must be
-// consistent with those counts (strategy.FleetIndex.AuditInvariants).
+// server's indexed allocation must match the simulator's, and the
+// index's internal level/overflow/free-capacity structures and, once
+// built, its allocation classes must be consistent with those
+// allocations (strategy.FleetIndex.AuditInvariants).
 // No-op for linear strategies, which carry no index.
 func (s *sim) checkCapacityIndex() error {
 	if s.fleet == nil {
 		return nil
 	}
-	return s.fleet.AuditInvariants(func(i int) int { return s.srv[i].alloc.Total() })
+	return s.fleet.AuditInvariants(func(i int) model.Key { return s.srv[i].alloc })
 }
 
 // checkOccupancy re-derives the occupied-server bitmap and the active

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pacevm/internal/obs"
+	"pacevm/internal/workload"
 )
 
 func TestWatchdogDoesNotPerturb(t *testing.T) {
@@ -153,7 +154,7 @@ func TestWatchdogCapacityIndexFires(t *testing.T) {
 	}
 	// Move a phantom VM through the index only: the index now claims an
 	// occupancy the allocation table does not have.
-	s.fleet.Add(0, 1)
+	s.fleet.Add(0, workload.ClassCPU, 1)
 	s.wd.RunChecks(1)
 	found := false
 	for _, viol := range s.wd.Violations() {

@@ -19,11 +19,13 @@
 // potential of application-centric proactive VM allocation". Exact
 // reductions keep the brute force cheap (see search.go): partitions whose
 // block structure is identical up to interchangeable VMs (same class,
-// nominal time and QoS bound) are evaluated once; servers are grouped
-// once per call into classes of identical current allocation, so each
-// block considers the first untouched server of every class plus the
-// servers the partition already touched instead of scanning the fleet;
-// block pricings are memoized per (server state, block composition); and
+// nominal time and QoS bound) are evaluated once; servers come grouped
+// into classes of identical current allocation — kept by the caller's
+// fleet index (AllocateClasses), or grouped once per call from a server
+// list (Allocate) — so each block considers the first untouched server
+// of every class plus the servers the partition already touched instead
+// of scanning the fleet; block pricings are memoized per (server state,
+// block composition); and
 // candidates are pruned online to the Pareto frontier the α-monotone
 // score selects from; larger searches additionally fan out to a worker
 // pool. All of it is bit-for-bit equivalent to the literal serial
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
@@ -164,12 +167,17 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Allocator runs the paper's allocation algorithm.
+// Allocator runs the paper's allocation algorithm. It is safe for
+// concurrent use.
 type Allocator struct {
 	cfg Config
 	// est memoizes database estimates for every search this allocator
 	// runs; it is safe for concurrent Allocate calls.
 	est *model.EstimateCache
+	tel searchTelemetry
+	// scratch recycles the per-call search state (*searchCtx), so a
+	// steady stream of decisions allocates nothing.
+	scratch sync.Pool
 }
 
 // NewAllocator validates the configuration and returns an allocator.
@@ -209,11 +217,20 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			cfg.PerClassBound[c] = cfg.MaxVMsPerServer
 		}
 	}
-	est := model.NewEstimateCache(cfg.DB)
+	// The search prices allocations within the per-class bounds (and
+	// the servers' current allocations, nearly always within them too),
+	// so the bounds size the estimate cache's dense table.
+	bound := 0
+	for _, b := range cfg.PerClassBound {
+		bound = max(bound, b)
+	}
+	est := model.NewEstimateCache(cfg.DB, bound)
 	if cfg.Obs != nil {
 		est.Instrument(cfg.Obs)
 	}
-	return &Allocator{cfg: cfg, est: est}, nil
+	a := &Allocator{cfg: cfg, est: est, tel: newSearchTelemetry(cfg.Obs)}
+	a.scratch.New = func() any { return new(searchCtx) }
+	return a, nil
 }
 
 // Placement is one block of the chosen partition assigned to a server.
@@ -310,7 +327,7 @@ type SearchStats struct {
 //
 // With a positive Config.SearchBudget the enumeration may stop early;
 // Allocate then degrades to the deterministic first-fit fallback and
-// marks the result Allocation.Degraded (see allocateFirstFit).
+// marks the result Allocation.Degraded (see degrade.go).
 func (a *Allocator) Allocate(goal Goal, servers []ServerState, vms []VMRequest) (Allocation, error) {
 	out, _, err := a.AllocateExplained(goal, servers, vms)
 	return out, err
@@ -322,39 +339,74 @@ func (a *Allocator) Allocate(goal Goal, servers []ServerState, vms []VMRequest) 
 // meaningful even on an ErrInfeasible return (they describe the search
 // that proved infeasibility).
 func (a *Allocator) AllocateExplained(goal Goal, servers []ServerState, vms []VMRequest) (Allocation, SearchStats, error) {
-	if err := a.validateRequest(goal, servers, vms); err != nil {
+	if err := validateGoalVMs(goal, len(servers), vms); err != nil {
 		return Allocation{}, SearchStats{}, err
 	}
-	sc := newSearchCtx(a, goal, servers, vms)
-	frontier, maxT, maxE, exhausted, err := sc.search(a.cfg.SearchWorkers)
+	sc := a.acquire(goal, vms)
+	defer a.release(sc)
+	if err := sc.groupServers(servers); err != nil {
+		return Allocation{}, SearchStats{}, err
+	}
+	c, err := sc.decide()
 	if err != nil {
 		return Allocation{}, sc.stats, err
 	}
-	sc.stats.Exhausted = exhausted
-	if exhausted {
-		sc.exhausted.Inc()
-		out, err := a.allocateFirstFit(servers, vms)
-		if err != nil {
-			return Allocation{}, sc.stats, err
-		}
-		sc.degraded.Inc()
-		sc.stats.Degraded = true
-		return out, sc.stats, nil
-	}
-	if len(frontier) == 0 {
-		return Allocation{}, sc.stats, ErrInfeasible
-	}
-	best := pickBest(goal, frontier, maxT, maxE)
-	return sc.materialize(frontier[best]), sc.stats, nil
+	out := sc.materialize(c)
+	out.Degraded = sc.stats.Degraded
+	return out, sc.stats, nil
 }
 
-// validateRequest checks the inputs shared by Allocate and
-// AllocateReference.
+// AllocateClasses runs the same search as AllocateExplained over a
+// fleet the caller keeps grouped into classes of identical allocation
+// (a capacity index, say), so a decision costs O(classes + VMs) rather
+// than a pass over every server, and a steady stream of decisions
+// allocates nothing. Each class lists server IDs in ascending order —
+// at least its lowest len(vms)+1 members, or all of them if fewer —
+// and member sets are disjoint; server IDs then play the part of list
+// positions, so the result equals AllocateExplained's on the servers
+// listed in ascending ID order. Classes too full to host a VM may be
+// included; the search skips them.
+//
+// The assignment is written by VM index into dst when it is long
+// enough (the returned slice aliases it) and into a fresh slice
+// otherwise.
+func (a *Allocator) AllocateClasses(goal Goal, classes []ServerClass, vms []VMRequest, dst []int) ([]int, SearchStats, error) {
+	if err := validateGoalVMs(goal, len(classes), vms); err != nil {
+		return nil, SearchStats{}, err
+	}
+	sc := a.acquire(goal, vms)
+	defer a.release(sc)
+	if err := sc.useClasses(classes); err != nil {
+		return nil, SearchStats{}, err
+	}
+	c, err := sc.decide()
+	if err != nil {
+		return nil, sc.stats, err
+	}
+	return sc.assign(c, dst), sc.stats, nil
+}
+
+// validateRequest checks the inputs of AllocateReference.
 func (a *Allocator) validateRequest(goal Goal, servers []ServerState, vms []VMRequest) error {
+	if err := validateGoalVMs(goal, len(servers), vms); err != nil {
+		return err
+	}
+	for _, s := range servers {
+		if !s.Alloc.Valid() {
+			return fmt.Errorf("core: server %d has invalid allocation %v", s.ID, s.Alloc)
+		}
+	}
+	return nil
+}
+
+// validateGoalVMs checks the goal, the fleet's presence and the VM
+// requests; server allocations are checked where the servers are
+// grouped.
+func validateGoalVMs(goal Goal, nServers int, vms []VMRequest) error {
 	if err := goal.validate(); err != nil {
 		return err
 	}
-	if len(servers) == 0 {
+	if nServers == 0 {
 		return errors.New("core: no servers")
 	}
 	if len(vms) == 0 {
@@ -363,11 +415,6 @@ func (a *Allocator) validateRequest(goal Goal, servers []ServerState, vms []VMRe
 	for _, vm := range vms {
 		if err := vm.validate(); err != nil {
 			return err
-		}
-	}
-	for _, s := range servers {
-		if !s.Alloc.Valid() {
-			return fmt.Errorf("core: server %d has invalid allocation %v", s.ID, s.Alloc)
 		}
 	}
 	return nil

@@ -5,62 +5,79 @@ package core
 // normalization maxima and the first-of-the-list tie-break are defined
 // over the full enumeration, so a partial frontier is a different — and
 // scheduling-dependent — algorithm. Instead, when Config.SearchBudget
-// exhausts, Allocate falls back to this first-fit placement: each VM in
-// request order goes to the lowest-index server that admits it under
-// the same capacity, per-class and QoS checks the search applies. The
-// fallback is O(VMs × servers), allocation-order deterministic, and
-// shares the pricing primitive (evalBlock) with the search, so degraded
-// placements remain fully priced and QoS-checked — only the
-// energy/performance optimization is surrendered.
+// exhausts (or Config.Cancel fires), Allocate falls back to this
+// first-fit placement: each VM in request order goes to the
+// lowest-index server that admits it under the same capacity,
+// per-class and QoS checks the search applies. The fallback walks the
+// same server classes as the search, costs O(VMs × classes), is
+// allocation-order deterministic, and shares the pricing primitive
+// (priceBlock) with the search, so degraded placements remain fully
+// priced and QoS-checked — only the energy/performance optimization is
+// surrendered.
 
-import "pacevm/internal/model"
+import (
+	"pacevm/internal/model"
+	"pacevm/internal/partition"
+)
 
-// allocateFirstFit is the budget-exhaustion fallback behind Allocate.
-// It returns ErrInfeasible only when some VM fits no server at all —
-// the same condition under which the full search would have failed.
-func (a *Allocator) allocateFirstFit(servers []ServerState, vms []VMRequest) (Allocation, error) {
-	extra := make([]model.Key, len(servers)) // this request's tentative additions
-	placed := make([][]VMRequest, len(servers))
-	order := make([]int, 0, len(servers)) // servers in first-use order
-	one := make([]VMRequest, 1)
-	for _, vm := range vms {
-		fit := false
-		for si := range servers {
-			base := servers[si].Alloc.Add(extra[si])
-			one[0] = vm
-			// Admission probe: capacity and per-class bounds at the grown
-			// allocation, QoS of the newcomer and of the VMs this request
-			// already parked here.
-			if _, ok := a.evalBlock(base, model.KeyFor(vm.Class, 1), one, placed[si]); !ok {
+// firstFit is the budget-exhaustion fallback (see degrade.go): each VM
+// in request order goes to the lowest-index server that admits it, and
+// each server's VMs are then priced as one block against its original
+// allocation, in first-use order. The lowest admitting server is always
+// a candidate of collectCands — an untouched server admits exactly when
+// its class's first untouched member does — so the walk over classes
+// places exactly as a scan of the whole fleet would.
+func (w *searchWorker) firstFit() (candidate, error) {
+	sc := w.sc
+	w.clearTouched()
+	var at [partition.MaxN]int // touched-server index per VM
+	for vi := range sc.vms {
+		t := sc.typeOf[vi]
+		w.collectCands()
+		placed := false
+		for _, c := range w.cands {
+			base, mask := w.candBase(c)
+			v := sc.priceBlock(base, 1<<(4*blockSig(t)), sc.typeKey[t])
+			if !v.ok || !sc.placedOK(v.after, mask) {
 				continue
 			}
-			if len(placed[si]) == 0 {
-				order = append(order, si)
-			}
-			extra[si] = extra[si].Add(model.KeyFor(vm.Class, 1))
-			placed[si] = append(placed[si], vm)
-			fit = true
+			at[vi] = w.take(c, v.after, 1<<t)
+			placed = true
 			break
 		}
-		if !fit {
-			return Allocation{}, ErrInfeasible
+		if !placed {
+			return candidate{}, ErrInfeasible
 		}
 	}
-	// Price each used server's VMs as one block against its original
-	// allocation — the incremental probes already admitted exactly this
-	// final state, so the evaluation cannot fail.
-	out := Allocation{Degraded: true}
-	for _, si := range order {
-		pl, ok := a.evalBlock(servers[si].Alloc, extra[si], placed[si], nil)
-		if !ok {
-			return Allocation{}, ErrInfeasible
+	c := candidate{idx: -1}
+	vs, ps := len(w.arenaVMs), len(w.arenaPlaces)
+	for ti, t := range w.touched {
+		var sig blockSig
+		var blockKey model.Key
+		n := 0
+		for vi := range sc.vms {
+			if at[vi] == ti {
+				w.arenaVMs = append(w.arenaVMs, vi)
+				sig += 1 << (4 * blockSig(sc.typeOf[vi]))
+				blockKey = blockKey.Add(sc.typeKey[sc.typeOf[vi]])
+				n++
+			}
 		}
-		pl.ServerID = servers[si].ID
-		out.Placements = append(out.Placements, pl)
-		out.EstEnergy += pl.EstEnergy
-		if pl.EstTime > out.EstTime {
-			out.EstTime = pl.EstTime
+		// The incremental probes already admitted exactly this final
+		// state, so the pricing cannot fail.
+		v := sc.priceBlock(sc.classes[t.class].Alloc, sig, blockKey)
+		if !v.ok {
+			return candidate{}, ErrInfeasible
+		}
+		w.arenaPlaces = append(w.arenaPlaces, blockPlace{
+			server: t.serverIdx, n: n, after: v.after, time: v.time, energy: v.energy,
+		})
+		c.energy += v.energy
+		if v.time > c.time {
+			c.time = v.time
 		}
 	}
-	return out, nil
+	c.vms = w.arenaVMs[vs:len(w.arenaVMs):len(w.arenaVMs)]
+	c.places = w.arenaPlaces[ps:len(w.arenaPlaces):len(w.arenaPlaces)]
+	return c, nil
 }

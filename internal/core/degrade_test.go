@@ -5,11 +5,58 @@ import (
 	"reflect"
 	"testing"
 
+	"pacevm/internal/model"
 	"pacevm/internal/obs"
 	"pacevm/internal/rng"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
+
+// firstFitReference is the literal first-fit fallback the class-grouped
+// one must reproduce: each VM in request order goes to the lowest-index
+// server that admits it, scanning the whole fleet, and each used
+// server's VMs are then priced as one block against its original
+// allocation, in first-use order.
+func (a *Allocator) firstFitReference(servers []ServerState, vms []VMRequest) (Allocation, error) {
+	extra := make([]model.Key, len(servers)) // this request's tentative additions
+	placed := make([][]VMRequest, len(servers))
+	order := make([]int, 0, len(servers)) // servers in first-use order
+	one := make([]VMRequest, 1)
+	for _, vm := range vms {
+		fit := false
+		for si := range servers {
+			base := servers[si].Alloc.Add(extra[si])
+			one[0] = vm
+			if _, ok := a.evalBlock(base, model.KeyFor(vm.Class, 1), one, placed[si]); !ok {
+				continue
+			}
+			if len(placed[si]) == 0 {
+				order = append(order, si)
+			}
+			extra[si] = extra[si].Add(model.KeyFor(vm.Class, 1))
+			placed[si] = append(placed[si], vm)
+			fit = true
+			break
+		}
+		if !fit {
+			return Allocation{}, ErrInfeasible
+		}
+	}
+	out := Allocation{Degraded: true}
+	for _, si := range order {
+		pl, ok := a.evalBlock(servers[si].Alloc, extra[si], placed[si], nil)
+		if !ok {
+			return Allocation{}, ErrInfeasible
+		}
+		pl.ServerID = servers[si].ID
+		out.Placements = append(out.Placements, pl)
+		out.EstEnergy += pl.EstEnergy
+		if pl.EstTime > out.EstTime {
+			out.EstTime = pl.EstTime
+		}
+	}
+	return out, nil
+}
 
 func budgetAllocator(t *testing.T, budget, workers int, reg *obs.Registry) *Allocator {
 	t.Helper()

@@ -50,21 +50,52 @@ func mixVMs(tb testing.TB, n int) []VMRequest {
 	return vms
 }
 
+// groupByAlloc groups servers, given in ascending ID order, into the
+// classes AllocateClasses takes: one per allocation, in first-member
+// order, each listing every member's ID.
+func groupByAlloc(servers []ServerState) []ServerClass {
+	var classes []ServerClass
+	at := map[model.Key]int{}
+	for _, s := range servers {
+		ci, ok := at[s.Alloc]
+		if !ok {
+			ci = len(classes)
+			at[s.Alloc] = ci
+			classes = append(classes, ServerClass{Alloc: s.Alloc})
+		}
+		classes[ci].Members = append(classes[ci].Members, s.ID)
+	}
+	return classes
+}
+
 // BenchmarkAllocateFleet measures one serial allocation decision against
 // a 660-server fleet in the occupancy mix, for a 1-VM and a 4-VM job:
-// the per-decision cost of a datacenter-sized proactive placement.
+// the per-decision cost of a datacenter-sized proactive placement. The
+// n=N entries take the server list (one grouping pass per call); the
+// indexed/n=N entries take the fleet pre-grouped into allocation
+// classes, as a capacity index keeps it.
 func BenchmarkAllocateFleet(b *testing.B) {
 	a, err := NewAllocator(Config{DB: sharedDB(b), SearchWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	servers := mixFleet(660)
+	classes := groupByAlloc(servers)
 	for _, n := range []int{1, 4} {
+		vms := mixVMs(b, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			vms := mixVMs(b, n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := a.Allocate(GoalBalanced, servers, vms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
+			dst := make([]int, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := a.AllocateClasses(GoalBalanced, classes, vms, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,6 +109,9 @@ func BenchmarkAllocateFleet(b *testing.B) {
 // same bytes up to a 1 KB allowance for the runtime's own background
 // allocations, which the heap total also counts.
 func TestAllocateAllocsFlatInFleetSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops recycled search scratch at random")
+	}
 	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +139,35 @@ func TestAllocateAllocsFlatInFleetSize(t *testing.T) {
 		if largeAllocs != smallAllocs || largeBytes > smallBytes+1024 {
 			t.Errorf("n=%d: %v allocs, %d B per op at 660 servers; %v allocs, %d B at 66",
 				n, largeAllocs, largeBytes, smallAllocs, smallBytes)
+		}
+	}
+}
+
+// TestAllocateClassesAllocatesNothing pins the class path's steady
+// state: once the allocator's recycled scratch has grown, a decision
+// over pre-grouped classes makes no heap allocation at 66, 660 or 6,600
+// servers.
+func TestAllocateClassesAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops recycled search scratch at random")
+	}
+	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4} {
+		vms := mixVMs(t, n)
+		dst := make([]int, n)
+		for _, size := range []int{66, 660, 6600} {
+			classes := groupByAlloc(mixFleet(size))
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, _, err := a.AllocateClasses(GoalBalanced, classes, vms, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("n=%d, %d servers: %v allocs per decision, want 0", n, size, allocs)
+			}
 		}
 	}
 }

@@ -9,9 +9,13 @@ package core
 //  1. Equivalent partitions (same typed multiset of block compositions)
 //     are deduplicated through a packed integer signature instead of the
 //     legacy sorted-string form; no per-partition string is ever built.
-//  2. Servers are grouped once per call into classes of identical
-//     current allocation — the paper's "first server of the list" among
-//     interchangeable servers. A block's candidates are the first
+//  2. Servers are grouped into classes of identical current
+//     allocation — the paper's "first server of the list" among
+//     interchangeable servers. The caller's fleet index keeps the
+//     classes current as placements and faults change the fleet
+//     (AllocateClasses, the path the simulator and the service take);
+//     only a plain server list (Allocate) is grouped per call, in one
+//     O(servers) pass. A block's candidates are the first
 //     untouched server of each class plus every server the partition has
 //     already touched, sorted by server index, less those a lower-index
 //     touched server at the same grown allocation hides. Every option the
@@ -45,8 +49,14 @@ package core
 // Normalization maxima are tracked over every feasible candidate — not
 // just the retained frontier — so pickBest sees exactly the constants
 // the unpruned enumeration would have used.
+//
+// Every per-call buffer — the context, the serial worker and its memo,
+// the dedup set, the partition generator and the frontier arenas —
+// comes from a pool on the Allocator, so a steady stream of class-path
+// decisions makes no heap allocation.
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -84,10 +94,11 @@ type typeMask uint16
 
 // vmTypes assigns each VM a small type id such that two VMs share an id
 // iff they are interchangeable: same class, nominal time and QoS bound.
-// types[t] is a representative request of type t.
-func vmTypes(vms []VMRequest) (typeOf []uint8, types []VMRequest) {
-	typeOf = make([]uint8, len(vms))
-	types = make([]VMRequest, 0, len(vms))
+// types[t] is a representative request of type t. The results reuse
+// the storage of typeOf and types.
+func vmTypes(vms []VMRequest, typeOf []uint8, types []VMRequest) ([]uint8, []VMRequest) {
+	typeOf = append(typeOf[:0], make([]uint8, len(vms))...)
+	types = types[:0]
 assign:
 	for i, vm := range vms {
 		for t, rep := range types {
@@ -138,33 +149,39 @@ type blockPrice struct {
 }
 
 // candidate is one fully placed partition that survived Pareto pruning.
-// Placements are stored as indices (blocks into the request's VM set,
-// places into the server list) and materialized only for the winner.
+// Placements are stored as indices (VMs into the request, servers as
+// class members) and materialized only for the winner. Both slices live
+// in the worker's arenas.
 type candidate struct {
 	// idx is the partition's position in the deduplicated enumeration —
 	// the identity the first-of-the-list tie-break ranks on.
 	idx    int
 	time   units.Seconds
 	energy units.Joules
-	blocks [][]int
+	// vms lists the request's VM indices block by block: block i holds
+	// the next places[i].n entries.
+	vms    []int
 	places []blockPlace
 }
 
 // blockPlace records where one block of a candidate went and at what
-// estimated cost.
+// estimated cost. server is a class member: a position in the server
+// list on the linear path, a server ID on the class path.
 type blockPlace struct {
-	serverID int
-	after    model.Key
-	time     units.Seconds
-	energy   units.Joules
+	server int
+	n      int
+	after  model.Key
+	time   units.Seconds
+	energy units.Joules
 }
 
-// serverClass is one group of interchangeable servers: every member has
-// the same current allocation. members holds the class's lowest server
-// indices in ascending order, at most len(vms)+1 of them.
-type serverClass struct {
-	alloc   model.Key
-	members []int
+// ServerClass is one group of interchangeable servers: every member
+// sits at allocation Alloc. Members lists server IDs in ascending
+// order; AllocateClasses needs only the lowest len(vms)+1 of them,
+// since a partition touches at most len(vms) servers.
+type ServerClass struct {
+	Alloc   model.Key
+	Members []int
 }
 
 // packKey packs an allocation into one integer, 21 bits per class. It
@@ -177,22 +194,10 @@ func packKey(k model.Key) uint64 {
 // maxPackedCount bounds MaxVMsPerServer so that packKey stays lossless.
 const maxPackedCount = 1 << 21
 
-// searchCtx is the shared state of one Allocate call: the VM type
-// table and the server classes, read-only once the search starts.
-type searchCtx struct {
-	a       *Allocator
-	goal    Goal
-	servers []ServerState
-	vms     []VMRequest
-	typeOf  []uint8
-	types   []VMRequest
-	typeKey []model.Key
-	classes []serverClass
-
-	est *model.EstimateCache
-
-	// Telemetry handles; all nil (no-op) when the allocator has no
-	// registry. Counters are atomic, so workers update them directly.
+// searchTelemetry holds an allocator's instrument handles, resolved
+// once in NewAllocator; all nil (no-op) without a registry. Counters
+// are atomic, so workers update them directly.
+type searchTelemetry struct {
 	enumerated *obs.Counter // partitions produced by the generator
 	deduped    *obs.Counter // partitions skipped by the signature dedup
 	feasible   *obs.Counter // candidates every block of which placed
@@ -201,56 +206,109 @@ type searchCtx struct {
 	exhausted  *obs.Counter // searches abandoned on budget exhaustion
 	degraded   *obs.Counter // allocations served by the first-fit fallback
 	workerLoad *obs.Histogram
+}
+
+func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
+	if reg == nil {
+		return searchTelemetry{}
+	}
+	return searchTelemetry{
+		enumerated: reg.Counter("search_partitions_enumerated"),
+		deduped:    reg.Counter("search_partitions_deduped"),
+		feasible:   reg.Counter("search_candidates_feasible"),
+		infeasible: reg.Counter("search_candidates_infeasible"),
+		pruned:     reg.Counter("search_pareto_pruned"),
+		exhausted:  reg.Counter("search_budget_exhausted"),
+		degraded:   reg.Counter("search_degraded_firstfit"),
+		// Jobs per worker: a flat pool shows every worker near
+		// jobs/workers; a long tail of idle workers shows the serial
+		// producer is the bottleneck.
+		workerLoad: reg.Histogram("search_jobs_per_worker",
+			1, 4, 16, 64, 256, 1024, 4096, 16384),
+	}
+}
+
+// searchCtx is the state of one Allocate call: the VM type table and
+// the server classes, read-only once the search starts, plus every
+// scratch buffer the call needs. Contexts are recycled through the
+// allocator's pool, so a steady stream of calls allocates nothing.
+type searchCtx struct {
+	a    *Allocator
+	tel  *searchTelemetry
+	goal Goal
+	vms  []VMRequest
+	// servers is the linear path's server list; class members are
+	// positions in it. Nil on the class path, where members are IDs.
+	servers []ServerState
+	typeOf  []uint8
+	types   []VMRequest
+	typeKey []model.Key
+	classes []ServerClass
 
 	// stats is the exact per-call tally behind AllocateExplained.
 	// Enumerated/Deduped are bumped by the sequential producer; the
 	// per-worker tallies are summed in after the pool drains, so no
 	// atomic traffic joins the hot path.
 	stats SearchStats
+
+	// Grouping scratch (linear path).
+	byKey   map[uint64]int
+	members []int
+
+	// Enumeration scratch.
+	gen    partition.Generator
+	flat   [partition.MaxN]int
+	blocks [][]int
+	seen   map[partSig]struct{}
+
+	// w is the serial worker, also used by the first-fit fallback;
+	// pool holds the parallel search's workers.
+	w      searchWorker
+	pool   []*searchWorker
+	merged []candidate
 }
 
-func newSearchCtx(a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
-	typeOf, types := vmTypes(vms)
-	typeKey := make([]model.Key, len(types))
-	for t, rep := range types {
-		typeKey[t] = model.KeyFor(rep.Class, 1)
+// maxRetainedSeen bounds the dedup set a recycled context keeps: a
+// larger map would cost more to clear on every later call than to
+// rebuild on the rare call that needs it.
+const maxRetainedSeen = 1024
+
+// acquire takes a context from the pool and loads the request into it.
+func (a *Allocator) acquire(goal Goal, vms []VMRequest) *searchCtx {
+	sc := a.scratch.Get().(*searchCtx)
+	sc.a, sc.tel, sc.goal, sc.vms = a, &a.tel, goal, vms
+	sc.typeOf, sc.types = vmTypes(vms, sc.typeOf, sc.types)
+	sc.typeKey = sc.typeKey[:0]
+	for _, rep := range sc.types {
+		sc.typeKey = append(sc.typeKey, model.KeyFor(rep.Class, 1))
 	}
-	sc := &searchCtx{
-		a:       a,
-		goal:    goal,
-		servers: servers,
-		vms:     vms,
-		typeOf:  typeOf,
-		types:   types,
-		typeKey: typeKey,
-		est:     a.est,
-	}
-	sc.groupServers()
-	if reg := a.cfg.Obs; reg != nil {
-		sc.enumerated = reg.Counter("search_partitions_enumerated")
-		sc.deduped = reg.Counter("search_partitions_deduped")
-		sc.feasible = reg.Counter("search_candidates_feasible")
-		sc.infeasible = reg.Counter("search_candidates_infeasible")
-		sc.pruned = reg.Counter("search_pareto_pruned")
-		sc.exhausted = reg.Counter("search_budget_exhausted")
-		sc.degraded = reg.Counter("search_degraded_firstfit")
-		// Jobs per worker: a flat pool shows every worker near
-		// jobs/workers; a long tail of idle workers shows the serial
-		// producer is the bottleneck.
-		sc.workerLoad = reg.Histogram("search_jobs_per_worker",
-			1, 4, 16, 64, 256, 1024, 4096, 16384)
-	}
+	sc.stats = SearchStats{}
 	return sc
 }
 
+// release returns a context to the pool, dropping its references to
+// the caller's data.
+func (a *Allocator) release(sc *searchCtx) {
+	sc.vms, sc.servers = nil, nil
+	clear(sc.classes)
+	sc.classes = sc.classes[:0]
+	if len(sc.seen) > maxRetainedSeen {
+		sc.seen = nil
+	}
+	a.scratch.Put(sc)
+}
+
 // groupServers sorts the servers into classes of identical allocation,
-// in order of each class's first member. A server whose allocation
-// already holds MaxVMsPerServer VMs is skipped: every block overflows
-// it, so the full scan never takes it as an option either.
-func (sc *searchCtx) groupServers() {
-	const chunkClasses = 16 // classes whose member lists share one allocation
+// in order of each class's first member, with members as positions in
+// servers. A server whose allocation already holds MaxVMsPerServer VMs
+// is skipped: every block overflows it, so the full scan never takes it
+// as an option either. An invalid allocation is an error.
+func (sc *searchCtx) groupServers(servers []ServerState) error {
 	maxMembers := len(sc.vms) + 1
-	byKey := make(map[uint64]int, chunkClasses)
+	if sc.byKey == nil {
+		sc.byKey = make(map[uint64]int)
+	}
+	clear(sc.byKey)
 	// recent is a direct-mapped cache in front of byKey, indexed by a
 	// multiplicative hash of the packed key: a fleet holds a few dozen
 	// classes, so nearly every server resolves without a map lookup.
@@ -259,10 +317,16 @@ func (sc *searchCtx) groupServers() {
 		key   uint64
 		class int
 	}
-	sc.classes = make([]serverClass, 0, chunkClasses)
-	var chunk []int
-	for si := range sc.servers {
-		alloc := sc.servers[si].Alloc
+	sc.servers = servers
+	sc.classes = sc.classes[:0]
+	// Class c's members fill row c of sc.members, maxMembers wide; the
+	// length of its Members slice is its count until the final fix-up.
+	sc.members = sc.members[:0]
+	for si := range servers {
+		alloc := servers[si].Alloc
+		if !alloc.Valid() {
+			return fmt.Errorf("core: server %d has invalid allocation %v", servers[si].ID, alloc)
+		}
 		if alloc.Total() >= sc.a.cfg.MaxVMsPerServer {
 			continue
 		}
@@ -271,26 +335,56 @@ func (sc *searchCtx) groupServers() {
 		ci := slot.class - 1
 		if ci < 0 || slot.key != k {
 			var ok bool
-			if ci, ok = byKey[k]; !ok {
+			if ci, ok = sc.byKey[k]; !ok {
 				ci = len(sc.classes)
-				byKey[k] = ci
-				sc.classes = append(sc.classes, serverClass{alloc: alloc})
+				sc.byKey[k] = ci
+				sc.classes = append(sc.classes, ServerClass{Alloc: alloc})
+				sc.members = append(sc.members, make([]int, maxMembers)...)
 			}
 			slot.key, slot.class = k, ci+1
 		}
-		c := &sc.classes[ci]
-		if c.members == nil {
-			if cap(chunk)-len(chunk) < maxMembers {
-				chunk = make([]int, 0, chunkClasses*maxMembers)
-			}
-			n := len(chunk)
-			chunk = chunk[:n+maxMembers]
-			c.members = chunk[n : n : n+maxMembers]
-		}
-		if len(c.members) < maxMembers {
-			c.members = append(c.members, si)
+		if c := &sc.classes[ci]; len(c.Members) < maxMembers {
+			row := ci * maxMembers
+			c.Members = sc.members[row : row+len(c.Members)+1]
+			c.Members[len(c.Members)-1] = si
 		}
 	}
+	// Point every class at its row of the final members buffer (rows
+	// move whenever a new class grows it).
+	for ci := range sc.classes {
+		c := &sc.classes[ci]
+		c.Members = sc.members[ci*maxMembers : ci*maxMembers+len(c.Members)]
+	}
+	return nil
+}
+
+// useClasses loads caller-grouped classes, less those too full to host
+// any VM, with each class trimmed to the members a search can reach.
+func (sc *searchCtx) useClasses(classes []ServerClass) error {
+	maxMembers := len(sc.vms) + 1
+	sc.servers = nil
+	sc.classes = sc.classes[:0]
+	for _, c := range classes {
+		if !c.Alloc.Valid() {
+			return fmt.Errorf("core: server class has invalid allocation %v", c.Alloc)
+		}
+		if c.Alloc.Total() >= sc.a.cfg.MaxVMsPerServer || len(c.Members) == 0 {
+			continue
+		}
+		if len(c.Members) > maxMembers {
+			c.Members = c.Members[:maxMembers]
+		}
+		sc.classes = append(sc.classes, c)
+	}
+	return nil
+}
+
+// serverID resolves a class member to the server's ID.
+func (sc *searchCtx) serverID(member int) int {
+	if sc.servers != nil {
+		return sc.servers[member].ID
+	}
+	return member
 }
 
 // priceBlock prices adding a block of composition sig (total key
@@ -310,7 +404,7 @@ func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key
 			return blockPrice{}
 		}
 	}
-	recAfter, err := sc.est.Estimate(after)
+	recAfter, err := sc.a.est.Estimate(after)
 	if err != nil {
 		return blockPrice{}
 	}
@@ -337,7 +431,7 @@ func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key
 	// difference, clamped at zero.
 	var beforeEnergy units.Joules
 	if !base.IsZero() {
-		recBefore, err := sc.est.Estimate(base)
+		recBefore, err := sc.a.est.Estimate(base)
 		if err != nil {
 			return blockPrice{}
 		}
@@ -358,7 +452,7 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 	if mask == 0 || sc.a.cfg.RelaxQoS {
 		return true
 	}
-	rec, err := sc.est.Estimate(after)
+	rec, err := sc.a.est.Estimate(after)
 	if err != nil {
 		return false
 	}
@@ -381,7 +475,8 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 // searchWorker evaluates a subsequence of the deduplicated partition
 // stream, reducing it to a Pareto frontier plus the normalization
 // maxima over every feasible candidate it saw. All scratch buffers are
-// reused across partitions; a worker is single-goroutine state.
+// reused across partitions and, through the context pool, across
+// calls; a worker is single-goroutine state.
 type searchWorker struct {
 	sc *searchCtx
 
@@ -403,10 +498,13 @@ type searchWorker struct {
 	sigRow map[blockSig]int
 	memo   []memoSlot
 
-	// Reduction state.
-	frontier []candidate
-	maxT     units.Seconds
-	maxE     units.Joules
+	// Reduction state. The frontier's candidates point into the two
+	// arenas, which only grow within a call.
+	frontier    []candidate
+	arenaVMs    []int
+	arenaPlaces []blockPlace
+	maxT        units.Seconds
+	maxE        units.Joules
 	// jobs counts partitions this worker evaluated (pool-utilization
 	// telemetry; a plain int — each worker is single-goroutine state).
 	jobs int
@@ -446,20 +544,22 @@ type memoSlot struct {
 	done bool
 }
 
-func (sc *searchCtx) newWorker() *searchWorker {
-	k := len(sc.classes) + len(sc.vms)
-	return &searchWorker{
-		sc:      sc,
-		used:    make([]int, len(sc.classes)),
-		touched: make([]touchedServer, 0, len(sc.vms)),
-		cands:   make([]blockCand, 0, k),
-		options: make([]blockOption, 0, k),
-		places:  make([]blockPlace, 0, len(sc.vms)),
-		sigRow:  make(map[blockSig]int),
-		// One row per block size: every composition a job of
-		// interchangeable VMs can form.
-		memo: make([]memoSlot, 0, len(sc.classes)*len(sc.vms)),
+// reset readies the worker for a new search over sc's classes, keeping
+// every buffer's storage.
+func (w *searchWorker) reset(sc *searchCtx) {
+	w.sc = sc
+	w.used = append(w.used[:0], make([]int, len(sc.classes))...)
+	w.touched = w.touched[:0]
+	if w.sigRow == nil {
+		w.sigRow = make(map[blockSig]int)
 	}
+	clear(w.sigRow)
+	w.memo = w.memo[:0]
+	w.frontier = w.frontier[:0]
+	w.arenaVMs = w.arenaVMs[:0]
+	w.arenaPlaces = w.arenaPlaces[:0]
+	w.maxT, w.maxE = 0, 0
+	w.jobs, w.nFeasible, w.nInfeasible, w.nPruned = 0, 0, 0, 0
 }
 
 // memoRow returns the memo row of block composition sig, adding an
@@ -480,18 +580,18 @@ func (w *searchWorker) memoRow(sig blockSig) []memoSlot {
 }
 
 // consider evaluates one partition and folds it into the worker's
-// frontier. blocks must be owned by the caller if owned is true;
-// otherwise they are copied before retention.
-func (w *searchWorker) consider(idx int, blocks [][]int, owned bool) {
+// frontier, copying the blocks into the arenas if the candidate is
+// kept.
+func (w *searchWorker) consider(idx int, blocks [][]int) {
 	w.jobs++
 	ok := w.evalPartition(blocks)
 	if !ok {
 		w.nInfeasible++
-		w.sc.infeasible.Inc()
+		w.sc.tel.infeasible.Inc()
 		return
 	}
 	w.nFeasible++
-	w.sc.feasible.Inc()
+	w.sc.tel.feasible.Inc()
 	var candT units.Seconds
 	var candE units.Joules
 	for _, p := range w.places {
@@ -514,19 +614,21 @@ func (w *searchWorker) consider(idx int, blocks [][]int, owned bool) {
 		f := &w.frontier[i]
 		if f.time <= candT && f.energy <= candE {
 			w.nPruned++
-			w.sc.pruned.Inc()
+			w.sc.tel.pruned.Inc()
 			return
 		}
 	}
-	if !owned {
-		blocks = copyBlocks(blocks)
+	vs, ps := len(w.arenaVMs), len(w.arenaPlaces)
+	for _, b := range blocks {
+		w.arenaVMs = append(w.arenaVMs, b...)
 	}
+	w.arenaPlaces = append(w.arenaPlaces, w.places...)
 	w.frontier = append(w.frontier, candidate{
 		idx:    idx,
 		time:   candT,
 		energy: candE,
-		blocks: blocks,
-		places: append([]blockPlace(nil), w.places...),
+		vms:    w.arenaVMs[vs:len(w.arenaVMs):len(w.arenaVMs)],
+		places: w.arenaPlaces[ps:len(w.arenaPlaces):len(w.arenaPlaces)],
 	})
 }
 
@@ -547,6 +649,42 @@ func copyBlocks(blocks [][]int) [][]int {
 	return out
 }
 
+// clearTouched forgets the servers the previous partition touched.
+func (w *searchWorker) clearTouched() {
+	for _, t := range w.touched {
+		w.used[t.class] = 0
+	}
+	w.touched = w.touched[:0]
+}
+
+// candBase is the allocation and placed-type mask a block candidate
+// would grow from.
+func (w *searchWorker) candBase(c blockCand) (model.Key, typeMask) {
+	if c.touched >= 0 {
+		return w.touched[c.touched].base, w.touched[c.touched].mask
+	}
+	return w.sc.classes[c.class].Alloc, 0
+}
+
+// take commits a block of types bmask to candidate c at allocation
+// after, and returns the touched-server index it now occupies.
+func (w *searchWorker) take(c blockCand, after model.Key, bmask typeMask) int {
+	if c.touched >= 0 {
+		t := &w.touched[c.touched]
+		t.base = after
+		t.mask |= bmask
+		return c.touched
+	}
+	w.used[c.class]++
+	w.touched = append(w.touched, touchedServer{
+		serverIdx: c.serverIdx,
+		class:     c.class,
+		base:      after,
+		mask:      bmask,
+	})
+	return len(w.touched) - 1
+}
+
 // evalPartition greedily places every block of the partition on its
 // best-scoring feasible server and prices the result into w.places
 // (valid until the next call). ok is false when some block has no
@@ -558,10 +696,7 @@ func copyBlocks(blocks [][]int) [][]int {
 func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	sc := w.sc
 	alpha := sc.goal.Alpha
-	for _, t := range w.touched {
-		w.used[t.class] = 0
-	}
-	w.touched = w.touched[:0]
+	w.clearTouched()
 	w.places = w.places[:0]
 
 	for _, block := range blocks {
@@ -579,10 +714,7 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 		w.options = w.options[:0]
 		row := w.memoRow(sig)
 		for _, c := range w.cands {
-			base, mask := sc.classes[c.class].alloc, typeMask(0)
-			if c.touched >= 0 {
-				base, mask = w.touched[c.touched].base, w.touched[c.touched].mask
-			}
+			base, mask := w.candBase(c)
 			if w.hidden(c.serverIdx, base) {
 				continue
 			}
@@ -632,24 +764,13 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 			}
 		}
 		chosen := w.options[bestI]
-		if c := chosen.cand; c.touched >= 0 {
-			t := &w.touched[c.touched]
-			t.base = chosen.val.after
-			t.mask |= bmask
-		} else {
-			w.used[c.class]++
-			w.touched = append(w.touched, touchedServer{
-				serverIdx: c.serverIdx,
-				class:     c.class,
-				base:      chosen.val.after,
-				mask:      bmask,
-			})
-		}
+		w.take(chosen.cand, chosen.val.after, bmask)
 		w.places = append(w.places, blockPlace{
-			serverID: sc.servers[chosen.cand.serverIdx].ID,
-			after:    chosen.val.after,
-			time:     chosen.val.time,
-			energy:   chosen.val.energy,
+			server: chosen.cand.serverIdx,
+			n:      len(block),
+			after:  chosen.val.after,
+			time:   chosen.val.time,
+			energy: chosen.val.energy,
 		})
 	}
 	return true
@@ -661,7 +782,7 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 func (w *searchWorker) collectCands() {
 	w.cands = w.cands[:0]
 	for ci := range w.sc.classes {
-		members := w.sc.classes[ci].members
+		members := w.sc.classes[ci].Members
 		if u := w.used[ci]; u < len(members) {
 			w.cands = append(w.cands, blockCand{serverIdx: members[u], class: ci, touched: -1})
 		}
@@ -669,8 +790,9 @@ func (w *searchWorker) collectCands() {
 	for ti, t := range w.touched {
 		w.cands = append(w.cands, blockCand{serverIdx: t.serverIdx, class: t.class, touched: ti})
 	}
-	// Insertion sort: classes are already in first-member order, so only
-	// the touched servers and the classes they advanced are out of place.
+	// Insertion sort: classes are normally in first-member order, so
+	// only the touched servers and the classes they advanced are out of
+	// place.
 	for i := 1; i < len(w.cands); i++ {
 		c := w.cands[i]
 		j := i
@@ -698,6 +820,32 @@ func (w *searchWorker) hidden(si int, base model.Key) bool {
 	return false
 }
 
+// decide runs the search over the loaded classes and returns the
+// winning candidate, or the first-fit fallback's when the budget or
+// the Cancel hook cut the search (stats.Degraded).
+func (sc *searchCtx) decide() (candidate, error) {
+	sc.w.reset(sc)
+	frontier, maxT, maxE, exhausted, err := sc.search(sc.a.cfg.SearchWorkers)
+	if err != nil {
+		return candidate{}, err
+	}
+	sc.stats.Exhausted = exhausted
+	if exhausted {
+		sc.tel.exhausted.Inc()
+		c, err := sc.w.firstFit()
+		if err != nil {
+			return candidate{}, err
+		}
+		sc.tel.degraded.Inc()
+		sc.stats.Degraded = true
+		return c, nil
+	}
+	if len(frontier) == 0 {
+		return candidate{}, ErrInfeasible
+	}
+	return frontier[pickBest(sc.goal, frontier, maxT, maxE)], nil
+}
+
 // search enumerates the deduplicated partitions of the VM set and
 // reduces them to a Pareto frontier sorted by enumeration index, plus
 // the normalization maxima over all feasible candidates. exhausted
@@ -718,42 +866,59 @@ func (sc *searchCtx) search(workers int) (cands []candidate, maxT units.Seconds,
 	return sc.searchParallel(n, workers)
 }
 
-func (sc *searchCtx) searchSerial(n int) ([]candidate, units.Seconds, units.Joules, bool, error) {
-	w := sc.newWorker()
-	// A 1-VM job has one partition; do not size its dedup set for 64.
-	seen := make(map[partSig]struct{}, min(partition.Bell(n), 64))
+// enumerate runs the sequential producer shared by both engines: it
+// walks the partitions of n VMs, drops signature duplicates, spends the
+// budget, polls Cancel, and hands every admitted partition with its
+// enumeration index to emit. The blocks passed to emit are overwritten
+// by the next partition.
+func (sc *searchCtx) enumerate(n int, emit func(idx int, blocks [][]int)) (exhausted bool, err error) {
+	if err := sc.gen.Reset(n); err != nil {
+		return false, err
+	}
+	// The set starts small and keeps what it grows to: most requests
+	// are jobs of a few VMs, and clearing costs the map's capacity.
+	if sc.seen == nil {
+		sc.seen = make(map[partSig]struct{})
+	}
+	clear(sc.seen)
 	budget := sc.a.cfg.SearchBudget
 	cancel := sc.a.cfg.Cancel
-	exhausted := false
 	idx := 0
-	_, err := partition.ForEachIndexed(n, func(_ int, blocks [][]int) bool {
+	for sc.gen.Next() {
 		sc.stats.Enumerated++
-		sc.enumerated.Inc()
-		ps := sigOfPartition(sc.typeOf, blocks)
-		if _, dup := seen[ps]; dup {
+		sc.tel.enumerated.Inc()
+		sc.blocks = sc.gen.BlocksInto(sc.flat[:n], sc.blocks)
+		ps := sigOfPartition(sc.typeOf, sc.blocks)
+		if _, dup := sc.seen[ps]; dup {
 			sc.stats.Deduped++
-			sc.deduped.Inc()
-			return true
+			sc.tel.deduped.Inc()
+			continue
 		}
 		if budget > 0 && idx >= budget {
-			exhausted = true
-			return false
+			return true, nil
 		}
+		// The cancel poll lives on the producer like the budget: the cut
+		// point never depends on worker scheduling, only on when the hook
+		// fired relative to the sequential enumeration.
 		if cancel != nil && cancel() {
 			sc.stats.Canceled = true
-			exhausted = true
-			return false
+			return true, nil
 		}
-		seen[ps] = struct{}{}
-		w.consider(idx, blocks, false)
+		sc.seen[ps] = struct{}{}
+		emit(idx, sc.blocks)
 		idx++
-		return true
-	})
+	}
+	return false, nil
+}
+
+func (sc *searchCtx) searchSerial(n int) ([]candidate, units.Seconds, units.Joules, bool, error) {
+	w := &sc.w
+	exhausted, err := sc.enumerate(n, w.consider)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	sc.foldWorkerStats(w)
-	sc.workerLoad.Observe(float64(w.jobs))
+	sc.tel.workerLoad.Observe(float64(w.jobs))
 	return w.frontier, w.maxT, w.maxE, exhausted, nil
 }
 
@@ -774,17 +939,20 @@ type searchJob struct {
 
 func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds, units.Joules, bool, error) {
 	jobs := make(chan searchJob, 2*workers)
-	ws := make([]*searchWorker, workers)
+	for len(sc.pool) < workers {
+		sc.pool = append(sc.pool, new(searchWorker))
+	}
+	ws := sc.pool[:workers]
 	var wg sync.WaitGroup
-	for i := range ws {
-		ws[i] = sc.newWorker()
+	for _, w := range ws {
+		w.reset(sc)
 		wg.Add(1)
 		go func(w *searchWorker) {
 			defer wg.Done()
 			for j := range jobs {
-				w.consider(j.idx, j.blocks, true)
+				w.consider(j.idx, j.blocks)
 			}
-		}(ws[i])
+		}(w)
 	}
 
 	// The producer enumerates and deduplicates sequentially — the seen
@@ -792,36 +960,8 @@ func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds,
 	// deterministic — while workers price partitions concurrently. The
 	// budget is spent here too, never by the racing consumers, so the
 	// cut point is independent of worker scheduling.
-	seen := make(map[partSig]struct{}, 256)
-	budget := sc.a.cfg.SearchBudget
-	cancel := sc.a.cfg.Cancel
-	exhausted := false
-	idx := 0
-	_, err := partition.ForEachIndexed(n, func(_ int, blocks [][]int) bool {
-		sc.stats.Enumerated++
-		sc.enumerated.Inc()
-		ps := sigOfPartition(sc.typeOf, blocks)
-		if _, dup := seen[ps]; dup {
-			sc.stats.Deduped++
-			sc.deduped.Inc()
-			return true
-		}
-		if budget > 0 && idx >= budget {
-			exhausted = true
-			return false
-		}
-		// The cancel poll lives on the producer like the budget: the cut
-		// point never depends on worker scheduling, only on when the hook
-		// fired relative to the sequential enumeration.
-		if cancel != nil && cancel() {
-			sc.stats.Canceled = true
-			exhausted = true
-			return false
-		}
-		seen[ps] = struct{}{}
+	exhausted, err := sc.enumerate(n, func(idx int, blocks [][]int) {
 		jobs <- searchJob{idx: idx, blocks: copyBlocks(blocks)}
-		idx++
-		return true
 	})
 	close(jobs)
 	wg.Wait()
@@ -830,10 +970,10 @@ func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds,
 	}
 	for _, w := range ws {
 		sc.foldWorkerStats(w)
-		sc.workerLoad.Observe(float64(w.jobs))
+		sc.tel.workerLoad.Observe(float64(w.jobs))
 	}
 
-	var frontier []candidate
+	frontier := sc.merged[:0]
 	var maxT units.Seconds
 	var maxE units.Joules
 	for _, w := range ws {
@@ -861,24 +1001,26 @@ func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds,
 			kept = append(kept, c)
 		} else {
 			sc.stats.Pruned++
-			sc.pruned.Inc()
+			sc.tel.pruned.Inc()
 		}
 	}
+	sc.merged = kept
 	return kept, maxT, maxE, exhausted, nil
 }
 
-// materialize expands the winning candidate into the public Allocation
+// materialize expands a winning candidate into the public Allocation
 // form, reconstructing per-block VM lists from the stored indices.
 func (sc *searchCtx) materialize(c candidate) Allocation {
 	pls := make([]Placement, len(c.places))
+	off := 0
 	for i, p := range c.places {
-		block := c.blocks[i]
-		vms := make([]VMRequest, len(block))
-		for j, vi := range block {
+		vms := make([]VMRequest, p.n)
+		for j, vi := range c.vms[off : off+p.n] {
 			vms[j] = sc.vms[vi]
 		}
+		off += p.n
 		pls[i] = Placement{
-			ServerID:  p.serverID,
+			ServerID:  sc.serverID(p.server),
 			VMs:       vms,
 			NewAlloc:  p.after,
 			EstTime:   p.time,
@@ -886,4 +1028,21 @@ func (sc *searchCtx) materialize(c candidate) Allocation {
 		}
 	}
 	return Allocation{Placements: pls, EstTime: c.time, EstEnergy: c.energy}
+}
+
+// assign writes a candidate's server IDs into dst by VM index.
+func (sc *searchCtx) assign(c candidate, dst []int) []int {
+	if len(dst) < len(sc.vms) {
+		dst = make([]int, len(sc.vms))
+	}
+	dst = dst[:len(sc.vms)]
+	off := 0
+	for _, p := range c.places {
+		id := sc.serverID(p.server)
+		for _, vi := range c.vms[off : off+p.n] {
+			dst[vi] = id
+		}
+		off += p.n
+	}
+	return dst
 }

@@ -223,6 +223,18 @@ func wideFleetCommon(a *Allocator) []model.Key {
 	}
 }
 
+// loadCtx loads a request into a search context exactly as
+// AllocateExplained does, with the serial worker ready to evaluate.
+func loadCtx(t *testing.T, a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
+	t.Helper()
+	sc := a.acquire(goal, vms)
+	if err := sc.groupServers(servers); err != nil {
+		t.Fatal(err)
+	}
+	sc.w.reset(sc)
+	return sc
+}
+
 // TestEvalPartitionMatchesReference compares the class-grouped block
 // placement with the reference's full-fleet scan partition by partition,
 // not only through the winner: every partition of the VM set must place
@@ -236,7 +248,8 @@ func TestEvalPartitionMatchesReference(t *testing.T) {
 		t.Helper()
 		n := len(vms)
 		for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
-			w := newSearchCtx(a, goal, servers, vms).newWorker()
+			sc := loadCtx(t, a, goal, servers, vms)
+			w := &sc.w
 			_, err := partition.ForEach(n, func(blocks [][]int) bool {
 				ref, refOK := a.evalPartitionReference(goal, servers, vms, blocks)
 				ok := w.evalPartition(blocks)
@@ -245,10 +258,10 @@ func TestEvalPartitionMatchesReference(t *testing.T) {
 				}
 				for i := 0; ok && i < len(blocks); i++ {
 					got, want := w.places[i], ref.placements[i]
-					if got.serverID != want.ServerID || got.after != want.NewAlloc ||
+					if id := sc.serverID(got.server); id != want.ServerID || got.after != want.NewAlloc ||
 						got.time != want.EstTime || got.energy != want.EstEnergy {
 						t.Fatalf("n=%d alpha=%g %v block %d: {srv %d alloc %v}, reference {srv %d alloc %v}",
-							n, goal.Alpha, blocks, i, got.serverID, got.after, want.ServerID, want.NewAlloc)
+							n, goal.Alpha, blocks, i, id, got.after, want.ServerID, want.NewAlloc)
 					}
 				}
 				return true
@@ -294,7 +307,7 @@ func TestWideFleetCutsDegradeToFirstFit(t *testing.T) {
 	probe := mkAllocator(t)
 	servers, _ := classFleet(r, 80, wideFleetCommon(probe), model.Key{}, 2, false)
 	vms := randomVMs(t, r, 7)
-	want, err := probe.allocateFirstFit(servers, vms)
+	want, err := probe.firstFitReference(servers, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +398,7 @@ func TestPartitionSignatureProperty(t *testing.T) {
 		}
 		b1 := randomRGS(r, n)
 		b2 := randomRGS(r, n)
-		typeOf, types := vmTypes(vms)
+		typeOf, types := vmTypes(vms, nil, nil)
 		if len(types) > n {
 			return false
 		}
@@ -409,7 +422,7 @@ func TestVMTypesInterchangeability(t *testing.T) {
 		{ID: "e", Class: workload.ClassCPU, NominalTime: 600, MaxTime: 1200},
 		{ID: "f", Class: workload.ClassCPU, NominalTime: 600},
 	}
-	typeOf, types := vmTypes(vms)
+	typeOf, types := vmTypes(vms, nil, nil)
 	if len(types) != 4 {
 		t.Fatalf("types = %d, want 4", len(types))
 	}
@@ -472,7 +485,7 @@ func TestParetoFrontierKeepsWinner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := newSearchCtx(a, goal, servers, vms)
+		sc := loadCtx(t, a, goal, servers, vms)
 		frontier, maxT, maxE, exhausted, err := sc.search(1)
 		if err != nil {
 			t.Fatal(err)

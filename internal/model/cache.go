@@ -2,6 +2,7 @@ package model
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pacevm/internal/obs"
 )
@@ -14,10 +15,17 @@ import (
 // call would, so cached and uncached searches are bit-for-bit
 // equivalent.
 //
-// The cache holds an unbounded map of one database's estimates. The
-// allocator in internal/core keeps one per Allocator, across every
-// search it runs; its capacity and per-class bounds cap the keys it
-// prices, so the map stays small.
+// Keys whose per-class counts all lie within the cache's bound live in
+// a dense table indexed arithmetically from the key, read without a
+// lock: each slot is written once, by compare-and-swap, and a hit is
+// one atomic load. Keys beyond the bound (a consolidator's overfill,
+// an ablation without per-class bounds) fall back to a map behind a
+// read-write mutex.
+//
+// The allocator in internal/core keeps one cache per Allocator, across
+// every search it runs, bounded by its per-class limits; its capacity
+// and per-class bounds cap the keys it prices, so the cache stays
+// small.
 type EstimateCache struct {
 	db *DB
 
@@ -27,8 +35,13 @@ type EstimateCache struct {
 	misses *obs.Counter
 	size   *obs.Gauge
 
+	// d is the exclusive per-class bound of the dense table.
+	d     int
+	dense []atomic.Pointer[estimateEntry]
+
 	mu sync.RWMutex
 	m  map[Key]estimateEntry
+	n  int // memoized keys, dense and spilled; guarded by mu
 }
 
 type estimateEntry struct {
@@ -36,9 +49,21 @@ type estimateEntry struct {
 	err error
 }
 
-// NewEstimateCache returns an empty cache over db.
-func NewEstimateCache(db *DB) *EstimateCache {
-	return &EstimateCache{db: db, m: make(map[Key]estimateEntry, 64)}
+// maxDensePerClass caps the dense table at 17³ slots, whatever bound
+// the caller asks for.
+const maxDensePerClass = 16
+
+// NewEstimateCache returns an empty cache over db whose dense table
+// covers every key with per-class counts in [0, bound] (bound is
+// clamped to 16).
+func NewEstimateCache(db *DB, bound int) *EstimateCache {
+	d := min(max(bound, 0), maxDensePerClass) + 1
+	return &EstimateCache{
+		db:    db,
+		d:     d,
+		dense: make([]atomic.Pointer[estimateEntry], d*d*d),
+		m:     make(map[Key]estimateEntry),
+	}
 }
 
 // DB returns the underlying database.
@@ -59,27 +84,55 @@ func (c *EstimateCache) Instrument(reg *obs.Registry) {
 func (c *EstimateCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.n
+}
+
+// slot maps a key to its dense-table index, or -1 when any component
+// falls outside [0, d).
+func (c *EstimateCache) slot(k Key) int {
+	d := c.d
+	if uint(k.NCPU) < uint(d) && uint(k.NMEM) < uint(d) && uint(k.NIO) < uint(d) {
+		return (k.NCPU*d+k.NMEM)*d + k.NIO
+	}
+	return -1
 }
 
 // Estimate returns db.Estimate(k), memoized. Errors are memoized too:
 // an unpriceable key stays unpriceable for the life of the database.
 func (c *EstimateCache) Estimate(k Key) (Record, error) {
-	c.mu.RLock()
-	e, ok := c.m[k]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Inc()
-		return e.rec, e.err
+	i := c.slot(k)
+	if i >= 0 {
+		if e := c.dense[i].Load(); e != nil {
+			c.hits.Inc()
+			return e.rec, e.err
+		}
+	} else {
+		c.mu.RLock()
+		e, ok := c.m[k]
+		c.mu.RUnlock()
+		if ok {
+			c.hits.Inc()
+			return e.rec, e.err
+		}
 	}
 	c.misses.Inc()
 	// Compute outside the lock; concurrent duplicate computations are
-	// benign because Estimate is deterministic, so last-write-wins
-	// stores an identical entry.
+	// benign because Estimate is deterministic: the first store wins and
+	// the rest return an identical record.
 	rec, err := c.db.Estimate(k)
+	if i >= 0 && !c.dense[i].CompareAndSwap(nil, &estimateEntry{rec: rec, err: err}) {
+		return rec, err
+	}
 	c.mu.Lock()
-	c.m[k] = estimateEntry{rec: rec, err: err}
-	c.size.Set(int64(len(c.m)))
+	if i < 0 {
+		if _, dup := c.m[k]; dup {
+			c.mu.Unlock()
+			return rec, err
+		}
+		c.m[k] = estimateEntry{rec: rec, err: err}
+	}
+	c.n++
+	c.size.Set(int64(c.n))
 	c.mu.Unlock()
 	return rec, err
 }

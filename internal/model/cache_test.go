@@ -9,7 +9,7 @@ import (
 
 func TestEstimateCacheMatchesDB(t *testing.T) {
 	db := gridDB(t, 6)
-	c := NewEstimateCache(db)
+	c := NewEstimateCache(db, 6)
 	if c.DB() != db {
 		t.Fatal("DB() does not return the wrapped database")
 	}
@@ -46,7 +46,7 @@ func TestEstimateCacheMatchesDB(t *testing.T) {
 // must settle on the final key count.
 func TestEstimateCacheInstrumentedConcurrent(t *testing.T) {
 	db := gridDB(t, 6)
-	c := NewEstimateCache(db)
+	c := NewEstimateCache(db, 6)
 	reg := obs.NewRegistry()
 	c.Instrument(reg)
 	const workers, perWorker = 8, 500
@@ -84,7 +84,7 @@ func TestEstimateCacheInstrumentedConcurrent(t *testing.T) {
 
 func TestEstimateCacheConcurrent(t *testing.T) {
 	db := gridDB(t, 6)
-	c := NewEstimateCache(db)
+	c := NewEstimateCache(db, 6)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

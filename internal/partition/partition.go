@@ -54,14 +54,29 @@ type Generator struct {
 
 // NewGenerator returns a generator over partitions of n elements.
 func NewGenerator(n int) (*Generator, error) {
-	if n < 1 || n > MaxN {
-		return nil, fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN)
-	}
-	g := &Generator{n: n, a: make([]int, n), b: make([]int, n), first: true}
-	for i := range g.b {
-		g.b[i] = 1
+	g := &Generator{}
+	if err := g.Reset(n); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// Reset rewinds the generator to the first partition of n elements,
+// reusing its buffers when they are large enough, so a long-lived
+// generator enumerates request after request without allocating.
+func (g *Generator) Reset(n int) error {
+	if n < 1 || n > MaxN {
+		return fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN)
+	}
+	if cap(g.a) < n {
+		g.a, g.b = make([]int, n, MaxN), make([]int, n, MaxN)
+	}
+	g.n, g.a, g.b = n, g.a[:n], g.b[:n]
+	for i := range g.a {
+		g.a[i], g.b[i] = 0, 1
+	}
+	g.first, g.done = true, false
+	return nil
 }
 
 // Next advances to the next partition and reports whether one exists. The
@@ -104,6 +119,15 @@ func (g *Generator) RGS() []int { return g.a }
 // occurrence order). The blocks share one freshly allocated backing
 // array per call, so retaining the result across Next is safe.
 func (g *Generator) Blocks() [][]int {
+	return g.BlocksInto(make([]int, g.n), nil)
+}
+
+// BlocksInto is Blocks over caller-owned storage: flat (at least n
+// entries) backs the blocks and blocks' capacity is reused for the
+// block list, so a caller that recycles both enumerates without
+// allocating. The result aliases flat and is overwritten by the next
+// BlocksInto call on the same buffers.
+func (g *Generator) BlocksInto(flat []int, blocks [][]int) [][]int {
 	nblocks := 0
 	var sizes [MaxN]int
 	for _, v := range g.a {
@@ -112,8 +136,7 @@ func (g *Generator) Blocks() [][]int {
 			nblocks = v + 1
 		}
 	}
-	flat := make([]int, g.n)
-	blocks := make([][]int, nblocks)
+	blocks = append(blocks[:0], make([][]int, nblocks)...)
 	off := 0
 	for b := 0; b < nblocks; b++ {
 		blocks[b] = flat[off : off : off+sizes[b]]

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-func benchConfig(b *testing.B) Config {
+func benchConfig(b testing.TB) Config {
 	return Config{
 		DB:              sharedDB(b),
 		Servers:         64,
@@ -67,3 +67,54 @@ func benchServe(b *testing.B, cfg Config) {
 		b.Fatalf("drain left %d violations; first: %+v", len(v), v[0])
 	}
 }
+
+// TestPlaceAllocs pins the allocation count of one placement plus its
+// release, through Service.Place and Service.Release with telemetry,
+// tracing and the decision recorder all off, in the same steady state
+// BenchmarkServe measures. What remains is the request's own state:
+// the queued request and its reply channel, the placement record with
+// its server and VM-ID slices, the control op and the map entries. The
+// PA search, the strategy's VM requests and the decision records
+// allocate nothing on this path.
+func TestPlaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops recycled search scratch at random")
+	}
+	const window, runs = 128, 200
+	s, err := NewService(benchConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(30 * time.Second)
+	keys := make([]string, window+runs+1)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("a-%d", i)
+	}
+	classes := [...]string{"cpu", "mem", "io"}
+	i := 0
+	cycle := func() {
+		if out := s.Place("bench", PlaceRequest{Key: keys[i], Class: classes[i%3], VMs: 1}); out.Status != 200 {
+			t.Fatalf("place %s: status %d reason %q", keys[i], out.Status, out.Reason)
+		}
+		if i >= window {
+			if out := s.Release(keys[i-window]); out.Status != 200 {
+				t.Fatalf("release: status %d reason %q", out.Status, out.Reason)
+			}
+		}
+		i++
+	}
+	for i < window {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(runs, cycle)
+	t.Logf("place+release: %v allocations", allocs)
+	if allocs > maxPlaceAllocs {
+		t.Errorf("place+release costs %v allocations, want at most %d", allocs, maxPlaceAllocs)
+	}
+}
+
+// maxPlaceAllocs is TestPlaceAllocs' bound: the count measured when the
+// serve path stopped formatting VM IDs, building decision records for
+// an absent recorder and rebuilding a view of every server for the PA
+// search (58 before).
+const maxPlaceAllocs = 19

@@ -86,6 +86,12 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	accessPath := filepath.Join(artifacts, "metrics-smoke-access.jsonl")
+	// The daemon appends to its access log, and the artifacts directory
+	// outlives a run: start from an empty log, or a rerun counts the
+	// previous run's pinned request too.
+	if err := os.Remove(accessPath); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
 
 	bin := buildServe(t, t.TempDir())
 	mdir := writeModelDir(t)

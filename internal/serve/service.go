@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,10 +343,12 @@ type shard struct {
 	nextRetry time.Time
 
 	smu      sync.Mutex
-	alloc    []model.Key
 	idx      *strategy.FleetIndex
 	resident map[int]vmRes
 	scratch  []int
+	// vmbuf holds the request the worker is placing; only the shard
+	// worker touches it.
+	vmbuf [maxJobVMs]core.VMRequest
 
 	paFull   *strategy.Proactive
 	paBudget *strategy.Proactive
@@ -467,7 +470,6 @@ func newService(cfg Config) (*Service, error) {
 			id:       k,
 			base:     base,
 			n:        n,
-			alloc:    make([]model.Key, n),
 			idx:      strategy.NewFleetIndex(n, cfg.MaxVMsPerServer),
 			resident: map[int]vmRes{},
 			scratch:  make([]int, maxJobVMs),
@@ -670,16 +672,20 @@ func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace)
 		rt:   rt,
 	}
 	sh := s.route(req.VMs)
-	rt.Annotate("shard", fmt.Sprintf("%d", sh.id))
+	if rt != nil {
+		rt.Annotate("shard", strconv.Itoa(sh.id))
+	}
 	if !sh.enqueue(p) {
 		s.unpend(req.Key)
 		s.mShed.Inc()
 		return s.shedOutcome(req, 429, cloudsim.RejectQueueFull, s.cfg.RequestTimeout)
 	}
-	s.rec.Record(cloudsim.Decision{
-		Kind: cloudsim.DecisionAdmit, T: s.wallT(), Shard: sh.id, Req: -1,
-		Job: req.Job, VMs: req.VMs, Queue: int(sh.queuedVMs.Load()), From: -1, To: sh.id,
-	})
+	if s.rec != nil {
+		s.rec.Record(cloudsim.Decision{
+			Kind: cloudsim.DecisionAdmit, T: s.wallT(), Shard: sh.id, Req: -1,
+			Job: req.Job, VMs: req.VMs, Queue: int(sh.queuedVMs.Load()), From: -1, To: sh.id,
+		})
+	}
 	return <-p.done
 }
 
@@ -694,10 +700,12 @@ func (s *Service) unpend(key string) {
 // shedOutcome logs one admission-control drop and shapes the client
 // response.
 func (s *Service) shedOutcome(req PlaceRequest, status int, reason string, retry time.Duration) Outcome {
-	s.rec.Record(cloudsim.Decision{
-		Kind: cloudsim.DecisionShed, T: s.wallT(), Shard: -1, Req: -1,
-		Job: req.Job, VMs: req.VMs, Reason: reason, From: -1, To: -1,
-	})
+	if s.rec != nil {
+		s.rec.Record(cloudsim.Decision{
+			Kind: cloudsim.DecisionShed, T: s.wallT(), Shard: -1, Req: -1,
+			Job: req.Job, VMs: req.VMs, Reason: reason, From: -1, To: -1,
+		})
+	}
 	return Outcome{Status: status, Reason: reason, RetryAfter: retry}
 }
 
@@ -844,10 +852,10 @@ func (sh *shard) handlePlace(p *pending) {
 		return
 	}
 
-	vms := make([]core.VMRequest, p.vms)
+	// The strategies assign by VM index, so the requests carry no ID.
+	vms := sh.vmbuf[:p.vms]
 	for i := range vms {
 		vms[i] = core.VMRequest{
-			ID:          fmt.Sprintf("%s#%d", p.key, i),
 			Class:       p.class,
 			NominalTime: units.Seconds(p.nominalS),
 			MaxTime:     units.Seconds(p.maxS),
@@ -856,16 +864,18 @@ func (sh *shard) handlePlace(p *pending) {
 
 	p.rt.StageStart(stageSearch)
 	sh.smu.Lock()
-	assign, info, ok := sh.placeLocked(level, vms, p.deadline)
+	assign, info, searched, ok := sh.placeLocked(level, vms, p.deadline)
 	p.rt.StageEnd(stageSearch)
 	if !ok {
 		sh.smu.Unlock()
 		s.mRejected.Inc()
-		s.rec.Record(cloudsim.Decision{
-			Kind: cloudsim.DecisionReject, T: s.wallT(), Shard: sh.id, Req: -1,
-			Job: p.job, VMs: p.vms, Reason: cloudsim.RejectCapacity,
-			Candidates: sh.n, From: -1, To: -1,
-		})
+		if s.rec != nil {
+			s.rec.Record(cloudsim.Decision{
+				Kind: cloudsim.DecisionReject, T: s.wallT(), Shard: sh.id, Req: -1,
+				Job: p.job, VMs: p.vms, Reason: cloudsim.RejectCapacity,
+				Candidates: sh.n, From: -1, To: -1,
+			})
+		}
 		s.finish(p, Outcome{Status: 503, Reason: cloudsim.RejectCapacity, RetryAfter: time.Second})
 		return
 	}
@@ -886,10 +896,7 @@ func (sh *shard) handlePlace(p *pending) {
 		NominalS: p.nominalS, MaxS: p.maxS,
 		Shard: sh.id, Servers: globals, VMIDs: ids,
 		Level: level, WaitMS: wait.Seconds() * 1000,
-	}
-	if info != nil {
-		pl.Degraded = info.Stats.Degraded
-		pl.Relaxed = info.Relaxed
+		Degraded: info.Stats.Degraded, Relaxed: info.Relaxed,
 	}
 	p.rt.StageStart(stageJournal)
 	seq, err := s.j.append(&jrec{
@@ -907,32 +914,32 @@ func (sh *shard) handlePlace(p *pending) {
 	sh.smu.Unlock()
 
 	s.mPlaced.Inc()
-	d := cloudsim.Decision{
-		Kind: cloudsim.DecisionPlace, T: s.wallT(), Shard: sh.id, Req: -1,
-		Job: p.job, VMs: p.vms, Wait: wait.Seconds(), Candidates: sh.n,
-		Servers: append([]int(nil), globals...), VMIDs: append([]int(nil), ids...),
-		From: -1, To: -1, Relaxed: pl.Relaxed, Degraded: pl.Degraded,
-	}
-	if info != nil {
-		d.Search = &cloudsim.DecisionSearch{
-			Enumerated: info.Stats.Enumerated, Deduped: info.Stats.Deduped,
-			Feasible: info.Stats.Feasible, Infeasible: info.Stats.Infeasible,
-			Pruned: info.Stats.Pruned, Exhausted: info.Stats.Exhausted,
+	if s.rec != nil {
+		d := cloudsim.Decision{
+			Kind: cloudsim.DecisionPlace, T: s.wallT(), Shard: sh.id, Req: -1,
+			Job: p.job, VMs: p.vms, Wait: wait.Seconds(), Candidates: sh.n,
+			Servers: append([]int(nil), globals...), VMIDs: append([]int(nil), ids...),
+			From: -1, To: -1, Relaxed: pl.Relaxed, Degraded: pl.Degraded,
 		}
+		if searched {
+			d.Search = &cloudsim.DecisionSearch{
+				Enumerated: info.Stats.Enumerated, Deduped: info.Stats.Deduped,
+				Feasible: info.Stats.Feasible, Infeasible: info.Stats.Infeasible,
+				Pruned: info.Stats.Pruned, Exhausted: info.Stats.Exhausted,
+			}
+		}
+		s.rec.Record(d)
 	}
-	s.rec.Record(d)
 	s.finish(p, Outcome{Status: 200, Resp: pl.response(false)})
 }
 
-// placeLocked runs the ladder-selected strategy; callers hold sh.smu.
-// Assignments are local server ids.
-func (sh *shard) placeLocked(level int, vms []core.VMRequest, deadline time.Time) ([]int, *strategy.PlaceInfo, bool) {
+// placeLocked runs the ladder-selected strategy through the shard's
+// fleet index; callers hold sh.smu. Assignments are local server ids in
+// sh.scratch, valid until the next placement. searched reports that a
+// PA search ran, whose attribution info carries.
+func (sh *shard) placeLocked(level int, vms []core.VMRequest, deadline time.Time) (assign []int, info strategy.PlaceInfo, searched, ok bool) {
 	switch level {
 	case LevelFull, LevelBudgeted:
-		views := sh.upViewsLocked()
-		if len(views) == 0 {
-			return nil, nil, false
-		}
 		st := sh.paFull
 		if level == LevelBudgeted {
 			st = sh.paBudget
@@ -941,27 +948,12 @@ func (sh *shard) placeLocked(level int, vms []core.VMRequest, deadline time.Time
 			sh.deadlineNs.Store(deadline.UnixNano())
 			defer sh.deadlineNs.Store(0)
 		}
-		assign, ok, info := st.PlaceExplained(views, vms)
-		return assign, &info, ok
+		assign, ok, info = st.PlaceIndexedExplained(sh.idx, vms, sh.scratch)
+		return assign, info, true, ok
 	default:
-		assign, ok := sh.ff.PlaceIndexed(sh.idx, vms, sh.scratch)
-		if !ok {
-			return nil, nil, false
-		}
-		return append([]int(nil), assign...), nil, true
+		assign, ok = sh.ff.PlaceIndexed(sh.idx, vms, sh.scratch)
+		return assign, info, false, ok
 	}
-}
-
-// upViewsLocked builds the PA's placement-time view of the shard's up
-// servers; callers hold sh.smu.
-func (sh *shard) upViewsLocked() []strategy.Server {
-	views := make([]strategy.Server, 0, sh.n)
-	for i := 0; i < sh.n; i++ {
-		if !sh.idx.Down(i) {
-			views = append(views, strategy.Server{ID: i, Alloc: sh.alloc[i]})
-		}
-	}
-	return views
 }
 
 // handleRequeue re-places one crash-evicted VM with first-fit —
@@ -977,10 +969,11 @@ func (sh *shard) handleRequeue(p *pending) {
 	if dead {
 		return // released while evicted: nothing owed
 	}
-	vms := []core.VMRequest{{
-		ID: fmt.Sprintf("%s#rq%d", p.key, p.slot), Class: p.class,
+	vms := sh.vmbuf[:1]
+	vms[0] = core.VMRequest{
+		Class:       p.class,
 		NominalTime: units.Seconds(p.nominalS), MaxTime: units.Seconds(p.maxS),
-	}}
+	}
 	sh.smu.Lock()
 	assign, ok := sh.ff.PlaceIndexed(sh.idx, vms, sh.scratch)
 	if !ok {
@@ -998,11 +991,13 @@ func (sh *shard) handleRequeue(p *pending) {
 	s.applyRequeue(p.key, p.slot, p.vmID, p.class, g, seq)
 	sh.smu.Unlock()
 	s.mRequeued.Inc()
-	s.rec.Record(cloudsim.Decision{
-		Kind: cloudsim.DecisionPlace, T: s.wallT(), Shard: sh.id, Req: -1,
-		Job: p.job, VMs: 1, VMID: p.vmID, Servers: []int{g}, VMIDs: []int{p.vmID},
-		From: -1, To: -1,
-	})
+	if s.rec != nil {
+		s.rec.Record(cloudsim.Decision{
+			Kind: cloudsim.DecisionPlace, T: s.wallT(), Shard: sh.id, Req: -1,
+			Job: p.job, VMs: 1, VMID: p.vmID, Servers: []int{g}, VMIDs: []int{p.vmID},
+			From: -1, To: -1,
+		})
+	}
 }
 
 // ---- worker: control plane ----
@@ -1044,10 +1039,12 @@ func (sh *shard) handleRelease(op *ctrlOp) {
 	s.applyRelease(op.key, seq)
 	sh.smu.Unlock()
 	s.mReleased.Inc()
-	s.rec.Record(cloudsim.Decision{
-		Kind: cloudsim.DecisionRelease, T: s.wallT(), Shard: sh.id, Req: -1,
-		Job: pl.Job, VMs: len(pl.VMIDs), From: -1, To: -1,
-	})
+	if s.rec != nil {
+		s.rec.Record(cloudsim.Decision{
+			Kind: cloudsim.DecisionRelease, T: s.wallT(), Shard: sh.id, Req: -1,
+			Job: pl.Job, VMs: len(pl.VMIDs), From: -1, To: -1,
+		})
+	}
 	s.finishCtrl(op, Outcome{Status: 200, Resp: pl.response(false)})
 }
 
@@ -1133,8 +1130,7 @@ func (s *Service) applyPlace(pl *placement, seq int) {
 			continue // restored placement with a slot still awaiting requeue
 		}
 		local := g - sh.base
-		sh.alloc[local] = sh.alloc[local].Add(model.KeyFor(pl.Class, 1))
-		sh.idx.Add(local, 1)
+		sh.idx.Add(local, pl.Class, 1)
 		sh.resident[pl.VMIDs[i]] = vmRes{srv: local, key: pl.Key, slot: i, class: pl.Class}
 	}
 	sh.syncStats()
@@ -1162,8 +1158,7 @@ func (s *Service) applyRelease(key string, seq int) {
 			continue // evicted slot: its requeue pending dies on pickup
 		}
 		local := g - sh.base
-		sh.alloc[local] = sh.alloc[local].Add(model.KeyFor(pl.Class, -1))
-		sh.idx.Add(local, -1)
+		sh.idx.Add(local, pl.Class, -1)
 		delete(sh.resident, pl.VMIDs[i])
 	}
 	sh.syncStats()
@@ -1186,8 +1181,7 @@ func (s *Service) applyCrash(g int, evicts []evictRec, seq int) {
 			continue
 		}
 		delete(sh.resident, e.VMID)
-		sh.alloc[local] = sh.alloc[local].Add(model.KeyFor(res.class, -1))
-		sh.idx.Add(local, -1)
+		sh.idx.Add(local, res.class, -1)
 		if pl := s.byKey[e.Key]; pl != nil {
 			pl.Servers[e.Slot] = -1
 		}
@@ -1202,8 +1196,7 @@ func (s *Service) applyCrash(g int, evicts []evictRec, seq int) {
 func (s *Service) applyRequeue(key string, slot, vmID int, class workload.Class, g, seq int) {
 	sh := s.shardOf(g)
 	local := g - sh.base
-	sh.alloc[local] = sh.alloc[local].Add(model.KeyFor(class, 1))
-	sh.idx.Add(local, 1)
+	sh.idx.Add(local, class, 1)
 	sh.resident[vmID] = vmRes{srv: local, key: key, slot: slot, class: class}
 	sh.syncStats()
 	s.mu.Lock()
@@ -1594,15 +1587,19 @@ func (s *Service) requeueRestored(queue []snapPending) {
 // registerChecks wires the five service invariants. Each check takes
 // the locks it needs in canon order, so sweeps are safe while serving.
 func (s *Service) registerChecks() {
-	// 1. The capacity index agrees with per-server allocations and its
-	// own internal structure.
+	// 1. The capacity index agrees with the allocations re-derived from
+	// the resident VMs, and with its own internal structure.
 	s.wd.Register("capacity-index", func() error {
 		for _, sh := range s.shards {
 			sh.smu.Lock()
-			err := sh.idx.AuditInvariants(func(i int) int { return sh.alloc[i].Total() })
+			derived := make([]model.Key, sh.n)
+			for _, res := range sh.resident {
+				derived[res.srv] = derived[res.srv].Add(model.KeyFor(res.class, 1))
+			}
+			err := sh.idx.AuditInvariants(func(i int) model.Key { return derived[i] })
 			if err == nil {
 				for i := 0; i < sh.n; i++ {
-					if t := sh.alloc[i].Total(); t > s.cfg.MaxVMsPerServer {
+					if t := sh.idx.Used(i); t > s.cfg.MaxVMsPerServer {
 						err = fmt.Errorf("shard %d server %d holds %d VMs, cap %d", sh.id, sh.base+i, t, s.cfg.MaxVMsPerServer)
 						break
 					}
@@ -1615,23 +1612,13 @@ func (s *Service) registerChecks() {
 		}
 		return nil
 	})
-	// 2. Occupancy re-derived from resident VMs matches the incremental
-	// allocations and the routing estimates.
+	// 2. The routing estimates match the index and the resident map
+	// (check 1 audits the index's allocations against the residents).
 	s.wd.Register("occupancy", func() error {
 		for _, sh := range s.shards {
 			sh.smu.Lock()
-			derived := make([]model.Key, sh.n)
-			for _, res := range sh.resident {
-				derived[res.srv] = derived[res.srv].Add(model.KeyFor(res.class, 1))
-			}
 			var err error
-			for i := 0; i < sh.n; i++ {
-				if derived[i] != sh.alloc[i] {
-					err = fmt.Errorf("shard %d server %d alloc %v, residents say %v", sh.id, sh.base+i, sh.alloc[i], derived[i])
-					break
-				}
-			}
-			if err == nil && sh.freeSlots.Load() != int64(sh.idx.FreeSlotsBelow(sh.ff.Cap())) {
+			if sh.freeSlots.Load() != int64(sh.idx.FreeSlotsBelow(sh.ff.Cap())) {
 				err = fmt.Errorf("shard %d free-slot estimate %d, index says %d", sh.id, sh.freeSlots.Load(), sh.idx.FreeSlotsBelow(sh.ff.Cap()))
 			}
 			if err == nil && sh.residentN.Load() != int64(len(sh.resident)) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pacevm/internal/rng"
+	"pacevm/internal/workload"
 )
 
 // naiveFleet is the obvious recomputation FleetIndex must agree with: a
@@ -72,19 +73,19 @@ func TestFleetIndexDownUpProperty(t *testing.T) {
 		switch op := r.Intn(4); op {
 		case 0: // place (allow overfill past maxOcc, as the consolidator can)
 			if naive.used[i] < maxOcc+2 {
-				idx.Add(i, 1)
+				idx.Add(i, workload.ClassCPU, 1)
 				naive.used[i]++
 			}
 		case 1: // release
 			if naive.used[i] > 0 {
-				idx.Add(i, -1)
+				idx.Add(i, workload.ClassCPU, -1)
 				naive.used[i]--
 			}
 		case 2: // fail — a crash empties the server first, like the simulator,
 			// but exercise the index with residual occupancy too
 			if !naive.down[i] {
 				if r.Bool(0.5) && naive.used[i] > 0 {
-					idx.Add(i, -naive.used[i])
+					idx.Add(i, workload.ClassCPU, -naive.used[i])
 					naive.used[i] = 0
 				}
 				idx.SetDown(i)
@@ -124,9 +125,9 @@ func TestFleetIndexDownTransitionsPanic(t *testing.T) {
 // until SetUp.
 func TestFleetIndexAddWhileDown(t *testing.T) {
 	idx := NewFleetIndex(3, 4)
-	idx.Add(1, 2)
+	idx.Add(1, workload.ClassCPU, 2)
 	idx.SetDown(1)
-	idx.Add(1, 1) // bookkeeping while down
+	idx.Add(1, workload.ClassCPU, 1) // bookkeeping while down
 	if idx.Used(1) != 3 {
 		t.Fatalf("Used(1) = %d, want 3", idx.Used(1))
 	}

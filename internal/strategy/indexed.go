@@ -18,8 +18,11 @@ package strategy
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pacevm/internal/core"
+	"pacevm/internal/model"
+	"pacevm/internal/workload"
 )
 
 // IndexedPlacer is implemented by strategies that can place through a
@@ -37,10 +40,24 @@ type IndexedPlacer interface {
 	PlaceIndexed(idx *FleetIndex, vms []core.VMRequest, dst []int) (assign []int, ok bool)
 }
 
+// IndexedExplainer is implemented by indexed strategies that can
+// attribute their decisions (see Explainer): PlaceIndexedExplained must
+// decide exactly as PlaceIndexed, under the same contract.
+type IndexedExplainer interface {
+	IndexedPlacer
+	PlaceIndexedExplained(idx *FleetIndex, vms []core.VMRequest, dst []int) (assign []int, ok bool, info PlaceInfo)
+}
+
 // FleetIndex buckets a fleet of servers by VM occupancy. Server ids are
-// dense indices 0..Len()-1, matching the simulator's server slice.
+// dense indices 0..Len()-1, matching the simulator's server slice. It
+// also tracks each server's allocation key, and on demand groups the up
+// servers into classes of identical allocation (see Classes).
 type FleetIndex struct {
-	used []int
+	// alloc is each server's allocation, one packed word per server, so
+	// the first-fit probes and every update touch no more memory than a
+	// bare occupancy count would; its total is the occupancy every
+	// threshold set is keyed on.
+	alloc []packedAlloc
 	// levels[c-1] holds the servers with used < c, for c = 1..maxOcc+1.
 	// An occupancy step o -> o+1 leaves exactly levels[o]; a step
 	// o -> o-1 re-enters exactly levels[o-1]: O(1) per change.
@@ -65,6 +82,9 @@ type FleetIndex struct {
 	// the indexed ceiling, issued once per queued job per drain) is one
 	// load instead of an O(maxOcc) sum.
 	freeSum int
+	// classes groups the up servers by allocation; nil until the first
+	// Classes query, so first-fit runs never maintain it.
+	classes *classIndex
 }
 
 // NewFleetIndex builds an index over n empty servers whose occupancy
@@ -74,7 +94,7 @@ func NewFleetIndex(n, maxOcc int) *FleetIndex {
 		return nil
 	}
 	f := &FleetIndex{
-		used:   make([]int, n),
+		alloc:  make([]packedAlloc, n),
 		levels: make([]bitset, maxOcc+1),
 		cnt:    make([]int, maxOcc+1),
 		maxOcc: maxOcc,
@@ -91,10 +111,13 @@ func NewFleetIndex(n, maxOcc int) *FleetIndex {
 }
 
 // Len returns the fleet size.
-func (f *FleetIndex) Len() int { return len(f.used) }
+func (f *FleetIndex) Len() int { return len(f.alloc) }
 
 // Used returns server i's current occupancy.
-func (f *FleetIndex) Used(i int) int { return f.used[i] }
+func (f *FleetIndex) Used(i int) int { return f.alloc[i].total() }
+
+// Alloc returns server i's current allocation.
+func (f *FleetIndex) Alloc(i int) model.Key { return f.alloc[i].key() }
 
 // MaxOcc returns the indexed occupancy ceiling (the admission limit the
 // index was built with).
@@ -119,29 +142,49 @@ func (f *FleetIndex) FreeSlotsBelow(cap int) int {
 // slotsUnderCeil is server i's freeSum contribution: its free slots
 // under the indexed ceiling, zero when overfilled.
 func (f *FleetIndex) slotsUnderCeil(i int) int {
-	if c := f.maxOcc + 1 - f.used[i]; c > 0 {
+	if c := f.maxOcc + 1 - f.Used(i); c > 0 {
 		return c
 	}
 	return 0
 }
 
-// Add applies an occupancy delta to server i. Occupancy may exceed
-// maxOcc (the simulator's consolidator can overfill a server past the
-// placement admission limit); such servers simply leave every threshold
-// set, which is the correct membership for any indexed cap. Negative
-// occupancy panics — it means the caller's bookkeeping is corrupt.
-func (f *FleetIndex) Add(i, delta int) {
-	o := f.used[i]
-	n := o + delta
-	if n < 0 {
+// Add adds delta VMs of class c to server i (a negative delta removes
+// them). Occupancy
+// may exceed maxOcc (the simulator's consolidator can overfill a server
+// past the placement admission limit); such servers simply leave every
+// threshold set, which is the correct membership for any indexed cap.
+// A negative count panics — it means the caller's bookkeeping is
+// corrupt. With classes built, the server also moves to the class of
+// its new allocation in O(1).
+func (f *FleetIndex) Add(i int, c workload.Class, delta int) {
+	if !c.Valid() {
+		panic("strategy: FleetIndex update with an invalid class")
+	}
+	old := f.alloc[i]
+	shift := packBits * uint(c)
+	cnt := int(old>>shift&packMask) + delta
+	if cnt < 0 {
 		panic("strategy: FleetIndex occupancy went negative")
 	}
-	f.used[i] = n
-	if f.down[i] {
-		// A down server is a member of no threshold set; SetUp restores
-		// membership from the tracked occupancy.
+	if cnt > packMask {
+		panic("strategy: FleetIndex class count overflows its packed field")
+	}
+	if delta == 0 {
 		return
 	}
+	nw := old&^(packMask<<shift) | packedAlloc(cnt)<<shift
+	f.alloc[i] = nw
+	if f.down[i] {
+		// A down server is a member of no threshold set or class; SetUp
+		// restores membership from the tracked allocation.
+		return
+	}
+	if f.classes != nil {
+		f.classes.leave(i)
+		f.classes.join(i, nw)
+	}
+	o := old.total()
+	n := o + delta
 	if co, cn := f.maxOcc+1-o, f.maxOcc+1-n; co > 0 || cn > 0 {
 		if co < 0 {
 			co = 0
@@ -186,11 +229,14 @@ func (f *FleetIndex) SetDown(i int) {
 	f.down[i] = true
 	f.freeSum -= f.slotsUnderCeil(i)
 	// Membership invariant while up: i ∈ levels[k] iff used[i] <= k.
-	for k := f.used[i]; k < len(f.levels); k++ {
+	for k := f.Used(i); k < len(f.levels); k++ {
 		f.levels[k].clear(i)
 		f.cnt[k]--
 	}
-	if f.used[i] > f.maxOcc {
+	if f.classes != nil {
+		f.classes.leave(i)
+	}
+	if f.Used(i) > f.maxOcc {
 		f.over.clear(i)
 		f.nOver--
 	}
@@ -204,11 +250,14 @@ func (f *FleetIndex) SetUp(i int) {
 	}
 	f.down[i] = false
 	f.freeSum += f.slotsUnderCeil(i)
-	for k := f.used[i]; k < len(f.levels); k++ {
+	for k := f.Used(i); k < len(f.levels); k++ {
 		f.levels[k].set(i)
 		f.cnt[k]++
 	}
-	if f.used[i] > f.maxOcc {
+	if f.classes != nil {
+		f.classes.join(i, f.alloc[i])
+	}
+	if f.Used(i) > f.maxOcc {
 		f.over.set(i)
 		f.nOver++
 	}
@@ -224,7 +273,7 @@ func (f *FleetIndex) SetUp(i int) {
 // fallback is gone and the answer still matches what a scan of the
 // view would report.
 func (f *FleetIndex) FirstBelow(cap, from int) int {
-	if cap < 1 || from >= len(f.used) {
+	if cap < 1 || from >= len(f.alloc) {
 		return -1
 	}
 	if from < 0 {
@@ -234,7 +283,7 @@ func (f *FleetIndex) FirstBelow(cap, from int) int {
 		c := f.levels[f.maxOcc].firstFrom(from)
 		if f.nOver > 0 {
 			for i := f.over.firstFrom(from); i >= 0 && (c < 0 || i < c); i = f.over.firstFrom(i + 1) {
-				if f.used[i] < cap {
+				if f.Used(i) < cap {
 					return i
 				}
 			}
@@ -283,15 +332,16 @@ func (f *FirstFit) PlaceIndexed(idx *FleetIndex, vms []core.VMRequest, dst []int
 
 // AuditInvariants re-derives every structural invariant of the index
 // from first principles and reports the first violation found, or nil.
-// used is the caller's ground-truth occupancy for server i (the
+// alloc is the caller's ground-truth allocation for server i (the
 // simulator derives it from the servers' resident VM lists, a source
-// the index never reads). The walk is O(servers × maxOcc) — read-only,
+// the index never reads). With classes built, class membership is
+// re-derived too. The walk is O(servers × maxOcc) — read-only,
 // intended for a periodic watchdog, not a hot path.
-func (f *FleetIndex) AuditInvariants(used func(i int) int) error {
+func (f *FleetIndex) AuditInvariants(alloc func(i int) model.Key) error {
 	freeSum, nOver := 0, 0
-	for i := range f.used {
-		if g := used(i); f.used[i] != g {
-			return fmt.Errorf("strategy: index occupancy for server %d is %d, ground truth %d", i, f.used[i], g)
+	for i := range f.alloc {
+		if g := alloc(i); f.Alloc(i) != g {
+			return fmt.Errorf("strategy: index allocation for server %d is %v, ground truth %v", i, f.Alloc(i), g)
 		}
 		inOver := f.over.has(i)
 		if f.down[i] {
@@ -305,18 +355,19 @@ func (f *FleetIndex) AuditInvariants(used func(i int) int) error {
 			}
 			continue
 		}
+		used := f.Used(i)
 		freeSum += f.slotsUnderCeil(i)
-		if wantOver := f.used[i] > f.maxOcc; inOver != wantOver {
+		if wantOver := used > f.maxOcc; inOver != wantOver {
 			return fmt.Errorf("strategy: server %d (used %d, ceiling %d) overfilled-set membership is %v",
-				i, f.used[i], f.maxOcc, inOver)
+				i, used, f.maxOcc, inOver)
 		}
 		if inOver {
 			nOver++
 		}
 		for k := range f.levels {
-			if want := f.used[i] <= k; f.levels[k].has(i) != want {
+			if want := used <= k; f.levels[k].has(i) != want {
 				return fmt.Errorf("strategy: server %d (used %d) threshold-set %d membership is %v",
-					i, f.used[i], k, !want)
+					i, used, k, !want)
 			}
 		}
 	}
@@ -334,28 +385,35 @@ func (f *FleetIndex) AuditInvariants(used func(i int) int) error {
 	if freeSum != f.freeSum {
 		return fmt.Errorf("strategy: freeSum = %d, re-derived free-slot sum is %d", f.freeSum, freeSum)
 	}
+	if f.classes != nil {
+		return f.classes.audit(f)
+	}
 	return nil
 }
 
 // IndexSnapshot is the persistent state of a FleetIndex: the per-server
-// occupancy and down marks plus the indexed ceiling. Everything else in
-// the index — threshold bitmaps, level counts, the overflow set, the
-// free-slot sum — is derived state RestoreIndex rebuilds, so a snapshot
-// stays small (two dense arrays) and version-stable across internal
-// representation changes.
+// allocations and down marks plus the indexed ceiling. Everything else
+// in the index — threshold bitmaps, level counts, the overflow set, the
+// free-slot sum, the allocation classes — is derived state RestoreIndex
+// rebuilds, so a snapshot stays small (two dense arrays) and
+// version-stable across internal representation changes.
 type IndexSnapshot struct {
-	MaxOcc int    `json:"max_occ"`
-	Used   []int  `json:"used"`
-	Down   []bool `json:"down"`
+	MaxOcc int         `json:"max_occ"`
+	Alloc  []model.Key `json:"alloc"`
+	Down   []bool      `json:"down"`
 }
 
 // Snapshot captures the index's persistent state. The returned slices
 // are copies; the caller must still hold off concurrent mutators while
 // the copy is taken (the index is not internally synchronized).
 func (f *FleetIndex) Snapshot() IndexSnapshot {
+	alloc := make([]model.Key, len(f.alloc))
+	for i := range alloc {
+		alloc[i] = f.Alloc(i)
+	}
 	return IndexSnapshot{
 		MaxOcc: f.maxOcc,
-		Used:   append([]int(nil), f.used...),
+		Alloc:  alloc,
 		Down:   append([]bool(nil), f.down...),
 	}
 }
@@ -364,23 +422,25 @@ func (f *FleetIndex) Snapshot() IndexSnapshot {
 // invariant-maintaining operations (Add, SetDown) over a fresh index,
 // so a restored index is consistent by construction: it passes
 // AuditInvariants and answers every query exactly as the index the
-// snapshot was taken from. Malformed snapshots (negative occupancy,
+// snapshot was taken from. Malformed snapshots (negative counts,
 // mismatched array lengths, ceiling below 1) are rejected rather than
 // panicking deep in Add.
 func RestoreIndex(snap IndexSnapshot) (*FleetIndex, error) {
 	if snap.MaxOcc < 1 {
 		return nil, fmt.Errorf("strategy: index snapshot ceiling %d, want >= 1", snap.MaxOcc)
 	}
-	if len(snap.Used) != len(snap.Down) {
-		return nil, fmt.Errorf("strategy: index snapshot has %d occupancy entries but %d down marks", len(snap.Used), len(snap.Down))
+	if len(snap.Alloc) != len(snap.Down) {
+		return nil, fmt.Errorf("strategy: index snapshot has %d allocations but %d down marks", len(snap.Alloc), len(snap.Down))
 	}
-	f := NewFleetIndex(len(snap.Used), snap.MaxOcc)
-	for i, u := range snap.Used {
-		if u < 0 {
-			return nil, fmt.Errorf("strategy: index snapshot occupancy %d for server %d", u, i)
+	f := NewFleetIndex(len(snap.Alloc), snap.MaxOcc)
+	for i, k := range snap.Alloc {
+		if !k.Valid() {
+			return nil, fmt.Errorf("strategy: index snapshot allocation %v for server %d", k, i)
 		}
-		if u > 0 {
-			f.Add(i, u)
+		for _, c := range workload.Classes {
+			if n := k.Count(c); n > 0 {
+				f.Add(i, c, n)
+			}
 		}
 	}
 	for i, d := range snap.Down {
@@ -389,6 +449,159 @@ func RestoreIndex(snap IndexSnapshot) (*FleetIndex, error) {
 		}
 	}
 	return f, nil
+}
+
+// Classes groups the up servers into classes of identical allocation,
+// in ascending order of each class's lowest member, listing each
+// class's lowest maxMembers server ids in ascending order — the input
+// core.Allocator.AllocateClasses searches. The first call builds the
+// grouping in O(servers); from then on Add, SetDown and SetUp keep it
+// current in O(1), and a query costs O(classes × maxMembers) with no
+// heap allocation once its buffers have grown. The result aliases
+// index-owned storage, valid until the next Classes call or mutation;
+// like every index method, it must not race with other use of the
+// index.
+func (f *FleetIndex) Classes(maxMembers int) []core.ServerClass {
+	if f.classes == nil {
+		f.buildClasses()
+	}
+	ci := f.classes
+	ci.out, ci.mem = ci.out[:0], ci.mem[:0]
+	for s := range ci.sets {
+		c := &ci.sets[s]
+		if c.n == 0 {
+			continue
+		}
+		start := len(ci.mem)
+		for m := c.members.firstFrom(0); m >= 0 && len(ci.mem)-start < maxMembers; m = c.members.scanFrom(m + 1) {
+			ci.mem = append(ci.mem, m)
+		}
+		// A growing ci.mem leaves earlier classes on the old array,
+		// whose contents stay valid: it is never written again.
+		ci.out = append(ci.out, core.ServerClass{Alloc: c.key, Members: ci.mem[start:len(ci.mem):len(ci.mem)]})
+	}
+	slices.SortFunc(ci.out, func(a, b core.ServerClass) int { return a.Members[0] - b.Members[0] })
+	return ci.out
+}
+
+// buildClasses groups every up server by allocation.
+func (f *FleetIndex) buildClasses() {
+	ci := &classIndex{
+		slot: make(map[packedAlloc]int32),
+		of:   make([]int32, len(f.alloc)),
+		n:    len(f.alloc),
+	}
+	for i := range f.alloc {
+		ci.of[i] = -1
+		if !f.down[i] {
+			ci.join(i, f.alloc[i])
+		}
+	}
+	f.classes = ci
+}
+
+// classIndex is the index's grouping of up servers by allocation: one
+// member bitset per live allocation, the same two-level bitset the
+// threshold sets use, so the lowest members of a class resolve in a
+// few word operations however large the fleet.
+type classIndex struct {
+	slot map[packedAlloc]int32 // live allocation -> its set in sets
+	sets []classSet
+	free []int32 // sets emptied of members, ready for reuse
+	of   []int32 // server -> its set; -1 while down
+	n    int     // fleet size
+
+	// Classes query buffers.
+	out []core.ServerClass
+	mem []int
+}
+
+// classSet is one allocation's up servers.
+type classSet struct {
+	packed  packedAlloc
+	key     model.Key
+	members bitset
+	n       int
+}
+
+// join adds up server i to the class of allocation k.
+func (ci *classIndex) join(i int, k packedAlloc) {
+	s, ok := ci.slot[k]
+	if !ok {
+		if nf := len(ci.free); nf > 0 {
+			s = ci.free[nf-1]
+			ci.free = ci.free[:nf-1]
+		} else {
+			s = int32(len(ci.sets))
+			ci.sets = append(ci.sets, classSet{members: newBitset(ci.n)})
+		}
+		ci.sets[s].packed, ci.sets[s].key = k, k.key()
+		ci.slot[k] = s
+	}
+	c := &ci.sets[s]
+	c.members.set(i)
+	c.n++
+	ci.of[i] = s
+}
+
+// leave removes server i from its class, retiring the class when it
+// empties.
+func (ci *classIndex) leave(i int) {
+	s := ci.of[i]
+	c := &ci.sets[s]
+	c.members.clear(i)
+	c.n--
+	if c.n == 0 {
+		delete(ci.slot, c.packed)
+		ci.free = append(ci.free, s)
+	}
+	ci.of[i] = -1
+}
+
+// audit re-derives class membership from the index's allocations and
+// down marks: every up server sits in exactly the class of its
+// allocation, every down server in none, and each class's count,
+// bitmap and lookup entry agree.
+func (ci *classIndex) audit(f *FleetIndex) error {
+	up := 0
+	for i := range f.alloc {
+		s := ci.of[i]
+		if f.down[i] {
+			if s != -1 {
+				return fmt.Errorf("strategy: down server %d is in allocation class %d", i, s)
+			}
+			continue
+		}
+		up++
+		if s < 0 || int(s) >= len(ci.sets) {
+			return fmt.Errorf("strategy: up server %d has no allocation class", i)
+		}
+		if c := &ci.sets[s]; c.key != f.Alloc(i) || !c.members.has(i) {
+			return fmt.Errorf("strategy: server %d (alloc %v) is filed under class %v (member %v)",
+				i, f.Alloc(i), c.key, c.members.has(i))
+		}
+	}
+	total, live := 0, 0
+	for s := range ci.sets {
+		c := &ci.sets[s]
+		if pc := c.members.count(); pc != c.n {
+			return fmt.Errorf("strategy: class %v counts %d members, bitmap holds %d", c.key, c.n, pc)
+		}
+		total += c.n
+		if c.n > 0 {
+			live++
+			if got, ok := ci.slot[c.packed]; !ok || got != int32(s) || c.key != c.packed.key() {
+				return fmt.Errorf("strategy: class %v is not looked up at its set %d", c.key, s)
+			}
+		}
+	}
+	if total != up {
+		return fmt.Errorf("strategy: allocation classes hold %d members, %d servers are up", total, up)
+	}
+	if len(ci.slot) != live {
+		return fmt.Errorf("strategy: %d class lookups for %d live classes", len(ci.slot), live)
+	}
+	return nil
 }
 
 // CapacityHinter is implemented by indexed strategies that can answer
@@ -419,6 +632,26 @@ func (f *FirstFit) CanFit(idx *FleetIndex, n int) (fits, exact bool) {
 		return true, false
 	}
 	return idx.FreeSlotsBelow(cap) >= n, true
+}
+
+// packedAlloc is a server's allocation packed packBits bits per class,
+// in class order (Ncpu lowest). No server holds anywhere near 2^21 VMs
+// of a class; Add panics rather than overflow a field.
+type packedAlloc uint64
+
+const (
+	packBits = 21
+	packMask = 1<<packBits - 1
+)
+
+// key unpacks the allocation.
+func (p packedAlloc) key() model.Key {
+	return model.Key{NCPU: int(p & packMask), NMEM: int(p >> packBits & packMask), NIO: int(p >> (2 * packBits) & packMask)}
+}
+
+// total is the allocation's VM count.
+func (p packedAlloc) total() int {
+	return int(p&packMask + p>>packBits&packMask + p>>(2*packBits)&packMask)
 }
 
 // bitset is a two-level bitmap over server ids: summary bit w is set

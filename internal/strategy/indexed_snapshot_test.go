@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"pacevm/internal/model"
 	"pacevm/internal/rng"
+	"pacevm/internal/workload"
 )
 
 // TestIndexSnapshotRoundTrip pins the snapshot/restore contract on a
@@ -27,9 +29,9 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 			f.SetUp(i)
 			down[i] = false
 		case f.Used(i) > 0 && step%3 == 0:
-			f.Add(i, -1)
+			f.Add(i, workload.ClassCPU, -1)
 		case f.Used(i) < maxOcc+3: // overfill a few past the ceiling
-			f.Add(i, 1)
+			f.Add(i, workload.ClassCPU, 1)
 		}
 	}
 
@@ -38,7 +40,7 @@ func TestIndexSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AuditInvariants(func(i int) int { return snap.Used[i] }); err != nil {
+	if err := g.AuditInvariants(func(i int) model.Key { return snap.Alloc[i] }); err != nil {
 		t.Fatalf("restored index fails the capacity audit: %v", err)
 	}
 	if !reflect.DeepEqual(g.Snapshot(), snap) {
@@ -68,7 +70,7 @@ func TestIndexSnapshotConcurrentDownUp(t *testing.T) {
 	f := NewFleetIndex(n, maxOcc)
 	var mu sync.Mutex
 	for i := 0; i < n; i++ {
-		f.Add(i, i%maxOcc)
+		f.Add(i, workload.ClassCPU, i%maxOcc)
 	}
 
 	var wg sync.WaitGroup
@@ -101,7 +103,7 @@ func TestIndexSnapshotConcurrentDownUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.AuditInvariants(func(i int) int { return snap.Used[i] }); err != nil {
+		if err := g.AuditInvariants(func(i int) model.Key { return snap.Alloc[i] }); err != nil {
 			t.Fatalf("snapshot %d: restored index fails the capacity audit: %v", s, err)
 		}
 		if !reflect.DeepEqual(g.Snapshot(), snap) {
@@ -114,9 +116,9 @@ func TestIndexSnapshotConcurrentDownUp(t *testing.T) {
 // TestRestoreIndexRejectsMalformed pins the validation errors.
 func TestRestoreIndexRejectsMalformed(t *testing.T) {
 	cases := []IndexSnapshot{
-		{MaxOcc: 0, Used: []int{0}, Down: []bool{false}},
-		{MaxOcc: 4, Used: []int{0, 1}, Down: []bool{false}},
-		{MaxOcc: 4, Used: []int{-1}, Down: []bool{false}},
+		{MaxOcc: 0, Alloc: []model.Key{{}}, Down: []bool{false}},
+		{MaxOcc: 4, Alloc: []model.Key{{}, {NIO: 1}}, Down: []bool{false}},
+		{MaxOcc: 4, Alloc: []model.Key{{NMEM: -1}}, Down: []bool{false}},
 	}
 	for i, c := range cases {
 		if _, err := RestoreIndex(c); err == nil {

@@ -57,9 +57,9 @@ func TestFleetIndexOccupancyLevels(t *testing.T) {
 	if got := f.FirstBelow(1, 0); got != 0 {
 		t.Fatalf("FirstBelow(1,0) = %d", got)
 	}
-	f.Add(0, 3) // full
-	f.Add(1, 2)
-	f.Add(2, 1)
+	f.Add(0, workload.ClassCPU, 3) // full
+	f.Add(1, workload.ClassCPU, 2)
+	f.Add(2, workload.ClassCPU, 1)
 	cases := []struct{ cap, from, want int }{
 		{1, 0, 3},  // only the empty server has used < 1
 		{2, 0, 2},  // used < 2: servers 2 and 3
@@ -74,7 +74,7 @@ func TestFleetIndexOccupancyLevels(t *testing.T) {
 			t.Errorf("FirstBelow(%d,%d) = %d, want %d", c.cap, c.from, got, c.want)
 		}
 	}
-	f.Add(0, -3)
+	f.Add(0, workload.ClassCPU, -3)
 	if got := f.FirstBelow(1, 0); got != 0 {
 		t.Errorf("after draining server 0, FirstBelow(1,0) = %d", got)
 	}
@@ -90,7 +90,7 @@ func TestFleetIndexRejectsNegativeOccupancy(t *testing.T) {
 			t.Error("Add(-1) on empty server did not panic")
 		}
 	}()
-	f.Add(0, -1)
+	f.Add(0, workload.ClassCPU, -1)
 }
 
 func TestFleetIndexOverfillAndWideCap(t *testing.T) {
@@ -98,8 +98,8 @@ func TestFleetIndexOverfillAndWideCap(t *testing.T) {
 	// must keep exact semantics both for indexed caps and for caps wider
 	// than the admission limit (linear fallback).
 	f := NewFleetIndex(3, 2)
-	f.Add(0, 4) // overfilled past maxOcc=2
-	f.Add(1, 2)
+	f.Add(0, workload.ClassCPU, 4) // overfilled past maxOcc=2
+	f.Add(1, workload.ClassCPU, 2)
 	if got := f.FirstBelow(1, 0); got != 2 {
 		t.Errorf("FirstBelow(1,0) = %d, want 2", got)
 	}
@@ -115,7 +115,7 @@ func TestFleetIndexOverfillAndWideCap(t *testing.T) {
 		t.Errorf("FirstBelow(4,0) = %d, want 1", got)
 	}
 	// Draining back into range restores bitmap membership.
-	f.Add(0, -4)
+	f.Add(0, workload.ClassCPU, -4)
 	if got := f.FirstBelow(1, 0); got != 0 {
 		t.Errorf("after drain FirstBelow(1,0) = %d, want 0", got)
 	}
@@ -162,7 +162,7 @@ func TestIndexedFirstFitMatchesLinear(t *testing.T) {
 				// Free a random server fully and keep going.
 				s := r.Intn(servers)
 				if occ[s] > 0 {
-					idx.Add(s, -occ[s])
+					idx.Add(s, workload.ClassCPU, -occ[s])
 					occ[s] = 0
 					views[s].Alloc = model.Key{}
 				}
@@ -179,7 +179,7 @@ func TestIndexedFirstFitMatchesLinear(t *testing.T) {
 			if r.Bool(0.8) {
 				for _, s := range want {
 					occ[s]++
-					idx.Add(s, 1)
+					idx.Add(s, workload.ClassCPU, 1)
 					views[s].Alloc = views[s].Alloc.Add(model.KeyFor(workload.ClassCPU, 1))
 				}
 			}
@@ -188,7 +188,7 @@ func TestIndexedFirstFitMatchesLinear(t *testing.T) {
 				s := r.Intn(servers)
 				if occ[s] > 0 {
 					occ[s]--
-					idx.Add(s, -1)
+					idx.Add(s, workload.ClassCPU, -1)
 					views[s].Alloc = views[s].Alloc.Add(model.KeyFor(workload.ClassCPU, -1))
 				}
 			}
@@ -240,7 +240,7 @@ func BenchmarkFirstFitIndexed(b *testing.B) {
 	const n = 4096
 	idx := NewFleetIndex(n, 16)
 	for i := 0; i < n-1; i++ {
-		idx.Add(i, 11)
+		idx.Add(i, workload.ClassCPU, 11)
 	}
 	vms := vmReqs(4)
 	dst := make([]int, 4)

@@ -253,8 +253,53 @@ func (p *Proactive) Place(servers []Server, vms []core.VMRequest) ([]int, bool) 
 // pass), whether the relaxed pass answered, and whether a false return
 // is a deliberate QoS wait.
 func (p *Proactive) PlaceExplained(servers []Server, vms []core.VMRequest) ([]int, bool, PlaceInfo) {
+	var out core.Allocation
+	ok, info := p.decide(vms, func(a *core.Allocator) (core.SearchStats, error) {
+		var stats core.SearchStats
+		var err error
+		out, stats, err = a.AllocateExplained(p.goal, servers, vms)
+		return stats, err
+	})
+	if !ok {
+		return nil, false, info
+	}
+	assign, ok := flatten(out, vms)
+	return assign, ok, info
+}
+
+// PlaceIndexed is the proactive allocation through the fleet index: the
+// search reads the index's allocation classes instead of a view of
+// every server, so a decision costs O(classes + VMs) and, in steady
+// state, allocates nothing. Identical placements to Place on the
+// index's up servers in id order.
+func (p *Proactive) PlaceIndexed(idx *FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool) {
+	assign, ok, _ := p.PlaceIndexedExplained(idx, vms, dst)
+	return assign, ok
+}
+
+// PlaceIndexedExplained is PlaceIndexed plus the decision attribution
+// PlaceExplained reports.
+func (p *Proactive) PlaceIndexedExplained(idx *FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool, PlaceInfo) {
+	classes := idx.Classes(len(vms) + 1)
+	ok, info := p.decide(vms, func(a *core.Allocator) (core.SearchStats, error) {
+		var stats core.SearchStats
+		var err error
+		dst, stats, err = a.AllocateClasses(p.goal, classes, vms, dst)
+		return stats, err
+	})
+	if !ok {
+		return nil, false, info
+	}
+	return dst, true, info
+}
+
+// decide runs the strict pass and, for a request no idle server could
+// satisfy, the relaxed pass; search runs one pass on the given
+// allocator and keeps its result. ok reports that the last pass
+// succeeded.
+func (p *Proactive) decide(vms []core.VMRequest, search func(*core.Allocator) (core.SearchStats, error)) (bool, PlaceInfo) {
 	var info PlaceInfo
-	out, stats, err := p.strict.AllocateExplained(p.goal, servers, vms)
+	stats, err := search(p.strict)
 	info.Stats = stats
 	if errors.Is(err, core.ErrInfeasible) {
 		satisfiable := true
@@ -266,10 +311,10 @@ func (p *Proactive) PlaceExplained(servers []Server, vms []core.VMRequest) ([]in
 		}
 		if satisfiable {
 			info.Waited = true
-			return nil, false, info // wait for QoS-compatible capacity
+			return false, info // wait for QoS-compatible capacity
 		}
 		info.Relaxed = true
-		out, stats, err = p.relaxed.AllocateExplained(p.goal, servers, vms)
+		stats, err = search(p.relaxed)
 		info.Stats.Enumerated += stats.Enumerated
 		info.Stats.Deduped += stats.Deduped
 		info.Stats.Feasible += stats.Feasible
@@ -278,36 +323,37 @@ func (p *Proactive) PlaceExplained(servers []Server, vms []core.VMRequest) ([]in
 		info.Stats.Exhausted = info.Stats.Exhausted || stats.Exhausted
 		info.Stats.Degraded = info.Stats.Degraded || stats.Degraded
 	}
-	if err != nil {
-		return nil, false, info
-	}
-	assign, ok := flatten(out, vms)
-	return assign, ok, info
+	return err == nil, info
 }
 
-// flatten converts an Allocation into the per-VM assignment slice,
-// matching VMs by their IDs.
+// flatten converts an Allocation into the per-VM assignment slice. Each
+// placed VM claims the first unclaimed request equal to it in every
+// field, so requests sharing an ID (or carrying none) still place:
+// requests equal in every field are interchangeable to the allocator,
+// and for distinct requests the match is exact.
 func flatten(out core.Allocation, vms []core.VMRequest) ([]int, bool) {
-	byID := make(map[string]int, len(vms))
-	for i, vm := range vms {
-		byID[vm.ID] = i
-	}
 	assign := make([]int, len(vms))
 	seen := make([]bool, len(vms))
+	placed := 0
 	for _, pl := range out.Placements {
 		for _, vm := range pl.VMs {
-			idx, ok := byID[vm.ID]
-			if !ok || seen[idx] {
+			idx := -1
+			for i := range vms {
+				if !seen[i] && vms[i] == vm {
+					idx = i
+					break
+				}
+			}
+			if idx < 0 {
 				return nil, false
 			}
 			seen[idx] = true
 			assign[idx] = pl.ServerID
+			placed++
 		}
 	}
-	for _, s := range seen {
-		if !s {
-			return nil, false
-		}
+	if placed != len(vms) {
+		return nil, false
 	}
 	return assign, true
 }
