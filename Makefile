@@ -80,10 +80,11 @@ explain-smoke:
 # It fails on any lost or duplicated placement, any watchdog invariant
 # violation (including post-restore), or a decision log that never shows
 # the degradation ladder stepping down and recovering. Artifacts
-# (snapshot, journal, decision log) land in serve-soak-artifacts/ so CI
-# can upload them on failure.
+# (snapshot, journal, decision log) land in serve-soak-artifacts/ at the
+# repo root (go test runs in the package directory, hence the absolute
+# path) so CI can upload them on failure.
 serve-soak:
-	PACEVM_SOAK_SECONDS=30 PACEVM_SOAK_DIR=serve-soak-artifacts \
+	PACEVM_SOAK_SECONDS=30 PACEVM_SOAK_DIR=$(CURDIR)/serve-soak-artifacts \
 		$(GO) test -count=1 -run TestServeChaosSoak -v ./internal/serve
 
 # metrics-smoke is the observability acceptance path: the real
@@ -94,17 +95,22 @@ serve-soak:
 # log's JSONL lines against a pinned X-Request-Id. Scrapes land in
 # serve-soak-artifacts/ so CI can upload them on failure.
 metrics-smoke:
-	PACEVM_SOAK_DIR=serve-soak-artifacts \
+	PACEVM_SOAK_DIR=$(CURDIR)/serve-soak-artifacts \
 		$(GO) test -count=1 -run TestMetricsSmoke -v ./internal/serve
 
-# fuzz-smoke gives each text-input parser a short adversarial burst
-# (one package per invocation, as go test -fuzz requires).
+# fuzz-smoke gives each text-input parser, and the placement service's
+# journal reader and snapshot+journal restore, a short adversarial burst
+# (one target per invocation, as go test -fuzz requires). A restore
+# costs about a millisecond, so the serve targets cap the minimization
+# of each new corpus entry, which otherwise eats the whole burst.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 5s ./internal/swf
 	$(GO) test -fuzz FuzzReadSchedule -fuzztime 5s ./internal/faults
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 5s ./internal/model
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
 	$(GO) test -fuzz FuzzPromEscape -fuzztime 5s ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
+	$(GO) test -run NONE -fuzz FuzzRestore -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 
 vet:
 	$(GO) vet ./...

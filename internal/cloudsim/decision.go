@@ -328,7 +328,7 @@ func (s *sim) recordPlace(idx int, assign, uids []int, info *strategy.PlaceInfo)
 	if info != nil {
 		d.Relaxed = info.Relaxed
 		d.Degraded = info.Stats.Degraded
-		d.Search = newDecisionSearch(info.Stats)
+		d.Search = NewDecisionSearch(info.Stats)
 	}
 	s.rec.record(d)
 }
@@ -352,8 +352,8 @@ func (s *sim) recordMigrate(vmID, jobID, from, to int, reason string) {
 	})
 }
 
-// newDecisionSearch copies exact search stats into the log payload.
-func newDecisionSearch(st core.SearchStats) *DecisionSearch {
+// NewDecisionSearch copies exact search stats into the log payload.
+func NewDecisionSearch(st core.SearchStats) *DecisionSearch {
 	return &DecisionSearch{
 		Enumerated: st.Enumerated,
 		Deduped:    st.Deduped,

@@ -23,6 +23,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -45,23 +46,20 @@ const (
 type jrec struct {
 	Seq  int    `json:"seq"`
 	Kind string `json:"kind"`
-	// Place / release / requeue: the idempotency key.
+	// Place / release / requeue: the idempotency key. It shadows the
+	// placement's own key, which readJournal copies back.
 	Key string `json:"key,omitempty"`
-	// Place: the full placement.
-	Job      int     `json:"job,omitempty"`
-	Class    string  `json:"class,omitempty"`
-	NominalS float64 `json:"nominal_s,omitempty"`
-	MaxS     float64 `json:"max_s,omitempty"`
-	Servers  []int   `json:"servers,omitempty"` // global server per VM
-	VMIDs    []int   `json:"vm_ids,omitempty"`
-	Degraded bool    `json:"degraded,omitempty"`
-	Relaxed  bool    `json:"relaxed,omitempty"`
+	// Place: the placement; nil for every other kind.
+	*placement
+	// Shard shadows the placement's shard and stays zero, so a place
+	// record never writes one: replay derives it from the servers.
+	Shard int `json:"shard,omitempty"`
 	// Crash / recover: the global server. Requeue: the new server.
 	Server int `json:"server,omitempty"`
 	// Requeue: which VM of the placement moved.
 	Slot int `json:"slot,omitempty"`
 	VMID int `json:"vm_id,omitempty"`
-	// Crash: the residents evicted with the server.
+	// Crash: the VMs evicted with the server.
 	Evict []evictRec `json:"evict,omitempty"`
 }
 
@@ -177,15 +175,23 @@ func readJournal(path string) ([]jrec, int64, error) {
 			off = end
 			continue
 		}
-		var r jrec
+		// encoding/json cannot allocate an embedded pointer to an
+		// unexported type, so the placement is allocated up front.
+		r := jrec{placement: new(placement)}
 		if err := json.Unmarshal(line, &r); err != nil {
-			if i == len(lines)-1 {
+			var torn *json.SyntaxError
+			if i == len(lines)-1 && errors.As(err, &torn) {
 				break // torn final record: the crash interrupted this write
 			}
 			return nil, 0, fmt.Errorf("serve: journal %s line %d: %w", path, i+1, err)
 		}
 		if r.Seq <= lastSeq {
 			return nil, 0, fmt.Errorf("serve: journal %s line %d: seq %d after %d", path, i+1, r.Seq, lastSeq)
+		}
+		if r.Kind == jPlace {
+			r.placement.Key = r.Key
+		} else {
+			r.placement = nil
 		}
 		lastSeq = r.Seq
 		out = append(out, r)
@@ -200,52 +206,20 @@ func readJournal(path string) ([]jrec, int64, error) {
 // refuses a version it does not speak.
 const snapshotVersion = 1
 
-// snapPlacement is one committed placement in a snapshot. Occupancy is
-// not stored separately: restore re-derives per-server allocations and
-// the capacity index purely from the live placements, so the restored
-// state is consistent by construction and the watchdog audit checks it
-// against nothing but itself plus the index invariants.
-type snapPlacement struct {
-	Key      string  `json:"key"`
-	Job      int     `json:"job,omitempty"`
-	Class    string  `json:"class"`
-	NominalS float64 `json:"nominal_s,omitempty"`
-	MaxS     float64 `json:"max_s,omitempty"`
-	Shard    int     `json:"shard"`
-	Servers  []int   `json:"servers"` // global; -1 = evicted, awaiting requeue
-	VMIDs    []int   `json:"vm_ids"`
-	Released bool    `json:"released,omitempty"`
-	Degraded bool    `json:"degraded,omitempty"`
-	Relaxed  bool    `json:"relaxed,omitempty"`
-}
-
-// snapPending is one queued (or parked) request in a snapshot: admitted
-// work the service still owes an answer for.
-type snapPending struct {
-	Key      string  `json:"key"`
-	Job      int     `json:"job,omitempty"`
-	Class    string  `json:"class"`
-	VMs      int     `json:"vms"`
-	NominalS float64 `json:"nominal_s,omitempty"`
-	MaxS     float64 `json:"max_s,omitempty"`
-	// Requeue pendings re-place one evicted VM of an existing placement
-	// and stay pinned to its shard.
-	Requeue bool `json:"requeue,omitempty"`
-	Shard   int  `json:"shard,omitempty"`
-	Slot    int  `json:"slot,omitempty"`
-	VMID    int  `json:"vm_id,omitempty"`
-}
-
-// snapPayload is the checksummed body of a snapshot file.
+// snapPayload is the checksummed body of a snapshot file: the
+// placements (released ones included) and the queued and parked work,
+// as the service keeps them. Occupancy is not stored: restore re-derives
+// the capacity index from the live placements, so the restored state is
+// consistent by construction.
 type snapPayload struct {
-	Seq        int             `json:"seq"` // journal records <= Seq are folded in
-	NextVMID   int             `json:"next_vm_id"`
-	Servers    int             `json:"servers"`
-	Shards     int             `json:"shards"`
-	MaxVMs     int             `json:"max_vms"`
-	Down       []int           `json:"down,omitempty"` // global ids
-	Placements []snapPlacement `json:"placements"`
-	Queue      []snapPending   `json:"queue,omitempty"`
+	Seq        int          `json:"seq"` // journal records <= Seq are folded in
+	NextVMID   int          `json:"next_vm_id"`
+	Servers    int          `json:"servers"`
+	Shards     int          `json:"shards"`
+	MaxVMs     int          `json:"max_vms"`
+	Down       []int        `json:"down,omitempty"` // global ids
+	Placements []*placement `json:"placements"`
+	Queue      []queued     `json:"queue,omitempty"`
 }
 
 // snapFile is the on-disk wrapper: version, CRC-32 (IEEE) of the raw

@@ -19,7 +19,7 @@ func TestJournalTornTailTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.append(&jrec{Kind: jPlace, Key: "a", Class: "cpu", Servers: []int{0}, VMIDs: []int{1}}); err != nil {
+	if _, err := j.append(&jrec{Kind: jPlace, Key: "a", placement: &placement{Servers: []int{0}, VMIDs: []int{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.append(&jrec{Kind: jRelease, Key: "a"}); err != nil {
@@ -62,7 +62,7 @@ func TestJournalTornTailTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j2.append(&jrec{Kind: jPlace, Key: "b", Class: "cpu", Servers: []int{1}, VMIDs: []int{2}}); err != nil {
+	if _, err := j2.append(&jrec{Kind: jPlace, Key: "b", placement: &placement{Servers: []int{1}, VMIDs: []int{2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.close(); err != nil {

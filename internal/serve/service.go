@@ -21,10 +21,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -235,42 +237,48 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// parseClass maps the wire spelling to a workload class.
-func parseClass(s string) (workload.Class, error) {
+// wireClass is a workload class as requests, snapshots and the journal
+// spell it (cpu, mem or io). parseClass and the two text methods are the
+// only places the spelling is converted.
+type wireClass workload.Class
+
+func parseClass(s string) (wireClass, error) {
 	for _, c := range workload.Classes {
 		if c.String() == s {
-			return c, nil
+			return wireClass(c), nil
 		}
 	}
 	return 0, fmt.Errorf("serve: unknown workload class %q (want cpu, mem or io)", s)
 }
 
-// vmRes is one resident VM on a shard: which local server holds it and
-// which placement slot it fulfills.
-type vmRes struct {
-	srv   int
-	key   string
-	slot  int
-	class workload.Class
+func (c wireClass) MarshalText() ([]byte, error) { return []byte(workload.Class(c).String()), nil }
+
+func (c *wireClass) UnmarshalText(b []byte) error {
+	v, err := parseClass(string(b))
+	*c = v
+	return err
 }
 
 // placement is one committed request: the unit of idempotency, release
-// and crash-requeue bookkeeping. Servers holds global ids; -1 marks a
-// slot evicted by a crash and awaiting requeue.
+// and crash-requeue bookkeeping, and the service's only record of where
+// each VM lives — the shard's fleet index is derived from it. Snapshots
+// store it as is and a place journal record carries it. Servers holds
+// global ids; -1 marks a slot evicted by a crash and awaiting requeue.
 type placement struct {
-	Key      string
-	Job      int
-	Class    workload.Class
-	NominalS float64
-	MaxS     float64
-	Shard    int
-	Servers  []int
-	VMIDs    []int
-	Released bool
-	Degraded bool
-	Relaxed  bool
-	Level    int
-	WaitMS   float64
+	Key      string    `json:"key"`
+	Job      int       `json:"job,omitempty"`
+	Class    wireClass `json:"class"`
+	NominalS float64   `json:"nominal_s,omitempty"`
+	MaxS     float64   `json:"max_s,omitempty"`
+	Shard    int       `json:"shard"`
+	Servers  []int     `json:"servers"`
+	VMIDs    []int     `json:"vm_ids"`
+	Released bool      `json:"released,omitempty"`
+	Degraded bool      `json:"degraded,omitempty"`
+	Relaxed  bool      `json:"relaxed,omitempty"`
+	// The ladder level and queue wait of the live decision; not persisted.
+	Level  int     `json:"-"`
+	WaitMS float64 `json:"-"`
 }
 
 // response renders the placement as the client-visible payload; replays
@@ -289,41 +297,55 @@ func (pl *placement) response(replayed bool) *PlaceResponse {
 	}
 }
 
+// requeue is the work owed for the VM a crash evicted from slot:
+// re-place it on the placement's shard.
+func (pl *placement) requeue(slot int) queued {
+	return queued{
+		Key: pl.Key, Job: pl.Job, Class: pl.Class, VMs: 1,
+		NominalS: pl.NominalS, MaxS: pl.MaxS,
+		Requeue: true, Shard: pl.Shard, Slot: slot, VMID: pl.VMIDs[slot],
+	}
+}
+
+// queued is the persisted part of a pending request — admitted work the
+// service still owes an answer for — and what snapshots store. A
+// requeue re-places one evicted VM (Slot, VMID) of an existing
+// placement and stays pinned to its Shard.
+type queued struct {
+	Key      string    `json:"key"`
+	Job      int       `json:"job,omitempty"`
+	Class    wireClass `json:"class"`
+	VMs      int       `json:"vms"`
+	NominalS float64   `json:"nominal_s,omitempty"`
+	MaxS     float64   `json:"max_s,omitempty"`
+	Requeue  bool      `json:"requeue,omitempty"`
+	Shard    int       `json:"shard,omitempty"`
+	Slot     int       `json:"slot,omitempty"`
+	VMID     int       `json:"vm_id,omitempty"`
+}
+
+// vm is the strategy-side request for one of q's VMs. The strategies
+// assign by VM index, so it carries no ID.
+func (q *queued) vm() core.VMRequest {
+	return core.VMRequest{
+		Class:       workload.Class(q.Class),
+		NominalTime: units.Seconds(q.NominalS),
+		MaxTime:     units.Seconds(q.MaxS),
+	}
+}
+
 // pending is one admitted request waiting in a shard queue. done is nil
 // for requeues and for requests restored from a snapshot — nobody is
 // blocked on those; the client's retry replays the eventual placement.
 type pending struct {
-	key      string
-	job      int
-	class    workload.Class
-	vms      int
-	nominalS float64
-	maxS     float64
+	queued
 	enqueued time.Time
 	deadline time.Time
-	requeue  bool
-	slot     int
-	vmID     int
 	done     chan Outcome
 	// rt is the request's wall-clock trace (nil when tracing is off).
 	// It hands off with the pending: the enqueue and reply channels
 	// provide the happens-before between handler and worker.
 	rt *obs.ReqTrace
-}
-
-// Control-plane operations, processed by the shard worker ahead of the
-// admission queue.
-const (
-	ctrlRelease = iota
-	ctrlCrash
-	ctrlRecover
-)
-
-type ctrlOp struct {
-	kind int
-	key  string
-	srv  int // local server id (crash/recover)
-	done chan Outcome
 }
 
 // shard owns a contiguous server range [base, base+n) and all placement
@@ -336,16 +358,17 @@ type shard struct {
 
 	qmu       sync.Mutex
 	qcond     *sync.Cond
-	ctrl      []*ctrlOp
+	ctrl      []func() // control plane: release, crash, recover
 	pend      []*pending
 	parked    []*pending
 	stopped   bool
 	nextRetry time.Time
 
-	smu      sync.Mutex
-	idx      *strategy.FleetIndex
-	resident map[int]vmRes
-	scratch  []int
+	smu sync.Mutex
+	// idx is the capacity index placement searches, derived from the
+	// shard's live placements.
+	idx     *strategy.FleetIndex
+	scratch []int
 	// vmbuf holds the request the worker is placing; only the shard
 	// worker touches it.
 	vmbuf [maxJobVMs]core.VMRequest
@@ -361,7 +384,7 @@ type shard struct {
 	// Routing estimates, updated under smu, read lock-free.
 	freeSlots atomic.Int64
 	queuedVMs atomic.Int64
-	residentN atomic.Int64
+	liveVMs   atomic.Int64
 }
 
 // Service is the placement service. Build with NewService, expose with
@@ -466,14 +489,13 @@ func newService(cfg Config) (*Service, error) {
 			n++
 		}
 		sh := &shard{
-			svc:      s,
-			id:       k,
-			base:     base,
-			n:        n,
-			idx:      strategy.NewFleetIndex(n, cfg.MaxVMsPerServer),
-			resident: map[int]vmRes{},
-			scratch:  make([]int, maxJobVMs),
-			ff:       ff,
+			svc:     s,
+			id:      k,
+			base:    base,
+			n:       n,
+			idx:     strategy.NewFleetIndex(n, cfg.MaxVMsPerServer),
+			scratch: make([]int, maxJobVMs),
+			ff:      ff,
 		}
 		sh.qcond = sync.NewCond(&sh.qmu)
 		// SearchWorkers: 1 keeps each shard's PA search serial — the
@@ -492,9 +514,8 @@ func newService(cfg Config) (*Service, error) {
 		base += n
 	}
 
-	var restoredQueue []snapPending
 	if cfg.Restore {
-		if restoredQueue, err = s.restore(); err != nil {
+		if err = s.restore(); err != nil {
 			return nil, err
 		}
 	} else if cfg.SnapshotPath != "" {
@@ -517,9 +538,9 @@ func newService(cfg Config) (*Service, error) {
 	if cfg.Restore {
 		s.wd.RunChecks(s.wallT())
 		if v := s.wd.Violations(); len(v) > 0 {
+			_ = s.j.close()
 			return nil, fmt.Errorf("serve: restored state failed %d invariant check(s); first: %s: %s", len(v), v[0].Check, v[0].Detail)
 		}
-		s.requeueRestored(restoredQueue)
 	}
 	return s, nil
 }
@@ -554,18 +575,17 @@ func (s *Service) shardOf(g int) *shard {
 	return s.shards[len(s.shards)-1]
 }
 
-// syncStats refreshes the lock-free routing estimates; callers hold
-// sh.smu (or run pre-start).
+// syncStats refreshes the lock-free free-slot estimate; callers hold
+// sh.smu (or run pre-start). The apply functions keep liveVMs.
 func (sh *shard) syncStats() {
 	sh.freeSlots.Store(int64(sh.idx.FreeSlotsBelow(sh.ff.Cap())))
-	sh.residentN.Store(int64(len(sh.resident)))
 }
 
 // route picks the shard for a request: among shards whose free-slot
 // estimate (minus already-queued VMs) fits it, the one with the most
 // headroom, ties to the lowest id — the sharded coordinator's
 // capacity-aware routing adapted to live estimates. With no fitting
-// shard, the least-loaded shard by (resident+queued)/servers takes it
+// shard, the least-loaded shard by (live+queued VMs)/servers takes it
 // and decides for itself.
 func (s *Service) route(vms int) *shard {
 	var best *shard
@@ -581,7 +601,7 @@ func (s *Service) route(vms int) *shard {
 	}
 	var minLoad float64
 	for _, sh := range s.shards {
-		load := float64(sh.residentN.Load()+sh.queuedVMs.Load()) / float64(sh.n)
+		load := float64(sh.liveVMs.Load()+sh.queuedVMs.Load()) / float64(sh.n)
 		if best == nil || load < minLoad {
 			best, minLoad = sh, load
 		}
@@ -607,7 +627,7 @@ func (s *Service) Place(client string, req PlaceRequest) Outcome {
 func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace) Outcome {
 	s.mRequests.Inc()
 	if s.draining.Load() {
-		return s.shedOutcome(req, 503, cloudsim.RejectDraining, time.Second)
+		return s.shed(req.Job, req.VMs, 503, cloudsim.RejectDraining, time.Second)
 	}
 	rt.StageStart(stageDecode) // validation rides the decode span
 	if req.Key == "" {
@@ -650,42 +670,42 @@ func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace)
 	rt.StageEnd(stageRateLimit)
 	if !ok {
 		s.unpend(req.Key)
-		return s.shedOutcome(req, 429, cloudsim.RejectRateLimit, wait)
+		return s.shed(req.Job, req.VMs, 429, cloudsim.RejectRateLimit, wait)
 	}
 
 	if s.lad.current() >= LevelShed {
 		s.unpend(req.Key)
 		s.mShed.Inc()
-		return s.shedOutcome(req, 429, cloudsim.RejectShedding, s.cfg.Watermarks[2])
+		return s.shed(req.Job, req.VMs, 429, cloudsim.RejectShedding, s.cfg.Watermarks[2])
 	}
 
 	nominalS := req.NominalS
 	if nominalS <= 0 {
 		nominalS = 600
 	}
-	now := s.clock()
-	p := &pending{
-		key: req.Key, job: req.Job, class: class, vms: req.VMs,
-		nominalS: nominalS, maxS: req.MaxResponseS,
-		enqueued: now, deadline: now.Add(s.cfg.RequestTimeout),
-		done: make(chan Outcome, 1),
-		rt:   rt,
-	}
 	sh := s.route(req.VMs)
 	if rt != nil {
 		rt.Annotate("shard", strconv.Itoa(sh.id))
 	}
+	now := s.clock()
+	p := &pending{
+		queued: queued{
+			Key: req.Key, Job: req.Job, Class: class, VMs: req.VMs,
+			NominalS: nominalS, MaxS: req.MaxResponseS, Shard: sh.id,
+		},
+		enqueued: now, deadline: now.Add(s.cfg.RequestTimeout),
+		done: make(chan Outcome, 1),
+		rt:   rt,
+	}
 	if !sh.enqueue(p) {
 		s.unpend(req.Key)
 		s.mShed.Inc()
-		return s.shedOutcome(req, 429, cloudsim.RejectQueueFull, s.cfg.RequestTimeout)
+		return s.shed(req.Job, req.VMs, 429, cloudsim.RejectQueueFull, s.cfg.RequestTimeout)
 	}
-	if s.rec != nil {
-		s.rec.Record(cloudsim.Decision{
-			Kind: cloudsim.DecisionAdmit, T: s.wallT(), Shard: sh.id, Req: -1,
-			Job: req.Job, VMs: req.VMs, Queue: int(sh.queuedVMs.Load()), From: -1, To: sh.id,
-		})
-	}
+	s.record(cloudsim.Decision{
+		Kind: cloudsim.DecisionAdmit, Shard: sh.id,
+		Job: req.Job, VMs: req.VMs, Queue: int(sh.queuedVMs.Load()), From: -1, To: sh.id,
+	}, nil)
 	return <-p.done
 }
 
@@ -697,16 +717,31 @@ func (s *Service) unpend(key string) {
 	s.mu.Unlock()
 }
 
-// shedOutcome logs one admission-control drop and shapes the client
-// response.
-func (s *Service) shedOutcome(req PlaceRequest, status int, reason string, retry time.Duration) Outcome {
-	if s.rec != nil {
-		s.rec.Record(cloudsim.Decision{
-			Kind: cloudsim.DecisionShed, T: s.wallT(), Shard: -1, Req: -1,
-			Job: req.Job, VMs: req.VMs, Reason: reason, From: -1, To: -1,
-		})
-	}
+// shed logs one admission-control drop and shapes the client response.
+func (s *Service) shed(job, vms, status int, reason string, retry time.Duration) Outcome {
+	s.record(cloudsim.Decision{
+		Kind: cloudsim.DecisionShed, Shard: -1,
+		Job: job, VMs: vms, Reason: reason, From: -1, To: -1,
+	}, nil)
 	return Outcome{Status: status, Reason: reason, RetryAfter: retry}
+}
+
+// record logs one decision unless no recorder is attached, in which case
+// it returns before building anything. It stamps the service clock and
+// Req -1 (the service has no simulator request index), copies Servers
+// and VMIDs so callers may pass live slices, and attaches search when
+// non-nil.
+func (s *Service) record(d cloudsim.Decision, search *core.SearchStats) {
+	if s.rec == nil {
+		return
+	}
+	d.T, d.Req = s.wallT(), -1
+	d.Servers = append([]int(nil), d.Servers...)
+	d.VMIDs = append([]int(nil), d.VMIDs...)
+	if search != nil {
+		d.Search = cloudsim.NewDecisionSearch(*search)
+	}
+	s.rec.Record(d)
 }
 
 // Release frees a placement's VMs. Idempotent: releasing a released key
@@ -714,35 +749,38 @@ func (s *Service) shedOutcome(req PlaceRequest, status int, reason string, retry
 func (s *Service) Release(key string) Outcome {
 	s.mu.Lock()
 	pl := s.byKey[key]
+	released := pl != nil && pl.Released // a released placement never changes again
 	s.mu.Unlock()
 	if pl == nil {
 		return Outcome{Status: 404, Reason: "unknown key"}
 	}
-	if pl.Released {
+	if released {
 		s.mReplayed.Inc()
 		return Outcome{Status: 200, Resp: pl.response(true)}
 	}
-	op := &ctrlOp{kind: ctrlRelease, key: key, done: make(chan Outcome, 1)}
-	if !s.shards[pl.Shard].pushCtrl(op) {
+	sh, done := s.shards[pl.Shard], make(chan Outcome, 1)
+	if !sh.pushCtrl(func() { done <- sh.handleRelease(key) }) {
 		return Outcome{Status: 503, Reason: cloudsim.RejectDraining, RetryAfter: time.Second}
 	}
-	return <-op.done
+	return <-done
 }
 
-// CrashServer marks a server down, evicting and re-queueing its
-// resident VMs — the service-side fault hook (chaos testing, or an
-// external health prober).
-func (s *Service) CrashServer(g int) error { return s.pushServerOp(ctrlCrash, g) }
+// CrashServer marks a server down, evicting and re-queueing its VMs —
+// the service-side fault hook (chaos testing, or an external health
+// prober).
+func (s *Service) CrashServer(g int) error { return s.pushServerOp(g, (*shard).handleCrash) }
 
 // RecoverServer brings a crashed server back into placement rotation.
-func (s *Service) RecoverServer(g int) error { return s.pushServerOp(ctrlRecover, g) }
+func (s *Service) RecoverServer(g int) error { return s.pushServerOp(g, (*shard).handleRecover) }
 
-func (s *Service) pushServerOp(kind, g int) error {
+// pushServerOp queues op for global server g on its shard's worker,
+// which calls it with the shard-local id.
+func (s *Service) pushServerOp(g int, op func(*shard, int)) error {
 	if g < 0 || g >= s.cfg.Servers {
 		return fmt.Errorf("serve: server %d out of [0,%d)", g, s.cfg.Servers)
 	}
 	sh := s.shardOf(g)
-	if !sh.pushCtrl(&ctrlOp{kind: kind, srv: g - sh.base}) {
+	if !sh.pushCtrl(func() { op(sh, g-sh.base) }) {
 		return errors.New("serve: draining")
 	}
 	return nil
@@ -757,12 +795,12 @@ func (sh *shard) enqueue(p *pending) bool {
 		return false
 	}
 	sh.pend = append(sh.pend, p)
-	sh.queuedVMs.Add(int64(p.vms))
+	sh.queuedVMs.Add(int64(p.VMs))
 	sh.qcond.Signal()
 	return true
 }
 
-func (sh *shard) pushCtrl(op *ctrlOp) bool {
+func (sh *shard) pushCtrl(op func()) bool {
 	sh.qmu.Lock()
 	defer sh.qmu.Unlock()
 	if sh.stopped {
@@ -781,7 +819,7 @@ func (sh *shard) park(p *pending) {
 
 // next blocks for the worker's next unit: control ops first, then one
 // parked requeue per retry window, then the admission queue.
-func (sh *shard) next() (*ctrlOp, *pending, bool) {
+func (sh *shard) next() (func(), *pending, bool) {
 	sh.qmu.Lock()
 	defer sh.qmu.Unlock()
 	for {
@@ -801,7 +839,7 @@ func (sh *shard) next() (*ctrlOp, *pending, bool) {
 		if len(sh.pend) > 0 {
 			p := sh.pend[0]
 			sh.pend = sh.pend[1:]
-			sh.queuedVMs.Add(-int64(p.vms))
+			sh.queuedVMs.Add(-int64(p.VMs))
 			return nil, p, true
 		}
 		if sh.stopped {
@@ -822,8 +860,8 @@ func (sh *shard) run() {
 		}
 		switch {
 		case op != nil:
-			sh.handleCtrl(op)
-		case p.requeue:
+			op()
+		case p.Requeue:
 			sh.handleRequeue(p)
 		default:
 			sh.handlePlace(p)
@@ -843,23 +881,18 @@ func (sh *shard) handlePlace(p *pending) {
 	p.rt.Annotate("level", levelName(level))
 
 	if now.After(p.deadline) {
-		s.finishDrop(p, 503, cloudsim.RejectDeadline, 0)
+		s.finish(p, s.shed(p.Job, p.VMs, 503, cloudsim.RejectDeadline, 0))
 		return
 	}
 	if level >= LevelShed {
 		s.mShed.Inc()
-		s.finishDrop(p, 429, cloudsim.RejectShedding, s.cfg.Watermarks[2])
+		s.finish(p, s.shed(p.Job, p.VMs, 429, cloudsim.RejectShedding, s.cfg.Watermarks[2]))
 		return
 	}
 
-	// The strategies assign by VM index, so the requests carry no ID.
-	vms := sh.vmbuf[:p.vms]
+	vms := sh.vmbuf[:p.VMs]
 	for i := range vms {
-		vms[i] = core.VMRequest{
-			Class:       p.class,
-			NominalTime: units.Seconds(p.nominalS),
-			MaxTime:     units.Seconds(p.maxS),
-		}
+		vms[i] = p.vm()
 	}
 
 	p.rt.StageStart(stageSearch)
@@ -869,19 +902,17 @@ func (sh *shard) handlePlace(p *pending) {
 	if !ok {
 		sh.smu.Unlock()
 		s.mRejected.Inc()
-		if s.rec != nil {
-			s.rec.Record(cloudsim.Decision{
-				Kind: cloudsim.DecisionReject, T: s.wallT(), Shard: sh.id, Req: -1,
-				Job: p.job, VMs: p.vms, Reason: cloudsim.RejectCapacity,
-				Candidates: sh.n, From: -1, To: -1,
-			})
-		}
+		s.record(cloudsim.Decision{
+			Kind: cloudsim.DecisionReject, Shard: sh.id,
+			Job: p.Job, VMs: p.VMs, Reason: cloudsim.RejectCapacity,
+			Candidates: sh.n, From: -1, To: -1,
+		}, nil)
 		s.finish(p, Outcome{Status: 503, Reason: cloudsim.RejectCapacity, RetryAfter: time.Second})
 		return
 	}
 
 	s.mu.Lock()
-	ids := make([]int, p.vms)
+	ids := make([]int, p.VMs)
 	for i := range ids {
 		ids[i] = s.nextVMID
 		s.nextVMID++
@@ -892,18 +923,14 @@ func (sh *shard) handlePlace(p *pending) {
 		globals[i] = sh.base + a
 	}
 	pl := &placement{
-		Key: p.key, Job: p.job, Class: p.class,
-		NominalS: p.nominalS, MaxS: p.maxS,
+		Key: p.Key, Job: p.Job, Class: p.Class,
+		NominalS: p.NominalS, MaxS: p.MaxS,
 		Shard: sh.id, Servers: globals, VMIDs: ids,
 		Level: level, WaitMS: wait.Seconds() * 1000,
 		Degraded: info.Stats.Degraded, Relaxed: info.Relaxed,
 	}
 	p.rt.StageStart(stageJournal)
-	seq, err := s.j.append(&jrec{
-		Kind: jPlace, Key: pl.Key, Job: pl.Job, Class: pl.Class.String(),
-		NominalS: pl.NominalS, MaxS: pl.MaxS,
-		Servers: globals, VMIDs: ids, Degraded: pl.Degraded, Relaxed: pl.Relaxed,
-	})
+	seq, err := s.j.append(&jrec{Kind: jPlace, Key: pl.Key, placement: pl})
 	p.rt.StageEnd(stageJournal)
 	if err != nil {
 		sh.smu.Unlock()
@@ -914,22 +941,16 @@ func (sh *shard) handlePlace(p *pending) {
 	sh.smu.Unlock()
 
 	s.mPlaced.Inc()
-	if s.rec != nil {
-		d := cloudsim.Decision{
-			Kind: cloudsim.DecisionPlace, T: s.wallT(), Shard: sh.id, Req: -1,
-			Job: p.job, VMs: p.vms, Wait: wait.Seconds(), Candidates: sh.n,
-			Servers: append([]int(nil), globals...), VMIDs: append([]int(nil), ids...),
-			From: -1, To: -1, Relaxed: pl.Relaxed, Degraded: pl.Degraded,
-		}
-		if searched {
-			d.Search = &cloudsim.DecisionSearch{
-				Enumerated: info.Stats.Enumerated, Deduped: info.Stats.Deduped,
-				Feasible: info.Stats.Feasible, Infeasible: info.Stats.Infeasible,
-				Pruned: info.Stats.Pruned, Exhausted: info.Stats.Exhausted,
-			}
-		}
-		s.rec.Record(d)
+	var search *core.SearchStats
+	if searched {
+		search = &info.Stats
 	}
+	s.record(cloudsim.Decision{
+		Kind: cloudsim.DecisionPlace, Shard: sh.id,
+		Job: p.Job, VMs: p.VMs, Wait: wait.Seconds(), Candidates: sh.n,
+		Servers: globals, VMIDs: ids,
+		From: -1, To: -1, Relaxed: pl.Relaxed, Degraded: pl.Degraded,
+	}, search)
 	s.finish(p, Outcome{Status: 200, Resp: pl.response(false)})
 }
 
@@ -963,17 +984,14 @@ func (sh *shard) placeLocked(level int, vms []core.VMRequest, deadline time.Time
 func (sh *shard) handleRequeue(p *pending) {
 	s := sh.svc
 	s.mu.Lock()
-	pl := s.byKey[p.key]
+	pl := s.byKey[p.Key]
 	dead := pl == nil || pl.Released
 	s.mu.Unlock()
 	if dead {
 		return // released while evicted: nothing owed
 	}
 	vms := sh.vmbuf[:1]
-	vms[0] = core.VMRequest{
-		Class:       p.class,
-		NominalTime: units.Seconds(p.nominalS), MaxTime: units.Seconds(p.maxS),
-	}
+	vms[0] = p.vm()
 	sh.smu.Lock()
 	assign, ok := sh.ff.PlaceIndexed(sh.idx, vms, sh.scratch)
 	if !ok {
@@ -982,72 +1000,58 @@ func (sh *shard) handleRequeue(p *pending) {
 		return
 	}
 	g := sh.base + assign[0]
-	seq, err := s.j.append(&jrec{Kind: jRequeue, Key: p.key, Slot: p.slot, VMID: p.vmID, Server: g})
+	seq, err := s.j.append(&jrec{Kind: jRequeue, Key: p.Key, Slot: p.Slot, VMID: p.VMID, Server: g})
 	if err != nil {
 		sh.smu.Unlock()
 		sh.park(p)
 		return
 	}
-	s.applyRequeue(p.key, p.slot, p.vmID, p.class, g, seq)
+	s.applyRequeue(p.Key, p.Slot, g, seq)
 	sh.smu.Unlock()
 	s.mRequeued.Inc()
-	if s.rec != nil {
-		s.rec.Record(cloudsim.Decision{
-			Kind: cloudsim.DecisionPlace, T: s.wallT(), Shard: sh.id, Req: -1,
-			Job: p.job, VMs: 1, VMID: p.vmID, Servers: []int{g}, VMIDs: []int{p.vmID},
-			From: -1, To: -1,
-		})
-	}
+	// This worker is the placement's only mutator, so its slot is stable.
+	s.record(cloudsim.Decision{
+		Kind: cloudsim.DecisionPlace, Shard: sh.id,
+		Job: p.Job, VMs: 1, VMID: p.VMID,
+		Servers: pl.Servers[p.Slot : p.Slot+1], VMIDs: pl.VMIDs[p.Slot : p.Slot+1],
+		From: -1, To: -1,
+	}, nil)
 }
 
 // ---- worker: control plane ----
 
-func (sh *shard) handleCtrl(op *ctrlOp) {
-	switch op.kind {
-	case ctrlRelease:
-		sh.handleRelease(op)
-	case ctrlCrash:
-		sh.handleCrash(op.srv)
-	case ctrlRecover:
-		sh.handleRecover(op.srv)
-	}
-}
-
-func (sh *shard) handleRelease(op *ctrlOp) {
+func (sh *shard) handleRelease(key string) Outcome {
 	s := sh.svc
 	sh.smu.Lock()
 	s.mu.Lock()
-	pl := s.byKey[op.key]
+	pl := s.byKey[key]
 	released := pl == nil || pl.Released
 	s.mu.Unlock()
 	if released {
 		sh.smu.Unlock()
-		out := Outcome{Status: 404, Reason: "unknown key"}
-		if pl != nil {
-			s.mReplayed.Inc()
-			out = Outcome{Status: 200, Resp: pl.response(true)}
+		if pl == nil {
+			return Outcome{Status: 404, Reason: "unknown key"}
 		}
-		s.finishCtrl(op, out)
-		return
+		s.mReplayed.Inc()
+		return Outcome{Status: 200, Resp: pl.response(true)}
 	}
-	seq, err := s.j.append(&jrec{Kind: jRelease, Key: op.key})
+	seq, err := s.j.append(&jrec{Kind: jRelease, Key: key})
 	if err != nil {
 		sh.smu.Unlock()
-		s.finishCtrl(op, Outcome{Status: 500, Reason: "journal: " + err.Error()})
-		return
+		return Outcome{Status: 500, Reason: "journal: " + err.Error()}
 	}
-	s.applyRelease(op.key, seq)
+	s.applyRelease(key, seq)
 	sh.smu.Unlock()
 	s.mReleased.Inc()
-	if s.rec != nil {
-		s.rec.Record(cloudsim.Decision{
-			Kind: cloudsim.DecisionRelease, T: s.wallT(), Shard: sh.id, Req: -1,
-			Job: pl.Job, VMs: len(pl.VMIDs), From: -1, To: -1,
-		})
-	}
-	s.finishCtrl(op, Outcome{Status: 200, Resp: pl.response(false)})
+	s.record(cloudsim.Decision{
+		Kind: cloudsim.DecisionRelease, Shard: sh.id,
+		Job: pl.Job, VMs: len(pl.VMIDs), From: -1, To: -1,
+	}, nil)
+	return Outcome{Status: 200, Resp: pl.response(false)}
 }
 
+// handleCrash takes a server down and parks a requeue for every VM its
+// shard's live placements held there, in VM-id order.
 func (sh *shard) handleCrash(local int) {
 	s := sh.svc
 	sh.smu.Lock()
@@ -1056,41 +1060,39 @@ func (sh *shard) handleCrash(local int) {
 		return
 	}
 	g := sh.base + local
-	var evicts []evictRec
-	for vmID, res := range sh.resident {
-		if res.srv == local {
-			evicts = append(evicts, evictRec{Key: res.key, Slot: res.slot, VMID: vmID})
+	var requeues []*pending
+	s.mu.Lock()
+	for _, pl := range s.byKey {
+		if pl.Shard != sh.id || pl.Released {
+			continue
+		}
+		for slot, srv := range pl.Servers {
+			if srv == g {
+				requeues = append(requeues, &pending{queued: pl.requeue(slot), enqueued: s.clock()})
+			}
 		}
 	}
-	sort.Slice(evicts, func(i, j int) bool { return evicts[i].VMID < evicts[j].VMID })
+	s.mu.Unlock()
+	sort.Slice(requeues, func(i, j int) bool { return requeues[i].VMID < requeues[j].VMID })
+	evicts := make([]evictRec, len(requeues))
+	for i, p := range requeues {
+		evicts[i] = evictRec{Key: p.Key, Slot: p.Slot, VMID: p.VMID}
+	}
 	seq, err := s.j.append(&jrec{Kind: jCrash, Server: g, Evict: evicts})
 	if err != nil {
 		sh.smu.Unlock()
 		return
 	}
 	s.applyCrash(g, evicts, seq)
-	// Requeue pendings for the casualties, pinned to this shard.
-	requeues := make([]*pending, 0, len(evicts))
-	s.mu.Lock()
-	for _, e := range evicts {
-		pl := s.byKey[e.Key]
-		requeues = append(requeues, &pending{
-			key: e.Key, job: pl.Job, class: pl.Class, vms: 1,
-			nominalS: pl.NominalS, maxS: pl.MaxS,
-			enqueued: s.clock(), requeue: true, slot: e.Slot, vmID: e.VMID,
-		})
-	}
-	s.mu.Unlock()
 	sh.smu.Unlock()
 	for _, p := range requeues {
 		sh.park(p)
 	}
 	s.mCrashes.Inc()
 	for _, e := range evicts {
-		s.rec.Record(cloudsim.Decision{
-			Kind: cloudsim.DecisionRequeue, T: s.wallT(), Shard: sh.id, Req: -1,
-			VMID: e.VMID, From: g, To: -1,
-		})
+		s.record(cloudsim.Decision{
+			Kind: cloudsim.DecisionRequeue, Shard: sh.id, VMID: e.VMID, From: g, To: -1,
+		}, nil)
 	}
 }
 
@@ -1119,55 +1121,45 @@ func (sh *shard) handleRecover(local int) {
 
 // ---- state application (shared by live path, journal replay, restore) ----
 //
-// Apply functions mutate shard and service state and advance lastSeq.
-// Callers hold the owning shard's smu (live path) or run single-threaded
-// before the workers start (restore).
+// Apply functions mutate the placement table and what is derived from
+// it — the owning shard's fleet index and routing estimates — and
+// advance lastSeq. Callers hold the owning shard's smu (live path) or
+// run single-threaded before the workers start (restore), and pass
+// records checkRecord accepts.
 
 func (s *Service) applyPlace(pl *placement, seq int) {
 	sh := s.shards[pl.Shard]
-	for i, g := range pl.Servers {
-		if g < 0 {
-			continue // restored placement with a slot still awaiting requeue
+	for _, g := range pl.Servers {
+		if g >= 0 && !pl.Released { // restored: evicted slot, or released placement
+			sh.idx.Add(g-sh.base, workload.Class(pl.Class), 1)
+			sh.liveVMs.Add(1)
 		}
-		local := g - sh.base
-		sh.idx.Add(local, pl.Class, 1)
-		sh.resident[pl.VMIDs[i]] = vmRes{srv: local, key: pl.Key, slot: i, class: pl.Class}
 	}
 	sh.syncStats()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.byKey[pl.Key] = pl
 	delete(s.pendingKeys, pl.Key)
 	for _, id := range pl.VMIDs {
-		if id >= s.nextVMID {
-			s.nextVMID = id + 1
-		}
+		s.nextVMID = max(s.nextVMID, id+1)
 	}
-	if seq > s.lastSeq {
-		s.lastSeq = seq
-	}
-	s.mu.Unlock()
+	s.lastSeq = max(s.lastSeq, seq)
 }
 
 func (s *Service) applyRelease(key string, seq int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	pl := s.byKey[key]
-	s.mu.Unlock()
 	sh := s.shards[pl.Shard]
-	for i, g := range pl.Servers {
-		if g < 0 {
-			continue // evicted slot: its requeue pending dies on pickup
+	for _, g := range pl.Servers {
+		if g >= 0 { // -1: evicted slot, whose requeue dies on pickup
+			sh.idx.Add(g-sh.base, workload.Class(pl.Class), -1)
+			sh.liveVMs.Add(-1)
 		}
-		local := g - sh.base
-		sh.idx.Add(local, pl.Class, -1)
-		delete(sh.resident, pl.VMIDs[i])
 	}
 	sh.syncStats()
-	s.mu.Lock()
 	pl.Released = true
-	if seq > s.lastSeq {
-		s.lastSeq = seq
-	}
-	s.mu.Unlock()
+	s.lastSeq = max(s.lastSeq, seq)
 }
 
 func (s *Service) applyCrash(g int, evicts []evictRec, seq int) {
@@ -1175,38 +1167,30 @@ func (s *Service) applyCrash(g int, evicts []evictRec, seq int) {
 	local := g - sh.base
 	sh.idx.SetDown(local)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range evicts {
-		res, ok := sh.resident[e.VMID]
-		if !ok {
+		pl := s.byKey[e.Key]
+		if pl.Released || pl.Servers[e.Slot] != g {
 			continue
 		}
-		delete(sh.resident, e.VMID)
-		sh.idx.Add(local, res.class, -1)
-		if pl := s.byKey[e.Key]; pl != nil {
-			pl.Servers[e.Slot] = -1
-		}
+		sh.idx.Add(local, workload.Class(pl.Class), -1)
+		sh.liveVMs.Add(-1)
+		pl.Servers[e.Slot] = -1
 	}
-	if seq > s.lastSeq {
-		s.lastSeq = seq
-	}
-	s.mu.Unlock()
 	sh.syncStats()
+	s.lastSeq = max(s.lastSeq, seq)
 }
 
-func (s *Service) applyRequeue(key string, slot, vmID int, class workload.Class, g, seq int) {
-	sh := s.shardOf(g)
-	local := g - sh.base
-	sh.idx.Add(local, class, 1)
-	sh.resident[vmID] = vmRes{srv: local, key: key, slot: slot, class: class}
-	sh.syncStats()
+func (s *Service) applyRequeue(key string, slot, g, seq int) {
 	s.mu.Lock()
-	if pl := s.byKey[key]; pl != nil {
-		pl.Servers[slot] = g
-	}
-	if seq > s.lastSeq {
-		s.lastSeq = seq
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	pl := s.byKey[key]
+	sh := s.shards[pl.Shard]
+	sh.idx.Add(g-sh.base, workload.Class(pl.Class), 1)
+	sh.liveVMs.Add(1)
+	sh.syncStats()
+	pl.Servers[slot] = g
+	s.lastSeq = max(s.lastSeq, seq)
 }
 
 func (s *Service) applyRecover(g, seq int) {
@@ -1214,9 +1198,7 @@ func (s *Service) applyRecover(g, seq int) {
 	sh.idx.SetUp(g - sh.base)
 	sh.syncStats()
 	s.mu.Lock()
-	if seq > s.lastSeq {
-		s.lastSeq = seq
-	}
+	s.lastSeq = max(s.lastSeq, seq)
 	s.mu.Unlock()
 }
 
@@ -1227,27 +1209,11 @@ func (s *Service) applyRecover(g, seq int) {
 // is written, so it covers the reply-channel handoff plus the write.
 func (s *Service) finish(p *pending, out Outcome) {
 	s.mu.Lock()
-	delete(s.pendingKeys, p.key)
+	delete(s.pendingKeys, p.Key)
 	s.mu.Unlock()
 	if p.done != nil {
 		p.rt.StageStart(stageAck)
 		p.done <- out
-	}
-}
-
-// finishDrop is finish for shed/expired requests, with the decision
-// logged.
-func (s *Service) finishDrop(p *pending, status int, reason string, retry time.Duration) {
-	s.rec.Record(cloudsim.Decision{
-		Kind: cloudsim.DecisionShed, T: s.wallT(), Shard: -1, Req: -1,
-		Job: p.job, VMs: p.vms, Reason: reason, From: -1, To: -1,
-	})
-	s.finish(p, Outcome{Status: status, Reason: reason, RetryAfter: retry})
-}
-
-func (s *Service) finishCtrl(op *ctrlOp, out Outcome) {
-	if op.done != nil {
-		op.done <- out
 	}
 }
 
@@ -1306,14 +1272,42 @@ func (s *Service) ladderTick() {
 
 // ---- snapshotting ----
 
+// lockAll takes one mutex of every shard (smuOf or qmuOf) in canon
+// order and returns the function that releases them.
+func (s *Service) lockAll(mu func(*shard) *sync.Mutex) (unlock func()) {
+	for _, sh := range s.shards {
+		mu(sh).Lock()
+	}
+	return func() {
+		for i := len(s.shards) - 1; i >= 0; i-- {
+			mu(s.shards[i]).Unlock()
+		}
+	}
+}
+
+func smuOf(sh *shard) *sync.Mutex { return &sh.smu }
+func qmuOf(sh *shard) *sync.Mutex { return &sh.qmu }
+
+// keysLocked returns the placement keys in order; callers hold s.mu (or
+// run pre-start).
+func (s *Service) keysLocked() []string {
+	keys := make([]string, 0, len(s.byKey))
+	for k := range s.byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // captureLocked assembles a consistent snapshot payload. Callers hold
 // every shard's smu; with those held there is no appended-but-unapplied
-// journal record, so lastSeq names the state exactly.
+// journal record, so lastSeq names the state exactly — and no placement
+// can change, so the payload shares the live ones until the caller
+// releases the smus.
 func (s *Service) captureLocked() *snapPayload {
-	for _, sh := range s.shards {
-		sh.qmu.Lock()
-	}
+	defer s.lockAll(qmuOf)()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	p := &snapPayload{
 		Seq: s.lastSeq, NextVMID: s.nextVMID,
@@ -1326,39 +1320,16 @@ func (s *Service) captureLocked() *snapPayload {
 			}
 		}
 	}
-	keys := make([]string, 0, len(s.byKey))
-	for k := range s.byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		pl := s.byKey[k]
-		p.Placements = append(p.Placements, snapPlacement{
-			Key: pl.Key, Job: pl.Job, Class: pl.Class.String(),
-			NominalS: pl.NominalS, MaxS: pl.MaxS, Shard: pl.Shard,
-			Servers: append([]int(nil), pl.Servers...), VMIDs: append([]int(nil), pl.VMIDs...),
-			Released: pl.Released, Degraded: pl.Degraded, Relaxed: pl.Relaxed,
-		})
+	for _, k := range s.keysLocked() {
+		p.Placements = append(p.Placements, s.byKey[k])
 	}
 	for _, sh := range s.shards {
 		for _, q := range sh.pend {
-			p.Queue = append(p.Queue, snapPending{
-				Key: q.key, Job: q.job, Class: q.class.String(), VMs: q.vms,
-				NominalS: q.nominalS, MaxS: q.maxS, Shard: sh.id,
-			})
+			p.Queue = append(p.Queue, q.queued)
 		}
 		for _, q := range sh.parked {
-			p.Queue = append(p.Queue, snapPending{
-				Key: q.key, Job: q.job, Class: q.class.String(), VMs: q.vms,
-				NominalS: q.nominalS, MaxS: q.maxS,
-				Requeue: true, Shard: sh.id, Slot: q.slot, VMID: q.vmID,
-			})
+			p.Queue = append(p.Queue, q.queued)
 		}
-	}
-
-	s.mu.Unlock()
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].qmu.Unlock()
 	}
 	return p
 }
@@ -1372,14 +1343,7 @@ func (s *Service) writeSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
 		return nil
 	}
-	for _, sh := range s.shards {
-		sh.smu.Lock()
-	}
-	defer func() {
-		for i := len(s.shards) - 1; i >= 0; i-- {
-			s.shards[i].smu.Unlock()
-		}
-	}()
+	defer s.lockAll(smuOf)()
 	p := s.captureLocked()
 	if err := writeSnapshotFile(s.cfg.SnapshotPath, p); err != nil {
 		return err
@@ -1398,37 +1362,35 @@ func (s *Service) writeSnapshot() error {
 
 // ---- restore ----
 
-// restore rebuilds state from the snapshot plus the journal suffix,
-// returning the persisted queue for re-admission after the invariant
-// checks pass.
-func (s *Service) restore() ([]snapPending, error) {
+// restore rebuilds state from the snapshot plus the journal suffix and
+// re-admits the work the snapshot's queue still owes. Every record read
+// from disk passes checkRecord before it is applied.
+func (s *Service) restore() error {
 	snap, err := readSnapshotFile(s.cfg.SnapshotPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var queue []snapPending
+	var queue []queued
 	if snap != nil {
 		if snap.Servers != s.cfg.Servers || snap.Shards != s.cfg.Shards || snap.MaxVMs != s.cfg.MaxVMsPerServer {
-			return nil, fmt.Errorf("serve: snapshot shape (servers %d, shards %d, maxvms %d) does not match config (%d, %d, %d)",
+			return fmt.Errorf("serve: snapshot shape (servers %d, shards %d, maxvms %d) does not match config (%d, %d, %d)",
 				snap.Servers, snap.Shards, snap.MaxVMs, s.cfg.Servers, s.cfg.Shards, s.cfg.MaxVMsPerServer)
 		}
-		s.nextVMID = snap.NextVMID
-		s.lastSeq = snap.Seq
-		for _, g := range snap.Down {
-			if g < 0 || g >= s.cfg.Servers {
-				return nil, fmt.Errorf("serve: snapshot down server %d out of range", g)
-			}
-			sh := s.shardOf(g)
-			sh.idx.SetDown(g - sh.base)
+		if snap.Seq < 0 || snap.NextVMID < 1 {
+			return fmt.Errorf("serve: snapshot seq %d or next vm id %d out of range", snap.Seq, snap.NextVMID)
 		}
-		for _, sp := range snap.Placements {
-			pl, err := s.placementFromSnap(sp)
-			if err != nil {
-				return nil, err
+		s.nextVMID, s.lastSeq = snap.NextVMID, snap.Seq
+		// A down server restores as a crash that evicts nothing: the
+		// placements below already hold its VMs as evicted.
+		for _, g := range snap.Down {
+			if err := s.checkRecord(&jrec{Kind: jCrash, Server: g}); err != nil {
+				return err
 			}
-			if pl.Released {
-				s.byKey[pl.Key] = pl
-				continue
+			s.applyCrash(g, nil, snap.Seq)
+		}
+		for _, pl := range snap.Placements {
+			if err := s.checkRecord(pl); err != nil {
+				return err
 			}
 			s.applyPlace(pl, snap.Seq)
 		}
@@ -1436,223 +1398,237 @@ func (s *Service) restore() ([]snapPending, error) {
 	}
 	recs, valid, err := readJournal(s.cfg.JournalPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.jSize = valid
-	for _, r := range recs {
-		if r.Seq <= s.lastSeq {
+	for i := range recs {
+		if recs[i].Seq <= s.lastSeq {
 			continue
 		}
-		if err := s.replay(r); err != nil {
-			return nil, err
+		if err := s.replay(&recs[i]); err != nil {
+			return err
 		}
 	}
-	// Drop queue entries the journal suffix already settled — the
-	// snapshot froze the queue at Seq, but the worker kept going until
-	// the crash. A plain pending whose key is now in byKey was dequeued
-	// and placed (its jPlace replayed above); a parked requeue whose
-	// slot is no longer evicted was re-placed (jRequeue), and one whose
-	// placement is gone or released is owed nothing. Re-admitting any
-	// of them would double-place: the requeue case overwrites
-	// resident[vmID] and strands a phantom VM in the old server's
-	// occupancy, which the watchdog's occupancy check then flags
-	// forever.
-	live := queue[:0]
-	for _, q := range queue {
-		pl := s.byKey[q.Key]
-		if q.Requeue {
-			if pl == nil || pl.Released || q.Slot < 0 || q.Slot >= len(pl.Servers) || pl.Servers[q.Slot] >= 0 {
-				continue
-			}
-		} else if pl != nil {
-			continue
-		}
-		live = append(live, q)
-	}
-	queue = live
-	// Reconcile: any live placement slot still evicted (-1) must have a
-	// requeue pending; synthesize the ones the persisted queue misses
-	// (a crash record replayed from the journal carries none).
-	owed := map[string]bool{}
-	for _, q := range queue {
-		if q.Requeue {
-			owed[fmt.Sprintf("%s/%d", q.Key, q.Slot)] = true
-		}
-	}
-	for _, pl := range s.byKey {
-		if pl.Released {
-			continue
-		}
-		for slot, g := range pl.Servers {
-			if g >= 0 || owed[fmt.Sprintf("%s/%d", pl.Key, slot)] {
-				continue
-			}
-			queue = append(queue, snapPending{
-				Key: pl.Key, Job: pl.Job, Class: pl.Class.String(), VMs: 1,
-				NominalS: pl.NominalS, MaxS: pl.MaxS,
-				Requeue: true, Shard: pl.Shard, Slot: slot, VMID: pl.VMIDs[slot],
-			})
-		}
-	}
-	return queue, nil
+	return s.requeueRestored(queue)
 }
 
-func (s *Service) placementFromSnap(sp snapPlacement) (*placement, error) {
-	class, err := parseClass(sp.Class)
-	if err != nil {
-		return nil, err
+// checkRecord validates one record read from disk — a snapshot placement
+// or queue entry, or a journal record — against the config and the
+// state restored so far, so that applying it stays in bounds: servers
+// in range, inside one shard and, for live VMs, up; -1 only in a
+// snapshot placement's slots; slots in range; VM uids >= 1; keys placed
+// and released once; crash only on an up server, recover on a down one.
+func (s *Service) checkRecord(rec any) error {
+	inShard := func(g int, sh *shard) bool { return g >= sh.base && g < sh.base+sh.n }
+	up := func(g int, sh *shard) bool { return inShard(g, sh) && !sh.idx.Down(g-sh.base) }
+	switch r := rec.(type) {
+	case *placement:
+		if r.Key == "" || r.Shard < 0 || r.Shard >= len(s.shards) || len(r.Servers) == 0 ||
+			len(r.Servers) != len(r.VMIDs) || s.byKey[r.Key] != nil {
+			return fmt.Errorf("serve: placement %q malformed or placed twice", r.Key)
+		}
+		sh := s.shards[r.Shard]
+		for slot, g := range r.Servers {
+			if r.VMIDs[slot] < 1 || g != -1 && !(r.Released && inShard(g, sh) || up(g, sh)) {
+				return fmt.Errorf("serve: placement %q slot %d: vm %d on server %d, not an up server of shard %d",
+					r.Key, slot, r.VMIDs[slot], g, r.Shard)
+			}
+		}
+	case *queued:
+		if pl := s.byKey[r.Key]; r.Requeue && pl != nil && (r.Slot < 0 || r.Slot >= len(pl.Servers)) ||
+			!r.Requeue && (r.VMs < 1 || r.VMs > maxJobVMs || r.Shard < 0 || r.Shard >= len(s.shards)) {
+			return fmt.Errorf("serve: snapshot queue entry %q malformed", r.Key)
+		}
+	case *jrec:
+		pl := s.byKey[r.Key]
+		live := pl != nil && !pl.Released
+		ok := false
+		switch r.Kind {
+		case jPlace:
+			if len(r.Servers) > 0 && !r.Released && slices.Min(r.Servers) >= 0 && r.Servers[0] < s.cfg.Servers {
+				r.placement.Shard = s.shardOf(r.Servers[0]).id
+				return s.checkRecord(r.placement)
+			}
+		case jRelease:
+			ok = live
+		case jCrash, jRecover:
+			ok = r.Server >= 0 && r.Server < s.cfg.Servers && up(r.Server, s.shardOf(r.Server)) == (r.Kind == jCrash)
+			for _, e := range r.Evict {
+				ep := s.byKey[e.Key]
+				ok = ok && ep != nil && e.Slot >= 0 && e.Slot < len(ep.Servers)
+			}
+		case jRequeue:
+			ok = live && r.Slot >= 0 && r.Slot < len(pl.Servers) && pl.Servers[r.Slot] == -1 &&
+				r.VMID == pl.VMIDs[r.Slot] && up(r.Server, s.shards[pl.Shard])
+		}
+		if !ok {
+			b, _ := json.Marshal(r)
+			return fmt.Errorf("serve: %s record does not fit the fleet or the state before it: %s", r.Kind, b)
+		}
 	}
-	if sp.Shard < 0 || sp.Shard >= len(s.shards) || len(sp.Servers) != len(sp.VMIDs) || len(sp.Servers) == 0 {
-		return nil, fmt.Errorf("serve: snapshot placement %q malformed", sp.Key)
-	}
-	return &placement{
-		Key: sp.Key, Job: sp.Job, Class: class,
-		NominalS: sp.NominalS, MaxS: sp.MaxS, Shard: sp.Shard,
-		Servers: append([]int(nil), sp.Servers...), VMIDs: append([]int(nil), sp.VMIDs...),
-		Released: sp.Released, Degraded: sp.Degraded, Relaxed: sp.Relaxed,
-	}, nil
+	return nil
 }
 
 // replay applies one journal record to restored state.
-func (s *Service) replay(r jrec) error {
+func (s *Service) replay(r *jrec) error {
+	if err := s.checkRecord(r); err != nil {
+		return err
+	}
 	switch r.Kind {
 	case jPlace:
-		class, err := parseClass(r.Class)
-		if err != nil {
-			return fmt.Errorf("serve: journal seq %d: %w", r.Seq, err)
-		}
-		if len(r.Servers) == 0 || len(r.Servers) != len(r.VMIDs) {
-			return fmt.Errorf("serve: journal seq %d: malformed place", r.Seq)
-		}
-		sh := s.shardOf(r.Servers[0])
-		s.applyPlace(&placement{
-			Key: r.Key, Job: r.Job, Class: class,
-			NominalS: r.NominalS, MaxS: r.MaxS, Shard: sh.id,
-			Servers: append([]int(nil), r.Servers...), VMIDs: append([]int(nil), r.VMIDs...),
-			Degraded: r.Degraded, Relaxed: r.Relaxed,
-		}, r.Seq)
+		s.applyPlace(r.placement, r.Seq)
 	case jRelease:
-		if pl := s.byKey[r.Key]; pl == nil || pl.Released {
-			return fmt.Errorf("serve: journal seq %d: release of unknown key %q", r.Seq, r.Key)
-		}
 		s.applyRelease(r.Key, r.Seq)
 	case jCrash:
 		s.applyCrash(r.Server, r.Evict, r.Seq)
 	case jRecover:
 		s.applyRecover(r.Server, r.Seq)
 	case jRequeue:
-		pl := s.byKey[r.Key]
-		if pl == nil {
-			return fmt.Errorf("serve: journal seq %d: requeue of unknown key %q", r.Seq, r.Key)
-		}
-		s.applyRequeue(r.Key, r.Slot, r.VMID, pl.Class, r.Server, r.Seq)
-	default:
-		return fmt.Errorf("serve: journal seq %d: unknown kind %q", r.Seq, r.Kind)
+		s.applyRequeue(r.Key, r.Slot, r.Server, r.Seq)
 	}
 	return nil
 }
 
-// requeueRestored re-admits the persisted queue: requeues park on their
-// pinned shard, plain requests re-enter their recorded shard's queue
-// with a fresh deadline and no reply channel (the client's retry
-// replays the result).
-func (s *Service) requeueRestored(queue []snapPending) {
+// requeueRestored re-admits the snapshot's queue minus what the journal
+// suffix settled (the worker kept going after the snapshot): a plain
+// request whose key is now placed, a requeue whose slot is no longer
+// evicted or whose placement is gone or released. Re-admitting those
+// would double-place. Requeues are rebuilt from their placement and
+// park on its shard, and every evicted slot the queue misses (a crash
+// replayed from the journal) gets one too. Plain requests re-enter
+// their shard's queue with a fresh deadline and no reply channel: the
+// client's retry replays the result.
+func (s *Service) requeueRestored(queue []queued) error {
 	now := s.clock()
-	for _, q := range queue {
-		class, err := parseClass(q.Class)
-		if err != nil || q.Shard < 0 || q.Shard >= len(s.shards) {
-			continue
-		}
-		sh := s.shards[q.Shard]
-		p := &pending{
-			key: q.Key, job: q.Job, class: class, vms: q.VMs,
-			nominalS: q.NominalS, maxS: q.MaxS,
-			enqueued: now, deadline: now.Add(s.cfg.RequestTimeout),
-			requeue: q.Requeue, slot: q.Slot, vmID: q.VMID,
-		}
-		if q.Requeue {
-			sh.park(p)
-			continue
-		}
-		s.mu.Lock()
-		s.pendingKeys[p.key] = struct{}{}
-		s.mu.Unlock()
-		sh.pend = append(sh.pend, p) // pre-start: no locking needed
-		sh.queuedVMs.Add(int64(p.vms))
+	type slotKey struct {
+		key  string
+		slot int
 	}
+	owed := map[slotKey]bool{}
+	for i := range queue {
+		q := &queue[i]
+		if err := s.checkRecord(q); err != nil {
+			return err
+		}
+		pl := s.byKey[q.Key]
+		if q.Requeue {
+			if pl == nil || pl.Released || pl.Servers[q.Slot] >= 0 || owed[slotKey{q.Key, q.Slot}] {
+				continue
+			}
+			owed[slotKey{q.Key, q.Slot}] = true
+			s.shards[pl.Shard].park(&pending{queued: pl.requeue(q.Slot), enqueued: now})
+			continue
+		}
+		if _, dup := s.pendingKeys[q.Key]; pl != nil || dup {
+			continue
+		}
+		s.pendingKeys[q.Key] = struct{}{}
+		sh := s.shards[q.Shard]
+		sh.pend = append(sh.pend, &pending{queued: *q, enqueued: now, deadline: now.Add(s.cfg.RequestTimeout)})
+		sh.queuedVMs.Add(int64(q.VMs))
+	}
+	for _, k := range s.keysLocked() {
+		pl := s.byKey[k]
+		for slot, g := range pl.Servers {
+			if g < 0 && !pl.Released && !owed[slotKey{k, slot}] {
+				s.shards[pl.Shard].park(&pending{queued: pl.requeue(slot), enqueued: now})
+			}
+		}
+	}
+	return nil
 }
 
 // ---- watchdog ----
 
+// auditShards runs check on every shard against what the placement
+// table says the shard should hold — every server's allocation and the
+// live VM count, rebuilt in one pass over byKey — with every smu and
+// s.mu held.
+func (s *Service) auditShards(check func(sh *shard, alloc []model.Key, live int64) error) error {
+	defer s.lockAll(smuOf)()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	alloc := make([][]model.Key, len(s.shards))
+	live := make([]int64, len(s.shards))
+	for _, sh := range s.shards {
+		alloc[sh.id] = make([]model.Key, sh.n)
+	}
+	for _, pl := range s.byKey {
+		if pl.Released {
+			continue
+		}
+		for _, g := range pl.Servers {
+			if g < 0 || g >= s.cfg.Servers {
+				continue // evicted, or malformed: placement-conservation's finding
+			}
+			sh := s.shardOf(g)
+			a := &alloc[sh.id][g-sh.base]
+			*a = a.Add(model.KeyFor(workload.Class(pl.Class), 1))
+			live[sh.id]++
+		}
+	}
+	for _, sh := range s.shards {
+		if err := check(sh, alloc[sh.id], live[sh.id]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // registerChecks wires the five service invariants. Each check takes
 // the locks it needs in canon order, so sweeps are safe while serving.
+// The placement table is the record; the checks audit everything kept
+// incrementally beside it.
 func (s *Service) registerChecks() {
-	// 1. The capacity index agrees with the allocations re-derived from
-	// the resident VMs, and with its own internal structure.
+	// 1. The capacity index agrees with the allocations the placement
+	// table implies, and with its own internal structure.
 	s.wd.Register("capacity-index", func() error {
-		for _, sh := range s.shards {
-			sh.smu.Lock()
-			derived := make([]model.Key, sh.n)
-			for _, res := range sh.resident {
-				derived[res.srv] = derived[res.srv].Add(model.KeyFor(res.class, 1))
+		return s.auditShards(func(sh *shard, alloc []model.Key, _ int64) error {
+			if err := sh.idx.AuditInvariants(func(i int) model.Key { return alloc[i] }); err != nil {
+				return err
 			}
-			err := sh.idx.AuditInvariants(func(i int) model.Key { return derived[i] })
-			if err == nil {
-				for i := 0; i < sh.n; i++ {
-					if t := sh.idx.Used(i); t > s.cfg.MaxVMsPerServer {
-						err = fmt.Errorf("shard %d server %d holds %d VMs, cap %d", sh.id, sh.base+i, t, s.cfg.MaxVMsPerServer)
-						break
-					}
+			for i := 0; i < sh.n; i++ {
+				if t := sh.idx.Used(i); t > s.cfg.MaxVMsPerServer {
+					return fmt.Errorf("shard %d server %d holds %d VMs, cap %d", sh.id, sh.base+i, t, s.cfg.MaxVMsPerServer)
 				}
 			}
-			sh.smu.Unlock()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+			return nil
+		})
 	})
-	// 2. The routing estimates match the index and the resident map
-	// (check 1 audits the index's allocations against the residents).
+	// 2. The routing estimates match the placement table: the free slots
+	// its allocations leave on up servers, and its live VM count.
 	s.wd.Register("occupancy", func() error {
-		for _, sh := range s.shards {
-			sh.smu.Lock()
-			var err error
-			if sh.freeSlots.Load() != int64(sh.idx.FreeSlotsBelow(sh.ff.Cap())) {
-				err = fmt.Errorf("shard %d free-slot estimate %d, index says %d", sh.id, sh.freeSlots.Load(), sh.idx.FreeSlotsBelow(sh.ff.Cap()))
+		return s.auditShards(func(sh *shard, alloc []model.Key, live int64) error {
+			free := 0
+			for i, a := range alloc {
+				if !sh.idx.Down(i) {
+					free += max(0, sh.ff.Cap()-a.Total())
+				}
 			}
-			if err == nil && sh.residentN.Load() != int64(len(sh.resident)) {
-				err = fmt.Errorf("shard %d resident estimate %d, map holds %d", sh.id, sh.residentN.Load(), len(sh.resident))
+			if got := sh.freeSlots.Load(); got != int64(free) {
+				return fmt.Errorf("shard %d free-slot estimate %d, placements leave %d", sh.id, got, free)
 			}
-			sh.smu.Unlock()
-			if err != nil {
-				return err
+			if got := sh.liveVMs.Load(); got != live {
+				return fmt.Errorf("shard %d live-VM estimate %d, placements hold %d", sh.id, got, live)
 			}
-		}
-		return nil
+			return nil
+		})
 	})
-	// 3. Placements and residents correspond one-to-one; VM uids are
-	// unique and within the issued range.
+	// 3. Placements are well formed, each live VM sits on a server of its
+	// placement's shard, and VM uids are unique and within the issued
+	// range.
 	s.wd.Register("placement-conservation", func() error {
-		for _, sh := range s.shards {
-			sh.smu.Lock()
-		}
 		s.mu.Lock()
-		defer func() {
-			s.mu.Unlock()
-			for i := len(s.shards) - 1; i >= 0; i-- {
-				s.shards[i].smu.Unlock()
-			}
-		}()
+		defer s.mu.Unlock()
 		seen := map[int]bool{}
-		live := 0
 		for key, pl := range s.byKey {
-			if pl.Key != key || len(pl.Servers) != len(pl.VMIDs) {
+			if pl.Key != key || len(pl.Servers) != len(pl.VMIDs) || pl.Shard < 0 || pl.Shard >= len(s.shards) {
 				return fmt.Errorf("placement %q malformed", key)
 			}
 			if pl.Released {
 				continue
 			}
+			sh := s.shards[pl.Shard]
 			for slot, g := range pl.Servers {
 				id := pl.VMIDs[slot]
 				if id < 1 || id >= s.nextVMID {
@@ -1662,64 +1638,39 @@ func (s *Service) registerChecks() {
 					return fmt.Errorf("vm uid %d appears in two live placements", id)
 				}
 				seen[id] = true
-				if g < 0 {
-					continue // evicted, awaiting requeue
-				}
-				live++
-				sh := s.shardOf(g)
-				res, ok := sh.resident[id]
-				if !ok || res.key != key || res.slot != slot || res.srv != g-sh.base {
-					return fmt.Errorf("placement %q slot %d (vm %d on server %d) has no matching resident", key, slot, id, g)
+				if g != -1 && (g < sh.base || g >= sh.base+sh.n) {
+					return fmt.Errorf("placement %q slot %d on server %d, outside its shard %d", key, slot, g, sh.id)
 				}
 			}
-		}
-		total := 0
-		for _, sh := range s.shards {
-			total += len(sh.resident)
-			for id, res := range sh.resident {
-				if !seen[id] {
-					return fmt.Errorf("resident vm %d (key %q) belongs to no live placement", id, res.key)
-				}
-			}
-		}
-		if total != live {
-			return fmt.Errorf("%d resident VMs vs %d live placement slots", total, live)
 		}
 		return nil
 	})
 	// 4. Queues respect their bounds and every queued request holds its
 	// in-flight marker exactly once.
 	s.wd.Register("queue-sanity", func() error {
-		for _, sh := range s.shards {
-			sh.qmu.Lock()
-		}
+		defer s.lockAll(qmuOf)()
 		s.mu.Lock()
-		defer func() {
-			s.mu.Unlock()
-			for i := len(s.shards) - 1; i >= 0; i-- {
-				s.shards[i].qmu.Unlock()
-			}
-		}()
+		defer s.mu.Unlock()
 		seen := map[string]bool{}
 		for _, sh := range s.shards {
 			if len(sh.pend) > s.cfg.QueueCap {
 				return fmt.Errorf("shard %d queue %d over cap %d", sh.id, len(sh.pend), s.cfg.QueueCap)
 			}
 			for _, p := range sh.pend {
-				if p.requeue {
-					return fmt.Errorf("shard %d requeue %q in the admission queue", sh.id, p.key)
+				if p.Requeue {
+					return fmt.Errorf("shard %d requeue %q in the admission queue", sh.id, p.Key)
 				}
-				if seen[p.key] {
-					return fmt.Errorf("key %q queued twice", p.key)
+				if seen[p.Key] {
+					return fmt.Errorf("key %q queued twice", p.Key)
 				}
-				seen[p.key] = true
-				if _, ok := s.pendingKeys[p.key]; !ok {
-					return fmt.Errorf("queued key %q missing its in-flight marker", p.key)
+				seen[p.Key] = true
+				if _, ok := s.pendingKeys[p.Key]; !ok {
+					return fmt.Errorf("queued key %q missing its in-flight marker", p.Key)
 				}
 			}
 			for _, p := range sh.parked {
-				if !p.requeue {
-					return fmt.Errorf("shard %d non-requeue %q parked", sh.id, p.key)
+				if !p.Requeue {
+					return fmt.Errorf("shard %d non-requeue %q parked", sh.id, p.Key)
 				}
 			}
 		}
@@ -1731,9 +1682,7 @@ func (s *Service) registerChecks() {
 		if s.j == nil {
 			return nil
 		}
-		for _, sh := range s.shards {
-			sh.smu.Lock()
-		}
+		unlock := s.lockAll(smuOf)
 		s.mu.Lock()
 		applied := s.lastSeq
 		s.mu.Unlock()
@@ -1743,9 +1692,7 @@ func (s *Service) registerChecks() {
 		// unlock would race a committing placement and record a
 		// spurious, permanent violation.
 		js := s.j.lastSeq()
-		for i := len(s.shards) - 1; i >= 0; i-- {
-			s.shards[i].smu.Unlock()
-		}
+		unlock()
 		if js != applied {
 			return fmt.Errorf("journal at seq %d, applied state at %d", js, applied)
 		}

@@ -483,8 +483,8 @@ func TestDecisionLogLadderAndSheds(t *testing.T) {
 // the queue at Seq, but the worker keeps placing until the crash, so a
 // journal record after Seq can settle an entry the snapshot still lists
 // as queued. Restore must drop those instead of re-admitting them —
-// re-running a settled requeue overwrites resident[vmID] and strands a
-// phantom VM in the old server's occupancy.
+// re-running a settled requeue places the VM a second time and strands
+// a phantom VM in the fleet index.
 func TestRestoreDropsSettledQueueEntries(t *testing.T) {
 	cfg := testConfig(t, 8, 2)
 	dir := t.TempDir()
@@ -495,12 +495,12 @@ func TestRestoreDropsSettledQueueEntries(t *testing.T) {
 	// queue holding that VM's requeue and a not-yet-placed request.
 	err := writeSnapshotFile(cfg.SnapshotPath, &snapPayload{
 		Seq: 5, NextVMID: 3, Servers: 8, Shards: 2, MaxVMs: 4,
-		Placements: []snapPlacement{{
-			Key: "evicted", Class: "cpu", Shard: 0, Servers: []int{-1}, VMIDs: []int{2},
+		Placements: []*placement{{
+			Key: "evicted", Shard: 0, Servers: []int{-1}, VMIDs: []int{2},
 		}},
-		Queue: []snapPending{
-			{Key: "queued", Class: "cpu", VMs: 1, Shard: 0},
-			{Key: "evicted", Class: "cpu", VMs: 1, Requeue: true, Shard: 0, Slot: 0, VMID: 2},
+		Queue: []queued{
+			{Key: "queued", VMs: 1, Shard: 0},
+			{Key: "evicted", VMs: 1, Requeue: true, Shard: 0, Slot: 0, VMID: 2},
 		},
 	})
 	if err != nil {
@@ -511,7 +511,7 @@ func TestRestoreDropsSettledQueueEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.append(&jrec{Kind: jPlace, Key: "queued", Class: "cpu", Servers: []int{1}, VMIDs: []int{3}}); err != nil {
+	if _, err := j.append(&jrec{Kind: jPlace, Key: "queued", placement: &placement{Servers: []int{1}, VMIDs: []int{3}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.append(&jrec{Kind: jRequeue, Key: "evicted", Slot: 0, VMID: 2, Server: 0}); err != nil {

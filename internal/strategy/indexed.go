@@ -333,9 +333,9 @@ func (f *FirstFit) PlaceIndexed(idx *FleetIndex, vms []core.VMRequest, dst []int
 // AuditInvariants re-derives every structural invariant of the index
 // from first principles and reports the first violation found, or nil.
 // alloc is the caller's ground-truth allocation for server i (the
-// simulator derives it from the servers' resident VM lists, a source
-// the index never reads). With classes built, class membership is
-// re-derived too. The walk is O(servers × maxOcc) — read-only,
+// simulator derives it from each server's VM list, the service from its
+// placement table: sources the index never reads). With classes built,
+// class membership is re-derived too. The walk is O(servers × maxOcc) — read-only,
 // intended for a periodic watchdog, not a hot path.
 func (f *FleetIndex) AuditInvariants(alloc func(i int) model.Key) error {
 	freeSum, nOver := 0, 0
@@ -389,66 +389,6 @@ func (f *FleetIndex) AuditInvariants(alloc func(i int) model.Key) error {
 		return f.classes.audit(f)
 	}
 	return nil
-}
-
-// IndexSnapshot is the persistent state of a FleetIndex: the per-server
-// allocations and down marks plus the indexed ceiling. Everything else
-// in the index — threshold bitmaps, level counts, the overflow set, the
-// free-slot sum, the allocation classes — is derived state RestoreIndex
-// rebuilds, so a snapshot stays small (two dense arrays) and
-// version-stable across internal representation changes.
-type IndexSnapshot struct {
-	MaxOcc int         `json:"max_occ"`
-	Alloc  []model.Key `json:"alloc"`
-	Down   []bool      `json:"down"`
-}
-
-// Snapshot captures the index's persistent state. The returned slices
-// are copies; the caller must still hold off concurrent mutators while
-// the copy is taken (the index is not internally synchronized).
-func (f *FleetIndex) Snapshot() IndexSnapshot {
-	alloc := make([]model.Key, len(f.alloc))
-	for i := range alloc {
-		alloc[i] = f.Alloc(i)
-	}
-	return IndexSnapshot{
-		MaxOcc: f.maxOcc,
-		Alloc:  alloc,
-		Down:   append([]bool(nil), f.down...),
-	}
-}
-
-// RestoreIndex rebuilds a FleetIndex from a snapshot by replaying the
-// invariant-maintaining operations (Add, SetDown) over a fresh index,
-// so a restored index is consistent by construction: it passes
-// AuditInvariants and answers every query exactly as the index the
-// snapshot was taken from. Malformed snapshots (negative counts,
-// mismatched array lengths, ceiling below 1) are rejected rather than
-// panicking deep in Add.
-func RestoreIndex(snap IndexSnapshot) (*FleetIndex, error) {
-	if snap.MaxOcc < 1 {
-		return nil, fmt.Errorf("strategy: index snapshot ceiling %d, want >= 1", snap.MaxOcc)
-	}
-	if len(snap.Alloc) != len(snap.Down) {
-		return nil, fmt.Errorf("strategy: index snapshot has %d allocations but %d down marks", len(snap.Alloc), len(snap.Down))
-	}
-	f := NewFleetIndex(len(snap.Alloc), snap.MaxOcc)
-	for i, k := range snap.Alloc {
-		if !k.Valid() {
-			return nil, fmt.Errorf("strategy: index snapshot allocation %v for server %d", k, i)
-		}
-		for _, c := range workload.Classes {
-			if n := k.Count(c); n > 0 {
-				f.Add(i, c, n)
-			}
-		}
-	}
-	for i, d := range snap.Down {
-		if d {
-			f.SetDown(i)
-		}
-	}
-	return f, nil
 }
 
 // Classes groups the up servers into classes of identical allocation,
