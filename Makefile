@@ -1,19 +1,30 @@
 GO ?= go
 
-.PHONY: all build verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge cover trace clean
+.PHONY: all build fmt-check perfbench-test verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge cover trace clean
 
 all: verify
 
 build:
 	$(GO) build ./...
 
-# verify is the tier-1 gate: compile, static checks, full test suite,
-# the race detector over the simulator hot-path packages, and the
-# observability smoke.
-verify: build vet test race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke bench-diff
+# verify is the tier-1 gate: compile, formatting and static checks, the
+# full test suite (the benchmark's nested module included), the race
+# detector over the simulator hot-path packages, and the observability
+# smoke.
+verify: build fmt-check vet test perfbench-test race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke bench-diff
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails, listing the files, when any Go file is not gofmt'ed.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; }
+
+# perfbench-test vets and tests the benchmark program (load generator,
+# output audit, access-log checks): perfbench/ is a nested module, so
+# the root ./... never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -132,14 +143,16 @@ bench-alloc:
 # dominate the suite) — and the -require floor fails the recording if a
 # huge entry ever lands on a single noisy sample again. AllocateFleet is
 # the partition-search layer entry: one PA decision against a
-# 660-server fleet.
+# 660-server fleet; FleetIndexClasses is the class query that feeds it,
+# with a few mutations between queries.
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
-		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core; } \
+		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core \
+		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 2 -benchmem ./internal/strategy; } \
 		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'Serve=2' -require 'ServeObs=2' \
-			-require 'AllocateFleet=2' -o BENCH_sim.json
+			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark
 # document against the committed BENCH_sim.json baseline and reports

@@ -174,7 +174,11 @@ type Allocator struct {
 	// est memoizes database estimates for every search this allocator
 	// runs; it is safe for concurrent Allocate calls.
 	est *model.EstimateCache
-	tel searchTelemetry
+	// refTime is the database's per-class reference time (Aux.RefTime),
+	// resolved once so the search's pricing reads it without copying
+	// the auxiliary record.
+	refTime [workload.NumClasses]units.Seconds
+	tel     searchTelemetry
 	// scratch recycles the per-call search state (*searchCtx), so a
 	// steady stream of decisions allocates nothing.
 	scratch sync.Pool
@@ -228,7 +232,7 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	if cfg.Obs != nil {
 		est.Instrument(cfg.Obs)
 	}
-	a := &Allocator{cfg: cfg, est: est, tel: newSearchTelemetry(cfg.Obs)}
+	a := &Allocator{cfg: cfg, est: est, refTime: aux.RefTime, tel: newSearchTelemetry(cfg.Obs)}
 	a.scratch.New = func() any { return new(searchCtx) }
 	return a, nil
 }
@@ -362,10 +366,14 @@ func (a *Allocator) AllocateExplained(goal Goal, servers []ServerState, vms []VM
 // than a pass over every server, and a steady stream of decisions
 // allocates nothing. Each class lists server IDs in ascending order —
 // at least its lowest len(vms)+1 members, or all of them if fewer —
-// and member sets are disjoint; server IDs then play the part of list
-// positions, so the result equals AllocateExplained's on the servers
-// listed in ascending ID order. Classes too full to host a VM may be
-// included; the search skips them.
+// member sets are disjoint, and the classes come in strictly ascending
+// order of their lowest member (the order a fleet index that keeps its
+// classes sorted hands out; the search merges candidates on it rather
+// than sorting them). Server IDs then play the part of list positions,
+// so the result equals AllocateExplained's on the servers listed in
+// ascending ID order. Classes out of order, or members out of order
+// within the prefix the search reads, are an error. Classes too full
+// to host a VM may be included; the search skips them.
 //
 // The assignment is written by VM index into dst when it is long
 // enough (the returned slice aliases it) and into a fresh slice

@@ -17,21 +17,28 @@ package core
 //     only a plain server list (Allocate) is grouped per call, in one
 //     O(servers) pass. A block's candidates are the first
 //     untouched server of each class plus every server the partition has
-//     already touched, sorted by server index, less those a lower-index
-//     touched server at the same grown allocation hides. Every option the
-//     full-fleet scan prices survives, in the same order; the only extras
-//     are later twins of an untouched server's option, which never win
-//     the strict tie-break and leave the normalization maxima unchanged.
-//     A block costs O(classes × touched) rather than O(servers ×
-//     classes). A class keeps only its first len(vms)+1 members, since a
-//     partition touches at most len(vms) servers, and servers too full to
-//     host any VM are left out of every class.
+//     already touched, in ascending server index, less those a
+//     lower-index touched server at the same grown allocation hides.
+//     Classes arrive in order of their first member, so the candidates
+//     are merged, not sorted: the block walks the classes nobody has
+//     touched in arrival order and threads in a short list, kept sorted
+//     as the partition grows, of the touched servers and the next member
+//     of each class the partition advanced — at most 2 × touched
+//     entries. Every option the full-fleet scan prices survives, in the
+//     same order; the only extras are later twins of an untouched
+//     server's option, which never win the strict tie-break and leave
+//     the normalization maxima unchanged. A block costs O(classes +
+//     touched²) rather than O(servers × classes). A class keeps only its
+//     first len(vms)+1 members, since a partition touches at most
+//     len(vms) servers, and servers too full to host any VM are left out
+//     of every class.
 //  3. Block pricing is memoized per (server class, block composition)
 //     in a dense per-worker table: the same block on the same class is
 //     priced once, not once per partition that contains it. A touched
 //     server's grown allocation is priced directly. Database estimates
 //     are memoized per allocation key in the allocator's
-//     model.EstimateCache, which lives as long as the allocator.
+//     model.EstimateCache, which lives as long as the allocator, and
+//     pricing reads them in place.
 //  4. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
@@ -57,6 +64,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -140,9 +148,9 @@ func sigOfPartition(typeOf []uint8, blocks [][]int) partSig {
 
 // blockPrice is the pricing of one block on one server state: the
 // placement economics minus the concrete VM identities (every block with
-// the same signature shares them).
+// the same signature shares them) and minus the grown allocation, which
+// the caller has already summed.
 type blockPrice struct {
-	after  model.Key
 	time   units.Seconds
 	energy units.Joules
 	ok     bool
@@ -178,7 +186,8 @@ type blockPlace struct {
 // ServerClass is one group of interchangeable servers: every member
 // sits at allocation Alloc. Members lists server IDs in ascending
 // order; AllocateClasses needs only the lowest len(vms)+1 of them,
-// since a partition touches at most len(vms) servers.
+// since a partition touches at most len(vms) servers, and takes the
+// classes in ascending order of their lowest member.
 type ServerClass struct {
 	Alloc   model.Key
 	Members []int
@@ -359,20 +368,38 @@ func (sc *searchCtx) groupServers(servers []ServerState) error {
 }
 
 // useClasses loads caller-grouped classes, less those too full to host
-// any VM, with each class trimmed to the members a search can reach.
+// any VM, with each class trimmed to the members a search can reach. It
+// checks the order the candidate merge relies on: classes in strictly
+// ascending order of their lowest member, and each class's members
+// ascending over the prefix the search reads.
 func (sc *searchCtx) useClasses(classes []ServerClass) error {
 	maxMembers := len(sc.vms) + 1
 	sc.servers = nil
 	sc.classes = sc.classes[:0]
+	prev, havePrev := 0, false
 	for _, c := range classes {
 		if !c.Alloc.Valid() {
 			return fmt.Errorf("core: server class has invalid allocation %v", c.Alloc)
 		}
-		if c.Alloc.Total() >= sc.a.cfg.MaxVMsPerServer || len(c.Members) == 0 {
+		if len(c.Members) == 0 {
 			continue
 		}
 		if len(c.Members) > maxMembers {
 			c.Members = c.Members[:maxMembers]
+		}
+		if havePrev && c.Members[0] <= prev {
+			return fmt.Errorf("core: server class %v (lowest member %d) is out of order after lowest member %d",
+				c.Alloc, c.Members[0], prev)
+		}
+		for i := 1; i < len(c.Members); i++ {
+			if c.Members[i] <= c.Members[i-1] {
+				return fmt.Errorf("core: server class %v lists members out of ascending order (%d after %d)",
+					c.Alloc, c.Members[i], c.Members[i-1])
+			}
+		}
+		prev, havePrev = c.Members[0], true
+		if c.Alloc.Total() >= sc.a.cfg.MaxVMsPerServer {
+			continue
 		}
 		sc.classes = append(sc.classes, c)
 	}
@@ -387,40 +414,33 @@ func (sc *searchCtx) serverID(member int) int {
 	return member
 }
 
-// priceBlock prices adding a block of composition sig (total key
-// blockKey) to a server currently at base. The semantics are those of
+// priceBlock prices growing a server from allocation base to after by
+// a block holding the VM types in bmask. The semantics are those of
 // Allocator.evalBlock restricted to the block's own VMs; QoS of VMs
 // already tentatively placed on the server is rechecked per call by
 // placedOK, because it depends on the partition prefix, not on
-// (base, sig).
-func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key) blockPrice {
-	cfg := &sc.a.cfg
-	after := base.Add(blockKey)
-	if after.Total() > cfg.MaxVMsPerServer {
+// (base, block). Estimates are read in place from the allocator's
+// cache.
+func (sc *searchCtx) priceBlock(base, after model.Key, bmask typeMask) blockPrice {
+	a := sc.a
+	b := &a.cfg.PerClassBound
+	if after.Total() > a.cfg.MaxVMsPerServer || after.NCPU > b[workload.ClassCPU] ||
+		after.NMEM > b[workload.ClassMEM] || after.NIO > b[workload.ClassIO] {
 		return blockPrice{}
 	}
-	for _, c := range workload.Classes {
-		if after.Count(c) > cfg.PerClassBound[c] {
-			return blockPrice{}
-		}
-	}
-	recAfter, err := sc.a.est.Estimate(after)
+	recAfter, err := a.est.EstimateRef(after)
 	if err != nil {
 		return blockPrice{}
 	}
-	aux := cfg.DB.Aux()
 	var blockTime units.Seconds
-	for t := range sc.types {
-		if sig>>(4*blockSig(t))&0xF == 0 {
-			continue
-		}
-		rep := sc.types[t]
-		ref := aux.RefTime[rep.Class]
+	for m := bmask; m != 0; m &= m - 1 {
+		rep := &sc.types[bits.TrailingZeros16(uint16(m))]
+		ref := a.refTime[rep.Class]
 		if ref <= 0 {
 			return blockPrice{}
 		}
 		est := recAfter.ClassTime(rep.Class) * rep.NominalTime / ref
-		if !cfg.RelaxQoS && rep.MaxTime > 0 && est > rep.MaxTime {
+		if !a.cfg.RelaxQoS && rep.MaxTime > 0 && est > rep.MaxTime {
 			return blockPrice{}
 		}
 		if est > blockTime {
@@ -431,7 +451,7 @@ func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key
 	// difference, clamped at zero.
 	var beforeEnergy units.Joules
 	if !base.IsZero() {
-		recBefore, err := sc.a.est.Estimate(base)
+		recBefore, err := a.est.EstimateRef(base)
 		if err != nil {
 			return blockPrice{}
 		}
@@ -441,7 +461,7 @@ func (sc *searchCtx) priceBlock(base model.Key, sig blockSig, blockKey model.Key
 	if deltaE < 0 {
 		deltaE = 0
 	}
-	return blockPrice{after: after, time: blockTime, energy: deltaE, ok: true}
+	return blockPrice{time: blockTime, energy: deltaE, ok: true}
 }
 
 // placedOK rechecks the QoS bounds of VM types already tentatively
@@ -452,22 +472,18 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 	if mask == 0 || sc.a.cfg.RelaxQoS {
 		return true
 	}
-	rec, err := sc.a.est.Estimate(after)
+	rec, err := sc.a.est.EstimateRef(after)
 	if err != nil {
 		return false
 	}
-	aux := sc.a.cfg.DB.Aux()
-	for t := 0; mask != 0; t++ {
-		if mask&1 != 0 {
-			rep := sc.types[t]
-			if rep.MaxTime > 0 {
-				est := rec.ClassTime(rep.Class) * rep.NominalTime / aux.RefTime[rep.Class]
-				if est > rep.MaxTime {
-					return false
-				}
+	for m := mask; m != 0; m &= m - 1 {
+		rep := &sc.types[bits.TrailingZeros16(uint16(m))]
+		if rep.MaxTime > 0 {
+			est := rec.ClassTime(rep.Class) * rep.NominalTime / sc.a.refTime[rep.Class]
+			if est > rep.MaxTime {
+				return false
 			}
 		}
-		mask >>= 1
 	}
 	return true
 }
@@ -486,10 +502,17 @@ type searchWorker struct {
 	// candidate. Reset via the touched list.
 	used    []int
 	touched []touchedServer
+	// moved lists, in ascending server index, the candidates whose
+	// position the partition has changed: every touched server, and the
+	// first untouched member of every class the partition has advanced
+	// past its first member. Every other candidate is the first member
+	// of a class nobody touched, and those arrive already in order.
+	moved []blockCand
 
-	// Per-block scratch.
-	cands   []blockCand
+	// Per-block scratch: the admissible options and their maxima.
 	options []blockOption
+	optT    units.Seconds
+	optE    units.Joules
 	places  []blockPlace
 
 	// Block-pricing memo for untouched servers: row sigRow[sig] of memo
@@ -529,13 +552,15 @@ type touchedServer struct {
 // of a class (touched < 0) or the touched server w.touched[touched].
 type blockCand struct {
 	serverIdx int
-	class     int
-	touched   int
+	class     int32
+	touched   int32
 }
 
+// blockOption is one priced, admissible candidate of a block.
 type blockOption struct {
-	cand blockCand
-	val  blockPrice
+	time   units.Seconds
+	energy units.Joules
+	cand   blockCand
 }
 
 // memoSlot is one memoized class pricing; done marks it filled.
@@ -550,6 +575,7 @@ func (w *searchWorker) reset(sc *searchCtx) {
 	w.sc = sc
 	w.used = append(w.used[:0], make([]int, len(sc.classes))...)
 	w.touched = w.touched[:0]
+	w.moved = w.moved[:0]
 	if w.sigRow == nil {
 		w.sigRow = make(map[blockSig]int)
 	}
@@ -655,6 +681,7 @@ func (w *searchWorker) clearTouched() {
 		w.used[t.class] = 0
 	}
 	w.touched = w.touched[:0]
+	w.moved = w.moved[:0]
 }
 
 // candBase is the allocation and placed-type mask a block candidate
@@ -667,22 +694,51 @@ func (w *searchWorker) candBase(c blockCand) (model.Key, typeMask) {
 }
 
 // take commits a block of types bmask to candidate c at allocation
-// after, and returns the touched-server index it now occupies.
+// after, and returns the touched-server index it now occupies. A newly
+// touched server takes its place in w.moved as touched, and its class's
+// next member, if any, joins the list as the class's candidate.
 func (w *searchWorker) take(c blockCand, after model.Key, bmask typeMask) int {
 	if c.touched >= 0 {
 		t := &w.touched[c.touched]
 		t.base = after
 		t.mask |= bmask
-		return c.touched
+		return int(c.touched)
 	}
-	w.used[c.class]++
+	ti := len(w.touched)
 	w.touched = append(w.touched, touchedServer{
 		serverIdx: c.serverIdx,
-		class:     c.class,
+		class:     int(c.class),
 		base:      after,
 		mask:      bmask,
 	})
-	return len(w.touched) - 1
+	c.touched = int32(ti)
+	if w.used[c.class] == 0 {
+		w.insertMoved(c)
+	} else {
+		// The class had already advanced: its entry is this server.
+		for i := range w.moved {
+			if w.moved[i].serverIdx == c.serverIdx {
+				w.moved[i] = c
+				break
+			}
+		}
+	}
+	w.used[c.class]++
+	if members := w.sc.classes[c.class].Members; w.used[c.class] < len(members) {
+		w.insertMoved(blockCand{serverIdx: members[w.used[c.class]], class: c.class, touched: -1})
+	}
+	return ti
+}
+
+// insertMoved inserts c into w.moved in server-index order.
+func (w *searchWorker) insertMoved(c blockCand) {
+	w.moved = append(w.moved, c)
+	j := len(w.moved) - 1
+	for j > 0 && w.moved[j-1].serverIdx > c.serverIdx {
+		w.moved[j] = w.moved[j-1]
+		j--
+	}
+	w.moved[j] = c
 }
 
 // evalPartition greedily places every block of the partition on its
@@ -695,7 +751,6 @@ func (w *searchWorker) take(c blockCand, after model.Key, bmask typeMask) int {
 // tie-break to the lower server index.
 func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 	sc := w.sc
-	alpha := sc.goal.Alpha
 	w.clearTouched()
 	w.places = w.places[:0]
 
@@ -709,98 +764,123 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 			blockKey = blockKey.Add(sc.typeKey[t])
 			bmask |= 1 << t
 		}
-
-		w.collectCands()
-		w.options = w.options[:0]
-		row := w.memoRow(sig)
-		for _, c := range w.cands {
-			base, mask := w.candBase(c)
-			if w.hidden(c.serverIdx, base) {
-				continue
-			}
-			var v blockPrice
-			if c.touched >= 0 {
-				v = sc.priceBlock(base, sig, blockKey)
-			} else if m := &row[c.class]; m.done {
-				v = m.val
-			} else {
-				v = sc.priceBlock(base, sig, blockKey)
-				*m = memoSlot{val: v, done: true}
-			}
-			if !v.ok || !sc.placedOK(v.after, mask) {
-				continue
-			}
-			w.options = append(w.options, blockOption{cand: c, val: v})
-		}
-		if len(w.options) == 0 {
+		chosen, found := w.chooseBlock(w.memoRow(sig), blockKey, bmask)
+		if !found {
 			return false
 		}
-
-		var maxT units.Seconds
-		var maxE units.Joules
-		for _, o := range w.options {
-			if o.val.time > maxT {
-				maxT = o.val.time
-			}
-			if o.val.energy > maxE {
-				maxE = o.val.energy
-			}
-		}
-		bestI := -1
-		bestScore := 0.0
-		for i, o := range w.options {
-			tn, en := 0.0, 0.0
-			if maxT > 0 {
-				tn = float64(o.val.time) / float64(maxT)
-			}
-			if maxE > 0 {
-				en = float64(o.val.energy) / float64(maxE)
-			}
-			// The block-level choice honors the same α as the
-			// allocation-level ranking.
-			score := alpha*en + (1-alpha)*tn
-			if bestI < 0 || score < bestScore-scoreEpsilon {
-				bestScore, bestI = score, i
-			}
-		}
-		chosen := w.options[bestI]
-		w.take(chosen.cand, chosen.val.after, bmask)
+		base, _ := w.candBase(chosen.cand)
+		after := base.Add(blockKey)
+		w.take(chosen.cand, after, bmask)
 		w.places = append(w.places, blockPlace{
 			server: chosen.cand.serverIdx,
 			n:      len(block),
-			after:  chosen.val.after,
-			time:   chosen.val.time,
-			energy: chosen.val.energy,
+			after:  after,
+			time:   chosen.time,
+			energy: chosen.energy,
 		})
 	}
 	return true
 }
 
-// collectCands fills w.cands with the block's candidate servers in
-// ascending server index: the first untouched member of every class
-// that has one, and every touched server.
-func (w *searchWorker) collectCands() {
-	w.cands = w.cands[:0]
-	for ci := range w.sc.classes {
-		members := w.sc.classes[ci].Members
-		if u := w.used[ci]; u < len(members) {
-			w.cands = append(w.cands, blockCand{serverIdx: members[u], class: ci, touched: -1})
+// chooseBlock picks the server a block of types bmask (total key
+// blockKey) goes to in the current partition state and returns its
+// option; ok is false when no candidate admits the block. It weighs the
+// candidates in ascending server index, memoizing the pricing of
+// untouched classes in row, and takes the best α-scored option.
+//
+// The classes arrive in order of their first member, so the first
+// members of the classes the partition has not touched are already
+// sorted: the walk takes them in class order and merges in w.moved,
+// O(classes + touched) per block with nothing sorted.
+func (w *searchWorker) chooseBlock(row []memoSlot, blockKey model.Key, bmask typeMask) (best blockOption, ok bool) {
+	sc := w.sc
+	w.options = w.options[:0]
+	w.optT, w.optE = 0, 0
+	moved := w.moved
+	for ci := range sc.classes {
+		if w.used[ci] > 0 {
+			continue // listed in moved, or exhausted
+		}
+		c := &sc.classes[ci]
+		lead := c.Members[0]
+		for len(moved) > 0 && moved[0].serverIdx < lead {
+			w.offer(moved[0], row, blockKey, bmask)
+			moved = moved[1:]
+		}
+		if w.hidden(lead, c.Alloc) {
+			continue
+		}
+		m := &row[ci]
+		if !m.done {
+			m.val, m.done = sc.priceBlock(c.Alloc, c.Alloc.Add(blockKey), bmask), true
+		}
+		if m.val.ok {
+			w.addOption(blockOption{time: m.val.time, energy: m.val.energy,
+				cand: blockCand{serverIdx: lead, class: int32(ci), touched: -1}})
 		}
 	}
-	for ti, t := range w.touched {
-		w.cands = append(w.cands, blockCand{serverIdx: t.serverIdx, class: t.class, touched: ti})
+	for _, c := range moved {
+		w.offer(c, row, blockKey, bmask)
 	}
-	// Insertion sort: classes are normally in first-member order, so
-	// only the touched servers and the classes they advanced are out of
-	// place.
-	for i := 1; i < len(w.cands); i++ {
-		c := w.cands[i]
-		j := i
-		for j > 0 && w.cands[j-1].serverIdx > c.serverIdx {
-			w.cands[j] = w.cands[j-1]
-			j--
+	if len(w.options) == 0 {
+		return blockOption{}, false
+	}
+	maxT, maxE := w.optT, w.optE
+	alpha := sc.goal.Alpha
+	bestI := -1
+	bestScore := 0.0
+	for i := range w.options {
+		o := &w.options[i]
+		tn, en := 0.0, 0.0
+		if maxT > 0 {
+			tn = float64(o.time) / float64(maxT)
 		}
-		w.cands[j] = c
+		if maxE > 0 {
+			en = float64(o.energy) / float64(maxE)
+		}
+		// The block-level choice honors the same α as the
+		// allocation-level ranking.
+		score := alpha*en + (1-alpha)*tn
+		if bestI < 0 || score < bestScore-scoreEpsilon {
+			bestScore, bestI = score, i
+		}
+	}
+	return w.options[bestI], true
+}
+
+// offer weighs a moved candidate — a touched server, or an advanced
+// class's next member — and adds it to the block's options if it
+// admits the block.
+func (w *searchWorker) offer(c blockCand, row []memoSlot, blockKey model.Key, bmask typeMask) {
+	sc := w.sc
+	base, mask := w.candBase(c)
+	if w.hidden(c.serverIdx, base) {
+		return
+	}
+	after := base.Add(blockKey)
+	var v blockPrice
+	if c.touched >= 0 {
+		v = sc.priceBlock(base, after, bmask)
+	} else if m := &row[c.class]; m.done {
+		v = m.val
+	} else {
+		v = sc.priceBlock(base, after, bmask)
+		m.val, m.done = v, true
+	}
+	if v.ok && sc.placedOK(after, mask) {
+		w.addOption(blockOption{time: v.time, energy: v.energy, cand: c})
+	}
+}
+
+// addOption appends an admissible option, tracking the block's
+// normalization maxima.
+func (w *searchWorker) addOption(o blockOption) {
+	w.options = append(w.options, o)
+	if o.time > w.optT {
+		w.optT = o.time
+	}
+	if o.energy > w.optE {
+		w.optE = o.energy
 	}
 }
 

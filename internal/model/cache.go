@@ -40,7 +40,7 @@ type EstimateCache struct {
 	dense []atomic.Pointer[estimateEntry]
 
 	mu sync.RWMutex
-	m  map[Key]estimateEntry
+	m  map[Key]*estimateEntry
 	n  int // memoized keys, dense and spilled; guarded by mu
 }
 
@@ -62,7 +62,7 @@ func NewEstimateCache(db *DB, bound int) *EstimateCache {
 		db:    db,
 		d:     d,
 		dense: make([]atomic.Pointer[estimateEntry], d*d*d),
-		m:     make(map[Key]estimateEntry),
+		m:     make(map[Key]*estimateEntry),
 	}
 }
 
@@ -100,11 +100,24 @@ func (c *EstimateCache) slot(k Key) int {
 // Estimate returns db.Estimate(k), memoized. Errors are memoized too:
 // an unpriceable key stays unpriceable for the life of the database.
 func (c *EstimateCache) Estimate(k Key) (Record, error) {
+	rec, err := c.EstimateRef(k)
+	if err != nil {
+		return Record{}, err
+	}
+	return *rec, nil
+}
+
+// EstimateRef is Estimate returning the memoized record in place: the
+// pointer stays valid, and the record unchanged, for the life of the
+// cache, and callers must not write through it. It saves a hot caller
+// the copy of a whole Record per lookup. The record is nil exactly when
+// the error is set.
+func (c *EstimateCache) EstimateRef(k Key) (*Record, error) {
 	i := c.slot(k)
 	if i >= 0 {
 		if e := c.dense[i].Load(); e != nil {
 			c.hits.Inc()
-			return e.rec, e.err
+			return e.result()
 		}
 	} else {
 		c.mu.RLock()
@@ -112,27 +125,36 @@ func (c *EstimateCache) Estimate(k Key) (Record, error) {
 		c.mu.RUnlock()
 		if ok {
 			c.hits.Inc()
-			return e.rec, e.err
+			return e.result()
 		}
 	}
 	c.misses.Inc()
 	// Compute outside the lock; concurrent duplicate computations are
 	// benign because Estimate is deterministic: the first store wins and
-	// the rest return an identical record.
+	// every caller returns the winner's entry.
 	rec, err := c.db.Estimate(k)
-	if i >= 0 && !c.dense[i].CompareAndSwap(nil, &estimateEntry{rec: rec, err: err}) {
-		return rec, err
+	e := &estimateEntry{rec: rec, err: err}
+	if i >= 0 && !c.dense[i].CompareAndSwap(nil, e) {
+		return c.dense[i].Load().result()
 	}
 	c.mu.Lock()
 	if i < 0 {
-		if _, dup := c.m[k]; dup {
+		if won, dup := c.m[k]; dup {
 			c.mu.Unlock()
-			return rec, err
+			return won.result()
 		}
-		c.m[k] = estimateEntry{rec: rec, err: err}
+		c.m[k] = e
 	}
 	c.n++
 	c.size.Set(int64(c.n))
 	c.mu.Unlock()
-	return rec, err
+	return e.result()
+}
+
+// result is the entry as EstimateRef returns it.
+func (e *estimateEntry) result() (*Record, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return &e.rec, nil
 }

@@ -39,6 +39,37 @@ func TestEstimateCacheMatchesDB(t *testing.T) {
 	}
 }
 
+// TestEstimateCacheRefInPlace pins the in-place read: EstimateRef
+// returns the record Estimate copies out, the same pointer on every
+// later lookup of the key (dense table and spill map alike), and nil
+// with the error for an unpriceable key.
+func TestEstimateCacheRefInPlace(t *testing.T) {
+	db := gridDB(t, 6)
+	c := NewEstimateCache(db, 3)
+	for _, k := range []Key{{NCPU: 1}, {NCPU: 2, NMEM: 1, NIO: 1}, {NCPU: 6}, {NMEM: 5, NIO: 2}} {
+		ref, err := c.EstimateRef(k)
+		if err != nil {
+			t.Fatalf("key %v: %v", k, err)
+		}
+		want, _ := db.Estimate(k)
+		if *ref != want {
+			t.Errorf("key %v: ref %+v, want %+v", k, *ref, want)
+		}
+		again, _ := c.EstimateRef(k)
+		if again != ref {
+			t.Errorf("key %v: a second lookup returned another record", k)
+		}
+		if got, _ := c.Estimate(k); got != want {
+			t.Errorf("key %v: Estimate %+v after EstimateRef, want %+v", k, got, want)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		if ref, err := c.EstimateRef(Key{}); ref != nil || err == nil {
+			t.Errorf("pass %d: empty key gives %v, %v; want nil and an error", pass, ref, err)
+		}
+	}
+}
+
 // TestEstimateCacheInstrumentedConcurrent hammers an instrumented cache
 // from 8 goroutines with a mixed hit/miss/insert workload (run under
 // -race in `make verify` and CI). Every lookup is exactly one hit or one

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -72,29 +73,40 @@ func paJobs(t *testing.T) [][]core.VMRequest {
 }
 
 // TestFleetIndexClassesMatchGrouping drives random Add/SetDown/SetUp
-// sequences and, at every step, compares the index's incrementally kept
-// classes with a from-scratch grouping of the equivalent up-server
-// view, and AuditInvariants with its re-derived class membership. At
-// checkpoints the proactive strategy places every probe job through the
-// index and through the linear view; both must choose the same servers,
-// which ties the index's classes to the allocator's own per-call
-// grouping. The fleet mixes servers overfilled past the index ceiling,
-// servers at the allocator's MaxVMsPerServer (which the search must
-// skip), and down servers.
+// sequences and queries the classes after every burst of one to eight
+// mutations, comparing the index's incrementally kept classes — and
+// the class order it carries over from the previous query — with a
+// from-scratch grouping of the equivalent up-server view, and running
+// AuditInvariants with its re-derived class membership. The bursts
+// retire classes and reuse their sets for other allocations between
+// two queries. Every query's classes must be accepted by the
+// allocator, which rejects classes out of order. At checkpoints the
+// proactive strategy places every probe job through the index and
+// through the linear view; both must choose the same servers, which
+// ties the index's classes to the allocator's own per-call grouping.
+// The fleet mixes servers overfilled past the index ceiling, servers
+// at the allocator's MaxVMsPerServer (which the search must skip), and
+// down servers.
 func TestFleetIndexClassesMatchGrouping(t *testing.T) {
 	const servers, maxOcc, paMax = 40, 6, 5
 	pa, err := NewProactive(sharedDB(t), core.GoalBalanced, paMax)
 	if err != nil {
 		t.Fatal(err)
 	}
+	allocator, err := core.NewAllocator(core.Config{DB: sharedDB(t), MaxVMsPerServer: paMax, SearchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := mkVMs(t, workload.ClassCPU, 1, 0)
 	jobs := paJobs(t)
 	r := rng.New(17)
 	idx := NewFleetIndex(servers, maxOcc)
 	alloc := make([]model.Key, servers)
 	down := make([]bool, servers)
 	dst := make([]int, 4)
-	sawOver, sawFull, sawDown := false, false, false
-	for step := 0; step < 3000; step++ {
+	// mutate applies one random Add/SetDown/SetUp to the index and the
+	// ground truth alike.
+	mutate := func() {
 		i := r.Intn(servers)
 		c := workload.Classes[r.Intn(workload.NumClasses)]
 		switch op := r.Intn(10); {
@@ -110,6 +122,15 @@ func TestFleetIndexClassesMatchGrouping(t *testing.T) {
 		case op == 9 && down[i]:
 			idx.SetUp(i)
 			down[i] = false
+		}
+	}
+	// setKeys records which allocation each set held at the last query;
+	// a set holding another allocation now was retired and reused.
+	setKeys := map[int32]model.Key{}
+	sawOver, sawFull, sawDown, sawReuse := false, false, false, false
+	for step := 0; step < 3000; step++ {
+		for burst := 1 + r.Intn(8); burst > 0; burst-- {
+			mutate()
 		}
 		for j := range alloc {
 			sawOver = sawOver || (!down[j] && alloc[j].Total() > maxOcc)
@@ -130,6 +151,19 @@ func TestFleetIndexClassesMatchGrouping(t *testing.T) {
 					step, ci, got[ci].Alloc, got[ci].Members, want[ci].Alloc, want[ci].Members)
 			}
 		}
+		if _, _, err := allocator.AllocateClasses(core.GoalBalanced, got, probe, nil); err != nil && !errors.Is(err, core.ErrInfeasible) {
+			t.Fatalf("step %d: allocator rejects the index's classes: %v", step, err)
+		}
+		for s := range idx.classes.sets {
+			c := &idx.classes.sets[s]
+			if c.n == 0 {
+				continue
+			}
+			if k, ok := setKeys[int32(s)]; ok && k != c.key {
+				sawReuse = true
+			}
+			setKeys[int32(s)] = c.key
+		}
 		if err := idx.AuditInvariants(func(j int) model.Key { return alloc[j] }); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -145,8 +179,9 @@ func TestFleetIndexClassesMatchGrouping(t *testing.T) {
 			}
 		}
 	}
-	if !sawOver || !sawFull || !sawDown {
-		t.Errorf("walk missed a case: overfilled %v, at the allocator cap %v, down %v", sawOver, sawFull, sawDown)
+	if !sawOver || !sawFull || !sawDown || !sawReuse {
+		t.Errorf("walk missed a case: overfilled %v, at the allocator cap %v, down %v, set reused between queries %v",
+			sawOver, sawFull, sawDown, sawReuse)
 	}
 }
 
@@ -172,12 +207,14 @@ func TestFleetIndexClassAuditCatchesCorruption(t *testing.T) {
 		t.Fatalf("consistent index fails its audit: %v", err)
 	}
 	corruptions := map[string]func(ci *classIndex){
-		"member bit dropped": func(ci *classIndex) { ci.sets[ci.of[0]].members.clear(0) },
-		"extra member bit":   func(ci *classIndex) { ci.sets[ci.of[0]].members.set(5) },
-		"count drifted":      func(ci *classIndex) { ci.sets[ci.of[2]].n++ },
-		"down server filed":  func(ci *classIndex) { ci.of[3] = ci.of[4] },
-		"server misfiled":    func(ci *classIndex) { ci.of[0] = ci.of[2] },
-		"lookup lost":        func(ci *classIndex) { delete(ci.slot, ci.sets[ci.of[2]].packed) },
+		"member bit dropped":  func(ci *classIndex) { ci.sets[ci.of[0]].members.clear(0) },
+		"extra member bit":    func(ci *classIndex) { ci.sets[ci.of[0]].members.set(5) },
+		"count drifted":       func(ci *classIndex) { ci.sets[ci.of[2]].n++ },
+		"down server filed":   func(ci *classIndex) { ci.of[3] = ci.of[4] },
+		"server misfiled":     func(ci *classIndex) { ci.of[0] = ci.of[2] },
+		"lookup lost":         func(ci *classIndex) { delete(ci.slot, ci.sets[ci.of[2]].packed) },
+		"order lost a set":    func(ci *classIndex) { ci.order = ci.order[1:] },
+		"order repeats a set": func(ci *classIndex) { ci.order[0] = ci.order[1] },
 	}
 	for name, corrupt := range corruptions {
 		idx, truth := build()
@@ -303,6 +340,32 @@ func TestProactivePlaceIndexedConcurrent(t *testing.T) {
 	for g := range got {
 		if !reflect.DeepEqual(got[g], want) {
 			t.Errorf("goroutine %d placed differently from the sequential run", g)
+		}
+	}
+}
+
+// BenchmarkFleetIndexClasses measures one class query against a
+// 660-server fleet in the occupancy mix, with four mutations between
+// queries as a placement stream makes them: the previous round's two
+// VMs leave and two new ones arrive, each moving a server between
+// classes and most shifting some class's lowest member.
+func BenchmarkFleetIndexClasses(b *testing.B) {
+	const servers = 660
+	idx := mixIndex(servers)
+	idx.Classes(5)
+	var placed [2]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, s := range placed {
+			if i > 0 {
+				idx.Add(s, workload.ClassCPU, -1)
+			}
+			placed[k] = (i*191 + k*331) % servers
+			idx.Add(placed[k], workload.ClassCPU, 1)
+		}
+		if len(idx.Classes(5)) == 0 {
+			b.Fatal("no classes")
 		}
 	}
 }

@@ -17,8 +17,8 @@ package strategy
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 
 	"pacevm/internal/core"
 	"pacevm/internal/model"
@@ -396,8 +396,12 @@ func (f *FleetIndex) AuditInvariants(alloc func(i int) model.Key) error {
 // class's lowest maxMembers server ids in ascending order — the input
 // core.Allocator.AllocateClasses searches. The first call builds the
 // grouping in O(servers); from then on Add, SetDown and SetUp keep it
-// current in O(1), and a query costs O(classes × maxMembers) with no
-// heap allocation once its buffers have grown. The result aliases
+// current in O(1). The index keeps the class order of the previous
+// query and repairs it with one insertion pass keyed on each class's
+// lowest member; between two decisions only the few classes whose
+// lowest member changed are out of place, so the repair costs
+// O(classes) and a query O(classes × maxMembers), with no heap
+// allocation once its buffers have grown. The result aliases
 // index-owned storage, valid until the next Classes call or mutation;
 // like every index method, it must not race with other use of the
 // index.
@@ -406,21 +410,36 @@ func (f *FleetIndex) Classes(maxMembers int) []core.ServerClass {
 		f.buildClasses()
 	}
 	ci := f.classes
-	ci.out, ci.mem = ci.out[:0], ci.mem[:0]
 	for s := range ci.sets {
 		c := &ci.sets[s]
+		c.first = noMember
+		if c.n > 0 {
+			c.first = c.members.firstFrom(0)
+		}
+	}
+	order := ci.order
+	for i := 1; i < len(order); i++ {
+		s, first := order[i], ci.sets[order[i]].first
+		j := i
+		for ; j > 0 && ci.sets[order[j-1]].first > first; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = s
+	}
+	ci.out, ci.mem = ci.out[:0], ci.mem[:0]
+	for _, s := range order {
+		c := &ci.sets[s]
 		if c.n == 0 {
-			continue
+			break // retired sets sort last
 		}
 		start := len(ci.mem)
-		for m := c.members.firstFrom(0); m >= 0 && len(ci.mem)-start < maxMembers; m = c.members.scanFrom(m + 1) {
+		for m := c.first; m >= 0 && len(ci.mem)-start < maxMembers; m = c.members.scanFrom(m + 1) {
 			ci.mem = append(ci.mem, m)
 		}
 		// A growing ci.mem leaves earlier classes on the old array,
 		// whose contents stay valid: it is never written again.
 		ci.out = append(ci.out, core.ServerClass{Alloc: c.key, Members: ci.mem[start:len(ci.mem):len(ci.mem)]})
 	}
-	slices.SortFunc(ci.out, func(a, b core.ServerClass) int { return a.Members[0] - b.Members[0] })
 	return ci.out
 }
 
@@ -450,6 +469,10 @@ type classIndex struct {
 	free []int32 // sets emptied of members, ready for reuse
 	of   []int32 // server -> its set; -1 while down
 	n    int     // fleet size
+	// order lists every set once, in the previous Classes query's
+	// order: ascending lowest member, retired sets last. A set joins at
+	// the end when it is created.
+	order []int32
 
 	// Classes query buffers.
 	out []core.ServerClass
@@ -462,7 +485,13 @@ type classSet struct {
 	key     model.Key
 	members bitset
 	n       int
+	// first is the lowest member as of the last Classes query, or
+	// noMember for a retired set: the key of the class order.
+	first int
 }
+
+// noMember is a retired set's order key: it sorts after every server id.
+const noMember = math.MaxInt
 
 // join adds up server i to the class of allocation k.
 func (ci *classIndex) join(i int, k packedAlloc) {
@@ -474,6 +503,7 @@ func (ci *classIndex) join(i int, k packedAlloc) {
 		} else {
 			s = int32(len(ci.sets))
 			ci.sets = append(ci.sets, classSet{members: newBitset(ci.n)})
+			ci.order = append(ci.order, s)
 		}
 		ci.sets[s].packed, ci.sets[s].key = k, k.key()
 		ci.slot[k] = s
@@ -540,6 +570,16 @@ func (ci *classIndex) audit(f *FleetIndex) error {
 	}
 	if len(ci.slot) != live {
 		return fmt.Errorf("strategy: %d class lookups for %d live classes", len(ci.slot), live)
+	}
+	listed := make([]bool, len(ci.sets))
+	for _, s := range ci.order {
+		if s < 0 || int(s) >= len(ci.sets) || listed[s] {
+			return fmt.Errorf("strategy: class order lists set %d twice or out of range", s)
+		}
+		listed[s] = true
+	}
+	if len(ci.order) != len(ci.sets) {
+		return fmt.Errorf("strategy: class order lists %d of %d sets", len(ci.order), len(ci.sets))
 	}
 	return nil
 }
