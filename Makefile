@@ -109,13 +109,16 @@ metrics-smoke:
 	PACEVM_SOAK_DIR=$(CURDIR)/serve-soak-artifacts \
 		$(GO) test -count=1 -run TestMetricsSmoke -v ./internal/serve
 
-# fuzz-smoke gives each text-input parser, and the placement service's
-# journal reader and snapshot+journal restore, a short adversarial burst
-# (one target per invocation, as go test -fuzz requires). A restore
-# costs about a millisecond, so the serve targets cap the minimization
-# of each new corpus entry, which otherwise eats the whole burst.
+# fuzz-smoke gives each text-input parser, swf.Merge (against its
+# stable-sort oracle), and the placement service's journal reader and
+# snapshot+journal restore, a short adversarial burst (one target per
+# invocation, as go test -fuzz requires; -run NONE skips the unit tests
+# where a package holds more than one target). A restore costs about a
+# millisecond, so the serve targets cap the minimization of each new
+# corpus entry, which otherwise eats the whole burst.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 5s ./internal/swf
+	$(GO) test -run NONE -fuzz FuzzMerge -fuzztime 5s ./internal/swf
 	$(GO) test -fuzz FuzzReadSchedule -fuzztime 5s ./internal/faults
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 5s ./internal/model
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
@@ -144,15 +147,17 @@ bench-alloc:
 # huge entry ever lands on a single noisy sample again. AllocateFleet is
 # the partition-search layer entry: one PA decision against a
 # 660-server fleet; FleetIndexClasses is the class query that feeds it,
-# with a few mutations between queries.
+# with a few mutations between queries. TracePrepare is the set-up
+# layer: generating and preparing the 100k-VM trace a sim-pa run uses.
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core \
-		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 2 -benchmem ./internal/strategy; } \
+		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 2 -benchmem ./internal/strategy \
+		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 2 -benchmem ./internal/trace; } \
 		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'Serve=2' -require 'ServeObs=2' \
-			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -o BENCH_sim.json
+			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark
 # document against the committed BENCH_sim.json baseline and reports

@@ -109,7 +109,7 @@ func main() {
 	flag.StringVar(&opt.stratName, "strategy", "PA-0.5", "FF, FF-2, FF-3, BF-n, PA-1, PA-0, PA-0.5 or PA-<alpha>")
 	flag.IntVar(&opt.servers, "servers", 66, "cloud size")
 	flag.Uint64Var(&opt.seed, "seed", 42, "random seed for trace generation")
-	flag.IntVar(&opt.vms, "vms", 10000, "target VM count for a generated trace")
+	flag.IntVar(&opt.vms, "vms", 10000, "target VM count for a generated trace; with -swf, the VM count to replay (0 = the whole trace)")
 	flag.StringVar(&opt.swfPath, "swf", "", "SWF trace to replay (default: generate synthetically)")
 	flag.StringVar(&opt.modelDir, "model", "", "directory with model.csv/aux.csv (default: run the campaign in-process)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a Chrome trace-event JSON timeline of the run (plus <path>.manifest.json)")
@@ -158,6 +158,9 @@ func run(opt options) error {
 	}
 	if opt.reference && (opt.decisionLog != "" || opt.watchdogEvery != 0) {
 		return fmt.Errorf("-decision-log/-watchdog need the optimized simulator; drop -reference (the reference loop carries no observation hooks)")
+	}
+	if opt.vms < 0 {
+		return fmt.Errorf("-vms %d must be non-negative", opt.vms)
 	}
 	if opt.seriesCap < 0 {
 		return fmt.Errorf("-series-cap %d must be non-negative", opt.seriesCap)

@@ -179,6 +179,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{"series with reference loop", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.reference = true }},
 		{"unwritable vm-audit output", func(o *options) { o.vmAuditPath = filepath.Join(dir, "no", "such", "dir", "a.csv") }},
 		{"unwritable series output", func(o *options) { o.seriesPath = filepath.Join(dir, "no", "such", "dir", "s.csv") }},
+		{"negative vms", func(o *options) { o.vms = -100 }},
 		{"negative series cap", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.seriesCap = -1 }},
 		{"negative shards", func(o *options) { o.shards = -1 }},
 		{"negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -10 }},
@@ -200,6 +201,28 @@ func TestRunErrorPaths(t *testing.T) {
 				t.Error("run() accepted a broken configuration")
 			}
 		})
+	}
+}
+
+// TestRunVMsWithSWF replays a small SWF file: -vms 0 replays the whole
+// trace, and a negative -vms is refused rather than read as "whole
+// trace".
+func TestRunVMsWithSWF(t *testing.T) {
+	dir := modelDir(t)
+	swfPath := filepath.Join(t.TempDir(), "small.swf")
+	jobs := "1 0 0 600 2 -1 -1 2 1200 -1 1 3 1 7 1 1 -1 -1\n" +
+		"2 30 0 450 1 -1 -1 1 900 -1 1 4 1 7 1 1 -1 -1\n" +
+		"3 60 0 300 4 -1 -1 4 600 -1 1 2 1 8 1 1 -1 -1\n"
+	if err := os.WriteFile(swfPath, []byte(jobs), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := options{stratName: "FF-3", servers: 4, seed: 1, vms: 0, swfPath: swfPath, modelDir: dir}
+	if err := run(opt); err != nil {
+		t.Fatalf("-vms 0 with -swf: %v", err)
+	}
+	opt.vms = -1
+	if err := run(opt); err == nil {
+		t.Error("-vms -1 with -swf was accepted")
 	}
 }
 

@@ -13,9 +13,10 @@ package swf
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -176,26 +177,50 @@ func fmtFloat(f float64) string {
 // Merge combines several traces into one, as the paper does with the
 // multi-file Grid Observatory logs ("as they are usually composed of
 // multiple files we combined them into a single file"). Jobs are
-// re-sorted by submit time and renumbered; headers are taken from the
-// first trace.
+// re-sorted by submit time, stably (equal submit times keep trace order,
+// then file order), and renumbered from 1; headers are taken from the
+// first trace. The input traces are left unmodified.
 func Merge(traces ...*Trace) *Trace {
 	out := &Trace{Header: map[string]string{}}
-	for i, tr := range traces {
-		if i == 0 {
-			for _, k := range tr.HeaderOrder {
-				out.HeaderOrder = append(out.HeaderOrder, k)
-				out.Header[k] = tr.Header[k]
-			}
-		}
-		out.Jobs = append(out.Jobs, tr.Jobs...)
+	n := 0
+	for _, tr := range traces {
+		n += len(tr.Jobs)
 	}
-	sort.SliceStable(out.Jobs, func(i, j int) bool {
-		return out.Jobs[i].SubmitTime < out.Jobs[j].SubmitTime
+	if len(traces) > 0 {
+		out.HeaderOrder = slices.Clone(traces[0].HeaderOrder)
+		for _, k := range out.HeaderOrder {
+			out.Header[k] = traces[0].Header[k]
+		}
+	}
+	// Sort 16-byte (submit time, position) keys instead of the 144-byte
+	// records: the position tie-break makes an unstable O(n log n) sort
+	// produce exactly the stable order, and each job is then copied once.
+	keys := make([]mergeKey, 0, n)
+	for t, tr := range traces {
+		for i := range tr.Jobs {
+			keys = append(keys, mergeKey{submit: tr.Jobs[i].SubmitTime, pos: uint64(t)<<32 | uint64(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b mergeKey) int {
+		if a.submit != b.submit {
+			return cmp.Compare(a.submit, b.submit)
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
-	for i := range out.Jobs {
+	out.Jobs = make([]Job, n)
+	for i, k := range keys {
+		out.Jobs[i] = traces[k.pos>>32].Jobs[uint32(k.pos)]
 		out.Jobs[i].JobNumber = i + 1
 	}
 	return out
+}
+
+// mergeKey is one job's sort key in Merge: its submit time, then its
+// position across the inputs (trace index in the high 32 bits, job
+// index in the low 32).
+type mergeKey struct {
+	submit int64
+	pos    uint64
 }
 
 // CleanReport summarizes what Clean removed.
@@ -214,7 +239,7 @@ type CleanReport struct {
 // requested limit (> 10× a positive request).
 func Clean(tr *Trace) (*Trace, CleanReport) {
 	rep := CleanReport{Input: len(tr.Jobs)}
-	out := &Trace{Header: tr.Header, HeaderOrder: tr.HeaderOrder}
+	out := &Trace{Header: tr.Header, HeaderOrder: tr.HeaderOrder, Jobs: make([]Job, 0, len(tr.Jobs))}
 	for _, j := range tr.Jobs {
 		switch {
 		case j.Status == StatusFailed:

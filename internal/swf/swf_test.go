@@ -2,6 +2,9 @@ package swf
 
 import (
 	"bytes"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -191,6 +194,74 @@ func TestMergeStableOnTies(t *testing.T) {
 	if m.Jobs[0].UserID != 1 || m.Jobs[1].UserID != 2 {
 		t.Error("merge not stable on equal submit times")
 	}
+}
+
+// TestMergeContract pins Merge's edge cases: no traces, empty traces,
+// renumbering, headers from the first trace only, and untouched inputs.
+func TestMergeContract(t *testing.T) {
+	t.Run("no traces", func(t *testing.T) {
+		m := Merge()
+		if len(m.Jobs) != 0 || len(m.Header) != 0 || len(m.HeaderOrder) != 0 {
+			t.Errorf("Merge() = %+v, want an empty trace", m)
+		}
+		if m.Header == nil {
+			t.Error("Merge() left Header nil")
+		}
+	})
+	t.Run("empty traces", func(t *testing.T) {
+		m := Merge(&Trace{}, &Trace{Jobs: []Job{}})
+		if len(m.Jobs) != 0 {
+			t.Errorf("jobs = %+v, want none", m.Jobs)
+		}
+	})
+	t.Run("renumbers from 1 across traces", func(t *testing.T) {
+		// Each input file numbers its own jobs from 1; the merged trace
+		// numbers them once, in merged order.
+		a := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 50}, {JobNumber: 2, SubmitTime: 10}}}
+		b := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 30}, {JobNumber: 2, SubmitTime: 10}}}
+		m := Merge(a, b)
+		wantSubmits := []int64{10, 10, 30, 50}
+		for i, j := range m.Jobs {
+			if j.JobNumber != i+1 || j.SubmitTime != wantSubmits[i] {
+				t.Errorf("job %d = #%d at %d, want #%d at %d", i, j.JobNumber, j.SubmitTime, i+1, wantSubmits[i])
+			}
+		}
+	})
+	t.Run("first trace headers", func(t *testing.T) {
+		a := &Trace{
+			Header:      map[string]string{"Version": "2.2", "Computer": "a"},
+			HeaderOrder: []string{"Version", "Computer"},
+		}
+		b := &Trace{
+			Header:      map[string]string{"Computer": "b", "Note": "dropped"},
+			HeaderOrder: []string{"Computer", "Note"},
+		}
+		m := Merge(a, b)
+		if !slices.Equal(m.HeaderOrder, []string{"Version", "Computer"}) {
+			t.Errorf("header order = %v", m.HeaderOrder)
+		}
+		if !maps.Equal(m.Header, a.Header) {
+			t.Errorf("header = %v, want %v", m.Header, a.Header)
+		}
+		m.Header["Version"] = "changed"
+		m.HeaderOrder[0] = "changed"
+		if a.Header["Version"] != "2.2" || a.HeaderOrder[0] != "Version" {
+			t.Error("merged header aliases the first trace's")
+		}
+	})
+	t.Run("inputs unmodified", func(t *testing.T) {
+		a := &Trace{Jobs: []Job{{JobNumber: 9, SubmitTime: 300}, {JobNumber: 8, SubmitTime: 100}}}
+		b := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 200}}}
+		before := cloneTraces([]*Trace{a, b})
+		m := Merge(a, b)
+		if !reflect.DeepEqual([]*Trace{a, b}, before) {
+			t.Errorf("inputs changed: %+v %+v", a, b)
+		}
+		m.Jobs[0].UserID = 42
+		if a.Jobs[1].UserID != 0 {
+			t.Error("merged jobs alias the input records")
+		}
+	})
 }
 
 func TestProcCount(t *testing.T) {

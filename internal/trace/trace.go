@@ -148,6 +148,7 @@ func Generate(cfg GenConfig) (*swf.Trace, error) {
 			"Note":     "generated workload; see internal/trace",
 		},
 		HeaderOrder: []string{"Version", "Computer", "Note"},
+		Jobs:        make([]swf.Job, 0, cfg.Jobs),
 	}
 
 	const day = 24 * 3600
@@ -217,7 +218,7 @@ type PrepConfig struct {
 	Seed uint64
 	// TargetVMs stops conversion once this many VMs have been emitted
 	// (the paper's input trace "requests a total of 10,000 VMs"). Zero
-	// converts the whole trace.
+	// converts the whole trace; a negative value is an error.
 	TargetVMs int
 	// QoSFactor is the per-class maximum response time as a multiple of
 	// the request's nominal execution time — defined "per application
@@ -254,6 +255,9 @@ type PrepReport struct {
 // 1–4 VMs; QoS attaches per class.
 func Prepare(tr *swf.Trace, cfg PrepConfig) ([]Request, PrepReport, error) {
 	var rep PrepReport
+	if cfg.TargetVMs < 0 {
+		return nil, rep, fmt.Errorf("trace: negative TargetVMs %d", cfg.TargetVMs)
+	}
 	for _, c := range workload.Classes {
 		if cfg.QoSFactor[c] < 0 {
 			return nil, rep, fmt.Errorf("trace: negative QoS factor for %v", c)
@@ -263,7 +267,13 @@ func Prepare(tr *swf.Trace, cfg PrepConfig) ([]Request, PrepReport, error) {
 	rep.Clean = cleanRep
 
 	profiles := rng.NewSource(cfg.Seed).Stream("trace.profiles")
-	var out []Request
+	// Every request carries at least one VM, so the target bounds the
+	// request count as well as the trace does.
+	n := len(clean.Jobs)
+	if cfg.TargetVMs > 0 {
+		n = min(n, cfg.TargetVMs)
+	}
+	out := make([]Request, 0, n)
 	burstLeft := 0
 	var burstClass workload.Class
 	for _, j := range clean.Jobs {

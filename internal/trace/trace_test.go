@@ -202,6 +202,26 @@ func TestPrepareRejectsNegativeQoS(t *testing.T) {
 	}
 }
 
+func TestPrepareRejectsNegativeTargetVMs(t *testing.T) {
+	tr, err := Generate(DefaultGenConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultPrepConfig(1)
+	cfg.TargetVMs = -100
+	if _, _, err := Prepare(tr, cfg); err == nil {
+		t.Error("negative TargetVMs should fail, not convert the whole trace")
+	}
+	cfg.TargetVMs = 0
+	reqs, rep, err := Prepare(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != rep.Clean.Kept {
+		t.Errorf("TargetVMs 0 converted %d of %d cleaned jobs, want all", len(reqs), rep.Clean.Kept)
+	}
+}
+
 func TestVMCountScaling(t *testing.T) {
 	// "we assigned 1 to 4 VMs per job request rather than the original
 	// CPU demand"
