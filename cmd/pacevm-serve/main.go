@@ -100,7 +100,7 @@ func main() {
 	flag.DurationVar(&opt.snapshotEvery, "snapshot-every", 2*time.Second, "snapshot period")
 	flag.BoolVar(&opt.fsync, "fsync", false, "fsync every journal record (machine-crash durability, not just kill -9)")
 	flag.BoolVar(&opt.restore, "restore", false, "restore from -snapshot (+journal replay) instead of starting fresh")
-	flag.StringVar(&opt.decisionLog, "decision-log", "", "write the admission/ladder/placement flight-recorder log as JSONL at drain")
+	flag.StringVar(&opt.decisionLog, "decision-log", "", "attach the admission/ladder/placement flight recorder and write its log here as JSONL at drain (unset: no recorder, nothing is recorded)")
 	flag.DurationVar(&opt.watchdogEvery, "watchdog", time.Second, "online invariant sweep period (negative = off)")
 	flag.StringVar(&opt.debugAddr, "debug-addr", "", "serve /debug/pprof, /debug/vars and /debug/dash on this address")
 	flag.DurationVar(&opt.drainTimeout, "drain-timeout", 10*time.Second, "max wait for queues to empty at shutdown")
@@ -161,35 +161,8 @@ func run(opt options) error {
 		defer accessW.Close()
 	}
 
-	rec := cloudsim.NewDecisionRecorder()
 	reg := obs.NewRegistry()
-	cfg := serve.Config{
-		DB:              db,
-		Goal:            core.Goal{Alpha: opt.alpha},
-		Servers:         opt.servers,
-		Shards:          opt.shards,
-		MaxVMsPerServer: opt.maxVMs,
-		DegradedBudget:  opt.budget,
-		QueueCap:        opt.queueCap,
-		RequestTimeout:  opt.timeout,
-		Watermarks:      marks,
-		Hysteresis:      opt.hysteresis,
-		LadderDwell:     opt.dwell,
-		RatePerSec:      opt.rate,
-		RateBurst:       opt.burst,
-		SnapshotPath:    opt.snapshot,
-		JournalPath:     opt.journal,
-		SnapshotEvery:   opt.snapshotEvery,
-		Fsync:           opt.fsync,
-		Restore:         opt.restore,
-		WatchdogEvery:   opt.watchdogEvery,
-		Recorder:        rec,
-		Obs:             reg,
-		SlowRing:        opt.slowRing,
-		SLOTarget:       opt.sloTarget,
-		SLOObjective:    opt.sloObjective,
-		SLOWindow:       opt.sloWindow,
-	}
+	cfg := serviceConfig(opt, marks, db, reg)
 	if accessW != nil {
 		cfg.AccessLog = accessW
 	}
@@ -250,11 +223,11 @@ func run(opt options) error {
 	_ = srv.Close()
 
 	violations := svc.Drain(opt.drainTimeout)
-	if opt.decisionLog != "" {
-		if err := writeDecisionLog(opt.decisionLog, rec); err != nil {
+	if cfg.Recorder != nil {
+		if err := writeDecisionLog(opt.decisionLog, cfg.Recorder); err != nil {
 			return err
 		}
-		fmt.Printf("pacevm-serve: decision log: %s (%d decisions)\n", opt.decisionLog, rec.Len())
+		fmt.Printf("pacevm-serve: decision log: %s (%d decisions)\n", opt.decisionLog, cfg.Recorder.Len())
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {
@@ -264,6 +237,43 @@ func run(opt options) error {
 	}
 	fmt.Println("pacevm-serve: drained clean")
 	return nil
+}
+
+// serviceConfig assembles the service configuration from the flags.
+// The decision recorder is attached only when -decision-log asks for
+// the log: without one every decision stops at the service's nil check
+// instead of growing an in-memory log that nothing reads.
+func serviceConfig(opt options, marks [3]time.Duration, db *model.DB, reg *obs.Registry) serve.Config {
+	cfg := serve.Config{
+		DB:              db,
+		Goal:            core.Goal{Alpha: opt.alpha},
+		Servers:         opt.servers,
+		Shards:          opt.shards,
+		MaxVMsPerServer: opt.maxVMs,
+		DegradedBudget:  opt.budget,
+		QueueCap:        opt.queueCap,
+		RequestTimeout:  opt.timeout,
+		Watermarks:      marks,
+		Hysteresis:      opt.hysteresis,
+		LadderDwell:     opt.dwell,
+		RatePerSec:      opt.rate,
+		RateBurst:       opt.burst,
+		SnapshotPath:    opt.snapshot,
+		JournalPath:     opt.journal,
+		SnapshotEvery:   opt.snapshotEvery,
+		Fsync:           opt.fsync,
+		Restore:         opt.restore,
+		WatchdogEvery:   opt.watchdogEvery,
+		Obs:             reg,
+		SlowRing:        opt.slowRing,
+		SLOTarget:       opt.sloTarget,
+		SLOObjective:    opt.sloObjective,
+		SLOWindow:       opt.sloWindow,
+	}
+	if opt.decisionLog != "" {
+		cfg.Recorder = cloudsim.NewDecisionRecorder()
+	}
+	return cfg
 }
 
 // newHTTPServer builds the client-facing HTTP server with the

@@ -87,6 +87,25 @@ func baseOptions(t *testing.T) options {
 	}
 }
 
+// TestServiceConfigRecorder pins the flight recorder as opt-in: the
+// service gets a recorder only when -decision-log names a file to write
+// it to, and the other flags land on their config fields.
+func TestServiceConfigRecorder(t *testing.T) {
+	marks := [3]time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	opt := baseOptions(t)
+	cfg := serviceConfig(opt, marks, sharedDB(t), nil)
+	if cfg.Recorder != nil {
+		t.Fatal("recorder attached without -decision-log")
+	}
+	if cfg.Servers != opt.servers || cfg.Shards != opt.shards || cfg.Watermarks != marks || cfg.DB != sharedDB(t) {
+		t.Fatalf("flags not carried over: %+v", cfg)
+	}
+	opt.decisionLog = filepath.Join(t.TempDir(), "d.jsonl")
+	if cfg := serviceConfig(opt, marks, sharedDB(t), nil); cfg.Recorder == nil {
+		t.Fatal("no recorder with -decision-log set")
+	}
+}
+
 // TestRunErrorPaths drives run() through each failure mode a user can
 // hit from the command line; every one must surface as an error rather
 // than a panic or a silently-started daemon.

@@ -19,7 +19,8 @@ import (
 // server 1 crashed again (evicting slot 0) and server 0 recovered.
 // restored.snap is that build's snapshot of the state it restored from
 // those two files. Restore here must reach the same state byte for
-// byte, pass the watchdog, and re-encode every journal record as read.
+// byte, pass the watchdog, and re-encode every journal record as read,
+// through json.Marshal and through the journal's own encoder.
 func TestFormatCompat(t *testing.T) {
 	src := filepath.Join("testdata", "compat")
 	dir := t.TempDir()
@@ -80,6 +81,9 @@ func TestFormatCompat(t *testing.T) {
 		}
 		if !bytes.Equal(b, lines[i]) {
 			t.Errorf("journal record %d re-encodes as\n%s\nwas\n%s", i+1, b, lines[i])
+		}
+		if b, err := appendJrec(nil, &recs[i]); err != nil || !bytes.Equal(b, lines[i]) {
+			t.Errorf("journal record %d: appendJrec writes\n%s (err %v)\nwas\n%s", i+1, b, err, lines[i])
 		}
 	}
 }

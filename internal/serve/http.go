@@ -15,9 +15,11 @@ package serve
 // falling back to the remote host. Every 429/503 carries a Retry-After
 // header (integer seconds, rounded up) sized from the actual cause:
 // token-bucket deficit, request timeout, or the top ladder watermark.
+// A POST body over 64 KiB is refused with 413.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -83,10 +85,10 @@ func (s *Service) Handler(chaos bool) http.Handler {
 		}
 		var req PlaceRequest
 		rt.StageStart(stageDecode)
-		err := json.NewDecoder(r.Body).Decode(&req)
+		err := decodeBody(w, r, &req)
 		rt.StageEnd(stageDecode)
 		if err != nil {
-			out := Outcome{Status: 400, Reason: "bad json: " + err.Error()}
+			out := badBody(err, "bad json: "+err.Error())
 			writeOutcome(w, out)
 			s.observeRequest(rt, clientID(r), "/v1/place", out)
 			return
@@ -104,10 +106,10 @@ func (s *Service) Handler(chaos bool) http.Handler {
 			Key string `json:"key"`
 		}
 		rt.StageStart(stageDecode)
-		err := json.NewDecoder(r.Body).Decode(&req)
+		err := decodeBody(w, r, &req)
 		rt.StageEnd(stageDecode)
 		if err != nil || req.Key == "" {
-			out := Outcome{Status: 400, Reason: "bad json: missing key"}
+			out := badBody(err, "bad json: missing key")
 			writeOutcome(w, out)
 			s.observeRequest(rt, clientID(r), "/v1/release", out)
 			return
@@ -169,8 +171,8 @@ func (s *Service) chaosHandler(op func(int) error) http.HandlerFunc {
 		var req struct {
 			Server int `json:"server"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeOutcome(w, Outcome{Status: 400, Reason: "bad json: " + err.Error()})
+		if err := decodeBody(w, r, &req); err != nil {
+			writeOutcome(w, badBody(err, "bad json: "+err.Error()))
 			return
 		}
 		if err := op(req.Server); err != nil {
@@ -179,6 +181,28 @@ func (s *Service) chaosHandler(op func(int) error) http.HandlerFunc {
 		}
 		w.WriteHeader(202)
 	}
+}
+
+// maxBodyBytes caps a data-plane request body. Every valid request is
+// far smaller; the cap keeps one oversized body from buffering without
+// bound.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes of it.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+}
+
+// badBody is the outcome for a request body decodeBody rejected (or
+// that lacks a required field, with err nil): 413 past the size cap,
+// otherwise 400 with reason.
+func badBody(err error, reason string) Outcome {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return Outcome{Status: http.StatusRequestEntityTooLarge, Reason: fmt.Sprintf("request body over %d bytes", maxBodyBytes)}
+	}
+	return Outcome{Status: 400, Reason: reason}
 }
 
 // clientID identifies the caller for rate limiting.

@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -42,7 +43,9 @@ const (
 
 // jrec is one journal record. Kind selects the meaningful fields; the
 // integer zero values decode identically whether written or omitted,
-// so omitempty is safe throughout.
+// so omitempty is safe throughout. appendJrec writes what these tags
+// (and placement's) spell; a tag change must change it too, or
+// FuzzJournalEncode fails.
 type jrec struct {
 	Seq  int    `json:"seq"`
 	Kind string `json:"kind"`
@@ -79,6 +82,9 @@ type journal struct {
 	f     *os.File
 	seq   int
 	fsync bool
+	// buf holds the record being written; it is reused, so a
+	// steady-state append allocates nothing.
+	buf []byte
 }
 
 // openJournal opens (creating if absent) the journal for appending,
@@ -112,12 +118,12 @@ func (j *journal) append(r *jrec) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r.Seq = j.seq + 1
-	b, err := json.Marshal(r)
+	b, err := appendJrec(j.buf[:0], r)
 	if err != nil {
 		return 0, err
 	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
+	j.buf = append(b, '\n')
+	if _, err := j.f.Write(j.buf); err != nil {
 		return 0, err
 	}
 	if j.fsync {
@@ -210,7 +216,8 @@ const snapshotVersion = 1
 // placements (released ones included) and the queued and parked work,
 // as the service keeps them. Occupancy is not stored: restore re-derives
 // the capacity index from the live placements, so the restored state is
-// consistent by construction.
+// consistent by construction. appendSnapPayload writes what these tags
+// (and placement's and queued's) spell.
 type snapPayload struct {
 	Seq        int          `json:"seq"` // journal records <= Seq are folded in
 	NextVMID   int          `json:"next_vm_id"`
@@ -223,33 +230,32 @@ type snapPayload struct {
 }
 
 // snapFile is the on-disk wrapper: version, CRC-32 (IEEE) of the raw
-// payload bytes, payload.
+// payload bytes, payload. readSnapshotFile decodes it;
+// writeSnapshotFile writes the same bytes by hand.
 type snapFile struct {
 	Version int             `json:"version"`
 	CRC     uint32          `json:"crc32"`
 	Payload json.RawMessage `json:"payload"`
 }
 
-// writeSnapshotFile writes the snapshot atomically: marshal, checksum,
+// writeSnapshotFile writes the snapshot atomically: encode, checksum,
 // write to a same-directory temp file, fsync, rename over the target.
 // A crash at any point leaves either the old snapshot or the new one,
-// never a torn file.
-func writeSnapshotFile(path string, p *snapPayload) error {
-	raw, err := json.Marshal(p)
+// never a torn file. The document is encoded into *buf, which the next
+// snapshot reuses.
+func writeSnapshotFile(path string, p *snapPayload, buf *[]byte) error {
+	doc, err := appendSnapshot((*buf)[:0], p)
 	if err != nil {
 		return err
 	}
-	doc, err := json.Marshal(snapFile{Version: snapshotVersion, CRC: crc32.ChecksumIEEE(raw), Payload: raw})
-	if err != nil {
-		return err
-	}
+	*buf = doc
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(doc, '\n')); err != nil {
+	if _, err := tmp.Write(doc); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -275,6 +281,33 @@ func writeSnapshotFile(path string, p *snapPayload) error {
 		return err
 	}
 	return d.Close()
+}
+
+// snapHeadroom is the space appendSnapshot reserves ahead of the
+// payload for the frame's opening, {"version":V,"crc32":C,"payload":,
+// which is at most 42 bytes.
+const snapHeadroom = 64
+
+// appendSnapshot appends the snapshot document, the bytes
+// json.Marshal(snapFile{...}) plus a newline would be, without a
+// second encoding of the payload: the payload is encoded once after
+// some headroom, checksummed, and slid back behind the frame's opening,
+// written by hand.
+func appendSnapshot(b []byte, p *snapPayload) ([]byte, error) {
+	base := len(b)
+	b, err := appendSnapPayload(append(b, make([]byte, snapHeadroom)...), p)
+	if err != nil {
+		return b, err
+	}
+	var head [snapHeadroom]byte
+	h := append(head[:0], `{"version":`...)
+	h = strconv.AppendInt(h, snapshotVersion, 10)
+	h = append(h, `,"crc32":`...)
+	h = strconv.AppendUint(h, uint64(crc32.ChecksumIEEE(b[base+snapHeadroom:])), 10)
+	h = append(h, `,"payload":`...)
+	n := copy(b[base:], h)
+	b = append(b[:base+n], b[base+snapHeadroom:]...)
+	return append(b, '}', '\n'), nil
 }
 
 // readSnapshotFile loads and verifies a snapshot. A missing file means

@@ -123,6 +123,9 @@ func (l *ladder) step(now time.Time, to int) {
 	l.lastStep = now
 	l.gauge.Set(int64(to))
 	l.steps.Inc()
+	if l.rec == nil {
+		return
+	}
 	l.rec.Record(cloudsim.Decision{
 		Kind: cloudsim.DecisionDegrade, T: now.Sub(l.start).Seconds(),
 		Shard: -1, Req: -1, From: from, To: to,

@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -410,6 +411,11 @@ type Service struct {
 	nextVMID    int   // next uid to assign (uids are 1-based)
 	lastSeq     int   // last journal seq applied to state
 	jSize       int64 // restore: end of the journal's last valid record
+
+	// snap and snapBuf are the last snapshot's payload and encoding,
+	// reused by the next; writeSnapshot holds every shard's smu.
+	snap    snapPayload
+	snapBuf []byte
 
 	draining atomic.Bool
 	stop     chan struct{}
@@ -1299,19 +1305,21 @@ func (s *Service) keysLocked() []string {
 	return keys
 }
 
-// captureLocked assembles a consistent snapshot payload. Callers hold
-// every shard's smu; with those held there is no appended-but-unapplied
-// journal record, so lastSeq names the state exactly — and no placement
-// can change, so the payload shares the live ones until the caller
-// releases the smus.
+// captureLocked assembles a consistent snapshot payload in s.snap,
+// reusing the previous one's slices. Callers hold every shard's smu;
+// with those held there is no appended-but-unapplied journal record, so
+// lastSeq names the state exactly — and no placement can change, so the
+// payload shares the live ones until the caller releases the smus.
 func (s *Service) captureLocked() *snapPayload {
 	defer s.lockAll(qmuOf)()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	p := &snapPayload{
+	p := &s.snap
+	*p = snapPayload{
 		Seq: s.lastSeq, NextVMID: s.nextVMID,
 		Servers: s.cfg.Servers, Shards: s.cfg.Shards, MaxVMs: s.cfg.MaxVMsPerServer,
+		Down: p.Down[:0], Placements: p.Placements[:0], Queue: p.Queue[:0],
 	}
 	for _, sh := range s.shards {
 		for i := 0; i < sh.n; i++ {
@@ -1320,8 +1328,13 @@ func (s *Service) captureLocked() *snapPayload {
 			}
 		}
 	}
-	for _, k := range s.keysLocked() {
-		p.Placements = append(p.Placements, s.byKey[k])
+	// In key order; byKey maps each placement's own key to it.
+	for _, pl := range s.byKey {
+		p.Placements = append(p.Placements, pl)
+	}
+	slices.SortFunc(p.Placements, func(a, b *placement) int { return strings.Compare(a.Key, b.Key) })
+	if len(p.Placements) == 0 {
+		p.Placements = nil // encoded as null, as before any placement
 	}
 	for _, sh := range s.shards {
 		for _, q := range sh.pend {
@@ -1345,7 +1358,7 @@ func (s *Service) writeSnapshot() error {
 	}
 	defer s.lockAll(smuOf)()
 	p := s.captureLocked()
-	if err := writeSnapshotFile(s.cfg.SnapshotPath, p); err != nil {
+	if err := writeSnapshotFile(s.cfg.SnapshotPath, p, &s.snapBuf); err != nil {
 		return err
 	}
 	if s.j != nil {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,6 +142,43 @@ func TestPlaceValidation(t *testing.T) {
 		if out := s.Place("test", req); out.Status != 400 {
 			t.Errorf("case %d: status %d, want 400 (%+v)", i, out.Status, req)
 		}
+	}
+	drainClean(t, s)
+}
+
+// TestOversizedBodyRejected pins the request-body cap: a place,
+// release or chaos body past maxBodyBytes is answered 413 without being
+// buffered whole, and the service stays healthy and keeps placing.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, err := NewService(testConfig(t, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler(true)
+	post := func(path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return w
+	}
+	huge := strings.Repeat("k", 1<<20)
+	for path, body := range map[string]string{
+		"/v1/place":         `{"key":"` + huge + `","class":"cpu","vms":1}`,
+		"/v1/release":       `{"key":"` + huge + `"}`,
+		"/v1/chaos/crash":   `{"server":0,"pad":"` + huge + `"}`,
+		"/v1/chaos/recover": `{"server":0,"pad":"` + huge + `"}`,
+	} {
+		w := post(path, body)
+		if got := w.Body.String(); w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(got, "request body over") {
+			t.Errorf("%s with a 1 MiB body: %d %.80s", path, w.Code, got)
+		}
+	}
+	if w := post("/v1/place", `{"key":"after","class":"cpu","vms":1}`); w.Code != 200 {
+		t.Fatalf("place after oversized bodies: %d %s", w.Code, w.Body)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/healthz", nil))
+	if w.Code != 200 {
+		t.Fatalf("healthz after oversized bodies: %d %s", w.Code, w.Body)
 	}
 	drainClean(t, s)
 }
@@ -502,7 +541,7 @@ func TestRestoreDropsSettledQueueEntries(t *testing.T) {
 			{Key: "queued", VMs: 1, Shard: 0},
 			{Key: "evicted", VMs: 1, Requeue: true, Shard: 0, Slot: 0, VMID: 2},
 		},
-	})
+	}, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
