@@ -52,7 +52,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -83,7 +82,6 @@ type options struct {
 	alwaysOn    bool
 	consolidate bool
 	backfill    int
-	reference   bool
 
 	mtbf         float64
 	mttr         float64
@@ -117,7 +115,6 @@ func main() {
 	flag.BoolVar(&opt.alwaysOn, "always-on", false, "bill 125 W for empty servers instead of powering them off")
 	flag.BoolVar(&opt.consolidate, "consolidate", false, "enable reactive migration-based consolidation (30 s per move)")
 	flag.IntVar(&opt.backfill, "backfill", 0, "backfill window depth behind a blocked queue head (0 = strict FCFS)")
-	flag.BoolVar(&opt.reference, "reference", false, "run the preserved naive simulator instead of the optimized event loop")
 	flag.Float64Var(&opt.mtbf, "mtbf", 0, "mean seconds between failures per server; 0 disables fault injection")
 	flag.Float64Var(&opt.mttr, "mttr", 300, "mean outage seconds per failure (used with -mtbf)")
 	flag.StringVar(&opt.faultsPath, "faults", "", "fault schedule CSV to replay (server,down_s,up_s header); overrides -mtbf")
@@ -147,18 +144,6 @@ func main() {
 }
 
 func run(opt options) error {
-	if opt.reference && opt.tracePath != "" {
-		return fmt.Errorf("-trace needs the optimized simulator; drop -reference (the reference loop carries no telemetry hooks)")
-	}
-	if opt.reference && (opt.faultsPath != "" || opt.mtbf > 0) {
-		return fmt.Errorf("fault injection needs the optimized simulator; drop -reference")
-	}
-	if opt.reference && (opt.vmAuditPath != "" || opt.seriesPath != "") {
-		return fmt.Errorf("-vm-audit/-series need the optimized simulator; drop -reference (the reference loop carries no observation hooks)")
-	}
-	if opt.reference && (opt.decisionLog != "" || opt.watchdogEvery != 0) {
-		return fmt.Errorf("-decision-log/-watchdog need the optimized simulator; drop -reference (the reference loop carries no observation hooks)")
-	}
 	if opt.vms < 0 {
 		return fmt.Errorf("-vms %d must be non-negative", opt.vms)
 	}
@@ -176,13 +161,10 @@ func run(opt options) error {
 	if opt.watchdogEvery < 0 {
 		return fmt.Errorf("-watchdog %d must be non-negative (0 = off)", opt.watchdogEvery)
 	}
-	if opt.shards > 1 && opt.reference {
-		return fmt.Errorf("-shards needs the optimized simulator; drop -reference")
-	}
 	if opt.steal && opt.shards <= 1 {
 		return fmt.Errorf("-steal needs -shards > 1; a single shard has nowhere to hand work off")
 	}
-	checkpoint, err := parseCheckpoint(opt.checkpoint)
+	checkpoint, err := faults.ParsePolicy(opt.checkpoint)
 	if err != nil {
 		return err
 	}
@@ -274,9 +256,6 @@ func run(opt options) error {
 	}
 	cfg.Watchdog = wd
 	simulate := cloudsim.Run
-	if opt.reference {
-		simulate = cloudsim.RunReference
-	}
 	if opt.shards > 1 {
 		sc := cloudsim.ShardConfig{Shards: opt.shards, Window: units.Seconds(opt.shardWindow), Steal: opt.steal}
 		simulate = func(cfg cloudsim.Config, reqs []trace.Request) (cloudsim.Result, error) {
@@ -477,23 +456,6 @@ func loadFaults(opt options, reqs []trace.Request) (faults.Schedule, error) {
 		MTTR:    units.Seconds(opt.mttr),
 		Horizon: horizon,
 	})
-}
-
-func parseCheckpoint(s string) (faults.CheckpointPolicy, error) {
-	if s == "" || s == "restart" {
-		return faults.Restart{}, nil
-	}
-	if rest, ok := strings.CutPrefix(s, "periodic:"); ok {
-		v, err := strconv.ParseFloat(rest, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad checkpoint interval %q: %w", rest, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("checkpoint interval %g must be positive", v)
-		}
-		return faults.Periodic{Interval: units.Seconds(v)}, nil
-	}
-	return nil, fmt.Errorf("unknown checkpoint policy %q (want restart or periodic:<seconds>)", s)
 }
 
 func parseStrategy(db *model.DB, name string, searchBudget int, reg *obs.Registry) (strategy.Strategy, error) {

@@ -13,6 +13,7 @@ import (
 
 	"pacevm/internal/campaign"
 	"pacevm/internal/cloudsim"
+	"pacevm/internal/faults"
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
 )
@@ -72,6 +73,8 @@ func TestParseStrategyErrors(t *testing.T) {
 	}
 }
 
+// TestParseCheckpoint pins the values the -checkpoint flag accepts and
+// rejects; run hands the flag to faults.ParsePolicy unchanged.
 func TestParseCheckpoint(t *testing.T) {
 	for _, c := range []struct{ in, want string }{
 		{"", "restart"},
@@ -79,18 +82,18 @@ func TestParseCheckpoint(t *testing.T) {
 		{"periodic:300", "periodic:300"},
 		{"periodic:0.5", "periodic:0.5"},
 	} {
-		cp, err := parseCheckpoint(c.in)
+		cp, err := faults.ParsePolicy(c.in)
 		if err != nil {
-			t.Errorf("parseCheckpoint(%q): %v", c.in, err)
+			t.Errorf("-checkpoint %q: %v", c.in, err)
 			continue
 		}
 		if cp.Name() != c.want {
-			t.Errorf("parseCheckpoint(%q).Name() = %q, want %q", c.in, cp.Name(), c.want)
+			t.Errorf("-checkpoint %q: Name() = %q, want %q", c.in, cp.Name(), c.want)
 		}
 	}
-	for _, in := range []string{"never", "periodic:", "periodic:x", "periodic:-5", "periodic:0"} {
-		if _, err := parseCheckpoint(in); err == nil {
-			t.Errorf("parseCheckpoint(%q) accepted bad input", in)
+	for _, in := range []string{"never", "periodic:", "periodic:x", "periodic:-5", "periodic:0", "periodic:Inf", "periodic:NaN"} {
+		if _, err := faults.ParsePolicy(in); err == nil {
+			t.Errorf("-checkpoint %q accepted bad input", in)
 		}
 	}
 }
@@ -169,14 +172,11 @@ func TestRunErrorPaths(t *testing.T) {
 		{"missing model dir", func(o *options) { o.modelDir = filepath.Join(dir, "nope") }},
 		{"missing swf input", func(o *options) { o.swfPath = filepath.Join(dir, "missing.swf") }},
 		{"unwritable trace output", func(o *options) { o.tracePath = filepath.Join(dir, "no", "such", "dir", "t.json") }},
-		{"trace with reference loop", func(o *options) { o.tracePath = filepath.Join(dir, "t.json"); o.reference = true }},
 		{"bad debug address", func(o *options) { o.debugAddr = "notanaddress:-1" }},
-		{"faults with reference loop", func(o *options) { o.mtbf = 5000; o.mttr = 300; o.reference = true }},
 		{"missing fault schedule", func(o *options) { o.faultsPath = filepath.Join(dir, "missing.csv") }},
 		{"mtbf without mttr", func(o *options) { o.mtbf = 5000 }},
 		{"bad checkpoint policy", func(o *options) { o.checkpoint = "sometimes" }},
-		{"vm-audit with reference loop", func(o *options) { o.vmAuditPath = filepath.Join(dir, "a.csv"); o.reference = true }},
-		{"series with reference loop", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.reference = true }},
+		{"non-finite checkpoint interval", func(o *options) { o.checkpoint = "periodic:NaN" }},
 		{"unwritable vm-audit output", func(o *options) { o.vmAuditPath = filepath.Join(dir, "no", "such", "dir", "a.csv") }},
 		{"unwritable series output", func(o *options) { o.seriesPath = filepath.Join(dir, "no", "such", "dir", "s.csv") }},
 		{"negative vms", func(o *options) { o.vms = -100 }},
@@ -186,11 +186,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"explicit zero shard window", func(o *options) { o.shards = 2; o.shardWindow = 0; o.windowSet = true }},
 		{"explicit negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -1; o.windowSet = true }},
 		{"negative watchdog period", func(o *options) { o.watchdogEvery = -1 }},
-		{"shards with reference loop", func(o *options) { o.shards = 2; o.reference = true }},
 		{"more shards than servers", func(o *options) { o.shards = 8 }},
 		{"steal without shards", func(o *options) { o.steal = true }},
-		{"decision log with reference loop", func(o *options) { o.decisionLog = filepath.Join(dir, "d.jsonl"); o.reference = true }},
-		{"watchdog with reference loop", func(o *options) { o.watchdogEvery = 100; o.reference = true }},
 		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }},
 	}
 	for _, c := range cases {

@@ -20,8 +20,9 @@
 // placement view and active-server count maintained incrementally,
 // pooled VM state, and — for strategies implementing
 // strategy.IndexedPlacer — O(1) capacity-indexed placement. RunReference
-// retains the naive transcription as the equivalence oracle; the golden
-// tests prove both produce byte-identical Metrics and VMRecord streams.
+// (reference_test.go, test-only) retains the naive transcription as the
+// equivalence oracle; the golden tests prove both produce byte-identical
+// Metrics and VMRecord streams.
 package cloudsim
 
 import (
@@ -48,12 +49,6 @@ import (
 type Config struct {
 	// DB is the model database used to price allocations.
 	DB *model.DB
-	// ServerDBs optionally assigns a different model database to
-	// individual servers — the heterogeneous-hardware extension, where
-	// each hardware class carries its own benchmarking campaign. When
-	// provided it must have one entry per server; nil entries fall back
-	// to DB.
-	ServerDBs []*model.DB
 	// Servers is the cloud size (the paper's SMALLER and LARGER clouds
 	// differ only here, by ~15 %).
 	Servers int
@@ -323,7 +318,7 @@ type allocInfo struct {
 // and two slab reads. 16 mirrors the resident-slab carve-out bound.
 const denseCachePerClass = 16
 
-// denseCache is one database's pricing cache: the dense table plus the
+// denseCache is the simulator's pricing cache: the dense table plus the
 // out-of-range spill map (nil until first needed).
 type denseCache struct {
 	d    int // exclusive per-component bound of the dense table
@@ -434,13 +429,10 @@ type sim struct {
 	// whole fleet, so a mostly-idle large fleet pays O(occupied), not
 	// O(servers), per consolidation event.
 	occ []uint64
-	// dbs lists the distinct databases in use; caches and reference
-	// times are kept per database.
-	dbs   []*model.DB
-	cache []denseCache
-	refT  [][workload.NumClasses]units.Seconds
-	// dbOf maps a server index to its database index.
-	dbOf []int
+	// cache memoizes Config.DB's pricing; refT is its per-class
+	// reference time, the numerator of every progress rate.
+	cache denseCache
+	refT  [workload.NumClasses]units.Seconds
 
 	// Placement scratch, reused across tryPlace calls.
 	vmbuf     [maxJobVMs]core.VMRequest
@@ -529,9 +521,6 @@ func (cfg Config) Validate() error {
 	if cfg.MigrationCost < 0 {
 		return fmt.Errorf("cloudsim: negative MigrationCost %v", cfg.MigrationCost)
 	}
-	if cfg.ServerDBs != nil && len(cfg.ServerDBs) != cfg.Servers {
-		return fmt.Errorf("cloudsim: %d ServerDBs for %d servers", len(cfg.ServerDBs), cfg.Servers)
-	}
 	if err := cfg.Faults.Validate(cfg.Servers); err != nil {
 		return fmt.Errorf("cloudsim: fault schedule: %w", err)
 	}
@@ -565,39 +554,15 @@ func validateConfig(cfg Config, reqs []trace.Request) (Config, error) {
 	return cfg, nil
 }
 
-// registerDBs maps each server onto its model database, validating
-// reference times once per distinct database.
-func registerDBs(cfg Config) (dbs []*model.DB, refT [][workload.NumClasses]units.Seconds, dbOf []int, err error) {
-	dbIndex := map[*model.DB]int{}
-	register := func(db *model.DB) (int, error) {
-		if idx, ok := dbIndex[db]; ok {
-			return idx, nil
+// refTimes reads the database's per-class reference times, which must
+// all be positive: they are the numerators of every progress rate.
+func refTimes(db *model.DB) (ref [workload.NumClasses]units.Seconds, err error) {
+	for _, c := range workload.Classes {
+		if ref[c] = db.Aux().RefTime[c]; ref[c] <= 0 {
+			return ref, fmt.Errorf("cloudsim: database has no reference time for %v", c)
 		}
-		var ref [workload.NumClasses]units.Seconds
-		for _, c := range workload.Classes {
-			ref[c] = db.Aux().RefTime[c]
-			if ref[c] <= 0 {
-				return 0, fmt.Errorf("cloudsim: database has no reference time for %v", c)
-			}
-		}
-		dbIndex[db] = len(dbs)
-		dbs = append(dbs, db)
-		refT = append(refT, ref)
-		return dbIndex[db], nil
 	}
-	dbOf = make([]int, cfg.Servers)
-	for i := range dbOf {
-		db := cfg.DB
-		if cfg.ServerDBs != nil && cfg.ServerDBs[i] != nil {
-			db = cfg.ServerDBs[i]
-		}
-		idx, err := register(db)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		dbOf[i] = idx
-	}
-	return dbs, refT, dbOf, nil
+	return ref, nil
 }
 
 // Run simulates the request stream under the configured strategy.
@@ -664,17 +629,14 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 		s.registerWatchdogChecks()
 	}
 	var err error
-	if s.dbs, s.refT, s.dbOf, err = registerDBs(cfg); err != nil {
+	if s.refT, err = refTimes(cfg.DB); err != nil {
 		return nil, err
 	}
 	d := cfg.MaxVMsPerServer + 1
 	if d > denseCachePerClass+1 {
 		d = denseCachePerClass + 1
 	}
-	s.cache = make([]denseCache, len(s.dbs))
-	for i := range s.cache {
-		s.cache[i] = denseCache{d: d, ok: make([]bool, d*d*d), info: make([]allocInfo, d*d*d)}
-	}
+	s.cache = denseCache{d: d, ok: make([]bool, d*d*d), info: make([]allocInfo, d*d*d)}
 	// Server state lives in two slabs — the structs themselves and a
 	// shared resident-VM backing carved into per-server capped slices —
 	// so fleet setup costs O(1) allocations instead of O(servers)
@@ -964,16 +926,15 @@ func (s *sim) qremove(i int) {
 // power. Shared so info can hand out a pointer without allocating.
 var zeroAllocInfo allocInfo
 
-// info prices an allocation on a given server, caching database
-// estimates per hardware class. The returned pointer aims into the
-// dense table (or its spill map), whose entries are write-once, so
-// callers and the per-server memo may hold it indefinitely.
-func (s *sim) info(server int, k model.Key) (*allocInfo, error) {
+// info prices an allocation, caching database estimates. The returned
+// pointer aims into the dense table (or its spill map), whose entries
+// are write-once, so callers and the per-server memo may hold it
+// indefinitely.
+func (s *sim) info(k model.Key) (*allocInfo, error) {
 	if k.IsZero() {
 		return &zeroAllocInfo, nil
 	}
-	di := s.dbOf[server]
-	ca := &s.cache[di]
+	ca := &s.cache
 	slot := ca.slot(k)
 	if slot >= 0 {
 		if ca.ok[slot] {
@@ -985,7 +946,7 @@ func (s *sim) info(server int, k model.Key) (*allocInfo, error) {
 		return ai, nil
 	}
 	s.stats.pricingMisses.Inc()
-	rec, err := s.dbs[di].Estimate(k)
+	rec, err := s.cfg.DB.Estimate(k)
 	if err != nil {
 		return nil, fmt.Errorf("cloudsim: pricing %v: %w", k, err)
 	}
@@ -996,7 +957,7 @@ func (s *sim) info(server int, k model.Key) (*allocInfo, error) {
 		if ct <= 0 {
 			return nil, fmt.Errorf("cloudsim: record %v has no usable time for %v", k, c)
 		}
-		ai.rate[c] = float64(s.refT[di][c]) / float64(ct)
+		ai.rate[c] = float64(s.refT[c]) / float64(ct)
 	}
 	if slot >= 0 {
 		ca.info[slot], ca.ok[slot] = ai, true
@@ -1014,14 +975,14 @@ func (s *sim) info(server int, k model.Key) (*allocInfo, error) {
 // infoFor prices a server's *current* allocation, memoized on the
 // server until the allocation changes. advance and reschedule price the
 // same unchanged key on every completion event, so the memo replaces
-// the per-database cache probe with one pointer read on the hot path; a
+// the pricing cache probe with one pointer read on the hot path; a
 // memo hit still counts as a pricing-cache hit.
 func (s *sim) infoFor(sv *simServer) (*allocInfo, error) {
 	if sv.ai != nil && sv.aiKey == sv.alloc {
 		s.stats.pricingHits.Inc()
 		return sv.ai, nil
 	}
-	ai, err := s.info(sv.id, sv.alloc)
+	ai, err := s.info(sv.alloc)
 	if err != nil {
 		return nil, err
 	}

@@ -396,7 +396,6 @@ func TestConfigValidate(t *testing.T) {
 		{"nil strategy", func(c *Config) { c.Strategy = nil }, "nil strategy"},
 		{"negative cap", func(c *Config) { c.MaxVMsPerServer = -2 }, "MaxVMsPerServer"},
 		{"negative migration cost", func(c *Config) { c.MigrationCost = -1 }, "negative MigrationCost"},
-		{"serverdbs mismatch", func(c *Config) { c.ServerDBs = make([]*model.DB, 5) }, "ServerDBs"},
 		{"fault out of range", func(c *Config) { c.Faults = faults.Schedule{{Server: 7, Down: 1, Up: 2}} }, "fault schedule"},
 		{"fault overlap", func(c *Config) {
 			c.Faults = faults.Schedule{{Server: 0, Down: 1, Up: 10}, {Server: 0, Down: 5, Up: 20}}

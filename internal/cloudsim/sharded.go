@@ -203,9 +203,6 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 		st := &shardState{base: base[k], servers: base[k+1] - base[k]}
 		scfg := cfg
 		scfg.Servers = st.servers
-		if cfg.ServerDBs != nil {
-			scfg.ServerDBs = cfg.ServerDBs[base[k]:base[k+1]]
-		}
 		scfg.Faults = perFaults[k]
 		if S > 1 {
 			// Substitute private accumulators; the user's handles receive

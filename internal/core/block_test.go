@@ -9,6 +9,26 @@ import (
 	"pacevm/internal/workload"
 )
 
+// EvaluateBlock prices adding the given VMs as one co-located block to a
+// server whose current allocation is base: the estimated execution time
+// of the block's slowest VM under the resulting allocation and the
+// marginal energy of the move. ok is false when the placement is
+// inadmissible (capacity, per-class bound, QoS, or unpriceable
+// allocation). It exposes evalBlock to the pricing tests below.
+func (a *Allocator) EvaluateBlock(base model.Key, vms []VMRequest) (Placement, bool) {
+	var blockKey model.Key
+	for _, vm := range vms {
+		if vm.validate() != nil {
+			return Placement{}, false
+		}
+		blockKey = blockKey.Add(model.KeyFor(vm.Class, 1))
+	}
+	if blockKey.IsZero() || !base.Valid() {
+		return Placement{}, false
+	}
+	return a.evalBlock(base, blockKey, vms, nil)
+}
+
 func TestEvaluateBlockSolo(t *testing.T) {
 	a := mkAllocator(t)
 	ref := refTime(t, workload.ClassCPU)

@@ -467,27 +467,6 @@ func pickBest(goal Goal, cands []candidate, maxT units.Seconds, maxE units.Joule
 	return bestIdx
 }
 
-// EvaluateBlock prices adding the given VMs as one co-located block to a
-// server whose current allocation is base: the estimated execution time
-// of the block's slowest VM under the resulting allocation and the
-// marginal energy of the move. ok is false when the placement is
-// inadmissible (capacity, per-class bound, QoS, or unpriceable
-// allocation). This is the pricing primitive the heterogeneity extension
-// composes per server class.
-func (a *Allocator) EvaluateBlock(base model.Key, vms []VMRequest) (Placement, bool) {
-	var blockKey model.Key
-	for _, vm := range vms {
-		if vm.validate() != nil {
-			return Placement{}, false
-		}
-		blockKey = blockKey.Add(model.KeyFor(vm.Class, 1))
-	}
-	if blockKey.IsZero() || !base.Valid() {
-		return Placement{}, false
-	}
-	return a.evalBlock(base, blockKey, vms, nil)
-}
-
 // evalBlock prices adding blockKey to a server currently at base, and
 // checks QoS for both the new block and any VMs tentatively placed there
 // earlier in this partition.

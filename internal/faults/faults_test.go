@@ -202,15 +202,19 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("ParsePolicy(%q) = %T, want Restart", in, p)
 		}
 	}
-	p, err := ParsePolicy("periodic:600")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		in   string
+		want units.Seconds
+	}{{"periodic:600", 600}, {"periodic:300", 300}, {"periodic:0.5", 0.5}} {
+		p, err := ParsePolicy(c.in)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q): %v", c.in, err)
+		}
+		if per, ok := p.(Periodic); !ok || per.Interval != c.want {
+			t.Fatalf("ParsePolicy(%q) = %#v", c.in, p)
+		}
 	}
-	per, ok := p.(Periodic)
-	if !ok || per.Interval != 600 {
-		t.Fatalf("ParsePolicy(periodic:600) = %#v", p)
-	}
-	for _, in := range []string{"periodic:0", "periodic:-5", "periodic:NaN", "periodic:x", "hourly"} {
+	for _, in := range []string{"periodic:0", "periodic:-5", "periodic:NaN", "periodic:Inf", "periodic:x", "periodic:", "hourly", "never"} {
 		if _, err := ParsePolicy(in); err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", in)
 		}

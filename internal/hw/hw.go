@@ -23,8 +23,7 @@ import (
 
 // Spec describes one physical server model.
 type Spec struct {
-	// Name labels the hardware class (used by the heterogeneity
-	// extension; the paper itself uses a single class).
+	// Name labels the hardware class in validation errors.
 	Name string
 
 	// Capacity is the per-subsystem capacity vector:
@@ -77,38 +76,6 @@ func X3220() Spec {
 			subsys.MEM:  24,
 			subsys.DISK: 16,
 			subsys.NET:  9,
-		},
-		PowerExponent: [subsys.Count]float64{
-			subsys.CPU:  1.15,
-			subsys.MEM:  1,
-			subsys.DISK: 1,
-			subsys.NET:  1,
-		},
-		MaxVMs: 16,
-	}
-}
-
-// DualX5470 returns a second, beefier server class for the
-// heterogeneity extension (the paper's future work ii): a dual-socket
-// quad-core machine with twice the cores, memory, spindles and NICs of
-// the X3220 testbed, and a correspondingly higher power envelope.
-func DualX5470() Spec {
-	return Spec{
-		Name: "dell-2xx5470",
-		Capacity: subsys.V(
-			8,     // 2 × 4 cores
-			10000, // MiB/s memory bandwidth
-			320,   // MiB/s across four HDDs
-			4000,  // Mb/s across four 1GbE NICs
-		),
-		RAM:         8192,
-		RAMReserved: 512,
-		IdlePower:   210,
-		DynamicPower: [subsys.Count]units.Watts{
-			subsys.CPU:  190,
-			subsys.MEM:  40,
-			subsys.DISK: 28,
-			subsys.NET:  16,
 		},
 		PowerExponent: [subsys.Count]float64{
 			subsys.CPU:  1.15,

@@ -64,7 +64,6 @@ type DebugServer struct {
 	watchdogs []*Watchdog
 	wall      *WallTracer
 	slo       *SLOTracker
-	promHelp  map[string]string
 }
 
 // ServeDebug publishes reg under the "pacevm" expvar name (when
@@ -122,17 +121,6 @@ func (d *DebugServer) AddSLO(s *SLOTracker) {
 	d.mu.Unlock()
 }
 
-// SetPromHelp supplies HELP text for /metrics families (family base
-// name -> help line). Safe to call while serving.
-func (d *DebugServer) SetPromHelp(help map[string]string) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	d.promHelp = help
-	d.mu.Unlock()
-}
-
 // handleMetrics renders the registry snapshot (plus the SLO tracker's
 // families, when attached) in the Prometheus text format.
 func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -141,10 +129,10 @@ func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		snap = d.reg.Snapshot()
 	}
 	d.mu.Lock()
-	slo, help := d.slo, d.promHelp
+	slo := d.slo
 	d.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := WritePrometheus(w, snap, help); err != nil {
+	if err := WritePrometheus(w, snap, nil); err != nil {
 		return
 	}
 	slo.WriteProm(w) //nolint:errcheck // client went away mid-scrape

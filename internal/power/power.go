@@ -26,12 +26,6 @@ type Meter struct {
 	Noise *rng.Stream
 }
 
-// NewWattsUp returns a meter with the paper's instrument characteristics:
-// 1 Hz sampling, ±1.5 % accuracy.
-func NewWattsUp(noise *rng.Stream) *Meter {
-	return &Meter{Interval: 1, Accuracy: 0.015, Noise: noise}
-}
-
 // Sample is one meter reading.
 type Sample struct {
 	At units.Seconds

@@ -69,8 +69,14 @@ func TestStepTimelineAveragedWithinWindow(t *testing.T) {
 	}
 }
 
+// wattsUp is a meter with the paper's instrument characteristics: 1 Hz
+// sampling, ±1.5 % accuracy.
+func wattsUp(noise *rng.Stream) *Meter {
+	return &Meter{Interval: 1, Accuracy: 0.015, Noise: noise}
+}
+
 func TestEmptyTimeline(t *testing.T) {
-	m := NewWattsUp(nil)
+	m := wattsUp(nil)
 	got, err := m.Measure(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +99,7 @@ func TestBadConfig(t *testing.T) {
 }
 
 func TestNoiseWithinAccuracy(t *testing.T) {
-	m := NewWattsUp(rng.New(42))
+	m := wattsUp(rng.New(42))
 	got, err := m.Measure(constTimeline(200, 300))
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +116,8 @@ func TestNoiseWithinAccuracy(t *testing.T) {
 }
 
 func TestMeterDeterministicWithSeed(t *testing.T) {
-	a, _ := NewWattsUp(rng.New(7)).Measure(constTimeline(150, 100))
-	b, _ := NewWattsUp(rng.New(7)).Measure(constTimeline(150, 100))
+	a, _ := wattsUp(rng.New(7)).Measure(constTimeline(150, 100))
+	b, _ := wattsUp(rng.New(7)).Measure(constTimeline(150, 100))
 	if a.Energy != b.Energy {
 		t.Error("meter noise not reproducible from seed")
 	}
@@ -159,7 +165,7 @@ func TestEnergyConservationProperty(t *testing.T) {
 
 func TestSampleTimesMonotone(t *testing.T) {
 	res, _ := vmm.Run(vmm.DefaultConfig(), vmm.Replicate(workload.FFTW(), 3))
-	got, _ := NewWattsUp(rng.New(1)).Measure(res.Timeline)
+	got, _ := wattsUp(rng.New(1)).Measure(res.Timeline)
 	for i := 1; i < len(got.Samples); i++ {
 		if got.Samples[i].At <= got.Samples[i-1].At {
 			t.Fatal("sample times not strictly increasing")

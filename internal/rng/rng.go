@@ -144,19 +144,6 @@ func (r *Stream) Pareto(xm, alpha float64) float64 {
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a uniform random permutation of [0,n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Source derives independent named Streams from a master seed. Stream
 // identity depends only on (seed, name), never on derivation order.
 type Source struct {

@@ -1,5 +1,5 @@
 // Package stats provides the summary statistics used by the experiment
-// harness: means, deviations, percentiles and relative-change helpers for
+// harness: means, correlation and relative-change helpers for
 // comparing strategies the way the paper reports them ("saves around 12%
 // of energy consumption on average", "up to 18% shorter execution
 // times").
@@ -8,71 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Summary describes a sample.
-type Summary struct {
-	N        int
-	Mean     float64
-	Std      float64
-	Min, Max float64
-}
-
-// Summarize computes a Summary; an empty sample yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0..100) by linear
-// interpolation. It panics on an empty sample or out-of-range p.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: percentile of empty sample")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", p))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median is the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // SavingPct reports how much smaller got is than baseline, in percent:
 // positive means an improvement (got < baseline). A zero baseline yields
@@ -82,22 +18,6 @@ func SavingPct(baseline, got float64) float64 {
 		return 0
 	}
 	return 100 * (baseline - got) / baseline
-}
-
-// GeoMean returns the geometric mean of positive values; it panics if any
-// value is non-positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: geomean of empty sample")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: geomean of non-positive value %v", x))
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Pearson returns the Pearson correlation coefficient of two paired
@@ -111,7 +31,8 @@ func Pearson(xs, ys []float64) float64 {
 	if len(xs) < 2 {
 		panic("stats: Pearson needs at least two points")
 	}
-	mx, my := Summarize(xs).Mean, Summarize(ys).Mean
+	id := func(x float64) float64 { return x }
+	mx, my := MeanOf(xs, id), MeanOf(ys, id)
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my

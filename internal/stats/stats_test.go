@@ -2,73 +2,10 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("summary = %+v", s)
-	}
-	// Sample std of this classic dataset is ~2.138.
-	if math.Abs(s.Std-2.1380899) > 1e-6 {
-		t.Errorf("std = %v", s.Std)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-	s := Summarize([]float64{3})
-	if s.N != 1 || s.Mean != 3 || s.Std != 0 || s.Min != 3 || s.Max != 3 {
-		t.Errorf("single summary = %+v", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile([]float64{1, 2}, 50); got != 1.5 {
-		t.Errorf("interpolated median = %v", got)
-	}
-	if got := Median([]float64{9}); got != 9 {
-		t.Errorf("single median = %v", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Percentile(nil, 50) },
-		func() { Percentile([]float64{1}, -1) },
-		func() { Percentile([]float64{1}, 101) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
 
 func TestSavingPct(t *testing.T) {
 	if got := SavingPct(100, 88); got != 12 {
@@ -82,18 +19,6 @@ func TestSavingPct(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean of zero should panic")
-		}
-	}()
-	GeoMean([]float64{0, 1})
-}
-
 func TestMeanOf(t *testing.T) {
 	type pair struct{ a, b float64 }
 	xs := []pair{{1, 10}, {3, 20}}
@@ -102,27 +27,6 @@ func TestMeanOf(t *testing.T) {
 	}
 	if got := MeanOf(nil, func(p pair) float64 { return p.a }); got != 0 {
 		t.Errorf("MeanOf empty = %v", got)
-	}
-}
-
-func TestPercentileWithinBoundsProperty(t *testing.T) {
-	f := func(raw []float64, pRaw uint8) bool {
-		var xs []float64
-		for _, r := range raw {
-			if !math.IsNaN(r) && !math.IsInf(r, 0) {
-				xs = append(xs, r)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		p := float64(pRaw % 101)
-		got := Percentile(xs, p)
-		s := Summarize(xs)
-		return got >= s.Min-1e-9 && got <= s.Max+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -137,8 +41,8 @@ func TestMeanBetweenMinMaxProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s := Summarize(xs)
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9 && s.Std >= 0
+		mean := MeanOf(xs, func(x float64) float64 { return x })
+		return mean >= slices.Min(xs)-1e-9 && mean <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

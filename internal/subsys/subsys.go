@@ -119,17 +119,6 @@ func (v Vector) Max(w Vector) Vector {
 	return v
 }
 
-// MaxComponent returns the largest component and its subsystem.
-func (v Vector) MaxComponent() (ID, float64) {
-	best, id := v[0], All[0]
-	for i := 1; i < Count; i++ {
-		if v[i] > best {
-			best, id = v[i], All[i]
-		}
-	}
-	return id, best
-}
-
 // Sum returns the sum of components.
 func (v Vector) Sum() float64 {
 	s := 0.0

@@ -69,18 +69,6 @@ func TestDiv(t *testing.T) {
 	}
 }
 
-func TestMaxComponent(t *testing.T) {
-	id, v := V(0.1, 0.9, 0.3, 0.2).MaxComponent()
-	if id != MEM || v != 0.9 {
-		t.Errorf("MaxComponent = %v,%v", id, v)
-	}
-	// Ties resolve to the earlier subsystem in canonical order.
-	id, _ = V(0.5, 0.5, 0.5, 0.5).MaxComponent()
-	if id != CPU {
-		t.Errorf("tie should pick CPU, got %v", id)
-	}
-}
-
 func TestDominates(t *testing.T) {
 	if !V(1, 1, 1, 1).Dominates(V(1, 0.5, 0, 1)) {
 		t.Error("should dominate")

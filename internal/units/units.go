@@ -32,9 +32,6 @@ func (s Seconds) Duration() time.Duration {
 	return time.Duration(d)
 }
 
-// FromDuration converts a time.Duration into Seconds.
-func FromDuration(d time.Duration) Seconds { return Seconds(d.Seconds()) }
-
 func (s Seconds) String() string { return fmt.Sprintf("%.3fs", float64(s)) }
 
 // Watts is instantaneous power.

@@ -34,21 +34,6 @@ func TestSecondsDurationSaturates(t *testing.T) {
 	}
 }
 
-func TestFromDurationRoundTrip(t *testing.T) {
-	f := func(ms int32) bool {
-		d := time.Duration(ms) * time.Millisecond
-		s := FromDuration(d)
-		back := s.Duration()
-		// float64 cannot represent every nanosecond count exactly;
-		// allow one nanosecond of round-trip error.
-		diff := back - d
-		return diff >= -1 && diff <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPowerTimes(t *testing.T) {
 	e := Watts(125).Times(Seconds(60))
 	if e != Joules(7500) {

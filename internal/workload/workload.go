@@ -92,15 +92,6 @@ func (b Benchmark) SoloTime() units.Seconds {
 	return t
 }
 
-// PeakDemand is the componentwise maximum demand over phases.
-func (b Benchmark) PeakDemand() subsys.Vector {
-	var v subsys.Vector
-	for _, p := range b.Phases {
-		v = v.Max(p.Demand)
-	}
-	return v
-}
-
 // AvgDemand is the solo-duration-weighted mean demand vector. The
 // profiler's X-intensive classification thresholds apply to this (Sect.
 // III.A: "if the average demand for a subsystem X is significant, we

@@ -96,14 +96,6 @@ func TestAvgDemandEmpty(t *testing.T) {
 	}
 }
 
-func TestPeakDemand(t *testing.T) {
-	b := FFTW()
-	peak := b.PeakDemand()
-	if peak[subsys.CPU] != 0.45 || peak[subsys.MEM] != 520 {
-		t.Errorf("FFTW peak = %v", peak)
-	}
-}
-
 func TestScaled(t *testing.T) {
 	b := HPL()
 	s := b.Scaled(2)
