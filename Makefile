@@ -110,7 +110,8 @@ metrics-smoke:
 		$(GO) test -count=1 -run TestMetricsSmoke -v ./internal/serve
 
 # fuzz-smoke gives each text-input parser, swf.Merge (against its
-# stable-sort oracle), the placement service's journal reader and
+# stable-sort oracle), the power meter (against its per-window-scan
+# oracle), the placement service's journal reader and
 # snapshot+journal restore, and its journal and snapshot encoders
 # (against json.Marshal), a short adversarial burst (one target per
 # invocation, as go test -fuzz requires; -run NONE skips the unit tests
@@ -124,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 5s ./internal/model
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
 	$(GO) test -fuzz FuzzPromEscape -fuzztime 5s ./internal/obs
+	$(GO) test -run NONE -fuzz FuzzMeasure -fuzztime 5s ./internal/power
 	$(GO) test -run NONE -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzRestore -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzJournalEncode -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
@@ -153,6 +155,8 @@ bench-alloc:
 # layer: generating and preparing the 100k-VM trace a sim-pa run uses.
 # JournalAppend and JournalAppendFsync are the service's journal layer:
 # one place record encoded and written, without and with its fsync.
+# CampaignParallel is the model set-up layer: the full-grid campaign
+# pacevm-serve and the simulator build their model database from.
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
@@ -160,10 +164,11 @@ bench-json:
 		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core \
 		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 2 -benchmem ./internal/strategy \
 		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 2 -benchmem ./internal/trace \
-		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve; } \
+		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve \
+		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 2 -benchmem .; } \
 		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'Serve=2' -require 'ServeObs=2' \
 			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
-			-require 'JournalAppend=2' -o BENCH_sim.json
+			-require 'JournalAppend=2' -require 'CampaignParallel=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark
 # document against the committed BENCH_sim.json baseline and reports

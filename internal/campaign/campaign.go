@@ -171,8 +171,9 @@ func runBaseBench(cfg Config, class workload.Class, bench workload.Benchmark) (B
 	}
 	res := BaseResult{Class: class, Bench: bench.Name}
 	bestT, bestE := math.Inf(1), math.Inf(1)
+	var buf vmm.Buffer
 	for n := 1; n <= cfg.MaxBase; n++ {
-		out, meas, err := runOne(cfg, vmm.Replicate(bench, n))
+		out, meas, err := runOne(cfg, &buf, vmm.Replicate(bench, n))
 		if err != nil {
 			return BaseResult{}, fmt.Errorf("campaign: base %s n=%d: %w", bench.Name, n, err)
 		}
@@ -330,7 +331,8 @@ func runBases(cfg Config, sum *Summary) error {
 // they fan out over cfg.workers() goroutines pulling indices from an
 // atomic counter; each result lands at its key's fixed slot and the
 // error reported is the one at the lowest index, making output and
-// failure behavior identical to the serial loop.
+// failure behavior identical to the serial loop. The serial loop and
+// each worker run their experiments on one hypervisor buffer.
 func measureGrid(cfg Config, grid []model.Key) ([]model.Record, error) {
 	recs := make([]model.Record, len(grid))
 	workers := cfg.workers()
@@ -338,8 +340,9 @@ func measureGrid(cfg Config, grid []model.Key) ([]model.Record, error) {
 		workers = len(grid)
 	}
 	if workers <= 1 {
+		var buf vmm.Buffer
 		for i, k := range grid {
-			rec, err := MeasureMix(cfg, k)
+			rec, err := measureMix(cfg, &buf, k)
 			if err != nil {
 				return nil, err
 			}
@@ -354,12 +357,13 @@ func measureGrid(cfg Config, grid []model.Key) ([]model.Record, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf vmm.Buffer
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(grid) {
 					return
 				}
-				recs[i], errs[i] = MeasureMix(cfg, grid[i])
+				recs[i], errs[i] = measureMix(cfg, &buf, grid[i])
 			}
 		}()
 	}
@@ -385,11 +389,16 @@ func mixed(k model.Key) bool {
 // MeasureMix runs one allocation experiment and converts it into a model
 // record.
 func MeasureMix(cfg Config, k model.Key) (model.Record, error) {
+	var buf vmm.Buffer
+	return measureMix(cfg, &buf, k)
+}
+
+// measureMix is MeasureMix running its experiment on buf.
+func measureMix(cfg Config, buf *vmm.Buffer, k model.Key) (model.Record, error) {
 	if !k.Valid() || k.IsZero() {
 		return model.Record{}, fmt.Errorf("campaign: cannot measure key %v", k)
 	}
-	benches := vmm.Mix(k.NCPU, k.NMEM, k.NIO)
-	out, meas, err := runOne(cfg, benches)
+	out, meas, err := runOne(cfg, buf, vmm.Mix(k.NCPU, k.NMEM, k.NIO))
 	if err != nil {
 		return model.Record{}, fmt.Errorf("campaign: mix %v: %w", k, err)
 	}
@@ -418,11 +427,12 @@ func MeasureMix(cfg Config, k model.Key) (model.Record, error) {
 	return rec, nil
 }
 
-// runOne executes one experiment and measures it with the configured
-// meter, widening the sampling interval for very long runs so no single
-// experiment exceeds MeterSamples samples.
-func runOne(cfg Config, benches []workload.Benchmark) (vmm.Result, power.Measurement, error) {
-	out, err := vmm.Run(cfg.VMM, benches)
+// runOne executes one experiment on buf and measures it with the
+// configured meter, widening the sampling interval for very long runs so
+// no single experiment exceeds MeterSamples samples. The returned Result
+// aliases buf.
+func runOne(cfg Config, buf *vmm.Buffer, benches []workload.Benchmark) (vmm.Result, power.Measurement, error) {
+	out, err := buf.Run(cfg.VMM, benches)
 	if err != nil {
 		return vmm.Result{}, power.Measurement{}, err
 	}

@@ -17,19 +17,15 @@ func constTimeline(p units.Watts, dur units.Seconds) []vmm.Interval {
 }
 
 func TestIdealMeterConstantPower(t *testing.T) {
-	m := &Meter{Interval: 1, Accuracy: 0}
-	got, err := m.Measure(constTimeline(125, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, samples := measureBoth(t, 1, 0, noNoise, constTimeline(125, 60))
 	if !units.NearlyEqual(float64(got.Energy), 7500, 1e-9) {
 		t.Errorf("energy = %v, want 7500J", got.Energy)
 	}
 	if got.MaxPower != 125 {
 		t.Errorf("max power = %v", got.MaxPower)
 	}
-	if len(got.Samples) != 60 {
-		t.Errorf("samples = %d, want 60", len(got.Samples))
+	if len(samples) != 60 {
+		t.Errorf("samples = %d, want 60", len(samples))
 	}
 	if got.AvgPower() != 125 {
 		t.Errorf("avg power = %v", got.AvgPower())
@@ -40,32 +36,54 @@ func TestIdealMeterConstantPower(t *testing.T) {
 }
 
 func TestPartialFinalWindow(t *testing.T) {
-	m := &Meter{Interval: 1, Accuracy: 0}
-	got, err := m.Measure(constTimeline(100, 10.5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, samples := measureBoth(t, 1, 0, noNoise, constTimeline(100, 10.5))
 	if !units.NearlyEqual(float64(got.Energy), 1050, 1e-9) {
 		t.Errorf("energy = %v, want 1050J", got.Energy)
 	}
-	if len(got.Samples) != 11 {
-		t.Errorf("samples = %d, want 11", len(got.Samples))
+	if len(samples) != 11 {
+		t.Errorf("samples = %d, want 11", len(samples))
 	}
 }
 
 func TestStepTimelineAveragedWithinWindow(t *testing.T) {
-	m := &Meter{Interval: 1, Accuracy: 0}
 	// 0.5s at 100W then 0.5s at 200W inside one window: sample = 150W.
 	tl := []vmm.Interval{
 		{Start: 0, End: 0.5, Power: 100},
 		{Start: 0.5, End: 1, Power: 200},
 	}
-	got, err := m.Measure(tl)
-	if err != nil {
-		t.Fatal(err)
+	got, samples := measureBoth(t, 1, 0, noNoise, tl)
+	if len(samples) != 1 || math.Abs(float64(samples[0].W-150)) > 1e-9 {
+		t.Fatalf("samples = %+v, want one 150W sample", samples)
 	}
-	if len(got.Samples) != 1 || math.Abs(float64(got.Samples[0].W-150)) > 1e-9 {
-		t.Fatalf("samples = %+v, want one 150W sample", got.Samples)
+	if math.Abs(float64(got.MaxPower-150)) > 1e-9 {
+		t.Errorf("max power = %v, want 150W", got.MaxPower)
+	}
+}
+
+// TestNonContiguousTimelineMatchesOracle feeds timelines with gaps and
+// with an interval that starts before the previous one ends, where a
+// window inside one interval's span may still miss part of it or pick
+// up energy from the next: Measure must take the general scan there
+// and agree with the oracle.
+func TestNonContiguousTimelineMatchesOracle(t *testing.T) {
+	timelines := [][]vmm.Interval{
+		{
+			{Start: 0, End: 4, Power: 100},
+			{Start: 1.5, End: 3, Power: 50},
+			{Start: 3, End: 3, Power: 70},
+			{Start: 2.5, End: 7.25, Power: 80},
+		},
+		{
+			{Start: 2, End: 5, Power: 100},
+			{Start: 6.5, End: 9, Power: 60},
+			{Start: 9, End: 12.1, Power: 90},
+		},
+	}
+	for _, tl := range timelines {
+		for _, interval := range []units.Seconds{0.5, 1, 1.3, 10} {
+			measureBoth(t, interval, 0, noNoise, tl)
+			measureBoth(t, interval, 0.015, 3, tl)
+		}
 	}
 }
 
@@ -76,13 +94,9 @@ func wattsUp(noise *rng.Stream) *Meter {
 }
 
 func TestEmptyTimeline(t *testing.T) {
-	m := wattsUp(nil)
-	got, err := m.Measure(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Energy != 0 || len(got.Samples) != 0 {
-		t.Errorf("empty timeline measurement = %+v", got)
+	got, samples := measureBoth(t, 1, 0.015, noNoise, nil)
+	if got != (Measurement{}) || len(samples) != 0 {
+		t.Errorf("empty timeline measurement = %+v, %d samples", got, len(samples))
 	}
 }
 
@@ -96,15 +110,19 @@ func TestBadConfig(t *testing.T) {
 	if _, err := (&Meter{Interval: 1, Accuracy: -0.1}).Measure(constTimeline(1, 1)); err == nil {
 		t.Error("negative accuracy should fail")
 	}
+	for _, iv := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (&Meter{Interval: units.Seconds(iv)}).Measure(constTimeline(1, 1)); err == nil {
+			t.Errorf("interval %v should fail", iv)
+		}
+	}
+	if _, err := (&Meter{Interval: 1, Accuracy: math.NaN(), Noise: rng.New(1)}).Measure(constTimeline(1, 1)); err == nil {
+		t.Error("NaN accuracy should fail")
+	}
 }
 
 func TestNoiseWithinAccuracy(t *testing.T) {
-	m := wattsUp(rng.New(42))
-	got, err := m.Measure(constTimeline(200, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range got.Samples {
+	got, samples := measureBoth(t, 1, 0.015, 42, constTimeline(200, 300))
+	for _, s := range samples {
 		if s.W < 200*(1-0.015)-1e-9 || s.W > 200*(1+0.015)+1e-9 {
 			t.Fatalf("sample %v outside ±1.5%% of 200W", s.W)
 		}
@@ -165,10 +183,26 @@ func TestEnergyConservationProperty(t *testing.T) {
 
 func TestSampleTimesMonotone(t *testing.T) {
 	res, _ := vmm.Run(vmm.DefaultConfig(), vmm.Replicate(workload.FFTW(), 3))
-	got, _ := wattsUp(rng.New(1)).Measure(res.Timeline)
-	for i := 1; i < len(got.Samples); i++ {
-		if got.Samples[i].At <= got.Samples[i-1].At {
+	_, samples := measureBoth(t, 1, 0.015, 1, res.Timeline)
+	for i := 1; i < len(samples); i++ {
+		if samples[i].At <= samples[i-1].At {
 			t.Fatal("sample times not strictly increasing")
+		}
+	}
+}
+
+// BenchmarkMeasure meters one 12-VM mixed run the way the campaign
+// does: noise-free, at the interval that yields 4000 windows.
+func BenchmarkMeasure(b *testing.B) {
+	res, err := vmm.Run(vmm.DefaultConfig(), vmm.Mix(4, 4, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := &Meter{Interval: res.Makespan() / 4000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Measure(res.Timeline); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -109,16 +109,6 @@ func (v Vector) Div(w Vector) Vector {
 	return out
 }
 
-// Max returns the componentwise maximum of v and w.
-func (v Vector) Max(w Vector) Vector {
-	for i := range v {
-		if w[i] > v[i] {
-			v[i] = w[i]
-		}
-	}
-	return v
-}
-
 // Sum returns the sum of components.
 func (v Vector) Sum() float64 {
 	s := 0.0

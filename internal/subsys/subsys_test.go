@@ -54,9 +54,6 @@ func TestVectorBasicOps(t *testing.T) {
 	if got := a.Scale(2); got != V(2, 4, 6, 8) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := a.Max(b); got != V(4, 3, 3, 4) {
-		t.Errorf("Max = %v", got)
-	}
 	if got := a.Sum(); got != 10 {
 		t.Errorf("Sum = %v", got)
 	}
@@ -146,17 +143,6 @@ func TestSubInverseOfAdd(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaxIsUpperBound(t *testing.T) {
-	f := func(a, b Vector) bool {
-		a, b = bounded(a), bounded(b)
-		m := a.Max(b)
-		return m.Dominates(a) && m.Dominates(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

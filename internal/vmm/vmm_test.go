@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -283,5 +284,57 @@ func TestDeterministic(t *testing.T) {
 	}
 	if a.Energy() != b.Energy() {
 		t.Error("nondeterministic energy")
+	}
+}
+
+// TestMixOrder pins Mix's layout: the CPU, MEM and IO representatives,
+// each replicated, in that order.
+func TestMixOrder(t *testing.T) {
+	var want []workload.Benchmark
+	want = append(want, Replicate(workload.Representative(workload.ClassCPU), 2)...)
+	want = append(want, Replicate(workload.Representative(workload.ClassMEM), 0)...)
+	want = append(want, Replicate(workload.Representative(workload.ClassIO), 3)...)
+	if got := Mix(2, 0, 3); !reflect.DeepEqual(got, want) {
+		t.Errorf("Mix(2, 0, 3) = %v, want %v", got, want)
+	}
+}
+
+// TestBufferMatchesRun runs mixes of different sizes on one Buffer and
+// checks each result against a fresh Run, so nothing of a previous
+// experiment leaks into the next.
+func TestBufferMatchesRun(t *testing.T) {
+	cfg := DefaultConfig()
+	var buf Buffer
+	for _, k := range [][3]int{{4, 4, 4}, {1, 0, 0}, {0, 3, 2}, {6, 5, 5}, {0, 0, 1}} {
+		mix := Mix(k[0], k[1], k[2])
+		want, err := Run(cfg, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := buf.Run(cfg, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mix %v: Buffer.Run differs from Run", k)
+		}
+	}
+}
+
+// TestBufferRunAllocs pins the reuse: once a Buffer has held a run of
+// some size, a run of that size allocates nothing.
+func TestBufferRunAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	mix := Mix(4, 4, 4)
+	var buf Buffer
+	if _, err := buf.Run(cfg, mix); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := buf.Run(cfg, mix); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Buffer.Run allocates %v times per run, want 0", n)
 	}
 }
