@@ -38,7 +38,7 @@ race-sim:
 
 # race-faults races the fault-injection layer: the schedule generator
 # plus the fault-mode simulator and placement-index paths (crash/recover
-# events, re-queue, budgeted-search degradation).
+# events, re-queue, search-budget degradation to first-fit).
 race-faults:
 	$(GO) test -race -run 'Fault|Crash|Checkpoint|DownUp|Degrade|Budget' \
 		./internal/faults ./internal/cloudsim ./internal/strategy ./internal/core

@@ -9,7 +9,6 @@ package pacevm
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -227,7 +226,7 @@ func benchVMs(db *model.DB, n int) []core.VMRequest {
 // residual allocations, through the pruned and memoized search.
 func BenchmarkAllocate(b *testing.B) {
 	db := sharedCtx(b).DB
-	alloc, err := core.NewAllocator(core.Config{DB: db, SearchWorkers: 1})
+	alloc, err := core.NewAllocator(core.Config{DB: db})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,7 +249,7 @@ func BenchmarkAllocate(b *testing.B) {
 // the BenchmarkAllocate numbers are compared against.
 func BenchmarkAllocateReference(b *testing.B) {
 	db := sharedCtx(b).DB
-	alloc, err := core.NewAllocator(core.Config{DB: db, SearchWorkers: 1})
+	alloc, err := core.NewAllocator(core.Config{DB: db})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,29 +264,6 @@ func BenchmarkAllocateReference(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAllocateParallel measures the worker-pool search on an 8-VM
-// job. The pool is sized to the machine but never below two workers, so
-// the fan-out path itself is exercised even on a single-core host.
-func BenchmarkAllocateParallel(b *testing.B) {
-	db := sharedCtx(b).DB
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	alloc, err := core.NewAllocator(core.Config{DB: db, SearchWorkers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	servers := benchServers()
-	vms := benchVMs(db, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := alloc.Allocate(core.GoalBalanced, servers, vms); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

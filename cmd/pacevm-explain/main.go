@@ -308,6 +308,10 @@ func formatDecision(d cloudsim.Decision) string {
 		} else {
 			fmt.Fprintf(&b, " VM %d moved %d->%d", d.VMID, d.From, d.To)
 		}
+	case cloudsim.DecisionDegrade:
+		// The reason names both levels: logs written before the ladder
+		// lost its budgeted-search rung number the levels differently.
+		fmt.Fprintf(&b, " level %d -> %d: %s", d.From, d.To, d.Reason)
 	default:
 		fmt.Fprintf(&b, " %+v", d)
 	}

@@ -90,6 +90,31 @@ func TestExplainJobAndWindows(t *testing.T) {
 	}
 }
 
+// TestExplainDegradeRecords replays the service's ladder records, as
+// written by the four-level ladder (with its budgeted-search rung) and by
+// the three-level one. Both parse; each renders as its level step and
+// reason. Ladder records carry no job, so they list under job 0.
+func TestExplainDegradeRecords(t *testing.T) {
+	var out strings.Builder
+	if err := run(options{logPath: filepath.Join("testdata", "degrade.jsonl"), vm: -1, job: 0}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"degrade level 0 -> 1: queue-wait-ewma 1.2500s; full-search -> budgeted-search\n",
+		"degrade level 2 -> 3: queue-wait-ewma 2.8906s; first-fit -> shed\n",
+		"degrade level 1 -> 0: queue-wait-ewma 0.0232s; budgeted-search -> full-search\n",
+		"degrade level 0 -> 1: queue-wait-ewma 1.2500s; full-search -> first-fit\n",
+		"degrade level 1 -> 2: queue-wait-ewma 2.1875s; first-fit -> shed\n",
+		"degrade level 1 -> 0: queue-wait-ewma 0.0976s; first-fit -> full-search\n",
+		"10 decisions",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("degrade view missing %q:\n%s", want, got)
+		}
+	}
+}
+
 func TestExplainMissingLog(t *testing.T) {
 	err := run(options{logPath: filepath.Join(t.TempDir(), "nope.jsonl"), vm: 1, job: -1}, &strings.Builder{})
 	if err == nil || !os.IsNotExist(err) {

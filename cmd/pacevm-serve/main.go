@@ -45,7 +45,6 @@ type options struct {
 	modelDir      string
 	alpha         float64
 	maxVMs        int
-	budget        int
 	queueCap      int
 	timeout       time.Duration
 	watermarks    string
@@ -87,10 +86,9 @@ func main() {
 	flag.StringVar(&opt.modelDir, "model", "", "directory with model.csv/aux.csv (default: run the campaign in-process)")
 	flag.Float64Var(&opt.alpha, "alpha", 0.5, "PA optimization goal: 1 = energy, 0 = performance")
 	flag.IntVar(&opt.maxVMs, "max-vms", 16, "per-server VM cap (multiple of 4)")
-	flag.IntVar(&opt.budget, "budget", 64, "PA search budget at the budgeted-search ladder level")
 	flag.IntVar(&opt.queueCap, "queue-cap", 256, "per-shard admission queue bound")
 	flag.DurationVar(&opt.timeout, "timeout", 2*time.Second, "per-request deadline")
-	flag.StringVar(&opt.watermarks, "watermarks", "50ms,200ms,800ms", "queue-wait EWMA thresholds stepping the degradation ladder down (3 increasing durations)")
+	flag.StringVar(&opt.watermarks, "watermarks", "200ms,800ms", "queue-wait EWMA thresholds stepping the degradation ladder down to first-fit, then to shedding (2 increasing durations)")
 	flag.Float64Var(&opt.hysteresis, "hysteresis", 0.5, "step-up threshold as a fraction of the step-down watermark")
 	flag.DurationVar(&opt.dwell, "dwell", 200*time.Millisecond, "minimum time between ladder steps")
 	flag.Float64Var(&opt.rate, "rate", 0, "per-client admission rate (requests/s; 0 = unlimited)")
@@ -243,14 +241,13 @@ func run(opt options) error {
 // The decision recorder is attached only when -decision-log asks for
 // the log: without one every decision stops at the service's nil check
 // instead of growing an in-memory log that nothing reads.
-func serviceConfig(opt options, marks [3]time.Duration, db *model.DB, reg *obs.Registry) serve.Config {
+func serviceConfig(opt options, marks [2]time.Duration, db *model.DB, reg *obs.Registry) serve.Config {
 	cfg := serve.Config{
 		DB:              db,
 		Goal:            core.Goal{Alpha: opt.alpha},
 		Servers:         opt.servers,
 		Shards:          opt.shards,
 		MaxVMsPerServer: opt.maxVMs,
-		DegradedBudget:  opt.budget,
 		QueueCap:        opt.queueCap,
 		RequestTimeout:  opt.timeout,
 		Watermarks:      marks,
@@ -319,11 +316,11 @@ func runChaos(svc *serve.Service, schedule faults.Schedule, stop <-chan struct{}
 	}
 }
 
-func parseWatermarks(s string) ([3]time.Duration, error) {
-	var out [3]time.Duration
+func parseWatermarks(s string) ([2]time.Duration, error) {
+	var out [2]time.Duration
 	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return out, fmt.Errorf("watermarks %q: want exactly 3 comma-separated durations", s)
+	if len(parts) != len(out) {
+		return out, fmt.Errorf("watermarks %q: want exactly %d comma-separated durations", s, len(out))
 	}
 	for i, p := range parts {
 		d, err := time.ParseDuration(strings.TrimSpace(p))

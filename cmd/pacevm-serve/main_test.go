@@ -59,15 +59,15 @@ func modelDir(t *testing.T) string {
 }
 
 func TestParseWatermarks(t *testing.T) {
-	marks, err := parseWatermarks("1ms, 20ms,300ms")
+	marks, err := parseWatermarks("20ms, 300ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [3]time.Duration{time.Millisecond, 20 * time.Millisecond, 300 * time.Millisecond}
+	want := [2]time.Duration{20 * time.Millisecond, 300 * time.Millisecond}
 	if marks != want {
 		t.Fatalf("got %v, want %v", marks, want)
 	}
-	for _, bad := range []string{"", "1ms", "1ms,2ms", "1ms,2ms,3ms,4ms", "x,2ms,3ms", "1ms,2,3ms"} {
+	for _, bad := range []string{"", "1ms", "1ms,2ms,3ms", "1ms,2ms,3ms,4ms", "x,2ms", "1ms,2"} {
 		if _, err := parseWatermarks(bad); err == nil {
 			t.Errorf("parseWatermarks(%q) accepted bad input", bad)
 		}
@@ -79,8 +79,8 @@ func TestParseWatermarks(t *testing.T) {
 func baseOptions(t *testing.T) options {
 	return options{
 		addr: "127.0.0.1:0", servers: 8, shards: 2, modelDir: modelDir(t),
-		alpha: 0.5, maxVMs: 4, budget: 64, queueCap: 16,
-		timeout: time.Second, watermarks: "50ms,200ms,800ms",
+		alpha: 0.5, maxVMs: 4, queueCap: 16,
+		timeout: time.Second, watermarks: "200ms,800ms",
 		hysteresis: 0.5, dwell: 100 * time.Millisecond, burst: 8,
 		snapshotEvery: time.Second, watchdogEvery: -1,
 		drainTimeout: 5 * time.Second, chaosMTTR: 5, chaosHorizon: time.Hour,
@@ -91,7 +91,7 @@ func baseOptions(t *testing.T) options {
 // service gets a recorder only when -decision-log names a file to write
 // it to, and the other flags land on their config fields.
 func TestServiceConfigRecorder(t *testing.T) {
-	marks := [3]time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	marks := [2]time.Duration{time.Millisecond, 2 * time.Millisecond}
 	opt := baseOptions(t)
 	cfg := serviceConfig(opt, marks, sharedDB(t), nil)
 	if cfg.Recorder != nil {
@@ -115,9 +115,9 @@ func TestRunErrorPaths(t *testing.T) {
 		mut  func(*options)
 		want string
 	}{
-		{"watermark count", func(o *options) { o.watermarks = "1ms,2ms" }, "exactly 3"},
-		{"watermark junk", func(o *options) { o.watermarks = "1ms,zzz,3ms" }, "watermarks"},
-		{"watermark order", func(o *options) { o.watermarks = "3ms,2ms,1ms" }, "strictly increase"},
+		{"watermark count", func(o *options) { o.watermarks = "1ms,2ms,3ms" }, "exactly 2"},
+		{"watermark junk", func(o *options) { o.watermarks = "1ms,zzz" }, "watermarks"},
+		{"watermark order", func(o *options) { o.watermarks = "2ms,1ms" }, "strictly increase"},
 		{"alpha low", func(o *options) { o.alpha = -0.1 }, "alpha"},
 		{"alpha high", func(o *options) { o.alpha = 1.1 }, "alpha"},
 		{"missing model", func(o *options) { o.modelDir = filepath.Join(t.TempDir(), "nope") }, "no such file"},

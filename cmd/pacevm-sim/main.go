@@ -7,7 +7,7 @@
 //	pacevm-sim -strategy PA-1 -model ./modeldir   # reuse a stored model
 //	pacevm-sim -strategy FF-3 -trace out.json -debug-addr :6060
 //	pacevm-sim -strategy PA-0.5 -mtbf 86400 -mttr 600 -checkpoint periodic:900
-//	pacevm-sim -strategy PA-1 -faults outages.csv -search-budget 5000
+//	pacevm-sim -strategy PA-1 -faults outages.csv -search-budget 4
 //	pacevm-sim -strategy PA-0.5 -vm-audit audit.csv -series series.csv
 //	pacevm-sim -strategy FF-3 -servers 1000 -shards 8
 //	pacevm-sim -strategy PA-0.5 -decision-log decisions.jsonl -watchdog 4096
@@ -36,7 +36,9 @@
 // crash and recover during the run: resident VMs are killed — losing
 // work per the -checkpoint policy — and re-queued, and the report gains
 // availability and goodput lines. -search-budget bounds the PA
-// allocation search, degrading to first-fit when exhausted.
+// allocation search, degrading to first-fit when exhausted. A request
+// holds 1–4 identical VMs, so its search scores at most 5 distinct
+// partitions: budgets of 5 or more never bite on generated traces.
 //
 // With -shards N the fleet is partitioned into N contiguous server
 // groups simulated in parallel and merged deterministically at windowed
@@ -163,6 +165,12 @@ func run(opt options) error {
 	}
 	if opt.steal && opt.shards <= 1 {
 		return fmt.Errorf("-steal needs -shards > 1; a single shard has nowhere to hand work off")
+	}
+	if opt.searchBudget < 0 {
+		return fmt.Errorf("-search-budget %d must be non-negative (0 = unlimited)", opt.searchBudget)
+	}
+	if opt.searchBudget > 0 && !strings.HasPrefix(strings.ToUpper(opt.stratName), "PA-") {
+		return fmt.Errorf("-search-budget bounds the PA search, and strategy %s runs none", opt.stratName)
 	}
 	checkpoint, err := faults.ParsePolicy(opt.checkpoint)
 	if err != nil {

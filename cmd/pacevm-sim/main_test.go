@@ -189,6 +189,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"more shards than servers", func(o *options) { o.shards = 8 }},
 		{"steal without shards", func(o *options) { o.steal = true }},
 		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }},
+		{"negative search budget", func(o *options) { o.stratName = "PA-0.5"; o.searchBudget = -1 }},
+		{"search budget without PA", func(o *options) { o.searchBudget = 3 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

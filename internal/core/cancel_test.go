@@ -7,8 +7,8 @@ import (
 	"pacevm/internal/workload"
 )
 
-// cancelVMs is big enough (6 VMs) that workers=4 exercises the
-// parallel producer, whose cancel poll is a separate code path.
+// cancelVMs is big enough (6 VMs, 3 types) that the enumeration polls
+// the hook many times before it completes.
 func cancelVMs(t *testing.T) []VMRequest {
 	return []VMRequest{
 		vm("a", workload.ClassCPU, refTime(t, workload.ClassCPU), 0),
@@ -49,7 +49,7 @@ func TestCancelNilIsIdentity(t *testing.T) {
 
 // TestCancelFalseIsIdentity pins that a hook that never fires leaves
 // the search result identical — the poll itself must not perturb the
-// enumeration, at any worker count.
+// enumeration.
 func TestCancelFalseIsIdentity(t *testing.T) {
 	vms := cancelVMs(t)
 	servers := emptyServers(4)
@@ -57,29 +57,26 @@ func TestCancelFalseIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		polled := 0
-		a, err := NewAllocator(Config{
-			DB:            sharedDB(t),
-			SearchWorkers: workers,
-			Cancel:        func() bool { polled++; return false },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := a.AllocateExplained(Goal{Alpha: 0.5}, servers, vms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: never-firing Cancel changed the allocation", workers)
-		}
-		if stats.Canceled || stats.Exhausted {
-			t.Fatalf("workers=%d: never-firing Cancel marked the search cut: %+v", workers, stats)
-		}
-		if polled == 0 {
-			t.Fatalf("workers=%d: Cancel hook was never polled", workers)
-		}
+	polled := 0
+	a, err := NewAllocator(Config{
+		DB:     sharedDB(t),
+		Cancel: func() bool { polled++; return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := a.AllocateExplained(Goal{Alpha: 0.5}, servers, vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("never-firing Cancel changed the allocation")
+	}
+	if stats.Canceled || stats.Exhausted {
+		t.Fatalf("never-firing Cancel marked the search cut: %+v", stats)
+	}
+	if polled == 0 {
+		t.Fatal("Cancel hook was never polled")
 	}
 }
 
@@ -104,25 +101,22 @@ func TestCancelDegradesToFirstFit(t *testing.T) {
 		t.Fatal("budget-1 reference did not degrade; the fixture is too small")
 	}
 
-	for _, workers := range []int{1, 4} {
-		calls := 0
-		a, err := NewAllocator(Config{
-			DB:            sharedDB(t),
-			SearchWorkers: workers,
-			Cancel:        func() bool { calls++; return calls > 1 },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stats, err := a.AllocateExplained(Goal{Alpha: 0.5}, servers, vms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !stats.Canceled || !stats.Exhausted || !stats.Degraded || !got.Degraded {
-			t.Fatalf("workers=%d: firing Cancel did not mark the degradation: %+v", workers, stats)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: canceled placement differs from the budget-exhaustion first-fit", workers)
-		}
+	calls := 0
+	a, err := NewAllocator(Config{
+		DB:     sharedDB(t),
+		Cancel: func() bool { calls++; return calls > 1 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := a.AllocateExplained(Goal{Alpha: 0.5}, servers, vms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Canceled || !stats.Exhausted || !stats.Degraded || !got.Degraded {
+		t.Fatalf("firing Cancel did not mark the degradation: %+v", stats)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("canceled placement differs from the budget-exhaustion first-fit")
 	}
 }

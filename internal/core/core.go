@@ -27,15 +27,13 @@
 // of scanning the fleet; block pricings are memoized per (server state,
 // block composition); and
 // candidates are pruned online to the Pareto frontier the α-monotone
-// score selects from; larger searches additionally fan out to a worker
-// pool. All of it is bit-for-bit equivalent to the literal serial
+// score selects from. All of it is bit-for-bit equivalent to the literal
 // transcription retained as AllocateReference.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"pacevm/internal/model"
@@ -125,13 +123,6 @@ type Config struct {
 	// optimum. A negative entry disables the bound for that class
 	// (useful for ablations).
 	PerClassBound [workload.NumClasses]int
-	// SearchWorkers sizes the worker pool the partition search fans out
-	// to for larger VM sets. Zero defaults to runtime.NumCPU(); one
-	// forces the serial in-place search. The result is bit-for-bit
-	// identical at every setting — workers carry the partition's
-	// enumeration index through the reduce, so the paper's
-	// first-of-the-list tie-break is preserved.
-	SearchWorkers int
 	// SearchBudget bounds the exhaustive search: at most this many
 	// deduplicated partitions are scored per Allocate call. Zero (the
 	// default) or negative means unlimited — the paper's behaviour, and
@@ -141,11 +132,11 @@ type Config struct {
 	// deterministic first-fit placement (Allocation.Degraded), so a
 	// budgeted allocator always answers in bounded work. The budget
 	// counts scored candidates, not wall clock, so budgeted runs stay
-	// exactly replayable at any worker count. AllocateReference, the
-	// frozen oracle, ignores the budget.
+	// exactly replayable. AllocateReference, the frozen oracle, ignores
+	// the budget.
 	SearchBudget int
-	// Cancel, when non-nil, is polled by the sequential enumeration
-	// producer between partitions; a true return abandons the search
+	// Cancel, when non-nil, is polled by the enumeration between
+	// partitions; a true return abandons the search
 	// exactly as budget exhaustion does — the partial frontier is
 	// discarded and Allocate degrades to the deterministic first-fit
 	// fallback (Allocation.Degraded, SearchStats.Canceled). This is the
@@ -159,7 +150,7 @@ type Config struct {
 	// AllocateReference.
 	Cancel func() bool
 	// Obs receives search telemetry (partitions enumerated/deduplicated,
-	// Pareto prunes, estimate-cache hit rates, worker-pool utilization).
+	// Pareto prunes, estimate-cache hit rates).
 	// Nil — the default — disables it at zero cost: every instrument
 	// handle resolves to a nil no-op and the search neither allocates
 	// for nor branches into telemetry beyond a nil check. Counter names
@@ -205,12 +196,6 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			cap = m.NIO
 		}
 		cfg.MaxVMsPerServer = cap
-	}
-	if cfg.SearchWorkers < 0 {
-		return nil, errors.New("core: negative SearchWorkers")
-	}
-	if cfg.SearchWorkers == 0 {
-		cfg.SearchWorkers = runtime.NumCPU()
 	}
 	aux := cfg.DB.Aux()
 	for _, c := range workload.Classes {
@@ -323,9 +308,8 @@ type SearchStats struct {
 // canonical typed-multiset signature, block pricing is memoized per
 // (server state, block composition), dominated candidates are discarded
 // online (the α-weighted score is monotone in both estimated time and
-// energy, so the winner always lies on the Pareto frontier), and for
-// larger VM sets the partition stream fans out to a bounded worker
-// pool. Every reduction preserves the enumeration-order tie-breaks, so
+// energy, so the winner always lies on the Pareto frontier). Every
+// reduction preserves the enumeration-order tie-breaks, so
 // the result is bit-for-bit identical to AllocateReference, the
 // retained literal transcription of Sect. III.D.
 //

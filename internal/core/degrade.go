@@ -59,7 +59,7 @@ func (w *searchWorker) firstFit() (candidate, error) {
 		base, _ := w.candBase(pick)
 		at[vi] = w.take(pick, base.Add(blockKey), bmask)
 	}
-	c := candidate{idx: -1}
+	var c candidate
 	vs, ps := len(w.arenaVMs), len(w.arenaPlaces)
 	for ti, t := range w.touched {
 		n := 0

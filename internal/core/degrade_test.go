@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -58,9 +59,9 @@ func (a *Allocator) firstFitReference(servers []ServerState, vms []VMRequest) (A
 	return out, nil
 }
 
-func budgetAllocator(t *testing.T, budget, workers int, reg *obs.Registry) *Allocator {
+func budgetAllocator(t *testing.T, budget int, reg *obs.Registry) *Allocator {
 	t.Helper()
-	a, err := NewAllocator(Config{DB: sharedDB(t), SearchBudget: budget, SearchWorkers: workers, Obs: reg})
+	a, err := NewAllocator(Config{DB: sharedDB(t), SearchBudget: budget, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestSearchBudgetUnlimitedMatchesReference(t *testing.T) {
 	vms := randomVMs(t, r, 6)
 	ref := mkAllocator(t)
 	for _, budget := range []int{0, -1} {
-		a := budgetAllocator(t, budget, 1, nil)
+		a := budgetAllocator(t, budget, nil)
 		for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
 			want, err := ref.AllocateReference(goal, servers, vms)
 			if err != nil {
@@ -100,7 +101,7 @@ func TestSearchBudgetUnlimitedMatchesReference(t *testing.T) {
 // and the obs counters record the event.
 func TestSearchBudgetDegradesToFirstFit(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := budgetAllocator(t, 1, 1, reg) // B(6) >> 1: always exhausts
+	a := budgetAllocator(t, 1, reg) // B(6) >> 1: always exhausts
 	r := rng.New(7)
 	servers := randomFleet(r, 5)
 	vms := randomVMs(t, r, 6)
@@ -131,30 +132,38 @@ func TestSearchBudgetDegradesToFirstFit(t *testing.T) {
 	}
 }
 
-// TestSearchBudgetDeterministicAcrossWorkers pins the replayability
-// contract: the budget is spent producer-side, so a budgeted allocation
-// is identical at every worker count — including whether it degraded.
-func TestSearchBudgetDeterministicAcrossWorkers(t *testing.T) {
+// TestSearchBudgetDeterministic pins the replayability contract: the
+// budget counts scored partitions, not time, so a budgeted allocation
+// is identical on every run — including whether it degraded — whether
+// the allocator is fresh or reuses a pooled search context, and a
+// degraded one is exactly the literal first-fit fallback.
+func TestSearchBudgetDeterministic(t *testing.T) {
 	r := rng.New(17)
 	servers := randomFleet(r, 5)
 	vms := randomVMs(t, r, 7)
+	ff, fferr := mkAllocator(t).firstFitReference(servers, vms)
 	for _, budget := range []int{1, 3, 10, 50} {
-		base := budgetAllocator(t, budget, 1, nil)
+		base := budgetAllocator(t, budget, nil)
 		want, werr := base.Allocate(GoalBalanced, servers, vms)
-		for _, workers := range []int{2, 4, 8} {
-			a := budgetAllocator(t, budget, workers, nil)
+		if werr == nil && want.Degraded {
+			if fferr != nil {
+				t.Fatalf("budget %d: degraded placement where the first-fit reference fails: %v", budget, fferr)
+			}
+			sameAllocation(t, fmt.Sprintf("budget %d vs first-fit reference", budget), want, ff)
+		}
+		for run, a := range []*Allocator{base, base, budgetAllocator(t, budget, nil)} {
 			got, gerr := a.Allocate(GoalBalanced, servers, vms)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("budget %d workers %d: err %v vs serial %v", budget, workers, gerr, werr)
+				t.Fatalf("budget %d run %d: err %v vs first run %v", budget, run, gerr, werr)
 			}
 			if werr != nil {
 				continue
 			}
 			if got.Degraded != want.Degraded {
-				t.Fatalf("budget %d workers %d: degraded %v vs serial %v", budget, workers, got.Degraded, want.Degraded)
+				t.Fatalf("budget %d run %d: degraded %v vs first run %v", budget, run, got.Degraded, want.Degraded)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("budget %d workers %d: allocation differs from serial", budget, workers)
+				t.Fatalf("budget %d run %d: allocation differs from the first run", budget, run)
 			}
 		}
 	}
@@ -172,7 +181,7 @@ func TestSearchBudgetAboveSpaceNeverDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := budgetAllocator(t, 15, 1, nil)
+	a := budgetAllocator(t, 15, nil)
 	got, err := a.Allocate(GoalEnergy, servers, vms)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +203,7 @@ func TestFirstFitFallbackRespectsConstraints(t *testing.T) {
 	// Tight bound: solo estimate is exactly nominal, so MaxTime just
 	// above it admits only solo placement.
 	solo := nominal * units.Seconds(1.0001)
-	a := budgetAllocator(t, 1, 1, nil)
+	a := budgetAllocator(t, 1, nil)
 	vms := []VMRequest{
 		vm("a", class, nominal, solo),
 		vm("b", class, nominal, solo),

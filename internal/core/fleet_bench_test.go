@@ -75,7 +75,7 @@ func groupByAlloc(servers []ServerState) []ServerClass {
 // indexed/n=N entries take the fleet pre-grouped into allocation
 // classes, as a capacity index keeps it.
 func BenchmarkAllocateFleet(b *testing.B) {
-	a, err := NewAllocator(Config{DB: sharedDB(b), SearchWorkers: 1})
+	a, err := NewAllocator(Config{DB: sharedDB(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAllocateAllocsFlatInFleetSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops recycled search scratch at random")
 	}
-	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 1})
+	a, err := NewAllocator(Config{DB: sharedDB(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAllocateClassesAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops recycled search scratch at random")
 	}
-	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 1})
+	a, err := NewAllocator(Config{DB: sharedDB(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ package core
 // candidate and scores the full list, with only the interchangeable-VM
 // partition dedup (via the legacy string signature) and the
 // identical-allocation server dedup. Allocate produces bit-for-bit
-// identical results through the pruned, memoized, parallel engine in
+// identical results through the pruned, memoized engine in
 // search.go; the equivalence is asserted by TestAllocateMatchesReference
 // and this path doubles as the pre-optimization baseline for the
 // BenchmarkAllocateReference measurements.

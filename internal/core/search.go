@@ -1,10 +1,10 @@
 package core
 
-// The parallel Pareto-pruned partition search behind Allocator.Allocate.
+// The Pareto-pruned partition search behind Allocator.Allocate.
 //
 // The engine keeps the paper's exhaustive semantics — every non-redundant
 // set partition of the VM set is still evaluated — but restructures the
-// enumeration around five exact reductions:
+// enumeration around four exact reductions:
 //
 //  1. Equivalent partitions (same typed multiset of block compositions)
 //     are deduplicated through a packed integer signature instead of the
@@ -33,7 +33,7 @@ package core
 //     len(vms) servers, and servers too full to host any VM are left out
 //     of every class.
 //  3. Block pricing is memoized per (server class, block composition)
-//     in a dense per-worker table: the same block on the same class is
+//     in a dense per-call table: the same block on the same class is
 //     priced once, not once per partition that contains it. A touched
 //     server's grown allocation is priced directly. Database estimates
 //     are memoized per allocation key in the allocator's
@@ -47,17 +47,12 @@ package core
 //     first-of-the-list tie-break). Later dominators never evict earlier
 //     candidates, because within the scoreEpsilon tie band the earlier
 //     index must still win.
-//  5. For larger VM sets the deduplicated partition stream fans out to a
-//     bounded worker pool. Each job carries its enumeration index, each
-//     worker reduces its subsequence in arrival order, and the final
-//     merge re-sorts by index, so the deterministic tie-break of the
-//     serial scan survives the parallel reduce bit-for-bit.
 //
 // Normalization maxima are tracked over every feasible candidate — not
 // just the retained frontier — so pickBest sees exactly the constants
 // the unpruned enumeration would have used.
 //
-// Every per-call buffer — the context, the serial worker and its memo,
+// Every per-call buffer — the context, the worker and its memo,
 // the dedup set, the partition generator and the frontier arenas —
 // comes from a pool on the Allocator, so a steady stream of class-path
 // decisions makes no heap allocation.
@@ -66,8 +61,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
-	"sync"
 
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
@@ -75,14 +68,6 @@ import (
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
-
-// parallelWorkThreshold is the VM-set size from which Allocate fans the
-// partition stream out to the worker pool. Below it there are at most
-// B(5) = 52 partitions and the pool's startup cost exceeds the work; it
-// also keeps the per-job allocations of the nested searches issued by a
-// concurrent datacenter simulation (jobs of 1–4 VMs) on the serial fast
-// path.
-const parallelWorkThreshold = 6
 
 // blockSig is the canonical typed-multiset signature of one block: VM
 // counts packed 4 bits per VM type. partition.MaxN = 12 bounds both the
@@ -161,9 +146,6 @@ type blockPrice struct {
 // class members) and materialized only for the winner. Both slices live
 // in the worker's arenas.
 type candidate struct {
-	// idx is the partition's position in the deduplicated enumeration —
-	// the identity the first-of-the-list tie-break ranks on.
-	idx    int
 	time   units.Seconds
 	energy units.Joules
 	// vms lists the request's VM indices block by block: block i holds
@@ -205,7 +187,7 @@ const maxPackedCount = 1 << 21
 
 // searchTelemetry holds an allocator's instrument handles, resolved
 // once in NewAllocator; all nil (no-op) without a registry. Counters
-// are atomic, so workers update them directly.
+// are atomic, so concurrent searches update them directly.
 type searchTelemetry struct {
 	enumerated *obs.Counter // partitions produced by the generator
 	deduped    *obs.Counter // partitions skipped by the signature dedup
@@ -214,7 +196,6 @@ type searchTelemetry struct {
 	pruned     *obs.Counter // candidates dropped by Pareto domination
 	exhausted  *obs.Counter // searches abandoned on budget exhaustion
 	degraded   *obs.Counter // allocations served by the first-fit fallback
-	workerLoad *obs.Histogram
 }
 
 func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
@@ -229,11 +210,6 @@ func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
 		pruned:     reg.Counter("search_pareto_pruned"),
 		exhausted:  reg.Counter("search_budget_exhausted"),
 		degraded:   reg.Counter("search_degraded_firstfit"),
-		// Jobs per worker: a flat pool shows every worker near
-		// jobs/workers; a long tail of idle workers shows the serial
-		// producer is the bottleneck.
-		workerLoad: reg.Histogram("search_jobs_per_worker",
-			1, 4, 16, 64, 256, 1024, 4096, 16384),
 	}
 }
 
@@ -254,10 +230,8 @@ type searchCtx struct {
 	typeKey []model.Key
 	classes []ServerClass
 
-	// stats is the exact per-call tally behind AllocateExplained.
-	// Enumerated/Deduped are bumped by the sequential producer; the
-	// per-worker tallies are summed in after the pool drains, so no
-	// atomic traffic joins the hot path.
+	// stats is the exact per-call tally behind AllocateExplained: plain
+	// integers, so no atomic traffic joins the hot path.
 	stats SearchStats
 
 	// Grouping scratch (linear path).
@@ -270,11 +244,8 @@ type searchCtx struct {
 	blocks [][]int
 	seen   map[partSig]struct{}
 
-	// w is the serial worker, also used by the first-fit fallback;
-	// pool holds the parallel search's workers.
-	w      searchWorker
-	pool   []*searchWorker
-	merged []candidate
+	// w evaluates the partitions; the first-fit fallback uses it too.
+	w searchWorker
 }
 
 // maxRetainedSeen bounds the dedup set a recycled context keeps: a
@@ -488,11 +459,10 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 	return true
 }
 
-// searchWorker evaluates a subsequence of the deduplicated partition
-// stream, reducing it to a Pareto frontier plus the normalization
-// maxima over every feasible candidate it saw. All scratch buffers are
-// reused across partitions and, through the context pool, across
-// calls; a worker is single-goroutine state.
+// searchWorker evaluates the deduplicated partition stream, reducing it
+// to a Pareto frontier plus the normalization maxima over every
+// feasible candidate it saw. All scratch buffers are reused across
+// partitions and, through the context pool, across calls.
 type searchWorker struct {
 	sc *searchCtx
 
@@ -516,8 +486,7 @@ type searchWorker struct {
 	places  []blockPlace
 
 	// Block-pricing memo for untouched servers: row sigRow[sig] of memo
-	// holds one slot per server class. Each worker keeps its own, so
-	// the pool prices without locks.
+	// holds one slot per server class.
 	sigRow map[blockSig]int
 	memo   []memoSlot
 
@@ -528,14 +497,6 @@ type searchWorker struct {
 	arenaPlaces []blockPlace
 	maxT        units.Seconds
 	maxE        units.Joules
-	// jobs counts partitions this worker evaluated (pool-utilization
-	// telemetry; a plain int — each worker is single-goroutine state).
-	jobs int
-	// Per-worker exact tallies folded into searchCtx.stats after the
-	// pool drains (plain ints for the same single-goroutine reason).
-	nFeasible   int
-	nInfeasible int
-	nPruned     int
 }
 
 // touchedServer is a server the current partition has placed blocks on:
@@ -585,7 +546,6 @@ func (w *searchWorker) reset(sc *searchCtx) {
 	w.arenaVMs = w.arenaVMs[:0]
 	w.arenaPlaces = w.arenaPlaces[:0]
 	w.maxT, w.maxE = 0, 0
-	w.jobs, w.nFeasible, w.nInfeasible, w.nPruned = 0, 0, 0, 0
 }
 
 // memoRow returns the memo row of block composition sig, adding an
@@ -608,16 +568,15 @@ func (w *searchWorker) memoRow(sig blockSig) []memoSlot {
 // consider evaluates one partition and folds it into the worker's
 // frontier, copying the blocks into the arenas if the candidate is
 // kept.
-func (w *searchWorker) consider(idx int, blocks [][]int) {
-	w.jobs++
-	ok := w.evalPartition(blocks)
-	if !ok {
-		w.nInfeasible++
-		w.sc.tel.infeasible.Inc()
+func (w *searchWorker) consider(blocks [][]int) {
+	sc := w.sc
+	if !w.evalPartition(blocks) {
+		sc.stats.Infeasible++
+		sc.tel.infeasible.Inc()
 		return
 	}
-	w.nFeasible++
-	w.sc.tel.feasible.Inc()
+	sc.stats.Feasible++
+	sc.tel.feasible.Inc()
 	var candT units.Seconds
 	var candE units.Joules
 	for _, p := range w.places {
@@ -634,13 +593,13 @@ func (w *searchWorker) consider(idx int, blocks [][]int) {
 	}
 	// Pareto pruning: a candidate weakly dominated by an earlier kept
 	// one can never win any goal (the earlier also takes the tie).
-	// Within a worker, arrival order is ascending enumeration order, so
-	// every kept candidate is earlier than the new one.
+	// Partitions arrive in enumeration order, so every kept candidate
+	// is earlier than the new one.
 	for i := range w.frontier {
 		f := &w.frontier[i]
 		if f.time <= candT && f.energy <= candE {
-			w.nPruned++
-			w.sc.tel.pruned.Inc()
+			sc.stats.Pruned++
+			sc.tel.pruned.Inc()
 			return
 		}
 	}
@@ -650,29 +609,11 @@ func (w *searchWorker) consider(idx int, blocks [][]int) {
 	}
 	w.arenaPlaces = append(w.arenaPlaces, w.places...)
 	w.frontier = append(w.frontier, candidate{
-		idx:    idx,
 		time:   candT,
 		energy: candE,
 		vms:    w.arenaVMs[vs:len(w.arenaVMs):len(w.arenaVMs)],
 		places: w.arenaPlaces[ps:len(w.arenaPlaces):len(w.arenaPlaces)],
 	})
-}
-
-// copyBlocks deep-copies a partition with a single backing array (a
-// partition of n elements has exactly n entries in total).
-func copyBlocks(blocks [][]int) [][]int {
-	total := 0
-	for _, b := range blocks {
-		total += len(b)
-	}
-	flat := make([]int, 0, total)
-	out := make([][]int, len(blocks))
-	for i, b := range blocks {
-		start := len(flat)
-		flat = append(flat, b...)
-		out[i] = flat[start:len(flat):len(flat)]
-	}
-	return out
 }
 
 // clearTouched forgets the servers the previous partition touched.
@@ -904,15 +845,16 @@ func (w *searchWorker) hidden(si int, base model.Key) bool {
 // winning candidate, or the first-fit fallback's when the budget or
 // the Cancel hook cut the search (stats.Degraded).
 func (sc *searchCtx) decide() (candidate, error) {
-	sc.w.reset(sc)
-	frontier, maxT, maxE, exhausted, err := sc.search(sc.a.cfg.SearchWorkers)
+	w := &sc.w
+	w.reset(sc)
+	exhausted, err := sc.enumerate()
 	if err != nil {
 		return candidate{}, err
 	}
 	sc.stats.Exhausted = exhausted
 	if exhausted {
 		sc.tel.exhausted.Inc()
-		c, err := sc.w.firstFit()
+		c, err := w.firstFit()
 		if err != nil {
 			return candidate{}, err
 		}
@@ -920,38 +862,27 @@ func (sc *searchCtx) decide() (candidate, error) {
 		sc.stats.Degraded = true
 		return c, nil
 	}
-	if len(frontier) == 0 {
+	if len(w.frontier) == 0 {
 		return candidate{}, ErrInfeasible
 	}
-	return frontier[pickBest(sc.goal, frontier, maxT, maxE)], nil
+	return w.frontier[pickBest(sc.goal, w.frontier, w.maxT, w.maxE)], nil
 }
 
-// search enumerates the deduplicated partitions of the VM set and
-// reduces them to a Pareto frontier sorted by enumeration index, plus
-// the normalization maxima over all feasible candidates. exhausted
-// reports that Config.SearchBudget ran out before the enumeration
-// completed — the partial frontier must then be discarded (a truncated
-// search breaks the normalization constants and the first-of-the-list
-// tie-break) and the caller degrades to the first-fit fallback.
+// enumerate walks the partitions of the VM set, drops signature
+// duplicates, spends the budget, polls Cancel, and hands every admitted
+// partition to the worker, which reduces them in enumeration order to a
+// Pareto frontier plus the normalization maxima over all feasible
+// candidates. exhausted reports that Config.SearchBudget ran out or
+// Cancel fired before the enumeration completed — the partial frontier
+// must then be discarded (a truncated search breaks the normalization
+// constants and the first-of-the-list tie-break) and the caller
+// degrades to the first-fit fallback.
 //
-// The budget counts deduplicated partitions admitted to scoring, and it
-// is spent by the sequential producer in both the serial and the
-// parallel engine, so exhaustion strikes at exactly the same partition
-// at every worker count: budgeted runs replay bit-for-bit.
-func (sc *searchCtx) search(workers int) (cands []candidate, maxT units.Seconds, maxE units.Joules, exhausted bool, err error) {
+// The budget counts deduplicated partitions admitted to scoring, so
+// exhaustion strikes at the same partition on every run: budgeted runs
+// replay bit-for-bit.
+func (sc *searchCtx) enumerate() (exhausted bool, err error) {
 	n := len(sc.vms)
-	if workers <= 1 || n < parallelWorkThreshold {
-		return sc.searchSerial(n)
-	}
-	return sc.searchParallel(n, workers)
-}
-
-// enumerate runs the sequential producer shared by both engines: it
-// walks the partitions of n VMs, drops signature duplicates, spends the
-// budget, polls Cancel, and hands every admitted partition with its
-// enumeration index to emit. The blocks passed to emit are overwritten
-// by the next partition.
-func (sc *searchCtx) enumerate(n int, emit func(idx int, blocks [][]int)) (exhausted bool, err error) {
 	if err := sc.gen.Reset(n); err != nil {
 		return false, err
 	}
@@ -963,7 +894,7 @@ func (sc *searchCtx) enumerate(n int, emit func(idx int, blocks [][]int)) (exhau
 	clear(sc.seen)
 	budget := sc.a.cfg.SearchBudget
 	cancel := sc.a.cfg.Cancel
-	idx := 0
+	scored := 0
 	for sc.gen.Next() {
 		sc.stats.Enumerated++
 		sc.tel.enumerated.Inc()
@@ -974,118 +905,18 @@ func (sc *searchCtx) enumerate(n int, emit func(idx int, blocks [][]int)) (exhau
 			sc.tel.deduped.Inc()
 			continue
 		}
-		if budget > 0 && idx >= budget {
+		if budget > 0 && scored >= budget {
 			return true, nil
 		}
-		// The cancel poll lives on the producer like the budget: the cut
-		// point never depends on worker scheduling, only on when the hook
-		// fired relative to the sequential enumeration.
 		if cancel != nil && cancel() {
 			sc.stats.Canceled = true
 			return true, nil
 		}
 		sc.seen[ps] = struct{}{}
-		emit(idx, sc.blocks)
-		idx++
+		sc.w.consider(sc.blocks)
+		scored++
 	}
 	return false, nil
-}
-
-func (sc *searchCtx) searchSerial(n int) ([]candidate, units.Seconds, units.Joules, bool, error) {
-	w := &sc.w
-	exhausted, err := sc.enumerate(n, w.consider)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	sc.foldWorkerStats(w)
-	sc.tel.workerLoad.Observe(float64(w.jobs))
-	return w.frontier, w.maxT, w.maxE, exhausted, nil
-}
-
-// foldWorkerStats sums one drained worker's tallies into the per-call
-// stats; callers must only invoke it after the worker has stopped.
-func (sc *searchCtx) foldWorkerStats(w *searchWorker) {
-	sc.stats.Feasible += w.nFeasible
-	sc.stats.Infeasible += w.nInfeasible
-	sc.stats.Pruned += w.nPruned
-}
-
-// searchJob is one deduplicated partition shipped to a worker, tagged
-// with its enumeration index so the reduce can restore serial order.
-type searchJob struct {
-	idx    int
-	blocks [][]int
-}
-
-func (sc *searchCtx) searchParallel(n, workers int) ([]candidate, units.Seconds, units.Joules, bool, error) {
-	jobs := make(chan searchJob, 2*workers)
-	for len(sc.pool) < workers {
-		sc.pool = append(sc.pool, new(searchWorker))
-	}
-	ws := sc.pool[:workers]
-	var wg sync.WaitGroup
-	for _, w := range ws {
-		w.reset(sc)
-		wg.Add(1)
-		go func(w *searchWorker) {
-			defer wg.Done()
-			for j := range jobs {
-				w.consider(j.idx, j.blocks)
-			}
-		}(w)
-	}
-
-	// The producer enumerates and deduplicates sequentially — the seen
-	// map stays single-goroutine, so "first occurrence is evaluated" is
-	// deterministic — while workers price partitions concurrently. The
-	// budget is spent here too, never by the racing consumers, so the
-	// cut point is independent of worker scheduling.
-	exhausted, err := sc.enumerate(n, func(idx int, blocks [][]int) {
-		jobs <- searchJob{idx: idx, blocks: copyBlocks(blocks)}
-	})
-	close(jobs)
-	wg.Wait()
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	for _, w := range ws {
-		sc.foldWorkerStats(w)
-		sc.tel.workerLoad.Observe(float64(w.jobs))
-	}
-
-	frontier := sc.merged[:0]
-	var maxT units.Seconds
-	var maxE units.Joules
-	for _, w := range ws {
-		frontier = append(frontier, w.frontier...)
-		if w.maxT > maxT {
-			maxT = w.maxT
-		}
-		if w.maxE > maxE {
-			maxE = w.maxE
-		}
-	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i].idx < frontier[j].idx })
-	// Re-prune across worker boundaries: a candidate kept by one worker
-	// may be dominated by an earlier candidate another worker held.
-	kept := frontier[:0]
-	for _, c := range frontier {
-		dominated := false
-		for i := range kept {
-			if kept[i].time <= c.time && kept[i].energy <= c.energy {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			kept = append(kept, c)
-		} else {
-			sc.stats.Pruned++
-			sc.tel.pruned.Inc()
-		}
-	}
-	sc.merged = kept
-	return kept, maxT, maxE, exhausted, nil
 }
 
 // materialize expands a winning candidate into the public Allocation

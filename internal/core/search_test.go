@@ -102,7 +102,7 @@ func sameAllocation(t *testing.T, label string, got, want Allocation) {
 }
 
 // TestAllocateMatchesReference is the equivalence satellite: the
-// pruned/memoized engine — serial and parallel — must return the
+// pruned/memoized engine must return the
 // identical Allocation as the retained literal transcription of the
 // paper's search, across seeded random fleets, all three evaluated α
 // goals, and VM sets up to n = 8.
@@ -117,11 +117,7 @@ func sameAllocation(t *testing.T, label string, got, want Allocation) {
 // can reject a block its untouched twins would take.
 func TestAllocateMatchesReference(t *testing.T) {
 	db := sharedDB(t)
-	serial, err := NewAllocator(Config{DB: db, SearchWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := NewAllocator(Config{DB: db, SearchWorkers: 4})
+	serial, err := NewAllocator(Config{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +125,7 @@ func TestAllocateMatchesReference(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		servers := randomFleet(r, 4+r.Intn(5))
 		vms := randomVMs(t, r, n)
-		matchReference(t, serial, pooled, servers, vms, nil)
+		matchReference(t, serial, servers, vms, nil)
 	}
 
 	common := wideFleetCommon(serial)
@@ -145,7 +141,7 @@ func TestAllocateMatchesReference(t *testing.T) {
 			nRare := 1 + r.Intn(n-1) // fewer rare servers than the n singleton blocks
 			servers, rareIDs := classFleet(r, 64+r.Intn(33), common, model.Key{}, nRare, front)
 			vms := tightVMs(t, r, n)
-			exhausted += matchReference(t, serial, pooled, servers, vms, rareIDs)
+			exhausted += matchReference(t, serial, servers, vms, rareIDs)
 		}
 	}
 	if exhausted == 0 {
@@ -153,10 +149,10 @@ func TestAllocateMatchesReference(t *testing.T) {
 	}
 }
 
-// matchReference checks Allocate at both worker counts against
-// AllocateReference under every evaluated goal. It returns how many
-// reference allocations placed blocks on every server in rareIDs.
-func matchReference(t *testing.T, serial, pooled *Allocator, servers []ServerState, vms []VMRequest, rareIDs map[int]bool) (exhausted int) {
+// matchReference checks Allocate against AllocateReference under every
+// evaluated goal. It returns how many reference allocations placed
+// blocks on every server in rareIDs.
+func matchReference(t *testing.T, serial *Allocator, servers []ServerState, vms []VMRequest, rareIDs map[int]bool) (exhausted int) {
 	t.Helper()
 	for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
 		want, wantErr := serial.AllocateReference(goal, servers, vms)
@@ -171,18 +167,16 @@ func matchReference(t *testing.T, serial, pooled *Allocator, servers []ServerSta
 				exhausted++
 			}
 		}
-		for name, a := range map[string]*Allocator{"serial": serial, "parallel": pooled} {
-			got, gotErr := a.Allocate(goal, servers, vms)
-			label := fmt.Sprintf("%s n=%d alpha=%g servers=%d", name, len(vms), goal.Alpha, len(servers))
-			if gotErr != wantErr {
-				t.Errorf("%s: err %v, reference err %v", label, gotErr, wantErr)
-				continue
-			}
-			if wantErr != nil {
-				continue
-			}
-			sameAllocation(t, label, got, want)
+		got, gotErr := serial.Allocate(goal, servers, vms)
+		label := fmt.Sprintf("serial n=%d alpha=%g servers=%d", len(vms), goal.Alpha, len(servers))
+		if gotErr != wantErr {
+			t.Errorf("%s: err %v, reference err %v", label, gotErr, wantErr)
+			continue
 		}
+		if wantErr != nil {
+			continue
+		}
+		sameAllocation(t, label, got, want)
 	}
 	return exhausted
 }
@@ -224,7 +218,7 @@ func wideFleetCommon(a *Allocator) []model.Key {
 }
 
 // loadCtx loads a request into a search context exactly as
-// AllocateExplained does, with the serial worker ready to evaluate.
+// AllocateExplained does, with the worker ready to evaluate.
 func loadCtx(t *testing.T, a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
 	t.Helper()
 	sc := a.acquire(goal, vms)
@@ -300,7 +294,7 @@ func TestEvalPartitionMatchesReference(t *testing.T) {
 
 // TestWideFleetCutsDegradeToFirstFit pins the two search cuts on a wide
 // fleet: an exhausted budget and a firing Cancel hook both return
-// exactly the first-fit fallback, at 1 and 4 workers.
+// exactly the first-fit fallback.
 func TestWideFleetCutsDegradeToFirstFit(t *testing.T) {
 	db := sharedDB(t)
 	r := rng.New(43)
@@ -311,51 +305,24 @@ func TestWideFleetCutsDegradeToFirstFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		calls := 0
-		cfgs := map[string]Config{
-			"budget": {DB: db, SearchWorkers: workers, SearchBudget: 5},
-			"cancel": {DB: db, SearchWorkers: workers, Cancel: func() bool { calls++; return calls > 5 }},
-		}
-		for name, cfg := range cfgs {
-			a, err := NewAllocator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, stats, err := a.AllocateExplained(GoalBalanced, servers, vms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%s workers=%d", name, workers)
-			if !got.Degraded || !stats.Degraded || stats.Canceled != (name == "cancel") {
-				t.Fatalf("%s: cut not reported: degraded %v, stats %+v", label, got.Degraded, stats)
-			}
-			sameAllocation(t, label, got, want)
-		}
+	calls := 0
+	cfgs := map[string]Config{
+		"budget": {DB: db, SearchBudget: 5},
+		"cancel": {DB: db, Cancel: func() bool { calls++; return calls > 5 }},
 	}
-}
-
-// TestAllocateParallelDeterministic re-runs a pooled search and demands
-// identical output every time: the enumeration index carried through
-// the fan-out must fully pin the tie-breaks.
-func TestAllocateParallelDeterministic(t *testing.T) {
-	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(11)
-	servers := randomFleet(r, 6)
-	vms := randomVMs(t, r, 7)
-	first, err := a.Allocate(GoalBalanced, servers, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		again, err := a.Allocate(GoalBalanced, servers, vms)
+	for name, cfg := range cfgs {
+		a, err := NewAllocator(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameAllocation(t, "rerun", again, first)
+		got, stats, err := a.AllocateExplained(GoalBalanced, servers, vms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Degraded || !stats.Degraded || stats.Canceled != (name == "cancel") {
+			t.Fatalf("%s: cut not reported: degraded %v, stats %+v", name, got.Degraded, stats)
+		}
+		sameAllocation(t, name, got, want)
 	}
 }
 
@@ -441,8 +408,8 @@ func TestVMTypesInterchangeability(t *testing.T) {
 func TestPickBestTieBreak(t *testing.T) {
 	goals := []Goal{GoalEnergy, GoalPerformance, GoalBalanced}
 	tied := []candidate{
-		{idx: 0, time: 100, energy: 200},
-		{idx: 1, time: 100, energy: 200},
+		{time: 100, energy: 200},
+		{time: 100, energy: 200},
 	}
 	for _, g := range goals {
 		if got := pickBest(g, tied, 100, 200); got != 0 {
@@ -451,8 +418,8 @@ func TestPickBestTieBreak(t *testing.T) {
 	}
 	// A later, strictly dominating candidate wins.
 	better := []candidate{
-		{idx: 0, time: 100, energy: 200},
-		{idx: 1, time: 50, energy: 100},
+		{time: 100, energy: 200},
+		{time: 50, energy: 100},
 	}
 	for _, g := range goals {
 		if got := pickBest(g, better, 100, 200); got != 1 {
@@ -462,8 +429,8 @@ func TestPickBestTieBreak(t *testing.T) {
 	// A later candidate inside the epsilon band does not dethrone the
 	// incumbent: its normalized score differs by ~1e-14 < scoreEpsilon.
 	within := []candidate{
-		{idx: 0, time: 100, energy: 200},
-		{idx: 1, time: 100 * (1 - 1e-14), energy: 200 * (1 - 1e-14)},
+		{time: 100, energy: 200},
+		{time: 100 * (1 - 1e-14), energy: 200 * (1 - 1e-14)},
 	}
 	for _, g := range goals {
 		if got := pickBest(g, within, 100, 200); got != 0 {
@@ -486,35 +453,37 @@ func TestParetoFrontierKeepsWinner(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := loadCtx(t, a, goal, servers, vms)
-		frontier, maxT, maxE, exhausted, err := sc.search(1)
+		exhausted, err := sc.enumerate()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if exhausted {
 			t.Fatal("unbudgeted search reported exhaustion")
 		}
-		best := pickBest(goal, frontier, maxT, maxE)
-		got := sc.materialize(frontier[best])
+		w := &sc.w
+		best := pickBest(goal, w.frontier, w.maxT, w.maxE)
+		got := sc.materialize(w.frontier[best])
 		sameAllocation(t, "frontier", got, want)
 	}
 }
 
-// TestSearchTelemetryInvariants runs an instrumented pooled search and
-// checks the bookkeeping identities that tie the counters to the
-// search's structure: every enumerated partition is either deduped or
+// TestSearchTelemetryInvariants runs an instrumented search and checks
+// the bookkeeping identities that tie the counters to the search's
+// structure: every enumerated partition is either deduped or
 // evaluated, every evaluated candidate lands in exactly one of
-// feasible/infeasible, and the worker-load histogram accounts for every
-// evaluated job across the pool.
+// feasible/infeasible, and the registry counters agree with the
+// call's exact SearchStats.
 func TestSearchTelemetryInvariants(t *testing.T) {
 	reg := obs.NewRegistry()
-	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 8, Obs: reg})
+	a, err := NewAllocator(Config{DB: sharedDB(t), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rng.New(17)
 	servers := randomFleet(r, 6)
-	vms := randomVMs(t, r, 9) // Bell(9) = 21147 partitions: plenty of pool traffic
-	if _, err := a.Allocate(GoalBalanced, servers, vms); err != nil {
+	vms := randomVMs(t, r, 9) // Bell(9) = 21147 partitions
+	_, stats, err := a.AllocateExplained(GoalBalanced, servers, vms)
+	if err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -529,25 +498,24 @@ func TestSearchTelemetryInvariants(t *testing.T) {
 		t.Errorf("feasible (%d) + infeasible (%d) != enumerated (%d) - deduped (%d)",
 			feasible, infeasible, enumerated, deduped)
 	}
-	load := snap.Histograms["search_jobs_per_worker"]
-	if load.Count != 8 {
-		t.Errorf("worker-load histogram has %d samples, want one per worker (8)", load.Count)
-	}
-	if int64(load.Sum) != enumerated-deduped {
-		t.Errorf("worker-load sum = %.0f jobs, want evaluated count %d", load.Sum, enumerated-deduped)
+	if int64(stats.Enumerated) != enumerated || int64(stats.Deduped) != deduped ||
+		int64(stats.Feasible) != feasible || int64(stats.Infeasible) != infeasible ||
+		int64(stats.Pruned) != snap.Counters["search_pareto_pruned"] {
+		t.Errorf("SearchStats %+v disagree with the registry counters %+v", stats, snap.Counters)
 	}
 	if snap.Counters["model_cache_hits"] == 0 || snap.Counters["model_cache_misses"] == 0 {
 		t.Error("search did not exercise the instrumented estimate cache")
 	}
 }
 
-// TestSearchTelemetryConcurrentAllocations drives several pooled
-// searches at once against one shared registry (run under -race in
-// `make verify` and CI): worker goroutines from every pool update the
-// same counters concurrently, and the aggregate must still balance.
+// TestSearchTelemetryConcurrentAllocations drives several searches at
+// once through one shared allocator and registry (run under -race in
+// `make verify` and CI): the searches share the context pool and the
+// estimate cache and update the same counters concurrently, and the
+// aggregate must still balance.
 func TestSearchTelemetryConcurrentAllocations(t *testing.T) {
 	reg := obs.NewRegistry()
-	a, err := NewAllocator(Config{DB: sharedDB(t), SearchWorkers: 4, Obs: reg})
+	a, err := NewAllocator(Config{DB: sharedDB(t), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +545,7 @@ func TestSearchTelemetryConcurrentAllocations(t *testing.T) {
 		t.Errorf("aggregate imbalance: feasible (%d) + infeasible (%d) != enumerated (%d) - deduped (%d)",
 			feasible, infeasible, enumerated, deduped)
 	}
-	if got := snap.Histograms["search_jobs_per_worker"].Count; got != 12*4 {
-		t.Errorf("worker-load samples = %d, want 48 (12 searches x 4 workers)", got)
+	if enumerated == 0 {
+		t.Error("no partitions enumerated")
 	}
 }

@@ -53,10 +53,6 @@ type Config struct {
 	// Checkpoint decides how much progress a killed VM keeps (nil means
 	// restart from scratch; see faults.CheckpointPolicy).
 	Checkpoint faults.CheckpointPolicy
-	// SearchBudget bounds the PA-α allocation search (scored candidates
-	// per allocation, degrading to first-fit on exhaustion); 0 keeps the
-	// paper's unbounded exhaustive search.
-	SearchBudget int
 	// Shards partitions each simulated cloud into this many server groups
 	// simulated in parallel (see cloudsim.RunSharded); 0 or 1 keeps the
 	// single event loop. A shard count above a cloud's server count is
@@ -107,9 +103,6 @@ func (c Config) validate() error {
 	}
 	if c.MTBF < 0 || c.MTTR < 0 {
 		return fmt.Errorf("experiments: negative MTBF/MTTR %v/%v", c.MTBF, c.MTTR)
-	}
-	if c.SearchBudget < 0 {
-		return fmt.Errorf("experiments: negative SearchBudget %d", c.SearchBudget)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("experiments: negative Shards %d", c.Shards)
@@ -455,7 +448,7 @@ func (c *Context) Strategies() ([]strategy.Strategy, error) {
 		out = append(out, ffs)
 	}
 	for _, g := range []core.Goal{core.GoalEnergy, core.GoalPerformance, core.GoalBalanced} {
-		pa, err := strategy.NewProactiveConfig(core.Config{DB: c.DB, SearchBudget: c.Cfg.SearchBudget}, g)
+		pa, err := strategy.NewProactive(c.DB, g, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -492,7 +485,7 @@ func (c *Context) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 		wg.Add(1)
 		go func(i int, alpha float64) {
 			defer wg.Done()
-			pa, err := strategy.NewProactiveConfig(core.Config{DB: c.DB, SearchBudget: c.Cfg.SearchBudget}, core.Goal{Alpha: alpha})
+			pa, err := strategy.NewProactive(c.DB, core.Goal{Alpha: alpha}, 0)
 			if err != nil {
 				errs[i] = err
 				return

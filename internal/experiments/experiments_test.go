@@ -79,11 +79,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("negative MTBF should fail")
 	}
 	bad = Quick()
-	bad.SearchBudget = -1
-	if _, err := NewContext(bad); err == nil {
-		t.Error("negative SearchBudget should fail")
-	}
-	bad = Quick()
 	bad.Shards = -1
 	if _, err := NewContext(bad); err == nil {
 		t.Error("negative Shards should fail")
@@ -146,8 +141,8 @@ func TestShardedEvaluation(t *testing.T) {
 }
 
 // TestFaultInjectedEvaluation runs a reduced evaluation grid under fault
-// injection with periodic checkpointing and a tight search budget, and
-// pins the resilience invariants: the run is deterministic, faults are
+// injection with periodic checkpointing, and pins the resilience
+// invariants: the run is deterministic, faults are
 // actually injected, and availability/goodput stay within their bounds.
 func TestFaultInjectedEvaluation(t *testing.T) {
 	cfg := Quick()
@@ -155,7 +150,6 @@ func TestFaultInjectedEvaluation(t *testing.T) {
 	cfg.TargetVMs = 300
 	cfg.MTBF, cfg.MTTR = 500, 100
 	cfg.Checkpoint = faults.Periodic{Interval: 300}
-	cfg.SearchBudget = 5
 
 	ctx, err := NewContext(cfg)
 	if err != nil {

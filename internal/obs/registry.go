@@ -16,8 +16,8 @@
 // the cloudsim golden tests pin exactly that.
 //
 // When enabled, updates are lock-free atomics safe for concurrent use
-// (the allocation search fans out to a worker pool; workers share one
-// registry). Registration (Registry.Counter and friends) takes a mutex
+// (concurrent allocation searches, simulator shards and service
+// workers share one registry). Registration (Registry.Counter and friends) takes a mutex
 // and may allocate; hot paths must register once up front, not per
 // operation.
 package obs

@@ -21,7 +21,7 @@ func benchConfig(b testing.TB) Config {
 		Shards:          4,
 		MaxVMsPerServer: 4,
 		RequestTimeout:  10 * time.Second,
-		Watermarks:      [3]time.Duration{time.Second, 2 * time.Second, 4 * time.Second},
+		Watermarks:      [2]time.Duration{2 * time.Second, 4 * time.Second},
 		WatchdogEvery:   -1,
 	}
 }

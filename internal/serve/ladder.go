@@ -2,12 +2,11 @@ package serve
 
 // The overload degradation ladder: the service's answer to "what do we
 // give up first when we fall behind?". Measured queue wait drives a
-// four-level ladder — full PA partition search, budgeted PA
-// (core.Config.SearchBudget), indexed first-fit, shed — stepping one
-// level at a time as an EWMA of the wait crosses the configured
-// watermarks, and stepping back up with hysteresis (the wait must fall
-// below the lower watermark scaled by Config.Hysteresis) plus a dwell
-// time so the ladder cannot flap around a watermark. The ladder is
+// three-level ladder — full PA partition search, indexed first-fit,
+// shed — stepping one level at a time as an EWMA of the wait crosses
+// the configured watermarks, and stepping back up with hysteresis (the
+// wait must fall below the lower watermark scaled by Config.Hysteresis)
+// plus a dwell time so the ladder cannot flap around a watermark. The ladder is
 // deterministic in its inputs: the level is a pure function of the
 // observation sequence and the observation clock, with no sampling or
 // randomness, so a recorded decision log fully explains every step.
@@ -23,12 +22,12 @@ import (
 
 // Degradation levels, in order of surrender.
 const (
-	// LevelFull runs the full PA partition search.
+	// LevelFull runs the full PA partition search. A request holds at
+	// most maxJobVMs = 4 identical VMs, so the search scores at most 5
+	// distinct partitions: a search budget would bite only at 4 or
+	// less, where it answers with core's QoS-aware first-fit instead of
+	// a search.
 	LevelFull = iota
-	// LevelBudgeted caps the PA search at Config.DegradedBudget scored
-	// partitions, degrading to first-fit on exhaustion (core's budgeted
-	// search semantics).
-	LevelBudgeted
 	// LevelFirstFit skips the search entirely: indexed first-fit in
 	// O(1) per VM.
 	LevelFirstFit
@@ -44,8 +43,6 @@ func levelName(l int) string {
 	switch l {
 	case LevelFull:
 		return "full-search"
-	case LevelBudgeted:
-		return "budgeted-search"
 	case LevelFirstFit:
 		return "first-fit"
 	case LevelShed:
@@ -63,7 +60,7 @@ const ladderEWMAWeight = 0.25
 type ladder struct {
 	clock func() time.Time
 	start time.Time
-	marks [3]float64 // seconds; crossing marks[l] steps from level l to l+1
+	marks [2]float64 // seconds; crossing marks[l] steps from level l to l+1
 	hyst  float64
 	dwell time.Duration
 

@@ -32,7 +32,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func ladderConfig() *Config {
 	return &Config{
-		Watermarks:  [3]time.Duration{50 * time.Millisecond, 200 * time.Millisecond, 800 * time.Millisecond},
+		Watermarks:  [2]time.Duration{200 * time.Millisecond, 800 * time.Millisecond},
 		Hysteresis:  0.5,
 		LadderDwell: 100 * time.Millisecond,
 	}
@@ -43,7 +43,7 @@ func TestLadderStepsDownOneLevelAtATime(t *testing.T) {
 	rec := cloudsim.NewDecisionRecorder()
 	l := newLadder(ladderConfig(), clock.now, obs.NewRegistry(), rec)
 	// Massive waits: each dwell window may step at most one level.
-	for want := LevelBudgeted; want <= LevelShed; want++ {
+	for want := LevelFirstFit; want <= LevelShed; want++ {
 		clock.advance(150 * time.Millisecond)
 		if got := l.observe(5 * time.Second); got != want {
 			t.Fatalf("after dwell %d: level %s, want %s", want, levelName(got), levelName(want))
@@ -68,8 +68,8 @@ func TestLadderStepsDownOneLevelAtATime(t *testing.T) {
 		}
 		steps++
 	}
-	if steps != 3 {
-		t.Fatalf("recorded %d degrade steps, want 3", steps)
+	if steps != 2 {
+		t.Fatalf("recorded %d degrade steps, want 2", steps)
 	}
 }
 
@@ -78,14 +78,14 @@ func TestLadderRecoversWithHysteresis(t *testing.T) {
 	rec := cloudsim.NewDecisionRecorder()
 	l := newLadder(ladderConfig(), clock.now, obs.NewRegistry(), rec)
 	clock.advance(150 * time.Millisecond)
-	if got := l.observe(time.Second); got != LevelBudgeted {
+	if got := l.observe(time.Second); got != LevelFirstFit {
 		t.Fatalf("did not degrade: %s", levelName(got))
 	}
-	// The EWMA must fall below marks[0] * hysteresis = 25ms to recover —
-	// a wait just under the 50ms watermark is not enough.
+	// The EWMA must fall below marks[0] * hysteresis = 100ms to recover —
+	// a wait just under the 200ms watermark is not enough.
 	for i := 0; i < 50; i++ {
 		clock.advance(150 * time.Millisecond)
-		if got := l.observe(30 * time.Millisecond); got != LevelBudgeted {
+		if got := l.observe(150 * time.Millisecond); got != LevelFirstFit {
 			t.Fatalf("recovered inside the hysteresis band: %s", levelName(got))
 		}
 	}

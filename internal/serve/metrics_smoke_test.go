@@ -99,7 +99,7 @@ func TestMetricsSmoke(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-model", mdir,
 		"-servers", "16", "-shards", "2", "-max-vms", "4",
-		"-watermarks", "200us,1ms,4ms", "-dwell", "25ms",
+		"-watermarks", "200us,4ms", "-dwell", "25ms",
 		"-metrics", "127.0.0.1:0",
 		"-access-log", accessPath,
 		"-slo-target", "250ms", "-slo-window", "30s",

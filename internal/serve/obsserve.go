@@ -235,7 +235,7 @@ var servePromHelp = map[string]string{
 	"serve_snapshots_total":     "State snapshots written.",
 	"serve_crashes_total":       "Server crash events processed.",
 	"serve_recovers_total":      "Server recover events processed.",
-	"serve_degradation_level":   "Current degradation ladder level (0 full ... 3 shed).",
+	"serve_degradation_level":   "Current degradation ladder level (0 full ... 2 shed).",
 	"serve_queue_wait_seconds":  "Shard-queue wait at dequeue.",
 	"serve_stage_seconds":       "Per-stage request pipeline latency.",
 	"serve_request_seconds":     "End-to-end request latency by outcome and ladder level.",

@@ -4,7 +4,7 @@
 // are rate-limited per client, routed to a per-shard bounded queue by
 // the sharded coordinator's capacity heuristic, and placed against live
 // fleet state with the PROACTIVE search — degrading deterministically
-// through budgeted search, first-fit and finally load shedding as
+// to first-fit and finally load shedding as
 // measured queue wait climbs (see ladder.go). Every state change is
 // journaled before the client sees the acknowledgement and folded into
 // periodic checksummed snapshots (journal.go), so a kill -9 restarts
@@ -70,9 +70,6 @@ type Config struct {
 	// multiple of strategy.CPUSlotsPerServer so the first-fit rung maps
 	// onto a multiplexing level).
 	MaxVMsPerServer int
-	// DegradedBudget is the PA search budget at LevelBudgeted (default
-	// 64 scored partitions).
-	DegradedBudget int
 	// QueueCap bounds each shard's admission queue (default 256
 	// requests); a full queue answers 429 with Retry-After.
 	QueueCap int
@@ -81,11 +78,11 @@ type Config struct {
 	// passes while queued is shed with 503.
 	RequestTimeout time.Duration
 	// Watermarks are the queue-wait EWMA thresholds that step the
-	// degradation ladder down (defaults 50ms, 200ms, 800ms; strictly
-	// increasing). Hysteresis scales the step-up threshold (default
-	// 0.5) and LadderDwell is the minimum time between steps (default
-	// 200ms).
-	Watermarks  [3]time.Duration
+	// degradation ladder down, full search to first-fit and first-fit
+	// to shed (defaults 200ms, 800ms; strictly increasing). Hysteresis
+	// scales the step-up threshold (default 0.5) and LadderDwell is the
+	// minimum time between steps (default 200ms).
+	Watermarks  [2]time.Duration
 	Hysteresis  float64
 	LadderDwell time.Duration
 	// RatePerSec/RateBurst configure the per-client token bucket;
@@ -150,12 +147,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxVMsPerServer < strategy.CPUSlotsPerServer || cfg.MaxVMsPerServer%strategy.CPUSlotsPerServer != 0 {
 		return cfg, fmt.Errorf("serve: max VMs per server %d must be a positive multiple of %d", cfg.MaxVMsPerServer, strategy.CPUSlotsPerServer)
 	}
-	if cfg.DegradedBudget == 0 {
-		cfg.DegradedBudget = 64
-	}
-	if cfg.DegradedBudget < 1 {
-		return cfg, fmt.Errorf("serve: degraded budget %d must be >= 1", cfg.DegradedBudget)
-	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 256
 	}
@@ -168,8 +159,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.RequestTimeout < 0 {
 		return cfg, fmt.Errorf("serve: request timeout %v must not be negative (0 means the 2s default)", cfg.RequestTimeout)
 	}
-	if cfg.Watermarks == ([3]time.Duration{}) {
-		cfg.Watermarks = [3]time.Duration{50 * time.Millisecond, 200 * time.Millisecond, 800 * time.Millisecond}
+	if cfg.Watermarks == ([2]time.Duration{}) {
+		cfg.Watermarks = [2]time.Duration{200 * time.Millisecond, 800 * time.Millisecond}
 	}
 	for i, w := range cfg.Watermarks {
 		if w <= 0 {
@@ -374,9 +365,8 @@ type shard struct {
 	// worker touches it.
 	vmbuf [maxJobVMs]core.VMRequest
 
-	paFull   *strategy.Proactive
-	paBudget *strategy.Proactive
-	ff       *strategy.FirstFit
+	pa *strategy.Proactive
+	ff *strategy.FirstFit
 
 	// deadlineNs is the in-progress request's deadline, read by the PA
 	// search's Cancel hook; 0 when no cancellable search runs.
@@ -504,15 +494,8 @@ func newService(cfg Config) (*Service, error) {
 			ff:      ff,
 		}
 		sh.qcond = sync.NewCond(&sh.qmu)
-		// SearchWorkers: 1 keeps each shard's PA search serial — the
-		// shard workers themselves are the parallelism — and makes the
-		// budget/cancel cut deterministic.
-		coreCfg := core.Config{DB: cfg.DB, MaxVMsPerServer: cfg.MaxVMsPerServer, SearchWorkers: 1, Obs: s.reg, Cancel: sh.searchCanceled}
-		if sh.paFull, err = strategy.NewProactiveConfig(coreCfg, cfg.Goal); err != nil {
-			return nil, err
-		}
-		coreCfg.SearchBudget = cfg.DegradedBudget
-		if sh.paBudget, err = strategy.NewProactiveConfig(coreCfg, cfg.Goal); err != nil {
+		coreCfg := core.Config{DB: cfg.DB, MaxVMsPerServer: cfg.MaxVMsPerServer, Obs: s.reg, Cancel: sh.searchCanceled}
+		if sh.pa, err = strategy.NewProactiveConfig(coreCfg, cfg.Goal); err != nil {
 			return nil, err
 		}
 		sh.syncStats()
@@ -682,7 +665,7 @@ func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace)
 	if s.lad.current() >= LevelShed {
 		s.unpend(req.Key)
 		s.mShed.Inc()
-		return s.shed(req.Job, req.VMs, 429, cloudsim.RejectShedding, s.cfg.Watermarks[2])
+		return s.shed(req.Job, req.VMs, 429, cloudsim.RejectShedding, s.cfg.Watermarks[len(s.cfg.Watermarks)-1])
 	}
 
 	nominalS := req.NominalS
@@ -892,7 +875,7 @@ func (sh *shard) handlePlace(p *pending) {
 	}
 	if level >= LevelShed {
 		s.mShed.Inc()
-		s.finish(p, s.shed(p.Job, p.VMs, 429, cloudsim.RejectShedding, s.cfg.Watermarks[2]))
+		s.finish(p, s.shed(p.Job, p.VMs, 429, cloudsim.RejectShedding, s.cfg.Watermarks[len(s.cfg.Watermarks)-1]))
 		return
 	}
 
@@ -966,16 +949,12 @@ func (sh *shard) handlePlace(p *pending) {
 // PA search ran, whose attribution info carries.
 func (sh *shard) placeLocked(level int, vms []core.VMRequest, deadline time.Time) (assign []int, info strategy.PlaceInfo, searched, ok bool) {
 	switch level {
-	case LevelFull, LevelBudgeted:
-		st := sh.paFull
-		if level == LevelBudgeted {
-			st = sh.paBudget
-		}
+	case LevelFull:
 		if !deadline.IsZero() {
 			sh.deadlineNs.Store(deadline.UnixNano())
 			defer sh.deadlineNs.Store(0)
 		}
-		assign, ok, info = st.PlaceIndexedExplained(sh.idx, vms, sh.scratch)
+		assign, ok, info = sh.pa.PlaceIndexedExplained(sh.idx, vms, sh.scratch)
 		return assign, info, true, ok
 	default:
 		assign, ok = sh.ff.PlaceIndexed(sh.idx, vms, sh.scratch)

@@ -45,7 +45,7 @@ func testConfig(t *testing.T, servers, shards int) Config {
 		// Long enough that unit tests never trip the ladder or deadline
 		// by accident.
 		RequestTimeout: 10 * time.Second,
-		Watermarks:     [3]time.Duration{time.Second, 2 * time.Second, 4 * time.Second},
+		Watermarks:     [2]time.Duration{2 * time.Second, 4 * time.Second},
 		WatchdogEvery:  -1,
 	}
 }
@@ -195,10 +195,9 @@ func TestConfigValidation(t *testing.T) {
 		{"too many shards", func(c *Config) { c.Shards = 99 }, "shards"},
 		{"bad max vms", func(c *Config) { c.MaxVMsPerServer = 3 }, "multiple"},
 		{"unordered watermarks", func(c *Config) {
-			c.Watermarks = [3]time.Duration{time.Second, time.Second, 2 * time.Second}
+			c.Watermarks = [2]time.Duration{time.Second, time.Second}
 		}, "increase"},
 		{"restore without path", func(c *Config) { c.Restore = true }, "snapshot path"},
-		{"negative budget", func(c *Config) { c.DegradedBudget = -1 }, "budget"},
 	}
 	for _, tc := range cases {
 		cfg := base

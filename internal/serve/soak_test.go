@@ -342,7 +342,7 @@ func TestServeChaosSoak(t *testing.T) {
 			"-queue-cap", "16",
 			"-rate", "300", "-burst", "30",
 			"-timeout", "3s",
-			"-watermarks", "200us,1ms,4ms", "-dwell", "25ms", "-hysteresis", "0.5",
+			"-watermarks", "200us,4ms", "-dwell", "25ms", "-hysteresis", "0.5",
 			"-snapshot", snap, "-snapshot-every", "150ms",
 			"-watchdog", "150ms",
 			"-drain-timeout", "30s",

@@ -93,7 +93,7 @@ func TestFleetIndexClassesMatchGrouping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocator, err := core.NewAllocator(core.Config{DB: sharedDB(t), MaxVMsPerServer: paMax, SearchWorkers: 1})
+	allocator, err := core.NewAllocator(core.Config{DB: sharedDB(t), MaxVMsPerServer: paMax})
 	if err != nil {
 		t.Fatal(err)
 	}
