@@ -54,6 +54,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -106,7 +107,7 @@ type options struct {
 
 func main() {
 	var opt options
-	flag.StringVar(&opt.stratName, "strategy", "PA-0.5", "FF, FF-2, FF-3, BF-n, PA-1, PA-0, PA-0.5 or PA-<alpha>")
+	flag.StringVar(&opt.stratName, "strategy", "PA-0.5", "FF, FF-2, FF-3, BF-n (n 1-4), PA-1, PA-0, PA-0.5 or PA-<alpha>")
 	flag.IntVar(&opt.servers, "servers", 66, "cloud size")
 	flag.Uint64Var(&opt.seed, "seed", 42, "random seed for trace generation")
 	flag.IntVar(&opt.vms, "vms", 10000, "target VM count for a generated trace; with -swf, the VM count to replay (0 = the whole trace)")
@@ -477,21 +478,28 @@ func parseStrategy(db *model.DB, name string, searchBudget int, reg *obs.Registr
 	}
 	upper := strings.ToUpper(name)
 	if alphaStr, ok := strings.CutPrefix(upper, "PA-"); ok {
-		var alpha float64
-		if _, err := fmt.Sscanf(alphaStr, "%g", &alpha); err != nil {
+		alpha, err := strconv.ParseFloat(alphaStr, 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad PA alpha %q: %w", alphaStr, err)
 		}
-		if alpha < 0 || alpha > 1 {
+		if !(alpha >= 0 && alpha <= 1) { // NaN fails both
 			return nil, fmt.Errorf("PA alpha %g out of [0,1]", alpha)
 		}
 		return strategy.NewProactiveConfig(core.Config{DB: db, SearchBudget: searchBudget, Obs: reg}, core.Goal{Alpha: alpha})
 	}
 	if nStr, ok := strings.CutPrefix(upper, "BF-"); ok {
-		var n int
-		if _, err := fmt.Sscanf(nStr, "%d", &n); err != nil {
+		n, err := strconv.Atoi(nStr)
+		if err != nil {
 			return nil, fmt.Errorf("bad BF multiplex %q: %w", nStr, err)
 		}
-		return &strategy.BestFit{Multiplex: n}, nil
+		// Best-fit keeps choosing the fullest server under its cap, so a
+		// cap past the admission limit picks full servers the simulator
+		// then refuses, and the whole trace queues behind one server.
+		if cap := n * strategy.CPUSlotsPerServer; cap > cloudsim.DefaultMaxVMsPerServer {
+			return nil, fmt.Errorf("BF-%d allows %d VMs per server, over the %d-VM admission limit",
+				n, cap, cloudsim.DefaultMaxVMsPerServer)
+		}
+		return strategy.NewBestFit(n)
 	}
 	return nil, fmt.Errorf("unknown strategy %q", name)
 }

@@ -167,37 +167,47 @@ func TestRunErrorPaths(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*options)
+		want string // a substring the error must carry, when set
 	}{
-		{"unknown strategy", func(o *options) { o.stratName = "XX-9" }},
-		{"missing model dir", func(o *options) { o.modelDir = filepath.Join(dir, "nope") }},
-		{"missing swf input", func(o *options) { o.swfPath = filepath.Join(dir, "missing.swf") }},
-		{"unwritable trace output", func(o *options) { o.tracePath = filepath.Join(dir, "no", "such", "dir", "t.json") }},
-		{"bad debug address", func(o *options) { o.debugAddr = "notanaddress:-1" }},
-		{"missing fault schedule", func(o *options) { o.faultsPath = filepath.Join(dir, "missing.csv") }},
-		{"mtbf without mttr", func(o *options) { o.mtbf = 5000 }},
-		{"bad checkpoint policy", func(o *options) { o.checkpoint = "sometimes" }},
-		{"non-finite checkpoint interval", func(o *options) { o.checkpoint = "periodic:NaN" }},
-		{"unwritable vm-audit output", func(o *options) { o.vmAuditPath = filepath.Join(dir, "no", "such", "dir", "a.csv") }},
-		{"unwritable series output", func(o *options) { o.seriesPath = filepath.Join(dir, "no", "such", "dir", "s.csv") }},
-		{"negative vms", func(o *options) { o.vms = -100 }},
-		{"negative series cap", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.seriesCap = -1 }},
-		{"negative shards", func(o *options) { o.shards = -1 }},
-		{"negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -10 }},
-		{"explicit zero shard window", func(o *options) { o.shards = 2; o.shardWindow = 0; o.windowSet = true }},
-		{"explicit negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -1; o.windowSet = true }},
-		{"negative watchdog period", func(o *options) { o.watchdogEvery = -1 }},
-		{"more shards than servers", func(o *options) { o.shards = 8 }},
-		{"steal without shards", func(o *options) { o.steal = true }},
-		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }},
-		{"negative search budget", func(o *options) { o.stratName = "PA-0.5"; o.searchBudget = -1 }},
-		{"search budget without PA", func(o *options) { o.searchBudget = 3 }},
+		{"unknown strategy", func(o *options) { o.stratName = "XX-9" }, ""},
+		{"missing model dir", func(o *options) { o.modelDir = filepath.Join(dir, "nope") }, ""},
+		{"missing swf input", func(o *options) { o.swfPath = filepath.Join(dir, "missing.swf") }, ""},
+		{"unwritable trace output", func(o *options) { o.tracePath = filepath.Join(dir, "no", "such", "dir", "t.json") }, ""},
+		{"bad debug address", func(o *options) { o.debugAddr = "notanaddress:-1" }, ""},
+		{"missing fault schedule", func(o *options) { o.faultsPath = filepath.Join(dir, "missing.csv") }, ""},
+		{"mtbf without mttr", func(o *options) { o.mtbf = 5000 }, ""},
+		{"bad checkpoint policy", func(o *options) { o.checkpoint = "sometimes" }, ""},
+		{"non-finite checkpoint interval", func(o *options) { o.checkpoint = "periodic:NaN" }, ""},
+		{"unwritable vm-audit output", func(o *options) { o.vmAuditPath = filepath.Join(dir, "no", "such", "dir", "a.csv") }, ""},
+		{"unwritable series output", func(o *options) { o.seriesPath = filepath.Join(dir, "no", "such", "dir", "s.csv") }, ""},
+		{"negative vms", func(o *options) { o.vms = -100 }, ""},
+		{"negative series cap", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.seriesCap = -1 }, ""},
+		{"negative shards", func(o *options) { o.shards = -1 }, ""},
+		{"negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -10 }, ""},
+		{"explicit zero shard window", func(o *options) { o.shards = 2; o.shardWindow = 0; o.windowSet = true }, ""},
+		{"explicit negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -1; o.windowSet = true }, ""},
+		{"negative watchdog period", func(o *options) { o.watchdogEvery = -1 }, ""},
+		{"more shards than servers", func(o *options) { o.shards = 8 }, ""},
+		{"steal without shards", func(o *options) { o.steal = true }, ""},
+		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }, ""},
+		{"negative search budget", func(o *options) { o.stratName = "PA-0.5"; o.searchBudget = -1 }, ""},
+		{"search budget without PA", func(o *options) { o.searchBudget = 3 }, ""},
+		{"BF multiplex zero", func(o *options) { o.stratName = "BF-0" }, "multiplex 0"},
+		{"BF cap past the admission limit", func(o *options) { o.stratName = "BF-5" }, "admission limit"},
+		{"negative backfill depth", func(o *options) { o.backfill = -1 }, "BackfillDepth"},
+		{"BF multiplex with trailing text", func(o *options) { o.stratName = "BF-2x" }, "bad BF multiplex"},
+		{"PA alpha with trailing text", func(o *options) { o.stratName = "PA-0.5abc" }, "bad PA alpha"},
+		{"PA alpha NaN", func(o *options) { o.stratName = "PA-NaN" }, "out of [0,1]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			opt := base
 			c.mut(&opt)
-			if err := run(opt); err == nil {
+			err := run(opt)
+			if err == nil {
 				t.Error("run() accepted a broken configuration")
+			} else if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("run() error %q does not mention %q", err, c.want)
 			}
 		})
 	}

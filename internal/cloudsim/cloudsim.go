@@ -16,11 +16,12 @@
 // deadlines summed over all applications). Scheduling and provisioning
 // overheads are not modelled, as in the paper.
 //
-// Run is the scale-tuned event loop: typed slab-backed events, a
-// placement view and active-server count maintained incrementally,
-// pooled VM state, and — for strategies implementing
-// strategy.IndexedPlacer — O(1) capacity-indexed placement. RunReference
-// (reference_test.go, test-only) retains the naive transcription as the
+// Run is the scale-tuned event loop: typed slab-backed events, an
+// active-server count maintained incrementally, pooled VM state, and
+// placement through a capacity index (strategy.FleetIndex) the
+// simulator keeps in step with every server's allocation. RunReference
+// (reference_test.go, test-only) retains the naive transcription, which
+// hands strategies a fleet view through their linear Place, as the
 // equivalence oracle; the golden tests prove both produce byte-identical
 // Metrics and VMRecord streams.
 package cloudsim
@@ -52,13 +53,13 @@ type Config struct {
 	// Servers is the cloud size (the paper's SMALLER and LARGER clouds
 	// differ only here, by ~15 %).
 	Servers int
-	// Strategy decides placements. Strategies that also implement
-	// strategy.IndexedPlacer place through a capacity index the
-	// simulator maintains incrementally instead of a per-call fleet
-	// scan.
+	// Strategy decides placements. Run and RunSharded require it to
+	// implement strategy.IndexedPlacer: it places through a capacity
+	// index the simulator maintains incrementally, never through a
+	// fleet scan.
 	Strategy strategy.Strategy
-	// MaxVMsPerServer is the physical admission limit (defaults to 16,
-	// the testbed's base-test ceiling).
+	// MaxVMsPerServer is the physical admission limit (defaults to
+	// DefaultMaxVMsPerServer, the testbed's base-test ceiling).
 	MaxVMsPerServer int
 	// IdleServerPower is drawn by every provisioned server while it
 	// hosts nothing — the paper "assume[s] a fixed power dissipation of
@@ -137,6 +138,10 @@ type Config struct {
 	// RunReference.
 	Watchdog *obs.Watchdog
 }
+
+// DefaultMaxVMsPerServer is the admission limit a zero
+// Config.MaxVMsPerServer selects.
+const DefaultMaxVMsPerServer = 16
 
 // Consolidator proposes VM migrations for a live cloud snapshot.
 type Consolidator interface {
@@ -409,14 +414,11 @@ type sim struct {
 	// with periodic compaction).
 	queue []int
 	qhead int
-	// views is the placement-time fleet view handed to linear
-	// strategies, kept in sync with srv allocations instead of being
-	// rebuilt on every tryPlace.
-	views []strategy.Server
-	// fleet/indexed are set when the strategy places through the
-	// capacity index; hinter additionally when it can answer job
-	// feasibility from the index's free-capacity summary, which lets
-	// drainQueue skip provably futile placement attempts.
+	// fleet is the capacity index every placement goes through and
+	// indexed the strategy placing through it; hinter is set when the
+	// strategy can answer job feasibility from the index's free-capacity
+	// summary, which lets drainQueue skip provably futile placement
+	// attempts.
 	fleet   *strategy.FleetIndex
 	indexed strategy.IndexedPlacer
 	hinter  strategy.CapacityHinter
@@ -457,12 +459,6 @@ type sim struct {
 	// (scheduleFaultsUntil admits entries window by window).
 	faultSch  faults.Schedule
 	faultNext int
-	// upViews is the compacted placement view over up servers only,
-	// handed to linear strategies in fault mode instead of views and
-	// maintained incrementally (splice on crash/recover, alloc updates
-	// through viewPos). viewPos maps server id -> upViews index, -1 down.
-	upViews []strategy.Server
-	viewPos []int
 
 	// stats/tr/audit/sampler are the telemetry hooks; with Config.Obs,
 	// Config.Tracer, Config.Audit and Config.Sampler nil every hook is a
@@ -475,12 +471,8 @@ type sim struct {
 	nameBuf []byte
 	// rec/wd are the decision flight recorder and the invariant
 	// watchdog (nil when off, like the other telemetry handles).
-	// explain is the strategy's Explainer view, resolved only when the
-	// recorder is attached: PlaceExplained decides identically to Place
-	// but also surfaces the search statistics the log captures.
-	rec     *DecisionRecorder
-	wd      *obs.Watchdog
-	explain strategy.Explainer
+	rec *DecisionRecorder
+	wd  *obs.Watchdog
 
 	uidSeq      int
 	records     []VMRecord
@@ -521,6 +513,9 @@ func (cfg Config) Validate() error {
 	if cfg.MigrationCost < 0 {
 		return fmt.Errorf("cloudsim: negative MigrationCost %v", cfg.MigrationCost)
 	}
+	if cfg.BackfillDepth < 0 {
+		return fmt.Errorf("cloudsim: negative BackfillDepth %d", cfg.BackfillDepth)
+	}
 	if err := cfg.Faults.Validate(cfg.Servers); err != nil {
 		return fmt.Errorf("cloudsim: fault schedule: %w", err)
 	}
@@ -534,7 +529,7 @@ func validateConfig(cfg Config, reqs []trace.Request) (Config, error) {
 		return cfg, err
 	}
 	if cfg.MaxVMsPerServer == 0 {
-		cfg.MaxVMsPerServer = 16
+		cfg.MaxVMsPerServer = DefaultMaxVMsPerServer
 	}
 	switch {
 	case cfg.IdleServerPower == 0:
@@ -600,6 +595,10 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 // event list yet — Run schedules the whole input up front, the sharded
 // coordinator admits it one time window at a time.
 func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
+	ip, ok := cfg.Strategy.(strategy.IndexedPlacer)
+	if !ok {
+		return nil, fmt.Errorf("cloudsim: strategy %s does not implement strategy.IndexedPlacer", cfg.Strategy.Name())
+	}
 	s := &sim{
 		cfg:         cfg,
 		reqs:        reqs,
@@ -619,9 +618,6 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 		// The decision counters register only when a recorder is
 		// attached, so recorder-off registry snapshots are unchanged.
 		s.stats.initDecision(cfg.Obs)
-		if ex, ok := cfg.Strategy.(strategy.Explainer); ok {
-			s.explain = ex
-		}
 	}
 	if s.wd = cfg.Watchdog; s.wd != nil {
 		s.wd.Reset()
@@ -652,7 +648,6 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 	remSlab := make([]float64, cfg.Servers*resCap)
 	clsSlab := make([]uint8, cfg.Servers*resCap)
 	s.srv = make([]*simServer, cfg.Servers)
-	s.views = make([]strategy.Server, cfg.Servers)
 	s.occ = make([]uint64, (cfg.Servers+63)/64)
 	for i := range s.srv {
 		slab[i] = simServer{
@@ -662,15 +657,10 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 			cls: clsSlab[i*resCap : i*resCap : (i+1)*resCap],
 		}
 		s.srv[i] = &slab[i]
-		s.views[i] = strategy.Server{ID: i}
 	}
-	if ip, ok := cfg.Strategy.(strategy.IndexedPlacer); ok {
-		s.indexed = ip
-		s.fleet = strategy.NewFleetIndex(cfg.Servers, cfg.MaxVMsPerServer)
-		if ch, ok := cfg.Strategy.(strategy.CapacityHinter); ok {
-			s.hinter = ch
-		}
-	}
+	s.indexed = ip
+	s.fleet = strategy.NewFleetIndex(cfg.Servers, cfg.MaxVMsPerServer)
+	s.hinter, _ = cfg.Strategy.(strategy.CapacityHinter)
 	s.traceSetup()
 	if len(cfg.Faults) > 0 {
 		s.setupFaults()
@@ -991,18 +981,10 @@ func (s *sim) infoFor(sv *simServer) (*allocInfo, error) {
 }
 
 // applyAlloc shifts a server's allocation by delta VMs of class c,
-// keeping the placement views and the capacity index in sync.
+// keeping the capacity index in sync.
 func (s *sim) applyAlloc(sv *simServer, c workload.Class, delta int) {
 	sv.alloc = sv.alloc.Add(model.KeyFor(c, delta))
-	s.views[sv.id].Alloc = sv.alloc
-	if s.faulty {
-		if p := s.viewPos[sv.id]; p >= 0 {
-			s.upViews[p].Alloc = sv.alloc
-		}
-	}
-	if s.fleet != nil {
-		s.fleet.Add(sv.id, c, delta)
-	}
+	s.fleet.Add(sv.id, c, delta)
 }
 
 // advance integrates a server's VM progress and energy up to now.
@@ -1470,43 +1452,23 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 			MaxTime:     req.MaxResponse,
 		}
 	}
+	// The index itself excludes down servers (FleetIndex.SetDown). With
+	// a recorder on, a strategy that explains itself decides through
+	// PlaceIndexedExplained — identical decisions by the contract, plus
+	// the search stats the flight log captures.
 	var assign []int
 	var ok bool
 	var info *strategy.PlaceInfo
-	if s.indexed != nil {
-		// The index itself excludes down servers (FleetIndex.SetDown).
-		// With a recorder on, an indexed strategy that explains itself
-		// decides through PlaceIndexedExplained, as Explainer does below.
-		var ie strategy.IndexedExplainer
-		if s.rec != nil {
-			ie, _ = s.indexed.(strategy.IndexedExplainer)
-		}
-		if ie != nil {
-			var pi strategy.PlaceInfo
-			assign, ok, pi = ie.PlaceIndexedExplained(s.fleet, vms, s.assignBuf[:])
-			info = &pi
-		} else {
-			assign, ok = s.indexed.PlaceIndexed(s.fleet, vms, s.assignBuf[:])
-		}
+	var ie strategy.IndexedExplainer
+	if s.rec != nil {
+		ie, _ = s.indexed.(strategy.IndexedExplainer)
+	}
+	if ie != nil {
+		var pi strategy.PlaceInfo
+		assign, ok, pi = ie.PlaceIndexedExplained(s.fleet, vms, s.assignBuf[:])
+		info = &pi
 	} else {
-		views := s.views
-		if s.faulty {
-			// Linear strategies see only the up servers; assignments are
-			// by server ID, so the compacted view needs no translation.
-			views = s.upViews
-		}
-		// A linear Place walks the whole (up-)fleet view: O(servers).
-		s.stats.fleetScans.Inc()
-		if s.explain != nil {
-			// Recorder on and the strategy explains itself: decide through
-			// PlaceExplained — identical decisions by the Explainer
-			// contract, plus the search stats the flight log captures.
-			var pi strategy.PlaceInfo
-			assign, ok, pi = s.explain.PlaceExplained(views, vms)
-			info = &pi
-		} else {
-			assign, ok = s.cfg.Strategy.Place(views, vms)
-		}
+		assign, ok = s.indexed.PlaceIndexed(s.fleet, vms, s.assignBuf[:])
 	}
 	if !ok {
 		s.stats.placeRejected.Inc()

@@ -1,6 +1,8 @@
 package cloudsim
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,6 +89,30 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(c.cfg, c.reqs); err == nil {
 			t.Errorf("%s: Run accepted bad input", c.name)
 		}
+	}
+}
+
+// placeOnly hides a strategy's PlaceIndexed, leaving the linear Place
+// alone.
+type placeOnly struct{ strategy.Strategy }
+
+// TestRunRequiresIndexedPlacer pins that the simulator places through
+// the fleet index only: Run and RunSharded refuse, by name, a strategy
+// that has no PlaceIndexed.
+func TestRunRequiresIndexedPlacer(t *testing.T) {
+	cfg := Config{DB: sharedDB(t), Servers: 2, Strategy: placeOnly{ff(t, 2)}}
+	reqs := mkReqs(t, 4, workload.ClassCPU, 0)
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "FF-2") || !strings.Contains(err.Error(), "IndexedPlacer") {
+			t.Errorf("%s: got %v, want an error naming FF-2 and IndexedPlacer", what, err)
+		}
+	}
+	_, err := Run(cfg, reqs)
+	check("Run", err)
+	for _, shards := range []int{1, 2} {
+		_, err := RunSharded(cfg, reqs, ShardConfig{Shards: shards})
+		check(fmt.Sprintf("RunSharded with %d shard(s)", shards), err)
 	}
 }
 

@@ -86,8 +86,8 @@ const (
 )
 
 // DecisionSearch is the PROACTIVE search-statistics payload of a place
-// or reject decision taken through a strategy.Explainer: exact per-call
-// counts from core.SearchStats.
+// or reject decision taken through a strategy.IndexedExplainer: exact
+// per-call counts from core.SearchStats.
 type DecisionSearch struct {
 	Enumerated int  `json:"enumerated"`
 	Deduped    int  `json:"deduped"`
@@ -283,10 +283,7 @@ func ReadDecisionLog(r io.Reader) ([]Decision, error) {
 // candidateCount is the placement candidate-set size: the up-server
 // count the strategy is offered.
 func (s *sim) candidateCount() int {
-	if s.faulty {
-		return len(s.upViews)
-	}
-	return s.cfg.Servers
+	return s.fleet.NumUp()
 }
 
 // recordAdmit logs a request reaching the admission queue.
@@ -311,7 +308,7 @@ func (s *sim) recordReject(idx int, reason string) {
 }
 
 // recordPlace logs a committed placement: the per-VM server targets,
-// the assigned uids, and — when the strategy is an Explainer — the
+// the assigned uids, and — when the strategy is an IndexedExplainer — the
 // search statistics behind the decision.
 func (s *sim) recordPlace(idx int, assign, uids []int, info *strategy.PlaceInfo) {
 	r := &s.reqs[idx]

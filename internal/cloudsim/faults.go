@@ -8,9 +8,9 @@ package cloudsim
 // by the configured checkpoint policy and the remainder re-queued as a
 // synthetic single-VM request through normal admission — cancels the
 // server's pending completion, powers it off (0 W until recovery), and
-// excludes it from placement: the capacity index learns SetDown without
-// a rebuild, and linear strategies are handed the compacted up-server
-// view. Recovery reverses the exclusion and re-offers the queue.
+// excludes it from placement: the capacity index every placement goes
+// through learns SetDown without a rebuild. Recovery reverses the
+// exclusion and re-offers the queue.
 //
 // Re-queued requests keep the original Submit and MaxResponse, so the
 // deadline judged at final completion — and the response/wait sums —
@@ -26,11 +26,9 @@ package cloudsim
 
 import (
 	"fmt"
-	"sort"
 
 	"pacevm/internal/eventq"
 	"pacevm/internal/faults"
-	"pacevm/internal/strategy"
 	"pacevm/internal/trace"
 	"pacevm/internal/units"
 )
@@ -43,8 +41,8 @@ type downSpan struct {
 }
 
 // setupFaults switches the simulator into fault mode: per-server down
-// state, the compacted up-server placement view, and the sorted
-// crash/recover schedule staged for scheduleFaultsUntil.
+// state and the sorted crash/recover schedule staged for
+// scheduleFaultsUntil.
 func (s *sim) setupFaults() {
 	s.faulty = true
 	s.checkpoint = s.cfg.Checkpoint
@@ -52,12 +50,8 @@ func (s *sim) setupFaults() {
 	// never grown into.
 	s.reqs = append([]trace.Request(nil), s.reqs...)
 	s.downSince = make([]units.Seconds, s.cfg.Servers)
-	s.viewPos = make([]int, s.cfg.Servers)
-	s.upViews = make([]strategy.Server, s.cfg.Servers)
-	for i := range s.upViews {
+	for i := range s.downSince {
 		s.downSince[i] = -1
-		s.viewPos[i] = i
-		s.upViews[i] = strategy.Server{ID: i}
 	}
 	// Sort chronologically so same-instant events resolve by schedule
 	// sequence deterministically regardless of the input order, and a
@@ -136,10 +130,7 @@ func (s *sim) crash(serverIdx int) error {
 		s.sampler.serverIdle(serverIdx)
 		s.sampler.serverDown()
 	}
-	if s.fleet != nil {
-		s.fleet.SetDown(serverIdx)
-	}
-	s.viewRemove(serverIdx)
+	s.fleet.SetDown(serverIdx)
 	s.traceQueueDepth()
 	return nil
 }
@@ -200,7 +191,7 @@ func (s *sim) kill(sv *simServer, vm *simVM, remaining float64) {
 }
 
 // recoverServer brings a crashed server back: the outage is logged, the
-// server rejoins the placement views, and its accounting clock resumes
+// server rejoins the capacity index, and its accounting clock resumes
 // at now (nothing to integrate — a down server hosts nothing and draws
 // nothing).
 func (s *sim) recoverServer(serverIdx int) error {
@@ -215,38 +206,9 @@ func (s *sim) recoverServer(serverIdx int) error {
 	if s.sampler != nil {
 		s.sampler.serverUp()
 	}
-	if s.fleet != nil {
-		s.fleet.SetUp(serverIdx)
-	}
-	s.viewInsert(serverIdx)
+	s.fleet.SetUp(serverIdx)
 	s.traceDown(sv, from)
 	return nil
-}
-
-// viewRemove splices a server out of the compacted up-server view.
-// O(up servers) — paid only on the rare fault events, never on the
-// placement path.
-func (s *sim) viewRemove(id int) {
-	p := s.viewPos[id]
-	copy(s.upViews[p:], s.upViews[p+1:])
-	s.upViews = s.upViews[:len(s.upViews)-1]
-	s.viewPos[id] = -1
-	for i := p; i < len(s.upViews); i++ {
-		s.viewPos[s.upViews[i].ID] = i
-	}
-}
-
-// viewInsert splices a recovered server back into the view, keeping it
-// sorted by server id so linear strategies scan the same order a full
-// fleet view would present.
-func (s *sim) viewInsert(id int) {
-	p := sort.Search(len(s.upViews), func(i int) bool { return s.upViews[i].ID > id })
-	s.upViews = append(s.upViews, strategy.Server{})
-	copy(s.upViews[p+1:], s.upViews[p:])
-	s.upViews[p] = strategy.Server{ID: id, Alloc: s.srv[id].alloc}
-	for i := p; i < len(s.upViews); i++ {
-		s.viewPos[s.upViews[i].ID] = i
-	}
 }
 
 // foldDowntime closes the outage log at the end of the run and returns

@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,13 +17,93 @@ import (
 	"pacevm/internal/workload"
 )
 
-// linearOnly hides a strategy's IndexedPlacer implementation, forcing
-// the simulator down the fleet-view placement path.
-type linearOnly struct{ strategy.Strategy }
+// linearChecked wraps an indexed strategy and, at every decision the
+// simulator takes, checks the indexed answer against the strategy's
+// linear Place on the up-server view rebuilt from the index: the two
+// placement paths must agree call by call, not just in aggregate.
+type linearChecked struct {
+	strategy.IndexedPlacer
+	t   testing.TB
+	log *checkLog
+}
 
-// linearExplainer is linearOnly for a strategy that explains its
-// decisions: the fleet-view path with the search attribution kept.
-type linearExplainer struct{ strategy.Explainer }
+// checkLog counts the checked decisions and keeps, for each accepted
+// one, the number of up servers the linear view held.
+type checkLog struct {
+	calls    int
+	placedUp []int
+}
+
+// note counts one decision on the given view.
+func (l *checkLog) note(view []strategy.Server, ok bool) {
+	l.calls++
+	if ok {
+		l.placedUp = append(l.placedUp, len(view))
+	}
+}
+
+// linearCheckedExplainer is linearChecked for a strategy that explains
+// its decisions: the indexed attribution, search tallies included,
+// must equal PlaceExplained's on the same view.
+type linearCheckedExplainer struct {
+	linearChecked
+	ie strategy.IndexedExplainer
+	ex strategy.Explainer
+}
+
+// checkLinear wraps st, keeping its Explainer side when it has one.
+func checkLinear(t testing.TB, st strategy.Strategy, log *checkLog) strategy.Strategy {
+	lc := linearChecked{IndexedPlacer: st.(strategy.IndexedPlacer), t: t, log: log}
+	if ie, ok := st.(strategy.IndexedExplainer); ok {
+		return linearCheckedExplainer{lc, ie, st.(strategy.Explainer)}
+	}
+	return lc
+}
+
+// upView is the fleet view a linear Place sees: the index's up servers
+// in id order.
+func upView(idx *strategy.FleetIndex) []strategy.Server {
+	var view []strategy.Server
+	for i := 0; i < idx.Len(); i++ {
+		if !idx.Down(i) {
+			view = append(view, strategy.Server{ID: i, Alloc: idx.Alloc(i)})
+		}
+	}
+	return view
+}
+
+func (c linearChecked) PlaceIndexed(idx *strategy.FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool) {
+	view := upView(idx)
+	want, wantOK := c.IndexedPlacer.Place(view, vms)
+	got, ok := c.IndexedPlacer.PlaceIndexed(idx, vms, dst)
+	c.log.note(view, ok)
+	if ok != wantOK || ok && !slices.Equal(got, want) {
+		c.t.Errorf("%s decision %d: indexed %v %v, linear %v %v", c.Name(), c.log.calls, got, ok, want, wantOK)
+	}
+	return got, ok
+}
+
+// CanFit forwards the wrapped strategy's capacity hint, so the checked
+// run skips the attempts the plain one skips; without a hint it answers
+// "attempt anyway", which is how the simulator treats no hinter.
+func (c linearChecked) CanFit(idx *strategy.FleetIndex, n int) (bool, bool) {
+	if h, ok := c.IndexedPlacer.(strategy.CapacityHinter); ok {
+		return h.CanFit(idx, n)
+	}
+	return true, false
+}
+
+func (c linearCheckedExplainer) PlaceIndexedExplained(idx *strategy.FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool, strategy.PlaceInfo) {
+	view := upView(idx)
+	want, wantOK, wantInfo := c.ex.PlaceExplained(view, vms)
+	got, ok, info := c.ie.PlaceIndexedExplained(idx, vms, dst)
+	c.log.note(view, ok)
+	if ok != wantOK || ok && !slices.Equal(got, want) || info != wantInfo {
+		c.t.Errorf("%s decision %d: indexed %v %v %+v, linear %v %v %+v",
+			c.Name(), c.log.calls, got, ok, info, want, wantOK, wantInfo)
+	}
+	return got, ok, info
+}
 
 // faultWorkload is a seeded trace stream long enough that mid-run
 // crashes hit resident VMs.
@@ -46,8 +127,8 @@ func faultSchedule(t testing.TB, seed uint64, servers int, horizon units.Seconds
 }
 
 // TestFaultRunDeterministic runs the same fault-injected configuration
-// repeatedly — across indexed and linear strategies — and requires
-// byte-identical results every time.
+// repeatedly — for each placement strategy — and requires byte-identical
+// results every time.
 func TestFaultRunDeterministic(t *testing.T) {
 	db := sharedDB(t)
 	reqs := faultWorkload(t, 21, 150)
@@ -57,7 +138,6 @@ func TestFaultRunDeterministic(t *testing.T) {
 		mk   func() strategy.Strategy
 	}{
 		{"FF-2-indexed", func() strategy.Strategy { return ff(t, 2) }},
-		{"FF-2-linear", func() strategy.Strategy { return linearOnly{ff(t, 2)} }},
 		{"BF-2", func() strategy.Strategy { return &strategy.BestFit{Multiplex: 2} }},
 		{"PA-balanced", func() strategy.Strategy { return pa(t, core.GoalBalanced) }},
 	}
@@ -96,62 +176,70 @@ func TestFaultRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultIndexedMatchesLinear pins that the capacity-index down/up
-// path and the compacted fleet-view path place identically under
-// faults: first-fit and PA-0.5 through both machineries must yield
-// byte-identical runs. The PA runs also attach a decision recorder,
-// and the two logs — search tallies included — must match too.
+// TestFaultIndexedMatchesLinear pins that indexed placement under
+// faults decides as the strategies' linear Place does on the up-server
+// view: every decision of FF-2, BF-2 and PA-0.5 runs through
+// linearChecked under one crash schedule, with the decision recorder
+// (so PA decides through PlaceIndexedExplained and its search tallies
+// are compared too) and the watchdog on. Each place record's candidate
+// count must be the up-server count the linear view held, and the
+// wrapped run must match an unwrapped one: the check is passive.
 func TestFaultIndexedMatchesLinear(t *testing.T) {
 	db := sharedDB(t)
 	reqs := faultWorkload(t, 29, 200)
 	sched := faultSchedule(t, 9, 12, 50000)
 	cases := []struct {
-		name   string
-		st     strategy.Strategy
-		linear strategy.Strategy
-		record bool
+		name string
+		mk   func() strategy.Strategy
 	}{
-		{"FF-2", ff(t, 2), linearOnly{ff(t, 2)}, false},
-		{"PA-0.5", pa(t, core.GoalBalanced), linearExplainer{pa(t, core.GoalBalanced).(strategy.Explainer)}, true},
+		{"FF-2", func() strategy.Strategy { return ff(t, 2) }},
+		{"BF-2", func() strategy.Strategy { return &strategy.BestFit{Multiplex: 2} }},
+		{"PA-0.5", func() strategy.Strategy { return pa(t, core.GoalBalanced) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(s strategy.Strategy) (Result, string) {
-				cfg := Config{
-					DB: db, Servers: 12, Strategy: s,
-					Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
+			var log checkLog
+			cfg := Config{
+				DB: db, Servers: 12, Strategy: checkLinear(t, c.mk(), &log),
+				Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
+				Recorder: NewDecisionRecorder(), Watchdog: obs.NewWatchdog(64),
+			}
+			checked, err := Run(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checked.FaultsInjected == 0 || checked.VMsKilled == 0 {
+				t.Fatalf("schedule did not bite: %d faults, %d kills", checked.FaultsInjected, checked.VMsKilled)
+			}
+			if log.calls < len(reqs) {
+				t.Fatalf("%d checked decisions for %d requests", log.calls, len(reqs))
+			}
+			if v := cfg.Watchdog.Violations(); len(v) != 0 {
+				t.Errorf("watchdog violations: %v", v)
+			}
+			var placedUp []int
+			searched := false
+			for _, d := range cfg.Recorder.Decisions() {
+				if d.Kind == DecisionPlace {
+					placedUp = append(placedUp, d.Candidates)
+					searched = searched || d.Search != nil
 				}
-				if c.record {
-					cfg.Recorder = NewDecisionRecorder()
-				}
-				res, err := Run(cfg, reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var log strings.Builder
-				if c.record {
-					if err := cfg.Recorder.WriteJSONL(&log); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return res, log.String()
 			}
-			indexed, indexedLog := run(c.st)
-			linear, linearLog := run(c.linear)
-			if indexed.FaultsInjected == 0 || indexed.VMsKilled == 0 {
-				t.Fatalf("schedule did not bite: %d faults, %d kills", indexed.FaultsInjected, indexed.VMsKilled)
+			if !slices.Equal(placedUp, log.placedUp) {
+				t.Errorf("place records' candidate counts %v, up servers at those decisions %v", placedUp, log.placedUp)
 			}
-			if indexed.Metrics != linear.Metrics {
-				t.Errorf("Metrics diverge:\nindexed %+v\nlinear  %+v", indexed.Metrics, linear.Metrics)
+			if _, explains := c.mk().(strategy.Explainer); searched != explains {
+				t.Errorf("place records carry search attribution: %v, want %v", searched, explains)
 			}
-			if !reflect.DeepEqual(indexed.VMs, linear.VMs) {
-				t.Error("VMRecord streams diverge between indexed and linear placement")
+			plain, err := Run(Config{
+				DB: db, Servers: 12, Strategy: c.mk(),
+				Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
+			}, reqs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if indexedLog != linearLog {
-				t.Error("decision logs diverge between indexed and linear placement")
-			}
-			if c.record && !strings.Contains(indexedLog, `"search"`) {
-				t.Error("indexed PA decisions carry no search attribution")
+			if plain.Metrics != checked.Metrics || !reflect.DeepEqual(plain.VMs, checked.VMs) {
+				t.Errorf("checked run diverges from the plain one:\nchecked %+v\nplain   %+v", checked.Metrics, plain.Metrics)
 			}
 		})
 	}
@@ -396,6 +484,7 @@ func TestConfigValidate(t *testing.T) {
 		{"nil strategy", func(c *Config) { c.Strategy = nil }, "nil strategy"},
 		{"negative cap", func(c *Config) { c.MaxVMsPerServer = -2 }, "MaxVMsPerServer"},
 		{"negative migration cost", func(c *Config) { c.MigrationCost = -1 }, "negative MigrationCost"},
+		{"negative backfill depth", func(c *Config) { c.BackfillDepth = -1 }, "negative BackfillDepth"},
 		{"fault out of range", func(c *Config) { c.Faults = faults.Schedule{{Server: 7, Down: 1, Up: 2}} }, "fault schedule"},
 		{"fault overlap", func(c *Config) {
 			c.Faults = faults.Schedule{{Server: 0, Down: 1, Up: 10}, {Server: 0, Down: 5, Up: 20}}

@@ -14,7 +14,6 @@ import (
 	"pacevm/internal/core"
 	"pacevm/internal/migrate"
 	"pacevm/internal/model"
-	"pacevm/internal/rng"
 	"pacevm/internal/strategy"
 	"pacevm/internal/trace"
 	"pacevm/internal/units"
@@ -35,9 +34,9 @@ func goldenWorkload(t testing.TB, seed uint64, n int) []trace.Request {
 	return s.Take(n)
 }
 
-// goldenCompare runs both simulators on freshly-built configs (stateful
-// strategies like Random consume rng, so each run gets its own) and
-// requires identical results.
+// goldenCompare runs both simulators on freshly-built configs (so no
+// strategy state carries over between runs) and requires identical
+// results.
 func goldenCompare(t *testing.T, mkCfg func() Config, reqs []trace.Request) {
 	t.Helper()
 	refCfg := mkCfg()
@@ -90,9 +89,6 @@ func TestGoldenEquivalence(t *testing.T) {
 	bfS := func(mult int) func() strategy.Strategy {
 		return func() strategy.Strategy { return &strategy.BestFit{Multiplex: mult} }
 	}
-	randS := func(mult int, seed uint64) func() strategy.Strategy {
-		return func() strategy.Strategy { return &strategy.Random{Multiplex: mult, Rng: rng.New(seed)} }
-	}
 	paS := func(goal core.Goal) func() strategy.Strategy {
 		return func() strategy.Strategy { return pa(t, goal) }
 	}
@@ -112,8 +108,6 @@ func TestGoldenEquivalence(t *testing.T) {
 		{"FF-3/backfill2", mk(ffS(3), 8, 2, false), big},
 		{"BF-2", mk(bfS(2), 10, 0, false), mid},
 		{"BF-2/backfill3", mk(bfS(2), 10, 3, false), mid},
-		{"RAND-2", mk(randS(2, 42), 10, 0, false), mid},
-		{"RAND-2/backfill2", mk(randS(2, 43), 10, 2, false), mid},
 		{"PA-balanced", mk(paS(core.GoalBalanced), 8, 0, false), small},
 		{"PA-energy/backfill2", mk(paS(core.GoalEnergy), 8, 2, false), small},
 		{"PA-performance", mk(paS(core.GoalPerformance), 8, 0, false), small},

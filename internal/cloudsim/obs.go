@@ -37,13 +37,9 @@ type simStats struct {
 	intervalsClosed *obs.Counter
 	pricingHits     *obs.Counter
 	pricingMisses   *obs.Counter
-	// fleetScans counts placements answered by an O(servers) walk — the
-	// linear strategy path; indexed strategies must keep this at zero no
-	// matter the fleet size (pinned by TestFleetScanScaling). fitSkips
-	// counts queued jobs drainQueue never attempted because the capacity
-	// summary proved the fleet cannot hold them.
-	fleetScans *obs.Counter
-	fitSkips   *obs.Counter
+	// fitSkips counts queued jobs drainQueue never attempted because the
+	// capacity summary proved the fleet cannot hold them.
+	fitSkips *obs.Counter
 	// admissionSteals counts queued jobs this shard handed off to
 	// another shard at a window barrier (ShardConfig.Steal); always zero
 	// in monolithic and steal-off runs.
@@ -78,7 +74,6 @@ func (st *simStats) init(reg *obs.Registry) {
 	st.intervalsClosed = reg.Counter("sim_intervals_closed")
 	st.pricingHits = reg.Counter("sim_pricing_cache_hits")
 	st.pricingMisses = reg.Counter("sim_pricing_cache_misses")
-	st.fleetScans = reg.Counter("sim_fleet_scans_total")
 	st.fitSkips = reg.Counter("sim_fit_skips_total")
 	st.admissionSteals = reg.Counter("sim_admission_steals_total")
 	st.faultsInjected = reg.Counter("sim_faults_injected")

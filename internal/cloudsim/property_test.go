@@ -122,6 +122,9 @@ func (overfillStrategy) Place(servers []strategy.Server, vms []core.VMRequest) (
 	}
 	return out, true
 }
+func (overfillStrategy) PlaceIndexed(_ *strategy.FleetIndex, vms []core.VMRequest, _ []int) ([]int, bool) {
+	return make([]int, len(vms)), true // everything onto server 0
+}
 
 func TestNoOverlapBeyondAdmission(t *testing.T) {
 	db := sharedDB(t)

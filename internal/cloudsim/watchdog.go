@@ -94,11 +94,7 @@ func (s *sim) checkQueueSanity() error {
 // index's internal level/overflow/free-capacity structures and, once
 // built, its allocation classes must be consistent with those
 // allocations (strategy.FleetIndex.AuditInvariants).
-// No-op for linear strategies, which carry no index.
 func (s *sim) checkCapacityIndex() error {
-	if s.fleet == nil {
-		return nil
-	}
 	return s.fleet.AuditInvariants(func(i int) model.Key { return s.srv[i].alloc })
 }
 

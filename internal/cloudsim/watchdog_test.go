@@ -145,9 +145,6 @@ func TestWatchdogFiresOnCorruption(t *testing.T) {
 // real allocation must fire.
 func TestWatchdogCapacityIndexFires(t *testing.T) {
 	s := corruptedSim(t)
-	if s.fleet == nil {
-		t.Skip("strategy carries no fleet index")
-	}
 	s.wd.RunChecks(0)
 	if v := s.wd.Violations(); len(v) != 0 {
 		t.Fatalf("fresh simulator already violating: %v", v)

@@ -379,6 +379,11 @@ func (c *Context) Extended() ([]EvalResult, error) {
 			c.extErr = err
 			return
 		}
+		bf, err := strategy.NewBestFit(2)
+		if err != nil {
+			c.extErr = err
+			return
+		}
 		cells := []evalCell{
 			{
 				name:          "FF+MIG",
@@ -386,7 +391,7 @@ func (c *Context) Extended() ([]EvalResult, error) {
 				consolidator:  &migrate.Planner{DB: c.DB, MigrationCost: 30},
 				migrationCost: 30,
 			},
-			{name: "BF-2", strategy: &strategy.BestFit{Multiplex: 2}},
+			{name: "BF-2", strategy: bf},
 		}
 		c.extRes, c.extErr = c.runCells(cells)
 	})

@@ -11,14 +11,16 @@ package strategy
 // instead of a fleet scan, and every occupancy change updates exactly
 // one threshold set in O(1).
 //
-// Strategies opt in through IndexedPlacer; the linear Place scan is
-// retained on every strategy as the reference implementation, and the
-// golden tests in internal/cloudsim prove both paths place identically.
+// The simulator and the placement service place through IndexedPlacer
+// only. The linear Place scan stays on every strategy as the reference
+// implementation the test-only oracle in internal/cloudsim drives, and
+// the golden tests there prove both place identically.
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"pacevm/internal/core"
 	"pacevm/internal/model"
@@ -215,6 +217,10 @@ func (f *FleetIndex) Add(i int, c workload.Class, delta int) {
 	}
 }
 
+// NumUp returns the number of up servers: those at or under the
+// ceiling plus the overfilled ones.
+func (f *FleetIndex) NumUp() int { return f.cnt[f.maxOcc] + f.nOver }
+
 // Down reports whether server i is marked down.
 func (f *FleetIndex) Down(i int) bool { return f.down[i] }
 
@@ -328,6 +334,94 @@ func (f *FirstFit) PlaceIndexed(idx *FleetIndex, vms []core.VMRequest, dst []int
 		}
 	}
 	return assign, true
+}
+
+// PlaceIndexed is the indexed best-fit: each VM goes to the fullest up
+// server still under the cap, lowest id on ties, counting this job's
+// earlier VMs on the servers they went to. Identical placements to
+// Place on the index's up servers in id order. The server a VM takes
+// is then strictly the fullest, so the job's next VM follows it until
+// it reaches the cap; only then is the index searched again, and the
+// servers left behind are full. Occupancy levels that hold no server
+// are skipped on their counts, so a search costs one bitmap walk of
+// the fullest non-empty level under the cap.
+func (b *BestFit) PlaceIndexed(idx *FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool) {
+	if b.Multiplex < 1 || len(vms) == 0 {
+		return nil, false
+	}
+	cap := b.cap()
+	if len(dst) < len(vms) {
+		dst = make([]int, len(vms))
+	}
+	assign := dst[:len(vms)]
+	for v := range vms {
+		if v > 0 {
+			last := assign[v-1]
+			if idx.Used(last)+v-slices.Index(assign[:v], last) < cap {
+				assign[v] = last
+				continue
+			}
+		}
+		if assign[v] = idx.fullestBelow(cap, assign[:v]); assign[v] < 0 {
+			return nil, false
+		}
+	}
+	return assign, true
+}
+
+// fullestBelow returns the up server outside skip with the highest
+// occupancy below cap, lowest id on ties, or -1 when there is none.
+// Overfilled servers, which only a cap past maxOcc+1 admits, outrank
+// every threshold level.
+func (f *FleetIndex) fullestBelow(cap int, skip []int) int {
+	if cap > f.maxOcc+1 && f.nOver > 0 {
+		best, bestUsed := -1, -1
+		for i := f.over.firstFrom(0); i >= 0; i = f.over.firstFrom(i + 1) {
+			if u := f.Used(i); u < cap && u > bestUsed && !slices.Contains(skip, i) {
+				best, bestUsed = i, u
+			}
+		}
+		if best >= 0 {
+			return best
+		}
+	}
+	for u := min(cap-1, f.maxOcc); u >= 0; u-- {
+		n := f.cnt[u]
+		if u > 0 {
+			n -= f.cnt[u-1]
+		}
+		// n counts the servers at level u: once every one of them is in
+		// skip, the level is done without walking the rest of its bitmap.
+		for i := 0; n > 0; n-- {
+			if i = f.firstAt(u, i); i < 0 {
+				break
+			}
+			if !slices.Contains(skip, i) {
+				return i
+			}
+			i++
+		}
+	}
+	return -1
+}
+
+// firstAt returns the lowest up server id >= from whose occupancy is
+// exactly u (u <= maxOcc), or -1: the first member of
+// levels[u] &^ levels[u-1].
+func (f *FleetIndex) firstAt(u, from int) int {
+	in := &f.levels[u]
+	if u == 0 {
+		return in.firstFrom(from)
+	}
+	below := &f.levels[u-1]
+	for i := in.firstFrom(from); i >= 0; {
+		w := i / 64
+		if rem := (in.words[w] &^ below.words[w]) >> (i % 64); rem != 0 {
+			return i + bits.TrailingZeros64(rem)
+		}
+		i = in.scanFrom((w + 1) * 64)
+	}
+	return -1
 }
 
 // AuditInvariants re-derives every structural invariant of the index

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +198,104 @@ func TestIndexedFirstFitMatchesLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIndexedBestFitMatchesLinear is a seeded differential of the
+// indexed best-fit against its linear Place on the index's up servers
+// in id order, over random fleets with down servers and servers
+// overfilled past the index's ceiling. Multiplex levels 1..5 against
+// ceilings 1..16 put the cap below, at and past maxOcc+1, and jobs hold
+// 1–4 VMs. The probe behind PlaceIndexed is also checked against a
+// brute-force scan for every cap 1..maxOcc+4, with up to 3 servers
+// skipped as a job's earlier VMs skip them.
+func TestIndexedBestFitMatchesLinear(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rng.New(seed)
+		maxOcc := r.IntBetween(1, 16)
+		n := r.IntBetween(1, 140)
+		bf := &BestFit{Multiplex: r.IntBetween(1, 5)}
+		idx := NewFleetIndex(n, maxOcc)
+		addOne := func(i int) { idx.Add(i, workload.Classes[r.Intn(workload.NumClasses)], 1) }
+		removeOne := func(i int) {
+			for _, c := range workload.Classes {
+				if idx.Alloc(i).Count(c) > 0 {
+					idx.Add(i, c, -1)
+					return
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			for k := r.IntBetween(0, maxOcc+3); k > 0; k-- {
+				addOne(i)
+			}
+			if r.Bool(0.15) {
+				idx.SetDown(i)
+			}
+		}
+		dst := make([]int, 4)
+		for step := 0; step < 30; step++ {
+			for cap := 1; cap <= maxOcc+4; cap++ {
+				skip := make([]int, r.Intn(4))
+				for j := range skip {
+					skip[j] = r.Intn(n)
+				}
+				wantID, wantUsed := -1, -1
+				for i := 0; i < n; i++ {
+					if u := idx.Used(i); !idx.Down(i) && u < cap && u > wantUsed && !slices.Contains(skip, i) {
+						wantID, wantUsed = i, u
+					}
+				}
+				if id := idx.fullestBelow(cap, skip); id != wantID {
+					t.Fatalf("seed %d step %d: fullestBelow(%d, %v) = %d, want %d (used %d)",
+						seed, step, cap, skip, id, wantID, wantUsed)
+				}
+			}
+			var view []Server
+			for i := 0; i < n; i++ {
+				if !idx.Down(i) {
+					view = append(view, Server{ID: i, Alloc: idx.Alloc(i)})
+				}
+			}
+			if idx.NumUp() != len(view) {
+				t.Fatalf("seed %d step %d: NumUp = %d, %d servers up", seed, step, idx.NumUp(), len(view))
+			}
+			vms := vmReqs(r.IntBetween(1, 4))
+			want, wantOK := bf.Place(view, vms)
+			got, gotOK := bf.PlaceIndexed(idx, vms, dst)
+			if wantOK != gotOK || wantOK && !slices.Equal(want, got) {
+				t.Fatalf("seed %d step %d (%s, maxOcc %d, %d servers): linear %v %v, indexed %v %v",
+					seed, step, bf.Name(), maxOcc, n, want, wantOK, got, gotOK)
+			}
+			if wantOK && r.Bool(0.7) {
+				for _, i := range want {
+					addOne(i)
+				}
+			}
+			if i := r.Intn(n); idx.Used(i) > 0 {
+				removeOne(i)
+			}
+			if i := r.Intn(n); r.Bool(0.2) {
+				if idx.Down(i) {
+					idx.SetUp(i)
+				} else {
+					idx.SetDown(i)
+				}
+			}
+		}
+		if err := idx.AuditInvariants(idx.Alloc); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+func TestIndexedBestFitRefuses(t *testing.T) {
+	idx := NewFleetIndex(3, 4)
+	if _, ok := (&BestFit{Multiplex: 1}).PlaceIndexed(idx, nil, nil); ok {
+		t.Error("PlaceIndexed accepted an empty VM set")
+	}
+	if _, ok := (&BestFit{}).PlaceIndexed(idx, vmReqs(1), nil); ok {
+		t.Error("PlaceIndexed accepted multiplex 0")
 	}
 }
 

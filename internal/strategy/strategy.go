@@ -9,8 +9,8 @@
 //     algorithm from internal/core, with α = 1 (minimize energy), α = 0
 //     (minimize execution time) or α = 0.5 (best tradeoff).
 //
-// BEST-FIT and RANDOM are additional baselines beyond the paper, useful
-// for ablations.
+// BEST-FIT is an additional consolidation baseline beyond the paper,
+// useful for ablations.
 package strategy
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"pacevm/internal/core"
 	"pacevm/internal/model"
-	"pacevm/internal/rng"
 )
 
 // Server is a placement-time view of one physical server. It is the
@@ -124,6 +123,14 @@ type BestFit struct {
 	Multiplex int
 }
 
+// NewBestFit returns the BF variant with the given multiplexing level.
+func NewBestFit(multiplex int) (*BestFit, error) {
+	if multiplex < 1 {
+		return nil, fmt.Errorf("strategy: multiplex %d must be >= 1", multiplex)
+	}
+	return &BestFit{Multiplex: multiplex}, nil
+}
+
 func (b *BestFit) Name() string { return fmt.Sprintf("BF-%d", b.Multiplex) }
 
 func (b *BestFit) cap() int { return b.Multiplex * CPUSlotsPerServer }
@@ -153,43 +160,6 @@ func (b *BestFit) Place(servers []Server, vms []core.VMRequest) ([]int, bool) {
 		}
 		used[best]++
 		assign[v] = servers[best].ID
-	}
-	return assign, true
-}
-
-// Random places each VM on a uniformly random server with a free slot.
-// An extra baseline beyond the paper.
-type Random struct {
-	Multiplex int
-	Rng       *rng.Stream
-}
-
-func (r *Random) Name() string { return fmt.Sprintf("RAND-%d", r.Multiplex) }
-
-// Place assigns each VM to a random server with spare capacity.
-func (r *Random) Place(servers []Server, vms []core.VMRequest) ([]int, bool) {
-	if r.Multiplex < 1 || r.Rng == nil || len(vms) == 0 {
-		return nil, false
-	}
-	cap := r.Multiplex * CPUSlotsPerServer
-	used := make([]int, len(servers))
-	for i, s := range servers {
-		used[i] = s.Alloc.Total()
-	}
-	assign := make([]int, len(vms))
-	for v := range vms {
-		var free []int
-		for i := range servers {
-			if used[i] < cap {
-				free = append(free, i)
-			}
-		}
-		if len(free) == 0 {
-			return nil, false
-		}
-		pick := free[r.Rng.Intn(len(free))]
-		used[pick]++
-		assign[v] = servers[pick].ID
 	}
 	return assign, true
 }

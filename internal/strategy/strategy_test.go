@@ -7,7 +7,6 @@ import (
 	"pacevm/internal/campaign"
 	"pacevm/internal/core"
 	"pacevm/internal/model"
-	"pacevm/internal/rng"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
@@ -143,30 +142,13 @@ func TestBestFitPrefersFullest(t *testing.T) {
 	if bf.Name() != "BF-1" {
 		t.Errorf("Name = %q", bf.Name())
 	}
-}
-
-func TestRandomPlacesWithinCapacity(t *testing.T) {
-	r := &Random{Multiplex: 1, Rng: rng.New(42)}
-	servers := mkServers(4)
-	counts := map[int]int{}
-	for trial := 0; trial < 100; trial++ {
-		assign, ok := r.Place(servers, mkVMs(t, workload.ClassCPU, 2, 0))
-		if !ok {
-			t.Fatal("placement failed")
-		}
-		for _, a := range assign {
-			counts[a]++
+	for _, mult := range []int{0, -1} {
+		if _, err := NewBestFit(mult); err == nil {
+			t.Errorf("NewBestFit(%d) should fail", mult)
 		}
 	}
-	if len(counts) < 3 {
-		t.Errorf("random placement hit only %d servers over 100 trials", len(counts))
-	}
-	if r.Name() != "RAND-1" {
-		t.Errorf("Name = %q", r.Name())
-	}
-	bad := &Random{Multiplex: 1}
-	if _, ok := bad.Place(servers, mkVMs(t, workload.ClassCPU, 1, 0)); ok {
-		t.Error("Random without a stream must refuse")
+	if bf, err := NewBestFit(2); err != nil || bf.Name() != "BF-2" {
+		t.Errorf("NewBestFit(2) = %v, %v", bf, err)
 	}
 }
 
@@ -265,9 +247,13 @@ func TestStrategiesImplementInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Strategy{ff, &BestFit{Multiplex: 2}, &Random{Multiplex: 1, Rng: rng.New(1)}, pa} {
+	for _, s := range []Strategy{ff, &BestFit{Multiplex: 2}, pa} {
 		if s.Name() == "" {
 			t.Error("strategy with empty name")
+		}
+		// The simulator places through the fleet index only.
+		if _, ok := s.(IndexedPlacer); !ok {
+			t.Errorf("%s does not implement IndexedPlacer", s.Name())
 		}
 	}
 }
