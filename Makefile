@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check perfbench-test verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge cover trace clean
+.PHONY: all build fmt-check perfbench-test verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-pa cover trace clean
 
 all: verify
 
@@ -110,7 +110,9 @@ metrics-smoke:
 
 # fuzz-smoke gives each text-input parser, swf.Merge (against its
 # stable-sort oracle), the power meter (against its per-window-scan
-# oracle), the placement service's journal reader and
+# oracle), the PA search's distinct-partition lists (against the
+# walk-and-skip enumeration they replaced), the placement service's
+# journal reader and
 # snapshot+journal restore, and its journal and snapshot encoders
 # (against json.Marshal), a short adversarial burst (one target per
 # invocation, as go test -fuzz requires; -run NONE skips the unit tests
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
 	$(GO) test -fuzz FuzzPromEscape -fuzztime 5s ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzMeasure -fuzztime 5s ./internal/power
+	$(GO) test -run NONE -fuzz FuzzDistinctPartitions -fuzztime 5s ./internal/core
 	$(GO) test -run NONE -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzRestore -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzJournalEncode -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
@@ -147,7 +150,9 @@ bench-alloc:
 # -benchtime 1x -count 2 — two single-iteration samples pacevm-benchjson
 # folds into one entry (at -benchtime 2x inside the main sweep it would
 # dominate the suite) — and the -require floor fails the recording if a
-# huge entry ever lands on a single noisy sample again. AllocateFleet is
+# huge entry ever lands on a single noisy sample again. SimPA is the
+# perfbench sim-pa workload in-process: PA-0.5 on 660 servers, where
+# partition search and the class query do the work. AllocateFleet is
 # the partition-search layer entry: one PA decision against a
 # 660-server fleet; FleetIndexClasses is the class query that feeds it,
 # with a few mutations between queries. TracePrepare is the set-up
@@ -159,13 +164,14 @@ bench-alloc:
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
+		&& $(GO) test -run NONE -bench 'BenchmarkSimPA$$' -benchtime 2x -count 2 -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core \
 		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 2 -benchmem ./internal/strategy \
 		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 2 -benchmem ./internal/trace \
 		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 2 -benchmem .; } \
-		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'Serve=2' -require 'ServeObs=2' \
+		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimPA=2' -require 'Serve=2' -require 'ServeObs=2' \
 			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
 			-require 'JournalAppend=2' -require 'CampaignParallel=2' -o BENCH_sim.json
 
@@ -196,6 +202,16 @@ profile-huge:
 		-cpuprofile huge.cpu.out -o huge.test.bin ./internal/cloudsim
 	$(GO) tool pprof -top -nodecount 25 huge.test.bin huge.cpu.out
 
+# profile-pa records a CPU profile of BenchmarkSimPA, the sim-pa
+# workload in-process, and prints the top consumers: where a PA
+# decision's time goes (partition search, the fleet index's class
+# query, model pricing). Artifacts: pa.cpu.out + pa.test.bin, inspect
+# interactively with `go tool pprof pa.test.bin pa.cpu.out`.
+profile-pa:
+	$(GO) test -run NONE -bench 'BenchmarkSimPA$$' -benchtime 4x -cpu 1 -benchmem \
+		-cpuprofile pa.cpu.out -o pa.test.bin ./internal/cloudsim
+	$(GO) tool pprof -top -nodecount 25 pa.test.bin pa.cpu.out
+
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
@@ -207,5 +223,5 @@ trace:
 
 clean:
 	$(GO) clean ./...
-	rm -f cover.out huge.cpu.out huge.test.bin explain-smoke.jsonl explain-smoke.txt
+	rm -f cover.out huge.cpu.out huge.test.bin pa.cpu.out pa.test.bin explain-smoke.jsonl explain-smoke.txt
 	rm -rf serve-soak-artifacts

@@ -80,9 +80,9 @@ func BenchmarkAblationGridBound(b *testing.B) {
 }
 
 // BenchmarkAblationPartitionDedup contrasts allocation cost for a 4-VM
-// job of interchangeable VMs (signature dedup collapses the 15 set
-// partitions to 5 integer partitions) against four distinguishable VMs
-// (no collapse possible) — the exact reduction the paper's efficient
+// job of interchangeable VMs (the search generates only the 5 integer
+// partitions among the 15 set partitions) against four distinguishable
+// VMs (all 15 are distinct) — the exact reduction the paper's efficient
 // set-partition generation citation is about.
 func BenchmarkAblationPartitionDedup(b *testing.B) {
 	ctx := sharedCtx(b)

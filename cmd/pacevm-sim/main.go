@@ -170,7 +170,11 @@ func run(opt options) error {
 	if opt.searchBudget < 0 {
 		return fmt.Errorf("-search-budget %d must be non-negative (0 = unlimited)", opt.searchBudget)
 	}
-	if opt.searchBudget > 0 && !strings.HasPrefix(strings.ToUpper(opt.stratName), "PA-") {
+	spec, err := parseStrategyName(opt.stratName)
+	if err != nil {
+		return err
+	}
+	if opt.searchBudget > 0 && spec.st != nil {
 		return fmt.Errorf("-search-budget bounds the PA search, and strategy %s runs none", opt.stratName)
 	}
 	checkpoint, err := faults.ParsePolicy(opt.checkpoint)
@@ -234,7 +238,7 @@ func run(opt options) error {
 	}
 	fmt.Printf("trace: %d requests, %d VMs\n", rep.Requests, rep.TotalVMs)
 
-	st, err := parseStrategy(db, opt.stratName, opt.searchBudget, reg)
+	st, err := spec.build(db, opt.searchBudget, reg)
 	if err != nil {
 		return err
 	}
@@ -467,39 +471,66 @@ func loadFaults(opt options, reqs []trace.Request) (faults.Schedule, error) {
 	})
 }
 
-func parseStrategy(db *model.DB, name string, searchBudget int, reg *obs.Registry) (strategy.Strategy, error) {
-	switch strings.ToUpper(name) {
-	case "FF":
-		return strategy.NewFirstFit(1)
-	case "FF-2":
-		return strategy.NewFirstFit(2)
-	case "FF-3":
-		return strategy.NewFirstFit(3)
-	}
+// strategySpec is a parsed -strategy value. First-fit and best-fit are
+// built as soon as the name is parsed; PA needs the model database, so
+// it is built from its validated goal once the database is loaded.
+type strategySpec struct {
+	st    strategy.Strategy // nil for PA
+	alpha float64           // PA's goal
+}
+
+// parseStrategyName validates a -strategy name before anything is loaded
+// or printed, so a bad name fails at once.
+func parseStrategyName(name string) (strategySpec, error) {
 	upper := strings.ToUpper(name)
+	switch upper {
+	case "FF":
+		return firstFitSpec(1)
+	case "FF-2":
+		return firstFitSpec(2)
+	case "FF-3":
+		return firstFitSpec(3)
+	}
 	if alphaStr, ok := strings.CutPrefix(upper, "PA-"); ok {
 		alpha, err := strconv.ParseFloat(alphaStr, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad PA alpha %q: %w", alphaStr, err)
+			return strategySpec{}, fmt.Errorf("bad PA alpha %q: %w", alphaStr, err)
 		}
 		if !(alpha >= 0 && alpha <= 1) { // NaN fails both
-			return nil, fmt.Errorf("PA alpha %g out of [0,1]", alpha)
+			return strategySpec{}, fmt.Errorf("PA alpha %g out of [0,1]", alpha)
 		}
-		return strategy.NewProactiveConfig(core.Config{DB: db, SearchBudget: searchBudget, Obs: reg}, core.Goal{Alpha: alpha})
+		return strategySpec{alpha: alpha}, nil
 	}
 	if nStr, ok := strings.CutPrefix(upper, "BF-"); ok {
 		n, err := strconv.Atoi(nStr)
 		if err != nil {
-			return nil, fmt.Errorf("bad BF multiplex %q: %w", nStr, err)
+			return strategySpec{}, fmt.Errorf("bad BF multiplex %q: %w", nStr, err)
 		}
 		// Best-fit keeps choosing the fullest server under its cap, so a
 		// cap past the admission limit picks full servers the simulator
 		// then refuses, and the whole trace queues behind one server.
 		if cap := n * strategy.CPUSlotsPerServer; cap > cloudsim.DefaultMaxVMsPerServer {
-			return nil, fmt.Errorf("BF-%d allows %d VMs per server, over the %d-VM admission limit",
+			return strategySpec{}, fmt.Errorf("BF-%d allows %d VMs per server, over the %d-VM admission limit",
 				n, cap, cloudsim.DefaultMaxVMsPerServer)
 		}
-		return strategy.NewBestFit(n)
+		bf, err := strategy.NewBestFit(n)
+		if err != nil {
+			return strategySpec{}, err
+		}
+		return strategySpec{st: bf}, nil
 	}
-	return nil, fmt.Errorf("unknown strategy %q", name)
+	return strategySpec{}, fmt.Errorf("unknown strategy %q", name)
+}
+
+func firstFitSpec(multiplex int) (strategySpec, error) {
+	ff, err := strategy.NewFirstFit(multiplex)
+	return strategySpec{st: ff}, err
+}
+
+// build returns the strategy, building PA over db.
+func (s strategySpec) build(db *model.DB, searchBudget int, reg *obs.Registry) (strategy.Strategy, error) {
+	if s.st != nil {
+		return s.st, nil
+	}
+	return strategy.NewProactiveConfig(core.Config{DB: db, SearchBudget: searchBudget, Obs: reg}, core.Goal{Alpha: s.alpha})
 }

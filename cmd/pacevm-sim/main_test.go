@@ -53,22 +53,26 @@ func TestParseStrategy(t *testing.T) {
 		{"BF-2", "BF-2"},
 	}
 	for _, c := range cases {
-		st, err := parseStrategy(db, c.in, 0, nil)
+		spec, err := parseStrategyName(c.in)
 		if err != nil {
-			t.Errorf("parseStrategy(%q): %v", c.in, err)
+			t.Errorf("parseStrategyName(%q): %v", c.in, err)
+			continue
+		}
+		st, err := spec.build(db, 0, nil)
+		if err != nil {
+			t.Errorf("build %q: %v", c.in, err)
 			continue
 		}
 		if st.Name() != c.want {
-			t.Errorf("parseStrategy(%q).Name() = %q, want %q", c.in, st.Name(), c.want)
+			t.Errorf("strategy %q: Name() = %q, want %q", c.in, st.Name(), c.want)
 		}
 	}
 }
 
 func TestParseStrategyErrors(t *testing.T) {
-	db := sharedDB(t)
-	for _, in := range []string{"", "XX", "PA-", "PA-x", "BF-", "BF-x", "PA-2"} {
-		if _, err := parseStrategy(db, in, 0, nil); err == nil {
-			t.Errorf("parseStrategy(%q) accepted bad input", in)
+	for _, in := range []string{"", "XX", "PA-", "PA-x", "BF-", "BF-x", "PA-2", "BF-0", "BF-5", "PA-NaN"} {
+		if _, err := parseStrategyName(in); err == nil {
+			t.Errorf("parseStrategyName(%q) accepted bad input", in)
 		}
 	}
 }
@@ -160,57 +164,90 @@ func modelDir(t *testing.T) string {
 
 // TestRunErrorPaths drives run() through each failure mode a user can
 // hit from the command line; every one must surface as an error (main
-// then prints it to stderr and exits non-zero).
+// then prints it to stderr and exits non-zero). A bad -strategy must
+// fail before run loads the model or generates the trace, so nothing
+// reaches stdout first.
 func TestRunErrorPaths(t *testing.T) {
 	dir := modelDir(t)
 	base := options{stratName: "FF-3", servers: 4, seed: 1, vms: 50, modelDir: dir}
 	cases := []struct {
-		name string
-		mut  func(*options)
-		want string // a substring the error must carry, when set
+		name  string
+		mut   func(*options)
+		want  string // a substring the error must carry, when set
+		quiet bool   // run must print nothing before failing
 	}{
-		{"unknown strategy", func(o *options) { o.stratName = "XX-9" }, ""},
-		{"missing model dir", func(o *options) { o.modelDir = filepath.Join(dir, "nope") }, ""},
-		{"missing swf input", func(o *options) { o.swfPath = filepath.Join(dir, "missing.swf") }, ""},
-		{"unwritable trace output", func(o *options) { o.tracePath = filepath.Join(dir, "no", "such", "dir", "t.json") }, ""},
-		{"bad debug address", func(o *options) { o.debugAddr = "notanaddress:-1" }, ""},
-		{"missing fault schedule", func(o *options) { o.faultsPath = filepath.Join(dir, "missing.csv") }, ""},
-		{"mtbf without mttr", func(o *options) { o.mtbf = 5000 }, ""},
-		{"bad checkpoint policy", func(o *options) { o.checkpoint = "sometimes" }, ""},
-		{"non-finite checkpoint interval", func(o *options) { o.checkpoint = "periodic:NaN" }, ""},
-		{"unwritable vm-audit output", func(o *options) { o.vmAuditPath = filepath.Join(dir, "no", "such", "dir", "a.csv") }, ""},
-		{"unwritable series output", func(o *options) { o.seriesPath = filepath.Join(dir, "no", "such", "dir", "s.csv") }, ""},
-		{"negative vms", func(o *options) { o.vms = -100 }, ""},
-		{"negative series cap", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.seriesCap = -1 }, ""},
-		{"negative shards", func(o *options) { o.shards = -1 }, ""},
-		{"negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -10 }, ""},
-		{"explicit zero shard window", func(o *options) { o.shards = 2; o.shardWindow = 0; o.windowSet = true }, ""},
-		{"explicit negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -1; o.windowSet = true }, ""},
-		{"negative watchdog period", func(o *options) { o.watchdogEvery = -1 }, ""},
-		{"more shards than servers", func(o *options) { o.shards = 8 }, ""},
-		{"steal without shards", func(o *options) { o.steal = true }, ""},
-		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }, ""},
-		{"negative search budget", func(o *options) { o.stratName = "PA-0.5"; o.searchBudget = -1 }, ""},
-		{"search budget without PA", func(o *options) { o.searchBudget = 3 }, ""},
-		{"BF multiplex zero", func(o *options) { o.stratName = "BF-0" }, "multiplex 0"},
-		{"BF cap past the admission limit", func(o *options) { o.stratName = "BF-5" }, "admission limit"},
-		{"negative backfill depth", func(o *options) { o.backfill = -1 }, "BackfillDepth"},
-		{"BF multiplex with trailing text", func(o *options) { o.stratName = "BF-2x" }, "bad BF multiplex"},
-		{"PA alpha with trailing text", func(o *options) { o.stratName = "PA-0.5abc" }, "bad PA alpha"},
-		{"PA alpha NaN", func(o *options) { o.stratName = "PA-NaN" }, "out of [0,1]"},
+		{"unknown strategy", func(o *options) { o.stratName = "XX-9" }, "unknown strategy", true},
+		{"missing model dir", func(o *options) { o.modelDir = filepath.Join(dir, "nope") }, "", false},
+		{"missing swf input", func(o *options) { o.swfPath = filepath.Join(dir, "missing.swf") }, "", false},
+		{"unwritable trace output", func(o *options) { o.tracePath = filepath.Join(dir, "no", "such", "dir", "t.json") }, "", false},
+		{"bad debug address", func(o *options) { o.debugAddr = "notanaddress:-1" }, "", false},
+		{"missing fault schedule", func(o *options) { o.faultsPath = filepath.Join(dir, "missing.csv") }, "", false},
+		{"mtbf without mttr", func(o *options) { o.mtbf = 5000 }, "", false},
+		{"bad checkpoint policy", func(o *options) { o.checkpoint = "sometimes" }, "", false},
+		{"non-finite checkpoint interval", func(o *options) { o.checkpoint = "periodic:NaN" }, "", false},
+		{"unwritable vm-audit output", func(o *options) { o.vmAuditPath = filepath.Join(dir, "no", "such", "dir", "a.csv") }, "", false},
+		{"unwritable series output", func(o *options) { o.seriesPath = filepath.Join(dir, "no", "such", "dir", "s.csv") }, "", false},
+		{"negative vms", func(o *options) { o.vms = -100 }, "", false},
+		{"negative series cap", func(o *options) { o.seriesPath = filepath.Join(dir, "s.csv"); o.seriesCap = -1 }, "", false},
+		{"negative shards", func(o *options) { o.shards = -1 }, "", false},
+		{"negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -10 }, "", false},
+		{"explicit zero shard window", func(o *options) { o.shards = 2; o.shardWindow = 0; o.windowSet = true }, "", false},
+		{"explicit negative shard window", func(o *options) { o.shards = 2; o.shardWindow = -1; o.windowSet = true }, "", false},
+		{"negative watchdog period", func(o *options) { o.watchdogEvery = -1 }, "", false},
+		{"more shards than servers", func(o *options) { o.shards = 8 }, "", false},
+		{"steal without shards", func(o *options) { o.steal = true }, "", false},
+		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }, "", false},
+		{"negative search budget", func(o *options) { o.stratName = "PA-0.5"; o.searchBudget = -1 }, "", false},
+		{"search budget without PA", func(o *options) { o.searchBudget = 3 }, "", false},
+		{"BF multiplex zero", func(o *options) { o.stratName = "BF-0" }, "multiplex 0", true},
+		{"BF cap past the admission limit", func(o *options) { o.stratName = "BF-5" }, "admission limit", true},
+		{"negative backfill depth", func(o *options) { o.backfill = -1 }, "BackfillDepth", false},
+		{"BF multiplex with trailing text", func(o *options) { o.stratName = "BF-2x" }, "bad BF multiplex", true},
+		{"PA alpha with trailing text", func(o *options) { o.stratName = "PA-0.5abc" }, "bad PA alpha", true},
+		{"PA alpha NaN", func(o *options) { o.stratName = "PA-NaN" }, "out of [0,1]", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			opt := base
 			c.mut(&opt)
-			err := run(opt)
+			var err error
+			printed := captureStdout(t, func() { err = run(opt) })
 			if err == nil {
 				t.Error("run() accepted a broken configuration")
 			} else if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("run() error %q does not mention %q", err, c.want)
 			}
+			if c.quiet && printed != "" {
+				t.Errorf("run() printed %q before failing", printed)
+			}
 		})
 	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	func() {
+		defer func() {
+			os.Stdout = stdout
+			w.Close()
+		}()
+		fn()
+	}()
+	return string(<-done)
 }
 
 // TestRunVMsWithSWF replays a small SWF file: -vms 0 replays the whole

@@ -10,6 +10,7 @@ package cloudsim
 import (
 	"testing"
 
+	"pacevm/internal/core"
 	"pacevm/internal/obs"
 	"pacevm/internal/strategy"
 	"pacevm/internal/trace"
@@ -139,3 +140,40 @@ func BenchmarkSimLargeShards8(b *testing.B) { benchSimShards(b, 1000, 100_000, 1
 // at 2x the workload alone dominates the suite.
 func BenchmarkSimHuge(b *testing.B)        { benchSim(b, 100_000, 10_000_000, 0.015, Run) }
 func BenchmarkSimHugeShards8(b *testing.B) { benchSimShards(b, 100_000, 10_000_000, 0.015, 8) }
+
+// BenchmarkSimPA is the perfbench sim-pa workload in-process: PA-0.5 on
+// 660 servers under the 100k-VM EGEE-shaped trace (σ 0.5 runtimes,
+// seed 1), about 33k requests of one to four identical VMs, each
+// searched once. Partition search, the fleet index's class query and
+// model pricing do the work; the trace is prepared outside the timer.
+func BenchmarkSimPA(b *testing.B) {
+	db := sharedDB(b)
+	gcfg := trace.DefaultGenConfig(1)
+	gcfg.Jobs = 100_000/2 + 200
+	gcfg.RuntimeSigma = 0.5
+	tr, err := trace.Generate(gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pcfg := trace.DefaultPrepConfig(1)
+	pcfg.TargetVMs = 100_000
+	reqs, _, err := trace.Prepare(tr, pcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := strategy.NewProactiveConfig(core.Config{DB: db}, core.GoalBalanced)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{DB: db, Servers: 660, Strategy: st, IdleServerPower: -1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg, reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res.Makespan
+	}
+	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}

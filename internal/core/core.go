@@ -17,9 +17,9 @@
 // first server of the list", and the whole search is deliberately brute
 // force — the paper chose exhaustive search "to demonstrate and study the
 // potential of application-centric proactive VM allocation". Exact
-// reductions keep the brute force cheap (see search.go): partitions whose
-// block structure is identical up to interchangeable VMs (same class,
-// nominal time and QoS bound) are evaluated once; servers come grouped
+// reductions keep the brute force cheap (see search.go): only partitions
+// whose block structure differs up to interchangeable VMs (same class,
+// nominal time and QoS bound) are generated, each once; servers come grouped
 // into classes of identical current allocation — kept by the caller's
 // fleet index (AllocateClasses), or grouped once per call from a server
 // list (Allocate) — so each block considers the first untouched server
@@ -124,7 +124,7 @@ type Config struct {
 	// (useful for ablations).
 	PerClassBound [workload.NumClasses]int
 	// SearchBudget bounds the exhaustive search: at most this many
-	// deduplicated partitions are scored per Allocate call. Zero (the
+	// distinct partitions are scored per Allocate call. Zero (the
 	// default) or negative means unlimited — the paper's behaviour, and
 	// the setting under which Allocate stays bit-identical to
 	// AllocateReference. When the budget exhausts before the enumeration
@@ -281,8 +281,10 @@ func (a *Allocator) FitsAlone(vm VMRequest) bool {
 }
 
 // SearchStats summarizes the partition search behind one Allocate call:
-// how many partitions the generator produced, how many the signature
-// dedup skipped, how the scored candidates split into feasible /
+// how many set partitions a walk over all of them would have produced
+// up to where the search stopped, how many of those repeat an earlier
+// typed partition (the search generates only the others), how the
+// scored candidates split into feasible /
 // infeasible / Pareto-pruned, and whether the budget exhausted into the
 // first-fit degradation. The counts are exact (plain integers local to
 // the call, not sampled registry counters), so a flight recorder can
@@ -304,14 +306,15 @@ type SearchStats struct {
 // for the goal, or ErrInfeasible when no candidate satisfies QoS.
 //
 // The search is still the paper's exhaustive one, accelerated by exact
-// reductions only: equivalent partitions are deduplicated through a
-// canonical typed-multiset signature, block pricing is memoized per
-// (server state, block composition), dominated candidates are discarded
-// online (the α-weighted score is monotone in both estimated time and
-// energy, so the winner always lies on the Pareto frontier). Every
-// reduction preserves the enumeration-order tie-breaks, so
-// the result is bit-for-bit identical to AllocateReference, the
-// retained literal transcription of Sect. III.D.
+// reductions only: only the distinct typed partitions are generated,
+// each once and in the order a walk over every set partition first
+// meets it (the list is memoized per VM type pattern), block pricing is
+// memoized per (server state, block composition), and dominated
+// candidates are discarded online (the α-weighted score is monotone in
+// both estimated time and energy, so the winner always lies on the
+// Pareto frontier). Every reduction preserves the enumeration-order
+// tie-breaks, so the result is bit-for-bit identical to
+// AllocateReference, the retained literal transcription of Sect. III.D.
 //
 // With a positive Config.SearchBudget the enumeration may stop early;
 // Allocate then degrades to the deterministic first-fit fallback and

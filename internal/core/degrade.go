@@ -32,7 +32,7 @@ func (w *searchWorker) firstFit() (candidate, error) {
 	var at [partition.MaxN]int // touched-server index per VM
 	for vi := range sc.vms {
 		t := sc.typeOf[vi]
-		blockKey, bmask := sc.typeKey[t], typeMask(1)<<t
+		blockKey, bmask := w.compKey[w.radix[t]], typeMask(1)<<t
 		var pick blockCand
 		found := false
 		for ci := range sc.classes {

@@ -68,12 +68,31 @@ func groupByAlloc(servers []ServerState) []ServerClass {
 	return classes
 }
 
+// typedVMs builds an n-VM job of the given number of interchangeable
+// types: VM i is of type i mod types, and VMs of one type share class,
+// nominal time and QoS bound.
+func typedVMs(tb testing.TB, n, types int) []VMRequest {
+	aux := sharedDB(tb).Aux()
+	vms := make([]VMRequest, n)
+	for i := range vms {
+		t := i % types
+		class := workload.Classes[t%workload.NumClasses]
+		nominal := aux.RefTime[class] * units.Seconds(1+0.07*float64(t/workload.NumClasses))
+		vms[i] = VMRequest{ID: fmt.Sprint(i), Class: class, NominalTime: nominal, MaxTime: 4 * nominal}
+	}
+	return vms
+}
+
 // BenchmarkAllocateFleet measures one serial allocation decision against
-// a 660-server fleet in the occupancy mix, for a 1-VM and a 4-VM job:
-// the per-decision cost of a datacenter-sized proactive placement. The
-// n=N entries take the server list (one grouping pass per call); the
-// indexed/n=N entries take the fleet pre-grouped into allocation
-// classes, as a capacity index keeps it.
+// a 660-server fleet in the occupancy mix: the per-decision cost of a
+// datacenter-sized proactive placement. The n=N entries take the server
+// list (one grouping pass per call) for a job of N VMs of distinct
+// types; the indexed/ entries take the fleet pre-grouped into
+// allocation classes, as a capacity index keeps it. indexed/same/n=4 is
+// the job every binary builds: up to four identical VMs.
+// indexed/3types/n=N are the larger jobs batched rounds would search:
+// N VMs of three interchangeable types, which at n=12 have 6,721
+// distinct partitions among B(12) = 4,213,597 set partitions.
 func BenchmarkAllocateFleet(b *testing.B) {
 	a, err := NewAllocator(Config{DB: sharedDB(b)})
 	if err != nil {
@@ -81,6 +100,17 @@ func BenchmarkAllocateFleet(b *testing.B) {
 	}
 	servers := mixFleet(660)
 	classes := groupByAlloc(servers)
+	indexed := func(name string, vms []VMRequest) {
+		b.Run(name, func(b *testing.B) {
+			dst := make([]int, len(vms))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := a.AllocateClasses(GoalBalanced, classes, vms, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{1, 4} {
 		vms := mixVMs(b, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -91,15 +121,11 @@ func BenchmarkAllocateFleet(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
-			dst := make([]int, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := a.AllocateClasses(GoalBalanced, classes, vms, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		indexed(fmt.Sprintf("indexed/n=%d", n), vms)
+	}
+	indexed("indexed/same/n=4", typedVMs(b, 4, 1))
+	for _, n := range []int{8, 10, 12} {
+		indexed(fmt.Sprintf("indexed/3types/n=%d", n), typedVMs(b, n, 3))
 	}
 }
 

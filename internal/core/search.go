@@ -6,9 +6,14 @@ package core
 // set partition of the VM set is still evaluated — but restructures the
 // enumeration around four exact reductions:
 //
-//  1. Equivalent partitions (same typed multiset of block compositions)
-//     are deduplicated through a packed integer signature instead of the
-//     legacy sorted-string form; no per-partition string is ever built.
+//  1. Only distinct partitions are generated: two partitions with the
+//     same typed multiset of block compositions — they differ only by
+//     swapping interchangeable VMs — price identically, so the search
+//     scores each once, as its first restricted growth string, in the
+//     order a walk over all B(n) set partitions first meets it
+//     (partition.Distinct). Each VM type pattern's list is generated
+//     once per search context and kept (partitions.go); the enumeration
+//     counts of that walk are read off the list's ranks, not counted.
 //  2. Servers are grouped into classes of identical current
 //     allocation — the paper's "first server of the list" among
 //     interchangeable servers. The caller's fleet index keeps the
@@ -33,7 +38,8 @@ package core
 //     len(vms) servers, and servers too full to host any VM are left out
 //     of every class.
 //  3. Block pricing is memoized per (server class, block composition)
-//     in a dense per-call table: the same block on the same class is
+//     in a dense per-call table indexed by the list's composition ids:
+//     the same block on the same class is
 //     priced once, not once per partition that contains it. A touched
 //     server's grown allocation is priced directly. Database estimates
 //     are memoized per allocation key in the allocator's
@@ -52,15 +58,14 @@ package core
 // just the retained frontier — so pickBest sees exactly the constants
 // the unpruned enumeration would have used.
 //
-// Every per-call buffer — the context, the worker and its memo,
-// the dedup set, the partition generator and the frontier arenas —
-// comes from a pool on the Allocator, so a steady stream of class-path
-// decisions makes no heap allocation.
+// Every per-call buffer — the context with its partition lists, the
+// worker and its memo and the frontier arenas — comes from a pool on
+// the Allocator, so a steady stream of class-path decisions makes no
+// heap allocation.
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
@@ -68,19 +73,6 @@ import (
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
-
-// blockSig is the canonical typed-multiset signature of one block: VM
-// counts packed 4 bits per VM type. partition.MaxN = 12 bounds both the
-// number of distinct types and any count at 12, so 48 bits suffice and
-// two blocks have equal signatures iff their typed multisets are equal.
-type blockSig uint64
-
-// partSig canonicalizes a whole partition as its sorted multiset of
-// block signatures, zero-padded (a block is never empty, so a zero entry
-// is unambiguous padding). Two partitions have equal signatures iff
-// their multisets of block compositions are equal — the typed
-// generalization of the paper's interchangeable-VM reduction [21].
-type partSig [partition.MaxN]blockSig
 
 // typeMask is a bitset over VM types (≤ partition.MaxN of them).
 type typeMask uint16
@@ -104,31 +96,6 @@ assign:
 		types = append(types, vm)
 	}
 	return typeOf, types
-}
-
-// sigOfBlock folds a block's members into its packed type-count vector.
-func sigOfBlock(typeOf []uint8, block []int) blockSig {
-	var sig blockSig
-	for _, vi := range block {
-		sig += 1 << (4 * blockSig(typeOf[vi]))
-	}
-	return sig
-}
-
-// sigOfPartition canonicalizes a partition: block signatures, insertion-
-// sorted descending into a fixed array. No heap allocation.
-func sigOfPartition(typeOf []uint8, blocks [][]int) partSig {
-	var sig partSig
-	for i, block := range blocks {
-		s := sigOfBlock(typeOf, block)
-		j := i
-		for j > 0 && sig[j-1] < s {
-			sig[j] = sig[j-1]
-			j--
-		}
-		sig[j] = s
-	}
-	return sig
 }
 
 // blockPrice is the pricing of one block on one server state: the
@@ -189,8 +156,8 @@ const maxPackedCount = 1 << 21
 // once in NewAllocator; all nil (no-op) without a registry. Counters
 // are atomic, so concurrent searches update them directly.
 type searchTelemetry struct {
-	enumerated *obs.Counter // partitions produced by the generator
-	deduped    *obs.Counter // partitions skipped by the signature dedup
+	enumerated *obs.Counter // set partitions the search covered, repeats included
+	deduped    *obs.Counter // of those, repeats of an earlier typed partition
 	feasible   *obs.Counter // candidates every block of which placed
 	infeasible *obs.Counter // candidates with an unplaceable block
 	pruned     *obs.Counter // candidates dropped by Pareto domination
@@ -227,7 +194,6 @@ type searchCtx struct {
 	servers []ServerState
 	typeOf  []uint8
 	types   []VMRequest
-	typeKey []model.Key
 	classes []ServerClass
 
 	// stats is the exact per-call tally behind AllocateExplained: plain
@@ -238,30 +204,20 @@ type searchCtx struct {
 	byKey   map[uint64]int
 	members []int
 
-	// Enumeration scratch.
-	gen    partition.Generator
-	flat   [partition.MaxN]int
-	blocks [][]int
-	seen   map[partSig]struct{}
+	// lists memoizes the partition list of each VM type pattern the
+	// context has searched; listed counts their partitions.
+	lists  map[uint64]*partitionList
+	listed int
 
 	// w evaluates the partitions; the first-fit fallback uses it too.
 	w searchWorker
 }
-
-// maxRetainedSeen bounds the dedup set a recycled context keeps: a
-// larger map would cost more to clear on every later call than to
-// rebuild on the rare call that needs it.
-const maxRetainedSeen = 1024
 
 // acquire takes a context from the pool and loads the request into it.
 func (a *Allocator) acquire(goal Goal, vms []VMRequest) *searchCtx {
 	sc := a.scratch.Get().(*searchCtx)
 	sc.a, sc.tel, sc.goal, sc.vms = a, &a.tel, goal, vms
 	sc.typeOf, sc.types = vmTypes(vms, sc.typeOf, sc.types)
-	sc.typeKey = sc.typeKey[:0]
-	for _, rep := range sc.types {
-		sc.typeKey = append(sc.typeKey, model.KeyFor(rep.Class, 1))
-	}
 	sc.stats = SearchStats{}
 	return sc
 }
@@ -272,9 +228,6 @@ func (a *Allocator) release(sc *searchCtx) {
 	sc.vms, sc.servers = nil, nil
 	clear(sc.classes)
 	sc.classes = sc.classes[:0]
-	if len(sc.seen) > maxRetainedSeen {
-		sc.seen = nil
-	}
 	a.scratch.Put(sc)
 }
 
@@ -459,7 +412,7 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 	return true
 }
 
-// searchWorker evaluates the deduplicated partition stream, reducing it
+// searchWorker evaluates the distinct partitions, reducing them
 // to a Pareto frontier plus the normalization maxima over every
 // feasible candidate it saw. All scratch buffers are reused across
 // partitions and, through the context pool, across calls.
@@ -485,10 +438,16 @@ type searchWorker struct {
 	optE    units.Joules
 	places  []blockPlace
 
-	// Block-pricing memo for untouched servers: row sigRow[sig] of memo
-	// holds one slot per server class.
-	sigRow map[blockSig]int
-	memo   []memoSlot
+	// Per-composition tables, indexed by block composition id (see
+	// partitionList, whose radix gives a lone VM of type t the id
+	// radix[t]): the block's allocation key, type mask and VM count, and
+	// its row of the block-pricing memo for untouched servers, one slot
+	// per server class.
+	radix    [partition.MaxN]int
+	compKey  []model.Key
+	compMask []typeMask
+	compSize []int
+	memo     []memoSlot
 
 	// Reduction state. The frontier's candidates point into the two
 	// arenas, which only grow within a call.
@@ -530,47 +489,38 @@ type memoSlot struct {
 	done bool
 }
 
-// reset readies the worker for a new search over sc's classes, keeping
-// every buffer's storage.
-func (w *searchWorker) reset(sc *searchCtx) {
+// reset readies the worker for a new search of pl's partitions over
+// sc's classes, keeping every buffer's storage.
+func (w *searchWorker) reset(sc *searchCtx, pl *partitionList) {
 	w.sc = sc
 	w.used = append(w.used[:0], make([]int, len(sc.classes))...)
 	w.touched = w.touched[:0]
 	w.moved = w.moved[:0]
-	if w.sigRow == nil {
-		w.sigRow = make(map[blockSig]int)
+	w.radix = pl.radix
+	w.compKey = append(w.compKey[:0], make([]model.Key, pl.nComps)...)
+	w.compMask = append(w.compMask[:0], make([]typeMask, pl.nComps)...)
+	w.compSize = append(w.compSize[:0], make([]int, pl.nComps)...)
+	for id := 1; id < pl.nComps; id++ {
+		for t := range pl.nTypes {
+			if c := id / pl.radix[t] % pl.span[t]; c > 0 {
+				w.compKey[id] = w.compKey[id].Add(model.KeyFor(sc.types[t].Class, c))
+				w.compMask[id] |= 1 << t
+				w.compSize[id] += c
+			}
+		}
 	}
-	clear(w.sigRow)
-	w.memo = w.memo[:0]
+	w.memo = append(w.memo[:0], make([]memoSlot, pl.nComps*len(sc.classes))...)
 	w.frontier = w.frontier[:0]
 	w.arenaVMs = w.arenaVMs[:0]
 	w.arenaPlaces = w.arenaPlaces[:0]
 	w.maxT, w.maxE = 0, 0
 }
 
-// memoRow returns the memo row of block composition sig, adding an
-// empty one on first sight.
-func (w *searchWorker) memoRow(sig blockSig) []memoSlot {
-	nc := len(w.sc.classes)
-	if nc == 0 {
-		return nil
-	}
-	r, ok := w.sigRow[sig]
-	if !ok {
-		r = len(w.memo) / nc
-		w.sigRow[sig] = r
-		w.memo = slices.Grow(w.memo, nc)[:len(w.memo)+nc]
-		clear(w.memo[r*nc:])
-	}
-	return w.memo[r*nc : (r+1)*nc]
-}
-
-// consider evaluates one partition and folds it into the worker's
-// frontier, copying the blocks into the arenas if the candidate is
-// kept.
-func (w *searchWorker) consider(blocks [][]int) {
+// consider evaluates partition k of pl and folds it into the worker's
+// frontier, copying its blocks into the arenas if the candidate is kept.
+func (w *searchWorker) consider(pl *partitionList, k int) {
 	sc := w.sc
-	if !w.evalPartition(blocks) {
+	if !w.evalPartition(pl.comps[k*pl.n : (k+1)*pl.n]) {
 		sc.stats.Infeasible++
 		sc.tel.infeasible.Inc()
 		return
@@ -604,8 +554,8 @@ func (w *searchWorker) consider(blocks [][]int) {
 		}
 	}
 	vs, ps := len(w.arenaVMs), len(w.arenaPlaces)
-	for _, b := range blocks {
-		w.arenaVMs = append(w.arenaVMs, b...)
+	for _, vi := range pl.vms[k*pl.n : (k+1)*pl.n] {
+		w.arenaVMs = append(w.arenaVMs, int(vi))
 	}
 	w.arenaPlaces = append(w.arenaPlaces, w.places...)
 	w.frontier = append(w.frontier, candidate{
@@ -682,30 +632,25 @@ func (w *searchWorker) insertMoved(c blockCand) {
 	w.moved[j] = c
 }
 
-// evalPartition greedily places every block of the partition on its
-// best-scoring feasible server and prices the result into w.places
+// evalPartition greedily places every block of a partition, given as
+// its blocks' composition ids (zero-padded), on its best-scoring
+// feasible server and prices the result into w.places
 // (valid until the next call). ok is false when some block has no
 // feasible server. The block-level choice mirrors the reference
 // implementation exactly: servers with identical effective allocation
 // collapse to the first of each group, options are max-normalized
 // within the block, and the α-scored minimum wins with the epsilon
 // tie-break to the lower server index.
-func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
-	sc := w.sc
+func (w *searchWorker) evalPartition(comps []uint16) (ok bool) {
 	w.clearTouched()
 	w.places = w.places[:0]
-
-	for _, block := range blocks {
-		var sig blockSig
-		var blockKey model.Key
-		var bmask typeMask
-		for _, vi := range block {
-			t := sc.typeOf[vi]
-			sig += 1 << (4 * blockSig(t))
-			blockKey = blockKey.Add(sc.typeKey[t])
-			bmask |= 1 << t
+	nc := len(w.sc.classes)
+	for _, id := range comps {
+		if id == 0 {
+			break
 		}
-		chosen, found := w.chooseBlock(w.memoRow(sig), blockKey, bmask)
+		blockKey, bmask := w.compKey[id], w.compMask[id]
+		chosen, found := w.chooseBlock(w.memo[int(id)*nc:int(id+1)*nc], blockKey, bmask)
 		if !found {
 			return false
 		}
@@ -714,7 +659,7 @@ func (w *searchWorker) evalPartition(blocks [][]int) (ok bool) {
 		w.take(chosen.cand, after, bmask)
 		w.places = append(w.places, blockPlace{
 			server: chosen.cand.serverIdx,
-			n:      len(block),
+			n:      w.compSize[id],
 			after:  after,
 			time:   chosen.time,
 			energy: chosen.energy,
@@ -845,12 +790,13 @@ func (w *searchWorker) hidden(si int, base model.Key) bool {
 // winning candidate, or the first-fit fallback's when the budget or
 // the Cancel hook cut the search (stats.Degraded).
 func (sc *searchCtx) decide() (candidate, error) {
-	w := &sc.w
-	w.reset(sc)
-	exhausted, err := sc.enumerate()
+	pl, err := sc.partitions()
 	if err != nil {
 		return candidate{}, err
 	}
+	w := &sc.w
+	w.reset(sc, pl)
+	exhausted := sc.enumerate(pl)
 	sc.stats.Exhausted = exhausted
 	if exhausted {
 		sc.tel.exhausted.Inc()
@@ -868,55 +814,38 @@ func (sc *searchCtx) decide() (candidate, error) {
 	return w.frontier[pickBest(sc.goal, w.frontier, w.maxT, w.maxE)], nil
 }
 
-// enumerate walks the partitions of the VM set, drops signature
-// duplicates, spends the budget, polls Cancel, and hands every admitted
-// partition to the worker, which reduces them in enumeration order to a
-// Pareto frontier plus the normalization maxima over all feasible
-// candidates. exhausted reports that Config.SearchBudget ran out or
-// Cancel fired before the enumeration completed — the partial frontier
-// must then be discarded (a truncated search breaks the normalization
-// constants and the first-of-the-list tie-break) and the caller
-// degrades to the first-fit fallback.
+// enumerate hands the distinct partitions, in list order, to the
+// worker, which reduces them to a Pareto frontier plus the
+// normalization maxima over all feasible candidates, spending the
+// budget and polling Cancel before each. exhausted reports that
+// Config.SearchBudget ran out or Cancel fired before the list was done
+// — the partial frontier must then be discarded (a truncated search
+// breaks the normalization constants and the first-of-the-list
+// tie-break) and the caller degrades to the first-fit fallback.
 //
-// The budget counts deduplicated partitions admitted to scoring, so
-// exhaustion strikes at the same partition on every run: budgeted runs
-// replay bit-for-bit.
-func (sc *searchCtx) enumerate() (exhausted bool, err error) {
-	n := len(sc.vms)
-	if err := sc.gen.Reset(n); err != nil {
-		return false, err
-	}
-	// The set starts small and keeps what it grows to: most requests
-	// are jobs of a few VMs, and clearing costs the map's capacity.
-	if sc.seen == nil {
-		sc.seen = make(map[partSig]struct{})
-	}
-	clear(sc.seen)
+// The budget counts distinct partitions scored, so exhaustion strikes
+// at the same partition on every run: budgeted runs replay
+// bit-for-bit. The enumeration counts are those of a walk over every
+// set partition that skips repeats and stops at the cut, read off the
+// rank of the partition the search stopped at.
+func (sc *searchCtx) enumerate(pl *partitionList) (exhausted bool) {
 	budget := sc.a.cfg.SearchBudget
 	cancel := sc.a.cfg.Cancel
-	scored := 0
-	for sc.gen.Next() {
-		sc.stats.Enumerated++
-		sc.tel.enumerated.Inc()
-		sc.blocks = sc.gen.BlocksInto(sc.flat[:n], sc.blocks)
-		ps := sigOfPartition(sc.typeOf, sc.blocks)
-		if _, dup := sc.seen[ps]; dup {
-			sc.stats.Deduped++
-			sc.tel.deduped.Inc()
-			continue
-		}
-		if budget > 0 && scored >= budget {
-			return true, nil
+	k := 0
+	for ; k < pl.count; k++ {
+		if budget > 0 && k >= budget {
+			break
 		}
 		if cancel != nil && cancel() {
 			sc.stats.Canceled = true
-			return true, nil
+			break
 		}
-		sc.seen[ps] = struct{}{}
-		sc.w.consider(sc.blocks)
-		scored++
+		sc.w.consider(pl, k)
 	}
-	return false, nil
+	sc.stats.Enumerated, sc.stats.Deduped = pl.walked(k)
+	sc.tel.enumerated.Add(int64(sc.stats.Enumerated))
+	sc.tel.deduped.Add(int64(sc.stats.Deduped))
+	return k < pl.count
 }
 
 // materialize expands a winning candidate into the public Allocation

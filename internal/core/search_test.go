@@ -218,15 +218,20 @@ func wideFleetCommon(a *Allocator) []model.Key {
 }
 
 // loadCtx loads a request into a search context exactly as
-// AllocateExplained does, with the worker ready to evaluate.
-func loadCtx(t *testing.T, a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) *searchCtx {
+// AllocateExplained does, with the worker ready to evaluate the
+// request's partition list, which it returns too.
+func loadCtx(t *testing.T, a *Allocator, goal Goal, servers []ServerState, vms []VMRequest) (*searchCtx, *partitionList) {
 	t.Helper()
 	sc := a.acquire(goal, vms)
 	if err := sc.groupServers(servers); err != nil {
 		t.Fatal(err)
 	}
-	sc.w.reset(sc)
-	return sc
+	pl, err := sc.partitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.w.reset(sc, pl)
+	return sc, pl
 }
 
 // TestEvalPartitionMatchesReference compares the class-grouped block
@@ -242,11 +247,11 @@ func TestEvalPartitionMatchesReference(t *testing.T) {
 		t.Helper()
 		n := len(vms)
 		for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
-			sc := loadCtx(t, a, goal, servers, vms)
+			sc, pl := loadCtx(t, a, goal, servers, vms)
 			w := &sc.w
 			_, err := partition.ForEach(n, func(blocks [][]int) bool {
 				ref, refOK := a.evalPartitionReference(goal, servers, vms, blocks)
-				ok := w.evalPartition(blocks)
+				ok := w.evalPartition(pl.compIDs(sc.typeOf, blocks))
 				if ok != refOK {
 					t.Fatalf("n=%d alpha=%g %v: feasible %v, reference %v", n, goal.Alpha, blocks, ok, refOK)
 				}
@@ -452,12 +457,8 @@ func TestParetoFrontierKeepsWinner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := loadCtx(t, a, goal, servers, vms)
-		exhausted, err := sc.enumerate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if exhausted {
+		sc, pl := loadCtx(t, a, goal, servers, vms)
+		if sc.enumerate(pl) {
 			t.Fatal("unbudgeted search reported exhaustion")
 		}
 		w := &sc.w

@@ -5,7 +5,9 @@
 // of {0,…,n−1} is encoded as a string a where a[i] is the block index of
 // element i, a[0] = 0, and a[i] ≤ 1 + max(a[0..i−1]). Successive
 // partitions are produced in lexicographic RGS order with O(n) work per
-// step and no allocation beyond the generator's own buffers.
+// step. Distinct generates only the partitions that differ when
+// elements of one type are interchangeable — the allocator's search
+// space — each once, as its first RGS.
 //
 // Integer partitions (for multisets of interchangeable items) and Bell
 // numbers (for test oracles and search-size guards) are provided too.
@@ -14,13 +16,16 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // MaxN bounds the element count accepted by the generators. B(12) is
-// already 4,213,597 candidate partitions; the paper's allocator only ever
-// partitions a job's 1–4 VMs (plus small bursts), so the bound is a
-// safety net against accidental combinatorial explosion, not a practical
-// limit.
+// already 4,213,597 set partitions. Distinct's cost follows the number
+// of distinct typed partitions instead (6,721 for 12 elements of three
+// types), but its prefix keys pack block composition ids in 12 bits,
+// which holds for n ≤ 12. The paper's allocator only ever partitions a
+// job's 1–4 VMs, so the bound is a safety net against accidental
+// combinatorial explosion, not a practical limit.
 const MaxN = 12
 
 // Bell returns the n-th Bell number B(n), the number of set partitions of
@@ -54,34 +59,20 @@ type Generator struct {
 
 // NewGenerator returns a generator over partitions of n elements.
 func NewGenerator(n int) (*Generator, error) {
-	g := &Generator{}
-	if err := g.Reset(n); err != nil {
-		return nil, err
+	if n < 1 || n > MaxN {
+		return nil, errN(n)
+	}
+	g := &Generator{n: n, a: make([]int, n), b: make([]int, n), first: true}
+	for i := range g.b {
+		g.b[i] = 1
 	}
 	return g, nil
 }
 
-// Reset rewinds the generator to the first partition of n elements,
-// reusing its buffers when they are large enough, so a long-lived
-// generator enumerates request after request without allocating.
-func (g *Generator) Reset(n int) error {
-	if n < 1 || n > MaxN {
-		return fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN)
-	}
-	if cap(g.a) < n {
-		g.a, g.b = make([]int, n, MaxN), make([]int, n, MaxN)
-	}
-	g.n, g.a, g.b = n, g.a[:n], g.b[:n]
-	for i := range g.a {
-		g.a[i], g.b[i] = 0, 1
-	}
-	g.first, g.done = true, false
-	return nil
-}
+func errN(n int) error { return fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN) }
 
 // Next advances to the next partition and reports whether one exists. The
-// first call yields the single-block partition {{0,…,n−1}}… actually the
-// all-zeros RGS, which is the one-block partition.
+// first call yields the all-zeros RGS, the one-block partition.
 func (g *Generator) Next() bool {
 	if g.done {
 		return false
@@ -110,35 +101,21 @@ func (g *Generator) Next() bool {
 	return false
 }
 
-// RGS returns the current restricted growth string. The slice is the
-// generator's buffer; callers must copy it to retain it across Next.
-func (g *Generator) RGS() []int { return g.a }
-
 // Blocks materializes the current partition as a list of blocks, each a
 // sorted list of element indices, ordered by block index (first
 // occurrence order). The blocks share one freshly allocated backing
 // array per call, so retaining the result across Next is safe.
 func (g *Generator) Blocks() [][]int {
-	return g.BlocksInto(make([]int, g.n), nil)
-}
-
-// BlocksInto is Blocks over caller-owned storage: flat (at least n
-// entries) backs the blocks and blocks' capacity is reused for the
-// block list, so a caller that recycles both enumerates without
-// allocating. The result aliases flat and is overwritten by the next
-// BlocksInto call on the same buffers.
-func (g *Generator) BlocksInto(flat []int, blocks [][]int) [][]int {
 	nblocks := 0
 	var sizes [MaxN]int
 	for _, v := range g.a {
 		sizes[v]++
-		if v+1 > nblocks {
-			nblocks = v + 1
-		}
+		nblocks = max(nblocks, v+1)
 	}
-	blocks = append(blocks[:0], make([][]int, nblocks)...)
+	flat := make([]int, g.n)
+	blocks := make([][]int, nblocks)
 	off := 0
-	for b := 0; b < nblocks; b++ {
+	for b := range blocks {
 		blocks[b] = flat[off : off : off+sizes[b]]
 		off += sizes[b]
 	}
@@ -176,6 +153,115 @@ func ForEachIndexed(n int, fn func(idx int, blocks [][]int) bool) (int, error) {
 		}
 	}
 	return count, nil
+}
+
+// Distinct visits the distinct typed partitions of n = len(types)
+// elements, element i being of type types[i]. Two set partitions are
+// the same typed partition when their multisets of block compositions
+// (how many elements of each type a block holds) are equal: the
+// interchangeable-item reduction generalized to several item types.
+// Each typed partition is visited once, as its first RGS, and in
+// lexicographic RGS order, so the visits are exactly the partitions a
+// walk over all B(n) set partitions keeps when it skips every repeat,
+// in the walk's order. fn receives the RGS (valid only during the call)
+// and its rank, the RGS's 0-based position in that walk. Distinct
+// reports the number of partitions visited.
+//
+// The walk is a depth-first search over RGS prefixes in lexicographic
+// order that keeps a prefix only if no earlier prefix of its length is
+// the same typed partition. Every prefix of a first RGS is itself
+// first: an earlier twin of the prefix, completed by the rest of the
+// string with each old block mapped to a twin block of the same
+// composition, would be an earlier twin of the whole. So no first RGS
+// is lost, and the search visits Σ_k distinct(k) prefixes instead of
+// B(n) strings.
+func Distinct(types []uint8, fn func(rgs []int, rank int)) (int, error) {
+	n := len(types)
+	if n < 1 || n > MaxN {
+		return 0, errN(n)
+	}
+	w := distinctWalk{types: types, fn: fn, a: make([]int, n), seen: make([]map[compKey]bool, n)}
+	// A block's composition id is Σ (elements of type t) · radix[t]:
+	// mixed radix over the per-type totals, so ids stay below 2^MaxN.
+	var total [256]int
+	for _, t := range types {
+		total[t]++
+	}
+	r := 1
+	for t := range total {
+		if total[t] > 0 {
+			w.radix[t] = r
+			r *= total[t] + 1
+		}
+	}
+	// w.tails[rem][m] counts the completions of a prefix holding m blocks
+	// by rem more elements: tails[0][m] = 1, and the next element joins one
+	// of the m blocks or opens block m+1.
+	w.tails = make([][]int, n)
+	for rem := range w.tails {
+		w.tails[rem] = make([]int, n+1)
+		for m := 1; m+rem <= n; m++ {
+			w.tails[rem][m] = 1
+			if rem > 0 {
+				w.tails[rem][m] = m*w.tails[rem-1][m] + w.tails[rem-1][m+1]
+			}
+		}
+	}
+	for d := range w.seen {
+		w.seen[d] = make(map[compKey]bool)
+	}
+	w.visit(0, 0, 0)
+	return w.count, nil
+}
+
+// compKey is a typed partition of a prefix: its block composition ids
+// in ascending order, packed 12 bits each (ids are below 2^MaxN).
+type compKey [3]uint64
+
+// distinctWalk is Distinct's search state.
+type distinctWalk struct {
+	types []uint8
+	fn    func([]int, int)
+	radix [256]int
+	tails [][]int
+	a     []int              // the RGS prefix
+	comp  [MaxN]int          // composition id of each block of the prefix
+	seen  []map[compKey]bool // seen[d]: typed partitions of kept (d+1)-prefixes
+	count int
+}
+
+// visit extends the d-element prefix of rank rank, holding m blocks, by
+// every block element d may join, in ascending block order.
+func (w *distinctWalk) visit(d, m, rank int) {
+	n := len(w.a)
+	if d == n {
+		w.count++
+		w.fn(w.a, rank)
+		return
+	}
+	step := w.radix[w.types[d]]
+	for j := 0; j <= m; j++ {
+		w.comp[j] += step
+		nm := max(m, j+1)
+		if key := w.key(nm); !w.seen[d][key] {
+			w.seen[d][key] = true
+			w.a[d] = j
+			w.visit(d+1, nm, rank+j*w.tails[n-1-d][m])
+		}
+		w.comp[j] -= step
+	}
+}
+
+// key packs the sorted composition ids of the prefix's m blocks.
+func (w *distinctWalk) key(m int) compKey {
+	var ids [MaxN]int
+	copy(ids[:m], w.comp[:m])
+	slices.Sort(ids[:m])
+	var k compKey
+	for i, id := range ids[:m] {
+		k[i/5] |= uint64(id) << (12 * (i % 5))
+	}
+	return k
 }
 
 // Ints visits every partition of the integer n into positive parts in

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -122,7 +123,7 @@ func TestRGSIsRestrictedGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g.Next() {
-		a := g.RGS()
+		a := rgsOf(g.Blocks(), 7)
 		if a[0] != 0 {
 			t.Fatalf("RGS %v does not start at 0", a)
 		}
@@ -145,12 +146,24 @@ func TestRGSLexicographicOrder(t *testing.T) {
 	}
 	var prev []int
 	for g.Next() {
-		cur := append([]int(nil), g.RGS()...)
+		cur := rgsOf(g.Blocks(), 6)
 		if prev != nil && !lexLess(prev, cur) {
 			t.Fatalf("RGS not increasing: %v then %v", prev, cur)
 		}
 		prev = cur
 	}
+}
+
+// rgsOf encodes blocks of {0,…,n−1}, listed in first-occurrence
+// order, as their restricted growth string.
+func rgsOf(blocks [][]int, n int) []int {
+	a := make([]int, n)
+	for b, block := range blocks {
+		for _, e := range block {
+			a[e] = b
+		}
+	}
+	return a
 }
 
 func lexLess(a, b []int) bool {
@@ -341,6 +354,63 @@ func TestBlocksAreIndependent(t *testing.T) {
 					t.Fatalf("append to one block corrupted block %d", i)
 				}
 			}
+		}
+	}
+}
+
+// TestDistinctExtremes pins Distinct at the two ends of the type
+// spectrum: with one type the distinct partitions are the integer
+// partitions of n, first RGSs of non-increasing block sizes; with every
+// element its own type nothing repeats, so Distinct is the full RGS
+// walk, ranks and all.
+func TestDistinctExtremes(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		same := make([]uint8, n)
+		prev := -1
+		count, err := Distinct(same, func(rgs []int, rank int) {
+			if rank <= prev {
+				t.Fatalf("n=%d: rank %d after %d", n, rank, prev)
+			}
+			prev = rank
+			for i := 1; i < n; i++ {
+				if rgs[i] < rgs[i-1] {
+					t.Fatalf("n=%d: one-type first RGS %v is not non-decreasing", n, rgs)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(count) != CountInts(n) {
+			t.Errorf("n=%d, one type: %d distinct partitions, want p(n)=%d", n, count, CountInts(n))
+		}
+
+		distinct := make([]uint8, n)
+		for i := range distinct {
+			distinct[i] = uint8(i)
+		}
+		var all [][]int
+		if _, err := ForEach(n, func(blocks [][]int) bool {
+			all = append(all, rgsOf(blocks, n))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		count, err = Distinct(distinct, func(rgs []int, rank int) {
+			if rank >= len(all) || !slices.Equal(rgs, all[rank]) {
+				t.Fatalf("n=%d, all distinct: RGS %v at rank %d", n, rgs, rank)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(count) != Bell(n) {
+			t.Errorf("n=%d, all distinct: %d partitions, want B(n)=%d", n, count, Bell(n))
+		}
+	}
+	for _, n := range []int{0, MaxN + 1} {
+		if _, err := Distinct(make([]uint8, n), func([]int, int) {}); err == nil {
+			t.Errorf("Distinct accepted n=%d", n)
 		}
 	}
 }

@@ -215,6 +215,7 @@ func TestFleetIndexClassAuditCatchesCorruption(t *testing.T) {
 		"lookup lost":         func(ci *classIndex) { delete(ci.slot, ci.sets[ci.of[2]].packed) },
 		"order lost a set":    func(ci *classIndex) { ci.order = ci.order[1:] },
 		"order repeats a set": func(ci *classIndex) { ci.order[0] = ci.order[1] },
+		"cached head stale":   func(ci *classIndex) { ci.sets[ci.of[0]].head = ci.sets[ci.of[0]].head[:1] },
 	}
 	for name, corrupt := range corruptions {
 		idx, truth := build()
@@ -223,6 +224,51 @@ func TestFleetIndexClassAuditCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: audit passed a corrupted class index", name)
 		}
 	}
+}
+
+// TestFleetIndexClassesCachedHeads changes only the fifth member of one
+// class between queries at different member counts: the query must
+// re-read that class's head, every other class's cached head must stay
+// fresh, and a head cached for five members must answer a query for two.
+func TestFleetIndexClassesCachedHeads(t *testing.T) {
+	const servers = 16
+	idx := NewFleetIndex(servers, 4)
+	alloc := make([]model.Key, servers)
+	down := make([]bool, servers)
+	for i := 0; i < servers; i += 3 { // servers 0, 3, 6, … form a second class
+		idx.Add(i, workload.ClassMEM, 1)
+		alloc[i] = model.KeyFor(workload.ClassMEM, 1)
+	}
+	check := func(label string, k int) {
+		t.Helper()
+		got, want := idx.Classes(k), naiveClasses(alloc, down, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, k=%d: %v, naive %v", label, k, got, want)
+		}
+		if err := idx.AuditInvariants(func(i int) model.Key { return alloc[i] }); err != nil {
+			t.Fatalf("%s, k=%d: %v", label, k, err)
+		}
+	}
+	check("initial", 5)
+	// The empty class holds 1, 2, 4, 5, 7, 8, …: server 7 is its fifth.
+	idx.SetDown(7)
+	down[7] = true
+	if c := &idx.classes.sets[idx.classes.of[0]]; c.stale {
+		t.Error("taking down a member of one class marked another class's head stale")
+	}
+	check("fifth member down", 2)
+	check("fifth member down", 5)
+	// Server 14 lies past every cached head: its class stays fresh.
+	idx.SetDown(14)
+	down[14] = true
+	if c := &idx.classes.sets[idx.classes.of[1]]; c.stale {
+		t.Error("a member past the cached head marked its class stale")
+	}
+	check("member past the head down", 5)
+	idx.SetUp(7)
+	down[7] = false
+	check("fifth member back", 2)
+	check("fifth member back", 5)
 }
 
 // TestProactiveDuplicateVMIDs is the regression test for jobs whose VMs

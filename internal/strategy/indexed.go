@@ -490,12 +490,15 @@ func (f *FleetIndex) AuditInvariants(alloc func(i int) model.Key) error {
 // class's lowest maxMembers server ids in ascending order — the input
 // core.Allocator.AllocateClasses searches. The first call builds the
 // grouping in O(servers); from then on Add, SetDown and SetUp keep it
-// current in O(1). The index keeps the class order of the previous
+// current in O(1). Each class caches its lowest members, as many as
+// the largest maxMembers asked for so far, and a mutation that can
+// change them marks the class stale; a query re-reads only the stale
+// classes' bitmaps. The index keeps the class order of the previous
 // query and repairs it with one insertion pass keyed on each class's
 // lowest member; between two decisions only the few classes whose
 // lowest member changed are out of place, so the repair costs
-// O(classes) and a query O(classes × maxMembers), with no heap
-// allocation once its buffers have grown. The result aliases
+// O(classes) and a query O(classes + stale classes × maxMembers), with
+// no heap allocation once the caches have grown. The result aliases
 // index-owned storage, valid until the next Classes call or mutation;
 // like every index method, it must not race with other use of the
 // index.
@@ -504,35 +507,34 @@ func (f *FleetIndex) Classes(maxMembers int) []core.ServerClass {
 		f.buildClasses()
 	}
 	ci := f.classes
+	if maxMembers > ci.headCap {
+		ci.headCap = maxMembers
+		for s := range ci.sets {
+			ci.sets[s].stale = true
+		}
+	}
 	for s := range ci.sets {
-		c := &ci.sets[s]
-		c.first = noMember
-		if c.n > 0 {
-			c.first = c.members.firstFrom(0)
+		if c := &ci.sets[s]; c.stale {
+			c.refresh(ci.headCap)
 		}
 	}
 	order := ci.order
 	for i := 1; i < len(order); i++ {
-		s, first := order[i], ci.sets[order[i]].first
+		s, first := order[i], ci.sets[order[i]].lowest()
 		j := i
-		for ; j > 0 && ci.sets[order[j-1]].first > first; j-- {
+		for ; j > 0 && ci.sets[order[j-1]].lowest() > first; j-- {
 			order[j] = order[j-1]
 		}
 		order[j] = s
 	}
-	ci.out, ci.mem = ci.out[:0], ci.mem[:0]
+	ci.out = ci.out[:0]
 	for _, s := range order {
 		c := &ci.sets[s]
 		if c.n == 0 {
 			break // retired sets sort last
 		}
-		start := len(ci.mem)
-		for m := c.first; m >= 0 && len(ci.mem)-start < maxMembers; m = c.members.scanFrom(m + 1) {
-			ci.mem = append(ci.mem, m)
-		}
-		// A growing ci.mem leaves earlier classes on the old array,
-		// whose contents stay valid: it is never written again.
-		ci.out = append(ci.out, core.ServerClass{Alloc: c.key, Members: ci.mem[start:len(ci.mem):len(ci.mem)]})
+		k := min(len(c.head), maxMembers)
+		ci.out = append(ci.out, core.ServerClass{Alloc: c.key, Members: c.head[:k:k]})
 	}
 	return ci.out
 }
@@ -540,9 +542,10 @@ func (f *FleetIndex) Classes(maxMembers int) []core.ServerClass {
 // buildClasses groups every up server by allocation.
 func (f *FleetIndex) buildClasses() {
 	ci := &classIndex{
-		slot: make(map[packedAlloc]int32),
-		of:   make([]int32, len(f.alloc)),
-		n:    len(f.alloc),
+		slot:    make(map[packedAlloc]int32),
+		of:      make([]int32, len(f.alloc)),
+		n:       len(f.alloc),
+		headCap: 1, // every query reads a class's lowest member
 	}
 	for i := range f.alloc {
 		ci.of[i] = -1
@@ -568,9 +571,10 @@ type classIndex struct {
 	// the end when it is created.
 	order []int32
 
-	// Classes query buffers.
-	out []core.ServerClass
-	mem []int
+	// headCap is the most members any Classes query has asked for: the
+	// length of every fresh head.
+	headCap int
+	out     []core.ServerClass
 }
 
 // classSet is one allocation's up servers.
@@ -579,13 +583,33 @@ type classSet struct {
 	key     model.Key
 	members bitset
 	n       int
-	// first is the lowest member as of the last Classes query, or
-	// noMember for a retired set: the key of the class order.
-	first int
+	// head caches the set's lowest min(n, headCap) members in ascending
+	// order, unless stale: a join or leave since the last refresh may
+	// have changed them.
+	head  []int
+	stale bool
 }
 
 // noMember is a retired set's order key: it sorts after every server id.
 const noMember = math.MaxInt
+
+// lowest is the set's lowest member as of its last refresh, or noMember
+// for a retired set: the key of the class order.
+func (c *classSet) lowest() int {
+	if len(c.head) == 0 {
+		return noMember
+	}
+	return c.head[0]
+}
+
+// refresh re-reads the set's lowest headCap members from its bitmap.
+func (c *classSet) refresh(headCap int) {
+	c.head = c.head[:0]
+	for m := c.members.firstFrom(0); m >= 0 && len(c.head) < headCap; m = c.members.scanFrom(m + 1) {
+		c.head = append(c.head, m)
+	}
+	c.stale = false
+}
 
 // join adds up server i to the class of allocation k.
 func (ci *classIndex) join(i int, k packedAlloc) {
@@ -599,13 +623,18 @@ func (ci *classIndex) join(i int, k packedAlloc) {
 			ci.sets = append(ci.sets, classSet{members: newBitset(ci.n)})
 			ci.order = append(ci.order, s)
 		}
-		ci.sets[s].packed, ci.sets[s].key = k, k.key()
+		ci.sets[s].packed, ci.sets[s].key, ci.sets[s].stale = k, k.key(), true
 		ci.slot[k] = s
 	}
 	c := &ci.sets[s]
 	c.members.set(i)
 	c.n++
 	ci.of[i] = s
+	// A fresh head holds headCap members unless the set has fewer, so a
+	// join changes it only if it was short or i sorts before its last.
+	if !c.stale && (len(c.head) < ci.headCap || i < c.head[len(c.head)-1]) {
+		c.stale = true
+	}
 }
 
 // leave removes server i from its class, retiring the class when it
@@ -615,6 +644,9 @@ func (ci *classIndex) leave(i int) {
 	c := &ci.sets[s]
 	c.members.clear(i)
 	c.n--
+	if !c.stale && len(c.head) > 0 && i <= c.head[len(c.head)-1] {
+		c.stale = true // i was in the head
+	}
 	if c.n == 0 {
 		delete(ci.slot, c.packed)
 		ci.free = append(ci.free, s)
@@ -624,8 +656,9 @@ func (ci *classIndex) leave(i int) {
 
 // audit re-derives class membership from the index's allocations and
 // down marks: every up server sits in exactly the class of its
-// allocation, every down server in none, and each class's count,
-// bitmap and lookup entry agree.
+// allocation, every down server in none, each class's count, bitmap
+// and lookup entry agree, and every class not marked stale caches
+// exactly its lowest members.
 func (ci *classIndex) audit(f *FleetIndex) error {
 	up := 0
 	for i := range f.alloc {
@@ -664,6 +697,19 @@ func (ci *classIndex) audit(f *FleetIndex) error {
 	}
 	if len(ci.slot) != live {
 		return fmt.Errorf("strategy: %d class lookups for %d live classes", len(ci.slot), live)
+	}
+	for s := range ci.sets {
+		c := &ci.sets[s]
+		if c.stale {
+			continue
+		}
+		var want []int
+		for m := c.members.scanFrom(0); m >= 0 && len(want) < ci.headCap; m = c.members.scanFrom(m + 1) {
+			want = append(want, m)
+		}
+		if !slices.Equal(c.head, want) {
+			return fmt.Errorf("strategy: class %v caches lowest members %v, bitmap has %v", c.key, c.head, want)
+		}
 	}
 	listed := make([]bool, len(ci.sets))
 	for _, s := range ci.order {
