@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check perfbench-test verify test race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-pa cover trace clean
+.PHONY: all build fmt-check perfbench-test verify test loc race race-sim race-faults race-shards race-serve audit-smoke scale-smoke explain-smoke serve-soak metrics-smoke fuzz-smoke vet bench bench-alloc bench-json bench-diff profile-huge profile-pa cover trace clean
 
 all: verify
 
@@ -15,6 +15,12 @@ verify: build fmt-check vet test perfbench-test race-sim race-faults race-shards
 
 test:
 	$(GO) test ./...
+
+# loc prints the non-test Go lines outside perfbench/ (tracked files
+# plus untracked ones git does not ignore): the size figure CHANGES.md
+# quotes for each change's line delta.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # fmt-check fails, listing the files, when any Go file is not gofmt'ed.
 fmt-check:

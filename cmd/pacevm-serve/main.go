@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
@@ -135,7 +134,7 @@ func run(opt options) error {
 		return fmt.Errorf("HTTP timeouts must not be negative (read-header %v, read %v, idle %v)",
 			opt.readHeaderTimeout, opt.readTimeout, opt.idleTimeout)
 	}
-	db, err := loadModel(opt.modelDir)
+	db, err := campaign.LoadDB(opt.modelDir)
 	if err != nil {
 		return err
 	}
@@ -330,26 +329,6 @@ func parseWatermarks(s string) ([2]time.Duration, error) {
 		out[i] = d
 	}
 	return out, nil
-}
-
-func loadModel(dir string) (*model.DB, error) {
-	if dir == "" {
-		cfg := campaign.DefaultConfig()
-		cfg.FullGridTotal = 16
-		db, _, err := campaign.Run(cfg)
-		return db, err
-	}
-	mf, err := os.Open(filepath.Join(dir, "model.csv"))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	af, err := os.Open(filepath.Join(dir, "aux.csv"))
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	return model.ReadCSV(mf, af)
 }
 
 func writeDecisionLog(path string, rec *cloudsim.DecisionRecorder) error {

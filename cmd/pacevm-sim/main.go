@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -208,7 +207,7 @@ func run(opt options) error {
 		fmt.Printf("debug server: http://%s/debug/dash (also /debug/pprof/ and /debug/vars)\n", ds.Addr())
 	}
 
-	db, err := loadModel(opt.modelDir)
+	db, err := campaign.LoadDB(opt.modelDir)
 	if err != nil {
 		return err
 	}
@@ -417,26 +416,6 @@ func writeTrace(opt options, tr *obs.Tracer, reg *obs.Registry, m cloudsim.Metri
 	}
 	fmt.Printf("manifest: %s\n", manifestPath)
 	return nil
-}
-
-func loadModel(dir string) (*model.DB, error) {
-	if dir == "" {
-		cfg := campaign.DefaultConfig()
-		cfg.FullGridTotal = 16
-		db, _, err := campaign.Run(cfg)
-		return db, err
-	}
-	mf, err := os.Open(filepath.Join(dir, "model.csv"))
-	if err != nil {
-		return nil, err
-	}
-	defer mf.Close()
-	af, err := os.Open(filepath.Join(dir, "aux.csv"))
-	if err != nil {
-		return nil, err
-	}
-	defer af.Close()
-	return model.ReadCSV(mf, af)
 }
 
 // loadFaults resolves the fault schedule: an explicit CSV wins, else a

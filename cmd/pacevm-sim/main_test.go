@@ -102,41 +102,6 @@ func TestParseCheckpoint(t *testing.T) {
 	}
 }
 
-func TestLoadModelFromDir(t *testing.T) {
-	db := sharedDB(t)
-	dir := t.TempDir()
-	mf, err := os.Create(filepath.Join(dir, "model.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteCSV(mf); err != nil {
-		t.Fatal(err)
-	}
-	mf.Close()
-	af, err := os.Create(filepath.Join(dir, "aux.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteAuxCSV(af); err != nil {
-		t.Fatal(err)
-	}
-	af.Close()
-
-	got, err := loadModel(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != db.Len() {
-		t.Errorf("loaded %d records, want %d", got.Len(), db.Len())
-	}
-}
-
-func TestLoadModelMissingDir(t *testing.T) {
-	if _, err := loadModel(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("missing model directory should fail")
-	}
-}
-
 // modelDir writes the shared test model as CSV into a temp dir so run()
 // can load it without an in-process campaign per case.
 func modelDir(t *testing.T) string {

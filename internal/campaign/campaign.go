@@ -12,6 +12,8 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -291,6 +293,30 @@ func Run(cfg Config) (*model.DB, Summary, error) {
 		return nil, Summary{}, err
 	}
 	return db, sum, nil
+}
+
+// LoadDB reads the model database a `pacevm-campaign -out dir` run
+// wrote (model.csv and aux.csv). An empty dir builds it in-process
+// instead: the default campaign with the full grid up to 16 VMs, which
+// prices every allocation the default admission limit allows.
+func LoadDB(dir string) (*model.DB, error) {
+	if dir == "" {
+		cfg := DefaultConfig()
+		cfg.FullGridTotal = 16
+		db, _, err := Run(cfg)
+		return db, err
+	}
+	mf, err := os.Open(filepath.Join(dir, "model.csv"))
+	if err != nil {
+		return nil, err
+	}
+	defer mf.Close()
+	af, err := os.Open(filepath.Join(dir, "aux.csv"))
+	if err != nil {
+		return nil, err
+	}
+	defer af.Close()
+	return model.ReadCSV(mf, af)
 }
 
 // runBases executes the three per-class base-test sweeps, concurrently

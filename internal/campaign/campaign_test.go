@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -323,5 +325,36 @@ func TestCampaignDeterministic(t *testing.T) {
 		if a.Records()[i] != b.Records()[i] {
 			t.Fatalf("record %d differs between runs", i)
 		}
+	}
+}
+
+// LoadDB reads back exactly what a campaign's CSV pair holds.
+func TestLoadDBFromDir(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FullGridTotal = 8
+	db, _, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main, aux := csvs(t, db)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "model.csv"), []byte(main), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "aux.csv"), []byte(aux), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadDB(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gm, ga := csvs(t, got); gm != main || ga != aux {
+		t.Error("loaded database does not round-trip the campaign's CSVs")
+	}
+}
+
+func TestLoadDBMissingDir(t *testing.T) {
+	if _, err := LoadDB(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Error("missing model directory should fail")
 	}
 }

@@ -16,10 +16,10 @@
 // deadlines summed over all applications). Scheduling and provisioning
 // overheads are not modelled, as in the paper.
 //
-// Run is the scale-tuned event loop: typed slab-backed events, an
-// active-server count maintained incrementally, pooled VM state, and
-// placement through a capacity index (strategy.FleetIndex) the
-// simulator keeps in step with every server's allocation. RunReference
+// Run is the scale-tuned event loop: typed slab-backed events, pooled
+// VM state, and placement through a capacity index (strategy.FleetIndex)
+// that is the only record of each server's allocation and of the
+// occupied and down server counts. RunReference
 // (reference_test.go, test-only) retains the naive transcription, which
 // hands strategies a fleet view through their linear Place, as the
 // equivalence oracle; the golden tests prove both produce byte-identical
@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strconv"
 
@@ -289,7 +288,6 @@ type simServer struct {
 	// integration loops run over (see simVM).
 	rem        []float64
 	cls        []uint8
-	alloc      model.Key
 	lastUpdate units.Seconds
 	energy     units.Joules
 	next       eventq.Handle
@@ -298,13 +296,12 @@ type simServer struct {
 	// the remainder of the workload span is billed at idle power.
 	hostedSeconds float64
 	// ai memoizes the pricing of the current allocation (valid while
-	// non-nil and aiKey == alloc): advance and reschedule price the same
-	// unchanged allocation on every completion event, so the memo turns
-	// two cache lookups per event into one pointer read. The pointee
-	// lives in the dense pricing table (or its spill map), whose entries
-	// are write-once — the pointer never dangles.
-	ai    *allocInfo
-	aiKey model.Key
+	// non-nil; applyAlloc clears it): advance and reschedule price the
+	// same unchanged allocation on every completion event, so the memo
+	// turns two cache lookups per event into one pointer read. The
+	// pointee lives in the dense pricing table (or its spill map), whose
+	// entries are write-once — the pointer never dangles.
+	ai *allocInfo
 }
 
 // allocInfo caches model-database pricing per allocation key.
@@ -414,23 +411,15 @@ type sim struct {
 	// with periodic compaction).
 	queue []int
 	qhead int
-	// fleet is the capacity index every placement goes through and
-	// indexed the strategy placing through it; hinter is set when the
-	// strategy can answer job feasibility from the index's free-capacity
-	// summary, which lets drainQueue skip provably futile placement
-	// attempts.
+	// fleet is the capacity index every placement goes through, and the
+	// only record of each server's allocation, of the occupied-server
+	// count and of which servers are down. indexed is the strategy
+	// placing through it; hinter is set when the strategy can answer job
+	// feasibility from the index's free-capacity summary, which lets
+	// drainQueue skip provably futile placement attempts.
 	fleet   *strategy.FleetIndex
 	indexed strategy.IndexedPlacer
 	hinter  strategy.CapacityHinter
-	// active is the incrementally-tracked count of servers currently
-	// hosting at least one VM.
-	active int
-	// occ is the occupied-server bitmap (bit i set iff server i hosts at
-	// least one VM), maintained at every residency 0↔>0 transition. The
-	// consolidation sweep iterates set bits in id order instead of the
-	// whole fleet, so a mostly-idle large fleet pays O(occupied), not
-	// O(servers), per consolidation event.
-	occ []uint64
 	// cache memoizes Config.DB's pricing; refT is its per-class
 	// reference time, the numerator of every progress rate.
 	cache denseCache
@@ -648,7 +637,6 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 	remSlab := make([]float64, cfg.Servers*resCap)
 	clsSlab := make([]uint8, cfg.Servers*resCap)
 	s.srv = make([]*simServer, cfg.Servers)
-	s.occ = make([]uint64, (cfg.Servers+63)/64)
 	for i := range s.srv {
 		slab[i] = simServer{
 			id: i, activeFrom: -1,
@@ -966,25 +954,28 @@ func (s *sim) info(k model.Key) (*allocInfo, error) {
 // server until the allocation changes. advance and reschedule price the
 // same unchanged key on every completion event, so the memo replaces
 // the pricing cache probe with one pointer read on the hot path; a
-// memo hit still counts as a pricing-cache hit.
+// memo hit still counts as a pricing-cache hit. Only servers with
+// residents are priced, so the key is never zero, and a key the memo
+// held is already cached: hit and miss counts match a memo keyed on
+// the allocation.
 func (s *sim) infoFor(sv *simServer) (*allocInfo, error) {
-	if sv.ai != nil && sv.aiKey == sv.alloc {
+	if sv.ai != nil {
 		s.stats.pricingHits.Inc()
 		return sv.ai, nil
 	}
-	ai, err := s.info(sv.alloc)
+	ai, err := s.info(s.fleet.Alloc(sv.id))
 	if err != nil {
 		return nil, err
 	}
-	sv.ai, sv.aiKey = ai, sv.alloc
+	sv.ai = ai
 	return ai, nil
 }
 
-// applyAlloc shifts a server's allocation by delta VMs of class c,
-// keeping the capacity index in sync.
+// applyAlloc shifts a server's allocation in the capacity index by
+// delta VMs of class c and drops its pricing memo.
 func (s *sim) applyAlloc(sv *simServer, c workload.Class, delta int) {
-	sv.alloc = sv.alloc.Add(model.KeyFor(c, delta))
 	s.fleet.Add(sv.id, c, delta)
+	sv.ai = nil
 }
 
 // advance integrates a server's VM progress and energy up to now.
@@ -1008,7 +999,7 @@ func (s *sim) advance(sv *simServer) error {
 		// [lastUpdate, now) and its progress/energy just integrated.
 		s.stats.intervalsClosed.Inc()
 		if s.sampler != nil {
-			s.sampler.interval(s.now, sv.id, ai.power, len(sv.vms), dt, s.active, s.qlen())
+			s.sampler.interval(s.now, sv.id, ai.power, len(sv.vms), dt, s.fleet.NumOccupied(), s.fleet.Len()-s.fleet.NumUp(), s.qlen())
 		}
 	}
 	sv.lastUpdate = s.now
@@ -1077,7 +1068,7 @@ func (s *sim) complete(serverIdx int) error {
 		// [lastUpdate, now) and its progress/energy just integrated.
 		s.stats.intervalsClosed.Inc()
 		if s.sampler != nil {
-			s.sampler.interval(s.now, sv.id, ai.power, len(sv.vms), dt, s.active, s.qlen())
+			s.sampler.interval(s.now, sv.id, ai.power, len(sv.vms), dt, s.fleet.NumOccupied(), s.fleet.Len()-s.fleet.NumUp(), s.qlen())
 		}
 	}
 	sv.lastUpdate = s.now
@@ -1105,7 +1096,6 @@ func (s *sim) complete(serverIdx int) error {
 	}
 	sv.vms, sv.rem, sv.cls = sv.vms[:w], sv.rem[:w], sv.cls[:w]
 	if len(sv.vms) == 0 {
-		s.clearOcc(sv.id)
 		if sv.activeFrom >= 0 {
 			s.traceHosting(sv, sv.activeFrom)
 			hosted := float64(s.now - sv.activeFrom)
@@ -1113,11 +1103,8 @@ func (s *sim) complete(serverIdx int) error {
 			sv.hostedSeconds += hosted
 			sv.activeFrom = -1
 		}
-		if wasHosting {
-			s.active--
-			if s.sampler != nil {
-				s.sampler.serverIdle(sv.id)
-			}
+		if wasHosting && s.sampler != nil {
+			s.sampler.serverIdle(sv.id)
 		}
 	}
 	return s.reschedule(sv)
@@ -1165,12 +1152,6 @@ func (s *sim) recycle(vm *simVM) {
 // vmChunkSize is the arena block newVM carves fresh structs from.
 const vmChunkSize = 256
 
-// setOcc / clearOcc maintain the occupied-server bitmap; both are
-// idempotent, so transition sites may call them without re-checking the
-// previous residency.
-func (s *sim) setOcc(id int)   { s.occ[id>>6] |= 1 << (id & 63) }
-func (s *sim) clearOcc(id int) { s.occ[id>>6] &^= 1 << (id & 63) }
-
 // newVM takes a VM struct from the pool, or carves one from the arena.
 func (s *sim) newVM() *simVM {
 	if n := len(s.vmfree); n > 0 {
@@ -1197,44 +1178,40 @@ func (s *sim) consolidate() error {
 	allocs := make([]model.Key, len(s.srv))
 	var snapshot []migrate.VM
 	byUID := map[string]*simVM{}
-	// Walk only the occupied servers, in id order (bit order). An empty
-	// server contributes a zero alloc key (already the slice's zero
-	// value) and no snapshot entries, and advancing it would only touch
-	// lastUpdate — no energy, intervals, or samples accrue without
-	// residents — so skipping it is observationally identical and the
-	// sweep is O(occupied servers), not O(fleet).
-	for w, word := range s.occ {
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			sv := s.srv[i]
-			// Bring accounting up to now so Remaining values are current.
-			if err := s.advance(sv); err != nil {
-				return err
-			}
-			allocs[i] = sv.alloc
-			for vi, vm := range sv.vms {
-				budget := units.Seconds(0)
-				if vm.deadline > 0 {
-					budget = vm.deadline - s.now
-					if budget < 0 {
-						budget = 0 // already violated; free to move
-					}
+	// Skip the empty servers: one contributes a zero alloc key (already
+	// the slice's zero value) and no snapshot entries, and no energy,
+	// intervals or samples accrue without residents. Only its clock
+	// would move, and a move onto it starts the clock below.
+	for i, sv := range s.srv {
+		if s.fleet.Used(i) == 0 {
+			continue
+		}
+		// Bring accounting up to now so Remaining values are current.
+		if err := s.advance(sv); err != nil {
+			return err
+		}
+		allocs[i] = s.fleet.Alloc(i)
+		for vi, vm := range sv.vms {
+			budget := units.Seconds(0)
+			if vm.deadline > 0 {
+				budget = vm.deadline - s.now
+				if budget < 0 {
+					budget = 0 // already violated; free to move
 				}
-				rem := sv.rem[vi]
-				if rem < 0 {
-					rem = 0
-				}
-				uid := vm.uidString()
-				snapshot = append(snapshot, migrate.VM{
-					ID:        uid,
-					Class:     vm.class,
-					Server:    i,
-					Remaining: units.Seconds(rem),
-					Budget:    budget,
-				})
-				byUID[uid] = vm
 			}
+			rem := sv.rem[vi]
+			if rem < 0 {
+				rem = 0
+			}
+			uid := vm.uidString()
+			snapshot = append(snapshot, migrate.VM{
+				ID:        uid,
+				Class:     vm.class,
+				Server:    i,
+				Remaining: units.Seconds(rem),
+				Budget:    budget,
+			})
+			byUID[uid] = vm
 		}
 	}
 	if len(snapshot) == 0 {
@@ -1253,7 +1230,7 @@ func (s *sim) consolidate() error {
 		if vm == nil || mv.From < 0 || mv.From >= len(s.srv) || mv.To < 0 || mv.To >= len(s.srv) || mv.From == mv.To {
 			return fmt.Errorf("cloudsim: consolidator returned invalid move %+v", mv)
 		}
-		if s.faulty && s.downSince[mv.To] >= 0 {
+		if s.fleet.Down(mv.To) {
 			// The consolidator's snapshot carries no liveness, so a plan
 			// may target a crashed server; skip the move (counted) rather
 			// than abort a healthy run.
@@ -1280,14 +1257,19 @@ func (s *sim) consolidate() error {
 		from.rem = append(from.rem[:idx], from.rem[idx+1:]...)
 		from.cls = append(from.cls[:idx], from.cls[idx+1:]...)
 		s.applyAlloc(from, vm.class, -1)
-		if len(to.vms) == 0 && to.activeFrom < 0 {
-			to.activeFrom = s.now
-			s.active++
+		if len(to.vms) == 0 {
+			// The snapshot skipped this empty server: start its clock at
+			// now, or its next interval would run from when it emptied.
+			if err := s.advance(to); err != nil {
+				return err
+			}
+			if to.activeFrom < 0 {
+				to.activeFrom = s.now
+			}
 		}
 		to.vms = append(to.vms, vm)
 		to.rem = append(to.rem, movedRem)
 		to.cls = append(to.cls, movedCls)
-		s.setOcc(mv.To)
 		s.applyAlloc(to, vm.class, 1)
 		touched = append(touched, mv.From, mv.To)
 		s.metrics.Migrations++
@@ -1307,18 +1289,14 @@ func (s *sim) consolidate() error {
 		}
 		prev = i
 		sv := s.srv[i]
-		if len(sv.vms) == 0 {
-			s.clearOcc(i)
-			if sv.activeFrom >= 0 {
-				s.traceHosting(sv, sv.activeFrom)
-				hosted := float64(s.now - sv.activeFrom)
-				s.metrics.ActiveServerSeconds += hosted
-				sv.hostedSeconds += hosted
-				sv.activeFrom = -1
-				s.active--
-				if s.sampler != nil {
-					s.sampler.serverIdle(sv.id)
-				}
+		if len(sv.vms) == 0 && sv.activeFrom >= 0 {
+			s.traceHosting(sv, sv.activeFrom)
+			hosted := float64(s.now - sv.activeFrom)
+			s.metrics.ActiveServerSeconds += hosted
+			sv.hostedSeconds += hosted
+			sv.activeFrom = -1
+			if s.sampler != nil {
+				s.sampler.serverIdle(sv.id)
 			}
 		}
 		if err := s.reschedule(sv); err != nil {
@@ -1494,7 +1472,7 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 	var targets, counts [maxJobVMs]int
 	nt := 0
 	for _, a := range assign {
-		if a < 0 || a >= len(s.srv) || (s.faulty && s.downSince[a] >= 0) {
+		if a < 0 || a >= len(s.srv) || s.fleet.Down(a) {
 			// Out-of-range or down target: a strategy bug; refuse it.
 			s.stats.placeRejected.Inc()
 			if s.rec != nil {
@@ -1516,7 +1494,7 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 		}
 	}
 	for t := 0; t < nt; t++ {
-		if s.srv[targets[t]].alloc.Total()+counts[t] > s.cfg.MaxVMsPerServer {
+		if s.fleet.Used(targets[t])+counts[t] > s.cfg.MaxVMsPerServer {
 			s.stats.placeRejected.Inc()
 			if s.rec != nil {
 				s.recordReject(idx, RejectAdmissionCap)
@@ -1543,12 +1521,8 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 	var uids [maxJobVMs]int
 	for vi, a := range assign {
 		sv := s.srv[a]
-		if len(sv.vms) == 0 {
-			if sv.activeFrom < 0 {
-				sv.activeFrom = s.now
-			}
-			s.active++
-			s.setOcc(a)
+		if len(sv.vms) == 0 && sv.activeFrom < 0 {
+			sv.activeFrom = s.now
 		}
 		s.uidSeq++
 		uids[vi] = s.uidSeq
@@ -1573,8 +1547,8 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 			return false, err
 		}
 	}
-	if s.active > s.metrics.PeakActiveServers {
-		s.metrics.PeakActiveServers = s.active
+	if n := s.fleet.NumOccupied(); n > s.metrics.PeakActiveServers {
+		s.metrics.PeakActiveServers = n
 	}
 	s.tracePlaced(idx, assign[0])
 	if s.rec != nil {

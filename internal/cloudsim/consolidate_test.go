@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"reflect"
 	"testing"
 
 	"pacevm/internal/migrate"
@@ -127,5 +128,52 @@ func TestMigrationCostSlowsMovedVMs(t *testing.T) {
 	if costly.Migrations > 0 && costly.AvgResponse < cheap.AvgResponse {
 		t.Errorf("expensive migrations should not speed responses: %v vs %v",
 			costly.AvgResponse, cheap.AvgResponse)
+	}
+}
+
+// spreadConsolidator moves the first snapshot VM onto the highest-id
+// empty server, for its first few plans: the one move the built-in
+// planner never makes.
+type spreadConsolidator struct{ plans *int }
+
+func (c spreadConsolidator) Propose(allocs []model.Key, vms []migrate.VM) (migrate.Plan, error) {
+	if *c.plans >= 3 {
+		return migrate.Plan{}, nil
+	}
+	for to := len(allocs) - 1; to >= 0; to-- {
+		if allocs[to].IsZero() {
+			*c.plans++
+			return migrate.Plan{Moves: []migrate.Move{{VMID: vms[0].ID, From: vms[0].Server, To: to}}}, nil
+		}
+	}
+	return migrate.Plan{}, nil
+}
+
+// A VM migrated onto an empty server runs there from the move on: the
+// snapshot skips empty servers, so the move itself must start the
+// target's accounting clock, or its first interval is billed from the
+// instant it last emptied. The reference advances every server and is
+// the oracle.
+func TestConsolidateOntoEmptyServerMatchesReference(t *testing.T) {
+	reqs := fragmentingReqs(t, 6)
+	var plans, refPlans int
+	cfg := Config{DB: sharedDB(t), Servers: 12, Strategy: ff(t, 1), Consolidator: spreadConsolidator{&plans}, RecordVMs: true}
+	got, err := Run(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Consolidator = spreadConsolidator{&refPlans}
+	want, err := RunReference(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Migrations != 3 {
+		t.Fatalf("%d migrations, want 3", got.Migrations)
+	}
+	if got.Metrics != want.Metrics {
+		t.Errorf("Run diverges from the reference:\nrun %+v\nref %+v", got.Metrics, want.Metrics)
+	}
+	if !reflect.DeepEqual(got.VMs, want.VMs) {
+		t.Error("Run's VM records diverge from the reference")
 	}
 }

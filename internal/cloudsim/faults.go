@@ -86,7 +86,7 @@ func (s *sim) scheduleFaultsUntil(limit units.Seconds) {
 // the pending completion, and excludes the server from placement.
 func (s *sim) crash(serverIdx int) error {
 	sv := s.srv[serverIdx]
-	if s.downSince[serverIdx] >= 0 {
+	if s.fleet.Down(serverIdx) {
 		return fmt.Errorf("cloudsim: crash event for server %d which is already down", serverIdx)
 	}
 	if err := s.advance(sv); err != nil {
@@ -111,16 +111,12 @@ func (s *sim) crash(serverIdx int) error {
 		sv.vms[i] = nil
 	}
 	sv.vms, sv.rem, sv.cls = sv.vms[:0], sv.rem[:0], sv.cls[:0]
-	s.clearOcc(serverIdx)
-	if wasHosting {
-		if sv.activeFrom >= 0 {
-			s.traceHosting(sv, sv.activeFrom)
-			hosted := float64(s.now - sv.activeFrom)
-			s.metrics.ActiveServerSeconds += hosted
-			sv.hostedSeconds += hosted
-			sv.activeFrom = -1
-		}
-		s.active--
+	if wasHosting && sv.activeFrom >= 0 {
+		s.traceHosting(sv, sv.activeFrom)
+		hosted := float64(s.now - sv.activeFrom)
+		s.metrics.ActiveServerSeconds += hosted
+		sv.hostedSeconds += hosted
+		sv.activeFrom = -1
 	}
 	if err := s.reschedule(sv); err != nil { // cancels the stale completion
 		return err
@@ -128,7 +124,6 @@ func (s *sim) crash(serverIdx int) error {
 	s.downSince[serverIdx] = s.now
 	if s.sampler != nil {
 		s.sampler.serverIdle(serverIdx)
-		s.sampler.serverDown()
 	}
 	s.fleet.SetDown(serverIdx)
 	s.traceQueueDepth()
@@ -203,9 +198,6 @@ func (s *sim) recoverServer(serverIdx int) error {
 	s.downLog = append(s.downLog, downSpan{server: serverIdx, from: from, to: s.now})
 	s.downSince[serverIdx] = -1
 	sv.lastUpdate = s.now
-	if s.sampler != nil {
-		s.sampler.serverUp()
-	}
 	s.fleet.SetUp(serverIdx)
 	s.traceDown(sv, from)
 	return nil

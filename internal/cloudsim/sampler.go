@@ -76,11 +76,10 @@ type FleetSampler struct {
 	watts []units.Watts
 	vms   []int
 
-	fleetWatts  units.Watts
-	runningVMs  int
-	downServers int
-	cumEnergy   units.Joules
-	idleEnergy  units.Joules
+	fleetWatts units.Watts
+	runningVMs int
+	cumEnergy  units.Joules
+	idleEnergy units.Joules
 }
 
 // NewFleetSampler returns a sampler whose ring holds at most capacity
@@ -116,15 +115,15 @@ func (fs *FleetSampler) reset(servers int) {
 	}
 	fs.fleetWatts = 0
 	fs.runningVMs = 0
-	fs.downServers = 0
 	fs.cumEnergy = 0
 	fs.idleEnergy = 0
 }
 
 // interval records one closed accounting interval: server drew power
-// hosting nvms VMs for dt seconds ending at 'at'. active and qdepth are
-// the simulator's instantaneous fleet state.
-func (fs *FleetSampler) interval(at units.Seconds, server int, power units.Watts, nvms int, dt units.Seconds, active, qdepth int) {
+// hosting nvms VMs for dt seconds ending at 'at'. active, down and
+// qdepth are the simulator's instantaneous fleet state: occupied and
+// down servers, and queued requests.
+func (fs *FleetSampler) interval(at units.Seconds, server int, power units.Watts, nvms int, dt units.Seconds, active, down, qdepth int) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.cumEnergy += power.Times(dt)
@@ -141,7 +140,7 @@ func (fs *FleetSampler) interval(at units.Seconds, server int, power units.Watts
 			FleetWatts:    fs.fleetWatts,
 			ActiveServers: active,
 			QueueDepth:    qdepth,
-			DownServers:   fs.downServers,
+			DownServers:   down,
 			RunningVMs:    fs.runningVMs,
 			CumEnergy:     fs.cumEnergy,
 		})
@@ -172,19 +171,6 @@ func (fs *FleetSampler) serverIdle(server int) {
 	fs.watts[server] = 0
 	fs.runningVMs -= fs.vms[server]
 	fs.vms[server] = 0
-	fs.mu.Unlock()
-}
-
-// serverDown / serverUp track the crashed-server count.
-func (fs *FleetSampler) serverDown() {
-	fs.mu.Lock()
-	fs.downServers++
-	fs.mu.Unlock()
-}
-
-func (fs *FleetSampler) serverUp() {
-	fs.mu.Lock()
-	fs.downServers--
 	fs.mu.Unlock()
 }
 

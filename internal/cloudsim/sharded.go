@@ -66,11 +66,6 @@ type ShardConfig struct {
 	// part of the run's deterministic parameterization, like the shard
 	// count itself.
 	Window units.Seconds
-	// Strategy, when non-nil, builds a private strategy instance per
-	// shard — required for stateful strategies, which must not be
-	// shared across concurrently-running shards. Nil shares
-	// Config.Strategy, which is safe for the stateless built-ins.
-	Strategy func(shard int) (strategy.Strategy, error)
 	// Steal opts into admission handoff at window barriers: a queued
 	// head job its owning shard provably cannot host (by the capacity
 	// summary) is re-admitted on the least-loaded shard that provably
@@ -182,18 +177,10 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 	}
 
 	// Contiguous partition: shard k owns servers [base[k], base[k+1]).
-	base := make([]int, S+1)
-	for k := 0; k < S; k++ {
-		n := cfg.Servers / S
-		if k < cfg.Servers%S {
-			n++
-		}
-		base[k+1] = base[k] + n
-	}
-	shardOf := func(server int) int { return sort.SearchInts(base[1:], server+1) }
+	base := strategy.SplitFleet(cfg.Servers, S)
 	perFaults := make([]faults.Schedule, S)
 	for _, e := range cfg.Faults {
-		k := shardOf(e.Server)
+		k := base.Shard(e.Server)
 		e.Server -= base[k]
 		perFaults[k] = append(perFaults[k], e)
 	}
@@ -231,16 +218,6 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 				st.wd = obs.NewWatchdog(cfg.Watchdog.Every())
 				scfg.Watchdog = st.wd
 			}
-		}
-		if sc.Strategy != nil {
-			strat, err := sc.Strategy(k)
-			if err != nil {
-				return Result{}, fmt.Errorf("cloudsim: shard %d strategy: %w", k, err)
-			}
-			if strat == nil {
-				return Result{}, fmt.Errorf("cloudsim: shard %d strategy factory returned nil", k)
-			}
-			scfg.Strategy = strat
 		}
 		if st.sim, err = newSim(scfg, reqs); err != nil {
 			return Result{}, err
@@ -642,6 +619,5 @@ func (fs *FleetSampler) absorbShards(parts []*FleetSampler, serverBase []int, se
 		fs.idleEnergy += p.IdleEnergy()
 		fs.fleetWatts += latest[k].FleetWatts
 		fs.runningVMs += latest[k].RunningVMs
-		fs.downServers += latest[k].DownServers
 	}
 }

@@ -193,26 +193,6 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedStrategyFactory: the per-shard strategy factory builds a
-// private instance per shard, and the run stays deterministic.
-func TestShardedStrategyFactory(t *testing.T) {
-	cfg, reqs := shardedStressConfig(t)
-	sc := ShardConfig{Shards: 4, Strategy: func(shard int) (strategy.Strategy, error) {
-		return strategy.NewFirstFit(2)
-	}}
-	a, err := RunSharded(cfg, reqs, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSharded(cfg, reqs, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Metrics != b.Metrics || !reflect.DeepEqual(a.VMs, b.VMs) {
-		t.Error("factory-built shards are not deterministic")
-	}
-}
-
 // relErr is |a−b| relative to max(|a|,|b|), 0 when both are 0.
 func relErr(a, b float64) float64 {
 	den := math.Max(math.Abs(a), math.Abs(b))

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"pacevm/internal/model"
+	"pacevm/internal/workload"
 )
 
 // registerWatchdogChecks wires the simulator's invariants into s.wd.
@@ -90,32 +91,36 @@ func (s *sim) checkQueueSanity() error {
 }
 
 // checkCapacityIndex audits the FleetIndex against ground truth: each
-// server's indexed allocation must match the simulator's, and the
-// index's internal level/overflow/free-capacity structures and, once
-// built, its allocation classes must be consistent with those
-// allocations (strategy.FleetIndex.AuditInvariants).
+// server's indexed allocation must match the one re-derived from its
+// residents' classes, and the index's internal level/overflow/
+// free-capacity structures and, once built, its allocation classes
+// must be consistent with those allocations
+// (strategy.FleetIndex.AuditInvariants).
 func (s *sim) checkCapacityIndex() error {
-	return s.fleet.AuditInvariants(func(i int) model.Key { return s.srv[i].alloc })
+	return s.fleet.AuditInvariants(func(i int) model.Key {
+		var k model.Key
+		for _, c := range s.srv[i].cls {
+			k = k.Add(model.KeyFor(workload.Class(c), 1))
+		}
+		return k
+	})
 }
 
-// checkOccupancy re-derives the occupied-server bitmap and the active
-// count from the resident sets.
+// checkOccupancy re-derives the occupied-server count and the hosting
+// marks from the resident sets: a server hosts VMs iff it carries an
+// activeFrom mark, and the index counts exactly the hosting servers.
 func (s *sim) checkOccupancy() error {
-	active := 0
+	hosting := 0
 	for _, sv := range s.srv {
-		hosting := len(sv.vms) > 0
-		if hosting {
-			active++
+		if (len(sv.vms) > 0) != (sv.activeFrom >= 0) {
+			return fmt.Errorf("server %d hosts %d VMs with activeFrom %g", sv.id, len(sv.vms), float64(sv.activeFrom))
 		}
-		if bit := s.occ[sv.id>>6]>>(sv.id&63)&1 != 0; bit != hosting {
-			return fmt.Errorf("server %d occ bit %v but %d resident VMs", sv.id, bit, len(sv.vms))
-		}
-		if hosting && sv.activeFrom < 0 {
-			return fmt.Errorf("server %d hosts %d VMs with no activeFrom mark", sv.id, len(sv.vms))
+		if len(sv.vms) > 0 {
+			hosting++
 		}
 	}
-	if active != s.active {
-		return fmt.Errorf("active-server count %d but %d servers host VMs", s.active, active)
+	if n := s.fleet.NumOccupied(); n != hosting {
+		return fmt.Errorf("index counts %d occupied servers but %d servers host VMs", n, hosting)
 	}
 	return nil
 }

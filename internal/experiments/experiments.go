@@ -53,11 +53,6 @@ type Config struct {
 	// Checkpoint decides how much progress a killed VM keeps (nil means
 	// restart from scratch; see faults.CheckpointPolicy).
 	Checkpoint faults.CheckpointPolicy
-	// Shards partitions each simulated cloud into this many server groups
-	// simulated in parallel (see cloudsim.RunSharded); 0 or 1 keeps the
-	// single event loop. A shard count above a cloud's server count is
-	// clamped per cloud, so one setting serves both cloud sizes.
-	Shards int
 }
 
 // Default is the paper-scale configuration. The evaluation powers empty
@@ -104,9 +99,6 @@ func (c Config) validate() error {
 	if c.MTBF < 0 || c.MTTR < 0 {
 		return fmt.Errorf("experiments: negative MTBF/MTTR %v/%v", c.MTBF, c.MTTR)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("experiments: negative Shards %d", c.Shards)
-	}
 	return nil
 }
 
@@ -140,24 +132,6 @@ func NewContext(cfg Config) (*Context, error) {
 		return nil, fmt.Errorf("experiments: campaign: %w", err)
 	}
 	return &Context{Cfg: cfg, DB: db, Sum: sum}, nil
-}
-
-// runSim dispatches one simulation through the configured engine: the
-// single event loop by default, the sharded parallel engine when
-// Cfg.Shards asks for more than one shard. The shard count is clamped
-// to the cloud's server count so one setting serves both cloud sizes.
-// Keep shards coarse relative to the cloud: a job wider than its
-// shard's total capacity starves that shard (the per-shard FCFS
-// relaxation) and the run fails with the starvation diagnostic.
-func (c *Context) runSim(cfg cloudsim.Config, reqs []trace.Request) (cloudsim.Result, error) {
-	shards := c.Cfg.Shards
-	if shards > cfg.Servers {
-		shards = cfg.Servers
-	}
-	if shards > 1 {
-		return cloudsim.RunSharded(cfg, reqs, cloudsim.ShardConfig{Shards: shards})
-	}
-	return cloudsim.Run(cfg, reqs)
 }
 
 // Fig1Result holds the two profiled workloads of Fig. 1.
@@ -329,7 +303,7 @@ func (c *Context) runCells(cells []evalCell) ([]EvalResult, error) {
 			wg.Add(1)
 			go func(slot int, cell evalCell, name CloudName, servers int, sch faults.Schedule) {
 				defer wg.Done()
-				res, err := c.runSim(cloudsim.Config{
+				res, err := cloudsim.Run(cloudsim.Config{
 					DB:              c.DB,
 					Servers:         servers,
 					Strategy:        cell.strategy,
@@ -495,7 +469,7 @@ func (c *Context) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 				errs[i] = err
 				return
 			}
-			res, err := c.runSim(cloudsim.Config{
+			res, err := cloudsim.Run(cloudsim.Config{
 				DB:              c.DB,
 				Servers:         c.Cfg.SmallServers,
 				Strategy:        pa,

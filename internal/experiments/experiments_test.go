@@ -5,12 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"pacevm/internal/cloudsim"
 	"pacevm/internal/faults"
 	"pacevm/internal/stats"
-	"pacevm/internal/strategy"
 	"pacevm/internal/subsys"
-	"pacevm/internal/trace"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
@@ -77,66 +74,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.MTBF, bad.MTTR = -1, 100
 	if _, err := NewContext(bad); err == nil {
 		t.Error("negative MTBF should fail")
-	}
-	bad = Quick()
-	bad.Shards = -1
-	if _, err := NewContext(bad); err == nil {
-		t.Error("negative Shards should fail")
-	}
-}
-
-// TestShardedEvaluation reruns a reduced evaluation grid through the
-// sharded engine and pins determinism plus the clamp: a shard count
-// above the cloud's server count must degrade gracefully rather than
-// error.
-func TestShardedEvaluation(t *testing.T) {
-	cfg := Quick()
-	cfg.SmallServers, cfg.LargeServers = 4, 5
-	cfg.TargetVMs = 300
-	cfg.Shards = 2
-
-	ctx, err := NewContext(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ctx.runEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ctx.runEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sharded evaluation is not deterministic")
-	}
-	for _, r := range a {
-		if r.Metrics.TotalVMs == 0 || r.Metrics.Makespan <= 0 {
-			t.Errorf("%s on %s: empty sharded result %+v", r.Strategy, r.Cloud, r.Metrics)
-		}
-	}
-	// More shards than a cloud has servers: runSim clamps to one shard
-	// per server instead of erroring. Single-VM jobs keep the clamped
-	// 1-server shards feasible (a job wider than its shard's capacity
-	// starves there by design — the per-shard FCFS relaxation).
-	ctx.Cfg.Shards = 64
-	ff, err := strategy.NewFirstFit(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqs []trace.Request
-	for i := 0; i < 40; i++ {
-		reqs = append(reqs, trace.Request{
-			ID: i, Submit: units.Seconds(i), Class: workload.HPL().Class,
-			VMs: 1, NominalTime: 600, MaxResponse: 1e6,
-		})
-	}
-	res, err := ctx.runSim(cloudsim.Config{DB: ctx.DB, Servers: 3, Strategy: ff, IdleServerPower: -1}, reqs)
-	if err != nil {
-		t.Fatalf("oversubscribed shard count not clamped: %v", err)
-	}
-	if res.Metrics.TotalVMs != 40 {
-		t.Fatalf("clamped sharded run lost VMs: %+v", res.Metrics)
 	}
 }
 

@@ -27,24 +27,6 @@ func ExampleForEach() {
 	// total: 5
 }
 
-// Interchangeable VMs reduce set partitions to integer partitions: a
-// 4-VM single-profile job has exactly five distinct splits.
-func ExampleInts() {
-	_, err := partition.Ints(4, func(parts []int) bool {
-		fmt.Println(parts)
-		return true
-	})
-	if err != nil {
-		fmt.Println(err)
-	}
-	// Output:
-	// [4]
-	// [3 1]
-	// [2 2]
-	// [2 1 1]
-	// [1 1 1 1]
-}
-
 func ExampleBell() {
 	fmt.Println(partition.Bell(4), partition.Bell(8))
 	// Output: 15 4140

@@ -3,19 +3,18 @@
 // Orlov's "Efficient Generation of Set Partitions" [21]; this package
 // implements the same restricted-growth-string (RGS) scheme: a partition
 // of {0,…,n−1} is encoded as a string a where a[i] is the block index of
-// element i, a[0] = 0, and a[i] ≤ 1 + max(a[0..i−1]). Successive
-// partitions are produced in lexicographic RGS order with O(n) work per
-// step. Distinct generates only the partitions that differ when
+// element i, a[0] = 0, and a[i] ≤ 1 + max(a[0..i−1]). Generator and
+// ForEach produce every partition in lexicographic RGS order with O(n)
+// work per step: the exhaustive walk of the allocator's reference
+// oracle. Distinct generates only the partitions that differ when
 // elements of one type are interchangeable — the allocator's search
-// space — each once, as its first RGS.
-//
-// Integer partitions (for multisets of interchangeable items) and Bell
-// numbers (for test oracles and search-size guards) are provided too.
+// space — each once, as its first RGS. Bell gives the count of the
+// exhaustive walk, from which the search reports its enumeration
+// statistics.
 package partition
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -125,30 +124,19 @@ func (g *Generator) Blocks() [][]int {
 	return blocks
 }
 
-// ForEach visits every set partition of {0,…,n−1}. The callback receives
-// the blocks (valid only during the call) and returns false to stop
-// early. ForEach reports the number of partitions visited.
+// ForEach visits every set partition of {0,…,n−1} in lexicographic RGS
+// order. The callback receives the blocks (valid only during the call)
+// and returns false to stop early. ForEach reports the number of
+// partitions visited.
 func ForEach(n int, fn func(blocks [][]int) bool) (int, error) {
-	return ForEachIndexed(n, func(_ int, blocks [][]int) bool { return fn(blocks) })
-}
-
-// ForEachIndexed visits every set partition of {0,…,n−1} together with
-// its 0-based position in the lexicographic RGS enumeration order. The
-// index is the deterministic identity of a partition within the search:
-// parallel consumers carry it through fan-out so first-of-the-list
-// tie-breaks survive an out-of-order reduce. The callback returns false
-// to stop early; ForEachIndexed reports the number of partitions
-// visited.
-func ForEachIndexed(n int, fn func(idx int, blocks [][]int) bool) (int, error) {
 	g, err := NewGenerator(n)
 	if err != nil {
 		return 0, err
 	}
 	count := 0
 	for g.Next() {
-		idx := count
 		count++
-		if !fn(idx, g.Blocks()) {
+		if !fn(g.Blocks()) {
 			break
 		}
 	}
@@ -262,75 +250,4 @@ func (w *distinctWalk) key(m int) compKey {
 		k[i/5] |= uint64(id) << (12 * (i % 5))
 	}
 	return k
-}
-
-// Ints visits every partition of the integer n into positive parts in
-// non-increasing order (e.g. 4 = 4, 3+1, 2+2, 2+1+1, 1+1+1+1). The parts
-// slice is reused across calls; the callback returns false to stop.
-// Integer partitions are the deduplicated search space when all items
-// are interchangeable — the common case of a job whose VMs share one
-// profile.
-func Ints(n int, fn func(parts []int) bool) (int, error) {
-	if n < 1 {
-		return 0, fmt.Errorf("partition: Ints(%d) requires n >= 1", n)
-	}
-	parts := make([]int, 0, n)
-	count := 0
-	var rec func(remaining, maxPart int) bool
-	rec = func(remaining, maxPart int) bool {
-		if remaining == 0 {
-			count++
-			return fn(parts)
-		}
-		limit := maxPart
-		if remaining < limit {
-			limit = remaining
-		}
-		for p := limit; p >= 1; p-- {
-			parts = append(parts, p)
-			cont := rec(remaining-p, p)
-			parts = parts[:len(parts)-1]
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	rec(n, n)
-	return count, nil
-}
-
-// CountInts returns p(n), the number of integer partitions of n, via
-// Euler's pentagonal recurrence. Used as a test oracle.
-func CountInts(n int) uint64 {
-	if n < 0 {
-		panic("partition: CountInts of negative n")
-	}
-	p := make([]uint64, n+1)
-	p[0] = 1
-	for i := 1; i <= n; i++ {
-		sign := 1
-		var total int64
-		for k := 1; ; k++ {
-			for _, g := range [2]int{k * (3*k - 1) / 2, k * (3*k + 1) / 2} {
-				if g > i {
-					continue
-				}
-				if sign > 0 {
-					total += int64(p[i-g])
-				} else {
-					total -= int64(p[i-g])
-				}
-			}
-			if k*(3*k-1)/2 > i {
-				break
-			}
-			sign = -sign
-		}
-		if total < 0 || total > math.MaxInt64 {
-			panic("partition: CountInts overflow")
-		}
-		p[i] = uint64(total)
-	}
-	return p[n]
 }

@@ -175,82 +175,8 @@ func lexLess(a, b []int) bool {
 	return false
 }
 
-func TestIntsCountsMatchOracle(t *testing.T) {
-	for n := 1; n <= 20; n++ {
-		got, err := Ints(n, func([]int) bool { return true })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(got) != CountInts(n) {
-			t.Errorf("Ints(%d) visited %d, want p(%d)=%d", n, got, n, CountInts(n))
-		}
-	}
-}
-
-func TestCountIntsKnownValues(t *testing.T) {
-	want := []uint64{1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627}
-	for n, w := range want {
-		if got := CountInts(n); got != w {
-			t.Errorf("p(%d) = %d, want %d", n, got, w)
-		}
-	}
-}
-
-func TestIntsPartsValid(t *testing.T) {
-	for n := 1; n <= 12; n++ {
-		_, err := Ints(n, func(parts []int) bool {
-			sum := 0
-			for i, p := range parts {
-				if p < 1 {
-					t.Fatalf("n=%d: non-positive part in %v", n, parts)
-				}
-				if i > 0 && parts[i-1] < p {
-					t.Fatalf("n=%d: parts not non-increasing: %v", n, parts)
-				}
-				sum += p
-			}
-			if sum != n {
-				t.Fatalf("n=%d: parts %v sum to %d", n, parts, sum)
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestIntsFour(t *testing.T) {
-	// The allocator's common case: a 4-VM job has exactly 5 distinct
-	// splits.
-	var got []string
-	if _, err := Ints(4, func(p []int) bool {
-		got = append(got, fmt.Sprint(p))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"[4]", "[3 1]", "[2 2]", "[2 1 1]", "[1 1 1 1]"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Ints(4) = %v, want %v", got, want)
-	}
-}
-
-func TestIntsErrors(t *testing.T) {
-	if _, err := Ints(0, func([]int) bool { return true }); err == nil {
-		t.Error("Ints(0) should fail")
-	}
-}
-
-func TestIntsEarlyStop(t *testing.T) {
-	n, err := Ints(10, func([]int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
-	}
-}
+// intPartitions[n] is p(n), the number of partitions of the integer n.
+var intPartitions = []uint64{1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77}
 
 // TestBlockSizesMatchIntPartitions cross-checks the two enumerations:
 // grouping set partitions of n by their block-size multiset must yield
@@ -269,8 +195,8 @@ func TestBlockSizesMatchIntPartitions(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if uint64(len(shapes)) != CountInts(n) {
-			t.Errorf("n=%d: %d distinct shapes, want p(%d)=%d", n, len(shapes), n, CountInts(n))
+		if uint64(len(shapes)) != intPartitions[n] {
+			t.Errorf("n=%d: %d distinct shapes, want p(%d)=%d", n, len(shapes), n, intPartitions[n])
 		}
 	}
 }
@@ -298,37 +224,6 @@ func TestBlocksPropertyRandomN(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestForEachIndexedSequence(t *testing.T) {
-	for n := 1; n <= 6; n++ {
-		want := 0
-		count, err := ForEachIndexed(n, func(idx int, blocks [][]int) bool {
-			if idx != want {
-				t.Fatalf("n=%d: index %d, want %d", n, idx, want)
-			}
-			want++
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(count) != Bell(n) || count != want {
-			t.Errorf("n=%d: count=%d visited=%d, want Bell=%d", n, count, want, Bell(n))
-		}
-	}
-}
-
-func TestForEachIndexedEarlyStop(t *testing.T) {
-	count, err := ForEachIndexed(5, func(idx int, blocks [][]int) bool {
-		return idx < 9 // stop once index 9 is seen
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Errorf("count=%d after stopping at index 9, want 10", count)
 	}
 }
 
@@ -381,8 +276,8 @@ func TestDistinctExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if uint64(count) != CountInts(n) {
-			t.Errorf("n=%d, one type: %d distinct partitions, want p(n)=%d", n, count, CountInts(n))
+		if uint64(count) != intPartitions[n] {
+			t.Errorf("n=%d, one type: %d distinct partitions, want p(n)=%d", n, count, intPartitions[n])
 		}
 
 		distinct := make([]uint8, n)

@@ -394,6 +394,7 @@ type Service struct {
 	ro  *serveObs // nil unless request observability is configured
 
 	shards []*shard
+	split  strategy.ShardSplit
 
 	mu          sync.Mutex
 	byKey       map[string]*placement
@@ -477,17 +478,13 @@ func newService(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	per, rem := cfg.Servers/cfg.Shards, cfg.Servers%cfg.Shards
-	base := 0
+	s.split = strategy.SplitFleet(cfg.Servers, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
-		n := per
-		if k < rem {
-			n++
-		}
+		n := s.split[k+1] - s.split[k]
 		sh := &shard{
 			svc:     s,
 			id:      k,
-			base:    base,
+			base:    s.split[k],
 			n:       n,
 			idx:     strategy.NewFleetIndex(n, cfg.MaxVMsPerServer),
 			scratch: make([]int, maxJobVMs),
@@ -500,7 +497,6 @@ func newService(cfg Config) (*Service, error) {
 		}
 		sh.syncStats()
 		s.shards = append(s.shards, sh)
-		base += n
 	}
 
 	if cfg.Restore {
@@ -554,15 +550,8 @@ func (sh *shard) searchCanceled() bool {
 	return d != 0 && sh.svc.clock().UnixNano() > d
 }
 
-// shardOf maps a global server id to its owning shard.
-func (s *Service) shardOf(g int) *shard {
-	for _, sh := range s.shards {
-		if g < sh.base+sh.n {
-			return sh
-		}
-	}
-	return s.shards[len(s.shards)-1]
-}
+// shardOf maps a global server id in [0, Servers) to its owning shard.
+func (s *Service) shardOf(g int) *shard { return s.shards[s.split.Shard(g)] }
 
 // syncStats refreshes the lock-free free-slot estimate; callers hold
 // sh.smu (or run pre-start). The apply functions keep liveVMs.

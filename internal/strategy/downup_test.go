@@ -45,6 +45,7 @@ func TestFleetIndexDownUpProperty(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
+		up, occupied := 0, 0
 		for i := 0; i < servers; i++ {
 			if idx.Used(i) != naive.used[i] {
 				t.Fatalf("step %d: Used(%d) = %d, naive %d", step, i, idx.Used(i), naive.used[i])
@@ -52,6 +53,16 @@ func TestFleetIndexDownUpProperty(t *testing.T) {
 			if idx.Down(i) != naive.down[i] {
 				t.Fatalf("step %d: Down(%d) = %v, naive %v", step, i, idx.Down(i), naive.down[i])
 			}
+			if !naive.down[i] {
+				up++
+				if naive.used[i] > 0 {
+					occupied++
+				}
+			}
+		}
+		if idx.NumUp() != up || idx.NumOccupied() != occupied {
+			t.Fatalf("step %d: NumUp %d, NumOccupied %d; naive %d, %d (used=%v down=%v)",
+				step, idx.NumUp(), idx.NumOccupied(), up, occupied, naive.used, naive.down)
 		}
 		// Every cap within the indexed range, plus one beyond it (the
 		// linear-fallback path), from a handful of start offsets.

@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"pacevm/internal/core"
 	"pacevm/internal/model"
@@ -52,8 +53,10 @@ type IndexedExplainer interface {
 
 // FleetIndex buckets a fleet of servers by VM occupancy. Server ids are
 // dense indices 0..Len()-1, matching the simulator's server slice. It
-// also tracks each server's allocation key, and on demand groups the up
-// servers into classes of identical allocation (see Classes).
+// also tracks each server's allocation key and down mark — the only
+// record of either that the simulator and the placement service keep —
+// and on demand groups the up servers into classes of identical
+// allocation (see Classes).
 type FleetIndex struct {
 	// alloc is each server's allocation, one packed word per server, so
 	// the first-fit probes and every update touch no more memory than a
@@ -221,6 +224,10 @@ func (f *FleetIndex) Add(i int, c workload.Class, delta int) {
 // ceiling plus the overfilled ones.
 func (f *FleetIndex) NumUp() int { return f.cnt[f.maxOcc] + f.nOver }
 
+// NumOccupied returns the number of up servers hosting at least one VM:
+// the up servers less the empty ones, levels[0].
+func (f *FleetIndex) NumOccupied() int { return f.NumUp() - f.cnt[0] }
+
 // Down reports whether server i is marked down.
 func (f *FleetIndex) Down(i int) bool { return f.down[i] }
 
@@ -298,6 +305,28 @@ func (f *FleetIndex) FirstBelow(cap, from int) int {
 	}
 	return f.levels[cap-1].firstFrom(from)
 }
+
+// ShardSplit cuts a fleet's server ids into contiguous shards: shard k
+// owns [b[k], b[k+1]), and the first servers%shards shards hold one
+// server more than the rest. The sharded simulator and the placement
+// service both partition their fleets with it.
+type ShardSplit []int
+
+// SplitFleet splits the server ids 0..servers-1 into shards contiguous
+// ranges, for 1 <= shards <= servers.
+func SplitFleet(servers, shards int) ShardSplit {
+	b := make(ShardSplit, shards+1)
+	for k := 0; k < shards; k++ {
+		b[k+1] = b[k] + servers/shards
+		if k < servers%shards {
+			b[k+1]++
+		}
+	}
+	return b
+}
+
+// Shard returns the shard that owns server id i.
+func (b ShardSplit) Shard(i int) int { return sort.SearchInts(b[1:], i+1) }
 
 // PlaceIndexed is the indexed first-fit: each VM goes to the lowest-id
 // server with a free slot, found through the occupancy index instead of

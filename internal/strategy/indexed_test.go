@@ -115,10 +115,50 @@ func TestFleetIndexOverfillAndWideCap(t *testing.T) {
 	if got := f.FirstBelow(4, 0); got != 1 {
 		t.Errorf("FirstBelow(4,0) = %d, want 1", got)
 	}
+	// The overfilled server counts as occupied though it sits in no
+	// threshold set.
+	if got := f.NumOccupied(); got != 2 {
+		t.Errorf("NumOccupied() = %d with servers 0 (overfilled) and 1 hosting, want 2", got)
+	}
+	f.SetDown(0)
+	if got := f.NumOccupied(); got != 1 {
+		t.Errorf("NumOccupied() = %d with the overfilled server down, want 1", got)
+	}
+	f.SetUp(0)
 	// Draining back into range restores bitmap membership.
 	f.Add(0, workload.ClassCPU, -4)
 	if got := f.FirstBelow(1, 0); got != 0 {
 		t.Errorf("after drain FirstBelow(1,0) = %d, want 0", got)
+	}
+	if got := f.NumOccupied(); got != 1 {
+		t.Errorf("after drain NumOccupied() = %d, want 1", got)
+	}
+}
+
+// SplitFleet cuts the fleet into contiguous shards whose sizes differ
+// by at most one, the larger ones first, and Shard inverts it.
+func TestSplitFleet(t *testing.T) {
+	for servers := 1; servers <= 40; servers++ {
+		for shards := 1; shards <= servers; shards++ {
+			b := SplitFleet(servers, shards)
+			if len(b) != shards+1 || b[0] != 0 || b[shards] != servers {
+				t.Fatalf("SplitFleet(%d, %d) = %v", servers, shards, b)
+			}
+			for k := 0; k < shards; k++ {
+				want := servers / shards
+				if k < servers%shards {
+					want++
+				}
+				if n := b[k+1] - b[k]; n != want {
+					t.Fatalf("SplitFleet(%d, %d): shard %d holds %d servers, want %d", servers, shards, k, n, want)
+				}
+				for i := b[k]; i < b[k+1]; i++ {
+					if got := b.Shard(i); got != k {
+						t.Fatalf("SplitFleet(%d, %d).Shard(%d) = %d, want %d", servers, shards, i, got, k)
+					}
+				}
+			}
+		}
 	}
 }
 
