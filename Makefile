@@ -145,9 +145,11 @@ bench:
 	$(GO) test -run NONE -bench . -benchmem ./...
 
 # bench-alloc compares the optimized allocation search against the
-# retained pre-optimization reference on the same workloads.
+# unoptimized reference search its tests keep as their oracle
+# (internal/core/reference_test.go), on the same decisions. The anchors
+# leave out BenchmarkAllocateFleet.
 bench-alloc:
-	$(GO) test -run NONE -bench 'BenchmarkAllocate' -benchmem .
+	$(GO) test -run NONE -bench '^BenchmarkAllocate(Reference)?$$/' -benchmem ./internal/core
 
 # bench-json records the large-simulation benchmarks (optimized event
 # loop vs the retained reference, the telemetry-on and sampler-on

@@ -4,24 +4,23 @@ package pacevm
 // micro-benchmarks for the hot paths. The Fig5/Fig6/Fig7 benchmarks each
 // regenerate the full Sect.-IV evaluation dataset they are views of; the
 // reduced Quick scale keeps a single iteration under a second, and
-// -bench flags can raise the scale through PACEVM_PAPER_SCALE=1.
+// -bench flags can raise the scale through PACEVM_PAPER_SCALE=1. The
+// allocation-search benchmarks (BenchmarkAllocate against its
+// unoptimized reference) live in internal/core, beside the reference
+// search they time.
 
 import (
-	"fmt"
 	"os"
 	"sync"
 	"testing"
 
 	"pacevm/internal/campaign"
 	"pacevm/internal/cloudsim"
-	"pacevm/internal/core"
 	"pacevm/internal/experiments"
 	"pacevm/internal/model"
-	"pacevm/internal/partition"
 	"pacevm/internal/profiler"
 	"pacevm/internal/strategy"
 	"pacevm/internal/trace"
-	"pacevm/internal/units"
 	"pacevm/internal/vmm"
 	"pacevm/internal/workload"
 )
@@ -184,86 +183,6 @@ func BenchmarkDBEstimateOffGrid(b *testing.B) {
 		if _, err := db.Estimate(model.Key{NCPU: 10, NMEM: 9, NIO: 2}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPartitions8 enumerates all 4,140 set partitions of 8 elements
-// (the allocator's search substrate).
-func BenchmarkPartitions8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n, err := partition.ForEach(8, func([][]int) bool { return true })
-		if err != nil || n != 4140 {
-			b.Fatalf("n=%d err=%v", n, err)
-		}
-	}
-}
-
-// benchServers builds the 66-server cloud with mixed residual
-// allocations shared by the allocation benchmarks.
-func benchServers() []core.ServerState {
-	servers := make([]core.ServerState, 66)
-	for i := range servers {
-		servers[i] = core.ServerState{ID: i, Alloc: model.Key{NCPU: i % 3, NMEM: i % 2, NIO: (i + 1) % 2}}
-	}
-	return servers
-}
-
-// benchVMs builds an n-VM job mixing all three classes with staggered
-// nominal times and generous QoS bounds, so the search sees genuinely
-// distinct VM types rather than one fully-interchangeable set.
-func benchVMs(db *model.DB, n int) []core.VMRequest {
-	vms := make([]core.VMRequest, n)
-	for i := range vms {
-		class := workload.Classes[i%workload.NumClasses]
-		nominal := db.Aux().RefTime[class] * units.Seconds(1+0.07*float64(i))
-		vms[i] = core.VMRequest{ID: string(rune('a' + i)), Class: class, NominalTime: nominal, MaxTime: 4 * nominal}
-	}
-	return vms
-}
-
-// BenchmarkAllocate measures one proactive allocation decision at
-// growing job sizes: an n-VM job against a 66-server cloud with mixed
-// residual allocations, through the pruned and memoized search.
-func BenchmarkAllocate(b *testing.B) {
-	db := sharedCtx(b).DB
-	alloc, err := core.NewAllocator(core.Config{DB: db})
-	if err != nil {
-		b.Fatal(err)
-	}
-	servers := benchServers()
-	for _, n := range []int{4, 6, 8, 10} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			vms := benchVMs(db, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := alloc.Allocate(core.GoalBalanced, servers, vms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAllocateReference measures the retained unpruned serial
-// transcription on the same workload — the pre-optimization baseline
-// the BenchmarkAllocate numbers are compared against.
-func BenchmarkAllocateReference(b *testing.B) {
-	db := sharedCtx(b).DB
-	alloc, err := core.NewAllocator(core.Config{DB: db})
-	if err != nil {
-		b.Fatal(err)
-	}
-	servers := benchServers()
-	for _, n := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			vms := benchVMs(db, n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := alloc.AllocateReference(core.GoalBalanced, servers, vms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -7,11 +7,11 @@
 // application profiles and maximum execution times (QoS guarantees), and
 // (iv) an optimization goal α — α weighting energy and 1−α weighting
 // performance — the allocator searches the set partitions of the VM set
-// (via the Orlov-style generator in internal/partition), places each
-// block of each partition on the best server given the servers' current
-// allocations, prices every candidate through model-database lookups, and
-// returns the partition/placement that best matches the goal while
-// satisfying the QoS constraints.
+// (in the restricted-growth-string order of internal/partition), places
+// each block of each partition on the best server given the servers'
+// current allocations, prices every candidate through model-database
+// lookups, and returns the partition/placement that best matches the
+// goal while satisfying the QoS constraints.
 //
 // Following the paper, ties between equally ranked candidates select "the
 // first server of the list", and the whole search is deliberately brute
@@ -27,8 +27,9 @@
 // of scanning the fleet; block pricings are memoized per (server state,
 // block composition); and
 // candidates are pruned online to the Pareto frontier the α-monotone
-// score selects from. All of it is bit-for-bit equivalent to the literal
-// transcription retained as AllocateReference.
+// score selects from. All of it is bit-for-bit equivalent to a literal
+// transcription of Sect. III.D that the package's tests keep as their
+// oracle.
 package core
 
 import (
@@ -126,14 +127,14 @@ type Config struct {
 	// SearchBudget bounds the exhaustive search: at most this many
 	// distinct partitions are scored per Allocate call. Zero (the
 	// default) or negative means unlimited — the paper's behaviour, and
-	// the setting under which Allocate stays bit-identical to
-	// AllocateReference. When the budget exhausts before the enumeration
+	// the setting under which Allocate stays bit-identical to the
+	// literal transcription the tests keep as their oracle, which has no
+	// budget. When the budget exhausts before the enumeration
 	// completes, Allocate abandons the partial search and degrades to a
 	// deterministic first-fit placement (Allocation.Degraded), so a
 	// budgeted allocator always answers in bounded work. The budget
 	// counts scored candidates, not wall clock, so budgeted runs stay
-	// exactly replayable. AllocateReference, the frozen oracle, ignores
-	// the budget.
+	// exactly replayable.
 	SearchBudget int
 	// Cancel, when non-nil, is polled by the enumeration between
 	// partitions; a true return abandons the search
@@ -146,8 +147,8 @@ type Config struct {
 	// depends on wall clock, but every outcome is still one of two
 	// well-defined results: the full search's answer or the first-fit
 	// degradation. Nil (the default, and the only setting batch
-	// simulations use) keeps Allocate bit-identical to
-	// AllocateReference.
+	// simulations use) keeps Allocate bit-identical to the tests'
+	// oracle.
 	Cancel func() bool
 	// Obs receives search telemetry (partitions enumerated/deduplicated,
 	// Pareto prunes, estimate-cache hit rates).
@@ -313,8 +314,9 @@ type SearchStats struct {
 // candidates are discarded online (the α-weighted score is monotone in
 // both estimated time and energy, so the winner always lies on the
 // Pareto frontier). Every reduction preserves the enumeration-order
-// tie-breaks, so the result is bit-for-bit identical to
-// AllocateReference, the retained literal transcription of Sect. III.D.
+// tie-breaks, so the result is bit-for-bit identical to that of a
+// literal transcription of Sect. III.D, which the package's tests keep
+// as their oracle.
 //
 // With a positive Config.SearchBudget the enumeration may stop early;
 // Allocate then degrades to the deterministic first-fit fallback and
@@ -381,19 +383,6 @@ func (a *Allocator) AllocateClasses(goal Goal, classes []ServerClass, vms []VMRe
 	return sc.assign(c, dst), sc.stats, nil
 }
 
-// validateRequest checks the inputs of AllocateReference.
-func (a *Allocator) validateRequest(goal Goal, servers []ServerState, vms []VMRequest) error {
-	if err := validateGoalVMs(goal, len(servers), vms); err != nil {
-		return err
-	}
-	for _, s := range servers {
-		if !s.Alloc.Valid() {
-			return fmt.Errorf("core: server %d has invalid allocation %v", s.ID, s.Alloc)
-		}
-	}
-	return nil
-}
-
 // validateGoalVMs checks the goal, the fleet's presence and the VM
 // requests; server allocations are checked where the servers are
 // grouped.
@@ -452,80 +441,4 @@ func pickBest(goal Goal, cands []candidate, maxT units.Seconds, maxE units.Joule
 		}
 	}
 	return bestIdx
-}
-
-// evalBlock prices adding blockKey to a server currently at base, and
-// checks QoS for both the new block and any VMs tentatively placed there
-// earlier in this partition.
-func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced []VMRequest) (Placement, bool) {
-	after := base.Add(blockKey)
-	if after.Total() > a.cfg.MaxVMsPerServer {
-		return Placement{}, false
-	}
-	for _, c := range workload.Classes {
-		if after.Count(c) > a.cfg.PerClassBound[c] {
-			return Placement{}, false
-		}
-	}
-	recAfter, err := a.cfg.DB.Estimate(after)
-	if err != nil {
-		return Placement{}, false
-	}
-
-	var blockTime units.Seconds
-	aux := a.cfg.DB.Aux()
-	estOf := func(vm VMRequest) (units.Seconds, bool) {
-		ref := aux.RefTime[vm.Class]
-		if ref <= 0 {
-			return 0, false
-		}
-		return recAfter.ClassTime(vm.Class) * vm.NominalTime / ref, true
-	}
-	for _, vm := range blockVMs {
-		est, ok := estOf(vm)
-		if !ok {
-			return Placement{}, false
-		}
-		if !a.cfg.RelaxQoS && vm.MaxTime > 0 && est > vm.MaxTime {
-			return Placement{}, false
-		}
-		if est > blockTime {
-			blockTime = est
-		}
-	}
-	for _, vm := range alreadyPlaced {
-		est, ok := estOf(vm)
-		if !ok {
-			return Placement{}, false
-		}
-		if !a.cfg.RelaxQoS && vm.MaxTime > 0 && est > vm.MaxTime {
-			return Placement{}, false
-		}
-	}
-
-	// Marginal energy is the difference between the model's whole-outcome
-	// energies before and after the block arrives. Unlike a power-delta
-	// heuristic this prices the slowdown the new block inflicts on the
-	// server's resident VMs (their outcome stretches, and the stretched
-	// outcome's energy is exactly what the database measured), which is
-	// what keeps the energy goal from over-consolidating past the
-	// contention knee.
-	var beforeEnergy units.Joules
-	if !base.IsZero() {
-		recBefore, err := a.cfg.DB.Estimate(base)
-		if err != nil {
-			return Placement{}, false
-		}
-		beforeEnergy = recBefore.Energy
-	}
-	deltaE := recAfter.Energy - beforeEnergy
-	if deltaE < 0 {
-		deltaE = 0
-	}
-	return Placement{
-		VMs:       blockVMs,
-		NewAlloc:  after,
-		EstTime:   blockTime,
-		EstEnergy: deltaE,
-	}, true
 }

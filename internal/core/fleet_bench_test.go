@@ -197,3 +197,36 @@ func TestAllocateClassesAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAllocate measures one allocation decision at growing job
+// sizes: an n-VM job of distinct types against the 66-server occupancy
+// mix, through the pruned and memoized search.
+func BenchmarkAllocate(b *testing.B) {
+	benchAllocate(b, []int{4, 6, 8, 10}, (*Allocator).Allocate)
+}
+
+// BenchmarkAllocateReference measures the unpruned serial reference
+// search (reference_test.go) on the same decisions: the
+// pre-optimization baseline of the BenchmarkAllocate numbers.
+func BenchmarkAllocateReference(b *testing.B) {
+	benchAllocate(b, []int{4, 6, 8}, (*Allocator).AllocateReference)
+}
+
+func benchAllocate(b *testing.B, sizes []int, allocate func(*Allocator, Goal, []ServerState, []VMRequest) (Allocation, error)) {
+	a, err := NewAllocator(Config{DB: sharedDB(b)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	servers := mixFleet(66)
+	for _, n := range sizes {
+		vms := mixVMs(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := allocate(a, GoalBalanced, servers, vms); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

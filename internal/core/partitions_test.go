@@ -177,7 +177,7 @@ func blocksU8(blocks [][]int) [][]uint8 {
 // typePatterns visits every VM type pattern of n VMs: type ids in
 // first-occurrence order, which are exactly the RGSs of length n.
 func typePatterns(n int, fn func(typeOf []uint8)) {
-	if _, err := partition.ForEach(n, func(blocks [][]int) bool {
+	if _, err := forEachPartition(n, func(blocks [][]int) bool {
 		typeOf := make([]uint8, n)
 		for b, block := range blocks {
 			for _, vi := range block {

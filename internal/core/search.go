@@ -339,12 +339,12 @@ func (sc *searchCtx) serverID(member int) int {
 }
 
 // priceBlock prices growing a server from allocation base to after by
-// a block holding the VM types in bmask. The semantics are those of
-// Allocator.evalBlock restricted to the block's own VMs; QoS of VMs
-// already tentatively placed on the server is rechecked per call by
-// placedOK, because it depends on the partition prefix, not on
-// (base, block). Estimates are read in place from the allocator's
-// cache.
+// a block holding the VM types in bmask: the per-class and per-server
+// caps, the block's own QoS bounds, its time (its slowest VM's) and its
+// marginal energy. QoS of VMs already tentatively placed on the server
+// is rechecked per call by placedOK, because it depends on the
+// partition prefix, not on (base, block). Estimates are read in place
+// from the allocator's cache.
 func (sc *searchCtx) priceBlock(base, after model.Key, bmask typeMask) blockPrice {
 	a := sc.a
 	b := &a.cfg.PerClassBound
@@ -371,8 +371,13 @@ func (sc *searchCtx) priceBlock(base, after model.Key, bmask typeMask) blockPric
 			blockTime = est
 		}
 	}
-	// Marginal energy: see Allocator.evalBlock — whole-outcome energy
-	// difference, clamped at zero.
+	// Marginal energy is the difference between the model's whole-outcome
+	// energies before and after the block arrives, clamped at zero.
+	// Unlike a power-delta heuristic this prices the slowdown the new
+	// block inflicts on the server's resident VMs (their outcome
+	// stretches, and the stretched outcome's energy is exactly what the
+	// database measured), which is what keeps the energy goal from
+	// over-consolidating past the contention knee.
 	var beforeEnergy units.Joules
 	if !base.IsZero() {
 		recBefore, err := a.est.EstimateRef(base)

@@ -8,7 +8,6 @@ import (
 
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
-	"pacevm/internal/partition"
 	"pacevm/internal/rng"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
@@ -249,7 +248,7 @@ func TestEvalPartitionMatchesReference(t *testing.T) {
 		for _, goal := range []Goal{GoalEnergy, GoalPerformance, GoalBalanced} {
 			sc, pl := loadCtx(t, a, goal, servers, vms)
 			w := &sc.w
-			_, err := partition.ForEach(n, func(blocks [][]int) bool {
+			_, err := forEachPartition(n, func(blocks [][]int) bool {
 				ref, refOK := a.evalPartitionReference(goal, servers, vms, blocks)
 				ok := w.evalPartition(pl.compIDs(sc.typeOf, blocks))
 				if ok != refOK {

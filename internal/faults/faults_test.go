@@ -2,8 +2,12 @@ package faults
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,7 +126,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSchedule(&buf, s); err != nil {
+	if err := writeSchedule(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadSchedule(&buf)
@@ -219,4 +223,26 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) accepted", in)
 		}
 	}
+}
+
+// writeSchedule writes the schedule in the plain-text form ReadSchedule
+// parses, for the round-trip tests. The schedule is written as-is; call
+// Sort first for the conventional chronological order.
+func writeSchedule(w io.Writer, s Schedule) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(scheduleHeader); err != nil {
+		return fmt.Errorf("faults: writing schedule header: %w", err)
+	}
+	for i, e := range s {
+		row := []string{
+			strconv.Itoa(e.Server),
+			strconv.FormatFloat(float64(e.Down), 'g', -1, 64),
+			strconv.FormatFloat(float64(e.Up), 'g', -1, 64),
+		}
+		if err := cw.Write(row); err != nil {
+			return fmt.Errorf("faults: writing schedule event %d: %w", i, err)
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -25,8 +25,8 @@ func FuzzReadSchedule(f *testing.F) {
 		// Whatever the parser accepts must be internally sound enough to
 		// round-trip exactly.
 		var buf bytes.Buffer
-		if err := WriteSchedule(&buf, s); err != nil {
-			t.Fatalf("WriteSchedule failed on accepted schedule: %v", err)
+		if err := writeSchedule(&buf, s); err != nil {
+			t.Fatalf("writeSchedule failed on accepted schedule: %v", err)
 		}
 		back, err := ReadSchedule(&buf)
 		if err != nil {

@@ -21,29 +21,7 @@ import (
 
 var scheduleHeader = []string{"server", "down_s", "up_s"}
 
-// WriteSchedule writes the schedule in the plain-text form ReadSchedule
-// parses. The schedule is written as-is; call Sort first for the
-// conventional chronological order.
-func WriteSchedule(w io.Writer, s Schedule) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(scheduleHeader); err != nil {
-		return fmt.Errorf("faults: writing schedule header: %w", err)
-	}
-	for i, e := range s {
-		row := []string{
-			strconv.Itoa(e.Server),
-			strconv.FormatFloat(float64(e.Down), 'g', -1, 64),
-			strconv.FormatFloat(float64(e.Up), 'g', -1, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("faults: writing schedule event %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadSchedule parses a schedule written by WriteSchedule (or by hand).
+// ReadSchedule parses a schedule in the format above.
 // Errors carry the file line of the offending row. The returned schedule
 // is syntactically sound (finite times, Up > Down, non-negative server
 // ids); fleet-size bounds and per-server overlap are checked by

@@ -1,16 +1,14 @@
 // Package partition enumerates set partitions, the search space of the
 // paper's brute-force allocation algorithm (Sect. III.D). The paper cites
 // Orlov's "Efficient Generation of Set Partitions" [21]; this package
-// implements the same restricted-growth-string (RGS) scheme: a partition
-// of {0,…,n−1} is encoded as a string a where a[i] is the block index of
-// element i, a[0] = 0, and a[i] ≤ 1 + max(a[0..i−1]). Generator and
-// ForEach produce every partition in lexicographic RGS order with O(n)
-// work per step: the exhaustive walk of the allocator's reference
-// oracle. Distinct generates only the partitions that differ when
-// elements of one type are interchangeable — the allocator's search
-// space — each once, as its first RGS. Bell gives the count of the
-// exhaustive walk, from which the search reports its enumeration
-// statistics.
+// uses the same restricted-growth-string (RGS) encoding: a partition of
+// {0,…,n−1} is a string a where a[i] is the block index of element i,
+// a[0] = 0, and a[i] ≤ 1 + max(a[0..i−1]), and partitions are ordered
+// lexicographically by their RGS. Distinct generates only the
+// partitions that differ when elements of one type are interchangeable
+// — the allocator's search space — each once, as its first RGS, with
+// its rank in the walk over all B(n) partitions. Bell gives that walk's
+// length, from which the search reports its enumeration statistics.
 package partition
 
 import (
@@ -18,9 +16,9 @@ import (
 	"slices"
 )
 
-// MaxN bounds the element count accepted by the generators. B(12) is
-// already 4,213,597 set partitions. Distinct's cost follows the number
-// of distinct typed partitions instead (6,721 for 12 elements of three
+// MaxN bounds the element count Distinct accepts. B(12) is already
+// 4,213,597 set partitions. Distinct's cost follows the number of
+// distinct typed partitions instead (6,721 for 12 elements of three
 // types), but its prefix keys pack block composition ids in 12 bits,
 // which holds for n ≤ 12. The paper's allocator only ever partitions a
 // job's 1–4 VMs, so the bound is a safety net against accidental
@@ -46,102 +44,7 @@ func Bell(n int) uint64 {
 	return row[0]
 }
 
-// Generator enumerates the set partitions of {0,…,n−1} in lexicographic
-// RGS order. The zero value is not usable; construct with NewGenerator.
-type Generator struct {
-	n     int
-	a     []int // restricted growth string
-	b     []int // b[i] = 1 + max(a[0..i-1]); b[0] = 1
-	first bool
-	done  bool
-}
-
-// NewGenerator returns a generator over partitions of n elements.
-func NewGenerator(n int) (*Generator, error) {
-	if n < 1 || n > MaxN {
-		return nil, errN(n)
-	}
-	g := &Generator{n: n, a: make([]int, n), b: make([]int, n), first: true}
-	for i := range g.b {
-		g.b[i] = 1
-	}
-	return g, nil
-}
-
 func errN(n int) error { return fmt.Errorf("partition: n=%d out of [1,%d]", n, MaxN) }
-
-// Next advances to the next partition and reports whether one exists. The
-// first call yields the all-zeros RGS, the one-block partition.
-func (g *Generator) Next() bool {
-	if g.done {
-		return false
-	}
-	if g.first {
-		g.first = false
-		return true
-	}
-	// Find the rightmost position that can be incremented.
-	for i := g.n - 1; i >= 1; i-- {
-		if g.a[i] < g.b[i] && g.a[i] < g.n-1 {
-			g.a[i]++
-			// Reset the suffix and recompute prefix maxima.
-			m := g.b[i]
-			if g.a[i] == m {
-				m++
-			}
-			for j := i + 1; j < g.n; j++ {
-				g.a[j] = 0
-				g.b[j] = m
-			}
-			return true
-		}
-	}
-	g.done = true
-	return false
-}
-
-// Blocks materializes the current partition as a list of blocks, each a
-// sorted list of element indices, ordered by block index (first
-// occurrence order). The blocks share one freshly allocated backing
-// array per call, so retaining the result across Next is safe.
-func (g *Generator) Blocks() [][]int {
-	nblocks := 0
-	var sizes [MaxN]int
-	for _, v := range g.a {
-		sizes[v]++
-		nblocks = max(nblocks, v+1)
-	}
-	flat := make([]int, g.n)
-	blocks := make([][]int, nblocks)
-	off := 0
-	for b := range blocks {
-		blocks[b] = flat[off : off : off+sizes[b]]
-		off += sizes[b]
-	}
-	for i, v := range g.a {
-		blocks[v] = append(blocks[v], i)
-	}
-	return blocks
-}
-
-// ForEach visits every set partition of {0,…,n−1} in lexicographic RGS
-// order. The callback receives the blocks (valid only during the call)
-// and returns false to stop early. ForEach reports the number of
-// partitions visited.
-func ForEach(n int, fn func(blocks [][]int) bool) (int, error) {
-	g, err := NewGenerator(n)
-	if err != nil {
-		return 0, err
-	}
-	count := 0
-	for g.Next() {
-		count++
-		if !fn(g.Blocks()) {
-			break
-		}
-	}
-	return count, nil
-}
 
 // Distinct visits the distinct typed partitions of n = len(types)
 // elements, element i being of type types[i]. Two set partitions are

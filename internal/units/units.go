@@ -5,13 +5,12 @@
 // signatures document their dimension (a Watts cannot silently be passed
 // where Joules are expected) and so that formatting is uniform across the
 // reporting tools. Arithmetic that crosses dimensions is expressed through
-// explicit constructors such as [EnergyOver] and [Power.Times].
+// explicit constructors such as [EnergyOver] and [Watts.Times].
 package units
 
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Seconds is a duration expressed in seconds. The simulators operate in
@@ -19,18 +18,6 @@ import (
 // than time.Duration (which is integer nanoseconds and overflows after
 // ~292 years of virtual time in a single trace replay).
 type Seconds float64
-
-// Duration converts s to a time.Duration, saturating on overflow.
-func (s Seconds) Duration() time.Duration {
-	d := float64(s) * float64(time.Second)
-	if d > math.MaxInt64 {
-		return time.Duration(math.MaxInt64)
-	}
-	if d < math.MinInt64 {
-		return time.Duration(math.MinInt64)
-	}
-	return time.Duration(d)
-}
 
 func (s Seconds) String() string { return fmt.Sprintf("%.3fs", float64(s)) }
 

@@ -4,35 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestSecondsDuration(t *testing.T) {
-	cases := []struct {
-		in   Seconds
-		want time.Duration
-	}{
-		{0, 0},
-		{1, time.Second},
-		{1.5, 1500 * time.Millisecond},
-		{-2, -2 * time.Second},
-	}
-	for _, c := range cases {
-		if got := c.in.Duration(); got != c.want {
-			t.Errorf("Seconds(%v).Duration() = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestSecondsDurationSaturates(t *testing.T) {
-	huge := Seconds(1e30)
-	if got := huge.Duration(); got != time.Duration(math.MaxInt64) {
-		t.Errorf("huge duration = %v, want MaxInt64", got)
-	}
-	if got := (-huge).Duration(); got != time.Duration(math.MinInt64) {
-		t.Errorf("huge negative duration = %v, want MinInt64", got)
-	}
-}
 
 func TestPowerTimes(t *testing.T) {
 	e := Watts(125).Times(Seconds(60))
