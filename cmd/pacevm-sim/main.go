@@ -247,7 +247,6 @@ func run(opt options) error {
 	}
 	if opt.consolidate {
 		cfg.Consolidator = &migrate.Planner{DB: db, MigrationCost: 30}
-		cfg.MigrationCost = 30
 	}
 	if cfg.Faults, err = loadFaults(opt, reqs); err != nil {
 		return err

@@ -111,20 +111,21 @@ func TestPipelineCampaignToSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	audit := cloudsim.NewVMAudit()
 	res, err := cloudsim.Run(cloudsim.Config{
-		DB: reloaded, Servers: 6, Strategy: pa, IdleServerPower: -1, RecordVMs: true,
+		DB: reloaded, Servers: 6, Strategy: pa, IdleServerPower: -1, Audit: audit,
 	}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalVMs != rep.TotalVMs || len(res.VMs) != rep.TotalVMs {
+	if res.TotalVMs != rep.TotalVMs || audit.Len() != rep.TotalVMs {
 		t.Fatalf("simulated %d VMs, trace has %d", res.TotalVMs, rep.TotalVMs)
 	}
 	if res.Makespan <= 0 || res.Energy <= 0 {
 		t.Fatalf("degenerate metrics: %+v", res.Metrics)
 	}
-	for _, vm := range res.VMs {
-		if vm.Completion < vm.Placed || vm.Placed < vm.Submit {
+	for _, vm := range audit.Spans() {
+		if vm.End < vm.Placed || vm.Placed < vm.Submit {
 			t.Fatalf("causality violated: %+v", vm)
 		}
 	}

@@ -86,32 +86,34 @@ func TestAuditFaultChain(t *testing.T) {
 // requires the span population to reconcile exactly with Metrics:
 // finished == TotalVMs, killed == VMsKilled, requeued == Requeues,
 // Σ WorkLost == Metrics.WorkLost, misses == Violations — and the audit
-// itself must not perturb the run.
+// itself must not perturb the run: Metrics and the decision log's place
+// records (each VM's placement instant, server and uid) stay identical.
 func TestAuditReconcilesWithMetrics(t *testing.T) {
 	db := sharedDB(t)
 	reqs := faultWorkload(t, 21, 150)
 	sched := faultSchedule(t, 5, 10, 40000)
-	mk := func(a *VMAudit) Config {
+	mk := func(a *VMAudit, rec *DecisionRecorder) Config {
 		return Config{
 			DB: db, Servers: 10, Strategy: ff(t, 2),
 			Faults: sched, Checkpoint: faults.Periodic{Interval: 300},
-			RecordVMs: true, Audit: a,
+			Audit: a, Recorder: rec,
 		}
 	}
-	plain, err := Run(mk(nil), reqs)
+	plainRec, auditedRec := NewDecisionRecorder(), NewDecisionRecorder()
+	plain, err := Run(mk(nil, plainRec), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	audit := NewVMAudit()
-	res, err := Run(mk(audit), reqs)
+	res, err := Run(mk(audit, auditedRec), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Metrics != res.Metrics {
 		t.Errorf("audit perturbed Metrics:\nplain   %+v\naudited %+v", plain.Metrics, res.Metrics)
 	}
-	if !reflect.DeepEqual(plain.VMs, res.VMs) {
-		t.Error("audit perturbed the VMRecord stream")
+	if !reflect.DeepEqual(placeRecords(plainRec), placeRecords(auditedRec)) {
+		t.Error("audit perturbed the placement records")
 	}
 	if res.VMsKilled == 0 {
 		t.Fatal("schedule did not bite; reconciliation vacuous")

@@ -28,16 +28,11 @@ func blockingReqs(t *testing.T) []trace.Request {
 
 func TestStrictFCFSBlocksBehindHead(t *testing.T) {
 	db := sharedDB(t)
-	res, err := Run(Config{
-		DB: db, Servers: 1, Strategy: ff(t, 1), RecordVMs: true,
-	}, blockingReqs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, vms := runRecords(t, Run, Config{DB: db, Servers: 1, Strategy: ff(t, 1)}, blockingReqs(t))
 	// Without backfilling, jobs 3 and 4 must start no earlier than the
 	// blocked 4-VM job.
 	starts := map[int]units.Seconds{}
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		if cur, ok := starts[vm.JobID]; !ok || vm.Placed < cur {
 			starts[vm.JobID] = vm.Placed
 		}
@@ -49,14 +44,9 @@ func TestStrictFCFSBlocksBehindHead(t *testing.T) {
 
 func TestBackfillLetsSmallJobsThrough(t *testing.T) {
 	db := sharedDB(t)
-	res, err := Run(Config{
-		DB: db, Servers: 1, Strategy: ff(t, 1), RecordVMs: true, BackfillDepth: 4,
-	}, blockingReqs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, Run, Config{DB: db, Servers: 1, Strategy: ff(t, 1), BackfillDepth: 4}, blockingReqs(t))
 	starts := map[int]units.Seconds{}
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		if cur, ok := starts[vm.JobID]; !ok || vm.Placed < cur {
 			starts[vm.JobID] = vm.Placed
 		}
@@ -65,8 +55,8 @@ func TestBackfillLetsSmallJobsThrough(t *testing.T) {
 		t.Errorf("backfilling did not advance job 3 past the blocked head: starts=%v", starts)
 	}
 	// Everyone still completes exactly once.
-	if res.TotalVMs != 9 || len(res.VMs) != 9 {
-		t.Errorf("VM accounting broken: %d/%d", res.TotalVMs, len(res.VMs))
+	if res.TotalVMs != 9 || len(vms) != 9 {
+		t.Errorf("VM accounting broken: %d/%d", res.TotalVMs, len(vms))
 	}
 }
 

@@ -23,7 +23,8 @@
 // (reference_test.go, test-only) retains the naive transcription, which
 // hands strategies a fleet view through their linear Place, as the
 // equivalence oracle; the golden tests prove both produce byte-identical
-// Metrics and VMRecord streams.
+// Metrics and per-VM outcomes, reading Run's from the finished VMAudit
+// spans that pacevm-sim -vm-audit exports.
 package cloudsim
 
 import (
@@ -70,19 +71,16 @@ type Config struct {
 	// Consolidator, when non-nil, is invoked after completion events
 	// with a snapshot of the live cloud and may return migration moves
 	// (the dynamic-placement baseline of the paper's related work; see
-	// internal/migrate). Each migrated VM pays MigrationCost as
-	// additional nominal work — the live-migration downtime and
+	// internal/migrate). Each migrated VM pays the plan's MigrationCost
+	// as additional nominal work — the live-migration downtime and
 	// dirty-page slowdown.
-	Consolidator  Consolidator
-	MigrationCost units.Seconds
+	Consolidator Consolidator
 	// BackfillDepth loosens the FCFS queue: when the head job cannot be
 	// placed, up to this many jobs behind it are tried (aggressive
 	// backfilling — small jobs may jump ahead and delay the head, the
 	// classic fairness/utilization trade). Zero keeps the paper's strict
 	// FCFS-without-backfilling behaviour.
 	BackfillDepth int
-	// RecordVMs retains the per-VM audit trail in the result.
-	RecordVMs bool
 	// Obs receives hot-path telemetry: events popped, placements
 	// attempted/rejected, queue-depth high-water, backfill splices,
 	// accounting intervals closed, pricing-cache hit rates, and the
@@ -145,18 +143,6 @@ const DefaultMaxVMsPerServer = 16
 // Consolidator proposes VM migrations for a live cloud snapshot.
 type Consolidator interface {
 	Propose(allocs []model.Key, vms []migrate.VM) (migrate.Plan, error)
-}
-
-// VMRecord is the audit trail of one VM.
-type VMRecord struct {
-	JobID      int
-	Class      workload.Class
-	Server     int
-	Submit     units.Seconds
-	Placed     units.Seconds
-	Completion units.Seconds
-	Deadline   units.Seconds
-	Violated   bool
 }
 
 // Metrics are the evaluation's aggregate outcomes.
@@ -233,11 +219,10 @@ func (m Metrics) GoodputPct() float64 {
 	return 100 * float64(m.NominalWork) / total
 }
 
-// Result is the simulation outcome.
+// Result is the simulation outcome. Per-VM outcomes are the finished
+// spans of Config.Audit.
 type Result struct {
 	Metrics
-	// VMs is the per-VM audit trail (only when Config.RecordVMs).
-	VMs []VMRecord
 }
 
 // maxJobVMs is the per-request VM ceiling enforced by trace.Request
@@ -464,7 +449,6 @@ type sim struct {
 	wd  *obs.Watchdog
 
 	uidSeq      int
-	records     []VMRecord
 	metrics     Metrics
 	responseSum float64
 	waitSum     float64
@@ -498,9 +482,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxVMsPerServer < 0 {
 		return errors.New("cloudsim: non-positive MaxVMsPerServer")
-	}
-	if cfg.MigrationCost < 0 {
-		return fmt.Errorf("cloudsim: negative MigrationCost %v", cfg.MigrationCost)
 	}
 	if cfg.BackfillDepth < 0 {
 		return fmt.Errorf("cloudsim: negative BackfillDepth %d", cfg.BackfillDepth)
@@ -569,7 +550,7 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 	s.events.Reserve(cfg.Servers + 2*len(cfg.Faults))
 	s.arrQ = make([]pendingArrival, 0, len(reqs))
 	for i := range reqs {
-		s.scheduleArrival(i, uint64(i))
+		s.admit(i, uint64(i), reqs[i].Submit)
 	}
 	inf := units.Seconds(math.Inf(1))
 	s.scheduleFaultsUntil(inf)
@@ -656,35 +637,18 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 	return s, nil
 }
 
-// scheduleArrival admits request idx onto the arrival cursor under a
-// pre-assigned arrival-band sequence number and accounts its workload
+// admit puts request idx on the arrival cursor at instant at, under a
+// pre-assigned arrival-band sequence number, and accounts its workload
 // totals. In a monolithic run seq is simply idx; the sharded
-// coordinator assigns global routing order instead. Admissions whose
-// submit instants regress mark the cursor dirty; runUntil restores the
+// coordinator assigns global routing order instead. at is the request's
+// Submit except for a job stolen from another shard at a window barrier
+// (see stealHandoff), which enters at the handoff instant: the
+// receiving shard's clock has moved past the submit, and re-entering in
+// the past would rewind it. The request itself keeps its Submit, so
+// wait and deadline accounting span the whole queue time. Admissions
+// whose instants regress mark the cursor dirty; runUntil restores the
 // sorted invariant before consuming it.
-func (s *sim) scheduleArrival(idx int, seq uint64) {
-	r := &s.reqs[idx]
-	if r.Submit < s.firstSubmit {
-		s.firstSubmit = r.Submit
-	}
-	if n := len(s.arrQ); n > s.arrNext && s.arrQ[n-1].sub > r.Submit {
-		s.arrDirty = true
-	}
-	s.arrQ = append(s.arrQ, pendingArrival{sub: r.Submit, seq: seqArrivalBase + seq, idx: int32(idx)})
-	s.metrics.TotalJobs++
-	s.metrics.TotalVMs += r.VMs
-	s.metrics.NominalWork += r.NominalTime * units.Seconds(r.VMs)
-	s.addLoad(float64(r.NominalTime) * float64(r.VMs))
-}
-
-// admitStolen admits a job handed off from another shard at a window
-// barrier (see stealHandoff): the same accounting as scheduleArrival,
-// but the cursor instant is the handoff time `at`, not the original
-// Submit — the receiving shard's clock has moved past the submit, and
-// re-entering in the past would rewind it. The request itself keeps its
-// Submit, so wait and deadline accounting still span the whole queue
-// time including the donor shard's.
-func (s *sim) admitStolen(idx int, seq uint64, at units.Seconds) {
+func (s *sim) admit(idx int, seq uint64, at units.Seconds) {
 	r := &s.reqs[idx]
 	if r.Submit < s.firstSubmit {
 		s.firstSubmit = r.Submit
@@ -873,7 +837,7 @@ func (s *sim) finalize(first, last units.Seconds) (Result, error) {
 		s.metrics.AvgWait = units.Seconds(s.waitSum / float64(s.metrics.TotalVMs))
 	}
 	s.metrics.Makespan = span
-	return Result{Metrics: s.metrics, VMs: s.records}, nil
+	return Result{Metrics: s.metrics}, nil
 }
 
 // qlen is the number of queued (not yet placed) requests.
@@ -1129,18 +1093,6 @@ func (s *sim) retire(sv *simServer, vm *simVM) {
 		s.audit.finish(vm, sv.id, s.now, violated)
 	}
 	s.traceVMRetire(sv, vm, violated)
-	if s.cfg.RecordVMs {
-		s.records = append(s.records, VMRecord{
-			JobID:      vm.jobID,
-			Class:      vm.class,
-			Server:     sv.id,
-			Submit:     vm.submit,
-			Placed:     vm.placed,
-			Completion: s.now,
-			Deadline:   vm.deadline,
-			Violated:   violated,
-		})
-	}
 }
 
 // recycle returns a retired VM's struct to the pool.
@@ -1224,6 +1176,9 @@ func (s *sim) consolidate() error {
 	if len(plan.Moves) == 0 {
 		return nil
 	}
+	if plan.MigrationCost < 0 {
+		return fmt.Errorf("cloudsim: consolidator plan has negative MigrationCost %v", plan.MigrationCost)
+	}
 	touched := make([]int, 0, 2*len(plan.Moves))
 	for _, mv := range plan.Moves {
 		vm := byUID[mv.VMID]
@@ -1251,7 +1206,7 @@ func (s *sim) consolidate() error {
 		if idx < 0 {
 			return fmt.Errorf("cloudsim: move %+v: VM not on source server", mv)
 		}
-		movedRem := from.rem[idx] + float64(s.cfg.MigrationCost)
+		movedRem := from.rem[idx] + float64(plan.MigrationCost)
 		movedCls := from.cls[idx]
 		from.vms = append(from.vms[:idx], from.vms[idx+1:]...)
 		from.rem = append(from.rem[:idx], from.rem[idx+1:]...)

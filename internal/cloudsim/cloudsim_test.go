@@ -119,10 +119,7 @@ func TestRunRequiresIndexedPlacer(t *testing.T) {
 func TestSingleJobSoloServer(t *testing.T) {
 	db := sharedDB(t)
 	reqs := mkReqs(t, 1, workload.ClassCPU, 0)
-	res, err := Run(Config{DB: db, Servers: 1, Strategy: ff(t, 1), RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, Run, Config{DB: db, Servers: 1, Strategy: ff(t, 1)}, reqs)
 	// Solo VM: completion ≈ the class's solo time under allocation (1,0,0).
 	rec, _ := db.Lookup(model.KeyFor(workload.ClassCPU, 1))
 	want := rec.ClassTime(workload.ClassCPU)
@@ -137,8 +134,8 @@ func TestSingleJobSoloServer(t *testing.T) {
 	if res.Violations != 0 || res.TotalVMs != 1 || res.TotalJobs != 1 {
 		t.Errorf("metrics = %+v", res.Metrics)
 	}
-	if len(res.VMs) != 1 || res.VMs[0].Violated {
-		t.Errorf("records = %+v", res.VMs)
+	if len(vms) != 1 || vms[0].Violated {
+		t.Errorf("records = %+v", vms)
 	}
 	if res.PeakActiveServers != 1 {
 		t.Errorf("peak active = %d", res.PeakActiveServers)
@@ -152,15 +149,12 @@ func TestQueueingWhenCloudFull(t *testing.T) {
 	db := sharedDB(t)
 	// 8 single-VM jobs, 1 server, FF cap 4: the last 4 must wait.
 	reqs := mkReqs(t, 8, workload.ClassIO, 0)
-	res, err := Run(Config{DB: db, Servers: 1, Strategy: ff(t, 1), RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, Run, Config{DB: db, Servers: 1, Strategy: ff(t, 1)}, reqs)
 	if res.AvgWait <= 0 {
 		t.Error("expected queueing delay")
 	}
 	waited := 0
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		if vm.Placed > vm.Submit {
 			waited++
 		}
@@ -173,12 +167,9 @@ func TestQueueingWhenCloudFull(t *testing.T) {
 func TestFIFOOrderPreserved(t *testing.T) {
 	db := sharedDB(t)
 	reqs := mkReqs(t, 10, workload.ClassCPU, 1)
-	res, err := Run(Config{DB: db, Servers: 1, Strategy: ff(t, 1), RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, vms := runRecords(t, Run, Config{DB: db, Servers: 1, Strategy: ff(t, 1)}, reqs)
 	placed := map[int]units.Seconds{}
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		placed[vm.JobID] = vm.Placed
 	}
 	for id := 2; id <= 10; id++ {
@@ -256,16 +247,13 @@ func TestProactiveRunsCleanly(t *testing.T) {
 		reqs[i].MaxResponse = reqs[i].NominalTime * 3
 		reqs[i].VMs = 1 + i%4
 	}
-	res, err := Run(Config{DB: db, Servers: 6, Strategy: pa(t, core.GoalBalanced), RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, Run, Config{DB: db, Servers: 6, Strategy: pa(t, core.GoalBalanced)}, reqs)
 	total := 0
 	for _, r := range reqs {
 		total += r.VMs
 	}
-	if len(res.VMs) != total {
-		t.Errorf("recorded %d VMs, want %d", len(res.VMs), total)
+	if len(vms) != total {
+		t.Errorf("recorded %d VMs, want %d", len(vms), total)
 	}
 	if res.Makespan <= 0 || res.Energy <= 0 {
 		t.Errorf("degenerate metrics %+v", res.Metrics)
@@ -279,11 +267,8 @@ func TestMultiVMJobStaysWholeUnderFF(t *testing.T) {
 		NominalTime: db.Aux().RefTime[workload.ClassCPU], MaxResponse: 0,
 	}}
 	reqs[0].MaxResponse = reqs[0].NominalTime * 5
-	res, err := Run(Config{DB: db, Servers: 2, Strategy: ff(t, 1), RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vm := range res.VMs {
+	_, vms := runRecords(t, Run, Config{DB: db, Servers: 2, Strategy: ff(t, 1)}, reqs)
+	for _, vm := range vms {
 		if vm.Server != 0 {
 			t.Errorf("FF scattered a job that fits server 0: %+v", vm)
 		}
@@ -309,12 +294,9 @@ func TestDeterministicSimulation(t *testing.T) {
 func TestMakespanSpansSubmitToCompletion(t *testing.T) {
 	db := sharedDB(t)
 	reqs := mkReqs(t, 3, workload.ClassIO, 100)
-	res, err := Run(Config{DB: db, Servers: 3, Strategy: ff(t, 1), RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, Run, Config{DB: db, Servers: 3, Strategy: ff(t, 1)}, reqs)
 	var last units.Seconds
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		if vm.Completion > last {
 			last = vm.Completion
 		}

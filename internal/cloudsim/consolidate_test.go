@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pacevm/internal/migrate"
@@ -43,7 +44,6 @@ func TestConsolidatorMigratesAndSaves(t *testing.T) {
 
 	withCons := base
 	withCons.Consolidator = &migrate.Planner{DB: db, MigrationCost: 10}
-	withCons.MigrationCost = 10
 	cons, err := Run(withCons, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -73,9 +73,7 @@ func TestConsolidatorRespectsQoSBudgets(t *testing.T) {
 	reqs := fragmentingReqs(t, 6)
 	cfg := Config{
 		DB: db, Servers: 12, Strategy: ff(t, 1), IdleServerPower: -1,
-		Consolidator:  &migrate.Planner{DB: db, MigrationCost: 10},
-		MigrationCost: 10,
-		RecordVMs:     true,
+		Consolidator: &migrate.Planner{DB: db, MigrationCost: 10},
 	}
 	res, err := Run(cfg, reqs)
 	if err != nil {
@@ -104,14 +102,30 @@ func TestBadConsolidatorIsAnError(t *testing.T) {
 	}
 }
 
+// negCostConsolidator proposes one valid move priced at a negative
+// migration cost, which would hand the moved VM free work.
+type negCostConsolidator struct{}
+
+func (negCostConsolidator) Propose(allocs []model.Key, vms []migrate.VM) (migrate.Plan, error) {
+	to := (vms[0].Server + 1) % len(allocs)
+	return migrate.Plan{Moves: []migrate.Move{{VMID: vms[0].ID, From: vms[0].Server, To: to}}, MigrationCost: -1}, nil
+}
+
+func TestNegativeMigrationCostIsAnError(t *testing.T) {
+	cfg := Config{DB: sharedDB(t), Servers: 4, Strategy: ff(t, 1), Consolidator: negCostConsolidator{}}
+	_, err := Run(cfg, fragmentingReqs(t, 2))
+	if err == nil || !strings.Contains(err.Error(), "negative MigrationCost") {
+		t.Errorf("a plan with a negative migration cost ran: %v", err)
+	}
+}
+
 func TestMigrationCostSlowsMovedVMs(t *testing.T) {
 	db := sharedDB(t)
 	reqs := fragmentingReqs(t, 4)
 	run := func(cost units.Seconds) Result {
 		cfg := Config{
 			DB: db, Servers: 8, Strategy: ff(t, 1), IdleServerPower: -1,
-			Consolidator:  &migrate.Planner{DB: db, MigrationCost: cost},
-			MigrationCost: cost,
+			Consolidator: &migrate.Planner{DB: db, MigrationCost: cost},
 		}
 		res, err := Run(cfg, reqs)
 		if err != nil {
@@ -157,13 +171,10 @@ func (c spreadConsolidator) Propose(allocs []model.Key, vms []migrate.VM) (migra
 func TestConsolidateOntoEmptyServerMatchesReference(t *testing.T) {
 	reqs := fragmentingReqs(t, 6)
 	var plans, refPlans int
-	cfg := Config{DB: sharedDB(t), Servers: 12, Strategy: ff(t, 1), Consolidator: spreadConsolidator{&plans}, RecordVMs: true}
-	got, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{DB: sharedDB(t), Servers: 12, Strategy: ff(t, 1), Consolidator: spreadConsolidator{&plans}}
+	got, gotVMs := runRecords(t, Run, cfg, reqs)
 	cfg.Consolidator = spreadConsolidator{&refPlans}
-	want, err := RunReference(cfg, reqs)
+	want, wantVMs, err := RunReference(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +184,7 @@ func TestConsolidateOntoEmptyServerMatchesReference(t *testing.T) {
 	if got.Metrics != want.Metrics {
 		t.Errorf("Run diverges from the reference:\nrun %+v\nref %+v", got.Metrics, want.Metrics)
 	}
-	if !reflect.DeepEqual(got.VMs, want.VMs) {
+	if !reflect.DeepEqual(gotVMs, wantVMs) {
 		t.Error("Run's VM records diverge from the reference")
 	}
 }

@@ -1,8 +1,8 @@
 package cloudsim
 
 // Flight-recorder acceptance: (1) an attached recorder never perturbs
-// the simulation (Metrics and VMRecords identical to a recorder-off
-// run); (2) a one-shard sharded run records the same log as the
+// the simulation (Metrics and audited per-VM records identical to a
+// recorder-off run); (2) a one-shard sharded run records the same log as the
 // monolithic loop; (3) on a faulted, sharded, steal-enabled run every
 // placed VM has a reconstructible decision chain; (4) reject folding,
 // the JSONL round-trip and the line-numbered reader errors.
@@ -17,22 +17,27 @@ import (
 	"pacevm/internal/obs"
 )
 
+// placeRecords filters a decision log down to its place records.
+func placeRecords(r *DecisionRecorder) []Decision {
+	var out []Decision
+	for _, d := range r.Decisions() {
+		if d.Kind == DecisionPlace {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func TestDecisionRecorderDoesNotPerturb(t *testing.T) {
 	cfg, reqs := shardedStressConfig(t)
-	plain, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainVMs := runRecords(t, Run, cfg, reqs)
 	cfg.Obs = obs.NewRegistry()
 	cfg.Recorder = NewDecisionRecorder()
-	recorded, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recorded, recordedVMs := runRecords(t, Run, cfg, reqs)
 	if plain.Metrics != recorded.Metrics {
 		t.Errorf("recorder perturbed Metrics:\noff %+v\non  %+v", plain.Metrics, recorded.Metrics)
 	}
-	if !reflect.DeepEqual(plain.VMs, recorded.VMs) {
+	if !reflect.DeepEqual(plainVMs, recordedVMs) {
 		t.Error("recorder perturbed VMRecords")
 	}
 	if cfg.Recorder.Len() == 0 {
@@ -230,16 +235,10 @@ func TestReadDecisionLogErrors(t *testing.T) {
 func TestDecisionSearchStats(t *testing.T) {
 	cfg, reqs := shardedStressConfig(t)
 	cfg.Strategy = pa(t, core.GoalBalanced)
-	plain, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainVMs := runRecords(t, Run, cfg, reqs)
 	cfg.Recorder = NewDecisionRecorder()
-	recorded, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Metrics != recorded.Metrics || !reflect.DeepEqual(plain.VMs, recorded.VMs) {
+	recorded, recordedVMs := runRecords(t, Run, cfg, reqs)
+	if plain.Metrics != recorded.Metrics || !reflect.DeepEqual(plainVMs, recordedVMs) {
 		t.Fatal("explained placement path diverged from the plain one")
 	}
 	withStats := 0

@@ -150,25 +150,18 @@ func TestFaultRunDeterministic(t *testing.T) {
 					DB: db, Servers: 10, Strategy: c.mk(),
 					Faults:     sched,
 					Checkpoint: faults.Periodic{Interval: 300},
-					RecordVMs:  true,
 				}
 			}
-			first, err := Run(mkCfg(), reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first, firstVMs := runRecords(t, Run, mkCfg(), reqs)
 			if first.FaultsInjected == 0 || first.VMsKilled == 0 {
 				t.Fatalf("schedule did not bite: %d faults, %d kills", first.FaultsInjected, first.VMsKilled)
 			}
 			for rep := 0; rep < 2; rep++ {
-				again, err := Run(mkCfg(), reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
+				again, againVMs := runRecords(t, Run, mkCfg(), reqs)
 				if first.Metrics != again.Metrics {
 					t.Fatalf("rep %d: Metrics diverge:\nfirst %+v\nagain %+v", rep, first.Metrics, again.Metrics)
 				}
-				if !reflect.DeepEqual(first.VMs, again.VMs) {
+				if !reflect.DeepEqual(firstVMs, againVMs) {
 					t.Fatalf("rep %d: VMRecord streams diverge", rep)
 				}
 			}
@@ -201,13 +194,10 @@ func TestFaultIndexedMatchesLinear(t *testing.T) {
 			var log checkLog
 			cfg := Config{
 				DB: db, Servers: 12, Strategy: checkLinear(t, c.mk(), &log),
-				Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
+				Faults: sched, Checkpoint: faults.Restart{},
 				Recorder: NewDecisionRecorder(), Watchdog: obs.NewWatchdog(64),
 			}
-			checked, err := Run(cfg, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			checked, checkedVMs := runRecords(t, Run, cfg, reqs)
 			if checked.FaultsInjected == 0 || checked.VMsKilled == 0 {
 				t.Fatalf("schedule did not bite: %d faults, %d kills", checked.FaultsInjected, checked.VMsKilled)
 			}
@@ -231,14 +221,11 @@ func TestFaultIndexedMatchesLinear(t *testing.T) {
 			if _, explains := c.mk().(strategy.Explainer); searched != explains {
 				t.Errorf("place records carry search attribution: %v, want %v", searched, explains)
 			}
-			plain, err := Run(Config{
+			plain, plainVMs := runRecords(t, Run, Config{
 				DB: db, Servers: 12, Strategy: c.mk(),
-				Faults: sched, Checkpoint: faults.Restart{}, RecordVMs: true,
+				Faults: sched, Checkpoint: faults.Restart{},
 			}, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain.Metrics != checked.Metrics || !reflect.DeepEqual(plain.VMs, checked.VMs) {
+			if plain.Metrics != checked.Metrics || !reflect.DeepEqual(plainVMs, checkedVMs) {
 				t.Errorf("checked run diverges from the plain one:\nchecked %+v\nplain   %+v", checked.Metrics, plain.Metrics)
 			}
 		})
@@ -261,14 +248,10 @@ func TestCrashKillsRequeuesAndRecovers(t *testing.T) {
 	reqs := []trace.Request{{ID: 1, Submit: 10, Class: class, VMs: 1, NominalTime: nominal}}
 	down := 10 + units.Seconds(float64(nominal)*0.5) // mid-execution
 	up := down + 500
-	res, err := Run(Config{
+	res, vms := runRecords(t, Run, Config{
 		DB: db, Servers: 1, Strategy: ff(t, 1),
-		Faults:    faults.Schedule{{Server: 0, Down: down, Up: up}},
-		RecordVMs: true,
+		Faults: faults.Schedule{{Server: 0, Down: down, Up: up}},
 	}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.FaultsInjected != 1 || res.VMsKilled != 1 || res.Requeues != 1 {
 		t.Fatalf("faults=%d killed=%d requeues=%d, want 1/1/1",
 			res.FaultsInjected, res.VMsKilled, res.Requeues)
@@ -278,10 +261,10 @@ func TestCrashKillsRequeuesAndRecovers(t *testing.T) {
 	if diff := float64(res.WorkLost) - wantLost; diff < -1e-6 || diff > 1e-6 {
 		t.Errorf("WorkLost = %v, want %v", res.WorkLost, wantLost)
 	}
-	if len(res.VMs) != 1 {
-		t.Fatalf("%d VM records, want 1 (the kill must not retire)", len(res.VMs))
+	if len(vms) != 1 {
+		t.Fatalf("%d VM records, want 1 (the kill must not retire)", len(vms))
 	}
-	rec := res.VMs[0]
+	rec := vms[0]
 	if rec.Placed < up {
 		t.Errorf("redo placed at %v, before recovery at %v", rec.Placed, up)
 	}
@@ -347,7 +330,7 @@ func TestDownServerDrawsNothingAndIsAvoided(t *testing.T) {
 	db := sharedDB(t)
 	reqs := mkReqs(t, 6, workload.ClassCPU, 50)
 	base := func() Config {
-		return Config{DB: db, Servers: 2, Strategy: ff(t, 16), MaxVMsPerServer: 16, RecordVMs: true}
+		return Config{DB: db, Servers: 2, Strategy: ff(t, 16), MaxVMsPerServer: 16}
 	}
 	plain, err := Run(base(), reqs)
 	if err != nil {
@@ -355,11 +338,8 @@ func TestDownServerDrawsNothingAndIsAvoided(t *testing.T) {
 	}
 	cfg := base()
 	cfg.Faults = faults.Schedule{{Server: 1, Down: 0, Up: 1e9}}
-	faulted, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range faulted.VMs {
+	faulted, faultedVMs := runRecords(t, Run, cfg, reqs)
+	for _, rec := range faultedVMs {
 		if rec.Server != 0 {
 			t.Fatalf("VM of job %d placed on down server %d", rec.JobID, rec.Server)
 		}
@@ -396,8 +376,8 @@ func TestFaultObsCounters(t *testing.T) {
 	res, err := Run(Config{
 		DB: db, Servers: 8, Strategy: ff(t, 2),
 		Faults: sched, Checkpoint: faults.Periodic{Interval: 500},
-		Consolidator: &migrate.Planner{DB: db, MigrationCost: 10}, MigrationCost: 10,
-		Obs: reg,
+		Consolidator: &migrate.Planner{DB: db, MigrationCost: 10},
+		Obs:          reg,
 	}, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -421,21 +401,18 @@ func TestFaultObsCounters(t *testing.T) {
 func TestZeroFaultRunUntouched(t *testing.T) {
 	db := sharedDB(t)
 	reqs := faultWorkload(t, 41, 100)
-	want, err := RunReference(Config{DB: db, Servers: 8, Strategy: ff(t, 2), RecordVMs: true}, reqs)
+	want, wantVMs, err := RunReference(Config{DB: db, Servers: 8, Strategy: ff(t, 2)}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{
-		DB: db, Servers: 8, Strategy: ff(t, 2), RecordVMs: true,
+	got, gotVMs := runRecords(t, Run, Config{
+		DB: db, Servers: 8, Strategy: ff(t, 2),
 		Checkpoint: faults.Periodic{Interval: 60}, // ignored without Faults
 	}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if want.Metrics != got.Metrics {
 		t.Errorf("Metrics diverge:\nreference %+v\noptimized %+v", want.Metrics, got.Metrics)
 	}
-	if !reflect.DeepEqual(want.VMs, got.VMs) {
+	if !reflect.DeepEqual(wantVMs, gotVMs) {
 		t.Error("VMRecord streams diverge")
 	}
 	if got.NominalWork <= 0 {
@@ -458,7 +435,7 @@ func TestZeroFaultRunUntouched(t *testing.T) {
 func TestRunReferenceRejectsFaults(t *testing.T) {
 	db := sharedDB(t)
 	reqs := mkReqs(t, 1, workload.ClassCPU, 0)
-	_, err := RunReference(Config{
+	_, _, err := RunReference(Config{
 		DB: db, Servers: 1, Strategy: ff(t, 1),
 		Faults: faults.Schedule{{Server: 0, Down: 1, Up: 2}},
 	}, reqs)
@@ -483,7 +460,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no servers", func(c *Config) { c.Servers = 0 }, "at least one server"},
 		{"nil strategy", func(c *Config) { c.Strategy = nil }, "nil strategy"},
 		{"negative cap", func(c *Config) { c.MaxVMsPerServer = -2 }, "MaxVMsPerServer"},
-		{"negative migration cost", func(c *Config) { c.MigrationCost = -1 }, "negative MigrationCost"},
 		{"negative backfill depth", func(c *Config) { c.BackfillDepth = -1 }, "negative BackfillDepth"},
 		{"fault out of range", func(c *Config) { c.Faults = faults.Schedule{{Server: 7, Down: 1, Up: 2}} }, "fault schedule"},
 		{"fault overlap", func(c *Config) {

@@ -1,9 +1,10 @@
 package cloudsim
 
 // Golden equivalence: the optimized Run must be byte-identical to the
-// preserved naive transcription (RunReference) — same Metrics, same
-// VMRecord stream — across strategies (indexed first-fit included),
-// backfill depths, and the consolidator path. Any divergence means the
+// preserved naive transcription (RunReference) — same Metrics, and
+// Run's audit spans projecting to the oracle's VMRecord stream — across
+// strategies (indexed first-fit included), backfill depths, and the
+// consolidator path. Any divergence means the
 // hot-path rewrite changed simulation semantics, not just its cost.
 
 import (
@@ -36,32 +37,34 @@ func goldenWorkload(t testing.TB, seed uint64, n int) []trace.Request {
 
 // goldenCompare runs both simulators on freshly-built configs (so no
 // strategy state carries over between runs) and requires identical
-// results.
+// results: the same Metrics, and Run's audit projecting to the oracle's
+// records.
 func goldenCompare(t *testing.T, mkCfg func() Config, reqs []trace.Request) {
 	t.Helper()
-	refCfg := mkCfg()
-	refCfg.RecordVMs = true
-	want, err := RunReference(refCfg, reqs)
+	want, wantVMs, err := RunReference(mkCfg(), reqs)
 	if err != nil {
 		t.Fatalf("RunReference: %v", err)
 	}
-	optCfg := mkCfg()
-	optCfg.RecordVMs = true
-	got, err := Run(optCfg, reqs)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	got, gotVMs := runRecords(t, Run, mkCfg(), reqs)
 	if want.Metrics != got.Metrics {
 		t.Errorf("Metrics diverge:\nreference %+v\noptimized %+v", want.Metrics, got.Metrics)
 	}
-	if !reflect.DeepEqual(want.VMs, got.VMs) {
-		if len(want.VMs) != len(got.VMs) {
-			t.Fatalf("VMRecord count diverges: reference %d, optimized %d", len(want.VMs), len(got.VMs))
-		}
-		for i := range want.VMs {
-			if want.VMs[i] != got.VMs[i] {
-				t.Fatalf("VMRecord %d diverges:\nreference %+v\noptimized %+v", i, want.VMs[i], got.VMs[i])
-			}
+	compareRecords(t, "reference", wantVMs, "optimized", gotVMs)
+}
+
+// compareRecords requires two per-VM record streams to be identical,
+// naming the first divergence.
+func compareRecords(t *testing.T, wantName string, want []VMRecord, gotName string, got []VMRecord) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	if len(want) != len(got) {
+		t.Fatalf("VMRecord count diverges: %s %d, %s %d", wantName, len(want), gotName, len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("VMRecord %d diverges:\n%s %+v\n%s %+v", i, wantName, want[i], gotName, got[i])
 		}
 	}
 }
@@ -78,7 +81,6 @@ func TestGoldenEquivalence(t *testing.T) {
 			}
 			if consolidate {
 				cfg.Consolidator = &migrate.Planner{DB: db, MigrationCost: 10}
-				cfg.MigrationCost = 10
 			}
 			return cfg
 		}
@@ -152,13 +154,10 @@ func TestBackfillPreservesFIFOAmongEquals(t *testing.T) {
 		{ID: 4, Submit: 3, Class: workload.ClassCPU, VMs: 1, NominalTime: ref, MaxResponse: ref * 40},
 		{ID: 5, Submit: 4, Class: workload.ClassCPU, VMs: 1, NominalTime: ref, MaxResponse: ref * 40},
 	}
-	cfg := Config{DB: db, Servers: 1, Strategy: ff(t, 1), BackfillDepth: 4, RecordVMs: true}
-	res, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{DB: db, Servers: 1, Strategy: ff(t, 1), BackfillDepth: 4}
+	_, vms := runRecords(t, Run, cfg, reqs)
 	starts := map[int]units.Seconds{}
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		if cur, ok := starts[vm.JobID]; !ok || vm.Placed < cur {
 			starts[vm.JobID] = vm.Placed
 		}
@@ -205,7 +204,7 @@ func TestTryPlaceErrorAborts(t *testing.T) {
 		{ID: 1, Submit: 0, Class: workload.ClassMEM, VMs: 1, NominalTime: 100, MaxResponse: 1000},
 	}
 	for name, run := range map[string]func(Config, []trace.Request) (Result, error){
-		"optimized": Run, "reference": RunReference,
+		"optimized": Run, "reference": runReference,
 	} {
 		_, err := run(Config{DB: db, Servers: 1, Strategy: ff(t, 1)}, reqs)
 		if err == nil {

@@ -2,8 +2,8 @@ package cloudsim
 
 // Guards for the telemetry layer's two contracts: (1) observation never
 // perturbs the simulation — a run with a live Registry and Tracer is
-// byte-identical in Metrics and VMRecords to an untraced run and to the
-// RunReference oracle; (2) disabled telemetry is free — the nil-handle
+// byte-identical in Metrics and audited per-VM records to an untraced
+// run and to the RunReference oracle; (2) disabled telemetry is free — the nil-handle
 // path adds zero allocations to Run (pinned against the measured
 // pre-instrumentation baseline).
 
@@ -19,7 +19,7 @@ import (
 
 // TestObsDoesNotPerturbSimulation runs representative configurations
 // three ways — untraced, fully instrumented, reference oracle — and
-// requires identical Metrics and VMRecord streams.
+// requires identical Metrics and per-VM records.
 func TestObsDoesNotPerturbSimulation(t *testing.T) {
 	db := sharedDB(t)
 	reqs := goldenWorkload(t, 31, 200)
@@ -33,40 +33,29 @@ func TestObsDoesNotPerturbSimulation(t *testing.T) {
 		{"BF-2/consolidate", func() Config {
 			return Config{
 				DB: db, Servers: 10, Strategy: &strategy.BestFit{Multiplex: 2},
-				Consolidator: &migrate.Planner{DB: db, MigrationCost: 10}, MigrationCost: 10,
+				Consolidator: &migrate.Planner{DB: db, MigrationCost: 10},
 			}
 		}},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			plain := c.mkCfg()
-			plain.RecordVMs = true
-			want, err := Run(plain, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := c.mkCfg()
-			ref.RecordVMs = true
-			oracle, err := RunReference(ref, reqs)
+			want, wantVMs := runRecords(t, Run, c.mkCfg(), reqs)
+			oracle, oracleVMs, err := RunReference(c.mkCfg(), reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			traced := c.mkCfg()
-			traced.RecordVMs = true
 			traced.Obs = obs.NewRegistry()
 			traced.Tracer = obs.NewTracer()
-			got, err := Run(traced, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, gotVMs := runRecords(t, Run, traced, reqs)
 			if want.Metrics != got.Metrics {
 				t.Errorf("telemetry perturbed Metrics:\nplain  %+v\ntraced %+v", want.Metrics, got.Metrics)
 			}
-			if !reflect.DeepEqual(want.VMs, got.VMs) {
+			if !reflect.DeepEqual(wantVMs, gotVMs) {
 				t.Error("telemetry perturbed the VMRecord stream")
 			}
-			if oracle.Metrics != got.Metrics || !reflect.DeepEqual(oracle.VMs, got.VMs) {
+			if oracle.Metrics != got.Metrics || !reflect.DeepEqual(oracleVMs, gotVMs) {
 				t.Error("traced run diverges from the RunReference oracle")
 			}
 			if traced.Tracer.Len() == 0 {

@@ -60,19 +60,21 @@ func TestSimulationInvariantsUnderRandomWorkloads(t *testing.T) {
 				return false
 			}
 		}
+		audit := NewVMAudit()
 		res, err := Run(Config{
 			DB: db, Servers: servers, Strategy: st,
-			IdleServerPower: -1, RecordVMs: true,
+			IdleServerPower: -1, Audit: audit,
 		}, reqs)
 		if err != nil {
 			t.Logf("seed %d strategy %s: %v", seed, st.Name(), err)
 			return false
 		}
+		vms := auditRecords(t, audit, reqs)
 		wantVMs := 0
 		for _, r := range reqs {
 			wantVMs += r.VMs
 		}
-		if res.TotalVMs != wantVMs || len(res.VMs) != wantVMs {
+		if res.TotalVMs != wantVMs || len(vms) != wantVMs {
 			return false
 		}
 		if res.Violations > res.TotalVMs || res.Violations < 0 {
@@ -84,7 +86,7 @@ func TestSimulationInvariantsUnderRandomWorkloads(t *testing.T) {
 		if res.PeakActiveServers < 1 || res.PeakActiveServers > servers {
 			return false
 		}
-		for _, vm := range res.VMs {
+		for _, vm := range vms {
 			if vm.Placed < vm.Submit || vm.Completion < vm.Placed {
 				return false
 			}
@@ -137,15 +139,12 @@ func TestNoOverlapBeyondAdmission(t *testing.T) {
 		reqs[i] = trace.Request{ID: i + 1, Submit: 0, Class: workload.ClassCPU, VMs: 1,
 			NominalTime: ref, MaxResponse: ref * 100}
 	}
-	res, err := Run(Config{DB: db, Servers: 2, Strategy: overfillStrategy{}, RecordVMs: true}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, Run, Config{DB: db, Servers: 2, Strategy: overfillStrategy{}}, reqs)
 	if res.TotalVMs != 20 {
 		t.Fatalf("completed %d VMs", res.TotalVMs)
 	}
 	waited := 0
-	for _, vm := range res.VMs {
+	for _, vm := range vms {
 		if vm.Server != 0 {
 			t.Fatalf("VM escaped to server %d", vm.Server)
 		}

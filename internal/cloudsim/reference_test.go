@@ -9,8 +9,11 @@ package cloudsim
 // schedule on a container/heap binary heap, and rescans the whole fleet
 // for the active-server peak — exactly the costs Run eliminates. The
 // golden tests require Run and RunReference to produce byte-identical
-// Metrics and VMRecord streams on seeded fleets across strategies,
-// backfill depths, and the consolidator path.
+// Metrics and per-VM records on seeded fleets across strategies,
+// backfill depths, and the consolidator path: the oracle returns its
+// VMRecord stream, and Run's is projected from the finished spans of
+// its VMAudit (auditRecords), the per-VM data pacevm-sim -vm-audit
+// exports.
 //
 // Both paths share the queue-drain semantics, including the two fixes
 // over the original transcription: a mid-commit accounting error aborts
@@ -21,6 +24,7 @@ package cloudsim
 import (
 	"container/heap"
 	"fmt"
+	"testing"
 
 	"pacevm/internal/core"
 	"pacevm/internal/migrate"
@@ -97,6 +101,77 @@ func (q *refQueue) pop() (units.Seconds, interface{}, bool) {
 	return it.at, it.ev, true
 }
 
+// VMRecord is the per-VM outcome the oracle produces and the golden
+// tests compare.
+type VMRecord struct {
+	JobID      int
+	Class      workload.Class
+	Server     int
+	Submit     units.Seconds
+	Placed     units.Seconds
+	Completion units.Seconds
+	Deadline   units.Seconds
+	Violated   bool
+}
+
+// auditRecords projects a run's finished audit spans onto VMRecord, in
+// span order. A span carries every field but the deadline, which
+// tryPlace sets to Submit + MaxResponse of the span's request (found
+// by job ID; a crash redo keeps its job's ID and submit).
+func auditRecords(t testing.TB, a *VMAudit, reqs []trace.Request) []VMRecord {
+	t.Helper()
+	maxResp := make(map[int]units.Seconds, len(reqs))
+	for _, r := range reqs {
+		if m, dup := maxResp[r.ID]; dup && m != r.MaxResponse {
+			t.Fatalf("job ID %d names requests with different MaxResponse; its spans' deadlines are ambiguous", r.ID)
+		}
+		maxResp[r.ID] = r.MaxResponse
+	}
+	var out []VMRecord
+	for _, sp := range a.Spans() {
+		if sp.Outcome != AuditFinished {
+			continue
+		}
+		out = append(out, VMRecord{
+			JobID:      sp.JobID,
+			Class:      sp.Class,
+			Server:     sp.Server,
+			Submit:     sp.Submit,
+			Placed:     sp.Placed,
+			Completion: sp.End,
+			Deadline:   sp.Submit + maxResp[sp.JobID],
+			Violated:   sp.DeadlineMiss,
+		})
+	}
+	return out
+}
+
+// runRecords runs cfg through run with a VMAudit attached (a fresh one
+// unless cfg carries its own) and returns the result with the audit's
+// per-VM records. A run error is fatal.
+func runRecords(t testing.TB, run func(Config, []trace.Request) (Result, error), cfg Config, reqs []trace.Request) (Result, []VMRecord) {
+	t.Helper()
+	if cfg.Audit == nil {
+		cfg.Audit = NewVMAudit()
+	}
+	res, err := run(cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, auditRecords(t, cfg.Audit, reqs)
+}
+
+// runReference is RunReference in Run's signature, records dropped.
+func runReference(cfg Config, reqs []trace.Request) (Result, error) {
+	res, _, err := RunReference(cfg, reqs)
+	return res, err
+}
+
+// sharded adapts RunSharded under sc to runRecords.
+func sharded(sc ShardConfig) func(Config, []trace.Request) (Result, error) {
+	return func(cfg Config, reqs []trace.Request) (Result, error) { return RunSharded(cfg, reqs, sc) }
+}
+
 type refArrival struct{ req int }
 type refCompletion struct{ server int }
 
@@ -150,18 +225,19 @@ type refSim struct {
 
 // RunReference simulates the request stream with the reference
 // implementation. It accepts the same Config and must return exactly the
-// same Result as Run; it exists as the oracle the golden tests hold the
-// optimized path against, and as the baseline the large-simulation
-// benchmarks measure speedups from.
-func RunReference(cfg Config, reqs []trace.Request) (Result, error) {
+// same Result as Run, plus the per-VM records Run's audit must project
+// to; it exists as the oracle the golden tests hold the optimized path
+// against, and as the baseline the large-simulation benchmarks measure
+// speedups from.
+func RunReference(cfg Config, reqs []trace.Request) (Result, []VMRecord, error) {
 	if len(cfg.Faults) > 0 {
 		// The oracle predates the fault model and is deliberately frozen;
 		// fault-injected runs have no naive twin to compare against.
-		return Result{}, fmt.Errorf("cloudsim: RunReference does not support fault injection (%d scheduled faults); use Run", len(cfg.Faults))
+		return Result{}, nil, fmt.Errorf("cloudsim: RunReference does not support fault injection (%d scheduled faults); use Run", len(cfg.Faults))
 	}
 	cfg, err := validateConfig(cfg, reqs)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	s := &refSim{
 		cfg:         cfg,
@@ -169,7 +245,7 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, error) {
 		firstSubmit: reqs[0].Submit,
 	}
 	if s.refT, err = refTimes(cfg.DB); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	s.cache = map[model.Key]allocInfo{}
 	s.srv = make([]*refServer, cfg.Servers)
@@ -178,7 +254,7 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, error) {
 	}
 	for i, r := range reqs {
 		if err := r.Validate(); err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		if r.Submit < s.firstSubmit {
 			s.firstSubmit = r.Submit
@@ -199,30 +275,30 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, error) {
 		case refArrival:
 			s.queue = append(s.queue, e.req)
 			if err := s.drainQueue(); err != nil {
-				return Result{}, err
+				return Result{}, nil, err
 			}
 		case refCompletion:
 			if err := s.complete(e.server); err != nil {
-				return Result{}, err
+				return Result{}, nil, err
 			}
 			if err := s.consolidate(); err != nil {
-				return Result{}, err
+				return Result{}, nil, err
 			}
 			if err := s.drainQueue(); err != nil {
-				return Result{}, err
+				return Result{}, nil, err
 			}
 		default:
-			return Result{}, fmt.Errorf("cloudsim: unknown event %T", ev)
+			return Result{}, nil, fmt.Errorf("cloudsim: unknown event %T", ev)
 		}
 	}
 	if len(s.queue) > 0 {
-		return Result{}, fmt.Errorf("cloudsim: %d jobs still queued at end of simulation (strategy starved them)", len(s.queue))
+		return Result{}, nil, fmt.Errorf("cloudsim: %d jobs still queued at end of simulation (strategy starved them)", len(s.queue))
 	}
 
 	span := s.lastFinish - s.firstSubmit
 	for _, sv := range s.srv {
 		if len(sv.vms) != 0 {
-			return Result{}, fmt.Errorf("cloudsim: server %d still hosts %d VMs at end", sv.id, len(sv.vms))
+			return Result{}, nil, fmt.Errorf("cloudsim: server %d still hosts %d VMs at end", sv.id, len(sv.vms))
 		}
 		idle := float64(span) - sv.hostedSeconds
 		if idle > 0 {
@@ -235,7 +311,7 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, error) {
 		s.metrics.AvgWait = units.Seconds(s.waitSum / float64(s.metrics.TotalVMs))
 	}
 	s.metrics.Makespan = s.lastFinish - s.firstSubmit
-	return Result{Metrics: s.metrics, VMs: s.records}, nil
+	return Result{Metrics: s.metrics}, s.records, nil
 }
 
 func (s *refSim) info(k model.Key) (allocInfo, error) {
@@ -346,18 +422,16 @@ func (s *refSim) retire(sv *refServer, vm *refVM) {
 	if violated {
 		s.metrics.Violations++
 	}
-	if s.cfg.RecordVMs {
-		s.records = append(s.records, VMRecord{
-			JobID:      vm.jobID,
-			Class:      vm.class,
-			Server:     sv.id,
-			Submit:     vm.submit,
-			Placed:     vm.placed,
-			Completion: s.now,
-			Deadline:   vm.deadline,
-			Violated:   violated,
-		})
-	}
+	s.records = append(s.records, VMRecord{
+		JobID:      vm.jobID,
+		Class:      vm.class,
+		Server:     sv.id,
+		Submit:     vm.submit,
+		Placed:     vm.placed,
+		Completion: s.now,
+		Deadline:   vm.deadline,
+		Violated:   violated,
+	})
 }
 
 func (s *refSim) consolidate() error {
@@ -426,7 +500,7 @@ func (s *refSim) consolidate() error {
 		if len(to.vms) == 0 && to.activeFrom < 0 {
 			to.activeFrom = s.now
 		}
-		vm.remaining += float64(s.cfg.MigrationCost)
+		vm.remaining += float64(plan.MigrationCost)
 		to.vms = append(to.vms, vm)
 		to.alloc = to.alloc.Add(model.KeyFor(vm.class, 1))
 		touched[mv.From] = true

@@ -76,21 +76,15 @@ func TestSamplerDoesNotPerturb(t *testing.T) {
 	mk := func(fs *FleetSampler) Config {
 		return Config{
 			DB: db, Servers: 10, Strategy: ff(t, 2),
-			Faults: sched, RecordVMs: true, Sampler: fs,
+			Faults: sched, Sampler: fs,
 		}
 	}
-	plain, err := Run(mk(nil), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampled, err := Run(mk(NewFleetSampler(64)), reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainVMs := runRecords(t, Run, mk(nil), reqs)
+	sampled, sampledVMs := runRecords(t, Run, mk(NewFleetSampler(64)), reqs)
 	if plain.Metrics != sampled.Metrics {
 		t.Errorf("sampler perturbed Metrics:\nplain   %+v\nsampled %+v", plain.Metrics, sampled.Metrics)
 	}
-	if !reflect.DeepEqual(plain.VMs, sampled.VMs) {
+	if !reflect.DeepEqual(plainVMs, sampledVMs) {
 		t.Error("sampler perturbed the VMRecord stream")
 	}
 }

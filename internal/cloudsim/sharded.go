@@ -29,7 +29,7 @@ package cloudsim
 // shard count, and Shards=1 replays the monolithic Run exactly (the
 // routed order assigns the same relative arrival sequences the
 // monolithic loop does; the golden equivalence tests pin byte-identical
-// Metrics and VMRecords).
+// Metrics and audit spans).
 //
 // What sharding relaxes, documented rather than hidden: with S > 1 the
 // single global FCFS queue becomes S per-shard FCFS queues (a job
@@ -98,36 +98,26 @@ type shardState struct {
 	wd      *obs.Watchdog
 }
 
-// fitsNow reports whether the shard's capacity summary proves n VM
-// slots are open right now. Only a provable fit may promote a shard in
-// capacity-aware routing or accept a stolen job; an absent or inexact
-// summary reports false and the caller falls back to the load
-// heuristic. Pure — safe to call from the coordinator at a barrier.
-func (st *shardState) fitsNow(n int) bool {
+// canFit is the shard's capacity-summary answer for n VM slots right
+// now: whether they fit, and whether that answer is exact. Only an
+// exact answer counts: a proven fit promotes a shard in capacity-aware
+// routing or lets it accept a stolen job, and a proven misfit of the
+// queue head is what lets a barrier handoff break the shard's FCFS
+// order. Without a hinting strategy nothing is proven (false, false),
+// and the callers fall back to the load heuristic or leave the queue
+// alone. Pure — safe to call from the coordinator at a barrier.
+func (st *shardState) canFit(n int) (fits, exact bool) {
 	s := st.sim
 	if s.hinter == nil {
-		return false
+		return false, false
 	}
-	fits, exact := s.hinter.CanFit(s.fleet, n)
-	return fits && exact
-}
-
-// stuckHead reports whether the shard's queue head provably cannot be
-// hosted on the shard right now — the justification required before a
-// barrier handoff violates the shard's FCFS order.
-func (st *shardState) stuckHead(n int) bool {
-	s := st.sim
-	if s.hinter == nil {
-		return false
-	}
-	fits, exact := s.hinter.CanFit(s.fleet, n)
-	return !fits && exact
+	return s.hinter.CanFit(s.fleet, n)
 }
 
 // RunSharded simulates the request stream across sc.Shards fleet
 // partitions advancing in parallel. With sc.Shards == 1 the caller's
 // telemetry handles are passed straight through and the run — Metrics,
-// VMRecords, obs counters, audit spans, sampler series, trace events,
+// obs counters, audit spans, sampler series, trace events,
 // decision log — is identical to Run's. With more shards the run is
 // deterministic for fixed inputs and shard count, and per-shard
 // telemetry is merged into the caller's handles at the end: each shard
@@ -314,7 +304,7 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 			n := reqs[order[nextReq]].VMs
 			best, bestLoad := -1, math.Inf(1)
 			for k, st := range shards {
-				if !st.fitsNow(n + pend[k]) {
+				if fits, exact := st.canFit(n + pend[k]); !fits || !exact {
 					continue
 				}
 				if load := st.sim.loadLeft / float64(st.servers); load < bestLoad {
@@ -334,7 +324,7 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 				coordRec.recordRoute(float64(r.Submit), order[nextReq], r.ID, n, best, windowN)
 				routes.Inc()
 			}
-			shards[best].sim.scheduleArrival(order[nextReq], arrSeq)
+			shards[best].sim.admit(order[nextReq], arrSeq, reqs[order[nextReq]].Submit)
 			arrSeq++
 			nextReq++
 			routed++
@@ -416,25 +406,6 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 		m.NominalWork += reqs[i].NominalTime * units.Seconds(reqs[i].VMs)
 	}
 
-	var recs []VMRecord
-	if cfg.RecordVMs {
-		n := 0
-		for _, st := range shards {
-			n += len(st.res.VMs)
-		}
-		recs = make([]VMRecord, 0, n)
-		for _, st := range shards {
-			for _, r := range st.res.VMs {
-				r.Server += st.base
-				recs = append(recs, r)
-			}
-		}
-		// Completion order, ties resolved by shard then shard-local
-		// retirement order — deterministic, and the identity permutation
-		// for one shard (a single shard retires in time order already).
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Completion < recs[j].Completion })
-	}
-
 	if S > 1 {
 		if cfg.Obs != nil {
 			for _, st := range shards {
@@ -489,7 +460,7 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 			mergeShardTraces(cfg.Tracer, coordTr, trs, bases, cfg.Servers, len(reqs), reqBase)
 		}
 	}
-	return Result{Metrics: m, VMs: recs}, nil
+	return Result{Metrics: m}, nil
 }
 
 // stealHandoff is the barrier admission handoff behind ShardConfig.
@@ -513,12 +484,15 @@ func stealHandoff(shards []*shardState, nOrig int, arrSeq uint64, at units.Secon
 				break // synthetic fault requeue: shard-local by contract
 			}
 			n := ds.reqs[idx].VMs
-			if !donor.stuckHead(n) {
+			if fits, exact := donor.canFit(n); fits || !exact {
 				break // might fit here — leave FCFS alone
 			}
 			best, bestLoad := -1, math.Inf(1)
 			for j, st := range shards {
-				if j == k || !st.fitsNow(n+pend[j]) {
+				if j == k {
+					continue
+				}
+				if fits, exact := st.canFit(n + pend[j]); !fits || !exact {
 					continue
 				}
 				if load := st.sim.loadLeft / float64(st.servers); load < bestLoad {
@@ -538,7 +512,7 @@ func stealHandoff(shards []*shardState, nOrig int, arrSeq uint64, at units.Secon
 				coordTr.Instant("steal", "coord", tracePidCoord, 1,
 					float64(at), traceStealArgs{From: k, Job: ds.reqs[idx].ID, To: best})
 			}
-			shards[best].sim.admitStolen(idx, arrSeq, at)
+			shards[best].sim.admit(idx, arrSeq, at)
 			arrSeq++
 			pend[best] += n
 		}

@@ -16,34 +16,15 @@ import (
 )
 
 // shardedCompare requires RunSharded under sc to reproduce Run exactly:
-// same Metrics, same VMRecord stream.
+// same Metrics, same per-VM records read from the audit.
 func shardedCompare(t *testing.T, mkCfg func() Config, reqs []trace.Request, sc ShardConfig) {
 	t.Helper()
-	monoCfg := mkCfg()
-	monoCfg.RecordVMs = true
-	want, err := Run(monoCfg, reqs)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	shCfg := mkCfg()
-	shCfg.RecordVMs = true
-	got, err := RunSharded(shCfg, reqs, sc)
-	if err != nil {
-		t.Fatalf("RunSharded: %v", err)
-	}
+	want, wantVMs := runRecords(t, Run, mkCfg(), reqs)
+	got, gotVMs := runRecords(t, sharded(sc), mkCfg(), reqs)
 	if want.Metrics != got.Metrics {
 		t.Errorf("Metrics diverge:\nmonolithic %+v\nsharded    %+v", want.Metrics, got.Metrics)
 	}
-	if !reflect.DeepEqual(want.VMs, got.VMs) {
-		if len(want.VMs) != len(got.VMs) {
-			t.Fatalf("VMRecord count diverges: monolithic %d, sharded %d", len(want.VMs), len(got.VMs))
-		}
-		for i := range want.VMs {
-			if want.VMs[i] != got.VMs[i] {
-				t.Fatalf("VMRecord %d diverges:\nmonolithic %+v\nsharded    %+v", i, want.VMs[i], got.VMs[i])
-			}
-		}
-	}
+	compareRecords(t, "monolithic", wantVMs, "sharded", gotVMs)
 }
 
 // TestShardedOneShardByteIdentical pins the core equivalence claim: one
@@ -70,7 +51,7 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 		}, big, 1},
 		{"BF-2/consolidate", func() Config {
 			return Config{DB: db, Servers: 10, Strategy: &strategy.BestFit{Multiplex: 2},
-				Consolidator: &migrate.Planner{DB: db, MigrationCost: 10}, MigrationCost: 10}
+				Consolidator: &migrate.Planner{DB: db, MigrationCost: 10}}
 		}, mid, 0},
 		{"PA-energy", func() Config {
 			return Config{DB: db, Servers: 8, Strategy: pa(t, core.GoalEnergy), BackfillDepth: 2}
@@ -148,15 +129,14 @@ func shardedStressConfig(t *testing.T) (Config, []trace.Request) {
 	db := sharedDB(t)
 	cfg := Config{
 		DB: db, Servers: 16, Strategy: ff(t, 2), BackfillDepth: 3,
-		Consolidator: &migrate.Planner{DB: db, MigrationCost: 10}, MigrationCost: 10,
-		Faults:    faultSchedule(t, 77, 16, 60000),
-		RecordVMs: true,
+		Consolidator: &migrate.Planner{DB: db, MigrationCost: 10},
+		Faults:       faultSchedule(t, 77, 16, 60000),
 	}
 	return cfg, goldenWorkload(t, 21, 400)
 }
 
 // TestShardedDeterminism: at every shard count the parallel run must be
-// bit-for-bit reproducible — identical Metrics and VMRecord streams
+// bit-for-bit reproducible — identical Metrics and per-VM records
 // across repeated executions, with the fault and consolidation paths
 // active so cross-shard-adjacent machinery (re-queues, migrations,
 // kills) is all exercised.
@@ -167,13 +147,11 @@ func TestShardedDeterminism(t *testing.T) {
 		t.Run(string(rune('0'+shards))+"-shards", func(t *testing.T) {
 			t.Parallel()
 			var first Result
+			var firstVMs []VMRecord
 			for run := 0; run < 3; run++ {
-				res, err := RunSharded(cfg, reqs, ShardConfig{Shards: shards})
-				if err != nil {
-					t.Fatal(err)
-				}
+				res, vms := runRecords(t, sharded(ShardConfig{Shards: shards}), cfg, reqs)
 				if run == 0 {
-					first = res
+					first, firstVMs = res, vms
 					if res.VMsKilled == 0 || res.Requeues == 0 {
 						t.Fatalf("stress config injected no kills (%+v); determinism undertested", res.Metrics)
 					}
@@ -185,7 +163,7 @@ func TestShardedDeterminism(t *testing.T) {
 				if res.Metrics != first.Metrics {
 					t.Fatalf("run %d Metrics diverge:\nfirst %+v\nthis  %+v", run, first.Metrics, res.Metrics)
 				}
-				if !reflect.DeepEqual(res.VMs, first.VMs) {
+				if !reflect.DeepEqual(vms, firstVMs) {
 					t.Fatalf("run %d VMRecords diverge", run)
 				}
 			}
@@ -206,29 +184,26 @@ func relErr(a, b float64) float64 {
 // telemetry must reconcile with the folded Metrics — audit span counts
 // and work-lost sums, sampler energy integrals (to 1e-9 relative; the
 // fold only reorders float additions), registry counters and quantile
-// counts — and the merged VMRecords must live in the global server
-// space.
+// counts — and the merged audit's per-VM records must live in the
+// global server space, in completion order.
 func TestShardedMergeReconciliation(t *testing.T) {
 	cfg, reqs := shardedStressConfig(t)
 	cfg.Obs = obs.NewRegistry()
 	cfg.Audit = NewVMAudit()
 	cfg.Sampler = NewFleetSampler(2048)
-	res, err := RunSharded(cfg, reqs, ShardConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, vms := runRecords(t, sharded(ShardConfig{Shards: 4}), cfg, reqs)
 	if res.VMsKilled == 0 || res.Migrations == 0 {
 		t.Fatalf("stress run exercised too little: %+v", res.Metrics)
 	}
 
-	if len(res.VMs) != res.TotalVMs {
-		t.Errorf("%d VMRecords for %d finished VMs", len(res.VMs), res.TotalVMs)
+	if len(vms) != res.TotalVMs {
+		t.Errorf("%d VMRecords for %d finished VMs", len(vms), res.TotalVMs)
 	}
-	for i, r := range res.VMs {
+	for i, r := range vms {
 		if r.Server < 0 || r.Server >= cfg.Servers {
 			t.Fatalf("record %d server %d outside the global fleet", i, r.Server)
 		}
-		if i > 0 && r.Completion < res.VMs[i-1].Completion {
+		if i > 0 && r.Completion < vms[i-1].Completion {
 			t.Fatalf("record %d out of completion order", i)
 		}
 	}
@@ -304,13 +279,10 @@ func TestShardedMergeReconciliation(t *testing.T) {
 func TestShardedLoadSpread(t *testing.T) {
 	cfg, reqs := shardedStressConfig(t)
 	const shards = 4
-	res, err := RunSharded(cfg, reqs, ShardConfig{Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, vms := runRecords(t, sharded(ShardConfig{Shards: shards}), cfg, reqs)
 	per := cfg.Servers / shards
 	seen := make([]int, shards)
-	for _, r := range res.VMs {
+	for _, r := range vms {
 		seen[r.Server/per]++
 	}
 	for k, n := range seen {
@@ -374,13 +346,10 @@ func TestShardedRouterCapacityAware(t *testing.T) {
 		plainReq(2, 0.5, 1, 100000), // only shard 1 has slots; huge load
 		plainReq(3, 1, 1, 10),       // the probe
 	}
-	cfg := Config{DB: db, Servers: 2, Strategy: ff(t, 1), RecordVMs: true}
-	res, err := RunSharded(cfg, reqs, ShardConfig{Shards: 2, Window: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{DB: db, Servers: 2, Strategy: ff(t, 1)}
+	_, vms := runRecords(t, sharded(ShardConfig{Shards: 2, Window: 10}), cfg, reqs)
 	found := false
-	for _, r := range res.VMs {
+	for _, r := range vms {
 		if r.JobID != 3 {
 			continue
 		}
@@ -413,17 +382,13 @@ func TestShardedSteal(t *testing.T) {
 	// routes the job there (shard 0 carries all the outstanding work),
 	// where it is stuck until the distant recovery — unless stolen.
 	sch := faults.Schedule{{Server: 1, Down: 100, Up: 20000}}
-	run := func(steal bool) (Result, int64) {
-		cfg := Config{DB: db, Servers: 2, Strategy: ff(t, 1), RecordVMs: true,
-			Obs: obs.NewRegistry(), Faults: sch}
-		res, err := RunSharded(cfg, reqs, ShardConfig{Shards: 2, Steal: steal})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, cfg.Obs.Snapshot().Counters["sim_admission_steals_total"]
+	run := func(steal bool) (Result, []VMRecord, int64) {
+		cfg := Config{DB: db, Servers: 2, Strategy: ff(t, 1), Obs: obs.NewRegistry(), Faults: sch}
+		res, vms := runRecords(t, sharded(ShardConfig{Shards: 2, Steal: steal}), cfg, reqs)
+		return res, vms, cfg.Obs.Snapshot().Counters["sim_admission_steals_total"]
 	}
-	kept, keptSteals := run(false)
-	stolen, stolenSteals := run(true)
+	kept, _, keptSteals := run(false)
+	stolen, stolenVMs, stolenSteals := run(true)
 
 	if keptSteals != 0 {
 		t.Errorf("steal-off run counted %d steals", keptSteals)
@@ -440,7 +405,7 @@ func TestShardedSteal(t *testing.T) {
 	if stolen.Metrics.TotalJobs != kept.Metrics.TotalJobs || stolen.Metrics.TotalVMs != kept.Metrics.TotalVMs {
 		t.Errorf("stealing changed workload totals: %+v vs %+v", stolen.Metrics, kept.Metrics)
 	}
-	for _, r := range stolen.VMs {
+	for _, r := range stolenVMs {
 		if r.JobID == 2 && r.Server != 0 {
 			t.Errorf("stolen job hosted on server %d, want shard 0's server 0", r.Server)
 		}
@@ -449,11 +414,11 @@ func TestShardedSteal(t *testing.T) {
 		}
 	}
 
-	again, _ := run(true)
+	again, againVMs, _ := run(true)
 	if stolen.Metrics != again.Metrics {
 		t.Errorf("steal run not deterministic:\nfirst %+v\nagain %+v", stolen.Metrics, again.Metrics)
 	}
-	if !reflect.DeepEqual(stolen.VMs, again.VMs) {
+	if !reflect.DeepEqual(stolenVMs, againVMs) {
 		t.Error("steal run VM records not deterministic")
 	}
 }

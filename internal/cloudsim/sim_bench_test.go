@@ -77,7 +77,7 @@ func BenchmarkSimLargeBackfill(b *testing.B) {
 // BenchmarkSimLargeReference is the pre-rewrite baseline on the
 // BenchmarkSimLarge workload.
 func BenchmarkSimLargeReference(b *testing.B) {
-	benchSim(b, 1000, 100_000, 1.5, RunReference)
+	benchSim(b, 1000, 100_000, 1.5, runReference)
 }
 
 // BenchmarkSimLargeObs is BenchmarkSimLarge with a live metrics registry

@@ -16,21 +16,15 @@ import (
 
 func TestWatchdogDoesNotPerturb(t *testing.T) {
 	cfg, reqs := shardedStressConfig(t)
-	plain, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, plainVMs := runRecords(t, Run, cfg, reqs)
 	cfg.Obs = obs.NewRegistry()
 	cfg.Sampler = NewFleetSampler(2048)
 	cfg.Watchdog = obs.NewWatchdog(64) // sweep aggressively
-	watched, err := Run(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	watched, watchedVMs := runRecords(t, Run, cfg, reqs)
 	if plain.Metrics != watched.Metrics {
 		t.Errorf("watchdog perturbed Metrics:\noff %+v\non  %+v", plain.Metrics, watched.Metrics)
 	}
-	if !reflect.DeepEqual(plain.VMs, watched.VMs) {
+	if !reflect.DeepEqual(plainVMs, watchedVMs) {
 		t.Error("watchdog perturbed VMRecords")
 	}
 	if v := cfg.Watchdog.Violations(); len(v) != 0 {

@@ -259,10 +259,9 @@ func (c *Context) runEvaluation() ([]EvalResult, error) {
 // evalCell is one strategy variant to evaluate, optionally with a
 // consolidator attached.
 type evalCell struct {
-	name          string
-	strategy      strategy.Strategy
-	consolidator  cloudsim.Consolidator
-	migrationCost units.Seconds
+	name         string
+	strategy     strategy.Strategy
+	consolidator cloudsim.Consolidator
 }
 
 // runCells simulates every cell × cloud combination of the evaluation
@@ -310,7 +309,6 @@ func (c *Context) runCells(cells []evalCell) ([]EvalResult, error) {
 					IdleServerPower: c.Cfg.IdleServerPower,
 					BackfillDepth:   c.Cfg.BackfillDepth,
 					Consolidator:    cell.consolidator,
-					MigrationCost:   cell.migrationCost,
 					Faults:          sch,
 					Checkpoint:      c.Cfg.Checkpoint,
 				}, reqs)
@@ -359,12 +357,7 @@ func (c *Context) Extended() ([]EvalResult, error) {
 			return
 		}
 		cells := []evalCell{
-			{
-				name:          "FF+MIG",
-				strategy:      ff,
-				consolidator:  &migrate.Planner{DB: c.DB, MigrationCost: 30},
-				migrationCost: 30,
-			},
+			{name: "FF+MIG", strategy: ff, consolidator: &migrate.Planner{DB: c.DB, MigrationCost: 30}},
 			{name: "BF-2", strategy: bf},
 		}
 		c.extRes, c.extErr = c.runCells(cells)

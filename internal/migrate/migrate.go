@@ -52,6 +52,9 @@ type Plan struct {
 	PowerBefore, PowerAfter units.Watts
 	// ServersDrained counts servers the plan empties.
 	ServersDrained int
+	// MigrationCost is what each moved VM pays as additional nominal
+	// work when the plan is applied (Planner.MigrationCost).
+	MigrationCost units.Seconds
 }
 
 // Gain is the aggregate power reduction.
@@ -143,8 +146,7 @@ func (pl *Planner) Propose(allocs []model.Key, vms []VM) (Plan, error) {
 		return Plan{}, err
 	}
 
-	var plan Plan
-	plan.PowerBefore = before
+	plan := Plan{PowerBefore: before, MigrationCost: pl.MigrationCost}
 
 	// Donor order: fewest resident VMs first (cheapest to drain).
 	active := make([]int, 0, len(cur))

@@ -118,6 +118,9 @@ func TestDrainsFragmentedCloud(t *testing.T) {
 	if len(plan.Moves) == 0 {
 		t.Error("no moves in a draining plan")
 	}
+	if plan.MigrationCost != p.MigrationCost {
+		t.Errorf("plan charges %v per move, planner's cost is %v", plan.MigrationCost, p.MigrationCost)
+	}
 }
 
 func TestRespectsPerClassBound(t *testing.T) {

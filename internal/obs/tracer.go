@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"strconv"
 	"sync"
-	"unicode/utf8"
 )
 
 // Tracer records a run timeline in the Chrome trace-event JSON format
@@ -125,90 +123,18 @@ type SeriesSample struct {
 	Value  float64
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. A non-finite value encodes as
+// null (encoding/json errors instead, but a counter sample must never
+// abort a trace flush).
 func (s SeriesSample) MarshalJSON() ([]byte, error) {
 	b := make([]byte, 0, len(s.Series)+27)
-	b = appendJSONString(append(b, '{'), s.Series)
-	b = appendJSONFloat(append(b, ':'), s.Value)
+	b = append(AppendJSONString(append(b, '{'), s.Series), ':')
+	if math.IsInf(s.Value, 0) || math.IsNaN(s.Value) {
+		b = append(b, "null"...)
+	} else {
+		b = AppendJSONFloat(b, s.Value)
+	}
 	return append(b, '}'), nil
-}
-
-// appendJSONFloat renders a float64 exactly as encoding/json does:
-// shortest round-trip form, fixed notation inside [1e-6, 1e21), and the
-// exponent's leading zero trimmed outside it. Non-finite values are
-// invalid in JSON; encode them as null (encoding/json errors instead,
-// but a counter sample must never abort a trace flush).
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return append(b, "null"...)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// jsonHex is the lowercase alphabet \u00xx escapes use.
-const jsonHex = "0123456789abcdef"
-
-// appendJSONString renders a quoted string exactly as encoding/json
-// does with HTML escaping on (the json.Encoder default WriteTo uses):
-// printable ASCII passes through except ", \, <, > and &; control
-// bytes, invalid UTF-8 and the LINE/PARAGRAPH SEPARATOR runes escape.
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', jsonHex[c>>4], jsonHex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', jsonHex[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }
 
 // FlowStart/FlowFinish draw an arrow (id-matched, same name and cat)

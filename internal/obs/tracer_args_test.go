@@ -11,7 +11,8 @@ import (
 // encoding/json's rendering of the equivalent one-entry map across the
 // float formatting regimes (fixed vs exponent notation, the 1e-6/1e21
 // switchover, negative zero, subnormals) and the string escaping rules
-// (HTML escaping, control bytes, invalid UTF-8, U+2028/U+2029).
+// (HTML escaping, control bytes and the \b and \f short escapes,
+// invalid UTF-8, U+2028/U+2029).
 func TestTypedArgsMatchMapEncoding(t *testing.T) {
 	values := []float64{
 		0, math.Copysign(0, -1), 30, -17.25,
@@ -20,7 +21,7 @@ func TestTypedArgsMatchMapEncoding(t *testing.T) {
 	}
 	series := []string{
 		"depth", "a<b>&c", `q"uote\`, "ctl\x01\x1f", "tab\tnl\nret\r",
-		"ls\u2028ps\u2029", "bad\xffutf8", "é✓",
+		"ls\u2028ps\u2029", "bad\xffutf8", "é✓", "a\bb", "a\fb",
 	}
 	for _, s := range series {
 		for _, v := range values {

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"unicode/utf8"
 
+	"pacevm/internal/obs"
 	"pacevm/internal/workload"
 )
 
@@ -25,10 +25,10 @@ func appendJrec(b []byte, r *jrec) ([]byte, error) {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(r.Seq), 10)
 	b = append(b, `,"kind":`...)
-	b = appendString(b, r.Kind)
+	b = obs.AppendJSONString(b, r.Kind)
 	if r.Key != "" {
 		b = append(b, `,"key":`...)
-		b = appendString(b, r.Key)
+		b = obs.AppendJSONString(b, r.Key)
 	}
 	if pl := r.placement; pl != nil {
 		var err error
@@ -48,7 +48,7 @@ func appendJrec(b []byte, r *jrec) ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, `{"key":`...)
-			b = appendString(b, e.Key)
+			b = obs.AppendJSONString(b, e.Key)
 			b = append(b, `,"slot":`...)
 			b = strconv.AppendInt(b, int64(e.Slot), 10)
 			b = append(b, `,"vm_id":`...)
@@ -86,7 +86,7 @@ func appendSnapPayload(b []byte, p *snapPayload) ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, `{"key":`...)
-			b = appendString(b, pl.Key)
+			b = obs.AppendJSONString(b, pl.Key)
 			var err error
 			if b, err = appendPlacementBody(b, pl, true); err != nil {
 				return b, err
@@ -117,7 +117,7 @@ func appendSnapPayload(b []byte, p *snapPayload) ([]byte, error) {
 func appendPlacementBody(b []byte, pl *placement, withShard bool) ([]byte, error) {
 	b = appendOmitInt(b, `,"job":`, pl.Job)
 	b = append(b, `,"class":`...)
-	b = appendString(b, workload.Class(pl.Class).String())
+	b = obs.AppendJSONString(b, workload.Class(pl.Class).String())
 	var err error
 	if b, err = appendOmitFloat(b, `,"nominal_s":`, pl.NominalS); err != nil {
 		return b, err
@@ -140,10 +140,10 @@ func appendPlacementBody(b []byte, pl *placement, withShard bool) ([]byte, error
 
 func appendQueued(b []byte, q *queued) ([]byte, error) {
 	b = append(b, `{"key":`...)
-	b = appendString(b, q.Key)
+	b = obs.AppendJSONString(b, q.Key)
 	b = appendOmitInt(b, `,"job":`, q.Job)
 	b = append(b, `,"class":`...)
-	b = appendString(b, workload.Class(q.Class).String())
+	b = obs.AppendJSONString(b, workload.Class(q.Class).String())
 	b = append(b, `,"vms":`...)
 	b = strconv.AppendInt(b, int64(q.VMs), 10)
 	var err error
@@ -190,10 +190,9 @@ func appendOmitTrue(b []byte, field string, v bool) []byte {
 	return append(b, field...)
 }
 
-// appendOmitFloat writes a float64 field as encoding/json does: omitted
-// at ±0, shortest 'f' form, 'e' form below 1e-6 or from 1e21 on with a
-// two-digit negative exponent trimmed to one, and an error for NaN and
-// ±Inf, which JSON cannot spell.
+// appendOmitFloat writes a float64 field as encoding/json does
+// (obs.AppendJSONFloat): omitted at ±0, and an error for NaN and ±Inf,
+// which JSON cannot spell.
 func appendOmitFloat(b []byte, field string, f float64) ([]byte, error) {
 	if f == 0 {
 		return b, nil
@@ -201,74 +200,5 @@ func appendOmitFloat(b []byte, field string, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	b = append(b, field...)
-	format := byte('f')
-	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString quotes s as json.Marshal does: ", \ and control
-// characters escaped (\b \f \n \r \t by name), <, > and & as \u003c
-// \u003e \u0026, U+2028 and U+2029 escaped, and each byte of invalid
-// UTF-8 replaced by \ufffd.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			i++
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	return obs.AppendJSONFloat(append(b, field...), f), nil
 }
