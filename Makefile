@@ -160,10 +160,14 @@ bench-alloc:
 # dominate the suite) — and the -require floor fails the recording if a
 # huge entry ever lands on a single noisy sample again. SimPA is the
 # perfbench sim-pa workload in-process: PA-0.5 on 660 servers, where
-# partition search and the class query do the work. AllocateFleet is
-# the partition-search layer entry: one PA decision against a
-# 660-server fleet; FleetIndexClasses is the class query that feeds it,
-# with a few mutations between queries. TracePrepare is the set-up
+# partition search and the class query do the work; SimPADecisions
+# replays that run's recorded decision stream through the partition
+# search alone. AllocateFleet is the partition-search layer entry: one
+# PA decision against a 660-server fleet; FleetIndexClasses is the
+# class query that feeds it, with a few mutations between queries.
+# These four record -count 5, so their entries carry a spread
+# (min_ns_per_op, max_ns_per_op) pacevm-benchdiff can judge a change
+# against. TracePrepare is the set-up
 # layer: generating and preparing the 100k-VM trace a sim-pa run uses.
 # JournalAppend and JournalAppendFsync are the service's journal layer:
 # one place record encoded and written, without and with its fsync.
@@ -172,20 +176,22 @@ bench-alloc:
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
-		&& $(GO) test -run NONE -bench 'BenchmarkSimPA$$' -benchtime 2x -count 2 -benchmem ./internal/cloudsim \
+		&& $(GO) test -run NONE -bench 'BenchmarkSimPA(Decisions)?$$' -benchtime 2x -count 5 -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
-		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 2 -benchmem ./internal/core \
-		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 2 -benchmem ./internal/strategy \
+		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 5 -benchmem ./internal/core \
+		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 5 -benchmem ./internal/strategy \
 		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 2 -benchmem ./internal/trace \
 		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 2 -benchmem .; } \
-		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimPA=2' -require 'Serve=2' -require 'ServeObs=2' \
+		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimPA=2' -require 'SimPADecisions=2' -require 'Serve=2' -require 'ServeObs=2' \
 			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
 			-require 'JournalAppend=2' -require 'CampaignParallel=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark
 # document against the committed BENCH_sim.json baseline and reports
-# ns/op regressions beyond the bound. Advisory inside verify — the
+# ns/op regressions beyond the bound: an entry regresses only when its
+# new [min, max] ns/op range lies above the old one by more than
+# MAX_REGRESS percent (see pacevm-benchdiff). Advisory inside verify — the
 # committed baseline may come from different hardware, so it warns, it
 # does not gate; run `make bench-json && make bench-diff ADVISORY=` on
 # pinned hardware for a hard check. Skips quietly when NEW is absent.

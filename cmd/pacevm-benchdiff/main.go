@@ -5,13 +5,18 @@
 //
 // Entries are matched by (name, gomaxprocs, shards) — the same key
 // pacevm-benchjson folds samples under, so a result measured at 8
-// shards is never compared against its monolithic sibling. The delta is
-// on ns/op: a positive delta is a slowdown, and any entry slower by
-// more than -max-regress percent fails the run (listing every offender,
-// not just the first). With -advisory the offenders are still printed
-// but the exit status stays zero — the mode `make bench-diff` uses
-// inside verify, where the committed baseline may have been recorded on
-// different hardware.
+// shards is never compared against its monolithic sibling. Each entry
+// carries the [min, max] range of its samples' ns/op (an entry recorded
+// without one, or from a single sample, reads min = max = its mean).
+// The printed delta is on the mean ns/op, but a change counts only when
+// the two ranges are apart by more than -max-regress percent: an entry
+// whose new minimum lies that far above its old maximum is a
+// regression and fails the run (listing every offender, not just the
+// first), and one whose new maximum lies that far below its old
+// minimum is reported faster. With -advisory the offenders are still
+// printed but the exit status stays zero — the mode `make bench-diff`
+// uses inside verify, where the committed baseline may have been
+// recorded on different hardware.
 package main
 
 import (
@@ -42,6 +47,17 @@ type bench struct {
 	Shards     int     `json:"shards,omitempty"`
 	Samples    int     `json:"samples"`
 	NsPerOp    float64 `json:"ns_per_op"`
+	MinNsPerOp float64 `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp float64 `json:"max_ns_per_op,omitempty"`
+}
+
+// span is the entry's ns/op range: min = max = the mean for an entry
+// recorded without one.
+func (b bench) span() (lo, hi float64) {
+	if b.MinNsPerOp <= 0 || b.MaxNsPerOp < b.MinNsPerOp {
+		return b.NsPerOp, b.NsPerOp
+	}
+	return b.MinNsPerOp, b.MaxNsPerOp
 }
 
 type key struct {
@@ -126,11 +142,19 @@ func run(oldPath, newPath string, maxRegress float64, advisory bool, w io.Writer
 			continue
 		}
 		delta := (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp * 100
-		fmt.Fprintf(w, "%-50s %14.0f -> %14.0f ns/op  %+6.1f%%\n", k, ob.NsPerOp, nb.NsPerOp, delta)
-		if delta > maxRegress {
+		oLo, oHi := ob.span()
+		nLo, nHi := nb.span()
+		verdict := "within spread"
+		switch {
+		case (nLo-oHi)/oHi*100 > maxRegress:
+			verdict = "SLOWER"
 			regressions = append(regressions,
-				fmt.Sprintf("%s slowed %.1f%% (%.0f -> %.0f ns/op, limit %g%%)", k, delta, ob.NsPerOp, nb.NsPerOp, maxRegress))
+				fmt.Sprintf("%s slowed %.1f%% (%.0f -> %.0f ns/op; new range [%.0f, %.0f] above old [%.0f, %.0f] by %.1f%%, limit %g%%)",
+					k, delta, ob.NsPerOp, nb.NsPerOp, nLo, nHi, oLo, oHi, (nLo-oHi)/oHi*100, maxRegress))
+		case (oLo-nHi)/oLo*100 > maxRegress:
+			verdict = "faster"
 		}
+		fmt.Fprintf(w, "%-50s %14.0f -> %14.0f ns/op  %+6.1f%%  %s\n", k, ob.NsPerOp, nb.NsPerOp, delta, verdict)
 	}
 	for k := range newIx {
 		if _, ok := oldIx[k]; !ok {

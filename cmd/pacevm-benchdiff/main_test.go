@@ -108,3 +108,41 @@ func TestDiffErrors(t *testing.T) {
 		t.Errorf("empty document error = %v", err)
 	}
 }
+
+// TestDiffSpread: a change counts only when the old and new ns/op
+// ranges lie apart by more than the bound; an entry recorded without a
+// range reads min = max = its mean.
+func TestDiffSpread(t *testing.T) {
+	cases := []struct {
+		name     string
+		old, new bench
+		verdict  string
+		fails    bool
+	}{
+		{"overlapping ranges, mean +30%", bench{NsPerOp: 1e9, MinNsPerOp: 0.8e9, MaxNsPerOp: 1.4e9},
+			bench{NsPerOp: 1.3e9, MinNsPerOp: 1.2e9, MaxNsPerOp: 1.5e9}, "within spread", false},
+		{"ranges apart by under the bound", bench{NsPerOp: 1e9, MinNsPerOp: 0.9e9, MaxNsPerOp: 1.1e9},
+			bench{NsPerOp: 1.25e9, MinNsPerOp: 1.15e9, MaxNsPerOp: 1.3e9}, "within spread", false},
+		{"new minimum far above old maximum", bench{NsPerOp: 1e9, MinNsPerOp: 0.9e9, MaxNsPerOp: 1.1e9},
+			bench{NsPerOp: 1.5e9, MinNsPerOp: 1.4e9, MaxNsPerOp: 1.6e9}, "SLOWER", true},
+		{"old entry without a range", bench{NsPerOp: 1e9},
+			bench{NsPerOp: 1.2e9, MinNsPerOp: 1.15e9, MaxNsPerOp: 1.3e9}, "SLOWER", true},
+		{"old entry without a range, new range covers it", bench{NsPerOp: 1e9},
+			bench{NsPerOp: 1.2e9, MinNsPerOp: 0.95e9, MaxNsPerOp: 1.4e9}, "within spread", false},
+		{"new maximum far below old minimum", bench{NsPerOp: 1e9, MinNsPerOp: 0.9e9, MaxNsPerOp: 1.1e9},
+			bench{NsPerOp: 0.6e9, MinNsPerOp: 0.5e9, MaxNsPerOp: 0.7e9}, "faster", false},
+	}
+	for _, c := range cases {
+		c.old.Name, c.new.Name = "BenchmarkSimPA", "BenchmarkSimPA"
+		oldPath := writeDoc(t, "old.json", doc{Benchmarks: []bench{c.old}})
+		newPath := writeDoc(t, "new.json", doc{Benchmarks: []bench{c.new}})
+		var out strings.Builder
+		err := run(oldPath, newPath, 10, false, &out)
+		if (err != nil) != c.fails {
+			t.Errorf("%s: err = %v, want failure %v\n%s", c.name, err, c.fails, out.String())
+		}
+		if !strings.Contains(out.String(), "%  "+c.verdict+"\n") {
+			t.Errorf("%s: verdict %q missing:\n%s", c.name, c.verdict, out.String())
+		}
+	}
+}

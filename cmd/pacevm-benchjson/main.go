@@ -10,7 +10,8 @@
 // Repeated result lines for one benchmark (go test -count=N, or the
 // same benchmark fed from several invocations) fold into a single
 // entry: iteration counts sum, per-op values average weighted by
-// iterations, and the samples field records how many lines went in —
+// iterations, min_ns_per_op and max_ns_per_op keep the spread of the
+// lines' ns/op, and the samples field records how many lines went in —
 // the per-benchmark count override that lets a heavyweight benchmark
 // run -benchtime 1x -count 2 and still land as one well-sampled entry.
 // A -require flag (repeatable, "regexp=minSamples") turns the sampling
@@ -46,6 +47,8 @@ type Benchmark struct {
 	Runs        int64              `json:"runs"`
 	Samples     int                `json:"samples"`
 	NsPerOp     float64            `json:"ns_per_op"`
+	MinNsPerOp  float64            `json:"min_ns_per_op"`
+	MaxNsPerOp  float64            `json:"max_ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
@@ -136,7 +139,7 @@ func parseLine(line string) (Benchmark, error) {
 		}
 		switch unit := f[i+1]; unit {
 		case "ns/op":
-			b.NsPerOp = val
+			b.NsPerOp, b.MinNsPerOp, b.MaxNsPerOp = val, val, val
 		case "B/op":
 			b.BytesPerOp = val
 		case "allocs/op":
@@ -160,8 +163,9 @@ func parseLine(line string) (Benchmark, error) {
 
 // merge folds repeated result lines for the same benchmark — same
 // name, GOMAXPROCS and shard count — into one entry: iterations sum,
-// per-op values become iteration-weighted averages, and samples counts
-// the folded lines. First-seen order is preserved.
+// per-op values become iteration-weighted averages, the ns/op range
+// spans every folded line's, and samples counts the folded lines.
+// First-seen order is preserved.
 func merge(in []Benchmark) []Benchmark {
 	type key struct {
 		name          string
@@ -182,6 +186,8 @@ func merge(in []Benchmark) []Benchmark {
 		wsum := wa + wb
 		avg := func(x, y float64) float64 { return (x*wa + y*wb) / wsum }
 		a.NsPerOp = avg(a.NsPerOp, b.NsPerOp)
+		a.MinNsPerOp = min(a.MinNsPerOp, b.MinNsPerOp)
+		a.MaxNsPerOp = max(a.MaxNsPerOp, b.MaxNsPerOp)
 		a.BytesPerOp = avg(a.BytesPerOp, b.BytesPerOp)
 		a.AllocsPerOp = avg(a.AllocsPerOp, b.AllocsPerOp)
 		for unit, v := range b.Metrics {

@@ -164,14 +164,50 @@ BenchmarkSimLarge 	       5	 200 ns/op
 	if h.NsPerOp != 200 {
 		t.Errorf("weighted ns/op = %v, want 200", h.NsPerOp)
 	}
+	if h.MinNsPerOp != 100 || h.MaxNsPerOp != 300 {
+		t.Errorf("folded ns/op range [%v, %v], want [100, 300]", h.MinNsPerOp, h.MaxNsPerOp)
+	}
 	if h.Metrics["req/s"] != 2000 {
 		t.Errorf("weighted req/s = %v, want 2000", h.Metrics["req/s"])
 	}
 	if merged[1].Name != "BenchmarkSimHuge" || merged[1].Gomaxprocs != 8 || merged[1].Samples != 1 {
 		t.Errorf("distinct GOMAXPROCS folded together: %+v", merged[1])
 	}
+	if l := merged[2]; l.MinNsPerOp != 200 || l.MaxNsPerOp != 200 {
+		t.Errorf("single-sample ns/op range [%v, %v], want [200, 200]", l.MinNsPerOp, l.MaxNsPerOp)
+	}
 	if merged[2].Samples != 1 || merged[2].Runs != 5 {
 		t.Errorf("singleton entry altered: %+v", merged[2])
+	}
+}
+
+// TestSpreadInDocument: the emitted entry carries its samples' ns/op
+// range beside the iteration-weighted mean.
+func TestSpreadInDocument(t *testing.T) {
+	const lines = `BenchmarkSimPA 	       2	 500 ns/op
+BenchmarkSimPA 	       2	 300 ns/op
+BenchmarkSimPA 	       4	 400 ns/op
+`
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := run(strings.NewReader(lines), path, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Benchmarks []map[string]any `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("%d entries, want 1", len(rep.Benchmarks))
+	}
+	b := rep.Benchmarks[0]
+	if b["ns_per_op"] != 400.0 || b["min_ns_per_op"] != 300.0 || b["max_ns_per_op"] != 500.0 || b["samples"] != 3.0 {
+		t.Errorf("entry %v, want ns/op 400 in [300, 500] over 3 samples", b)
 	}
 }
 

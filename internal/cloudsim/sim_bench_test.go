@@ -8,6 +8,8 @@ package cloudsim
 // BENCH_sim.json by `make bench-json`.
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"pacevm/internal/core"
@@ -141,12 +143,11 @@ func BenchmarkSimLargeShards8(b *testing.B) { benchSimShards(b, 1000, 100_000, 1
 func BenchmarkSimHuge(b *testing.B)        { benchSim(b, 100_000, 10_000_000, 0.015, Run) }
 func BenchmarkSimHugeShards8(b *testing.B) { benchSimShards(b, 100_000, 10_000_000, 0.015, 8) }
 
-// BenchmarkSimPA is the perfbench sim-pa workload in-process: PA-0.5 on
+// simPA builds the perfbench sim-pa workload in-process: PA-0.5 on
 // 660 servers under the 100k-VM EGEE-shaped trace (σ 0.5 runtimes,
-// seed 1), about 33k requests of one to four identical VMs, each
-// searched once. Partition search, the fleet index's class query and
-// model pricing do the work; the trace is prepared outside the timer.
-func BenchmarkSimPA(b *testing.B) {
+// seed 1), about 33k requests of one to four identical VMs. wrap, when
+// non-nil, wraps the PA-0.5 strategy the config places with.
+func simPA(b *testing.B, wrap func(*strategy.Proactive) strategy.Strategy) (Config, []trace.Request) {
 	db := sharedDB(b)
 	gcfg := trace.DefaultGenConfig(1)
 	gcfg.Jobs = 100_000/2 + 200
@@ -161,11 +162,23 @@ func BenchmarkSimPA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := strategy.NewProactiveConfig(core.Config{DB: db}, core.GoalBalanced)
+	pa, err := strategy.NewProactiveConfig(core.Config{DB: db}, core.GoalBalanced)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{DB: db, Servers: 660, Strategy: st, IdleServerPower: -1}
+	var st strategy.Strategy = pa
+	if wrap != nil {
+		st = wrap(pa)
+	}
+	return Config{DB: db, Servers: 660, Strategy: st, IdleServerPower: -1}, reqs
+}
+
+// BenchmarkSimPA is the perfbench sim-pa workload in-process (see
+// simPA), each request searched once. Partition search, the fleet
+// index's class query and model pricing do the work; the trace is
+// prepared outside the timer.
+func BenchmarkSimPA(b *testing.B) {
+	cfg, reqs := simPA(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,4 +189,95 @@ func BenchmarkSimPA(b *testing.B) {
 		benchSink = res.Makespan
 	}
 	b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// paDecision is one PA decision of a simulation: the classes and the
+// request the search saw, whether the relaxed pass answered, and the
+// assignment (nil when the request was left waiting).
+type paDecision struct {
+	classes []core.ServerClass
+	vms     []core.VMRequest
+	relaxed bool
+	assign  []int
+}
+
+// paRecorder places through a PA strategy and records every decision.
+type paRecorder struct {
+	*strategy.Proactive
+	log []paDecision
+}
+
+func (r *paRecorder) PlaceIndexed(idx *strategy.FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool) {
+	assign, ok, _ := r.PlaceIndexedExplained(idx, vms, dst)
+	return assign, ok
+}
+
+func (r *paRecorder) PlaceIndexedExplained(idx *strategy.FleetIndex, vms []core.VMRequest, dst []int) ([]int, bool, strategy.PlaceInfo) {
+	d := paDecision{vms: slices.Clone(vms)}
+	for _, c := range idx.Classes(len(vms) + 1) {
+		d.classes = append(d.classes, core.ServerClass{Alloc: c.Alloc, Members: slices.Clone(c.Members)})
+	}
+	assign, ok, info := r.Proactive.PlaceIndexedExplained(idx, vms, dst)
+	d.relaxed = info.Relaxed
+	if ok {
+		d.assign = slices.Clone(assign)
+	}
+	r.log = append(r.log, d)
+	return assign, ok, info
+}
+
+// BenchmarkSimPADecisions replays the decision stream of a sim-pa run
+// (see simPA), recorded outside the timer, through AllocateClasses: the
+// partition-search layer on the inputs the simulator really gives it,
+// where BenchmarkAllocateFleet repeats one synthetic input. A decision
+// the relaxed pass answered replays the failed strict pass first, and
+// any assignment that differs from the recorded one fails the run.
+func BenchmarkSimPADecisions(b *testing.B) {
+	rec := &paRecorder{}
+	cfg, reqs := simPA(b, func(pa *strategy.Proactive) strategy.Strategy {
+		rec.Proactive = pa
+		return rec
+	})
+	if _, err := Run(cfg, reqs); err != nil {
+		b.Fatal(err)
+	}
+	strict, err := core.NewAllocator(core.Config{DB: cfg.DB})
+	if err != nil {
+		b.Fatal(err)
+	}
+	relaxed, err := core.NewAllocator(core.Config{DB: cfg.DB, RelaxQoS: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	maxVMs := 0
+	for _, d := range rec.log {
+		maxVMs = max(maxVMs, len(d.vms))
+	}
+	dst := make([]int, maxVMs)
+	replay := func() {
+		for k := range rec.log {
+			d := &rec.log[k]
+			got, _, err := strict.AllocateClasses(core.GoalBalanced, d.classes, d.vms, dst)
+			if d.relaxed {
+				if !errors.Is(err, core.ErrInfeasible) {
+					b.Fatalf("decision %d: strict pass returned %v, recorded infeasible", k, err)
+				}
+				got, _, err = relaxed.AllocateClasses(core.GoalBalanced, d.classes, d.vms, dst)
+			}
+			switch {
+			case d.assign == nil && !errors.Is(err, core.ErrInfeasible):
+				b.Fatalf("decision %d: assignment %v (err %v), recorded none", k, got, err)
+			case d.assign != nil && (err != nil || !slices.Equal(got, d.assign)):
+				b.Fatalf("decision %d: assignment %v (err %v), recorded %v", k, got, err, d.assign)
+			}
+		}
+	}
+	replay() // warms the allocators' estimate caches and context pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.log)), "ns/decision")
+	b.ReportMetric(float64(len(rec.log)), "decisions")
 }

@@ -24,8 +24,8 @@
 // fleet index (AllocateClasses), or grouped once per call from a server
 // list (Allocate) — so each block considers the first untouched server
 // of every class plus the servers the partition already touched instead
-// of scanning the fleet; block pricings are memoized per (server state,
-// block composition); and
+// of scanning the fleet; each block composition is priced once per class
+// into a row of admissible options; and
 // candidates are pruned online to the Pareto frontier the α-monotone
 // score selects from. All of it is bit-for-bit equivalent to a literal
 // transcription of Sect. III.D that the package's tests keep as their
@@ -260,11 +260,11 @@ func (a *Allocator) EstimateVM(alloc model.Key, vm VMRequest) (units.Seconds, er
 	if err := vm.validate(); err != nil {
 		return 0, err
 	}
-	rec, err := a.cfg.DB.Estimate(alloc)
+	rec, err := a.est.EstimateRef(alloc)
 	if err != nil {
 		return 0, err
 	}
-	ref := a.cfg.DB.Aux().RefTime[vm.Class]
+	ref := a.refTime[vm.Class]
 	if ref <= 0 {
 		return 0, fmt.Errorf("core: no reference time for class %v", vm.Class)
 	}
@@ -309,8 +309,8 @@ type SearchStats struct {
 // The search is still the paper's exhaustive one, accelerated by exact
 // reductions only: only the distinct typed partitions are generated,
 // each once and in the order a walk over every set partition first
-// meets it (the list is memoized per VM type pattern), block pricing is
-// memoized per (server state, block composition), and dominated
+// meets it (the list is memoized per VM type pattern), each block
+// composition is priced once per server class, and dominated
 // candidates are discarded online (the α-weighted score is monotone in
 // both estimated time and energy, so the winner always lies on the
 // Pareto frontier). Every reduction preserves the enumeration-order

@@ -25,26 +25,31 @@ package core
 //     already touched, in ascending server index, less those a
 //     lower-index touched server at the same grown allocation hides.
 //     Classes arrive in order of their first member, so the candidates
-//     are merged, not sorted: the block walks the classes nobody has
-//     touched in arrival order and threads in a short list, kept sorted
-//     as the partition grows, of the touched servers and the next member
-//     of each class the partition advanced — at most 2 × touched
-//     entries. Every option the full-fleet scan prices survives, in the
-//     same order; the only extras are later twins of an untouched
-//     server's option, which never win the strict tie-break and leave
-//     the normalization maxima unchanged. A block costs O(classes +
-//     touched²) rather than O(servers × classes). A class keeps only its
+//     are merged, not sorted: the block walks the options of the
+//     classes nobody has touched in arrival order (reduction 3's rows)
+//     and threads in a short list, kept sorted as the partition grows,
+//     of the touched servers and the next member of each class the
+//     partition advanced — at most 2 × touched entries. Every option the
+//     full-fleet scan prices survives, in the same order; the only
+//     extras are later twins of an untouched server's option, which
+//     never win the strict tie-break and leave the normalization maxima
+//     unchanged. A block costs O(admissible classes + touched²) rather
+//     than O(servers × classes). A class keeps only its
 //     first len(vms)+1 members, since a partition touches at most
 //     len(vms) servers, and servers too full to host any VM are left out
 //     of every class.
-//  3. Block pricing is memoized per (server class, block composition)
-//     in a dense per-call table indexed by the list's composition ids:
-//     the same block on the same class is
-//     priced once, not once per partition that contains it. A touched
-//     server's grown allocation is priced directly. Database estimates
-//     are memoized per allocation key in the allocator's
-//     model.EstimateCache, which lives as long as the allocator, and
-//     pricing reads them in place.
+//  3. Options come in per-composition rows: the first time a call
+//     meets a block composition, it prices the block once on every
+//     class into a row of the admissible options in class order, with
+//     their maxima, plus a (composition × class) position table. A
+//     partition's first block has exactly the row as its options, so
+//     its winner is scored once per composition and call; every later
+//     block walks only the row, skipping touched and hidden classes,
+//     and an advanced class's next member reads its class's entry
+//     through the position table. A touched server's grown allocation
+//     is priced directly. Database estimates are memoized per
+//     allocation key in the allocator's model.EstimateCache, which
+//     lives as long as the allocator, and pricing reads them in place.
 //  4. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
@@ -59,9 +64,9 @@ package core
 // the unpruned enumeration would have used.
 //
 // Every per-call buffer — the context with its partition lists, the
-// worker and its memo and the frontier arenas — comes from a pool on
-// the Allocator, so a steady stream of class-path decisions makes no
-// heap allocation.
+// worker and its option rows and the frontier arenas — comes from a
+// pool on the Allocator, so a steady stream of class-path decisions
+// makes no heap allocation.
 
 import (
 	"fmt"
@@ -446,13 +451,17 @@ type searchWorker struct {
 	// Per-composition tables, indexed by block composition id (see
 	// partitionList, whose radix gives a lone VM of type t the id
 	// radix[t]): the block's allocation key, type mask and VM count, and
-	// its row of the block-pricing memo for untouched servers, one slot
-	// per server class.
+	// its row of untouched-class options (see row).
 	radix    [partition.MaxN]int
 	compKey  []model.Key
 	compMask []typeMask
 	compSize []int
-	memo     []memoSlot
+	rows     []compRow
+	// rowOpts holds every built row's options back to back; rowPos[id·nc
+	// + c] is the index in it of class c's option in composition id's
+	// row, or -1 when class c does not admit the block.
+	rowOpts []blockOption
+	rowPos  []int32
 
 	// Reduction state. The frontier's candidates point into the two
 	// arenas, which only grow within a call.
@@ -488,11 +497,21 @@ type blockOption struct {
 	cand   blockCand
 }
 
-// memoSlot is one memoized class pricing; done marks it filled.
-type memoSlot struct {
-	val  blockPrice
-	done bool
+// compRow is one block composition's options on the untouched server
+// classes: the first member of every class that admits the block, in
+// class order, at rowOpts[start:end], and their maxima. A partition's
+// first block — nothing touched yet — has exactly these options, so its
+// choice, win, is scored once per composition.
+type compRow struct {
+	start, end int32
+	win        int32 // index into the row of its winner, -1 for none, rowUnscored until scored
+	built      bool
+	maxT       units.Seconds
+	maxE       units.Joules
 }
+
+// rowUnscored marks a row whose first-block winner is not scored yet.
+const rowUnscored = -2
 
 // reset readies the worker for a new search of pl's partitions over
 // sc's classes, keeping every buffer's storage.
@@ -514,7 +533,9 @@ func (w *searchWorker) reset(sc *searchCtx, pl *partitionList) {
 			}
 		}
 	}
-	w.memo = append(w.memo[:0], make([]memoSlot, pl.nComps*len(sc.classes))...)
+	w.rows = append(w.rows[:0], make([]compRow, pl.nComps)...)
+	w.rowOpts = w.rowOpts[:0]
+	w.rowPos = append(w.rowPos[:0], make([]int32, pl.nComps*len(sc.classes))...)
 	w.frontier = w.frontier[:0]
 	w.arenaVMs = w.arenaVMs[:0]
 	w.arenaPlaces = w.arenaPlaces[:0]
@@ -649,19 +670,17 @@ func (w *searchWorker) insertMoved(c blockCand) {
 func (w *searchWorker) evalPartition(comps []uint16) (ok bool) {
 	w.clearTouched()
 	w.places = w.places[:0]
-	nc := len(w.sc.classes)
 	for _, id := range comps {
 		if id == 0 {
 			break
 		}
-		blockKey, bmask := w.compKey[id], w.compMask[id]
-		chosen, found := w.chooseBlock(w.memo[int(id)*nc:int(id+1)*nc], blockKey, bmask)
+		chosen, found := w.chooseBlock(int(id))
 		if !found {
 			return false
 		}
 		base, _ := w.candBase(chosen.cand)
-		after := base.Add(blockKey)
-		w.take(chosen.cand, after, bmask)
+		after := base.Add(w.compKey[id])
+		w.take(chosen.cand, after, w.compMask[id])
 		w.places = append(w.places, blockPlace{
 			server: chosen.cand.serverIdx,
 			n:      w.compSize[id],
@@ -673,55 +692,100 @@ func (w *searchWorker) evalPartition(comps []uint16) (ok bool) {
 	return true
 }
 
-// chooseBlock picks the server a block of types bmask (total key
-// blockKey) goes to in the current partition state and returns its
-// option; ok is false when no candidate admits the block. It weighs the
-// candidates in ascending server index, memoizing the pricing of
-// untouched classes in row, and takes the best α-scored option.
-//
-// The classes arrive in order of their first member, so the first
-// members of the classes the partition has not touched are already
-// sorted: the walk takes them in class order and merges in w.moved,
-// O(classes + touched) per block with nothing sorted.
-func (w *searchWorker) chooseBlock(row []memoSlot, blockKey model.Key, bmask typeMask) (best blockOption, ok bool) {
+// row returns the row of composition id, pricing the block on every
+// class the first time the decision meets the composition. Pricing
+// depends only on the class's allocation, not on the partition, so the
+// row serves every later block of that composition.
+func (w *searchWorker) row(id int) *compRow {
+	r := &w.rows[id]
+	if r.built {
+		return r
+	}
 	sc := w.sc
+	blockKey, bmask := w.compKey[id], w.compMask[id]
+	pos := w.rowPos[id*len(sc.classes) : (id+1)*len(sc.classes)]
+	r.start = int32(len(w.rowOpts))
+	for ci := range sc.classes {
+		c := &sc.classes[ci]
+		v := sc.priceBlock(c.Alloc, c.Alloc.Add(blockKey), bmask)
+		if !v.ok {
+			pos[ci] = -1
+			continue
+		}
+		pos[ci] = int32(len(w.rowOpts))
+		w.rowOpts = append(w.rowOpts, blockOption{time: v.time, energy: v.energy,
+			cand: blockCand{serverIdx: c.Members[0], class: int32(ci), touched: -1}})
+		if v.time > r.maxT {
+			r.maxT = v.time
+		}
+		if v.energy > r.maxE {
+			r.maxE = v.energy
+		}
+	}
+	r.end = int32(len(w.rowOpts))
+	r.win, r.built = rowUnscored, true
+	return r
+}
+
+// chooseBlock picks the server a block of composition id goes to in the
+// current partition state and returns its option; ok is false when no
+// candidate admits the block. It weighs the candidates in ascending
+// server index and takes the best α-scored option.
+//
+// With nothing touched the options are exactly the composition's row,
+// whose winner is scored once. Otherwise the walk takes the row's
+// options of the classes the partition has not touched — their first
+// members arrive sorted, since the classes come in order of them — and
+// merges in w.moved, O(row + touched) per block with nothing sorted.
+func (w *searchWorker) chooseBlock(id int) (best blockOption, ok bool) {
+	sc := w.sc
+	r := w.row(id)
+	opts := w.rowOpts[r.start:r.end]
+	if len(w.touched) == 0 {
+		if r.win == rowUnscored {
+			r.win = int32(w.pick(opts, r.maxT, r.maxE))
+		}
+		if r.win < 0 {
+			return blockOption{}, false
+		}
+		return opts[r.win], true
+	}
 	w.options = w.options[:0]
 	w.optT, w.optE = 0, 0
 	moved := w.moved
-	for ci := range sc.classes {
-		if w.used[ci] > 0 {
+	for i := range opts {
+		o := &opts[i]
+		if w.used[o.cand.class] > 0 {
 			continue // listed in moved, or exhausted
 		}
-		c := &sc.classes[ci]
-		lead := c.Members[0]
+		lead := o.cand.serverIdx
 		for len(moved) > 0 && moved[0].serverIdx < lead {
-			w.offer(moved[0], row, blockKey, bmask)
+			w.offer(moved[0], id)
 			moved = moved[1:]
 		}
-		if w.hidden(lead, c.Alloc) {
-			continue
-		}
-		m := &row[ci]
-		if !m.done {
-			m.val, m.done = sc.priceBlock(c.Alloc, c.Alloc.Add(blockKey), bmask), true
-		}
-		if m.val.ok {
-			w.addOption(blockOption{time: m.val.time, energy: m.val.energy,
-				cand: blockCand{serverIdx: lead, class: int32(ci), touched: -1}})
+		if !w.hidden(lead, sc.classes[o.cand.class].Alloc) {
+			w.addOption(*o)
 		}
 	}
 	for _, c := range moved {
-		w.offer(c, row, blockKey, bmask)
+		w.offer(c, id)
 	}
-	if len(w.options) == 0 {
+	bestI := w.pick(w.options, w.optT, w.optE)
+	if bestI < 0 {
 		return blockOption{}, false
 	}
-	maxT, maxE := w.optT, w.optE
-	alpha := sc.goal.Alpha
+	return w.options[bestI], true
+}
+
+// pick returns the index of the best α-scored option after
+// normalizing by maxT and maxE, the lowest index on ties, or -1 when
+// there is none.
+func (w *searchWorker) pick(opts []blockOption, maxT units.Seconds, maxE units.Joules) int {
+	alpha := w.sc.goal.Alpha
 	bestI := -1
 	bestScore := 0.0
-	for i := range w.options {
-		o := &w.options[i]
+	for i := range opts {
+		o := &opts[i]
 		tn, en := 0.0, 0.0
 		if maxT > 0 {
 			tn = float64(o.time) / float64(maxT)
@@ -736,29 +800,27 @@ func (w *searchWorker) chooseBlock(row []memoSlot, blockKey model.Key, bmask typ
 			bestScore, bestI = score, i
 		}
 	}
-	return w.options[bestI], true
+	return bestI
 }
 
 // offer weighs a moved candidate — a touched server, or an advanced
 // class's next member — and adds it to the block's options if it
 // admits the block.
-func (w *searchWorker) offer(c blockCand, row []memoSlot, blockKey model.Key, bmask typeMask) {
-	sc := w.sc
+func (w *searchWorker) offer(c blockCand, id int) {
 	base, mask := w.candBase(c)
 	if w.hidden(c.serverIdx, base) {
 		return
 	}
-	after := base.Add(blockKey)
-	var v blockPrice
-	if c.touched >= 0 {
-		v = sc.priceBlock(base, after, bmask)
-	} else if m := &row[c.class]; m.done {
-		v = m.val
-	} else {
-		v = sc.priceBlock(base, after, bmask)
-		m.val, m.done = v, true
+	if c.touched < 0 {
+		// An advanced class's next member sits at the class's allocation:
+		// it admits the block, at the same price, iff the class's lead does.
+		if p := w.rowPos[id*len(w.sc.classes)+int(c.class)]; p >= 0 {
+			w.addOption(blockOption{time: w.rowOpts[p].time, energy: w.rowOpts[p].energy, cand: c})
+		}
+		return
 	}
-	if v.ok && sc.placedOK(after, mask) {
+	after := base.Add(w.compKey[id])
+	if v := w.sc.priceBlock(base, after, w.compMask[id]); v.ok && w.sc.placedOK(after, mask) {
 		w.addOption(blockOption{time: v.time, energy: v.energy, cand: c})
 	}
 }

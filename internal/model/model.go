@@ -125,7 +125,8 @@ type Record struct {
 // ClassTime returns the mean completion time for VMs of class c under
 // this allocation, falling back to AvgTimeVM when the class is absent
 // from the record (the paper's "use the matching values proportionally").
-func (r Record) ClassTime(c workload.Class) units.Seconds {
+// The pointer receiver lets a hot caller read a cached record in place.
+func (r *Record) ClassTime(c workload.Class) units.Seconds {
 	if t := r.TimeByClass[c]; t > 0 {
 		return t
 	}

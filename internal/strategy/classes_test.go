@@ -207,15 +207,17 @@ func TestFleetIndexClassAuditCatchesCorruption(t *testing.T) {
 		t.Fatalf("consistent index fails its audit: %v", err)
 	}
 	corruptions := map[string]func(ci *classIndex){
-		"member bit dropped":  func(ci *classIndex) { ci.sets[ci.of[0]].members.clear(0) },
-		"extra member bit":    func(ci *classIndex) { ci.sets[ci.of[0]].members.set(5) },
-		"count drifted":       func(ci *classIndex) { ci.sets[ci.of[2]].n++ },
-		"down server filed":   func(ci *classIndex) { ci.of[3] = ci.of[4] },
-		"server misfiled":     func(ci *classIndex) { ci.of[0] = ci.of[2] },
-		"lookup lost":         func(ci *classIndex) { delete(ci.slot, ci.sets[ci.of[2]].packed) },
-		"order lost a set":    func(ci *classIndex) { ci.order = ci.order[1:] },
-		"order repeats a set": func(ci *classIndex) { ci.order[0] = ci.order[1] },
-		"cached head stale":   func(ci *classIndex) { ci.sets[ci.of[0]].head = ci.sets[ci.of[0]].head[:1] },
+		"member bit dropped":         func(ci *classIndex) { ci.sets[ci.of[0]].members.clear(0) },
+		"extra member bit":           func(ci *classIndex) { ci.sets[ci.of[0]].members.set(5) },
+		"count drifted":              func(ci *classIndex) { ci.sets[ci.of[2]].n++ },
+		"down server filed":          func(ci *classIndex) { ci.of[3] = ci.of[4] },
+		"server misfiled":            func(ci *classIndex) { ci.of[0] = ci.of[2] },
+		"lookup lost":                func(ci *classIndex) { delete(ci.slot, ci.sets[ci.of[2]].packed) },
+		"order lost a set":           func(ci *classIndex) { ci.order = ci.order[1:] },
+		"order repeats a set":        func(ci *classIndex) { ci.order[0] = ci.order[1] },
+		"cached head stale":          func(ci *classIndex) { ci.sets[ci.of[0]].head = ci.sets[ci.of[0]].head[:1] },
+		"stale set not listed":       func(ci *classIndex) { ci.sets[ci.of[0]].stale = true },
+		"cached lowest member wrong": func(ci *classIndex) { ci.low[ci.of[2]]++ },
 	}
 	for name, corrupt := range corruptions {
 		idx, truth := build()

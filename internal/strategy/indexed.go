@@ -521,16 +521,16 @@ func (f *FleetIndex) AuditInvariants(alloc func(i int) model.Key) error {
 // grouping in O(servers); from then on Add, SetDown and SetUp keep it
 // current in O(1). Each class caches its lowest members, as many as
 // the largest maxMembers asked for so far, and a mutation that can
-// change them marks the class stale; a query re-reads only the stale
-// classes' bitmaps. The index keeps the class order of the previous
-// query and repairs it with one insertion pass keyed on each class's
-// lowest member; between two decisions only the few classes whose
-// lowest member changed are out of place, so the repair costs
-// O(classes) and a query O(classes + stale classes × maxMembers), with
-// no heap allocation once the caches have grown. The result aliases
-// index-owned storage, valid until the next Classes call or mutation;
-// like every index method, it must not race with other use of the
-// index.
+// change them marks the class stale and lists it; a query re-reads
+// only the listed classes' bitmaps. The index keeps the class order of
+// the previous query and repairs it with one insertion pass keyed on
+// each class's cached lowest member; between two decisions only the
+// few classes whose lowest member changed are out of place, so the
+// repair costs O(classes) and a query O(classes + stale classes ×
+// maxMembers), with no heap allocation once the caches have grown.
+// The result aliases index-owned storage, valid until the next Classes
+// call or mutation; like every index method, it must not race with
+// other use of the index.
 func (f *FleetIndex) Classes(maxMembers int) []core.ServerClass {
 	if f.classes == nil {
 		f.buildClasses()
@@ -539,19 +539,18 @@ func (f *FleetIndex) Classes(maxMembers int) []core.ServerClass {
 	if maxMembers > ci.headCap {
 		ci.headCap = maxMembers
 		for s := range ci.sets {
-			ci.sets[s].stale = true
+			ci.markStale(int32(s))
 		}
 	}
-	for s := range ci.sets {
-		if c := &ci.sets[s]; c.stale {
-			c.refresh(ci.headCap)
-		}
+	for _, s := range ci.stale {
+		ci.refresh(s)
 	}
-	order := ci.order
+	ci.stale = ci.stale[:0]
+	order, low := ci.order, ci.low
 	for i := 1; i < len(order); i++ {
-		s, first := order[i], ci.sets[order[i]].lowest()
+		s, first := order[i], low[order[i]]
 		j := i
-		for ; j > 0 && ci.sets[order[j-1]].lowest() > first; j-- {
+		for ; j > 0 && low[order[j-1]] > first; j-- {
 			order[j] = order[j-1]
 		}
 		order[j] = s
@@ -599,6 +598,12 @@ type classIndex struct {
 	// order: ascending lowest member, retired sets last. A set joins at
 	// the end when it is created.
 	order []int32
+	// low[s] is set s's lowest member as of its last refresh, or
+	// noMember for a retired set: the key of the class order.
+	low []int
+	// stale lists, once each, the sets marked stale since the last
+	// Classes query: the only ones it refreshes.
+	stale []int32
 
 	// headCap is the most members any Classes query has asked for: the
 	// length of every fresh head.
@@ -622,22 +627,26 @@ type classSet struct {
 // noMember is a retired set's order key: it sorts after every server id.
 const noMember = math.MaxInt
 
-// lowest is the set's lowest member as of its last refresh, or noMember
-// for a retired set: the key of the class order.
-func (c *classSet) lowest() int {
-	if len(c.head) == 0 {
-		return noMember
+// markStale marks set s stale, listing it unless it already was.
+func (ci *classIndex) markStale(s int32) {
+	if c := &ci.sets[s]; !c.stale {
+		c.stale = true
+		ci.stale = append(ci.stale, s)
 	}
-	return c.head[0]
 }
 
-// refresh re-reads the set's lowest headCap members from its bitmap.
-func (c *classSet) refresh(headCap int) {
+// refresh re-reads set s's lowest headCap members from its bitmap.
+func (ci *classIndex) refresh(s int32) {
+	c := &ci.sets[s]
 	c.head = c.head[:0]
-	for m := c.members.firstFrom(0); m >= 0 && len(c.head) < headCap; m = c.members.scanFrom(m + 1) {
+	for m := c.members.firstFrom(0); m >= 0 && len(c.head) < ci.headCap; m = c.members.scanFrom(m + 1) {
 		c.head = append(c.head, m)
 	}
 	c.stale = false
+	ci.low[s] = noMember
+	if len(c.head) > 0 {
+		ci.low[s] = c.head[0]
+	}
 }
 
 // join adds up server i to the class of allocation k.
@@ -651,8 +660,10 @@ func (ci *classIndex) join(i int, k packedAlloc) {
 			s = int32(len(ci.sets))
 			ci.sets = append(ci.sets, classSet{members: newBitset(ci.n)})
 			ci.order = append(ci.order, s)
+			ci.low = append(ci.low, noMember)
 		}
-		ci.sets[s].packed, ci.sets[s].key, ci.sets[s].stale = k, k.key(), true
+		ci.sets[s].packed, ci.sets[s].key = k, k.key()
+		ci.markStale(s)
 		ci.slot[k] = s
 	}
 	c := &ci.sets[s]
@@ -662,7 +673,7 @@ func (ci *classIndex) join(i int, k packedAlloc) {
 	// A fresh head holds headCap members unless the set has fewer, so a
 	// join changes it only if it was short or i sorts before its last.
 	if !c.stale && (len(c.head) < ci.headCap || i < c.head[len(c.head)-1]) {
-		c.stale = true
+		ci.markStale(s)
 	}
 }
 
@@ -674,7 +685,7 @@ func (ci *classIndex) leave(i int) {
 	c.members.clear(i)
 	c.n--
 	if !c.stale && len(c.head) > 0 && i <= c.head[len(c.head)-1] {
-		c.stale = true // i was in the head
+		ci.markStale(s) // i was in the head
 	}
 	if c.n == 0 {
 		delete(ci.slot, c.packed)
@@ -686,8 +697,9 @@ func (ci *classIndex) leave(i int) {
 // audit re-derives class membership from the index's allocations and
 // down marks: every up server sits in exactly the class of its
 // allocation, every down server in none, each class's count, bitmap
-// and lookup entry agree, and every class not marked stale caches
-// exactly its lowest members.
+// and lookup entry agree, every class not marked stale caches exactly
+// its lowest members and its order key, and every stale class is listed
+// for the next query's refresh, once.
 func (ci *classIndex) audit(f *FleetIndex) error {
 	up := 0
 	for i := range f.alloc {
@@ -727,10 +739,30 @@ func (ci *classIndex) audit(f *FleetIndex) error {
 	if len(ci.slot) != live {
 		return fmt.Errorf("strategy: %d class lookups for %d live classes", len(ci.slot), live)
 	}
+	if len(ci.low) != len(ci.sets) {
+		return fmt.Errorf("strategy: %d cached lowest members for %d classes", len(ci.low), len(ci.sets))
+	}
+	listed := make([]bool, len(ci.sets))
+	for _, s := range ci.stale {
+		if s < 0 || int(s) >= len(ci.sets) || listed[s] || !ci.sets[s].stale {
+			return fmt.Errorf("strategy: stale list holds set %d twice, out of range or fresh", s)
+		}
+		listed[s] = true
+	}
 	for s := range ci.sets {
 		c := &ci.sets[s]
 		if c.stale {
+			if !listed[s] {
+				return fmt.Errorf("strategy: stale class %v is not listed for refresh", c.key)
+			}
 			continue
+		}
+		wantLow := noMember
+		if len(c.head) > 0 {
+			wantLow = c.head[0]
+		}
+		if ci.low[s] != wantLow {
+			return fmt.Errorf("strategy: class %v caches lowest member %d, its head starts at %d", c.key, ci.low[s], wantLow)
 		}
 		var want []int
 		for m := c.members.scanFrom(0); m >= 0 && len(want) < ci.headCap; m = c.members.scanFrom(m + 1) {
@@ -740,7 +772,7 @@ func (ci *classIndex) audit(f *FleetIndex) error {
 			return fmt.Errorf("strategy: class %v caches lowest members %v, bitmap has %v", c.key, c.head, want)
 		}
 	}
-	listed := make([]bool, len(ci.sets))
+	clear(listed)
 	for _, s := range ci.order {
 		if s < 0 || int(s) >= len(ci.sets) || listed[s] {
 			return fmt.Errorf("strategy: class order lists set %d twice or out of range", s)
