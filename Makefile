@@ -164,8 +164,10 @@ bench-alloc:
 # replays that run's recorded decision stream through the partition
 # search alone. AllocateFleet is the partition-search layer entry: one
 # PA decision against a 660-server fleet; FleetIndexClasses is the
-# class query that feeds it, with a few mutations between queries.
-# These four record -count 5, so their entries carry a spread
+# class query that feeds it, with a few mutations between queries, and
+# FleetIndexClassesRetired the same query over the ~40 class sets (18
+# live, 3 stale per query) a sim-pa run's index holds.
+# These four families record -count 5, so their entries carry a spread
 # (min_ns_per_op, max_ns_per_op) pacevm-benchdiff can judge a change
 # against. TracePrepare is the set-up
 # layer: generating and preparing the 100k-VM trace a sim-pa run uses.

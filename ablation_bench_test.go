@@ -164,7 +164,7 @@ func BenchmarkAblationProactiveVsFirstFitDecision(b *testing.B) {
 		}
 	})
 	b.Run("proactive", func(b *testing.B) {
-		pa, err := strategy.NewProactive(ctx.DB, core.GoalBalanced, 0)
+		pa, err := strategy.NewProactive(ctx.DB, core.GoalBalanced)
 		if err != nil {
 			b.Fatal(err)
 		}

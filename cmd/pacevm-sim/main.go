@@ -45,7 +45,8 @@
 // barriers (see cloudsim.RunSharded for the protocol and its documented
 // relaxations of global FCFS); -shard-window tunes the simulated-time
 // window between barriers, and -steal lets a shard hand a provably
-// stuck queue head to a shard with proven free capacity at a barrier.
+// stuck queue head to a shard with proven free capacity at a barrier
+// (FF-n only: PA and BF prove no capacity, so -steal rejects them).
 package main
 
 import (
@@ -129,7 +130,7 @@ func main() {
 	flag.IntVar(&opt.watchdogEvery, "watchdog", 0, "run the online invariant watchdog every N events (0 = off)")
 	flag.IntVar(&opt.shards, "shards", 1, "partition the fleet into this many shards simulated in parallel (deterministic; 1 = the single event loop)")
 	flag.Float64Var(&opt.shardWindow, "shard-window", 0, "simulated seconds per parallel window between shard barriers; 0 = auto from the arrival span")
-	flag.BoolVar(&opt.steal, "steal", false, "with -shards: hand a provably stuck queue head to a shard with proven capacity at each barrier (relaxes per-shard FCFS)")
+	flag.BoolVar(&opt.steal, "steal", false, "with -shards and an FF-n strategy: hand a provably stuck queue head to a shard with proven capacity at each barrier (relaxes per-shard FCFS)")
 	flag.Parse()
 	// Distinguish an explicit -shard-window 0 (an error: a zero-length
 	// window cannot advance) from the unset default (auto sizing).
@@ -172,6 +173,9 @@ func run(opt options) error {
 	spec, err := parseStrategyName(opt.stratName)
 	if err != nil {
 		return err
+	}
+	if _, ok := spec.st.(strategy.CapacityHinter); opt.steal && !ok {
+		return fmt.Errorf("-steal needs a strategy that can prove spare capacity, and %s cannot (only FF-n implements strategy.CapacityHinter)", opt.stratName)
 	}
 	if opt.searchBudget > 0 && spec.st != nil {
 		return fmt.Errorf("-search-budget bounds the PA search, and strategy %s runs none", opt.stratName)

@@ -161,6 +161,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"negative watchdog period", func(o *options) { o.watchdogEvery = -1 }, "", false},
 		{"more shards than servers", func(o *options) { o.shards = 8 }, "", false},
 		{"steal without shards", func(o *options) { o.steal = true }, "", false},
+		{"steal with PA", func(o *options) { o.stratName = "PA-0.5"; o.shards = 2; o.steal = true }, "PA-0.5", true},
+		{"steal with BF", func(o *options) { o.stratName = "BF-2"; o.shards = 2; o.steal = true }, "BF-2", true},
 		{"unwritable decision log output", func(o *options) { o.decisionLog = filepath.Join(dir, "no", "such", "dir", "d.jsonl") }, "", false},
 		{"negative search budget", func(o *options) { o.stratName = "PA-0.5"; o.searchBudget = -1 }, "", false},
 		{"search budget without PA", func(o *options) { o.searchBudget = 3 }, "", false},

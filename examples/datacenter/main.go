@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pa, err := strategy.NewProactive(db, core.GoalBalanced, 0)
+	pa, err := strategy.NewProactive(db, core.GoalBalanced)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	s := report.NewSeries("PA-α sweep on 11 servers (1,500 VMs)",
 		"alpha", "makespan(s)", "energy(MJ)", "sla(%)")
 	for _, alpha := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		pa, err := strategy.NewProactive(db, core.Goal{Alpha: alpha}, 0)
+		pa, err := strategy.NewProactive(db, core.Goal{Alpha: alpha})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func TestPipelineCampaignToSimulation(t *testing.T) {
 	}
 
 	// Simulate with the reloaded database.
-	pa, err := strategy.NewProactive(reloaded, core.GoalBalanced, 0)
+	pa, err := strategy.NewProactive(reloaded, core.GoalBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSimulationIdenticalAcrossDBPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(d *model.DB) cloudsim.Metrics {
-		pa, err := strategy.NewProactive(d, core.GoalEnergy, 0)
+		pa, err := strategy.NewProactive(d, core.GoalEnergy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestAllStrategiesCompleteSameWorkload(t *testing.T) {
 
 	ff1, _ := strategy.NewFirstFit(1)
 	ff3, _ := strategy.NewFirstFit(3)
-	pa, err := strategy.NewProactive(db, core.GoalBalanced, 0)
+	pa, err := strategy.NewProactive(db, core.GoalBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}

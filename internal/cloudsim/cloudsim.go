@@ -481,7 +481,7 @@ func (cfg Config) Validate() error {
 		return errors.New("cloudsim: nil strategy")
 	}
 	if cfg.MaxVMsPerServer < 0 {
-		return errors.New("cloudsim: non-positive MaxVMsPerServer")
+		return errors.New("cloudsim: negative MaxVMsPerServer")
 	}
 	if cfg.BackfillDepth < 0 {
 		return fmt.Errorf("cloudsim: negative BackfillDepth %d", cfg.BackfillDepth)

@@ -46,7 +46,7 @@ func ff(t testing.TB, mult int) strategy.Strategy {
 
 func pa(t testing.TB, goal core.Goal) strategy.Strategy {
 	t.Helper()
-	s, err := strategy.NewProactive(sharedDB(t), goal, 0)
+	s, err := strategy.NewProactive(sharedDB(t), goal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestSimulationInvariantsUnderRandomWorkloads(t *testing.T) {
 			st = &strategy.BestFit{Multiplex: 2}
 		default:
 			var err error
-			st, err = strategy.NewProactive(db, core.GoalBalanced, 0)
+			st, err = strategy.NewProactive(db, core.GoalBalanced)
 			if err != nil {
 				return false
 			}

@@ -15,8 +15,8 @@ package cloudsim
 // Energy bookkeeping mirrors the simulator's exactly: CumEnergy
 // accumulates the same power×dt products advance() adds to per-server
 // energy, and Run feeds the end-of-run idle billing through addIdle, so
-// TotalEnergy reconciles with Metrics.Energy to within float summation
-// order (pinned by TestSamplerEnergyIntegral).
+// BusyEnergy + IdleEnergy reconciles with Metrics.Energy to within float
+// summation order (pinned by TestSamplerEnergyIntegral).
 //
 // Like the audit and the tracer, the sampler is observation-only and
 // free when off: every hook is gated on one nil check, and Config.
@@ -54,7 +54,7 @@ type FleetSample struct {
 	DownServers   int
 	RunningVMs    int
 	// CumEnergy is the busy-interval energy integrated so far (idle
-	// billing lands at end of run; see FleetSampler.TotalEnergy).
+	// billing lands at end of run; see FleetSampler.IdleEnergy).
 	CumEnergy units.Joules
 }
 
@@ -214,8 +214,8 @@ func (fs *FleetSampler) Samples() []FleetSample {
 }
 
 // BusyEnergy is the integrated busy-interval energy; IdleEnergy the
-// end-of-run idle billing; TotalEnergy their sum, which reconciles with
-// Metrics.Energy to within float summation order.
+// end-of-run idle billing; their sum reconciles with Metrics.Energy to
+// within float summation order.
 func (fs *FleetSampler) BusyEnergy() units.Joules {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -227,13 +227,6 @@ func (fs *FleetSampler) IdleEnergy() units.Joules {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.idleEnergy
-}
-
-// TotalEnergy returns BusyEnergy + IdleEnergy.
-func (fs *FleetSampler) TotalEnergy() units.Joules {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.cumEnergy + fs.idleEnergy
 }
 
 // seriesCSVHeader is the exported column set, stable for downstream

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pacevm/internal/faults"
+	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
 
@@ -198,4 +199,11 @@ func TestSamplerReuseResets(t *testing.T) {
 				firstLen, fs.Len(), firstEnergy, fs.TotalEnergy())
 		}
 	}
+}
+
+// TotalEnergy returns BusyEnergy + IdleEnergy.
+func (fs *FleetSampler) TotalEnergy() units.Joules {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.cumEnergy + fs.idleEnergy
 }

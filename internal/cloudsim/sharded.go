@@ -74,7 +74,8 @@ type ShardConfig struct {
 	// Off by default — stealing trades strict per-shard FCFS for
 	// utilization. Requeued fault work (synthetic shard-local requests)
 	// is never stolen, and the handoff remains deterministic: it runs in
-	// shard-id order on barrier state only.
+	// shard-id order on barrier state only. The strategy must implement
+	// strategy.CapacityHinter; RunSharded rejects Steal otherwise.
 	Steal bool
 }
 
@@ -142,6 +143,11 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 	}
 	if sc.Window < 0 {
 		return Result{}, fmt.Errorf("cloudsim: negative shard window %v", sc.Window)
+	}
+	// Only a capacity hint can prove the misfit and the fit a handoff
+	// needs; without one, stealing would silently never happen.
+	if _, ok := cfg.Strategy.(strategy.CapacityHinter); sc.Steal && !ok {
+		return Result{}, fmt.Errorf("cloudsim: strategy %s cannot steal: it does not implement strategy.CapacityHinter", cfg.Strategy.Name())
 	}
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
@@ -548,7 +554,7 @@ func (a *VMAudit) absorbShards(parts []*VMAudit, serverBase, uidBase []int) {
 // (the sharded engine has no single global queue). The merged series
 // flows through the same bounded ring, so capacity and downsampling
 // behave as in a monolithic run; BusyEnergy/IdleEnergy fold exactly
-// from the per-shard integrals, so TotalEnergy still reconciles with
+// from the per-shard integrals, so their sum still reconciles with
 // Metrics.Energy.
 func (fs *FleetSampler) absorbShards(parts []*FleetSampler, serverBase []int, servers int) {
 	fs.reset(servers)

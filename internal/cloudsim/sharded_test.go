@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pacevm/internal/core"
@@ -322,6 +323,28 @@ func TestShardedValidation(t *testing.T) {
 		if c.Tracer.Len() == 0 {
 			t.Errorf("%d-shard run recorded no trace events", shards)
 		}
+	}
+}
+
+// TestShardedStealNeedsCapacityHint: a steal needs a proven misfit and
+// a proven fit, which only a strategy.CapacityHinter gives, so Steal
+// with any other strategy must fail naming it rather than run as if the
+// option were off.
+func TestShardedStealNeedsCapacityHint(t *testing.T) {
+	db := sharedDB(t)
+	reqs := goldenWorkload(t, 31, 20)
+	bf, err := strategy.NewBestFit(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []strategy.Strategy{pa(t, core.GoalBalanced), bf} {
+		_, err := RunSharded(Config{DB: db, Servers: 4, Strategy: st}, reqs, ShardConfig{Shards: 2, Steal: true})
+		if err == nil || !strings.Contains(err.Error(), st.Name()) {
+			t.Errorf("%s with Steal: error %v, want one naming the strategy", st.Name(), err)
+		}
+	}
+	if _, err := RunSharded(Config{DB: db, Servers: 4, Strategy: ff(t, 2)}, reqs, ShardConfig{Shards: 2, Steal: true}); err != nil {
+		t.Errorf("FF-2 with Steal rejected: %v", err)
 	}
 }
 

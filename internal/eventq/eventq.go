@@ -105,9 +105,6 @@ func (q *Queue) Instrument(reg *obs.Registry) {
 	q.depthHW = reg.Gauge("eventq_depth_highwater")
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
-
 // Reserve grows the slab and heap capacity to hold at least n pending
 // events without further allocation.
 func (q *Queue) Reserve(n int) {

@@ -457,3 +457,6 @@ func TestUninstrumentedQueueAllocFree(t *testing.T) {
 		t.Errorf("uninstrumented queue cycle allocates %.1f/run, want 0", allocs)
 	}
 }
+
+// Len returns the number of pending events.
+func (q *Queue) Len() int { return len(q.heap) }

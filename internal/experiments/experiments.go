@@ -12,7 +12,6 @@ import (
 	"pacevm/internal/campaign"
 	"pacevm/internal/cloudsim"
 	"pacevm/internal/core"
-	"pacevm/internal/faults"
 	"pacevm/internal/migrate"
 	"pacevm/internal/model"
 	"pacevm/internal/profiler"
@@ -33,42 +32,26 @@ type Config struct {
 	SmallServers, LargeServers int
 	// TargetVMs is the trace size (the paper's 10,000 VMs).
 	TargetVMs int
-	// CampaignMaxBase and FullGridTotal shape the model campaign.
-	CampaignMaxBase, FullGridTotal int
-	// IdleServerPower is forwarded to the datacenter simulator: 0 uses
-	// the paper's 125 W fixed dissipation for every provisioned server,
-	// negative powers empty servers off entirely.
-	IdleServerPower units.Watts
-	// BackfillDepth is forwarded to every simulation: 0 keeps the
-	// paper's strict FCFS queue, a positive depth lets jobs behind a
-	// blocked head be tried (see cloudsim.Config.BackfillDepth).
-	BackfillDepth int
-	// MTBF/MTTR switch every simulation into fault-injection mode: each
-	// cloud draws a seeded crash/recovery schedule (mean up time MTBF,
-	// mean outage MTTR, over the trace's arrival span) shared by every
-	// strategy evaluated on that cloud, so a faulty evaluation stays a
-	// controlled comparison. Zero MTBF — the default — runs fault-free,
-	// which keeps the paper's published numbers byte-identical.
-	MTBF, MTTR units.Seconds
-	// Checkpoint decides how much progress a killed VM keeps (nil means
-	// restart from scratch; see faults.CheckpointPolicy).
-	Checkpoint faults.CheckpointPolicy
 }
 
-// Default is the paper-scale configuration. The evaluation powers empty
-// servers off (IdleServerPower −1): the paper's premise is that
-// "minimizing the number of servers that are in operation … will help
-// reduce the energy consumption", which presumes servers not in
-// operation stop consuming.
+// campaignMaxBase and fullGridTotal shape the model campaign: base tests
+// up to 16 co-located VMs, combined tests over every mix of at most 16.
+const campaignMaxBase, fullGridTotal = 16, 16
+
+// idleServerPower is forwarded to the datacenter simulator: the
+// evaluation powers empty servers off (a negative power), because the
+// paper's premise is that "minimizing the number of servers that are in
+// operation … will help reduce the energy consumption", which presumes
+// servers not in operation stop consuming.
+const idleServerPower units.Watts = -1
+
+// Default is the paper-scale configuration.
 func Default() Config {
 	return Config{
-		Seed:            42,
-		IdleServerPower: -1,
-		SmallServers:    66,
-		LargeServers:    76, // +15 %
-		TargetVMs:       10000,
-		CampaignMaxBase: 16,
-		FullGridTotal:   16,
+		Seed:         42,
+		SmallServers: 66,
+		LargeServers: 76, // +15 %
+		TargetVMs:    10000,
 	}
 }
 
@@ -76,13 +59,10 @@ func Default() Config {
 // trace on a proportionally smaller cloud.
 func Quick() Config {
 	return Config{
-		Seed:            42,
-		IdleServerPower: -1,
-		SmallServers:    7,
-		LargeServers:    8,
-		TargetVMs:       1000,
-		CampaignMaxBase: 16,
-		FullGridTotal:   16,
+		Seed:         42,
+		SmallServers: 7,
+		LargeServers: 8,
+		TargetVMs:    1000,
 	}
 }
 
@@ -92,12 +72,6 @@ func (c Config) validate() error {
 	}
 	if c.TargetVMs < 1 {
 		return fmt.Errorf("experiments: TargetVMs must be positive")
-	}
-	if c.MTBF > 0 && c.MTTR <= 0 {
-		return fmt.Errorf("experiments: MTBF %v needs a positive MTTR", c.MTBF)
-	}
-	if c.MTBF < 0 || c.MTTR < 0 {
-		return fmt.Errorf("experiments: negative MTBF/MTTR %v/%v", c.MTBF, c.MTTR)
 	}
 	return nil
 }
@@ -125,8 +99,8 @@ func NewContext(cfg Config) (*Context, error) {
 		return nil, err
 	}
 	ccfg := campaign.DefaultConfig()
-	ccfg.MaxBase = cfg.CampaignMaxBase
-	ccfg.FullGridTotal = cfg.FullGridTotal
+	ccfg.MaxBase = campaignMaxBase
+	ccfg.FullGridTotal = fullGridTotal
 	db, sum, err := campaign.Run(ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: campaign: %w", err)
@@ -163,7 +137,7 @@ func (c *Context) Fig1() (Fig1Result, error) {
 // past 11).
 func (c *Context) Fig2() (campaign.BaseResult, error) {
 	ccfg := campaign.DefaultConfig()
-	ccfg.MaxBase = c.Cfg.CampaignMaxBase
+	ccfg.MaxBase = campaignMaxBase
 	return campaign.RunBaseBenchmark(ccfg, workload.FFTW())
 }
 
@@ -283,34 +257,20 @@ func (c *Context) runCells(cells []evalCell) ([]EvalResult, error) {
 		{Smaller, c.Cfg.SmallServers},
 		{Larger, c.Cfg.LargeServers},
 	}
-	// One seeded fault schedule per cloud, shared by every cell on it:
-	// comparing strategies under identical outages is the controlled
-	// experiment; per-cell schedules would confound placement with luck.
-	schedules := make([]faults.Schedule, len(clouds))
-	for j, cl := range clouds {
-		sch, err := c.faultSchedule(cl.servers, reqs)
-		if err != nil {
-			return nil, err
-		}
-		schedules[j] = sch
-	}
 	out := make([]EvalResult, len(cells)*len(clouds))
 	errs := make([]error, len(out))
 	var wg sync.WaitGroup
 	for i, cell := range cells {
 		for j, cl := range clouds {
 			wg.Add(1)
-			go func(slot int, cell evalCell, name CloudName, servers int, sch faults.Schedule) {
+			go func(slot int, cell evalCell, name CloudName, servers int) {
 				defer wg.Done()
 				res, err := cloudsim.Run(cloudsim.Config{
 					DB:              c.DB,
 					Servers:         servers,
 					Strategy:        cell.strategy,
-					IdleServerPower: c.Cfg.IdleServerPower,
-					BackfillDepth:   c.Cfg.BackfillDepth,
+					IdleServerPower: idleServerPower,
 					Consolidator:    cell.consolidator,
-					Faults:          sch,
-					Checkpoint:      c.Cfg.Checkpoint,
 				}, reqs)
 				if err != nil {
 					errs[slot] = fmt.Errorf("experiments: %s on %s: %w", cell.name, name, err)
@@ -322,7 +282,7 @@ func (c *Context) runCells(cells []evalCell) ([]EvalResult, error) {
 					Servers:  servers,
 					Metrics:  res.Metrics,
 				}
-			}(i*len(clouds)+j, cell, cl.name, cl.servers, schedules[j])
+			}(i*len(clouds)+j, cell, cl.name, cl.servers)
 		}
 	}
 	wg.Wait()
@@ -365,35 +325,6 @@ func (c *Context) Extended() ([]EvalResult, error) {
 	return c.extRes, c.extErr
 }
 
-// faultSchedule draws the seeded crash/recovery schedule for one cloud
-// size over the trace's arrival span. Nil — and cost-free — when fault
-// injection is off (MTBF 0).
-func (c *Context) faultSchedule(servers int, reqs []trace.Request) (faults.Schedule, error) {
-	if c.Cfg.MTBF <= 0 {
-		return nil, nil
-	}
-	var horizon units.Seconds
-	for _, r := range reqs {
-		if r.Submit > horizon {
-			horizon = r.Submit
-		}
-	}
-	if horizon <= 0 {
-		horizon = 1
-	}
-	sch, err := faults.Generate(faults.GenConfig{
-		Seed:    c.Cfg.Seed,
-		Servers: servers,
-		MTBF:    c.Cfg.MTBF,
-		MTTR:    c.Cfg.MTTR,
-		Horizon: horizon,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fault schedule for %d servers: %w", servers, err)
-	}
-	return sch, nil
-}
-
 // Workload generates and preprocesses the evaluation trace.
 func (c *Context) Workload() ([]trace.Request, trace.PrepReport, error) {
 	gcfg := trace.DefaultGenConfig(c.Cfg.Seed)
@@ -420,7 +351,7 @@ func (c *Context) Strategies() ([]strategy.Strategy, error) {
 		out = append(out, ffs)
 	}
 	for _, g := range []core.Goal{core.GoalEnergy, core.GoalPerformance, core.GoalBalanced} {
-		pa, err := strategy.NewProactive(c.DB, g, 0)
+		pa, err := strategy.NewProactive(c.DB, g)
 		if err != nil {
 			return nil, err
 		}
@@ -443,10 +374,6 @@ func (c *Context) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := c.faultSchedule(c.Cfg.SmallServers, reqs)
-	if err != nil {
-		return nil, err
-	}
 	// Each α is an independent simulation over the shared read-only
 	// trace and database; sweep them concurrently, one goroutine per
 	// point, gathered in input order.
@@ -457,7 +384,7 @@ func (c *Context) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 		wg.Add(1)
 		go func(i int, alpha float64) {
 			defer wg.Done()
-			pa, err := strategy.NewProactive(c.DB, core.Goal{Alpha: alpha}, 0)
+			pa, err := strategy.NewProactive(c.DB, core.Goal{Alpha: alpha})
 			if err != nil {
 				errs[i] = err
 				return
@@ -466,10 +393,7 @@ func (c *Context) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 				DB:              c.DB,
 				Servers:         c.Cfg.SmallServers,
 				Strategy:        pa,
-				IdleServerPower: c.Cfg.IdleServerPower,
-				BackfillDepth:   c.Cfg.BackfillDepth,
-				Faults:          sched,
-				Checkpoint:      c.Cfg.Checkpoint,
+				IdleServerPower: idleServerPower,
 			}, reqs)
 			if err != nil {
 				errs[i] = fmt.Errorf("experiments: alpha %g: %w", alpha, err)

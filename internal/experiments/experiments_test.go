@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"reflect"
+	"math"
 	"sync"
 	"testing"
 
-	"pacevm/internal/faults"
 	"pacevm/internal/stats"
 	"pacevm/internal/subsys"
 	"pacevm/internal/units"
@@ -64,60 +63,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.TargetVMs = 0
 	if _, err := NewContext(bad); err == nil {
 		t.Error("zero VMs should fail")
-	}
-	bad = Quick()
-	bad.MTBF = 1000 // no MTTR
-	if _, err := NewContext(bad); err == nil {
-		t.Error("MTBF without MTTR should fail")
-	}
-	bad = Quick()
-	bad.MTBF, bad.MTTR = -1, 100
-	if _, err := NewContext(bad); err == nil {
-		t.Error("negative MTBF should fail")
-	}
-}
-
-// TestFaultInjectedEvaluation runs a reduced evaluation grid under fault
-// injection with periodic checkpointing, and pins the resilience
-// invariants: the run is deterministic, faults are
-// actually injected, and availability/goodput stay within their bounds.
-func TestFaultInjectedEvaluation(t *testing.T) {
-	cfg := Quick()
-	cfg.SmallServers, cfg.LargeServers = 4, 5
-	cfg.TargetVMs = 300
-	cfg.MTBF, cfg.MTTR = 500, 100
-	cfg.Checkpoint = faults.Periodic{Interval: 300}
-
-	ctx, err := NewContext(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ctx.runEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ctx.runEvaluation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("fault-injected evaluation is not deterministic")
-	}
-	var injected int
-	for _, r := range a {
-		injected += r.Metrics.FaultsInjected
-		if av := r.Metrics.AvailabilityPct(r.Servers); av < 0 || av >= 100 {
-			t.Errorf("%s on %s: availability %.2f%% out of (0,100) under faults", r.Strategy, r.Cloud, av)
-		}
-		if gp := r.Metrics.GoodputPct(); gp <= 0 || gp > 100 {
-			t.Errorf("%s on %s: goodput %.2f%% out of (0,100]", r.Strategy, r.Cloud, gp)
-		}
-		if r.Metrics.WorkLost < 0 {
-			t.Errorf("%s on %s: negative work lost %v", r.Strategy, r.Cloud, r.Metrics.WorkLost)
-		}
-	}
-	if injected == 0 {
-		t.Fatal("no faults injected across the whole grid")
 	}
 }
 
@@ -431,7 +376,25 @@ func TestMakespanSLACorrelation(t *testing.T) {
 		makespans = append(makespans, float64(r.Metrics.Makespan))
 		slas = append(slas, r.Metrics.SLAViolationPct())
 	}
-	if r := stats.Pearson(makespans, slas); r < 0.5 {
+	if r := pearson(makespans, slas); r < 0.5 {
 		t.Errorf("makespan-SLA correlation r = %.2f, want strongly positive (paper Fig. 7)", r)
 	}
+}
+
+// pearson returns the Pearson correlation coefficient of two paired
+// samples of equal length, or 0 when either has zero variance.
+func pearson(xs, ys []float64) float64 {
+	id := func(x float64) float64 { return x }
+	mx, my := stats.MeanOf(xs, id), stats.MeanOf(ys, id)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(sxx*syy)
 }

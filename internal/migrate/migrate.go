@@ -67,17 +67,6 @@ type Planner struct {
 	// MigrationCost is the wall-clock penalty a migrated VM pays
 	// (stop-and-copy downtime plus dirty-page slowdown, amortized).
 	MigrationCost units.Seconds
-	// MaxMoves caps the number of migrations per plan (migrations are
-	// costly; the paper's motivation for proactive placement). Zero
-	// means no cap.
-	MaxMoves int
-	// MinGain is the minimum aggregate power reduction (in Watts) a
-	// plan must achieve to be emitted.
-	MinGain units.Watts
-	// PerClassBound caps per-class residency on any target server; zero
-	// entries default to the database's optimal scenarios, as in the
-	// proactive allocator.
-	PerClassBound [workload.NumClasses]int
 }
 
 // Validate checks the planner configuration.
@@ -88,24 +77,7 @@ func (pl *Planner) Validate() error {
 	if pl.MigrationCost < 0 {
 		return errors.New("migrate: negative migration cost")
 	}
-	if pl.MaxMoves < 0 {
-		return errors.New("migrate: negative move cap")
-	}
-	if pl.MinGain < 0 {
-		return errors.New("migrate: negative minimum gain")
-	}
 	return nil
-}
-
-func (pl *Planner) bound(c workload.Class) int {
-	b := pl.PerClassBound[c]
-	if b == 0 {
-		return pl.DB.Aux().OS(c)
-	}
-	if b < 0 {
-		return 1 << 30
-	}
-	return b
 }
 
 // serverPower prices one server's draw (0 when empty — a drained server
@@ -165,9 +137,6 @@ func (pl *Planner) Propose(allocs []model.Key, vms []VM) (Plan, error) {
 
 	drained := map[int]bool{}
 	for _, donor := range active {
-		if pl.MaxMoves > 0 && len(plan.Moves)+cur[donor].Total() > pl.MaxMoves {
-			continue
-		}
 		moves, ok := pl.drain(donor, cur, byServer, drained)
 		if !ok {
 			continue
@@ -193,7 +162,9 @@ func (pl *Planner) Propose(allocs []model.Key, vms []VM) (Plan, error) {
 		return Plan{}, err
 	}
 	plan.PowerAfter = after
-	if plan.Gain() < pl.MinGain || len(plan.Moves) == 0 {
+	// A plan that moves nothing or raises the cloud's draw is not
+	// emitted.
+	if plan.Gain() < 0 || len(plan.Moves) == 0 {
 		return Plan{PowerBefore: before, PowerAfter: before}, nil
 	}
 	return plan, nil
@@ -213,7 +184,9 @@ func (pl *Planner) drain(donor int, cur []model.Key, byServer map[int][]VM, drai
 				continue // only consolidate onto servers that stay on
 			}
 			next := trial[t].Add(model.KeyFor(vm.Class, 1))
-			if next.Count(vm.Class) > pl.bound(vm.Class) {
+			// Per-class residency stays within the database's optimal
+			// scenario, as in the proactive allocator.
+			if next.Count(vm.Class) > pl.DB.Aux().OS(vm.Class) {
 				continue
 			}
 			if !pl.qosOK(vm, next) {

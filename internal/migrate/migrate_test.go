@@ -64,16 +64,6 @@ func TestValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("negative migration cost should fail")
 	}
-	p = planner(t)
-	p.MaxMoves = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative move cap should fail")
-	}
-	p = planner(t)
-	p.MinGain = -1
-	if err := p.Validate(); err == nil {
-		t.Error("negative min gain should fail")
-	}
 }
 
 func TestConsistencyChecks(t *testing.T) {
@@ -178,38 +168,6 @@ func TestResidentQoSBlocksInbound(t *testing.T) {
 	}
 	if len(plan.Moves) != 0 {
 		t.Errorf("plan harmed a resident's QoS: %+v", plan.Moves)
-	}
-}
-
-func TestMaxMovesBudget(t *testing.T) {
-	p := planner(t)
-	p.MaxMoves = 1
-	// Each donor needs 2 moves to drain; with a 1-move budget nothing
-	// can happen.
-	allocs, vms := cloud(t, []model.Key{{NCPU: 2}, {NCPU: 2}, {NCPU: 0}})
-	// Remove the empty server entry's VMs (none) — consistent as built.
-	plan, err := p.Propose(allocs, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Moves) > 1 {
-		t.Errorf("plan exceeded the move budget: %d moves", len(plan.Moves))
-	}
-}
-
-func TestMinGainSuppressesMarginalPlans(t *testing.T) {
-	p := planner(t)
-	p.MinGain = 10000 // absurd bar
-	allocs, vms := cloud(t, []model.Key{{NCPU: 1}, {NCPU: 1}})
-	plan, err := p.Propose(allocs, vms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Moves) != 0 {
-		t.Errorf("marginal plan emitted despite MinGain: %+v", plan)
-	}
-	if plan.PowerBefore != plan.PowerAfter {
-		t.Error("suppressed plan should report unchanged power")
 	}
 }
 

@@ -66,9 +66,6 @@ func NewEstimateCache(db *DB, bound int) *EstimateCache {
 	}
 }
 
-// DB returns the underlying database.
-func (c *EstimateCache) DB() *DB { return c.db }
-
 // Instrument wires the cache's telemetry to reg: counters
 // model_cache_hits and model_cache_misses plus the model_cache_size
 // gauge (memoized-key count). A nil reg resolves the handles to nil,
@@ -80,13 +77,6 @@ func (c *EstimateCache) Instrument(reg *obs.Registry) {
 	c.size = reg.Gauge("model_cache_size")
 }
 
-// Len returns the number of memoized keys.
-func (c *EstimateCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.n
-}
-
 // slot maps a key to its dense-table index, or -1 when any component
 // falls outside [0, d).
 func (c *EstimateCache) slot(k Key) int {
@@ -95,16 +85,6 @@ func (c *EstimateCache) slot(k Key) int {
 		return (k.NCPU*d+k.NMEM)*d + k.NIO
 	}
 	return -1
-}
-
-// Estimate returns db.Estimate(k), memoized. Errors are memoized too:
-// an unpriceable key stays unpriceable for the life of the database.
-func (c *EstimateCache) Estimate(k Key) (Record, error) {
-	rec, err := c.EstimateRef(k)
-	if err != nil {
-		return Record{}, err
-	}
-	return *rec, nil
 }
 
 // EstimateRef is Estimate returning the memoized record in place: the

@@ -10,9 +10,6 @@ import (
 func TestEstimateCacheMatchesDB(t *testing.T) {
 	db := gridDB(t, 6)
 	c := NewEstimateCache(db, 6)
-	if c.DB() != db {
-		t.Fatal("DB() does not return the wrapped database")
-	}
 	keys := []Key{
 		{NCPU: 1}, {NMEM: 2}, {NIO: 3},
 		{NCPU: 2, NMEM: 2, NIO: 2},
@@ -140,4 +137,21 @@ func TestEstimateCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// Len returns the number of memoized keys.
+func (c *EstimateCache) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.n
+}
+
+// Estimate returns db.Estimate(k), memoized. Errors are memoized too:
+// an unpriceable key stays unpriceable for the life of the database.
+func (c *EstimateCache) Estimate(k Key) (Record, error) {
+	rec, err := c.EstimateRef(k)
+	if err != nil {
+		return Record{}, err
+	}
+	return *rec, nil
 }

@@ -148,3 +148,50 @@ func TestSortedNames(t *testing.T) {
 		t.Errorf("SortedNames = %v", got)
 	}
 }
+
+// Count returns the number of observations; 0 on a nil receiver.
+func (q *Quantile) Count() int64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.count
+}
+
+// Min returns the exact minimum observed (0 when empty or nil).
+func (q *Quantile) Min() float64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.count == 0 {
+		return 0
+	}
+	return q.min
+}
+
+// Max returns the exact maximum observed (0 when empty or nil).
+func (q *Quantile) Max() float64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.count == 0 {
+		return 0
+	}
+	return q.max
+}
+
+// Quantile returns the estimated value at rank fraction p in [0, 1]
+// (0 = min, 1 = max). Returns 0 when the digest is empty or nil.
+func (q *Quantile) Quantile(p float64) float64 {
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.quantileLocked(p)
+}

@@ -68,10 +68,6 @@ type TraceFile struct {
 // NewTracer returns an empty recorder.
 func NewTracer() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer records anything; callers use it
-// to skip building args maps on the disabled path.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Emit appends a raw event.
 func (t *Tracer) Emit(ev TraceEvent) {
 	if t == nil {

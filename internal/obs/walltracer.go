@@ -54,17 +54,6 @@ func NewWallTracer(stages []string, k int, clock func() time.Time) *WallTracer {
 	return w
 }
 
-// Enabled reports whether the tracer records anything.
-func (w *WallTracer) Enabled() bool { return w != nil }
-
-// Stages returns the tracer's stage names (nil on a nil receiver).
-func (w *WallTracer) Stages() []string {
-	if w == nil {
-		return nil
-	}
-	return w.stages
-}
-
 // Start begins one request trace. id == "" generates a process-unique
 // request ID; a non-empty id (the client's X-Request-Id) is honored
 // verbatim. A nil tracer returns a nil (no-op) trace.

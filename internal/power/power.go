@@ -33,15 +33,7 @@ type Measurement struct {
 	Energy units.Joules
 	// MaxPower is the largest sample observed (Table II's MaxPower).
 	MaxPower units.Watts
-	// Duration is the length of the measured timeline.
-	Duration units.Seconds
 }
-
-// AvgPower is the mean power over the measurement.
-func (m Measurement) AvgPower() units.Watts { return units.EnergyOver(m.Energy, m.Duration) }
-
-// EDP is the energy-delay product of the measurement.
-func (m Measurement) EDP() units.JouleSeconds { return units.EDP(m.Energy, m.Duration) }
 
 // Measure samples the power of a piecewise-constant timeline, applying
 // the meter's sampling period and accuracy, and integrates the samples
@@ -61,7 +53,6 @@ func (m *Meter) Measure(timeline []vmm.Interval) (Measurement, error) {
 	}
 	end := timeline[len(timeline)-1].End
 	var out Measurement
-	out.Duration = end
 
 	noisy := m.Noise != nil && m.Accuracy > 0
 	idx := 0

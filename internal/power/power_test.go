@@ -27,12 +27,6 @@ func TestIdealMeterConstantPower(t *testing.T) {
 	if len(samples) != 60 {
 		t.Errorf("samples = %d, want 60", len(samples))
 	}
-	if got.AvgPower() != 125 {
-		t.Errorf("avg power = %v", got.AvgPower())
-	}
-	if got.EDP() != units.EDP(got.Energy, 60) {
-		t.Errorf("EDP = %v", got.EDP())
-	}
 }
 
 func TestPartialFinalWindow(t *testing.T) {
@@ -153,9 +147,6 @@ func TestMeasureRealRunCloseToExact(t *testing.T) {
 	}
 	if !units.NearlyEqual(float64(got.Energy), float64(res.Energy()), 1e-6) {
 		t.Errorf("ideal 1Hz meter energy %v vs exact %v", got.Energy, res.Energy())
-	}
-	if got.Duration != res.Makespan() {
-		t.Errorf("duration %v vs makespan %v", got.Duration, res.Makespan())
 	}
 }
 

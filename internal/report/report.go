@@ -40,9 +40,6 @@ func (t *Table) AddRowf(format string, args ...any) {
 	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

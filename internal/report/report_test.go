@@ -31,9 +31,6 @@ func TestTableRender(t *testing.T) {
 	if off1 != off2 {
 		t.Errorf("columns not aligned:\n%s", out)
 	}
-	if tab.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tab.NumRows())
-	}
 }
 
 func TestTablePadsAndTruncates(t *testing.T) {

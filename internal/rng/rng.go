@@ -132,15 +132,6 @@ func (r *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
 }
 
-// Pareto returns a Pareto(xm, alpha) draw: xm * U^(-1/alpha). Used for
-// the occasional extremely long grid job in synthetic traces.
-func (r *Stream) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto requires positive parameters")
-	}
-	return xm * math.Pow(1-r.Float64(), -1/alpha)
-}
-
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool { return r.Float64() < p }
 

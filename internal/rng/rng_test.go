@@ -145,24 +145,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(10, 2); v < 10 {
-			t.Fatalf("Pareto(10,2) below xm: %v", v)
-		}
-	}
-}
-
-func TestParetoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pareto(0,1) should panic")
-		}
-	}()
-	New(1).Pareto(0, 1)
-}
-
 func TestExpPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

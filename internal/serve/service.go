@@ -1681,9 +1681,6 @@ func (s *Service) registerChecks() {
 	})
 }
 
-// Violations returns every invariant violation the watchdog has found.
-func (s *Service) Violations() []obs.Violation { return s.wd.Violations() }
-
 // ---- drain ----
 
 // Drain stops the service: no new admissions, queues drained (bounded

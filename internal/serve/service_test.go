@@ -14,6 +14,7 @@ import (
 	"pacevm/internal/campaign"
 	"pacevm/internal/cloudsim"
 	"pacevm/internal/model"
+	"pacevm/internal/obs"
 )
 
 var (
@@ -586,3 +587,6 @@ func TestRestoreDropsSettledQueueEntries(t *testing.T) {
 	}
 	drainClean(t, s)
 }
+
+// Violations returns every invariant violation the watchdog has found.
+func (s *Service) Violations() []obs.Violation { return s.wd.Violations() }

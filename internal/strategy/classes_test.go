@@ -89,7 +89,7 @@ func paJobs(t *testing.T) [][]core.VMRequest {
 // down servers.
 func TestFleetIndexClassesMatchGrouping(t *testing.T) {
 	const servers, maxOcc, paMax = 40, 6, 5
-	pa, err := NewProactive(sharedDB(t), core.GoalBalanced, paMax)
+	pa, err := NewProactiveConfig(core.Config{DB: sharedDB(t), MaxVMsPerServer: paMax}, core.GoalBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestFleetIndexClassesCachedHeads(t *testing.T) {
 // share an ID: they must place exactly as the same job with distinct
 // IDs, through Place and through PlaceIndexed.
 func TestProactiveDuplicateVMIDs(t *testing.T) {
-	pa, err := NewProactive(sharedDB(t), core.GoalPerformance, 0)
+	pa, err := NewProactive(sharedDB(t), core.GoalPerformance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestProactivePlaceIndexedAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops recycled search scratch at random")
 	}
-	pa, err := NewProactive(sharedDB(t), core.GoalBalanced, 0)
+	pa, err := NewProactive(sharedDB(t), core.GoalBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestProactivePlaceIndexedAllocsFlat(t *testing.T) {
 // simulations do); every goroutine must see exactly the sequential
 // answers. Run under -race by make race-sim.
 func TestProactivePlaceIndexedConcurrent(t *testing.T) {
-	pa, err := NewProactive(sharedDB(t), core.GoalBalanced, 0)
+	pa, err := NewProactive(sharedDB(t), core.GoalBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,10 +398,22 @@ func TestProactivePlaceIndexedConcurrent(t *testing.T) {
 // VMs leave and two new ones arrive, each moving a server between
 // classes and most shifting some class's lowest member.
 func BenchmarkFleetIndexClasses(b *testing.B) {
-	const servers = 660
-	idx := mixIndex(servers)
+	benchClasses(b, mixIndex(660), 2)
+}
+
+// BenchmarkFleetIndexClassesRetired is BenchmarkFleetIndexClasses over
+// retiredIndex with three VMs moving per round: the shape a sim-pa
+// query meets, about 41 class sets, 18 of them live and 3 stale.
+func BenchmarkFleetIndexClassesRetired(b *testing.B) {
+	benchClasses(b, retiredIndex(660), 3)
+}
+
+// benchClasses times Classes(5) on idx, with the previous round's moves
+// VMs leaving and moves new ones arriving before each query.
+func benchClasses(b *testing.B, idx *FleetIndex, moves int) {
+	servers := len(idx.alloc)
 	idx.Classes(5)
-	var placed [2]int
+	placed := make([]int, moves)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -416,4 +428,39 @@ func BenchmarkFleetIndexClasses(b *testing.B) {
 			b.Fatal("no classes")
 		}
 	}
+}
+
+// retiredIndex builds an n-server fleet whose class index holds 40
+// class sets, 17 of them live: every server first takes one of 40
+// allocations (all keys of at most 4 VMs, then five of 5), the grouping
+// is built, and the servers of the last 23 allocations then move to the
+// first 17, retiring those sets. A sim-pa run's class queries meet
+// about that many sets, most of them retired.
+func retiredIndex(n int) *FleetIndex {
+	var keys []model.Key
+	for total := 0; len(keys) < 40; total++ {
+		for c := total; c >= 0 && len(keys) < 40; c-- {
+			for m := total - c; m >= 0 && len(keys) < 40; m-- {
+				keys = append(keys, model.Key{NCPU: c, NMEM: m, NIO: total - c - m})
+			}
+		}
+	}
+	idx := NewFleetIndex(n, 16)
+	move := func(i int, from, to model.Key) {
+		for _, c := range workload.Classes {
+			if d := to.Count(c) - from.Count(c); d != 0 {
+				idx.Add(i, c, d)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		move(i, model.Key{}, keys[i%len(keys)])
+	}
+	idx.Classes(5)
+	for i := 0; i < n; i++ {
+		if k := i % len(keys); k >= 17 {
+			move(i, keys[k], keys[i%17])
+		}
+	}
+	return idx
 }

@@ -172,13 +172,13 @@ type Proactive struct {
 	relaxed *core.Allocator
 }
 
-// NewProactive builds a PA-α strategy over the given model database.
-// maxVMs caps per-server residency (0 uses the database grid bound).
-func NewProactive(db *model.DB, goal core.Goal, maxVMs int) (*Proactive, error) {
+// NewProactive builds a PA-α strategy over the given model database,
+// capping per-server residency at the database grid bound.
+func NewProactive(db *model.DB, goal core.Goal) (*Proactive, error) {
 	if db == nil {
 		return nil, errors.New("strategy: nil model database")
 	}
-	return NewProactiveConfig(core.Config{DB: db, MaxVMsPerServer: maxVMs}, goal)
+	return NewProactiveConfig(core.Config{DB: db}, goal)
 }
 
 // NewProactiveConfig builds a PA-α strategy from an explicit allocator

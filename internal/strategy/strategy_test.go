@@ -161,7 +161,7 @@ func TestProactiveName(t *testing.T) {
 		{core.GoalPerformance, "PA-0"},
 		{core.GoalBalanced, "PA-0.5"},
 	} {
-		p, err := NewProactive(sharedDB(t), c.goal, 0)
+		p, err := NewProactive(sharedDB(t), c.goal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,13 +169,13 @@ func TestProactiveName(t *testing.T) {
 			t.Errorf("Name = %q, want %q", p.Name(), c.want)
 		}
 	}
-	if _, err := NewProactive(nil, core.GoalEnergy, 0); err == nil {
+	if _, err := NewProactive(nil, core.GoalEnergy); err == nil {
 		t.Error("nil DB should fail")
 	}
 }
 
 func TestProactivePlacesAllVMs(t *testing.T) {
-	p, err := NewProactive(sharedDB(t), core.GoalBalanced, 0)
+	p, err := NewProactive(sharedDB(t), core.GoalBalanced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestProactivePlacesAllVMs(t *testing.T) {
 }
 
 func TestProactiveQueuesUnderPressure(t *testing.T) {
-	p, err := NewProactive(sharedDB(t), core.GoalEnergy, 6)
+	p, err := NewProactiveConfig(core.Config{DB: sharedDB(t), MaxVMsPerServer: 6}, core.GoalEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestProactiveQueuesUnderPressure(t *testing.T) {
 }
 
 func TestProactiveForcePlacesUnsatisfiableQoS(t *testing.T) {
-	p, err := NewProactive(sharedDB(t), core.GoalEnergy, 0)
+	p, err := NewProactive(sharedDB(t), core.GoalEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestProactiveForcePlacesUnsatisfiableQoS(t *testing.T) {
 }
 
 func TestProactiveEnergyConsolidatesAcrossJobs(t *testing.T) {
-	p, err := NewProactive(sharedDB(t), core.GoalEnergy, 0)
+	p, err := NewProactive(sharedDB(t), core.GoalEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestProactiveEnergyConsolidatesAcrossJobs(t *testing.T) {
 
 func TestStrategiesImplementInterface(t *testing.T) {
 	ff, _ := NewFirstFit(1)
-	pa, err := NewProactive(sharedDB(t), core.GoalEnergy, 0)
+	pa, err := NewProactive(sharedDB(t), core.GoalEnergy)
 	if err != nil {
 		t.Fatal(err)
 	}

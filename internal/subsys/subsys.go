@@ -75,14 +75,6 @@ func (v Vector) Add(w Vector) Vector {
 	return v
 }
 
-// Sub returns v - w componentwise.
-func (v Vector) Sub(w Vector) Vector {
-	for i := range v {
-		v[i] -= w[i]
-	}
-	return v
-}
-
 // Scale returns v scaled by k.
 func (v Vector) Scale(k float64) Vector {
 	for i := range v {
@@ -107,26 +99,6 @@ func (v Vector) Div(w Vector) Vector {
 		}
 	}
 	return out
-}
-
-// Sum returns the sum of components.
-func (v Vector) Sum() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Dominates reports whether every component of v is >= the corresponding
-// component of w.
-func (v Vector) Dominates(w Vector) bool {
-	for i := range v {
-		if v[i] < w[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // IsZero reports whether all components are exactly zero.

@@ -21,13 +21,12 @@ import (
 	"strings"
 )
 
-// Status values defined by the SWF specification.
+// Status values defined by the SWF specification that the trace
+// pipeline reads (2 and 3 mark the parts of a checkpointed job).
 const (
-	StatusFailed             = 0
-	StatusCompleted          = 1
-	StatusPartialToBeContd   = 2
-	StatusPartialLastOfChain = 3
-	StatusCancelled          = 5
+	StatusFailed    = 0
+	StatusCompleted = 1
+	StatusCancelled = 5
 )
 
 // Job is one SWF record. Field names and order follow the v2.2

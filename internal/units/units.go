@@ -83,17 +83,6 @@ type Mbps float64
 
 func (r Mbps) String() string { return fmt.Sprintf("%.1fMb/s", float64(r)) }
 
-// Clamp01 clamps x to the closed interval [0,1].
-func Clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
 // NearlyEqual reports whether a and b agree to within rel relative
 // tolerance (or 1e-12 absolute for values near zero). It is the comparison
 // primitive used by simulator invariant checks and tests.

@@ -43,30 +43,6 @@ func TestPowerEnergyInverse(t *testing.T) {
 	}
 }
 
-func TestClamp01(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{-1, 0}, {0, 0}, {0.5, 0.5}, {1, 1}, {2, 1},
-	}
-	for _, c := range cases {
-		if got := Clamp01(c.in); got != c.want {
-			t.Errorf("Clamp01(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestClamp01Property(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) {
-			return true
-		}
-		y := Clamp01(x)
-		return y >= 0 && y <= 1 && (x < 0 || x > 1 || y == x)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNearlyEqual(t *testing.T) {
 	cases := []struct {
 		a, b, rel float64

@@ -159,18 +159,6 @@ func (r Result) Energy() units.Joules {
 	return e
 }
 
-// MaxPower is the paper's "MaxPower" column: the peak instantaneous power
-// observed.
-func (r Result) MaxPower() units.Watts {
-	var p units.Watts
-	for _, iv := range r.Timeline {
-		if iv.Power > p {
-			p = iv.Power
-		}
-	}
-	return p
-}
-
 // vmState tracks one resident VM's progress.
 type vmState struct {
 	bench     workload.Benchmark

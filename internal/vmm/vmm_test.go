@@ -338,3 +338,15 @@ func TestBufferRunAllocs(t *testing.T) {
 		t.Errorf("Buffer.Run allocates %v times per run, want 0", n)
 	}
 }
+
+// MaxPower is the paper's "MaxPower" column: the peak instantaneous power
+// observed.
+func (r Result) MaxPower() units.Watts {
+	var p units.Watts
+	for _, iv := range r.Timeline {
+		if iv.Power > p {
+			p = iv.Power
+		}
+	}
+	return p
+}

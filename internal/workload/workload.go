@@ -109,22 +109,6 @@ func (b Benchmark) AvgDemand() subsys.Vector {
 	return acc.Scale(1 / float64(total))
 }
 
-// Scaled returns a copy of b whose phase durations are multiplied by
-// factor, modelling the same application run on a larger or smaller
-// problem. Demands and footprint are unchanged.
-func (b Benchmark) Scaled(factor float64) Benchmark {
-	if factor <= 0 {
-		panic("workload: Scaled factor must be positive")
-	}
-	out := b
-	out.Phases = make([]Phase, len(b.Phases))
-	for i, p := range b.Phases {
-		p.Dur = units.Seconds(float64(p.Dur) * factor)
-		out.Phases[i] = p
-	}
-	return out
-}
-
 // Validate checks structural invariants.
 func (b Benchmark) Validate() error {
 	if b.Name == "" {

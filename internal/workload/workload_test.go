@@ -96,30 +96,6 @@ func TestAvgDemandEmpty(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	b := HPL()
-	s := b.Scaled(2)
-	if got, want := s.SoloTime(), 2*b.SoloTime(); got != want {
-		t.Errorf("scaled solo time = %v, want %v", got, want)
-	}
-	if s.Footprint != b.Footprint {
-		t.Error("Scaled changed footprint")
-	}
-	// Original must be untouched (no aliasing).
-	if b.SoloTime() != 600 {
-		t.Error("Scaled mutated the original")
-	}
-}
-
-func TestScaledPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scaled(0) should panic")
-		}
-	}()
-	HPL().Scaled(0)
-}
-
 func TestValidateRejects(t *testing.T) {
 	ok := HPL()
 	cases := []struct {
