@@ -114,7 +114,7 @@ metrics-smoke:
 	PACEVM_SOAK_DIR=$(CURDIR)/serve-soak-artifacts \
 		$(GO) test -count=1 -run TestMetricsSmoke -v ./internal/serve
 
-# fuzz-smoke gives each text-input parser, swf.Merge (against its
+# fuzz-smoke gives each text-input parser, swf.SortJobs (against its
 # stable-sort oracle), the power meter (against its per-window-scan
 # oracle), the PA search's distinct-partition lists (against the
 # walk-and-skip enumeration they replaced), the placement service's
@@ -127,7 +127,7 @@ metrics-smoke:
 # corpus entry, which otherwise eats the whole burst.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime 5s ./internal/swf
-	$(GO) test -run NONE -fuzz FuzzMerge -fuzztime 5s ./internal/swf
+	$(GO) test -run NONE -fuzz FuzzSortJobs -fuzztime 5s ./internal/swf
 	$(GO) test -fuzz FuzzReadSchedule -fuzztime 5s ./internal/faults
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 5s ./internal/model
 	$(GO) test -fuzz FuzzReadDecisionLog -fuzztime 5s ./internal/cloudsim
@@ -167,14 +167,17 @@ bench-alloc:
 # class query that feeds it, with a few mutations between queries, and
 # FleetIndexClassesRetired the same query over the ~40 class sets (18
 # live, 3 stale per query) a sim-pa run's index holds.
-# These four families record -count 5, so their entries carry a spread
-# (min_ns_per_op, max_ns_per_op) pacevm-benchdiff can judge a change
-# against. TracePrepare is the set-up
-# layer: generating and preparing the 100k-VM trace a sim-pa run uses.
+# These four families, TracePrepare and CampaignParallel record -count
+# 5, so their entries carry a spread (min_ns_per_op, max_ns_per_op)
+# pacevm-benchdiff can judge a change against. TracePrepare is the
+# set-up layer: generating and preparing the 100k-VM trace a sim-pa run
+# uses.
 # JournalAppend and JournalAppendFsync are the service's journal layer:
 # one place record encoded and written, without and with its fsync.
 # CampaignParallel is the model set-up layer: the full-grid campaign
 # pacevm-serve and the simulator build their model database from.
+# TracePrepare and CampaignParallel together are the two layers of the
+# sim-pa workload's setup_s.
 bench-json:
 	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
@@ -182,9 +185,9 @@ bench-json:
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 5 -benchmem ./internal/core \
 		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 5 -benchmem ./internal/strategy \
-		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 2 -benchmem ./internal/trace \
+		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 5 -benchmem ./internal/trace \
 		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve \
-		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 2 -benchmem .; } \
+		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 5 -benchmem .; } \
 		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimPA=2' -require 'SimPADecisions=2' -require 'Serve=2' -require 'ServeObs=2' \
 			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
 			-require 'JournalAppend=2' -require 'CampaignParallel=2' -o BENCH_sim.json

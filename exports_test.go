@@ -35,13 +35,20 @@ var exportAllowed = map[string]string{
 	"pacevm/internal/hw.Spec.MaxPower":             "the vmm tests bound measured power by it",
 	"pacevm/internal/vmm.Result.Energy":            "the power meter tests compare against the exact integral",
 	"pacevm/internal/workload.Benchmark.AvgDemand": "the profiler tests compare labels with declared demand",
+
+	// Fields a golden hash reads; dropping one would re-pin it.
+	"pacevm/internal/campaign.BasePoint.Energy":   "TestGoldenCampaign hashes every base point's energy",
+	"pacevm/internal/campaign.BasePoint.MaxPower": "TestGoldenCampaign hashes every base point's peak power",
 }
 
 // TestEveryExportIsReached fails, naming each one, for an exported
 // identifier of an internal package that no non-test file references:
 // such code runs only under its own tests and belongs in a test file or
-// nowhere. The commands, the examples and the perfbench module count as
-// users. A method also counts as used when its type satisfies an
+// nowhere. Exported fields of named struct types count too, except
+// tagged ones (an encoder reads those through reflection), and storing
+// into a field — an assignment, an increment or a composite-literal key
+// — is not a reference: a field nothing reads carries nothing. The
+// commands, the examples and the perfbench module count as users. A method also counts as used when its type satisfies an
 // interface that non-test code names or passes values through (so the
 // strategies' Place methods, the consolidator's Propose and the
 // checkpoint policies count).
@@ -53,7 +60,11 @@ func TestEveryExportIsReached(t *testing.T) {
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	for _, p := range pkgs {
-		for _, obj := range p.info.Uses {
+		writes := writeTargets(p.files, p.info)
+		for id, obj := range p.info.Uses {
+			if writes[id] {
+				continue
+			}
 			used[origin(obj)] = true
 			if tn, ok := obj.(*types.TypeName); ok {
 				ifaces = collectInterfaces(ifaces, tn.Type())
@@ -110,6 +121,14 @@ func TestEveryExportIsReached(t *testing.T) {
 			if !ok {
 				continue
 			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					f := st.Field(i)
+					if f.Exported() && !f.Embedded() && st.Tag(i) == "" && !used[f] {
+						unused = append(unused, p.path+"."+name+"."+f.Name())
+					}
+				}
+			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !used[m] {
@@ -136,6 +155,44 @@ func TestEveryExportIsReached(t *testing.T) {
 			t.Errorf("exportAllowed entry %s excuses nothing; remove it", id)
 		}
 	}
+}
+
+// writeTargets returns the identifiers in files that only store into
+// what they name: the field or package variable an assignment or an
+// increment writes through a selector, and the field keys of composite
+// literals. A field that is only ever stored is read by nothing.
+func writeTargets(files []*ast.File, info *types.Info) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					lhs(e)
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X)
+			case *ast.CompositeLit:
+				if _, ok := info.Types[n].Type.Underlying().(*types.Struct); !ok {
+					return true
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return writes
 }
 
 // origin maps an instantiated generic function or field to its
@@ -191,6 +248,7 @@ type checkedPkg struct {
 	internal bool
 	pkg      *types.Package
 	info     *types.Info
+	files    []*ast.File
 }
 
 // checkTree type-checks the non-test files of every package under root
@@ -249,7 +307,7 @@ func checkTree(root string) ([]*checkedPkg, error) {
 		if err != nil {
 			return nil, fmt.Errorf("type-check %s: %w", path, err)
 		}
-		done[path] = &checkedPkg{path: path, internal: strings.HasPrefix(path, "pacevm/internal/"), pkg: pkg, info: info}
+		done[path] = &checkedPkg{path: path, internal: strings.HasPrefix(path, "pacevm/internal/"), pkg: pkg, info: info, files: files}
 		return pkg, nil
 	}
 	var out []*checkedPkg

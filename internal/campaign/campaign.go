@@ -115,7 +115,6 @@ type BasePoint struct {
 // BaseResult is the per-class outcome of the base tests: the Fig.-2 curve
 // plus the Table I parameters.
 type BaseResult struct {
-	Class workload.Class
 	Bench string
 	// Points holds outcomes for n = 1..MaxBase in order.
 	Points []BasePoint
@@ -139,11 +138,8 @@ func (b BaseResult) OS() int {
 
 // Summary describes a completed campaign.
 type Summary struct {
-	Base          [workload.NumClasses]BaseResult
-	CombinedRuns  int
-	TotalRuns     int
-	GridIsFull    bool
-	FullGridTotal int
+	Base         [workload.NumClasses]BaseResult
+	CombinedRuns int
 }
 
 // PaperCombinedCount is the paper's experiment-count formula for the
@@ -157,21 +153,17 @@ func PaperCombinedCount(osc, osm, osi int) int {
 // class representative benchmark, measuring average execution time and
 // energy at each count.
 func RunBase(cfg Config, class workload.Class) (BaseResult, error) {
-	return runBaseBench(cfg, class, workload.Representative(class))
+	return RunBaseBenchmark(cfg, workload.Representative(class))
 }
 
 // RunBaseBenchmark executes base tests for an explicit benchmark (used by
 // the Fig.-2 experiment, which runs FFTW rather than the class
 // representative).
-func RunBaseBenchmark(cfg Config, b workload.Benchmark) (BaseResult, error) {
-	return runBaseBench(cfg, b.Class, b)
-}
-
-func runBaseBench(cfg Config, class workload.Class, bench workload.Benchmark) (BaseResult, error) {
+func RunBaseBenchmark(cfg Config, bench workload.Benchmark) (BaseResult, error) {
 	if err := cfg.validate(); err != nil {
 		return BaseResult{}, err
 	}
-	res := BaseResult{Class: class, Bench: bench.Name}
+	res := BaseResult{Bench: bench.Name}
 	bestT, bestE := math.Inf(1), math.Inf(1)
 	var buf vmm.Buffer
 	for n := 1; n <= cfg.MaxBase; n++ {
@@ -232,8 +224,6 @@ func Run(cfg Config) (*model.DB, Summary, error) {
 	}
 	// Combined rows.
 	if cfg.FullGridTotal > 0 {
-		sum.GridIsFull = true
-		sum.FullGridTotal = cfg.FullGridTotal
 		for c := 0; c <= cfg.FullGridTotal; c++ {
 			for m := 0; m <= cfg.FullGridTotal-c; m++ {
 				for i := 0; i <= cfg.FullGridTotal-c-m; i++ {
@@ -286,7 +276,6 @@ func Run(cfg Config) (*model.DB, Summary, error) {
 	if err != nil {
 		return nil, Summary{}, err
 	}
-	sum.TotalRuns = len(recs)
 
 	db, err := model.New(recs, aux)
 	if err != nil {

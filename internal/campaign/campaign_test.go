@@ -58,8 +58,8 @@ func TestRunBasePerClass(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", class, err)
 		}
-		if res.Class != class {
-			t.Errorf("class = %v, want %v", res.Class, class)
+		if want := workload.Representative(class).Name; res.Bench != want {
+			t.Errorf("%v: bench = %s, want %s", class, res.Bench, want)
 		}
 		if res.OSP < 1 || res.OSP > cfg.MaxBase || res.OSE < 1 || res.OSE > cfg.MaxBase {
 			t.Errorf("%v: OSP=%d OSE=%d out of range", class, res.OSP, res.OSE)
@@ -139,12 +139,9 @@ func TestRunFullGrid(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxBase = 6
 	cfg.FullGridTotal = 6
-	db, sum, err := Run(cfg)
+	db, _, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sum.GridIsFull {
-		t.Error("summary should mark full grid")
 	}
 	// All keys with total <= 6 present: C(9,3) - 1 = 83.
 	count := 0

@@ -15,16 +15,16 @@ import (
 // marginal energy of the move. ok is false when the placement is
 // inadmissible (capacity, per-class bound, QoS, or unpriceable
 // allocation). It exposes evalBlock to the pricing tests below.
-func (a *Allocator) EvaluateBlock(base model.Key, vms []VMRequest) (Placement, bool) {
+func (a *Allocator) EvaluateBlock(base model.Key, vms []VMRequest) (refBlock, bool) {
 	var blockKey model.Key
 	for _, vm := range vms {
 		if vm.validate() != nil {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 		blockKey = blockKey.Add(model.KeyFor(vm.Class, 1))
 	}
 	if blockKey.IsZero() || !base.Valid() {
-		return Placement{}, false
+		return refBlock{}, false
 	}
 	return a.evalBlock(base, blockKey, vms, nil)
 }
@@ -43,8 +43,8 @@ func TestEvaluateBlockSolo(t *testing.T) {
 	if !units.NearlyEqual(float64(pl.EstTime), float64(rec.ClassTime(workload.ClassCPU)), 1e-9) {
 		t.Errorf("est time %v, want %v", pl.EstTime, rec.ClassTime(workload.ClassCPU))
 	}
-	if !units.NearlyEqual(float64(pl.EstEnergy), float64(rec.Energy), 1e-9) {
-		t.Errorf("est energy %v, want the solo record's %v", pl.EstEnergy, rec.Energy)
+	if !units.NearlyEqual(float64(pl.energy), float64(rec.Energy), 1e-9) {
+		t.Errorf("est energy %v, want the solo record's %v", pl.energy, rec.Energy)
 	}
 }
 
@@ -106,9 +106,9 @@ func TestEvaluateBlockMarginalEnergyAdditive(t *testing.T) {
 	if !ok {
 		t.Fatal("second refused")
 	}
-	sum := float64(plFirst.EstEnergy + plSecond.EstEnergy)
-	if !units.NearlyEqual(sum, float64(plTwo.EstEnergy), 1e-9) {
-		t.Errorf("telescoped energy %v != block energy %v", sum, plTwo.EstEnergy)
+	sum := float64(plFirst.energy + plSecond.energy)
+	if !units.NearlyEqual(sum, float64(plTwo.energy), 1e-9) {
+		t.Errorf("telescoped energy %v != block energy %v", sum, plTwo.energy)
 	}
 }
 

@@ -131,7 +131,7 @@ type Config struct {
 	// literal transcription the tests keep as their oracle, which has no
 	// budget. When the budget exhausts before the enumeration
 	// completes, Allocate abandons the partial search and degrades to a
-	// deterministic first-fit placement (Allocation.Degraded), so a
+	// deterministic first-fit placement (SearchStats.Degraded), so a
 	// budgeted allocator always answers in bounded work. The budget
 	// counts scored candidates, not wall clock, so budgeted runs stay
 	// exactly replayable.
@@ -140,7 +140,7 @@ type Config struct {
 	// partitions; a true return abandons the search
 	// exactly as budget exhaustion does — the partial frontier is
 	// discarded and Allocate degrades to the deterministic first-fit
-	// fallback (Allocation.Degraded, SearchStats.Canceled). This is the
+	// fallback (SearchStats.Degraded). This is the
 	// per-request timeout hook for long-running callers (the placement
 	// service arms it with a deadline check); it is the one deliberate
 	// determinism relaxation in the allocator — where the cut lands
@@ -232,10 +232,6 @@ type Placement struct {
 	// EstTime is the estimated execution time of the block (the slowest
 	// VM in it under the new allocation).
 	EstTime units.Seconds
-	// EstEnergy is the marginal energy attributed to the block: the
-	// server's power increase (including the 125 W activation cost of a
-	// powered-down server) integrated over the block's estimated time.
-	EstEnergy units.Joules
 }
 
 // Allocation is the algorithm's output: "a set of partitions and
@@ -245,12 +241,11 @@ type Allocation struct {
 	// EstTime is the estimated execution time of the whole request (max
 	// over placements).
 	EstTime units.Seconds
-	// EstEnergy is the total marginal energy over placements.
+	// EstEnergy is the total marginal energy over placements: each
+	// block's server power increase (including the 125 W activation cost
+	// of a powered-down server) integrated over the block's estimated
+	// time.
 	EstEnergy units.Joules
-	// Degraded reports that the search budget exhausted and this
-	// allocation came from the first-fit fallback, not the full
-	// partition search (see Config.SearchBudget).
-	Degraded bool
 }
 
 // EstimateVM prices one VM of the given request under an allocation: the
@@ -298,9 +293,6 @@ type SearchStats struct {
 	Pruned     int
 	Exhausted  bool
 	Degraded   bool
-	// Canceled reports that Config.Cancel (not the budget) cut the
-	// enumeration; Exhausted and Degraded are set alongside it.
-	Canceled bool
 }
 
 // Allocate runs the partition search and returns the best allocation
@@ -320,7 +312,7 @@ type SearchStats struct {
 //
 // With a positive Config.SearchBudget the enumeration may stop early;
 // Allocate then degrades to the deterministic first-fit fallback and
-// marks the result Allocation.Degraded (see degrade.go).
+// AllocateExplained's SearchStats.Degraded reports it (see degrade.go).
 func (a *Allocator) Allocate(goal Goal, servers []ServerState, vms []VMRequest) (Allocation, error) {
 	out, _, err := a.AllocateExplained(goal, servers, vms)
 	return out, err
@@ -344,9 +336,7 @@ func (a *Allocator) AllocateExplained(goal Goal, servers []ServerState, vms []VM
 	if err != nil {
 		return Allocation{}, sc.stats, err
 	}
-	out := sc.materialize(c)
-	out.Degraded = sc.stats.Degraded
-	return out, sc.stats, nil
+	return sc.materialize(c), sc.stats, nil
 }
 
 // AllocateClasses runs the same search as AllocateExplained over a

@@ -135,7 +135,7 @@ func TestSingleVMOnEmptyCloud(t *testing.T) {
 	if !units.NearlyEqual(float64(pl.EstTime), float64(ref), 0.01) {
 		t.Errorf("solo estimate %v, want ~%v", pl.EstTime, ref)
 	}
-	if pl.EstEnergy <= 0 {
+	if out.EstEnergy <= 0 {
 		t.Error("activating a server must cost energy")
 	}
 }

@@ -43,15 +43,15 @@ func (a *Allocator) firstFitReference(servers []ServerState, vms []VMRequest) (A
 			return Allocation{}, ErrInfeasible
 		}
 	}
-	out := Allocation{Degraded: true}
+	var out Allocation
 	for _, si := range order {
 		pl, ok := a.evalBlock(servers[si].Alloc, extra[si], placed[si], nil)
 		if !ok {
 			return Allocation{}, ErrInfeasible
 		}
 		pl.ServerID = servers[si].ID
-		out.Placements = append(out.Placements, pl)
-		out.EstEnergy += pl.EstEnergy
+		out.Placements = append(out.Placements, pl.Placement)
+		out.EstEnergy += pl.energy
 		if pl.EstTime > out.EstTime {
 			out.EstTime = pl.EstTime
 		}
@@ -83,11 +83,11 @@ func TestSearchBudgetUnlimitedMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := a.Allocate(goal, servers, vms)
+			got, st, err := a.AllocateExplained(goal, servers, vms)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Degraded {
+			if st.Degraded {
 				t.Fatalf("budget %d marked the allocation degraded", budget)
 			}
 			sameAllocation(t, "unlimited", got, want)
@@ -105,11 +105,11 @@ func TestSearchBudgetDegradesToFirstFit(t *testing.T) {
 	r := rng.New(7)
 	servers := randomFleet(r, 5)
 	vms := randomVMs(t, r, 6)
-	got, err := a.Allocate(GoalBalanced, servers, vms)
+	got, st, err := a.AllocateExplained(GoalBalanced, servers, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Degraded {
+	if !st.Degraded {
 		t.Fatal("budget 1 over B(6) partitions did not degrade")
 	}
 	placedIDs := map[string]int{}
@@ -144,23 +144,23 @@ func TestSearchBudgetDeterministic(t *testing.T) {
 	ff, fferr := mkAllocator(t).firstFitReference(servers, vms)
 	for _, budget := range []int{1, 3, 10, 50} {
 		base := budgetAllocator(t, budget, nil)
-		want, werr := base.Allocate(GoalBalanced, servers, vms)
-		if werr == nil && want.Degraded {
+		want, wantSt, werr := base.AllocateExplained(GoalBalanced, servers, vms)
+		if werr == nil && wantSt.Degraded {
 			if fferr != nil {
 				t.Fatalf("budget %d: degraded placement where the first-fit reference fails: %v", budget, fferr)
 			}
 			sameAllocation(t, fmt.Sprintf("budget %d vs first-fit reference", budget), want, ff)
 		}
 		for run, a := range []*Allocator{base, base, budgetAllocator(t, budget, nil)} {
-			got, gerr := a.Allocate(GoalBalanced, servers, vms)
+			got, gotSt, gerr := a.AllocateExplained(GoalBalanced, servers, vms)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("budget %d run %d: err %v vs first run %v", budget, run, gerr, werr)
 			}
 			if werr != nil {
 				continue
 			}
-			if got.Degraded != want.Degraded {
-				t.Fatalf("budget %d run %d: degraded %v vs first run %v", budget, run, got.Degraded, want.Degraded)
+			if gotSt.Degraded != wantSt.Degraded {
+				t.Fatalf("budget %d run %d: degraded %v vs first run %v", budget, run, gotSt.Degraded, wantSt.Degraded)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("budget %d run %d: allocation differs from the first run", budget, run)
@@ -182,11 +182,11 @@ func TestSearchBudgetAboveSpaceNeverDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := budgetAllocator(t, 15, nil)
-	got, err := a.Allocate(GoalEnergy, servers, vms)
+	got, st, err := a.AllocateExplained(GoalEnergy, servers, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Degraded {
+	if st.Degraded {
 		t.Fatal("budget covering the whole space degraded")
 	}
 	sameAllocation(t, "full budget", got, want)
@@ -208,11 +208,11 @@ func TestFirstFitFallbackRespectsConstraints(t *testing.T) {
 		vm("a", class, nominal, solo),
 		vm("b", class, nominal, solo),
 	}
-	got, err := a.Allocate(GoalBalanced, emptyServers(3), vms)
+	got, st, err := a.AllocateExplained(GoalBalanced, emptyServers(3), vms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Degraded {
+	if !st.Degraded {
 		t.Fatal("expected degraded placement")
 	}
 	if len(got.Placements) != 2 {

@@ -246,7 +246,7 @@ func (sc *searchCtx) oracleEnumerate(pl *partitionList) (exhausted bool) {
 			return false
 		}
 		if cancel != nil && cancel() {
-			sc.stats.Canceled, exhausted = true, true
+			exhausted = true
 			return false
 		}
 		one := *pl

@@ -24,9 +24,9 @@ import (
 // referenceCandidate is one fully-placed partition under evaluation by
 // the reference path.
 type referenceCandidate struct {
-	placements []Placement
-	time       units.Seconds
-	energy     units.Joules
+	blocks []refBlock
+	time   units.Seconds
+	energy units.Joules
 }
 
 // AllocateReference runs the unpruned serial brute-force search and
@@ -59,11 +59,11 @@ func (a *Allocator) AllocateReference(goal Goal, servers []ServerState, vms []VM
 	}
 
 	best := pickBestReference(goal, cands)
-	return Allocation{
-		Placements: best.placements,
-		EstTime:    best.time,
-		EstEnergy:  best.energy,
-	}, nil
+	out := Allocation{EstTime: best.time, EstEnergy: best.energy}
+	for _, b := range best.blocks {
+		out.Placements = append(out.Placements, b.Placement)
+	}
+	return out, nil
 }
 
 // validateRequest checks the inputs of AllocateReference.
@@ -129,14 +129,14 @@ func (a *Allocator) evalPartitionReference(goal Goal, servers []ServerState, vms
 		}
 
 		bestIdx := -1
-		var bestPl Placement
+		var bestPl refBlock
 		bestScore := 0.0
 		// Servers with identical effective allocation are equivalent;
 		// evaluate the first of each group only.
 		evaluated := map[model.Key]bool{}
 		type option struct {
 			idx    int
-			pl     Placement
+			pl     refBlock
 			before model.Key
 		}
 		var options []option
@@ -163,8 +163,8 @@ func (a *Allocator) evalPartitionReference(goal Goal, servers []ServerState, vms
 			if o.pl.EstTime > maxT {
 				maxT = o.pl.EstTime
 			}
-			if o.pl.EstEnergy > maxE {
-				maxE = o.pl.EstEnergy
+			if o.pl.energy > maxE {
+				maxE = o.pl.energy
 			}
 		}
 		for _, o := range options {
@@ -173,7 +173,7 @@ func (a *Allocator) evalPartitionReference(goal Goal, servers []ServerState, vms
 				tn = float64(o.pl.EstTime) / float64(maxT)
 			}
 			if maxE > 0 {
-				en = float64(o.pl.EstEnergy) / float64(maxE)
+				en = float64(o.pl.energy) / float64(maxE)
 			}
 			// The block-level choice honors the same α as the
 			// allocation-level ranking.
@@ -184,8 +184,8 @@ func (a *Allocator) evalPartitionReference(goal Goal, servers []ServerState, vms
 		}
 		extra[bestIdx] = extra[bestIdx].Add(blockKey)
 		placedVMs[bestIdx] = append(placedVMs[bestIdx], blockVMs...)
-		cand.placements = append(cand.placements, bestPl)
-		cand.energy += bestPl.EstEnergy
+		cand.blocks = append(cand.blocks, bestPl)
+		cand.energy += bestPl.energy
 		if bestPl.EstTime > cand.time {
 			cand.time = bestPl.EstTime
 		}
@@ -197,19 +197,19 @@ func (a *Allocator) evalPartitionReference(goal Goal, servers []ServerState, vms
 // checks QoS for both the new block and any VMs tentatively placed there
 // earlier in this partition: the reference's pricing, which
 // searchCtx.priceBlock and placedOK split between them.
-func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced []VMRequest) (Placement, bool) {
+func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced []VMRequest) (refBlock, bool) {
 	after := base.Add(blockKey)
 	if after.Total() > a.cfg.MaxVMsPerServer {
-		return Placement{}, false
+		return refBlock{}, false
 	}
 	for _, c := range workload.Classes {
 		if after.Count(c) > a.cfg.PerClassBound[c] {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 	}
 	recAfter, err := a.cfg.DB.Estimate(after)
 	if err != nil {
-		return Placement{}, false
+		return refBlock{}, false
 	}
 
 	var blockTime units.Seconds
@@ -224,10 +224,10 @@ func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced 
 	for _, vm := range blockVMs {
 		est, ok := estOf(vm)
 		if !ok {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 		if !a.cfg.RelaxQoS && vm.MaxTime > 0 && est > vm.MaxTime {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 		if est > blockTime {
 			blockTime = est
@@ -236,10 +236,10 @@ func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced 
 	for _, vm := range alreadyPlaced {
 		est, ok := estOf(vm)
 		if !ok {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 		if !a.cfg.RelaxQoS && vm.MaxTime > 0 && est > vm.MaxTime {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 	}
 
@@ -249,7 +249,7 @@ func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced 
 	if !base.IsZero() {
 		recBefore, err := a.cfg.DB.Estimate(base)
 		if err != nil {
-			return Placement{}, false
+			return refBlock{}, false
 		}
 		beforeEnergy = recBefore.Energy
 	}
@@ -257,12 +257,16 @@ func (a *Allocator) evalBlock(base, blockKey model.Key, blockVMs, alreadyPlaced 
 	if deltaE < 0 {
 		deltaE = 0
 	}
-	return Placement{
-		VMs:       blockVMs,
-		NewAlloc:  after,
-		EstTime:   blockTime,
-		EstEnergy: deltaE,
-	}, true
+	return refBlock{Placement: Placement{VMs: blockVMs, NewAlloc: after, EstTime: blockTime}, energy: deltaE}, true
+}
+
+// refBlock is the reference's pricing of one block: its placement and
+// the marginal energy the move costs, the server's power increase
+// (including the 125 W activation cost of a powered-down server)
+// integrated over the block's estimated time.
+type refBlock struct {
+	Placement
+	energy units.Joules
 }
 
 // legacyPartitionSignature is the string-building canonicalization the

@@ -904,7 +904,6 @@ func (sc *searchCtx) enumerate(pl *partitionList) (exhausted bool) {
 			break
 		}
 		if cancel != nil && cancel() {
-			sc.stats.Canceled = true
 			break
 		}
 		sc.w.consider(pl, k)
@@ -927,11 +926,10 @@ func (sc *searchCtx) materialize(c candidate) Allocation {
 		}
 		off += p.n
 		pls[i] = Placement{
-			ServerID:  sc.serverID(p.server),
-			VMs:       vms,
-			NewAlloc:  p.after,
-			EstTime:   p.time,
-			EstEnergy: p.energy,
+			ServerID: sc.serverID(p.server),
+			VMs:      vms,
+			NewAlloc: p.after,
+			EstTime:  p.time,
 		}
 	}
 	return Allocation{Placements: pls, EstTime: c.time, EstEnergy: c.energy}

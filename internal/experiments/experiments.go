@@ -436,7 +436,6 @@ func Find(results []EvalResult, strategyName string, cloud CloudName) (EvalResul
 //   - PA-0 vs PA-1 makespan and energy orderings (~3 % in the paper,
 //     with variations "not very significant, <2%" for PA-0.5).
 type Headlines struct {
-	Cloud                   CloudName
 	MakespanSavingVsFFPct   float64
 	EnergySavingVsFFPct     float64
 	EnergySavingVsFamilyPct float64
@@ -491,7 +490,6 @@ func ComputeHeadlines(results []EvalResult, cloud CloudName) (Headlines, error) 
 	}
 	ff := ffM[0] // plain FF
 	return Headlines{
-		Cloud:                   cloud,
 		MakespanSavingVsFFPct:   stats.SavingPct(float64(ff.Makespan), minMakespan(paM)),
 		EnergySavingVsFFPct:     stats.SavingPct(float64(ff.Energy), meanEnergy(paM)),
 		EnergySavingVsFamilyPct: stats.SavingPct(meanEnergy(ffM), meanEnergy(paM)),

@@ -147,7 +147,6 @@ type histState struct {
 	hasInf  bool
 	count   float64
 	hasCnt  bool
-	line    int
 }
 
 // ValidateExposition parses a text exposition and returns the TYPE of
@@ -272,7 +271,6 @@ func ValidateExposition(r io.Reader) (map[string]string, error) {
 				}
 				st.last = value
 				st.buckets++
-				st.line = ln
 			case strings.HasSuffix(name, "_count"):
 				st.count, st.hasCnt = value, true
 			}

@@ -133,7 +133,7 @@ func FuzzMeasure(f *testing.F) {
 		var now units.Seconds
 		for k := 0; k+1 < len(data); k += 2 {
 			end := now + units.Seconds(data[k])/10
-			tl = append(tl, vmm.Interval{Start: now, End: end, Power: units.Watts(data[k+1]) * 1.7, Residents: 1})
+			tl = append(tl, vmm.Interval{Start: now, End: end, Power: units.Watts(data[k+1]) * 1.7})
 			now = end
 		}
 		// Between 0.25 s and about 16.6 s, rarely a whole number.

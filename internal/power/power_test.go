@@ -13,7 +13,7 @@ import (
 )
 
 func constTimeline(p units.Watts, dur units.Seconds) []vmm.Interval {
-	return []vmm.Interval{{Start: 0, End: dur, Power: p, Util: subsys.Vector{}, Residents: 1}}
+	return []vmm.Interval{{Start: 0, End: dur, Power: p, Util: subsys.Vector{}}}
 }
 
 func TestIdealMeterConstantPower(t *testing.T) {

@@ -2,8 +2,6 @@ package swf
 
 import (
 	"bytes"
-	"maps"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -44,13 +42,10 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// mergeOracle is the reference for Merge's job order: concatenate the
-// traces, sort.SliceStable the copy by submit time, then renumber.
-func mergeOracle(traces ...*Trace) []Job {
-	var jobs []Job
-	for _, tr := range traces {
-		jobs = append(jobs, tr.Jobs...)
-	}
+// sortOracle is the reference for SortJobs: sort.SliceStable a copy by
+// submit time, then renumber.
+func sortOracle(in []Job) []Job {
+	jobs := slices.Clone(in)
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].SubmitTime < jobs[j].SubmitTime })
 	for i := range jobs {
 		jobs[i].JobNumber = i + 1
@@ -58,59 +53,38 @@ func mergeOracle(traces ...*Trace) []Job {
 	return jobs
 }
 
-// cloneTraces deep-copies traces so a test can check Merge left its
-// inputs alone.
-func cloneTraces(traces []*Trace) []*Trace {
-	out := make([]*Trace, len(traces))
-	for i, tr := range traces {
-		out[i] = &Trace{Header: maps.Clone(tr.Header), HeaderOrder: slices.Clone(tr.HeaderOrder), Jobs: slices.Clone(tr.Jobs)}
-	}
-	return out
-}
-
-// FuzzMerge checks Merge record for record against the stable-sort
-// oracle. Each input byte pair becomes one job: the first byte picks
-// its trace, the second its submit time from a range of eight, so equal
-// submit times within and across traces are the common case. Every job
-// carries a distinct UserID, so any reordering among ties shows.
-func FuzzMerge(f *testing.F) {
-	f.Add(uint8(1), []byte{0, 3, 0, 3, 0, 1})
-	f.Add(uint8(2), []byte{0, 5, 1, 5, 0, 5, 1, 2})
-	f.Add(uint8(4), []byte{3, 0, 2, 0, 1, 0, 0, 0, 3, 7, 2, 6})
-	f.Add(uint8(3), []byte{})
-	// Past the sort's small-input insertion-sort cutoff, where an
-	// unstable sort really reorders ties.
+// FuzzSortJobs checks SortJobs record for record against the stable-sort
+// oracle. Each input byte becomes one job submitted at base plus the
+// byte, read as a signed value, shifted left by shift bits: equal submit
+// times are common, and a shift of 33 or more spans over 2^33 s, so four
+// or more radix passes run (all six at the widest). Every job carries a
+// distinct UserID, so any reordering among ties shows.
+func FuzzSortJobs(f *testing.F) {
+	f.Add(uint8(0), int64(0), []byte{3, 3, 1, 3, 1})
+	f.Add(uint8(0), int64(-40), []byte{5, 0x85, 5, 2, 0x85, 0xff})
+	f.Add(uint8(12), int64(0), []byte{0, 7, 0, 6, 0x80, 7})
+	f.Add(uint8(34), int64(-1), []byte{1, 0xff, 1, 0x7f, 0, 0x80, 0xff})
+	f.Add(uint8(56), int64(1)<<62, []byte{0x7f, 0x80, 0, 0x7f, 0x80})
+	f.Add(uint8(3), int64(9), []byte{})
 	long := make([]byte, 400)
 	for i := range long {
-		long[i] = byte(i * 37)
+		long[i] = byte(i*37) % 16
 	}
-	f.Add(uint8(2), long)
-	f.Fuzz(func(t *testing.T, ntraces uint8, data []byte) {
-		traces := make([]*Trace, 1+int(ntraces)%4)
-		for i := range traces {
-			traces[i] = &Trace{Header: map[string]string{}}
+	f.Add(uint8(20), int64(-7), long)
+	f.Fuzz(func(t *testing.T, shift uint8, base int64, data []byte) {
+		jobs := make([]Job, len(data))
+		for k, b := range data {
+			jobs[k] = Job{
+				JobNumber:  len(data) - k,
+				SubmitTime: base + int64(int8(b))<<(shift%64),
+				RunTime:    int64(b),
+				UserID:     k,
+			}
 		}
-		traces[0].Header["Version"] = "2.2"
-		traces[0].HeaderOrder = []string{"Version"}
-		for k := 0; k+1 < len(data); k += 2 {
-			tr := traces[int(data[k])%len(traces)]
-			tr.Jobs = append(tr.Jobs, Job{
-				JobNumber:  len(tr.Jobs) + 1,
-				SubmitTime: int64(data[k+1] % 8),
-				RunTime:    int64(data[k]),
-				UserID:     k / 2,
-			})
-		}
-		before := cloneTraces(traces)
-		got := Merge(traces...)
-		if want := mergeOracle(before...); !slices.Equal(got.Jobs, want) {
-			t.Fatalf("Merge differs from the stable-sort oracle:\ngot  %+v\nwant %+v", got.Jobs, want)
-		}
-		if !reflect.DeepEqual(traces, before) {
-			t.Fatal("Merge modified its input traces")
-		}
-		if !slices.Equal(got.HeaderOrder, []string{"Version"}) || got.Header["Version"] != "2.2" {
-			t.Fatalf("headers = %v %v, want the first trace's", got.HeaderOrder, got.Header)
+		want := sortOracle(jobs)
+		SortJobs(jobs)
+		if !slices.Equal(jobs, want) {
+			t.Fatalf("SortJobs differs from the stable-sort oracle:\ngot  %+v\nwant %+v", jobs, want)
 		}
 	})
 }

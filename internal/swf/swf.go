@@ -13,10 +13,8 @@ package swf
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -173,56 +171,98 @@ func fmtFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// Merge combines several traces into one, as the paper does with the
-// multi-file Grid Observatory logs ("as they are usually composed of
-// multiple files we combined them into a single file"). Jobs are
-// re-sorted by submit time, stably (equal submit times keep trace order,
-// then file order), and renumbered from 1; headers are taken from the
-// first trace. The input traces are left unmodified.
-func Merge(traces ...*Trace) *Trace {
-	out := &Trace{Header: map[string]string{}}
-	n := 0
-	for _, tr := range traces {
-		n += len(tr.Jobs)
-	}
-	if len(traces) > 0 {
-		out.HeaderOrder = slices.Clone(traces[0].HeaderOrder)
-		for _, k := range out.HeaderOrder {
-			out.Header[k] = traces[0].Header[k]
+// SortJobs puts jobs in submit-time order in place, stably (equal submit
+// times keep their input order), and renumbers them from 1: the
+// canonical order of a trace the paper combines from its multi-file
+// logs ("as they are usually composed of multiple files we combined them
+// into a single file"). It radix-sorts 16-byte (submit offset, index)
+// keys over the span of submit times, then moves each job once along the
+// cycles of the resulting permutation, so it allocates only the keys and
+// their radix scratch copy.
+func SortJobs(jobs []Job) {
+	if len(jobs) > 1 {
+		lo, hi := jobs[0].SubmitTime, jobs[0].SubmitTime
+		for i := range jobs {
+			lo = min(lo, jobs[i].SubmitTime)
+			hi = max(hi, jobs[i].SubmitTime)
 		}
-	}
-	// Sort 16-byte (submit time, position) keys instead of the 144-byte
-	// records: the position tie-break makes an unstable O(n log n) sort
-	// produce exactly the stable order, and each job is then copied once.
-	keys := make([]mergeKey, 0, n)
-	for t, tr := range traces {
-		for i := range tr.Jobs {
-			keys = append(keys, mergeKey{submit: tr.Jobs[i].SubmitTime, pos: uint64(t)<<32 | uint64(i)})
+		// Offsets from the earliest submit time in uint64 arithmetic:
+		// exact even when the span overflows int64.
+		keys := make([]sortKey, len(jobs))
+		for i := range jobs {
+			keys[i] = sortKey{off: uint64(jobs[i].SubmitTime) - uint64(lo), idx: i}
 		}
-	}
-	slices.SortFunc(keys, func(a, b mergeKey) int {
-		if a.submit != b.submit {
-			return cmp.Compare(a.submit, b.submit)
+		if span := uint64(hi) - uint64(lo); span > 0 {
+			keys = radixSort(keys, span)
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	out.Jobs = make([]Job, n)
-	for i, k := range keys {
-		out.Jobs[i] = traces[k.pos>>32].Jobs[uint32(k.pos)]
-		out.Jobs[i].JobNumber = i + 1
+		permute(jobs, keys)
 	}
-	return out
+	for i := range jobs {
+		jobs[i].JobNumber = i + 1
+	}
 }
 
-// mergeKey is one job's sort key in Merge: its submit time, then its
-// position across the inputs (trace index in the high 32 bits, job
-// index in the low 32).
-type mergeKey struct {
-	submit int64
-	pos    uint64
+// permute moves the job at keys[i].idx to position i, for every i, each
+// job once: every cycle of the permutation is walked once, and each
+// visited slot is marked done by pointing it at itself.
+func permute(jobs []Job, keys []sortKey) {
+	for i := range keys {
+		if keys[i].idx == i {
+			continue
+		}
+		held := jobs[i]
+		j := i
+		for {
+			k := keys[j].idx
+			keys[j].idx = j
+			if k == i {
+				jobs[j] = held
+				break
+			}
+			jobs[j] = jobs[k]
+			j = k
+		}
+	}
 }
 
-// CleanReport summarizes what Clean removed.
+// sortKey is one job's key in SortJobs: its submit time as an offset
+// from the trace's earliest, and its input position.
+type sortKey struct {
+	off uint64
+	idx int
+}
+
+// radixBits is the digit width of SortJobs' radix sort: 2,048 counters
+// per pass, and two passes cover spans below 2^22 s (48 days).
+const radixBits = 11
+
+// radixSort sorts keys stably by off, whose values are at most span,
+// with one least-significant-digit counting pass per radixBits of span.
+// It returns the sorted slice, which is keys or its scratch copy.
+func radixSort(keys []sortKey, span uint64) []sortKey {
+	const mask = 1<<radixBits - 1
+	tmp := make([]sortKey, len(keys))
+	for shift := 0; shift < 64 && span>>shift != 0; shift += radixBits {
+		var count [1 << radixBits]int
+		for i := range keys {
+			count[keys[i].off>>shift&mask]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, k := range keys {
+			d := k.off >> shift & mask
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// CleanReport tallies the jobs of a trace by how Count classifies them.
 type CleanReport struct {
 	Input     int
 	Failed    int
@@ -231,39 +271,47 @@ type CleanReport struct {
 	Kept      int
 }
 
-// Clean applies the paper's preprocessing: failed jobs, cancelled jobs
-// and anomalies are eliminated. Anomalies are records a simulator cannot
-// replay meaningfully: non-positive runtimes, negative submit times,
-// non-positive processor counts, or runtimes wildly exceeding the
+// Count classifies one job by the paper's preprocessing — failed jobs,
+// cancelled jobs and anomalies are eliminated — adds it to the report
+// and says whether the job is kept. Anomalies are records a simulator
+// cannot replay meaningfully: non-positive runtimes, negative submit
+// times, non-positive processor counts, or runtimes wildly exceeding the
 // requested limit (> 10× a positive request).
+func (r *CleanReport) Count(j *Job) (keep bool) {
+	r.Input++
+	switch {
+	case j.Status == StatusFailed:
+		r.Failed++
+	case j.Status == StatusCancelled:
+		r.Cancelled++
+	case j.RunTime <= 0 || j.SubmitTime < 0 || ProcCount(j) <= 0 ||
+		(j.ReqTime > 0 && j.RunTime > 10*j.ReqTime):
+		r.Anomalous++
+	default:
+		r.Kept++
+		return true
+	}
+	return false
+}
+
+// Clean returns a trace of the jobs Count keeps, in order, sharing tr's
+// header, and the report over all of tr.
 func Clean(tr *Trace) (*Trace, CleanReport) {
-	rep := CleanReport{Input: len(tr.Jobs)}
+	var rep CleanReport
 	out := &Trace{Header: tr.Header, HeaderOrder: tr.HeaderOrder, Jobs: make([]Job, 0, len(tr.Jobs))}
-	for _, j := range tr.Jobs {
-		switch {
-		case j.Status == StatusFailed:
-			rep.Failed++
-		case j.Status == StatusCancelled:
-			rep.Cancelled++
-		case j.RunTime <= 0 || j.SubmitTime < 0 || procCount(j) <= 0 ||
-			(j.ReqTime > 0 && j.RunTime > 10*j.ReqTime):
-			rep.Anomalous++
-		default:
-			out.Jobs = append(out.Jobs, j)
+	for i := range tr.Jobs {
+		if rep.Count(&tr.Jobs[i]) {
+			out.Jobs = append(out.Jobs, tr.Jobs[i])
 		}
 	}
-	rep.Kept = len(out.Jobs)
 	return out, rep
 }
 
-// procCount returns the best-known processor count of a job: the
+// ProcCount returns the best-known processor count of a job: the
 // allocated count when recorded, otherwise the requested count.
-func procCount(j Job) int {
+func ProcCount(j *Job) int {
 	if j.AllocatedProc > 0 {
 		return j.AllocatedProc
 	}
 	return j.ReqProc
 }
-
-// ProcCount exposes procCount for downstream preprocessing.
-func ProcCount(j Job) int { return procCount(j) }

@@ -2,9 +2,7 @@ package swf
 
 import (
 	"bytes"
-	"maps"
-	"reflect"
-	"slices"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -157,24 +155,15 @@ func TestCleanAnomalies(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := &Trace{
-		Header:      map[string]string{"Version": "2.2"},
-		HeaderOrder: []string{"Version"},
-		Jobs: []Job{
-			{JobNumber: 10, SubmitTime: 100, RunTime: 1, ReqProc: 1, Status: 1},
-			{JobNumber: 11, SubmitTime: 300, RunTime: 1, ReqProc: 1, Status: 1},
-		},
-	}
-	b := &Trace{Jobs: []Job{
+func TestSortJobs(t *testing.T) {
+	jobs := []Job{
+		{JobNumber: 10, SubmitTime: 300, RunTime: 1, ReqProc: 1, Status: 1},
+		{JobNumber: 11, SubmitTime: 100, RunTime: 1, ReqProc: 1, Status: 1},
 		{JobNumber: 1, SubmitTime: 200, RunTime: 1, ReqProc: 1, Status: 1},
-	}}
-	m := Merge(a, b)
-	if len(m.Jobs) != 3 {
-		t.Fatalf("merged jobs = %d", len(m.Jobs))
 	}
+	SortJobs(jobs)
 	wantSubmits := []int64{100, 200, 300}
-	for i, j := range m.Jobs {
+	for i, j := range jobs {
 		if j.SubmitTime != wantSubmits[i] {
 			t.Errorf("job %d submit = %d, want %d", i, j.SubmitTime, wantSubmits[i])
 		}
@@ -182,93 +171,83 @@ func TestMerge(t *testing.T) {
 			t.Errorf("job %d renumbered to %d", i, j.JobNumber)
 		}
 	}
-	if m.Header["Version"] != "2.2" {
-		t.Error("merge dropped header")
+}
+
+func TestSortJobsStableOnTies(t *testing.T) {
+	jobs := []Job{
+		{SubmitTime: 100, UserID: 1}, {SubmitTime: 50, UserID: 2},
+		{SubmitTime: 100, UserID: 3}, {SubmitTime: 50, UserID: 4},
+	}
+	SortJobs(jobs)
+	for i, want := range []int{2, 4, 1, 3} {
+		if jobs[i].UserID != want {
+			t.Fatalf("order = %+v, want users 2 4 1 3", jobs)
+		}
 	}
 }
 
-func TestMergeStableOnTies(t *testing.T) {
-	a := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 100, UserID: 1}}}
-	b := &Trace{Jobs: []Job{{JobNumber: 2, SubmitTime: 100, UserID: 2}}}
-	m := Merge(a, b)
-	if m.Jobs[0].UserID != 1 || m.Jobs[1].UserID != 2 {
-		t.Error("merge not stable on equal submit times")
-	}
-}
-
-// TestMergeContract pins Merge's edge cases: no traces, empty traces,
-// renumbering, headers from the first trace only, and untouched inputs.
-func TestMergeContract(t *testing.T) {
-	t.Run("no traces", func(t *testing.T) {
-		m := Merge()
-		if len(m.Jobs) != 0 || len(m.Header) != 0 || len(m.HeaderOrder) != 0 {
-			t.Errorf("Merge() = %+v, want an empty trace", m)
-		}
-		if m.Header == nil {
-			t.Error("Merge() left Header nil")
+// TestSortJobsContract pins SortJobs' edge cases: nil and empty input,
+// one job, equal submit times, the extremes of int64, renumbering, and
+// that the caller's slice is the one sorted.
+func TestSortJobsContract(t *testing.T) {
+	t.Run("nil", func(t *testing.T) {
+		SortJobs(nil)
+	})
+	t.Run("empty", func(t *testing.T) {
+		jobs := make([]Job, 0, 1)
+		SortJobs(jobs)
+		if len(jobs) != 0 || jobs[:1][0] != (Job{}) {
+			t.Errorf("jobs = %+v, want none and the spare capacity untouched", jobs[:1])
 		}
 	})
-	t.Run("empty traces", func(t *testing.T) {
-		m := Merge(&Trace{}, &Trace{Jobs: []Job{}})
-		if len(m.Jobs) != 0 {
-			t.Errorf("jobs = %+v, want none", m.Jobs)
+	t.Run("one job", func(t *testing.T) {
+		jobs := []Job{{JobNumber: 7, SubmitTime: -3, UserID: 5}}
+		SortJobs(jobs)
+		if want := (Job{JobNumber: 1, SubmitTime: -3, UserID: 5}); jobs[0] != want {
+			t.Errorf("job = %+v, want %+v", jobs[0], want)
 		}
 	})
-	t.Run("renumbers from 1 across traces", func(t *testing.T) {
-		// Each input file numbers its own jobs from 1; the merged trace
-		// numbers them once, in merged order.
-		a := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 50}, {JobNumber: 2, SubmitTime: 10}}}
-		b := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 30}, {JobNumber: 2, SubmitTime: 10}}}
-		m := Merge(a, b)
+	t.Run("all submit times equal", func(t *testing.T) {
+		jobs := []Job{{JobNumber: 3, SubmitTime: 9, UserID: 1}, {JobNumber: 3, SubmitTime: 9, UserID: 2}}
+		SortJobs(jobs)
+		if jobs[0].UserID != 1 || jobs[1].UserID != 2 || jobs[0].JobNumber != 1 || jobs[1].JobNumber != 2 {
+			t.Errorf("jobs = %+v, want input order renumbered 1, 2", jobs)
+		}
+	})
+	t.Run("full int64 span", func(t *testing.T) {
+		// The span overflows int64; offsets are taken in uint64.
+		jobs := []Job{{SubmitTime: math.MaxInt64}, {SubmitTime: 0}, {SubmitTime: math.MinInt64}, {SubmitTime: -1}, {SubmitTime: math.MaxInt64 - 1}}
+		SortJobs(jobs)
+		want := []int64{math.MinInt64, -1, 0, math.MaxInt64 - 1, math.MaxInt64}
+		for i, j := range jobs {
+			if j.SubmitTime != want[i] {
+				t.Fatalf("submits = %+v, want %v", jobs, want)
+			}
+		}
+	})
+	t.Run("renumbers from 1 in place", func(t *testing.T) {
+		// Each input file numbers its own jobs from 1; the sorted trace
+		// numbers them once, in sorted order. Sorting a window of a larger
+		// array rearranges that window and nothing outside it.
+		all := []Job{{UserID: 1}, {JobNumber: 1, SubmitTime: 50}, {JobNumber: 2, SubmitTime: 10}, {JobNumber: 1, SubmitTime: 30}, {JobNumber: 2, SubmitTime: 10}, {UserID: 2}}
+		SortJobs(all[1:5])
 		wantSubmits := []int64{10, 10, 30, 50}
-		for i, j := range m.Jobs {
+		for i, j := range all[1:5] {
 			if j.JobNumber != i+1 || j.SubmitTime != wantSubmits[i] {
 				t.Errorf("job %d = #%d at %d, want #%d at %d", i, j.JobNumber, j.SubmitTime, i+1, wantSubmits[i])
 			}
 		}
-	})
-	t.Run("first trace headers", func(t *testing.T) {
-		a := &Trace{
-			Header:      map[string]string{"Version": "2.2", "Computer": "a"},
-			HeaderOrder: []string{"Version", "Computer"},
-		}
-		b := &Trace{
-			Header:      map[string]string{"Computer": "b", "Note": "dropped"},
-			HeaderOrder: []string{"Computer", "Note"},
-		}
-		m := Merge(a, b)
-		if !slices.Equal(m.HeaderOrder, []string{"Version", "Computer"}) {
-			t.Errorf("header order = %v", m.HeaderOrder)
-		}
-		if !maps.Equal(m.Header, a.Header) {
-			t.Errorf("header = %v, want %v", m.Header, a.Header)
-		}
-		m.Header["Version"] = "changed"
-		m.HeaderOrder[0] = "changed"
-		if a.Header["Version"] != "2.2" || a.HeaderOrder[0] != "Version" {
-			t.Error("merged header aliases the first trace's")
-		}
-	})
-	t.Run("inputs unmodified", func(t *testing.T) {
-		a := &Trace{Jobs: []Job{{JobNumber: 9, SubmitTime: 300}, {JobNumber: 8, SubmitTime: 100}}}
-		b := &Trace{Jobs: []Job{{JobNumber: 1, SubmitTime: 200}}}
-		before := cloneTraces([]*Trace{a, b})
-		m := Merge(a, b)
-		if !reflect.DeepEqual([]*Trace{a, b}, before) {
-			t.Errorf("inputs changed: %+v %+v", a, b)
-		}
-		m.Jobs[0].UserID = 42
-		if a.Jobs[1].UserID != 0 {
-			t.Error("merged jobs alias the input records")
+		if all[0] != (Job{UserID: 1}) || all[5] != (Job{UserID: 2}) {
+			t.Errorf("jobs outside the window changed: %+v %+v", all[0], all[5])
 		}
 	})
 }
 
 func TestProcCount(t *testing.T) {
-	if got := ProcCount(Job{AllocatedProc: 3, ReqProc: 8}); got != 3 {
+	if got := ProcCount(&Job{AllocatedProc: 3, ReqProc: 8}); got != 3 {
 		t.Errorf("ProcCount = %d, want allocated 3", got)
 	}
-	if got := ProcCount(Job{AllocatedProc: -1, ReqProc: 8}); got != 8 {
+	if got := ProcCount(&Job{AllocatedProc: -1, ReqProc: 8}); got != 8 {
 		t.Errorf("ProcCount = %d, want requested 8", got)
 	}
 }

@@ -3,8 +3,9 @@ package trace
 import "testing"
 
 // BenchmarkTracePrepare is the set-up layer of the sim-pa workload:
-// generate the 50,200-job EGEE-shaped trace (Merge included) and prepare
-// it into 100k VMs of requests (Clean included).
+// generate the 50,200-job EGEE-shaped trace (its in-place submit-order
+// sort included) and prepare it into 100k VMs of requests (cleaning
+// included).
 func BenchmarkTracePrepare(b *testing.B) {
 	gcfg, pcfg := simPAConfigs(1)
 	b.ReportAllocs()

@@ -22,7 +22,7 @@ func simPAConfigs(seed uint64) (GenConfig, PrepConfig) {
 
 // TestGoldenPipeline pins the whole set-up pipeline byte for byte: the
 // SWF text of each generated trace and the prepared requests plus
-// report. Any change to the generator's draws, to Merge's order among
+// report. Any change to the generator's draws, to SortJobs' order among
 // equal submit times, to cleaning or to profile assignment moves a hash.
 func TestGoldenPipeline(t *testing.T) {
 	simGen, simPrep := simPAConfigs(1)

@@ -7,8 +7,11 @@
 // cancelled jobs — and then applies the paper's own preprocessing
 // pipeline to whatever SWF trace it is given (synthetic or real):
 //
-//  1. merge multi-file traces (swf.Merge),
-//  2. clean failed jobs, cancelled jobs and anomalies (swf.Clean),
+//  1. combine the trace into one file in submit-time order, renumbered
+//     from 1 (swf.SortJobs, which Generate applies in place),
+//  2. clean failed jobs, cancelled jobs and anomalies
+//     (swf.CleanReport.Count, which Prepare applies to each job as it
+//     reads the trace, without a cleaned copy),
 //  3. randomly assign one of the benchmark profiles to each request
 //     "following a uniform distribution by bursts", with burst sizes
 //     drawn uniformly from 1 to 5 — workflows are sets of jobs with the
@@ -203,14 +206,14 @@ func Generate(cfg GenConfig) (*swf.Trace, error) {
 			tr.Jobs = append(tr.Jobs, j)
 		}
 	}
-	// Single file, but run through Merge for the canonical sort/renumber,
-	// then fill the standard SWF summary directives.
-	out := swf.Merge(tr)
-	out.Header["MaxJobs"] = fmt.Sprint(len(out.Jobs))
-	out.Header["MaxRecords"] = fmt.Sprint(len(out.Jobs))
-	out.Header["UnixStartTime"] = "0"
-	out.HeaderOrder = append(out.HeaderOrder, "MaxJobs", "MaxRecords", "UnixStartTime")
-	return out, nil
+	// Bursts overlap, so put the jobs in canonical submit order and
+	// renumber them, then fill the standard SWF summary directives.
+	swf.SortJobs(tr.Jobs)
+	tr.Header["MaxJobs"] = fmt.Sprint(len(tr.Jobs))
+	tr.Header["MaxRecords"] = fmt.Sprint(len(tr.Jobs))
+	tr.Header["UnixStartTime"] = "0"
+	tr.HeaderOrder = append(tr.HeaderOrder, "MaxJobs", "MaxRecords", "UnixStartTime")
+	return tr, nil
 }
 
 // PrepConfig parameterizes preprocessing.
@@ -249,10 +252,12 @@ type PrepReport struct {
 }
 
 // Prepare converts a raw SWF trace into simulator requests using the
-// paper's pipeline (see the package comment). The trace is cleaned
-// first; profiles are assigned uniformly over classes in bursts of 1–5
-// consecutive requests; VM counts rescale the original CPU demand into
-// 1–4 VMs; QoS attaches per class.
+// paper's pipeline (see the package comment). Each job is classified by
+// swf.CleanReport.Count, and the report covers the whole trace; kept
+// jobs are converted, in order, until TargetVMs is reached. Profiles are
+// assigned uniformly over classes in bursts of 1–5 consecutive requests;
+// VM counts rescale the original CPU demand into 1–4 VMs; QoS attaches
+// per class. The trace is only read.
 func Prepare(tr *swf.Trace, cfg PrepConfig) ([]Request, PrepReport, error) {
 	var rep PrepReport
 	if cfg.TargetVMs < 0 {
@@ -263,22 +268,21 @@ func Prepare(tr *swf.Trace, cfg PrepConfig) ([]Request, PrepReport, error) {
 			return nil, rep, fmt.Errorf("trace: negative QoS factor for %v", c)
 		}
 	}
-	clean, cleanRep := swf.Clean(tr)
-	rep.Clean = cleanRep
 
 	profiles := rng.NewSource(cfg.Seed).Stream("trace.profiles")
 	// Every request carries at least one VM, so the target bounds the
 	// request count as well as the trace does.
-	n := len(clean.Jobs)
+	n := len(tr.Jobs)
 	if cfg.TargetVMs > 0 {
 		n = min(n, cfg.TargetVMs)
 	}
 	out := make([]Request, 0, n)
 	burstLeft := 0
 	var burstClass workload.Class
-	for _, j := range clean.Jobs {
-		if cfg.TargetVMs > 0 && rep.TotalVMs >= cfg.TargetVMs {
-			break
+	for i := range tr.Jobs {
+		j := &tr.Jobs[i]
+		if !rep.Clean.Count(j) || (cfg.TargetVMs > 0 && rep.TotalVMs >= cfg.TargetVMs) {
+			continue
 		}
 		if burstLeft == 0 {
 			burstLeft = profiles.IntBetween(1, 5)

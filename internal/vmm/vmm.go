@@ -109,8 +109,6 @@ type Interval struct {
 	Util subsys.Vector
 	// Power is the wall power during the interval.
 	Power units.Watts
-	// Residents is the number of VMs still running.
-	Residents int
 }
 
 // Dur returns the interval length.
@@ -280,11 +278,10 @@ func (buf *Buffer) Run(cfg Config, benches []workload.Benchmark) (Result, error)
 		// Record the interval.
 		util := cfg.Spec.Utilization(demand)
 		res.Timeline = append(res.Timeline, Interval{
-			Start:     now,
-			End:       now + dt,
-			Util:      util,
-			Power:     cfg.Spec.Power(util),
-			Residents: residents,
+			Start: now,
+			End:   now + dt,
+			Util:  util,
+			Power: cfg.Spec.Power(util),
 		})
 
 		// Advance all VMs by dt.

@@ -71,22 +71,6 @@ func TestTimelineContiguousAndComplete(t *testing.T) {
 	}
 }
 
-func TestResidentsMonotoneNonIncreasingAfterCompletion(t *testing.T) {
-	// With identical VMs all complete together; with a mix, residents
-	// must never increase over time (no arrivals mid-run).
-	res, err := Run(DefaultConfig(), Mix(3, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := res.Timeline[0].Residents
-	for _, iv := range res.Timeline {
-		if iv.Residents > prev {
-			t.Fatalf("residents grew from %d to %d", prev, iv.Residents)
-		}
-		prev = iv.Residents
-	}
-}
-
 func TestContentionSlowsDown(t *testing.T) {
 	cfg := DefaultConfig()
 	solo, err := Run(cfg, Replicate(workload.HPL(), 1))
