@@ -37,10 +37,13 @@ race:
 
 # race-sim races the event-loop packages plus everything the telemetry
 # layer touches concurrently (search worker pool, recycled search
-# scratch, estimate cache, registry) and the fleet index whose
-# allocation classes the search reads; fast enough to gate every verify.
+# scratch, estimate cache, registry), the fleet index whose allocation
+# classes the search reads, and the campaign's worker pool (base sweeps
+# and grid experiments metered concurrently); fast enough to gate every
+# verify.
 race-sim:
-	$(GO) test -race ./internal/cloudsim ./internal/eventq ./internal/core ./internal/model ./internal/obs ./internal/strategy
+	$(GO) test -race ./internal/cloudsim ./internal/eventq ./internal/core ./internal/model ./internal/obs ./internal/strategy \
+		./internal/campaign ./internal/power
 
 # race-faults races the fault-injection layer: the schedule generator
 # plus the fault-mode simulator and placement-index paths (crash/recover
@@ -167,15 +170,17 @@ bench-alloc:
 # class query that feeds it, with a few mutations between queries, and
 # FleetIndexClassesRetired the same query over the ~40 class sets (18
 # live, 3 stale per query) a sim-pa run's index holds.
-# These four families, TracePrepare and CampaignParallel record -count
-# 5, so their entries carry a spread (min_ns_per_op, max_ns_per_op)
-# pacevm-benchdiff can judge a change against. TracePrepare is the
-# set-up layer: generating and preparing the 100k-VM trace a sim-pa run
-# uses.
+# These four families, TracePrepare, Measure and CampaignParallel record
+# -count 5, so their entries carry a spread (min_ns_per_op,
+# max_ns_per_op) pacevm-benchdiff can judge a change against.
+# TracePrepare is the set-up layer: generating and preparing the 100k-VM
+# trace a sim-pa run uses.
 # JournalAppend and JournalAppendFsync are the service's journal layer:
 # one place record encoded and written, without and with its fsync.
 # CampaignParallel is the model set-up layer: the full-grid campaign
 # pacevm-serve and the simulator build their model database from.
+# Measure is the meter inside it: one 12-VM mixed experiment metered
+# noise-free at the campaign's makespan/4000 interval.
 # TracePrepare and CampaignParallel together are the two layers of the
 # sim-pa workload's setup_s.
 bench-json:
@@ -187,10 +192,11 @@ bench-json:
 		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 5 -benchmem ./internal/strategy \
 		&& $(GO) test -run NONE -bench 'BenchmarkTracePrepare' -count 5 -benchmem ./internal/trace \
 		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve \
+		&& $(GO) test -run NONE -bench 'BenchmarkMeasure' -count 5 -benchmem ./internal/power \
 		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 5 -benchmem .; } \
 		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimPA=2' -require 'SimPADecisions=2' -require 'Serve=2' -require 'ServeObs=2' \
 			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
-			-require 'JournalAppend=2' -require 'CampaignParallel=2' -o BENCH_sim.json
+			-require 'JournalAppend=2' -require 'Measure=2' -require 'CampaignParallel=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark
 # document against the committed BENCH_sim.json baseline and reports

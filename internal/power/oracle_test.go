@@ -1,6 +1,7 @@
 package power
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -42,6 +43,9 @@ func refMeasure(m *Meter, timeline []vmm.Interval) (refMeasurement, error) {
 
 	idx := 0
 	for start := units.Seconds(0); start < end; start += m.Interval {
+		if start+m.Interval == start {
+			return refMeasurement{}, fmt.Errorf("power: sampling interval %v below the resolution of time %v", m.Interval, start)
+		}
 		winEnd := start + m.Interval
 		if winEnd > end {
 			winEnd = end
@@ -113,31 +117,54 @@ func sameBits(a, b Measurement) bool {
 
 // FuzzMeasure checks Measure against the oracle on random contiguous
 // piecewise-constant timelines. Each byte pair of data is one interval:
-// the first byte its width in tenths of a second (zero-width
-// intervals included), the second its power. The sampling interval is
-// a non-integer number of seconds, like the widened intervals the
-// campaign uses for long runs, so most timelines end in a partial
-// window and most windows straddle interval boundaries or sit wholly
-// inside one interval. Odd noise seeds measure noise-free.
+// the first byte its width (below 128, tenths of a second, zero-width
+// intervals included; from 128, multiples of 40 s up to 5120 s), the
+// second its power. Intervals stop once the timeline passes 2^15 s.
+// The low two bits of ival pick the sampling interval: a non-integer
+// number of seconds between 0.25 s and about 16.6 s, like the widened
+// intervals the campaign uses for long runs; a whole number of seconds;
+// or a whole number plus 2^-e, which rounds as a tie in the binade of
+// start times [2^(53-e), 2^(54-e)). Long intervals hold runs of
+// identical windows across binades of the window start and of the
+// energy sum, which Measure takes in one step. Odd noise seeds measure
+// noise-free.
 func FuzzMeasure(f *testing.F) {
 	f.Add(uint16(1000), uint64(1), []byte{16, 100, 8, 200, 0, 50, 40, 120})
 	f.Add(uint16(250), uint64(2), []byte{255, 90, 255, 91, 3, 250})
 	f.Add(uint16(4321), uint64(7), []byte{0, 10, 0, 20, 200, 30, 1, 40, 0, 0})
 	f.Add(uint16(0), uint64(4), []byte{1, 1})
 	f.Add(uint16(65535), uint64(5), []byte{})
+	// 1 s windows over 2,920 s and 5,120 s intervals, noise-free: runs
+	// cross the start binades 2^11 to 2^13 and the energy sum's binades.
+	f.Add(uint16(2), uint64(1), []byte{200, 100, 255, 250, 3, 7})
+	// About 2.3 s windows over 1,040 s at 434 W, then 47 short steps.
+	f.Add(uint16(8264), uint64(3), append([]byte{153, 255}, bytes.Repeat([]byte{9, 60}, 47)...))
+	// 1 + 2^-45 s windows, noise-free: a tie for every start in [256, 512).
+	f.Add(uint16(99), uint64(1), []byte{140, 100, 130, 200})
 	f.Fuzz(func(t *testing.T, ival uint16, seed uint64, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
 		var tl []vmm.Interval
 		var now units.Seconds
-		for k := 0; k+1 < len(data); k += 2 {
-			end := now + units.Seconds(data[k])/10
+		for k := 0; k+1 < len(data) && now < 1<<15; k += 2 {
+			w := units.Seconds(data[k]) / 10
+			if data[k] >= 128 {
+				w = units.Seconds(data[k]-127) * 40
+			}
+			end := now + w
 			tl = append(tl, vmm.Interval{Start: now, End: end, Power: units.Watts(data[k+1]) * 1.7})
 			now = end
 		}
-		// Between 0.25 s and about 16.6 s, rarely a whole number.
-		interval := 0.25 + units.Seconds(ival)/4000
+		var interval units.Seconds
+		switch ival & 3 {
+		case 0, 1:
+			interval = 0.25 + units.Seconds(ival)/4000
+		case 2:
+			interval = 1 + units.Seconds(ival>>2%16)
+		case 3:
+			interval = 1 + units.Seconds(ival>>2%4) + units.Seconds(math.Ldexp(1, -39-int(ival>>4%11)))
+		}
 		s := int64(seed >> 1)
 		if seed&1 == 1 {
 			s = noNoise

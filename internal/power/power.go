@@ -40,7 +40,12 @@ type Measurement struct {
 // into an energy estimate. Each sample reports the mean true power over
 // its sampling window (the Watts Up? averages internally at 1 Hz), times
 // a uniform error in ±Accuracy. The samples themselves are not kept:
-// only their integral and maximum are.
+// only their integral and maximum are. A noise-free meter takes each run
+// of identical windows inside one interval in a single exact step (see
+// windowRun and addRepeated), so its cost follows the timeline's
+// intervals rather than its window count. An interval below the
+// resolution of the window start times, where a window would have no
+// width, is an error.
 func (m *Meter) Measure(timeline []vmm.Interval) (Measurement, error) {
 	if !(m.Interval > 0) || math.IsInf(float64(m.Interval), 1) {
 		return Measurement{}, fmt.Errorf("power: sampling interval %v not positive and finite", m.Interval)
@@ -71,10 +76,30 @@ func (m *Meter) Measure(timeline []vmm.Interval) (Measurement, error) {
 		// ending after the window's start.
 		whole := iv.Start <= start && (idx+1 == len(timeline) || timeline[idx+1].Start >= iv.End)
 		for {
-			winEnd := start + m.Interval
-			if winEnd > end {
-				winEnd = end
+			if whole && !noisy {
+				// The next n windows have one width and lie inside iv:
+				// each yields the same sample, computed as the
+				// per-window step below computes it, and adds the same
+				// term.
+				if n, d := windowRun(start, m.Interval, min(end, iv.End)); n > 0 {
+					var e units.Joules
+					e += iv.Power.Times(d)
+					w := units.EnergyOver(e, d)
+					out.Energy = addRepeated(out.Energy, w.Times(d), n)
+					if w > out.MaxPower {
+						out.MaxPower = w
+					}
+					start += units.Seconds(n) * d
+					if !(start < end) || !(start < iv.End) {
+						break
+					}
+				}
 			}
+			next := start + m.Interval
+			if !(next > start) {
+				return Measurement{}, fmt.Errorf("power: sampling interval %v below the resolution of time %v", m.Interval, start)
+			}
+			winEnd := min(next, end)
 			inside := whole && winEnd <= iv.End
 			var e units.Joules
 			if inside {
@@ -92,7 +117,7 @@ func (m *Meter) Measure(timeline []vmm.Interval) (Measurement, error) {
 			if w > out.MaxPower {
 				out.MaxPower = w
 			}
-			start += m.Interval
+			start = next
 			if !inside || !(start < end) || !(start < iv.End) {
 				break
 			}
@@ -118,4 +143,78 @@ func windowEnergy(timeline []vmm.Interval, start, winEnd units.Seconds) units.Jo
 		}
 	}
 	return e
+}
+
+// windowRun returns how many consecutive windows from start the meter
+// may take as one, and their common width d. While the window start s
+// stays in one binade [2^k, 2^(k+1)), whose spacing is u, fl(s+interval)
+// lands on s+d for one fixed d, unless interval−d is exactly u/2 (a tie,
+// which rounds to even and so alternates) or s+interval rounds into the
+// next binade. The run therefore stops at the last window that ends by
+// limit and one spacing short of the binade top; every value it
+// computes is a multiple of u below 2^(k+1), so all of it is exact. It
+// returns n = 0 where that reasoning does not hold: the first window
+// (start 0), ties, a width of zero, and windows that reach the top.
+func windowRun(start, interval, limit units.Seconds) (int64, units.Seconds) {
+	s := float64(start)
+	top, u, ok := binade(s)
+	next := s + float64(interval)
+	if !ok || !(next < top) {
+		return 0, 0
+	}
+	d := next - s
+	if d == 0 || math.Abs(float64(interval)-d) == u/2 {
+		return 0, 0
+	}
+	lim := min(float64(limit), top-u)
+	return int64((lim-s)/u) / int64(d/u), units.Seconds(d)
+}
+
+// addRepeated returns sum after n steps of sum += t, bit for bit. While
+// sum stays in one binade [2^m, 2^(m+1)) with spacing v, each step adds
+// the same δ = fl(sum+t) − sum, unless t−δ is exactly v/2 (a tie) or the
+// step reaches the binade top; so the steps up to the top are taken in
+// one multiplication, exact because every value is a multiple of v below
+// 2^(m+1). Ties, steps across a binade top and sums outside the normal
+// range take one step at a time.
+func addRepeated(sum, t units.Joules, n int64) units.Joules {
+	for n > 0 {
+		s := float64(sum)
+		next := s + float64(t)
+		n--
+		if t == 0 {
+			// Adding a zero again changes nothing.
+			return units.Joules(next)
+		}
+		sum = units.Joules(next)
+		if n == 0 || !(t > 0) {
+			continue
+		}
+		top, v, ok := binade(s)
+		delta := next - s
+		if !ok || !(next < top) || math.Abs(float64(t)-delta) == v/2 {
+			continue
+		}
+		if delta == 0 {
+			// t is below half a spacing: the sum never moves again.
+			return sum
+		}
+		k := min(n, (int64((top-next)/v)-1)/int64(delta/v))
+		sum = units.Joules(next + float64(k)*delta)
+		n -= k
+	}
+	return sum
+}
+
+// binade returns the top 2^(k+1) of the binade [2^k, 2^(k+1)) that holds
+// x and the spacing 2^(k-52) of the float64s in it. It reports false
+// for x outside [2^-960, 2^960), where the spacing or the top would not
+// be a normal float64; the callers then step one window or one sum at
+// a time.
+func binade(x float64) (top, spacing float64, ok bool) {
+	if !(x >= 0x1p-960 && x < 0x1p960) {
+		return 0, 0, false
+	}
+	e := math.Float64bits(x) >> 52
+	return math.Float64frombits((e + 1) << 52), math.Float64frombits((e - 52) << 52), true
 }

@@ -112,6 +112,99 @@ func TestBadConfig(t *testing.T) {
 	if _, err := (&Meter{Interval: 1, Accuracy: math.NaN(), Noise: rng.New(1)}).Measure(constTimeline(1, 1)); err == nil {
 		t.Error("NaN accuracy should fail")
 	}
+	// Past about 2^-13 s, adding 1e-20 s no longer moves a window start.
+	if _, err := (&Meter{Interval: 1e-20}).Measure(constTimeline(1, 1e6)); err == nil {
+		t.Error("interval below the resolution of the window starts should fail")
+	}
+}
+
+// TestWindowRun pins the run helper's fallbacks: the first window, a
+// tie, a window reaching the binade top and a width of zero all take
+// the per-window step.
+func TestWindowRun(t *testing.T) {
+	tie := 1 + units.Seconds(math.Ldexp(1, -45)) // a tie in [256, 512)
+	for _, c := range []struct {
+		start, interval, limit units.Seconds
+		n                      int64
+		d                      units.Seconds
+	}{
+		{0, 1, 100, 0, 0},
+		{1, 1, 100, 0, 0},        // 1+1 reaches the top of [1, 2)
+		{2, 1, 100, 1, 1},        // 3+1 reaches the top of [2, 4)
+		{64, 1, 100, 36, 1},      // stops at the limit
+		{64, 1, 1000, 63, 1},     // stops a spacing short of 128
+		{128, tie, 200, 71, tie}, // 1 + 2^-45 is exact below 256
+		{256, tie, 300, 0, 0},
+		{300, 1e-20, 400, 0, 0},
+	} {
+		n, d := windowRun(c.start, c.interval, c.limit)
+		if n != c.n || d != c.d {
+			t.Errorf("windowRun(%v, %v, %v) = %d, %v; want %d, %v", c.start, c.interval, c.limit, n, d, c.n, c.d)
+		}
+	}
+}
+
+// TestAddRepeatedMatchesLoop checks the closed-form repeated sum against
+// the loop it replaces, bit for bit, across binades of the sum, with
+// terms that tie, terms below half a spacing and zero terms.
+func TestAddRepeatedMatchesLoop(t *testing.T) {
+	r := rng.New(11)
+	for i := 0; i < 3000; i++ {
+		s := units.Joules(math.Ldexp(1+r.Float64(), int(r.Intn(60))-20))
+		if i%7 == 0 {
+			s = 0
+		}
+		tt := units.Joules(math.Ldexp(1+r.Float64(), int(r.Intn(60))-30))
+		switch i % 5 {
+		case 1: // a tie in s's binade: a whole number of spacings plus half of one
+			_, exp := math.Frexp(float64(s))
+			v := math.Ldexp(1, exp-53)
+			tt = units.Joules(math.Ldexp(float64(r.Intn(1<<20)), exp-53) + v/2)
+		case 2:
+			tt = 0
+		}
+		n := int64(r.Intn(5000))
+		want := s
+		for j := int64(0); j < n; j++ {
+			want += tt
+		}
+		if got := addRepeated(s, tt, n); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("addRepeated(%v, %v, %d) = %v, loop = %v", float64(s), float64(tt), n, float64(got), float64(want))
+		}
+	}
+}
+
+// TestMeasureMatchesOracleOnCampaignGrid meters every experiment of the
+// full campaign grid (1 to 16 VMs of the three classes) at 1 s, at the
+// makespan/4000 interval the campaign widens long runs to, and at two
+// non-integer intervals, plus once with noise at the campaign's own
+// interval, and compares each result with the oracle bit for bit.
+func TestMeasureMatchesOracleOnCampaignGrid(t *testing.T) {
+	cfg := vmm.DefaultConfig()
+	var buf vmm.Buffer
+	runs := 0
+	for c := 0; c <= 16; c++ {
+		for m := 0; m <= 16-c; m++ {
+			for i := 0; i <= 16-c-m; i++ {
+				if c+m+i == 0 {
+					continue
+				}
+				res, err := buf.Run(cfg, vmm.Mix(c, m, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				span := res.Makespan()
+				for _, interval := range []units.Seconds{1, span / 4000, 1.37, span / 2718.28} {
+					measureBoth(t, interval, 0, noNoise, res.Timeline)
+				}
+				measureBoth(t, max(1, span/4000), 0.015, int64(runs), res.Timeline)
+				runs++
+			}
+		}
+	}
+	if runs != 968 {
+		t.Fatalf("metered %d experiments, want the full grid's 968", runs)
+	}
 }
 
 func TestNoiseWithinAccuracy(t *testing.T) {
