@@ -170,9 +170,11 @@ bench-alloc:
 # class query that feeds it, with a few mutations between queries, and
 # FleetIndexClassesRetired the same query over the ~40 class sets (18
 # live, 3 stale per query) a sim-pa run's index holds.
-# These four families, TracePrepare, Measure and CampaignParallel record
-# -count 5, so their entries carry a spread (min_ns_per_op,
-# max_ns_per_op) pacevm-benchdiff can judge a change against.
+# These four families, SimLarge, SimLarge4k, TracePrepare, Measure and
+# CampaignParallel record -count 5, so their entries carry a spread
+# (min_ns_per_op, max_ns_per_op) pacevm-benchdiff can judge a change
+# against; SimLarge and SimLarge4k run beside SimPA, not in the
+# single-sample sweep of the rest of the SimLarge family.
 # TracePrepare is the set-up layer: generating and preparing the 100k-VM
 # trace a sim-pa run uses.
 # JournalAppend and JournalAppendFsync are the service's journal layer:
@@ -184,9 +186,9 @@ bench-alloc:
 # TracePrepare and CampaignParallel together are the two layers of the
 # sim-pa workload's setup_s.
 bench-json:
-	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -benchtime 2x -benchmem ./internal/cloudsim \
+	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -skip 'BenchmarkSimLarge(4k)?$$' -benchtime 2x -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
-		&& $(GO) test -run NONE -bench 'BenchmarkSimPA(Decisions)?$$' -benchtime 2x -count 5 -benchmem ./internal/cloudsim \
+		&& $(GO) test -run NONE -bench 'BenchmarkSim(Large|Large4k|PA|PADecisions)$$' -benchtime 2x -count 5 -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 5 -benchmem ./internal/core \
 		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 5 -benchmem ./internal/strategy \
@@ -194,7 +196,7 @@ bench-json:
 		&& $(GO) test -run NONE -bench 'BenchmarkJournalAppend' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkMeasure' -count 5 -benchmem ./internal/power \
 		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 5 -benchmem .; } \
-		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimPA=2' -require 'SimPADecisions=2' -require 'Serve=2' -require 'ServeObs=2' \
+		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimLarge=2' -require 'SimLarge4k=2' -require 'SimPA=2' -require 'SimPADecisions=2' -require 'Serve=2' -require 'ServeObs=2' \
 			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
 			-require 'JournalAppend=2' -require 'Measure=2' -require 'CampaignParallel=2' -o BENCH_sim.json
 

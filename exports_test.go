@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,10 +54,84 @@ var exportAllowed = map[string]string{
 // strategies' Place methods, the consolidator's Propose and the
 // checkpoint policies count).
 func TestEveryExportIsReached(t *testing.T) {
-	pkgs, err := checkTree(".")
-	if err != nil {
-		t.Fatal(err)
+	pkgs, used := reachedTree(t)
+	var unused []string
+	for _, p := range pkgs {
+		if !p.internal {
+			continue
+		}
+		for _, d := range declared(p) {
+			if d.obj.Exported() && !used[d.obj] {
+				unused = append(unused, d.id)
+			}
+		}
 	}
+	sort.Strings(unused)
+	excused := map[string]bool{}
+	for _, id := range unused {
+		method := id[strings.LastIndex(id, ".")+1:]
+		switch {
+		case exportAllowed[id] != "":
+			excused[id] = true
+		case exportAllowed[method] != "":
+			excused[method] = true
+		default:
+			t.Errorf("%s is referenced by no non-test file", id)
+		}
+	}
+	for id := range exportAllowed {
+		if !excused[id] {
+			t.Errorf("exportAllowed entry %s excuses nothing; remove it", id)
+		}
+	}
+}
+
+// TestEveryUnexportedIsReached is the same check for unexported
+// identifiers, in every package of the tree: a package-level name, a
+// method or a field of a named struct type that only tests reference is
+// dead code the compiler does not flag. References count as in
+// TestEveryExportIsReached; the blank identifier and a command's main
+// are exempt, and there is no allow-list.
+func TestEveryUnexportedIsReached(t *testing.T) {
+	pkgs, used := reachedTree(t)
+	for _, p := range pkgs {
+		for _, d := range declared(p) {
+			name := d.obj.Name()
+			if d.obj.Exported() || name == "_" || used[d.obj] ||
+				(name == "main" && p.pkg.Name() == "main" && d.obj.Parent() == p.pkg.Scope()) {
+				continue
+			}
+			t.Errorf("%s is referenced by no non-test file", d.id)
+		}
+	}
+}
+
+var (
+	treeOnce sync.Once
+	treePkgs []*checkedPkg
+	treeUsed map[types.Object]bool
+	treeErr  error
+)
+
+// reachedTree type-checks the tree once per test binary and returns its
+// packages with the set of objects non-test code references.
+func reachedTree(t *testing.T) ([]*checkedPkg, map[types.Object]bool) {
+	t.Helper()
+	treeOnce.Do(func() {
+		if treePkgs, treeErr = checkTree("."); treeErr == nil {
+			treeUsed = usedObjects(treePkgs)
+		}
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return treePkgs, treeUsed
+}
+
+// usedObjects returns the objects the packages' files reference, stores
+// left out, plus every method a type of the tree provides to an
+// interface the files name or pass values through.
+func usedObjects(pkgs []*checkedPkg) map[types.Object]bool {
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	for _, p := range pkgs {
@@ -74,11 +149,7 @@ func TestEveryExportIsReached(t *testing.T) {
 			ifaces = collectInterfaces(ifaces, tv.Type)
 		}
 	}
-	// A method is reached through any interface its type satisfies.
 	for _, p := range pkgs {
-		if !p.internal {
-			continue
-		}
 		for _, name := range p.pkg.Scope().Names() {
 			tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -102,59 +173,45 @@ func TestEveryExportIsReached(t *testing.T) {
 			}
 		}
 	}
-	var unused []string
-	for _, p := range pkgs {
-		if !p.internal {
+	return used
+}
+
+// decl is one declared identifier of a package and its qualified name.
+type decl struct {
+	obj types.Object
+	id  string
+}
+
+// declared lists a package's package-level identifiers, the methods of
+// its named types, and the fields of its named struct types other than
+// embedded and tagged ones.
+func declared(p *checkedPkg) []decl {
+	var out []decl
+	scope := p.pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		out = append(out, decl{obj, p.path + "." + name})
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
 			continue
 		}
-		scope := p.pkg.Scope()
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if obj.Exported() && !used[obj] {
-				unused = append(unused, p.path+"."+name)
-			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					f := st.Field(i)
-					if f.Exported() && !f.Embedded() && st.Tag(i) == "" && !used[f] {
-						unused = append(unused, p.path+"."+name+"."+f.Name())
-					}
-				}
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				if m.Exported() && !used[m] {
-					unused = append(unused, p.path+"."+name+"."+m.Name())
+		named, ok := tn.Type().(*types.Named)
+		if !ok {
+			continue
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !f.Embedded() && st.Tag(i) == "" {
+					out = append(out, decl{f, p.path + "." + name + "." + f.Name()})
 				}
 			}
 		}
-	}
-	sort.Strings(unused)
-	excused := map[string]bool{}
-	for _, id := range unused {
-		method := id[strings.LastIndex(id, ".")+1:]
-		switch {
-		case exportAllowed[id] != "":
-			excused[id] = true
-		case exportAllowed[method] != "":
-			excused[method] = true
-		default:
-			t.Errorf("%s is referenced by no non-test file", id)
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			out = append(out, decl{m, p.path + "." + name + "." + m.Name()})
 		}
 	}
-	for id := range exportAllowed {
-		if !excused[id] {
-			t.Errorf("exportAllowed entry %s excuses nothing; remove it", id)
-		}
-	}
+	return out
 }
 
 // writeTargets returns the identifiers in files that only store into

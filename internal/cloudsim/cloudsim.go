@@ -28,11 +28,11 @@
 package cloudsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 
 	"pacevm/internal/core"
 	"pacevm/internal/eventq"
@@ -225,16 +225,12 @@ type Result struct {
 	Metrics
 }
 
-// maxJobVMs is the per-request VM ceiling enforced by trace.Request
-// validation; it bounds the fixed-size placement scratch.
-const maxJobVMs = 4
-
 // vmSlotIDs are the per-request VM identifiers handed to strategies.
 // Strategies treat IDs as opaque and only need uniqueness within one
 // Place call, so a static table avoids a fmt.Sprintf per VM per
 // placement attempt (the reference path keeps the legacy "j<job>-<i>"
 // form; the golden tests prove the outputs match).
-var vmSlotIDs = [maxJobVMs]string{"0", "1", "2", "3"}
+var vmSlotIDs = [trace.MaxVMs]string{"0", "1", "2", "3"}
 
 // simVM is one running VM. Its work-left counter does NOT live here:
 // remaining is owned by the hosting server's rem slice, parallel to
@@ -243,8 +239,7 @@ var vmSlotIDs = [maxJobVMs]string{"0", "1", "2", "3"}
 // per VM (the single largest cost at the 100k-server scale). rem[i]
 // and cls[i] describe vms[i]; every splice maintains all three.
 type simVM struct {
-	id       int    // dense uid; the "vm<id>" string forms lazily
-	uid      string // cached string form, built only for migration snapshots
+	id       int // dense uid
 	jobID    int
 	class    workload.Class
 	submit   units.Seconds
@@ -254,14 +249,6 @@ type simVM struct {
 	// attempt is the VM's 1-based requeue-chain number; only maintained
 	// when Config.Audit is attached (zero otherwise, and unread).
 	attempt int
-}
-
-// uidString formats the VM's migration-snapshot identifier on first use.
-func (vm *simVM) uidString() string {
-	if vm.uid == "" {
-		vm.uid = "vm" + strconv.Itoa(vm.id)
-	}
-	return vm.uid
 }
 
 // simServer is one physical server's live state.
@@ -283,53 +270,18 @@ type simServer struct {
 	// ai memoizes the pricing of the current allocation (valid while
 	// non-nil; applyAlloc clears it): advance and reschedule price the
 	// same unchanged allocation on every completion event, so the memo
-	// turns two cache lookups per event into one pointer read. The
-	// pointee lives in the dense pricing table (or its spill map), whose
-	// entries are write-once — the pointer never dangles.
-	ai *allocInfo
-}
-
-// allocInfo caches model-database pricing per allocation key.
-type allocInfo struct {
-	rate  [workload.NumClasses]float64 // nominal-seconds per wall-second
-	power units.Watts
-}
-
-// denseCachePerClass bounds the dense pricing array: keys whose
-// per-class counts all fall below this are cached in a flat
-// (bound+1)³-entry table indexed arithmetically from the key, anything
-// larger (consolidator overfill past a huge admission limit) falls back
-// to a lazily-allocated map. Placement prices a handful of candidate
-// keys per request, and at 10M requests the map's hashing was ~10% of
-// the whole run; the dense table turns a lookup into one multiply-add
-// and two slab reads. 16 mirrors the resident-slab carve-out bound.
-const denseCachePerClass = 16
-
-// denseCache is the simulator's pricing cache: the dense table plus the
-// out-of-range spill map (nil until first needed).
-type denseCache struct {
-	d    int // exclusive per-component bound of the dense table
-	ok   []bool
-	info []allocInfo
-	over map[model.Key]*allocInfo
-}
-
-// slot maps a key to its dense-table index, or -1 when any component
-// falls outside [0, d) and the key must take the spill map.
-func (c *denseCache) slot(k model.Key) int {
-	d := c.d
-	if uint(k.NCPU) < uint(d) && uint(k.NMEM) < uint(d) && uint(k.NIO) < uint(d) {
-		return (k.NCPU*d+k.NMEM)*d + k.NIO
-	}
-	return -1
+	// turns two memo lookups per event into one pointer read. The
+	// pointee is an entry of the database's estimate memo, which is
+	// write-once — the pointer never dangles.
+	ai *model.Pricing
 }
 
 // Event kinds on the simulator's future-event list. Arrivals no longer
 // appear on the list — they live on the sim's sorted arrival cursor and
-// merge at pop time — but the kind keeps its historical slot so the
-// fault/completion values stay stable.
+// merge at pop time — but their former kind keeps its slot (the blank
+// below) so the fault/completion values stay stable.
 const (
-	evKindArrival eventq.Kind = iota
+	_ eventq.Kind = iota
 	evKindCompletion
 	evKindCrash
 	evKindRecover
@@ -405,14 +357,10 @@ type sim struct {
 	fleet   *strategy.FleetIndex
 	indexed strategy.IndexedPlacer
 	hinter  strategy.CapacityHinter
-	// cache memoizes Config.DB's pricing; refT is its per-class
-	// reference time, the numerator of every progress rate.
-	cache denseCache
-	refT  [workload.NumClasses]units.Seconds
 
 	// Placement scratch, reused across tryPlace calls.
-	vmbuf     [maxJobVMs]core.VMRequest
-	assignBuf [maxJobVMs]int
+	vmbuf     [trace.MaxVMs]core.VMRequest
+	assignBuf [trace.MaxVMs]int
 	// vmfree pools retired simVM structs; vmChunk is the arena fresh
 	// structs are carved from in blocks, so pool growth costs one
 	// allocation per vmChunkSize VMs instead of one per VM (the
@@ -519,17 +467,6 @@ func validateConfig(cfg Config, reqs []trace.Request) (Config, error) {
 	return cfg, nil
 }
 
-// refTimes reads the database's per-class reference times, which must
-// all be positive: they are the numerators of every progress rate.
-func refTimes(db *model.DB) (ref [workload.NumClasses]units.Seconds, err error) {
-	for _, c := range workload.Classes {
-		if ref[c] = db.Aux().RefTime[c]; ref[c] <= 0 {
-			return ref, fmt.Errorf("cloudsim: database has no reference time for %v", c)
-		}
-	}
-	return ref, nil
-}
-
 // Run simulates the request stream under the configured strategy.
 func Run(cfg Config, reqs []trace.Request) (Result, error) {
 	cfg, err := validateConfig(cfg, reqs)
@@ -594,15 +531,6 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 		s.wd.Bind(cfg.Obs)
 		s.registerWatchdogChecks()
 	}
-	var err error
-	if s.refT, err = refTimes(cfg.DB); err != nil {
-		return nil, err
-	}
-	d := cfg.MaxVMsPerServer + 1
-	if d > denseCachePerClass+1 {
-		d = denseCachePerClass + 1
-	}
-	s.cache = denseCache{d: d, ok: make([]bool, d*d*d), info: make([]allocInfo, d*d*d)}
 	// Server state lives in two slabs — the structs themselves and a
 	// shared resident-VM backing carved into per-server capped slices —
 	// so fleet setup costs O(1) allocations instead of O(servers)
@@ -864,65 +792,38 @@ func (s *sim) qremove(i int) {
 	s.queue = s.queue[:len(s.queue)-1]
 }
 
-// zeroAllocInfo is what an empty allocation prices to: no progress, no
+// zeroPricing is what an empty allocation prices to: no progress, no
 // power. Shared so info can hand out a pointer without allocating.
-var zeroAllocInfo allocInfo
+var zeroPricing model.Pricing
 
-// info prices an allocation, caching database estimates. The returned
-// pointer aims into the dense table (or its spill map), whose entries
-// are write-once, so callers and the per-server memo may hold it
-// indefinitely.
-func (s *sim) info(k model.Key) (*allocInfo, error) {
+// info prices an allocation through the database's estimate memo. The
+// returned entry is write-once, so callers and the per-server memo may
+// hold it indefinitely.
+func (s *sim) info(k model.Key) (*model.Pricing, error) {
 	if k.IsZero() {
-		return &zeroAllocInfo, nil
+		return &zeroPricing, nil
 	}
-	ca := &s.cache
-	slot := ca.slot(k)
-	if slot >= 0 {
-		if ca.ok[slot] {
-			s.stats.pricingHits.Inc()
-			return &ca.info[slot], nil
-		}
-	} else if ai, ok := ca.over[k]; ok {
+	p, hit := s.cfg.DB.Price(k)
+	if hit {
 		s.stats.pricingHits.Inc()
-		return ai, nil
+	} else {
+		s.stats.pricingMisses.Inc()
 	}
-	s.stats.pricingMisses.Inc()
-	rec, err := s.cfg.DB.Estimate(k)
-	if err != nil {
+	if err := cmp.Or(p.Err, p.RateErr); err != nil {
 		return nil, fmt.Errorf("cloudsim: pricing %v: %w", k, err)
 	}
-	var ai allocInfo
-	ai.power = rec.AvgPower()
-	for _, c := range workload.Classes {
-		ct := rec.ClassTime(c)
-		if ct <= 0 {
-			return nil, fmt.Errorf("cloudsim: record %v has no usable time for %v", k, c)
-		}
-		ai.rate[c] = float64(s.refT[c]) / float64(ct)
-	}
-	if slot >= 0 {
-		ca.info[slot], ca.ok[slot] = ai, true
-		return &ca.info[slot], nil
-	}
-	if ca.over == nil {
-		ca.over = map[model.Key]*allocInfo{}
-	}
-	p := new(allocInfo)
-	*p = ai
-	ca.over[k] = p
 	return p, nil
 }
 
 // infoFor prices a server's *current* allocation, memoized on the
 // server until the allocation changes. advance and reschedule price the
 // same unchanged key on every completion event, so the memo replaces
-// the pricing cache probe with one pointer read on the hot path; a
-// memo hit still counts as a pricing-cache hit. Only servers with
-// residents are priced, so the key is never zero, and a key the memo
-// held is already cached: hit and miss counts match a memo keyed on
-// the allocation.
-func (s *sim) infoFor(sv *simServer) (*allocInfo, error) {
+// the estimate-memo probe with one pointer read on the hot path; a
+// server-memo hit still counts as a pricing-cache hit. Only servers with
+// residents are priced, so the key is never zero, and a key the server
+// memo held is already in the database's memo: hit and miss counts
+// match a lookup per pricing.
+func (s *sim) infoFor(sv *simServer) (*model.Pricing, error) {
 	if sv.ai != nil {
 		s.stats.pricingHits.Inc()
 		return sv.ai, nil
@@ -956,14 +857,14 @@ func (s *sim) advance(sv *simServer) error {
 		fdt := float64(dt)
 		rem, cls := sv.rem, sv.cls
 		for i := range rem {
-			rem[i] -= ai.rate[cls[i]] * fdt
+			rem[i] -= ai.Rate[cls[i]] * fdt
 		}
-		sv.energy += ai.power.Times(dt)
+		sv.energy += ai.Power.Times(dt)
 		// One Fig.-4 interval closed: the resident set was constant over
 		// [lastUpdate, now) and its progress/energy just integrated.
 		s.stats.intervalsClosed.Inc()
 		if s.sampler != nil {
-			s.sampler.interval(s.now, sv.id, ai.power, len(sv.vms), dt, s.fleet.NumOccupied(), s.fleet.Len()-s.fleet.NumUp(), s.qlen())
+			s.sampler.interval(s.now, sv.id, ai.Power, len(sv.vms), dt, s.fleet.NumOccupied(), s.fleet.Len()-s.fleet.NumUp(), s.qlen())
 		}
 	}
 	sv.lastUpdate = s.now
@@ -983,7 +884,7 @@ func (s *sim) reschedule(sv *simServer) error {
 	if err != nil {
 		return err
 	}
-	// Rates are validated at allocInfo construction (info errors on any
+	// Rates are validated when the memo prices a key (info errors on any
 	// non-positive class time), and a server with residents always has a
 	// non-zero alloc key, so every rate read here is positive — no
 	// per-VM guard in the scan.
@@ -992,7 +893,7 @@ func (s *sim) reschedule(sv *simServer) error {
 		if rem < 0 {
 			rem = 0
 		}
-		fin := rem / ai.rate[sv.cls[i]]
+		fin := rem / ai.Rate[sv.cls[i]]
 		if fin < best {
 			best = fin
 		}
@@ -1019,7 +920,7 @@ func (s *sim) complete(serverIdx int) error {
 	if dt < 0 {
 		return fmt.Errorf("cloudsim: time ran backwards on server %d", sv.id)
 	}
-	ai := &zeroAllocInfo
+	ai := &zeroPricing
 	fdt := float64(dt)
 	if dt > 0 && len(sv.vms) > 0 {
 		var err error
@@ -1027,12 +928,12 @@ func (s *sim) complete(serverIdx int) error {
 		if err != nil {
 			return err
 		}
-		sv.energy += ai.power.Times(dt)
+		sv.energy += ai.Power.Times(dt)
 		// One Fig.-4 interval closed: the resident set was constant over
 		// [lastUpdate, now) and its progress/energy just integrated.
 		s.stats.intervalsClosed.Inc()
 		if s.sampler != nil {
-			s.sampler.interval(s.now, sv.id, ai.power, len(sv.vms), dt, s.fleet.NumOccupied(), s.fleet.Len()-s.fleet.NumUp(), s.qlen())
+			s.sampler.interval(s.now, sv.id, ai.Power, len(sv.vms), dt, s.fleet.NumOccupied(), s.fleet.Len()-s.fleet.NumUp(), s.qlen())
 		}
 	}
 	sv.lastUpdate = s.now
@@ -1042,7 +943,7 @@ func (s *sim) complete(serverIdx int) error {
 	for i, vm := range sv.vms {
 		// When dt == 0 the zero-valued ai contributes rate 0 and the
 		// subtraction is exact identity, matching advance's skip.
-		r := sv.rem[i] - ai.rate[sv.cls[i]]*fdt
+		r := sv.rem[i] - ai.Rate[sv.cls[i]]*fdt
 		if r > eps {
 			if w != i {
 				sv.vms[w], sv.cls[w] = vm, sv.cls[i]
@@ -1129,7 +1030,6 @@ func (s *sim) consolidate() error {
 	}
 	allocs := make([]model.Key, len(s.srv))
 	var snapshot []migrate.VM
-	byUID := map[string]*simVM{}
 	// Skip the empty servers: one contributes a zero alloc key (already
 	// the slice's zero value) and no snapshot entries, and no energy,
 	// intervals or samples accrue without residents. Only its clock
@@ -1155,15 +1055,13 @@ func (s *sim) consolidate() error {
 			if rem < 0 {
 				rem = 0
 			}
-			uid := vm.uidString()
 			snapshot = append(snapshot, migrate.VM{
-				ID:        uid,
+				ID:        vm.id,
 				Class:     vm.class,
 				Server:    i,
 				Remaining: units.Seconds(rem),
 				Budget:    budget,
 			})
-			byUID[uid] = vm
 		}
 	}
 	if len(snapshot) == 0 {
@@ -1181,10 +1079,15 @@ func (s *sim) consolidate() error {
 	}
 	touched := make([]int, 0, 2*len(plan.Moves))
 	for _, mv := range plan.Moves {
-		vm := byUID[mv.VMID]
-		if vm == nil || mv.From < 0 || mv.From >= len(s.srv) || mv.To < 0 || mv.To >= len(s.srv) || mv.From == mv.To {
+		if mv.From < 0 || mv.From >= len(s.srv) || mv.To < 0 || mv.To >= len(s.srv) || mv.From == mv.To {
 			return fmt.Errorf("cloudsim: consolidator returned invalid move %+v", mv)
 		}
+		from, to := s.srv[mv.From], s.srv[mv.To]
+		idx := slices.IndexFunc(from.vms, func(vm *simVM) bool { return vm.id == mv.VMID })
+		if idx < 0 {
+			return fmt.Errorf("cloudsim: move %+v: VM not on source server", mv)
+		}
+		vm := from.vms[idx]
 		if s.fleet.Down(mv.To) {
 			// The consolidator's snapshot carries no liveness, so a plan
 			// may target a crashed server; skip the move (counted) rather
@@ -1194,17 +1097,6 @@ func (s *sim) consolidate() error {
 				s.recordMigrate(vm.id, vm.jobID, mv.From, mv.To, MigrateTargetDown)
 			}
 			continue
-		}
-		from, to := s.srv[mv.From], s.srv[mv.To]
-		idx := -1
-		for i, resident := range from.vms {
-			if resident == vm {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("cloudsim: move %+v: VM not on source server", mv)
 		}
 		movedRem := from.rem[idx] + float64(plan.MigrationCost)
 		movedCls := from.cls[idx]
@@ -1424,7 +1316,7 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 	}
 	// Validate before mutating: server bounds and the admission cap,
 	// with per-server add counts collected in fixed scratch.
-	var targets, counts [maxJobVMs]int
+	var targets, counts [trace.MaxVMs]int
 	nt := 0
 	for _, a := range assign {
 		if a < 0 || a >= len(s.srv) || s.fleet.Down(a) {
@@ -1473,7 +1365,7 @@ func (s *sim) tryPlace(idx int) (bool, error) {
 		}
 	}
 	deadline := req.Submit + req.MaxResponse
-	var uids [maxJobVMs]int
+	var uids [trace.MaxVMs]int
 	for vi, a := range assign {
 		sv := s.srv[a]
 		if len(sv.vms) == 0 && sv.activeFrom < 0 {

@@ -35,6 +35,18 @@ func sharedDB(t testing.TB) *model.DB {
 	return testDB
 }
 
+// freshDB returns a copy of the shared database with an empty estimate
+// memo, for a test that needs its pricing lookups to miss: the tests
+// before it warm the shared database's memo.
+func freshDB(t testing.TB) *model.DB {
+	t.Helper()
+	db, err := model.New(sharedDB(t).Records(), sharedDB(t).Aux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func ff(t testing.TB, mult int) strategy.Strategy {
 	t.Helper()
 	s, err := strategy.NewFirstFit(mult)

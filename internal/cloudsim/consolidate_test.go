@@ -90,7 +90,7 @@ func TestConsolidatorRespectsQoSBudgets(t *testing.T) {
 type badConsolidator struct{}
 
 func (badConsolidator) Propose(allocs []model.Key, vms []migrate.VM) (migrate.Plan, error) {
-	return migrate.Plan{Moves: []migrate.Move{{VMID: "nope", From: 0, To: 1}}}, nil
+	return migrate.Plan{Moves: []migrate.Move{{VMID: -1, From: 0, To: 1}}}, nil
 }
 
 func TestBadConsolidatorIsAnError(t *testing.T) {

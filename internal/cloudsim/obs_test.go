@@ -91,7 +91,7 @@ func TestObsDisabledAllocFree(t *testing.T) {
 // populates every pillar: hot-path counters, eventq counters, and a
 // schema-valid trace whose timeline is internally consistent.
 func TestObsRunTelemetryContents(t *testing.T) {
-	db := sharedDB(t)
+	db := freshDB(t)
 	reqs := goldenWorkload(t, 33, 150)
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()

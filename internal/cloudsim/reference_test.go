@@ -182,7 +182,6 @@ type refCompletion struct{ server int }
 // structure-of-arrays mirror.
 type refVM struct {
 	id        int
-	uid       string
 	jobID     int
 	class     workload.Class
 	remaining float64 // nominal-seconds of work left
@@ -211,8 +210,7 @@ type refSim struct {
 	now    units.Seconds
 	srv    []*refServer
 	queue  []int // indices into reqs, FIFO
-	cache  map[model.Key]allocInfo
-	refT   [workload.NumClasses]units.Seconds
+	cache  map[model.Key]refInfo
 
 	uidSeq      int
 	records     []VMRecord
@@ -244,10 +242,7 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, []VMRecord, error) 
 		reqs:        reqs,
 		firstSubmit: reqs[0].Submit,
 	}
-	if s.refT, err = refTimes(cfg.DB); err != nil {
-		return Result{}, nil, err
-	}
-	s.cache = map[model.Key]allocInfo{}
+	s.cache = map[model.Key]refInfo{}
 	s.srv = make([]*refServer, cfg.Servers)
 	for i := range s.srv {
 		s.srv[i] = &refServer{id: i, activeFrom: -1}
@@ -314,25 +309,33 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, []VMRecord, error) 
 	return Result{Metrics: s.metrics}, s.records, nil
 }
 
-func (s *refSim) info(k model.Key) (allocInfo, error) {
+// refInfo is the reference path's pricing of one allocation, derived
+// afresh from DB.Estimate rather than read from the database's memo, so
+// the oracle also checks the rates and power the memo stores.
+type refInfo struct {
+	rate  [workload.NumClasses]float64 // nominal-seconds per wall-second
+	power units.Watts
+}
+
+func (s *refSim) info(k model.Key) (refInfo, error) {
 	if k.IsZero() {
-		return allocInfo{}, nil
+		return refInfo{}, nil
 	}
 	if ai, ok := s.cache[k]; ok {
 		return ai, nil
 	}
 	rec, err := s.cfg.DB.Estimate(k)
 	if err != nil {
-		return allocInfo{}, fmt.Errorf("cloudsim: pricing %v: %w", k, err)
+		return refInfo{}, fmt.Errorf("cloudsim: pricing %v: %w", k, err)
 	}
-	var ai allocInfo
+	var ai refInfo
 	ai.power = rec.AvgPower()
 	for _, c := range workload.Classes {
 		ct := rec.ClassTime(c)
 		if ct <= 0 {
-			return allocInfo{}, fmt.Errorf("cloudsim: record %v has no usable time for %v", k, c)
+			return refInfo{}, fmt.Errorf("cloudsim: record %v has no usable time for %v", k, c)
 		}
-		ai.rate[c] = float64(s.refT[c]) / float64(ct)
+		ai.rate[c] = float64(s.cfg.DB.Aux().RefTime[c]) / float64(ct)
 	}
 	s.cache[k] = ai
 	return ai, nil
@@ -440,7 +443,7 @@ func (s *refSim) consolidate() error {
 	}
 	allocs := make([]model.Key, len(s.srv))
 	var snapshot []migrate.VM
-	byUID := map[string]*refVM{}
+	byUID := map[int]*refVM{}
 	for i, sv := range s.srv {
 		if err := s.advance(sv); err != nil {
 			return err
@@ -459,13 +462,13 @@ func (s *refSim) consolidate() error {
 				rem = 0
 			}
 			snapshot = append(snapshot, migrate.VM{
-				ID:        vm.uid,
+				ID:        vm.id,
 				Class:     vm.class,
 				Server:    i,
 				Remaining: units.Seconds(rem),
 				Budget:    budget,
 			})
-			byUID[vm.uid] = vm
+			byUID[vm.id] = vm
 		}
 	}
 	if len(snapshot) == 0 {
@@ -622,7 +625,6 @@ func (s *refSim) tryPlace(idx int) (bool, error) {
 		s.uidSeq++
 		sv.vms = append(sv.vms, &refVM{
 			id:        s.uidSeq,
-			uid:       fmt.Sprintf("vm%d", s.uidSeq),
 			jobID:     req.ID,
 			class:     req.Class,
 			remaining: float64(req.NominalTime),

@@ -80,11 +80,12 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 // snapshot, audit spans and sampler series must match the monolithic
 // run's exactly — not merely reconcile.
 func TestShardedOneShardTelemetryIdentical(t *testing.T) {
-	db := sharedDB(t)
 	reqs := goldenWorkload(t, 29, 250)
 	run := func(exec func(Config) (Result, error)) (Result, obs.Snapshot, []AuditSpan, []FleetSample, units.Joules) {
+		// Each run gets a fresh database: on one the first run warms the
+		// estimate memo, and the pricing-cache counters would differ.
 		cfg := Config{
-			DB: db, Servers: 10, Strategy: ff(t, 2), BackfillDepth: 3,
+			DB: freshDB(t), Servers: 10, Strategy: ff(t, 2), BackfillDepth: 3,
 			Faults:  faultSchedule(t, 5, 10, 40000),
 			Obs:     obs.NewRegistry(),
 			Audit:   NewVMAudit(),

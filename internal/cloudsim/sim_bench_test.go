@@ -272,7 +272,7 @@ func BenchmarkSimPADecisions(b *testing.B) {
 			}
 		}
 	}
-	replay() // warms the allocators' estimate caches and context pools
+	replay() // warms the database's estimate memo and the allocators' context pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

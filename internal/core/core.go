@@ -163,9 +163,6 @@ type Config struct {
 // concurrent use.
 type Allocator struct {
 	cfg Config
-	// est memoizes database estimates for every search this allocator
-	// runs; it is safe for concurrent Allocate calls.
-	est *model.EstimateCache
 	// refTime is the database's per-class reference time (Aux.RefTime),
 	// resolved once so the search's pricing reads it without copying
 	// the auxiliary record.
@@ -189,14 +186,7 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	}
 	if cfg.MaxVMsPerServer == 0 {
 		m := cfg.DB.MaxKey()
-		cap := m.NCPU
-		if m.NMEM > cap {
-			cap = m.NMEM
-		}
-		if m.NIO > cap {
-			cap = m.NIO
-		}
-		cfg.MaxVMsPerServer = cap
+		cfg.MaxVMsPerServer = max(m.NCPU, m.NMEM, m.NIO)
 	}
 	aux := cfg.DB.Aux()
 	for _, c := range workload.Classes {
@@ -207,20 +197,19 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			cfg.PerClassBound[c] = cfg.MaxVMsPerServer
 		}
 	}
-	// The search prices allocations within the per-class bounds (and
-	// the servers' current allocations, nearly always within them too),
-	// so the bounds size the estimate cache's dense table.
-	bound := 0
-	for _, b := range cfg.PerClassBound {
-		bound = max(bound, b)
-	}
-	est := model.NewEstimateCache(cfg.DB, bound)
-	if cfg.Obs != nil {
-		est.Instrument(cfg.Obs)
-	}
-	a := &Allocator{cfg: cfg, est: est, refTime: aux.RefTime, tel: newSearchTelemetry(cfg.Obs)}
+	a := &Allocator{cfg: cfg, refTime: aux.RefTime, tel: newSearchTelemetry(cfg.Obs)}
 	a.scratch.New = func() any { return new(searchCtx) }
 	return a, nil
+}
+
+// countLookups adds estimate-memo hits and misses to the model-cache
+// counters, and on a miss sets the size gauge to the memo's key count.
+func (a *Allocator) countLookups(hits, misses int64) {
+	a.tel.cacheHits.Add(hits)
+	if misses > 0 {
+		a.tel.cacheMisses.Add(misses)
+		a.tel.cacheSize.SetMax(int64(a.cfg.DB.MemoSize()))
+	}
 }
 
 // Placement is one block of the chosen partition assigned to a server.
@@ -255,15 +244,16 @@ func (a *Allocator) EstimateVM(alloc model.Key, vm VMRequest) (units.Seconds, er
 	if err := vm.validate(); err != nil {
 		return 0, err
 	}
-	rec, err := a.est.EstimateRef(alloc)
-	if err != nil {
-		return 0, err
+	p, hit := a.cfg.DB.Price(alloc)
+	if hit {
+		a.countLookups(1, 0)
+	} else {
+		a.countLookups(0, 1)
 	}
-	ref := a.refTime[vm.Class]
-	if ref <= 0 {
-		return 0, fmt.Errorf("core: no reference time for class %v", vm.Class)
+	if p.Err != nil {
+		return 0, p.Err
 	}
-	return rec.ClassTime(vm.Class) * vm.NominalTime / ref, nil
+	return p.Rec.ClassTime(vm.Class) * vm.NominalTime / a.refTime[vm.Class], nil
 }
 
 // FitsAlone reports whether the VM meets its QoS bound when placed alone

@@ -34,6 +34,18 @@ func sharedDB(t testing.TB) *model.DB {
 	return testDB
 }
 
+// freshDB returns a copy of the shared database with an empty estimate
+// memo, for a test that needs its lookups to miss: the tests before it
+// warm the shared database's memo.
+func freshDB(t testing.TB) *model.DB {
+	t.Helper()
+	db, err := model.New(sharedDB(t).Records(), sharedDB(t).Aux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func mkAllocator(t *testing.T) *Allocator {
 	t.Helper()
 	a, err := NewAllocator(Config{DB: sharedDB(t)})

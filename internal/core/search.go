@@ -48,8 +48,9 @@ package core
 //     and an advanced class's next member reads its class's entry
 //     through the position table. A touched server's grown allocation
 //     is priced directly. Database estimates are memoized per
-//     allocation key in the allocator's model.EstimateCache, which
-//     lives as long as the allocator, and pricing reads them in place.
+//     allocation key in the database's own memo (model.DB.Price),
+//     shared by every allocator and simulator over it, and pricing
+//     reads them in place.
 //  4. Candidates are pruned online to a Pareto frontier: the α-weighted
 //     score after max-normalization is monotone increasing in both
 //     estimated time and energy, so a candidate weakly dominated by an
@@ -161,13 +162,16 @@ const maxPackedCount = 1 << 21
 // once in NewAllocator; all nil (no-op) without a registry. Counters
 // are atomic, so concurrent searches update them directly.
 type searchTelemetry struct {
-	enumerated *obs.Counter // set partitions the search covered, repeats included
-	deduped    *obs.Counter // of those, repeats of an earlier typed partition
-	feasible   *obs.Counter // candidates every block of which placed
-	infeasible *obs.Counter // candidates with an unplaceable block
-	pruned     *obs.Counter // candidates dropped by Pareto domination
-	exhausted  *obs.Counter // searches abandoned on budget exhaustion
-	degraded   *obs.Counter // allocations served by the first-fit fallback
+	cacheHits   *obs.Counter // estimate lookups the database's memo already held
+	cacheMisses *obs.Counter // estimate lookups it priced afresh
+	cacheSize   *obs.Gauge   // keys in the memo, as of the last miss
+	enumerated  *obs.Counter // set partitions the search covered, repeats included
+	deduped     *obs.Counter // of those, repeats of an earlier typed partition
+	feasible    *obs.Counter // candidates every block of which placed
+	infeasible  *obs.Counter // candidates with an unplaceable block
+	pruned      *obs.Counter // candidates dropped by Pareto domination
+	exhausted   *obs.Counter // searches abandoned on budget exhaustion
+	degraded    *obs.Counter // allocations served by the first-fit fallback
 }
 
 func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
@@ -175,13 +179,16 @@ func newSearchTelemetry(reg *obs.Registry) searchTelemetry {
 		return searchTelemetry{}
 	}
 	return searchTelemetry{
-		enumerated: reg.Counter("search_partitions_enumerated"),
-		deduped:    reg.Counter("search_partitions_deduped"),
-		feasible:   reg.Counter("search_candidates_feasible"),
-		infeasible: reg.Counter("search_candidates_infeasible"),
-		pruned:     reg.Counter("search_pareto_pruned"),
-		exhausted:  reg.Counter("search_budget_exhausted"),
-		degraded:   reg.Counter("search_degraded_firstfit"),
+		cacheHits:   reg.Counter("model_cache_hits"),
+		cacheMisses: reg.Counter("model_cache_misses"),
+		cacheSize:   reg.Gauge("model_cache_size"),
+		enumerated:  reg.Counter("search_partitions_enumerated"),
+		deduped:     reg.Counter("search_partitions_deduped"),
+		feasible:    reg.Counter("search_candidates_feasible"),
+		infeasible:  reg.Counter("search_candidates_infeasible"),
+		pruned:      reg.Counter("search_pareto_pruned"),
+		exhausted:   reg.Counter("search_budget_exhausted"),
+		degraded:    reg.Counter("search_degraded_firstfit"),
 	}
 }
 
@@ -202,8 +209,11 @@ type searchCtx struct {
 	classes []ServerClass
 
 	// stats is the exact per-call tally behind AllocateExplained: plain
-	// integers, so no atomic traffic joins the hot path.
-	stats SearchStats
+	// integers, so no atomic traffic joins the hot path. memoLookups and
+	// memoMisses tally the call's estimate lookups the same way, for the
+	// model-cache counters release adds them to.
+	stats                   SearchStats
+	memoLookups, memoMisses int64
 
 	// Grouping scratch (linear path).
 	byKey   map[uint64]int
@@ -224,12 +234,14 @@ func (a *Allocator) acquire(goal Goal, vms []VMRequest) *searchCtx {
 	sc.a, sc.tel, sc.goal, sc.vms = a, &a.tel, goal, vms
 	sc.typeOf, sc.types = vmTypes(vms, sc.typeOf, sc.types)
 	sc.stats = SearchStats{}
+	sc.memoLookups, sc.memoMisses = 0, 0
 	return sc
 }
 
 // release returns a context to the pool, dropping its references to
 // the caller's data.
 func (a *Allocator) release(sc *searchCtx) {
+	a.countLookups(sc.memoLookups-sc.memoMisses, sc.memoMisses)
 	sc.vms, sc.servers = nil, nil
 	clear(sc.classes)
 	sc.classes = sc.classes[:0]
@@ -343,13 +355,21 @@ func (sc *searchCtx) serverID(member int) int {
 	return member
 }
 
+// tally counts one estimate-memo lookup of the call.
+func (sc *searchCtx) tally(hit bool) {
+	if !hit {
+		sc.memoMisses++
+	}
+	sc.memoLookups++
+}
+
 // priceBlock prices growing a server from allocation base to after by
 // a block holding the VM types in bmask: the per-class and per-server
 // caps, the block's own QoS bounds, its time (its slowest VM's) and its
 // marginal energy. QoS of VMs already tentatively placed on the server
 // is rechecked per call by placedOK, because it depends on the
 // partition prefix, not on (base, block). Estimates are read in place
-// from the allocator's cache.
+// from the database's memo.
 func (sc *searchCtx) priceBlock(base, after model.Key, bmask typeMask) blockPrice {
 	a := sc.a
 	b := &a.cfg.PerClassBound
@@ -357,18 +377,16 @@ func (sc *searchCtx) priceBlock(base, after model.Key, bmask typeMask) blockPric
 		after.NMEM > b[workload.ClassMEM] || after.NIO > b[workload.ClassIO] {
 		return blockPrice{}
 	}
-	recAfter, err := a.est.EstimateRef(after)
-	if err != nil {
+	pAfter, hit := a.cfg.DB.Price(after)
+	sc.tally(hit)
+	if pAfter.Err != nil {
 		return blockPrice{}
 	}
+	recAfter := &pAfter.Rec
 	var blockTime units.Seconds
 	for m := bmask; m != 0; m &= m - 1 {
 		rep := &sc.types[bits.TrailingZeros16(uint16(m))]
-		ref := a.refTime[rep.Class]
-		if ref <= 0 {
-			return blockPrice{}
-		}
-		est := recAfter.ClassTime(rep.Class) * rep.NominalTime / ref
+		est := recAfter.ClassTime(rep.Class) * rep.NominalTime / a.refTime[rep.Class]
 		if !a.cfg.RelaxQoS && rep.MaxTime > 0 && est > rep.MaxTime {
 			return blockPrice{}
 		}
@@ -385,11 +403,12 @@ func (sc *searchCtx) priceBlock(base, after model.Key, bmask typeMask) blockPric
 	// over-consolidating past the contention knee.
 	var beforeEnergy units.Joules
 	if !base.IsZero() {
-		recBefore, err := a.est.EstimateRef(base)
-		if err != nil {
+		pBefore, hit := a.cfg.DB.Price(base)
+		sc.tally(hit)
+		if pBefore.Err != nil {
 			return blockPrice{}
 		}
-		beforeEnergy = recBefore.Energy
+		beforeEnergy = pBefore.Rec.Energy
 	}
 	deltaE := recAfter.Energy - beforeEnergy
 	if deltaE < 0 {
@@ -406,10 +425,12 @@ func (sc *searchCtx) placedOK(after model.Key, mask typeMask) bool {
 	if mask == 0 || sc.a.cfg.RelaxQoS {
 		return true
 	}
-	rec, err := sc.a.est.EstimateRef(after)
-	if err != nil {
+	p, hit := sc.a.cfg.DB.Price(after)
+	sc.tally(hit)
+	if p.Err != nil {
 		return false
 	}
+	rec := &p.Rec
 	for m := mask; m != 0; m &= m - 1 {
 		rep := &sc.types[bits.TrailingZeros16(uint16(m))]
 		if rep.MaxTime > 0 {

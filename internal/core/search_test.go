@@ -475,7 +475,7 @@ func TestParetoFrontierKeepsWinner(t *testing.T) {
 // call's exact SearchStats.
 func TestSearchTelemetryInvariants(t *testing.T) {
 	reg := obs.NewRegistry()
-	a, err := NewAllocator(Config{DB: sharedDB(t), Obs: reg})
+	a, err := NewAllocator(Config{DB: freshDB(t), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestSearchTelemetryInvariants(t *testing.T) {
 		t.Errorf("SearchStats %+v disagree with the registry counters %+v", stats, snap.Counters)
 	}
 	if snap.Counters["model_cache_hits"] == 0 || snap.Counters["model_cache_misses"] == 0 {
-		t.Error("search did not exercise the instrumented estimate cache")
+		t.Error("search did not exercise the instrumented estimate memo")
 	}
 }
 

@@ -7,9 +7,10 @@
 // The planner watches the cloud drift out of shape as jobs complete and
 // proposes migration plans that drain lightly-loaded servers onto
 // compatible peers so the drained servers can power down, pricing every
-// move with the same model database the proactive allocator uses and
-// honoring the same QoS bounds plus a per-move migration cost. Combined
-// with internal/cloudsim's Consolidator hook it reproduces the classic
+// move through the same model-database memo the proactive allocator
+// reads (model.DB.Price) and honoring the same QoS bounds plus a
+// per-move migration cost. Combined with internal/cloudsim's
+// Consolidator hook it reproduces the classic
 // "first-fit placement + periodic consolidation" baseline the related
 // work describes — and lets the repository quantify the paper's claim
 // that proactive placement "avoid[s] costly VM migrations".
@@ -27,7 +28,9 @@ import (
 
 // VM is a live, migratable VM.
 type VM struct {
-	ID     string
+	// ID identifies the VM; the planner only compares IDs, so any
+	// caller-unique number serves.
+	ID     int
 	Class  workload.Class
 	Server int // index into the server slice handed to the planner
 	// Remaining is the VM's remaining work expressed as solo-execution
@@ -40,7 +43,7 @@ type VM struct {
 
 // Move relocates one VM.
 type Move struct {
-	VMID     string
+	VMID     int
 	From, To int
 }
 
@@ -86,11 +89,11 @@ func (pl *Planner) serverPower(alloc model.Key) (units.Watts, error) {
 	if alloc.IsZero() {
 		return 0, nil
 	}
-	rec, err := pl.DB.Estimate(alloc)
-	if err != nil {
-		return 0, err
+	p, _ := pl.DB.Price(alloc)
+	if p.Err != nil {
+		return 0, p.Err
 	}
-	return rec.AvgPower(), nil
+	return p.Power, nil
 }
 
 // Propose builds a consolidation plan for the given cloud state. vms
@@ -145,7 +148,7 @@ func (pl *Planner) Propose(allocs []model.Key, vms []VM) (Plan, error) {
 		for _, mv := range moves {
 			vm := takeVM(byServer, mv.From, mv.VMID)
 			if vm == nil {
-				return Plan{}, fmt.Errorf("migrate: internal bookkeeping lost VM %q", mv.VMID)
+				return Plan{}, fmt.Errorf("migrate: internal bookkeeping lost VM %d", mv.VMID)
 			}
 			vm.Server = mv.To
 			byServer[mv.To] = append(byServer[mv.To], *vm)
@@ -238,15 +241,11 @@ func (pl *Planner) residentsOK(residents []VM, target model.Key) bool {
 // estimate converts remaining solo work into wall time under an
 // allocation.
 func (pl *Planner) estimate(c workload.Class, remaining units.Seconds, alloc model.Key) (units.Seconds, bool) {
-	rec, err := pl.DB.Estimate(alloc)
-	if err != nil {
+	p, _ := pl.DB.Price(alloc)
+	if p.Err != nil {
 		return 0, false
 	}
-	ref := pl.DB.Aux().RefTime[c]
-	if ref <= 0 {
-		return 0, false
-	}
-	return rec.ClassTime(c) * remaining / ref, true
+	return p.Rec.ClassTime(c) * remaining / pl.DB.Aux().RefTime[c], true
 }
 
 func (pl *Planner) totalPower(allocs []model.Key) (units.Watts, error) {
@@ -261,7 +260,7 @@ func (pl *Planner) totalPower(allocs []model.Key) (units.Watts, error) {
 	return total, nil
 }
 
-func takeVM(byServer map[int][]VM, server int, id string) *VM {
+func takeVM(byServer map[int][]VM, server, id int) *VM {
 	list := byServer[server]
 	for i := range list {
 		if list[i].ID == id {
@@ -275,19 +274,19 @@ func takeVM(byServer map[int][]VM, server int, id string) *VM {
 
 func checkConsistent(allocs []model.Key, vms []VM) error {
 	counts := make([]model.Key, len(allocs))
-	seen := map[string]bool{}
+	seen := map[int]bool{}
 	for _, vm := range vms {
 		if vm.Server < 0 || vm.Server >= len(allocs) {
-			return fmt.Errorf("migrate: VM %q on unknown server %d", vm.ID, vm.Server)
+			return fmt.Errorf("migrate: VM %d on unknown server %d", vm.ID, vm.Server)
 		}
 		if !vm.Class.Valid() {
-			return fmt.Errorf("migrate: VM %q has invalid class", vm.ID)
+			return fmt.Errorf("migrate: VM %d has invalid class", vm.ID)
 		}
 		if vm.Remaining < 0 || vm.Budget < 0 {
-			return fmt.Errorf("migrate: VM %q has negative remaining/budget", vm.ID)
+			return fmt.Errorf("migrate: VM %d has negative remaining/budget", vm.ID)
 		}
 		if seen[vm.ID] {
-			return fmt.Errorf("migrate: duplicate VM id %q", vm.ID)
+			return fmt.Errorf("migrate: duplicate VM id %d", vm.ID)
 		}
 		seen[vm.ID] = true
 		counts[vm.Server] = counts[vm.Server].Add(model.KeyFor(vm.Class, 1))

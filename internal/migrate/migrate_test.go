@@ -1,7 +1,6 @@
 package migrate
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -44,7 +43,7 @@ func cloud(t *testing.T, perServer []model.Key) ([]model.Key, []VM) {
 		for _, c := range workload.Classes {
 			for i := 0; i < k.Count(c); i++ {
 				vms = append(vms, VM{
-					ID:        fmt.Sprintf("s%d-%v-%d", s, c, i),
+					ID:        len(vms) + 1,
 					Class:     c,
 					Server:    s,
 					Remaining: db.Aux().RefTime[c] / 2,
@@ -73,14 +72,14 @@ func TestConsistencyChecks(t *testing.T) {
 		name string
 		vms  []VM
 	}{
-		{"unknown server", []VM{{ID: "a", Class: workload.ClassCPU, Server: 5}}},
-		{"invalid class", []VM{{ID: "a", Class: workload.Class(9), Server: 0}}},
-		{"negative remaining", []VM{{ID: "a", Class: workload.ClassCPU, Server: 0, Remaining: -1}}},
+		{"unknown server", []VM{{ID: 1, Class: workload.ClassCPU, Server: 5}}},
+		{"invalid class", []VM{{ID: 1, Class: workload.Class(9), Server: 0}}},
+		{"negative remaining", []VM{{ID: 1, Class: workload.ClassCPU, Server: 0, Remaining: -1}}},
 		{"duplicate id", []VM{
-			{ID: "a", Class: workload.ClassCPU, Server: 0},
-			{ID: "a", Class: workload.ClassCPU, Server: 0},
+			{ID: 1, Class: workload.ClassCPU, Server: 0},
+			{ID: 1, Class: workload.ClassCPU, Server: 0},
 		}},
-		{"mismatched counts", []VM{{ID: "a", Class: workload.ClassMEM, Server: 0}}},
+		{"mismatched counts", []VM{{ID: 1, Class: workload.ClassMEM, Server: 0}}},
 	}
 	for _, c := range cases {
 		if _, err := p.Propose(allocs, c.vms); err == nil {
@@ -135,16 +134,16 @@ func TestQoSBlocksMigration(t *testing.T) {
 	ref := db.Aux().RefTime[workload.ClassMEM]
 	allocs := []model.Key{{NMEM: 1}, {NMEM: 2}}
 	vms := []VM{
-		{ID: "tight", Class: workload.ClassMEM, Server: 0, Remaining: ref, Budget: ref * 1.05},
-		{ID: "b1", Class: workload.ClassMEM, Server: 1, Remaining: ref},
-		{ID: "b2", Class: workload.ClassMEM, Server: 1, Remaining: ref},
+		{ID: 1, Class: workload.ClassMEM, Server: 0, Remaining: ref, Budget: ref * 1.05},
+		{ID: 2, Class: workload.ClassMEM, Server: 1, Remaining: ref},
+		{ID: 3, Class: workload.ClassMEM, Server: 1, Remaining: ref},
 	}
 	plan, err := p.Propose(allocs, vms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mv := range plan.Moves {
-		if mv.VMID == "tight" {
+		if mv.VMID == 1 {
 			t.Errorf("migrated a VM whose QoS budget cannot absorb it: %+v", plan.Moves)
 		}
 	}
@@ -158,9 +157,9 @@ func TestResidentQoSBlocksInbound(t *testing.T) {
 	ref := db.Aux().RefTime[workload.ClassIO]
 	allocs := []model.Key{{NIO: 1}, {NIO: 2}}
 	vms := []VM{
-		{ID: "mover", Class: workload.ClassIO, Server: 0, Remaining: ref / 2},
-		{ID: "r1", Class: workload.ClassIO, Server: 1, Remaining: ref, Budget: ref * 1.05},
-		{ID: "r2", Class: workload.ClassIO, Server: 1, Remaining: ref},
+		{ID: 1, Class: workload.ClassIO, Server: 0, Remaining: ref / 2},
+		{ID: 2, Class: workload.ClassIO, Server: 1, Remaining: ref, Budget: ref * 1.05},
+		{ID: 3, Class: workload.ClassIO, Server: 1, Remaining: ref},
 	}
 	plan, err := p.Propose(allocs, vms)
 	if err != nil {
@@ -200,7 +199,7 @@ func TestPlanIsInternallyConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := append([]model.Key(nil), allocs...)
-	pos := map[string]int{}
+	pos := map[int]int{}
 	for _, vm := range vms {
 		pos[vm.ID] = vm.Server
 	}

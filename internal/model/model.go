@@ -194,10 +194,13 @@ func (a Aux) Validate() error {
 }
 
 // DB is the model database: records sorted by key, plus the auxiliary
-// parameters.
+// parameters, plus the one estimate memo every caller prices through
+// (DB.Price). Only New, and ReadCSV through it, build one, so every
+// database is validated: its reference times are all positive.
 type DB struct {
 	recs []Record
 	aux  Aux
+	memo memo
 }
 
 // New builds a database from records and auxiliary parameters. Records
@@ -222,7 +225,10 @@ func New(recs []Record, aux Aux) (*DB, error) {
 			return nil, fmt.Errorf("model: duplicate key %v", sorted[i].Key)
 		}
 	}
-	return &DB{recs: sorted, aux: aux}, nil
+	db := &DB{recs: sorted, aux: aux}
+	m := db.MaxKey()
+	db.memo.init(max(m.NCPU, m.NMEM, m.NIO))
+	return db, nil
 }
 
 // Aux returns the auxiliary parameters.

@@ -23,7 +23,7 @@ import (
 // Degradation levels, in order of surrender.
 const (
 	// LevelFull runs the full PA partition search. A request holds at
-	// most maxJobVMs = 4 identical VMs, so the search scores at most 5
+	// most trace.MaxVMs = 4 identical VMs, so the search scores at most 5
 	// distinct partitions: a search budget would bite only at 4 or
 	// less, where it answers with core's QoS-aware first-fit instead of
 	// a search.
@@ -34,8 +34,6 @@ const (
 	// LevelShed refuses new placements at admission (429) until the
 	// queue drains; releases and requeues still run.
 	LevelShed
-
-	numLevels
 )
 
 // levelName names a ladder level for logs and stats.

@@ -39,14 +39,10 @@ import (
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
 	"pacevm/internal/strategy"
+	"pacevm/internal/trace"
 	"pacevm/internal/units"
 	"pacevm/internal/workload"
 )
-
-// maxJobVMs is the largest VM count one request may ask for — the
-// paper's workload bound, and what keeps the PA partition search per
-// request small.
-const maxJobVMs = 4
 
 // parkRetryEvery paces re-attempts of parked requeues (evicted VMs
 // waiting for in-shard capacity) so they cannot busy-spin a full shard.
@@ -363,7 +359,7 @@ type shard struct {
 	scratch []int
 	// vmbuf holds the request the worker is placing; only the shard
 	// worker touches it.
-	vmbuf [maxJobVMs]core.VMRequest
+	vmbuf [trace.MaxVMs]core.VMRequest
 
 	pa *strategy.Proactive
 	ff *strategy.FirstFit
@@ -487,7 +483,7 @@ func newService(cfg Config) (*Service, error) {
 			base:    s.split[k],
 			n:       n,
 			idx:     strategy.NewFleetIndex(n, cfg.MaxVMsPerServer),
-			scratch: make([]int, maxJobVMs),
+			scratch: make([]int, trace.MaxVMs),
 			ff:      ff,
 		}
 		sh.qcond = sync.NewCond(&sh.qmu)
@@ -612,9 +608,9 @@ func (s *Service) placeTraced(client string, req PlaceRequest, rt *obs.ReqTrace)
 		rt.StageEnd(stageDecode)
 		return Outcome{Status: 400, Reason: "missing key"}
 	}
-	if req.VMs < 1 || req.VMs > maxJobVMs {
+	if req.VMs < 1 || req.VMs > trace.MaxVMs {
 		rt.StageEnd(stageDecode)
-		return Outcome{Status: 400, Reason: fmt.Sprintf("vms %d out of [1,%d]", req.VMs, maxJobVMs)}
+		return Outcome{Status: 400, Reason: fmt.Sprintf("vms %d out of [1,%d]", req.VMs, trace.MaxVMs)}
 	}
 	class, err := parseClass(req.Class)
 	rt.StageEnd(stageDecode)
@@ -1417,7 +1413,7 @@ func (s *Service) checkRecord(rec any) error {
 		}
 	case *queued:
 		if pl := s.byKey[r.Key]; r.Requeue && pl != nil && (r.Slot < 0 || r.Slot >= len(pl.Servers)) ||
-			!r.Requeue && (r.VMs < 1 || r.VMs > maxJobVMs || r.Shard < 0 || r.Shard >= len(s.shards)) {
+			!r.Requeue && (r.VMs < 1 || r.VMs > trace.MaxVMs || r.Shard < 0 || r.Shard >= len(s.shards)) {
 			return fmt.Errorf("serve: snapshot queue entry %q malformed", r.Key)
 		}
 	case *jrec:

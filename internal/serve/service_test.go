@@ -15,6 +15,7 @@ import (
 	"pacevm/internal/cloudsim"
 	"pacevm/internal/model"
 	"pacevm/internal/obs"
+	"pacevm/internal/trace"
 )
 
 var (
@@ -134,10 +135,10 @@ func TestPlaceValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []PlaceRequest{
-		{Class: "cpu", VMs: 1},                       // missing key
-		{Key: "k", Class: "gpu", VMs: 1},             // unknown class
-		{Key: "k", Class: "cpu", VMs: 0},             // no VMs
-		{Key: "k", Class: "cpu", VMs: maxJobVMs + 1}, // too many
+		{Class: "cpu", VMs: 1},                          // missing key
+		{Key: "k", Class: "gpu", VMs: 1},                // unknown class
+		{Key: "k", Class: "cpu", VMs: 0},                // no VMs
+		{Key: "k", Class: "cpu", VMs: trace.MaxVMs + 1}, // too many
 	}
 	for i, req := range cases {
 		if out := s.Place("test", req); out.Status != 400 {

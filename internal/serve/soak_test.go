@@ -384,13 +384,26 @@ func TestServeChaosSoak(t *testing.T) {
 			}
 		}(g)
 	}
+	// A burst is 64 concurrent requests from one client identity, which
+	// the per-client token bucket (-burst 30) cuts to about 30 — the
+	// shed outcomes the logs must show — plus 64 more spread over
+	// burstClients identities, 16 each, that all clear their buckets.
+	// The rate-limited half alone put only about 34 requests on the 2 ×
+	// 16 queue slots per burst, so whether the queue wait crossed the
+	// ladder's first watermark hung on how fast the workers drained
+	// them; the admitted half doubles what reaches the queues.
+	const burstClients = 4
 	burst := func(tag string) {
 		var wg sync.WaitGroup
-		for i := 0; i < 64; i++ {
+		for i := 0; i < 128; i++ {
+			cid := "burster"
+			if i >= 64 {
+				cid = fmt.Sprintf("burster-%d", i%burstClients)
+			}
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				cli.place("burster", fmt.Sprintf("burst-%s-%d", tag, i), 2, false, time.Time{})
+				cli.place(cid, fmt.Sprintf("burst-%s-%d", tag, i), 2, false, time.Time{})
 			}(i)
 		}
 		wg.Wait()

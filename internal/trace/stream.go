@@ -109,7 +109,7 @@ func (s *Stream) Next() Request {
 		ID:          s.nextID,
 		Submit:      s.burstStart + s.offset,
 		Class:       s.class,
-		VMs:         s.arrivals.IntBetween(1, 4),
+		VMs:         s.arrivals.IntBetween(1, MaxVMs),
 		NominalTime: nominal,
 		MaxResponse: nominal * units.Seconds(s.cfg.QoSFactor[s.class]),
 	}

@@ -32,6 +32,11 @@ import (
 	"pacevm/internal/workload"
 )
 
+// MaxVMs is the per-request VM ceiling: preprocessing rescales every
+// request to 1–MaxVMs VMs (step 4 above), and the simulator and the
+// placement service size their per-request scratch by it.
+const MaxVMs = 4
+
 // Request is one preprocessed job request ready for the datacenter
 // simulator: a set of identical VMs with a profile and QoS bound.
 type Request struct {
@@ -39,7 +44,7 @@ type Request struct {
 	Submit units.Seconds
 	// Class is the benchmark profile assigned to the request.
 	Class workload.Class
-	// VMs is the number of VMs the request provisions (1–4). All run the
+	// VMs is the number of VMs the request provisions (1–MaxVMs). All run the
 	// same application ("a single process per VM; to run multiple
 	// processes multiple VMs are required").
 	VMs int
@@ -59,8 +64,8 @@ func (r Request) Validate() error {
 	if !r.Class.Valid() {
 		return fmt.Errorf("trace: request %d has invalid class", r.ID)
 	}
-	if r.VMs < 1 || r.VMs > 4 {
-		return fmt.Errorf("trace: request %d has %d VMs, want 1-4", r.ID, r.VMs)
+	if r.VMs < 1 || r.VMs > MaxVMs {
+		return fmt.Errorf("trace: request %d has %d VMs, want 1-%d", r.ID, r.VMs, MaxVMs)
 	}
 	if r.NominalTime <= 0 {
 		return fmt.Errorf("trace: request %d has non-positive nominal time", r.ID)
@@ -321,6 +326,6 @@ func vmCount(procs int) int {
 	case procs <= 4:
 		return 3
 	default:
-		return 4
+		return MaxVMs
 	}
 }
