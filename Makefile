@@ -120,7 +120,8 @@ metrics-smoke:
 # fuzz-smoke gives each text-input parser, swf.SortJobs (against its
 # stable-sort oracle), the power meter (against its per-window-scan
 # oracle), the PA search's distinct-partition lists (against the
-# walk-and-skip enumeration they replaced), the placement service's
+# walk-and-skip enumeration they replaced), the simulator's keyed event
+# queue (against a map of pending events), the placement service's
 # journal reader and
 # snapshot+journal restore, and its journal and snapshot encoders
 # (against json.Marshal), a short adversarial burst (one target per
@@ -137,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzPromEscape -fuzztime 5s ./internal/obs
 	$(GO) test -run NONE -fuzz FuzzMeasure -fuzztime 5s ./internal/power
 	$(GO) test -run NONE -fuzz FuzzDistinctPartitions -fuzztime 5s ./internal/core
+	$(GO) test -run NONE -fuzz FuzzQueue -fuzztime 5s ./internal/eventq
 	$(GO) test -run NONE -fuzz FuzzReadJournal -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzRestore -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 	$(GO) test -run NONE -fuzz FuzzJournalEncode -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
@@ -170,11 +172,16 @@ bench-alloc:
 # class query that feeds it, with a few mutations between queries, and
 # FleetIndexClassesRetired the same query over the ~40 class sets (18
 # live, 3 stale per query) a sim-pa run's index holds.
-# These four families, SimLarge, SimLarge4k, TracePrepare, Measure and
-# CampaignParallel record -count 5, so their entries carry a spread
-# (min_ns_per_op, max_ns_per_op) pacevm-benchdiff can judge a change
-# against; SimLarge and SimLarge4k run beside SimPA, not in the
-# single-sample sweep of the rest of the SimLarge family.
+# These four families, SimLarge, SimLarge4k, SimLargeShards{2,4,8},
+# TracePrepare, Measure, CampaignParallel and the eventq layer record
+# -count 5, so their entries carry a spread (min_ns_per_op,
+# max_ns_per_op) pacevm-benchdiff can judge a change against; SimLarge,
+# SimLarge4k and the shard entries run beside SimPA, not in the sweep of
+# the rest of the SimLarge family. That sweep records -count 2: the
+# SimLarge floor's pattern matches every SimLarge* entry.
+# QueueChurn and QueueCancel are the eventq layer: one pop and
+# reschedule of a key on a 1,024-key queue, and one move of a pending
+# key to a later instant.
 # TracePrepare is the set-up layer: generating and preparing the 100k-VM
 # trace a sim-pa run uses.
 # JournalAppend and JournalAppendFsync are the service's journal layer:
@@ -186,9 +193,10 @@ bench-alloc:
 # TracePrepare and CampaignParallel together are the two layers of the
 # sim-pa workload's setup_s.
 bench-json:
-	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -skip 'BenchmarkSimLarge(4k)?$$' -benchtime 2x -benchmem ./internal/cloudsim \
+	{ $(GO) test -run NONE -bench 'BenchmarkSim(Large|Trace)' -skip 'BenchmarkSimLarge(4k|Shards[248])?$$' -benchtime 2x -count 2 -benchmem ./internal/cloudsim \
 		&& $(GO) test -run NONE -bench 'BenchmarkSimHuge' -benchtime 1x -count 2 -benchmem ./internal/cloudsim \
-		&& $(GO) test -run NONE -bench 'BenchmarkSim(Large|Large4k|PA|PADecisions)$$' -benchtime 2x -count 5 -benchmem ./internal/cloudsim \
+		&& $(GO) test -run NONE -bench 'BenchmarkSim(Large|Large4k|LargeShards[248]|PA|PADecisions)$$' -benchtime 2x -count 5 -benchmem ./internal/cloudsim \
+		&& $(GO) test -run NONE -bench 'BenchmarkQueue(Churn|Cancel)$$' -count 5 -benchmem ./internal/eventq \
 		&& $(GO) test -run NONE -bench 'BenchmarkServe(Obs)?$$' -count 2 -benchmem ./internal/serve \
 		&& $(GO) test -run NONE -bench 'BenchmarkAllocateFleet' -count 5 -benchmem ./internal/core \
 		&& $(GO) test -run NONE -bench 'BenchmarkFleetIndexClasses' -count 5 -benchmem ./internal/strategy \
@@ -197,7 +205,7 @@ bench-json:
 		&& $(GO) test -run NONE -bench 'BenchmarkMeasure' -count 5 -benchmem ./internal/power \
 		&& $(GO) test -run NONE -bench 'BenchmarkCampaignParallel' -count 5 -benchmem .; } \
 		| $(GO) run ./cmd/pacevm-benchjson -require 'SimHuge=2' -require 'SimLarge=2' -require 'SimLarge4k=2' -require 'SimPA=2' -require 'SimPADecisions=2' -require 'Serve=2' -require 'ServeObs=2' \
-			-require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
+			-require 'SimLargeShards[248]=5' -require 'QueueChurn=5' -require 'QueueCancel=5' -require 'AllocateFleet=2' -require 'FleetIndexClasses=2' -require 'TracePrepare=2' \
 			-require 'JournalAppend=2' -require 'Measure=2' -require 'CampaignParallel=2' -o BENCH_sim.json
 
 # bench-diff compares a freshly recorded (or provided) benchmark

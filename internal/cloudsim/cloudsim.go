@@ -16,7 +16,7 @@
 // deadlines summed over all applications). Scheduling and provisioning
 // overheads are not modelled, as in the paper.
 //
-// Run is the scale-tuned event loop: typed slab-backed events, pooled
+// Run is the scale-tuned event loop: a keyed future-event list, pooled
 // VM state, and placement through a capacity index (strategy.FleetIndex)
 // that is the only record of each server's allocation and of the
 // occupied and down server counts. RunReference
@@ -84,8 +84,8 @@ type Config struct {
 	// Obs receives hot-path telemetry: events popped, placements
 	// attempted/rejected, queue-depth high-water, backfill splices,
 	// accounting intervals closed, pricing-cache hit rates, and the
-	// event queue's slab/cancellation counters (names in DESIGN.md §4).
-	// Nil — the default — disables it at zero cost: every handle is a
+	// event queue's cancellation and depth counters (names in DESIGN.md
+	// §4). Nil — the default — disables it at zero cost: every handle is a
 	// nil no-op and the run is allocation- and byte-identical to an
 	// uninstrumented one. Observation never perturbs the simulation.
 	Obs *obs.Registry
@@ -262,7 +262,6 @@ type simServer struct {
 	cls        []uint8
 	lastUpdate units.Seconds
 	energy     units.Joules
-	next       eventq.Handle
 	activeFrom units.Seconds // when the server began hosting; -1 if empty
 	// hostedSeconds accumulates the time spent hosting at least one VM;
 	// the remainder of the workload span is billed at idle power.
@@ -275,17 +274,6 @@ type simServer struct {
 	// write-once — the pointer never dangles.
 	ai *model.Pricing
 }
-
-// Event kinds on the simulator's future-event list. Arrivals no longer
-// appear on the list — they live on the sim's sorted arrival cursor and
-// merge at pop time — but their former kind keeps its slot (the blank
-// below) so the fault/completion values stay stable.
-const (
-	_ eventq.Kind = iota
-	evKindCompletion
-	evKindCrash
-	evKindRecover
-)
 
 // Sequence bands for the deterministic event order. Arrivals and fault
 // events carry pre-assigned sequence numbers (arrival i gets
@@ -322,8 +310,11 @@ type pendingArrival struct {
 }
 
 type sim struct {
-	cfg    Config
-	reqs   []trace.Request
+	cfg  Config
+	reqs []trace.Request
+	// events is the future-event list, keyed by owner: server i's
+	// pending completion is key i, and entry j of the sorted fault
+	// schedule owns keys Servers+2j (crash) and Servers+2j+1 (recovery).
 	events eventq.Queue
 	now    units.Seconds
 	srv    []*simServer
@@ -440,8 +431,9 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// validateConfig checks (Config.Validate) and then normalizes the
-// configuration, shared by the optimized and reference runs.
+// validateConfig checks the configuration (Config.Validate) and every
+// request, then normalizes the configuration; shared by the optimized,
+// sharded and reference runs.
 func validateConfig(cfg Config, reqs []trace.Request) (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
@@ -464,6 +456,11 @@ func validateConfig(cfg Config, reqs []trace.Request) (Config, error) {
 	if len(reqs) > math.MaxInt32 {
 		return cfg, fmt.Errorf("cloudsim: %d requests exceed the event index range", len(reqs))
 	}
+	for i := range reqs {
+		if err := reqs[i].Validate(); err != nil {
+			return cfg, err
+		}
+	}
 	return cfg, nil
 }
 
@@ -473,18 +470,10 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
-			return Result{}, err
-		}
-	}
 	s, err := newSim(cfg, reqs)
 	if err != nil {
 		return Result{}, err
 	}
-	// The heap only ever holds one pending completion per server plus
-	// the admitted fault events; arrivals live on the cursor.
-	s.events.Reserve(cfg.Servers + 2*len(cfg.Faults))
 	s.arrQ = make([]pendingArrival, 0, len(reqs))
 	for i := range reqs {
 		s.admit(i, uint64(i), reqs[i].Submit)
@@ -513,6 +502,7 @@ func newSim(cfg Config, reqs []trace.Request) (*sim, error) {
 		tr:          cfg.Tracer,
 	}
 	s.stats.init(cfg.Obs)
+	s.events.Init(cfg.Servers + 2*len(cfg.Faults))
 	s.events.Instrument(cfg.Obs)
 	if s.audit = cfg.Audit; s.audit != nil {
 		s.audit.reset()
@@ -684,39 +674,35 @@ func (s *sim) runUntil(limit units.Seconds) error {
 		if !ok || at >= limit {
 			return nil
 		}
-		_, ev, _ := s.events.Pop()
+		_, key, _ := s.events.Pop()
 		s.now = at
 		s.stats.eventsPopped.Inc()
-		switch ev.Kind {
-		case evKindCompletion:
-			if err := s.complete(int(ev.Arg)); err != nil {
-				return err
-			}
-			if err := s.consolidate(); err != nil {
-				return err
-			}
-			if err := s.drainQueue(); err != nil {
-				return err
-			}
-		case evKindCrash:
-			if err := s.crash(int(ev.Arg)); err != nil {
-				return err
-			}
-			if err := s.drainQueue(); err != nil {
-				return err
-			}
-		case evKindRecover:
-			if err := s.recoverServer(int(ev.Arg)); err != nil {
-				return err
-			}
-			if err := s.drainQueue(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("cloudsim: unknown event kind %d", ev.Kind)
+		if err := s.dispatch(key); err != nil {
+			return err
+		}
+		if err := s.drainQueue(); err != nil {
+			return err
 		}
 		s.wd.Tick(float64(at))
 	}
+}
+
+// dispatch applies the popped event of key (see sim.events): a
+// completion is followed by a consolidation pass, a fault event by
+// nothing more. The caller drains the queue after either.
+func (s *sim) dispatch(key int) error {
+	if key < len(s.srv) {
+		if err := s.complete(key); err != nil {
+			return err
+		}
+		return s.consolidate()
+	}
+	f := key - len(s.srv)
+	server := s.faultSch[f/2].Server
+	if f%2 == 0 {
+		return s.crash(server)
+	}
+	return s.recoverServer(server)
 }
 
 // finalize folds per-server energy and active time over the workload
@@ -871,13 +857,13 @@ func (s *sim) advance(sv *simServer) error {
 	return nil
 }
 
-// reschedule recomputes the server's next completion event, moving the
-// pending one in place when there is one (an in-place move costs one
-// sift; a cancel-and-reinsert pair costs two on a heap this hot).
+// reschedule recomputes the server's next completion event; the queue
+// moves the server's pending one in place when there is one (an
+// in-place move costs one sift; a remove-and-reinsert pair costs two on
+// a heap this hot).
 func (s *sim) reschedule(sv *simServer) error {
 	if len(sv.vms) == 0 {
-		s.events.Cancel(sv.next)
-		sv.next = eventq.Handle{}
+		s.events.Remove(sv.id)
 		return nil
 	}
 	ai, err := s.infoFor(sv)
@@ -898,12 +884,7 @@ func (s *sim) reschedule(sv *simServer) error {
 			best = fin
 		}
 	}
-	ev := eventq.Event{Kind: evKindCompletion, Arg: int32(sv.id)}
-	if h, ok := s.events.Reschedule(sv.next, s.now+units.Seconds(best), ev); ok {
-		sv.next = h
-		return nil
-	}
-	sv.next = s.events.Schedule(s.now+units.Seconds(best), ev)
+	s.events.Schedule(sv.id, s.now+units.Seconds(best))
 	return nil
 }
 

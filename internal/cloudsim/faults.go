@@ -27,7 +27,6 @@ package cloudsim
 import (
 	"fmt"
 
-	"pacevm/internal/eventq"
 	"pacevm/internal/faults"
 	"pacevm/internal/trace"
 	"pacevm/internal/units"
@@ -63,12 +62,12 @@ func (s *sim) setupFaults() {
 
 // scheduleFaultsUntil places every schedule entry whose crash instant
 // lies before limit on the event list (pass +Inf to admit the whole
-// schedule, as Run does). Entry j's crash/recover pair carries the
-// pre-assigned fault-band sequences seqFaultBase+2j / +2j+1, so the pop
-// order among simultaneous fault events is fixed by the sorted schedule
-// no matter how the admission is windowed. A recover event may lie
-// beyond limit; it is scheduled with its pair so an outage can never be
-// admitted without its end.
+// schedule, as Run does). Entry j's crash/recover pair goes on keys
+// Servers+2j / +2j+1 under the pre-assigned fault-band sequences
+// seqFaultBase+2j / +2j+1, so the pop order among simultaneous fault
+// events is fixed by the sorted schedule no matter how the admission is
+// windowed. A recover event may lie beyond limit; it is scheduled with
+// its pair so an outage can never be admitted without its end.
 func (s *sim) scheduleFaultsUntil(limit units.Seconds) {
 	for ; s.faultNext < len(s.faultSch); s.faultNext++ {
 		e := s.faultSch[s.faultNext]
@@ -76,8 +75,9 @@ func (s *sim) scheduleFaultsUntil(limit units.Seconds) {
 			return
 		}
 		seq := seqFaultBase + 2*uint64(s.faultNext)
-		s.events.ScheduleSequenced(e.Down, seq, eventq.Event{Kind: evKindCrash, Arg: int32(e.Server)})
-		s.events.ScheduleSequenced(e.Up, seq+1, eventq.Event{Kind: evKindRecover, Arg: int32(e.Server)})
+		key := len(s.srv) + 2*s.faultNext
+		s.events.ScheduleSequenced(key, e.Down, seq)
+		s.events.ScheduleSequenced(key+1, e.Up, seq+1)
 	}
 }
 

@@ -248,9 +248,6 @@ func RunReference(cfg Config, reqs []trace.Request) (Result, []VMRecord, error) 
 		s.srv[i] = &refServer{id: i, activeFrom: -1}
 	}
 	for i, r := range reqs {
-		if err := r.Validate(); err != nil {
-			return Result{}, nil, err
-		}
 		if r.Submit < s.firstSubmit {
 			s.firstSubmit = r.Submit
 		}

@@ -149,12 +149,6 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 	if _, ok := cfg.Strategy.(strategy.CapacityHinter); sc.Steal && !ok {
 		return Result{}, fmt.Errorf("cloudsim: strategy %s cannot steal: it does not implement strategy.CapacityHinter", cfg.Strategy.Name())
 	}
-	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
-			return Result{}, err
-		}
-	}
-
 	// Global routing order: arrivals sorted by submission, stable so
 	// simultaneous submissions keep input order — exactly the relative
 	// sequence the monolithic loop's index-ordered admission produces.
@@ -218,11 +212,6 @@ func RunSharded(cfg Config, reqs []trace.Request, sc ShardConfig) (Result, error
 		if st.sim, err = newSim(scfg, reqs); err != nil {
 			return Result{}, err
 		}
-		// Same formula as Run: the heap holds at most one completion per
-		// server plus the fault events; arrivals live on the cursor. (The
-		// match matters at S == 1, where the obs registry — including the
-		// slab-growth counters — must stay byte-identical to Run's.)
-		st.sim.events.Reserve(st.servers + 2*len(scfg.Faults))
 		st.sim.arrQ = make([]pendingArrival, 0, len(reqs)/S+1)
 		shards[k] = st
 	}

@@ -10,13 +10,8 @@ import (
 	"pacevm/internal/units"
 )
 
-// Event kinds used by the tests; the queue itself never interprets them.
-const (
-	kindA Kind = iota
-	kindB
-)
-
-func ev(arg int) Event { return Event{Kind: kindA, Arg: int32(arg)} }
+// Len returns the number of pending events.
+func (q *Queue) Len() int { return len(q.heap) }
 
 func TestEmptyQueue(t *testing.T) {
 	var q Queue
@@ -33,42 +28,36 @@ func TestEmptyQueue(t *testing.T) {
 
 func TestOrdering(t *testing.T) {
 	var q Queue
-	q.Schedule(3, ev(3))
-	q.Schedule(1, ev(1))
-	q.Schedule(2, ev(2))
-	for i, want := range []int32{1, 2, 3} {
-		at, e, ok := q.Pop()
-		if !ok || e.Arg != want || at != units.Seconds(want) {
-			t.Fatalf("pop %d = (%v,%v,%v), want (%v,%v,true)", i, at, e, ok, want, want)
+	q.Init(4)
+	q.Schedule(3, 3)
+	q.Schedule(1, 1)
+	q.Schedule(2, 2)
+	for i, want := range []int{1, 2, 3} {
+		at, key, ok := q.Pop()
+		if !ok || key != want || at != units.Seconds(want) {
+			t.Fatalf("pop %d = (%v,%v,%v), want (%v,%v,true)", i, at, key, ok, want, want)
 		}
 	}
 }
 
 func TestFIFOAmongTies(t *testing.T) {
 	var q Queue
-	for i := 0; i < 10; i++ {
-		q.Schedule(5, ev(i))
+	q.Init(10)
+	for i := 9; i >= 0; i-- {
+		q.Schedule(i, 5)
 	}
-	for i := 0; i < 10; i++ {
-		_, e, ok := q.Pop()
-		if !ok || int(e.Arg) != i {
-			t.Fatalf("tie pop %d = %v", i, e)
+	for i := 9; i >= 0; i-- {
+		_, key, ok := q.Pop()
+		if !ok || key != i {
+			t.Fatalf("tie pop = %v, want key %d", key, i)
 		}
-	}
-}
-
-func TestKindRoundTrips(t *testing.T) {
-	var q Queue
-	q.Schedule(1, Event{Kind: kindB, Arg: 7})
-	_, e, ok := q.Pop()
-	if !ok || e.Kind != kindB || e.Arg != 7 {
-		t.Fatalf("popped %+v", e)
 	}
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
 	var q Queue
-	q.Schedule(7, ev(0))
+	q.Init(1)
+	q.Schedule(0, 7)
 	at, ok := q.Peek()
 	if !ok || at != 7 {
 		t.Fatalf("Peek = %v,%v", at, ok)
@@ -80,39 +69,38 @@ func TestPeekDoesNotRemove(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	var q Queue
-	h1 := q.Schedule(1, ev(1))
-	q.Schedule(2, ev(2))
-	if !q.Cancel(h1) {
-		t.Fatal("Cancel of pending event returned false")
+	q.Init(3)
+	q.Schedule(1, 1)
+	q.Schedule(2, 2)
+	if !q.Remove(1) {
+		t.Fatal("Remove of a pending key returned false")
 	}
-	if q.Cancel(h1) {
-		t.Fatal("double Cancel returned true")
+	if q.Remove(1) {
+		t.Fatal("double Remove returned true")
 	}
-	_, e, _ := q.Pop()
-	if e.Arg != 2 {
-		t.Fatalf("after cancel popped %v", e)
+	if q.Remove(0) {
+		t.Error("Remove of a never-scheduled key returned true")
 	}
-	if q.Cancel(Handle{}) {
-		t.Error("Cancel of zero handle returned true")
+	if _, key, _ := q.Pop(); key != 2 {
+		t.Fatalf("after remove popped key %d", key)
 	}
 }
 
 func TestCancelMiddle(t *testing.T) {
 	var q Queue
-	var handles []Handle
+	q.Init(100)
 	for i := 0; i < 100; i++ {
-		handles = append(handles, q.Schedule(units.Seconds(i), ev(i)))
+		q.Schedule(i, units.Seconds(i))
 	}
-	// Cancel all odd events.
 	for i := 1; i < 100; i += 2 {
-		if !q.Cancel(handles[i]) {
-			t.Fatalf("cancel %d failed", i)
+		if !q.Remove(i) {
+			t.Fatalf("remove %d failed", i)
 		}
 	}
 	for i := 0; i < 100; i += 2 {
-		_, e, ok := q.Pop()
-		if !ok || int(e.Arg) != i {
-			t.Fatalf("expected %d, got %v", i, e)
+		_, key, ok := q.Pop()
+		if !ok || key != i {
+			t.Fatalf("expected %d, got %v", i, key)
 		}
 	}
 	if q.Len() != 0 {
@@ -120,124 +108,128 @@ func TestCancelMiddle(t *testing.T) {
 	}
 }
 
-func TestHandleValidLifecycle(t *testing.T) {
-	var q Queue
-	h := q.Schedule(1, ev(0))
-	if !q.Valid(h) {
-		t.Error("fresh handle invalid")
-	}
-	q.Pop()
-	if q.Valid(h) {
-		t.Error("handle still valid after pop")
-	}
-	if q.Valid(Handle{}) {
-		t.Error("zero handle valid")
-	}
-}
-
-// TestStaleHandleAfterSlotReuse is the regression the slab rewrite must
-// hold: popping an event frees its slot for reuse, and a handle to the
-// popped event must NOT cancel (or report valid for) whatever event
-// later lands in the same slot.
-func TestStaleHandleAfterSlotReuse(t *testing.T) {
-	var q Queue
-	hA := q.Schedule(1, ev(100))
-	if _, e, ok := q.Pop(); !ok || e.Arg != 100 {
-		t.Fatalf("popped %v", e)
-	}
-	// B reuses A's slab slot (single-slot slab at this point).
-	hB := q.Schedule(2, ev(200))
-	if q.Valid(hA) {
-		t.Error("stale handle reports valid after slot reuse")
-	}
-	if q.Cancel(hA) {
-		t.Fatal("stale handle cancelled a different event")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("B was lost: Len = %d", q.Len())
-	}
-	if !q.Cancel(hB) {
-		t.Error("fresh handle to the reused slot failed to cancel")
-	}
-}
-
-// TestStaleHandlesAcrossManyPops churns the slab through many
-// schedule/pop cycles and checks every retired handle stays dead while
-// every live one works exactly once.
-func TestStaleHandlesAcrossManyPops(t *testing.T) {
-	var q Queue
-	var dead []Handle
-	for round := 0; round < 50; round++ {
-		live := make([]Handle, 10)
-		for i := range live {
-			live[i] = q.Schedule(units.Seconds(round*10+i), ev(round*10+i))
-		}
-		// Cancel half, pop the rest.
-		for i, h := range live {
-			if i%2 == 0 {
-				if !q.Cancel(h) {
-					t.Fatalf("round %d: cancel of live handle %d failed", round, i)
-				}
-			}
-		}
-		for q.Len() > 0 {
-			q.Pop()
-		}
-		dead = append(dead, live...)
-		for _, h := range dead {
-			if q.Valid(h) || q.Cancel(h) {
-				t.Fatalf("round %d: retired handle came back to life", round)
-			}
-		}
-	}
-}
-
+// TestCancelledSlotReuseKeepsOrdering schedules a key again after
+// removing it, reusing the key's slot: the new event sorts by its own
+// time, not the removed one's.
 func TestCancelledSlotReuseKeepsOrdering(t *testing.T) {
 	var q Queue
-	h := q.Schedule(5, ev(1))
-	q.Schedule(1, ev(2))
-	q.Cancel(h)
-	q.Schedule(3, ev(3)) // reuses the cancelled slot
-	var got []int32
+	q.Init(2)
+	q.Schedule(0, 5)
+	q.Schedule(1, 1)
+	q.Remove(0)
+	q.Schedule(0, 3)
+	var got []int
 	for {
-		_, e, ok := q.Pop()
+		_, key, ok := q.Pop()
 		if !ok {
 			break
 		}
-		got = append(got, e.Arg)
+		got = append(got, key)
 	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("pop order %v, want [2 3]", got)
+	if len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("pop order %v, want [1 0]", got)
 	}
 }
 
+// TestReserve pins that Init reserves room for every key: scheduling
+// and draining up to the key count allocates nothing.
 func TestReserve(t *testing.T) {
 	var q Queue
-	q.Reserve(1000)
-	allocsStart := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 500; i++ {
-			q.Schedule(units.Seconds(i), ev(i))
+	q.Init(1000)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			q.Schedule(i, units.Seconds(i))
 		}
 		for q.Len() > 0 {
 			q.Pop()
 		}
 	})
-	if allocsStart > 3 {
-		t.Errorf("reserved queue allocated %.0f times during churn", allocsStart)
+	if allocs != 0 {
+		t.Errorf("initialized queue allocated %.0f times during churn", allocs)
+	}
+}
+
+// TestPoppedKeyIsFree churns a key set through schedule/remove/pop
+// rounds: a popped key is no longer pending (Remove reports false and
+// counts nothing), and scheduling it again adds a fresh event — the
+// simulator's pattern after every completion.
+func TestPoppedKeyIsFree(t *testing.T) {
+	var q Queue
+	reg := obs.NewRegistry()
+	q.Instrument(reg)
+	q.Init(10)
+	for round := 0; round < 50; round++ {
+		for k := 0; k < 10; k++ {
+			q.Schedule(k, units.Seconds(round*10+k))
+		}
+		for k := 0; k < 10; k += 2 {
+			if !q.Remove(k) {
+				t.Fatalf("round %d: remove of pending key %d failed", round, k)
+			}
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+		for k := 0; k < 10; k++ {
+			if q.Remove(k) {
+				t.Fatalf("round %d: popped key %d still pending", round, k)
+			}
+		}
+	}
+	if got := reg.Snapshot().Counters["eventq_cancelled"]; got != 50*5 {
+		t.Errorf("eventq_cancelled = %d, want %d (removals only)", got, 50*5)
+	}
+}
+
+// TestMoveEqualsRemoveThenSchedule drives two queues through the same
+// pseudo-random schedule/pop stream: one moves pending keys in place,
+// the other removes them first. Both must pop the same sequence, since
+// a move takes the sequence number a fresh schedule would.
+func TestMoveEqualsRemoveThenSchedule(t *testing.T) {
+	const keys = 32
+	r := lcg(11)
+	var moved, fresh Queue
+	moved.Init(keys)
+	fresh.Init(keys)
+	var now units.Seconds
+	for i := 0; i < 5000; i++ {
+		key := int(r.next() % keys)
+		at := now + units.Seconds(r.next()%16)
+		switch r.next() % 4 {
+		case 0, 1:
+			moved.Schedule(key, at)
+			fresh.Remove(key)
+			fresh.Schedule(key, at)
+		case 2:
+			seq := uint64(i)
+			moved.ScheduleSequenced(key, at, seq)
+			fresh.Remove(key)
+			fresh.ScheduleSequenced(key, at, seq)
+		case 3:
+			at1, k1, ok1 := moved.Pop()
+			at2, k2, ok2 := fresh.Pop()
+			if at1 != at2 || k1 != k2 || ok1 != ok2 {
+				t.Fatalf("op %d: move pops (%v,%d,%v), remove+schedule pops (%v,%d,%v)", i, at1, k1, ok1, at2, k2, ok2)
+			}
+			if ok1 {
+				now = at1
+			}
+		}
 	}
 }
 
 func TestPopSortedProperty(t *testing.T) {
 	f := func(times []float64) bool {
 		var q Queue
+		q.Init(len(times))
 		var clean []float64
 		for _, ts := range times {
 			if math.IsNaN(ts) || math.IsInf(ts, 0) {
 				continue
 			}
 			ts = math.Mod(ts, 1e9)
+			q.Schedule(len(clean), units.Seconds(ts))
 			clean = append(clean, ts)
-			q.Schedule(units.Seconds(ts), ev(len(clean)-1))
 		}
 		var popped []float64
 		for {
@@ -250,10 +242,9 @@ func TestPopSortedProperty(t *testing.T) {
 		if len(popped) != len(clean) {
 			return false
 		}
-		sorted := append([]float64(nil), clean...)
-		sort.Float64s(sorted)
-		for i := range sorted {
-			if popped[i] != sorted[i] {
+		sort.Float64s(clean)
+		for i := range clean {
+			if popped[i] != clean[i] {
 				return false
 			}
 		}
@@ -264,38 +255,33 @@ func TestPopSortedProperty(t *testing.T) {
 	}
 }
 
-// TestCancelRandomizedHeapIntegrity interleaves schedules, cancels and
-// pops and checks the popped sequence equals the sorted surviving set —
-// an oracle over the 4-ary heap's arbitrary-position removal.
+// TestCancelRandomizedHeapIntegrity interleaves schedules, moves and
+// removals and checks the popped sequence equals the sorted surviving
+// set — an oracle over the 4-ary heap's arbitrary-position updates.
 func TestCancelRandomizedHeapIntegrity(t *testing.T) {
+	const keys = 64
 	f := func(ops []uint16) bool {
 		var q Queue
-		type pending struct {
-			h  Handle
-			at float64
-		}
-		var live []pending
-		var want []float64
-		next := 0
+		q.Init(keys)
+		pending := map[int]float64{}
 		for _, op := range ops {
+			key := int(op>>2) % keys
 			switch op % 3 {
-			case 0, 1: // schedule (biased: queues mostly grow)
+			case 0, 1: // schedule or move (biased: queues mostly grow)
 				at := float64(op) / 7
-				live = append(live, pending{q.Schedule(units.Seconds(at), ev(next)), at})
-				next++
-			case 2: // cancel a pseudo-random live event
-				if len(live) == 0 {
-					continue
-				}
-				i := int(op) % len(live)
-				if !q.Cancel(live[i].h) {
+				q.Schedule(key, units.Seconds(at))
+				pending[key] = at
+			case 2:
+				_, ok := pending[key]
+				if q.Remove(key) != ok {
 					return false
 				}
-				live = append(live[:i], live[i+1:]...)
+				delete(pending, key)
 			}
 		}
-		for _, p := range live {
-			want = append(want, p.at)
+		var want []float64
+		for _, at := range pending {
+			want = append(want, at)
 		}
 		sort.Float64s(want)
 		for i := 0; ; i++ {
@@ -315,137 +301,125 @@ func TestCancelRandomizedHeapIntegrity(t *testing.T) {
 
 func TestInterleavedScheduleAndPop(t *testing.T) {
 	var q Queue
-	q.Schedule(10, ev(10))
-	q.Schedule(1, ev(1))
-	at, e, _ := q.Pop()
-	if e.Arg != 1 || at != 1 {
-		t.Fatalf("got %v at %v", e, at)
+	q.Init(3)
+	q.Schedule(2, 10)
+	q.Schedule(0, 1)
+	at, key, _ := q.Pop()
+	if key != 0 || at != 1 {
+		t.Fatalf("got key %d at %v", key, at)
 	}
-	q.Schedule(5, ev(5))
-	_, e, _ = q.Pop()
-	if e.Arg != 5 {
-		t.Fatalf("got %v", e)
+	q.Schedule(1, 5)
+	if _, key, _ = q.Pop(); key != 1 {
+		t.Fatalf("got key %d", key)
 	}
-	_, e, _ = q.Pop()
-	if e.Arg != 10 {
-		t.Fatalf("got %v", e)
+	if _, key, _ = q.Pop(); key != 2 {
+		t.Fatalf("got key %d", key)
 	}
 }
 
-// BenchmarkQueueChurn measures the steady-state schedule/pop cycle the
+// BenchmarkQueueChurn measures the steady-state pop/schedule cycle the
 // simulator event loop drives (one completion rescheduled per pop).
 func BenchmarkQueueChurn(b *testing.B) {
 	var q Queue
-	q.Reserve(1024)
+	q.Init(1024)
 	for i := 0; i < 1024; i++ {
-		q.Schedule(units.Seconds(i), ev(i))
+		q.Schedule(i, units.Seconds(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at, e, _ := q.Pop()
-		q.Schedule(at+1024, e)
+		at, key, _ := q.Pop()
+		q.Schedule(key, at+1024)
 	}
 }
 
-// BenchmarkQueueCancel measures cancel+reschedule, the pattern every
-// server-state change triggers.
+// BenchmarkQueueCancel measures replacing a key's pending event with a
+// later one, the pattern every server-state change triggers (each
+// replacement counts in eventq_cancelled).
 func BenchmarkQueueCancel(b *testing.B) {
 	var q Queue
-	q.Reserve(1024)
-	handles := make([]Handle, 1024)
-	for i := range handles {
-		handles[i] = q.Schedule(units.Seconds(i), ev(i))
+	q.Init(1024)
+	for i := 0; i < 1024; i++ {
+		q.Schedule(i, units.Seconds(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % 1024
-		q.Cancel(handles[j])
-		handles[j] = q.Schedule(units.Seconds(i+1024), ev(j))
+		q.Schedule(i%1024, units.Seconds(i+1024))
 	}
 }
 
 // TestInstrumentedCounters exercises every telemetry hook against a live
-// registry: slab growth past the reserved capacity, the depth high-water
-// gauge, successful cancellations, and stale-handle detections (with the
-// zero Handle explicitly exempt).
+// registry: the depth high-water gauge and eventq_cancelled, which
+// counts moved and removed pending events and nothing else.
 func TestInstrumentedCounters(t *testing.T) {
 	var q Queue
 	reg := obs.NewRegistry()
 	q.Instrument(reg)
-	q.Reserve(4)
+	q.Init(16)
 
-	handles := make([]Handle, 0, 8)
 	for i := 0; i < 8; i++ {
-		handles = append(handles, q.Schedule(units.Seconds(i), ev(i)))
+		q.Schedule(i, units.Seconds(i))
+	}
+	q.Schedule(2, 20) // a move: replaces key 2's event, depth unchanged
+	if !q.Remove(3) {
+		t.Fatal("remove of a pending key failed")
+	}
+	if q.Remove(3) {
+		t.Fatal("double remove succeeded")
+	}
+	if _, key, _ := q.Pop(); key != 0 {
+		t.Fatalf("popped key %d, want 0", key)
+	}
+	if q.Remove(0) {
+		t.Fatal("remove of a popped key succeeded")
 	}
 	snap := reg.Snapshot()
 	if got := snap.Gauges["eventq_depth_highwater"]; got != 8 {
 		t.Errorf("depth high-water = %d, want 8", got)
 	}
-	if got := snap.Counters["eventq_slab_grown"]; got == 0 {
-		t.Error("scheduling past Reserve(4) did not count slab growth")
-	}
-	grownAt8 := snap.Counters["eventq_slab_grown"]
-
-	if !q.Cancel(handles[3]) {
-		t.Fatal("cancel of a pending event failed")
-	}
-	if q.Cancel(handles[3]) {
-		t.Fatal("double cancel succeeded")
-	}
-	if q.Cancel(Handle{}) {
-		t.Fatal("zero handle cancelled something")
-	}
-	q.Pop()
-	if q.Cancel(handles[0]) {
-		t.Fatal("cancel of a popped event succeeded")
-	}
-	snap = reg.Snapshot()
-	if got := snap.Counters["eventq_cancelled"]; got != 1 {
-		t.Errorf("eventq_cancelled = %d, want 1", got)
-	}
-	// Two stale detections (double cancel + popped handle); the zero
-	// Handle is the conventional "nothing scheduled" value, not a bug.
-	if got := snap.Counters["eventq_stale_handle"]; got != 2 {
-		t.Errorf("eventq_stale_handle = %d, want 2", got)
+	if got := snap.Counters["eventq_cancelled"]; got != 2 {
+		t.Errorf("eventq_cancelled = %d, want 2 (one move, one removal)", got)
 	}
 
-	// Draining and refilling within the grown slab reuses free slots:
-	// no further growth, but the high-water keeps ratcheting.
 	for {
 		if _, _, ok := q.Pop(); !ok {
 			break
 		}
 	}
 	for i := 0; i < 10; i++ {
-		q.Schedule(units.Seconds(i), ev(i))
+		q.Schedule(i, units.Seconds(i))
 	}
+	q.ScheduleSequenced(4, 1, 0) // a sequenced move counts too
 	snap = reg.Snapshot()
 	if got := snap.Gauges["eventq_depth_highwater"]; got != 10 {
 		t.Errorf("depth high-water after refill = %d, want 10", got)
 	}
-	// 8 of the 10 events reuse freed slots; the 9th slot allocation hits
-	// the full slab once and grows it, the 10th fits the doubled slab.
-	if got := snap.Counters["eventq_slab_grown"]; got != grownAt8+1 {
-		t.Errorf("slab growth = %d, want %d (one regrowth past the 8-slot slab)", got, grownAt8+1)
+	if got := snap.Counters["eventq_cancelled"]; got != 3 {
+		t.Errorf("eventq_cancelled after a sequenced move = %d, want 3", got)
+	}
+	for _, name := range []string{"eventq_stale_handle", "eventq_slab_grown"} {
+		if _, ok := snap.Counters[name]; ok {
+			t.Errorf("%s is registered", name)
+		}
 	}
 }
 
-// TestUninstrumentedQueueIsNoOp pins the zero-cost contract at the queue
-// level: a full schedule/cancel/pop cycle on an uninstrumented queue
-// with pre-reserved capacity performs no allocations.
+// TestUninstrumentedQueueAllocFree pins the zero-cost contract at the
+// queue level: a full schedule/move/remove/pop cycle on an
+// uninstrumented queue performs no allocations after Init.
 func TestUninstrumentedQueueAllocFree(t *testing.T) {
 	var q Queue
-	q.Reserve(64)
+	q.Init(64)
 	allocs := testing.AllocsPerRun(100, func() {
-		var hs [64]Handle
 		for i := 0; i < 64; i++ {
-			hs[i] = q.Schedule(units.Seconds(i%7), ev(i))
+			q.Schedule(i, units.Seconds(i%7))
 		}
 		for i := 0; i < 64; i += 3 {
-			q.Cancel(hs[i])
+			q.Remove(i)
+		}
+		for i := 1; i < 64; i += 5 {
+			q.Schedule(i, units.Seconds(i%11))
 		}
 		for {
 			if _, _, ok := q.Pop(); !ok {
@@ -458,5 +432,78 @@ func TestUninstrumentedQueueAllocFree(t *testing.T) {
 	}
 }
 
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
+// FuzzQueue runs a byte-coded stream of schedule, sequenced-schedule,
+// remove and pop operations against a map of pending events (a pop
+// must return its (time, sequence) minimum), checking
+// every pop, every Remove result and the telemetry totals.
+func FuzzQueue(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 1, 1, 0, 3, 3, 3, 2, 1, 2})
+	f.Add([]byte{4, 0, 4, 8, 0, 4, 1, 0, 2, 1, 4, 5, 3, 7})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const keys = 8
+		type pend struct {
+			at  units.Seconds
+			seq uint64
+		}
+		var q Queue
+		reg := obs.NewRegistry()
+		q.Instrument(reg)
+		q.Init(keys)
+		oracle := map[int]pend{}
+		var runtime, pre uint64
+		var cancelled, highwater int64
+		for i := 0; i+1 < len(ops); i += 2 {
+			key := int(ops[i]>>2) % keys
+			at := units.Seconds(ops[i+1] % 16)
+			_, pending := oracle[key]
+			switch ops[i] % 4 {
+			case 0:
+				q.Schedule(key, at)
+				oracle[key] = pend{at, SeqRuntimeBase + runtime}
+				runtime++
+			case 1:
+				q.ScheduleSequenced(key, at, pre)
+				oracle[key] = pend{at, pre}
+				pre++
+			case 2:
+				if q.Remove(key) != pending {
+					t.Fatalf("op %d: Remove(%d) disagrees with pending=%v", i, key, pending)
+				}
+				delete(oracle, key)
+			case 3:
+				want, best := -1, pend{}
+				for k, p := range oracle {
+					if want < 0 || p.at < best.at || p.at == best.at && p.seq < best.seq {
+						want, best = k, p
+					}
+				}
+				pat, pok := q.Peek()
+				at, got, ok := q.Pop()
+				if ok != (want >= 0) || pok != ok || pat != at {
+					t.Fatalf("op %d: Pop ok=%v Peek ok=%v, oracle holds %d", i, ok, pok, len(oracle))
+				}
+				if ok && (got != want || at != best.at) {
+					t.Fatalf("op %d: popped key %d at %v, oracle key %d at %v", i, got, at, want, best.at)
+				}
+				delete(oracle, want)
+				continue
+			}
+			if pending { // a move or a removal
+				cancelled++
+			}
+			if n := int64(len(oracle)); n > highwater {
+				highwater = n
+			}
+		}
+		if q.Len() != len(oracle) {
+			t.Fatalf("queue holds %d events, oracle %d", q.Len(), len(oracle))
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["eventq_cancelled"]; got != cancelled {
+			t.Errorf("eventq_cancelled = %d, oracle %d", got, cancelled)
+		}
+		if got := snap.Gauges["eventq_depth_highwater"]; got != highwater {
+			t.Errorf("eventq_depth_highwater = %d, oracle %d", got, highwater)
+		}
+	})
+}

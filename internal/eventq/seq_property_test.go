@@ -4,8 +4,8 @@ package eventq
 // leans on: pre-sequenced events (the cross-shard admission bands below
 // SeqRuntimeBase) and Schedule-assigned runtime events interleave on one
 // queue, pushed in adversarial order and windowed batches, yet always
-// pop in global (time, sequence) order — with generation-checked handle
-// cancellation racing the interleave.
+// pop in global (time, sequence) order — with moves and removals of
+// pending keys racing the interleave.
 
 import (
 	"sort"
@@ -27,14 +27,25 @@ func (r *lcg) next() uint64 {
 type seqEvent struct {
 	at  units.Seconds
 	seq uint64
-	arg int32
+	key int
+}
+
+// sortBySeq orders events by (time, sequence), the queue's pop order.
+func sortBySeq(es []seqEvent) {
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].at != es[j].at {
+			return es[i].at < es[j].at
+		}
+		return es[i].seq < es[j].seq
+	})
 }
 
 // TestSequencedBandsPopInGlobalOrder drives three bands — arrival-band
 // and fault-band seqs assigned up front but *pushed* in shuffled
 // windowed batches, runtime seqs assigned by Schedule as the pops
-// proceed — and checks the pop stream equals the (time, seq) sort of
-// everything scheduled, no matter when each event reached the queue.
+// proceed — while pops move and remove pending keys, and checks the pop
+// stream equals the (time, seq) sort of every event's final state, no
+// matter when each event reached the queue.
 func TestSequencedBandsPopInGlobalOrder(t *testing.T) {
 	const (
 		arrivalBand = uint64(0)
@@ -44,10 +55,13 @@ func TestSequencedBandsPopInGlobalOrder(t *testing.T) {
 	)
 	r := lcg(7)
 	var q Queue
+	q.Init(2 * nPre)
 
-	// Pre-assigned band events: seqs numbered in timestamp order (as the
-	// sharded router does), then shuffled so push order is adversarial.
-	var pre []seqEvent
+	// events[key] is the final state of every event ever scheduled. Keys
+	// below nPre are pre-sequenced: seqs numbered in timestamp order (as
+	// a windowed router assigns them), then shuffled so push order is
+	// adversarial.
+	events := make([]seqEvent, 0, 2*nPre)
 	at := units.Seconds(0)
 	for i := 0; i < nPre; i++ {
 		at += units.Seconds(r.next() % 7) // frequent timestamp ties
@@ -55,39 +69,41 @@ func TestSequencedBandsPopInGlobalOrder(t *testing.T) {
 		if i%3 == 0 {
 			band = faultBand
 		}
-		pre = append(pre, seqEvent{at: at, seq: band + uint64(i), arg: int32(i)})
+		events = append(events, seqEvent{at: at, seq: band + uint64(i), key: i})
 	}
 	horizon := at + window
-	shuffled := append([]seqEvent(nil), pre...)
-	for i := len(shuffled) - 1; i > 0; i-- {
+	order := make([]int, nPre)
+	for i := range order {
+		order[i] = i
+	}
+	for i := len(order) - 1; i > 0; i-- {
 		j := int(r.next() % uint64(i+1))
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		order[i], order[j] = order[j], order[i]
 	}
 
-	// The oracle: every event that will ever exist, in (at, seq) order.
-	oracle := append([]seqEvent(nil), pre...)
-
 	// Window-by-window lazy admission of the shuffled pre-sequenced
-	// stream, with pops interleaved; each popped event may Schedule a
-	// runtime follow-up (a "completion"), which joins the oracle with
-	// the seq the queue reports through pop order. Admission is
-	// conservative, as the sharded coordinator's is: everything due
+	// stream, with pops interleaved. Pops spawn runtime events (as
+	// completions do), move pending runtime events to later instants
+	// (as a placement reprices a server) and remove pending events of
+	// either band; the oracle tracks each key's final state. Admission
+	// is conservative, as a windowed coordinator's is: everything due
 	// before a window's limit is pushed before that window pops, and a
 	// random sprinkle of future events is pushed early (harmless — only
 	// late admission could reorder).
-	nextRuntimeArg := int32(nPre)
 	runtimeSeq := SeqRuntimeBase
-	admitted := make([]bool, len(shuffled))
-	remaining := len(shuffled)
+	admitted := make([]bool, nPre)
+	done := make([]bool, 2*nPre) // popped or removed
+	var runtime []int            // pending runtime keys
+	remaining := nPre
 	var popped []seqEvent
 	for limit := window; ; limit += window {
-		for i := range shuffled {
-			if admitted[i] {
+		for _, k := range order {
+			if admitted[k] {
 				continue
 			}
-			if e := shuffled[i]; e.at < limit || r.next()%4 == 0 {
-				q.ScheduleSequenced(e.at, e.seq, Event{Kind: kindA, Arg: e.arg})
-				admitted[i] = true
+			if e := events[k]; e.at < limit || r.next()%4 == 0 {
+				q.ScheduleSequenced(k, e.at, e.seq)
+				admitted[k] = true
 				remaining--
 			}
 		}
@@ -96,19 +112,48 @@ func TestSequencedBandsPopInGlobalOrder(t *testing.T) {
 			if !ok || pat >= limit {
 				break
 			}
-			pat2, ev, _ := q.Pop()
+			pat2, key, _ := q.Pop()
 			if pat2 != pat {
 				t.Fatalf("Pop returned %v after Peek %v", pat2, pat)
 			}
-			popped = append(popped, seqEvent{at: pat2, arg: ev.Arg})
-			// Every third pop spawns a runtime event, as completions do.
-			if len(popped)%3 == 0 {
+			popped = append(popped, seqEvent{at: pat2, key: key})
+			done[key] = true
+			for i, k := range runtime {
+				if k == key {
+					runtime = append(runtime[:i], runtime[i+1:]...)
+					break
+				}
+			}
+			switch n := len(popped); {
+			case n%3 == 0:
 				fat := pat2 + units.Seconds(r.next()%40)
-				if fat < horizon+window {
-					q.Schedule(fat, Event{Kind: kindB, Arg: nextRuntimeArg})
-					oracle = append(oracle, seqEvent{at: fat, seq: runtimeSeq, arg: nextRuntimeArg})
+				if k := len(events); fat < horizon+window && k < 2*nPre {
+					q.Schedule(k, fat)
+					events = append(events, seqEvent{at: fat, seq: runtimeSeq, key: k})
 					runtimeSeq++
-					nextRuntimeArg++
+					runtime = append(runtime, k)
+				}
+			case n%5 == 0 && len(runtime) > 0:
+				k := runtime[r.next()%uint64(len(runtime))]
+				fat := pat2 + units.Seconds(r.next()%40)
+				q.Schedule(k, fat)
+				events[k].at, events[k].seq = fat, runtimeSeq
+				runtimeSeq++
+			case n%7 == 0:
+				k := int(r.next() % uint64(len(events)))
+				pending := (k >= nPre || admitted[k]) && !done[k]
+				if q.Remove(k) != pending {
+					t.Fatalf("Remove(%d) disagrees with pending=%v", k, pending)
+				}
+				if pending {
+					done[k] = true
+					events[k].seq = ^uint64(0) // marks a removal for the oracle
+					for i, rk := range runtime {
+						if rk == k {
+							runtime = append(runtime[:i], runtime[i+1:]...)
+							break
+						}
+					}
 				}
 			}
 		}
@@ -117,98 +162,84 @@ func TestSequencedBandsPopInGlobalOrder(t *testing.T) {
 		}
 	}
 
-	sort.SliceStable(oracle, func(i, j int) bool {
-		if oracle[i].at != oracle[j].at {
-			return oracle[i].at < oracle[j].at
+	var oracle []seqEvent
+	for _, e := range events {
+		if e.seq != ^uint64(0) {
+			oracle = append(oracle, e)
 		}
-		return oracle[i].seq < oracle[j].seq
-	})
+	}
+	sortBySeq(oracle)
 	if len(popped) != len(oracle) {
 		t.Fatalf("popped %d events, oracle holds %d", len(popped), len(oracle))
 	}
 	for i := range oracle {
-		if popped[i].arg != oracle[i].arg || popped[i].at != oracle[i].at {
-			t.Fatalf("pop %d = (t=%v, arg=%d), oracle (t=%v, seq=%d, arg=%d)",
-				i, popped[i].at, popped[i].arg, oracle[i].at, oracle[i].seq, oracle[i].arg)
+		if popped[i].key != oracle[i].key || popped[i].at != oracle[i].at {
+			t.Fatalf("pop %d = (t=%v, key=%d), oracle (t=%v, seq=%d, key=%d)",
+				i, popped[i].at, popped[i].key, oracle[i].at, oracle[i].seq, oracle[i].key)
 		}
 	}
 }
 
-// TestSequencedCancelAndStaleHandles interleaves band-scheduled and
-// runtime events, cancels a deterministic subset through their handles,
-// and checks (a) survivors pop in (time, seq) order, (b) handles of
-// popped events are stale even after their slots are reused, (c)
-// cancelling twice fails the second time.
-func TestSequencedCancelAndStaleHandles(t *testing.T) {
+// TestSequencedRemoveAndMove interleaves band-scheduled and runtime
+// events, moves and removes a deterministic subset, and checks (a)
+// survivors pop in (time, seq) order, with a sequenced move keeping its
+// seq and a runtime move taking a fresh one, (b) removing twice fails
+// the second time, and (c) once drained, every key is free again.
+func TestSequencedRemoveAndMove(t *testing.T) {
+	const n = 400
 	r := lcg(23)
 	var q Queue
-	type tracked struct {
-		e      seqEvent
-		h      Handle
-		cancel bool
-	}
-	var all []tracked
-	for i := 0; i < 400; i++ {
-		at := units.Seconds(r.next() % 500)
-		var e seqEvent
-		var h Handle
-		if i%2 == 0 {
-			e = seqEvent{at: at, seq: uint64(i), arg: int32(i)}
-			h = q.ScheduleSequenced(e.at, e.seq, Event{Kind: kindA, Arg: e.arg})
+	q.Init(n)
+	events := make([]seqEvent, n)
+	schedule := func(k int, at units.Seconds) {
+		if k%2 == 0 {
+			events[k] = seqEvent{at: at, seq: uint64(k), key: k}
+			q.ScheduleSequenced(k, at, uint64(k))
 		} else {
-			e = seqEvent{at: at, seq: SeqRuntimeBase + q.seq, arg: int32(i)}
-			h = q.Schedule(e.at, Event{Kind: kindA, Arg: e.arg})
+			events[k] = seqEvent{at: at, seq: SeqRuntimeBase + q.seq, key: k}
+			q.Schedule(k, at)
 		}
-		all = append(all, tracked{e: e, h: h, cancel: r.next()%4 == 0})
+	}
+	for k := 0; k < n; k++ {
+		schedule(k, units.Seconds(r.next()%500))
 	}
 	var want []seqEvent
-	for i := range all {
-		if all[i].cancel {
-			if !q.Cancel(all[i].h) {
-				t.Fatalf("cancel %d failed on a live handle", i)
+	for k := 0; k < n; k++ {
+		switch r.next() % 4 {
+		case 0:
+			if !q.Remove(k) {
+				t.Fatalf("remove %d failed on a pending key", k)
 			}
-			if q.Cancel(all[i].h) {
-				t.Fatalf("double cancel %d succeeded", i)
+			if q.Remove(k) {
+				t.Fatalf("double remove %d succeeded", k)
 			}
 			continue
+		case 1:
+			schedule(k, units.Seconds(r.next()%500))
 		}
-		want = append(want, all[i].e)
+		want = append(want, events[k])
 	}
-	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].at != want[j].at {
-			return want[i].at < want[j].at
-		}
-		return want[i].seq < want[j].seq
-	})
+	sortBySeq(want)
 	for i, w := range want {
-		at, ev, ok := q.Pop()
+		at, key, ok := q.Pop()
 		if !ok {
 			t.Fatalf("queue dry after %d pops, want %d", i, len(want))
 		}
-		if at != w.at || ev.Arg != w.arg {
-			t.Fatalf("pop %d = (t=%v, arg=%d), want (t=%v, arg=%d)", i, at, ev.Arg, w.at, w.arg)
+		if at != w.at || key != w.key {
+			t.Fatalf("pop %d = (t=%v, key=%d), want (t=%v, key=%d)", i, at, key, w.at, w.key)
 		}
 	}
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("queue still has events past the oracle")
 	}
-	// Reuse the slab, then probe every surviving handle: all stale.
-	for i := 0; i < 100; i++ {
-		q.Schedule(units.Seconds(i), Event{Kind: kindB, Arg: int32(i)})
+	for k := 0; k < n; k++ {
+		if q.Remove(k) {
+			t.Fatalf("key %d still pending after the drain", k)
+		}
+		q.Schedule(k, units.Seconds(k))
 	}
-	for i := range all {
-		if all[i].cancel {
-			continue
-		}
-		if q.Valid(all[i].h) {
-			t.Fatalf("handle %d still valid after its event popped and slots were reused", i)
-		}
-		if q.Cancel(all[i].h) {
-			t.Fatalf("stale handle %d cancelled a reused slot's event", i)
-		}
-	}
-	if q.Len() != 100 {
-		t.Fatalf("stale cancels removed live events: %d left, want 100", q.Len())
+	if q.Len() != n {
+		t.Fatalf("rescheduling every freed key left %d events, want %d", q.Len(), n)
 	}
 }
 
@@ -217,14 +248,15 @@ func TestSequencedCancelAndStaleHandles(t *testing.T) {
 // SeqRuntimeBase is rejected by ScheduleSequenced.
 func TestSequencedBandBoundary(t *testing.T) {
 	var q Queue
+	q.Init(3)
 	const at = units.Seconds(10)
-	q.Schedule(at, Event{Kind: kindB, Arg: 2})                         // runtime band
-	q.ScheduleSequenced(at, uint64(1)<<40, Event{Kind: kindA, Arg: 1}) // fault band
-	q.ScheduleSequenced(at, 0, Event{Kind: kindA, Arg: 0})             // arrival band
-	for wantArg := int32(0); wantArg <= 2; wantArg++ {
-		_, ev, ok := q.Pop()
-		if !ok || ev.Arg != wantArg {
-			t.Fatalf("pop = (%+v, %t), want arg %d", ev, ok, wantArg)
+	q.Schedule(2, at)                         // runtime band
+	q.ScheduleSequenced(1, at, uint64(1)<<40) // fault band
+	q.ScheduleSequenced(0, at, 0)             // arrival band
+	for want := 0; want <= 2; want++ {
+		_, key, ok := q.Pop()
+		if !ok || key != want {
+			t.Fatalf("pop = (%d, %t), want key %d", key, ok, want)
 		}
 	}
 	defer func() {
@@ -232,5 +264,5 @@ func TestSequencedBandBoundary(t *testing.T) {
 			t.Error("ScheduleSequenced accepted a runtime-band seq")
 		}
 	}()
-	q.ScheduleSequenced(at, SeqRuntimeBase, Event{})
+	q.ScheduleSequenced(0, at, SeqRuntimeBase)
 }
